@@ -32,6 +32,12 @@ use fedbiad_tensor::{ops, Matrix};
 use rand::Rng;
 use std::time::Instant;
 
+/// θ-sampling's executable specification (the reference side of
+/// `core/sample_theta_mlp`), shared with the property test that pins the
+/// production pass to it.
+#[path = "../../../core/tests/support/sample_theta_spec.rs"]
+mod theta_spec;
+
 /// One timed run of `f`, in ns.
 fn time_once(f: &mut impl FnMut()) -> f64 {
     let t0 = Instant::now();
@@ -532,6 +538,93 @@ fn sim_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     out.push(entry(label, r, b));
 }
 
+/// PR 12's two hot-path rewrites, each against the definition it
+/// replaced.
+///
+/// * `core/sample_theta_mlp` — one local update's worth of
+///   θ ~ β∘N(U, s̃²I) draws on the MLP at p = 0.5 with eq. (13)'s s̃:
+///   the executable specification (clone U, Box–Muller every element,
+///   zero the dropped units) vs `sample_theta_into` on a persistent
+///   buffer. The ratio collapses toward 1 if the no-op skip stops firing
+///   or a per-step allocation comes back.
+/// * `stats/top_k_abs_100k` — DGC's magnitude top-1 % of 10⁵ values:
+///   full index sort vs selection + k-prefix sort.
+fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_core::spike_slab::{
+        client_total_data, resolve_noise, sample_theta_into, NoiseLevel,
+    };
+    use fedbiad_core::{keep_count, DropPattern};
+    use std::hint::black_box;
+
+    let scale = if smoke { Scale::Smoke } else { Scale::Lab };
+    let bundle = build(Workload::MnistLike, scale, 7);
+    let model = bundle.model.as_ref();
+    let u = model.init_params(&mut stream(7, StreamTag::Init, 0, 0));
+    let steps = bundle.train.local_iters;
+    let (arch, p) = (model.arch(), 0.5f32);
+    let s_tilde = resolve_noise(
+        NoiseLevel::Theory,
+        &arch,
+        (arch.total_weights as f64 * (1.0 - p) as f64) as usize,
+        client_total_data(1, steps, bundle.data.clients[0].num_samples()),
+        2.0,
+    );
+    let j = u.num_row_units();
+    let pattern = DropPattern::sample_global(
+        j,
+        keep_count(j, p),
+        &mut stream(7, StreamTag::Pattern, 0, 0),
+    );
+    let rows_kept = pattern.rows_kept(&u);
+    let mut theta = u.clone();
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            let mut rng = stream(7, StreamTag::PosteriorNoise, 0, 0);
+            for _ in 0..steps {
+                black_box(theta_spec::sample_theta(
+                    &u,
+                    &pattern.beta,
+                    s_tilde,
+                    &mut rng,
+                ));
+            }
+        },
+        || {
+            let mut rng = stream(7, StreamTag::PosteriorNoise, 0, 0);
+            for _ in 0..steps {
+                black_box(sample_theta_into(
+                    &mut theta, &u, &rows_kept, s_tilde, &mut rng,
+                ));
+            }
+        },
+    );
+    out.push(entry("core/sample_theta_mlp", r, b));
+
+    const N: usize = 100_000;
+    let mut rng = stream(8, StreamTag::Compress, 0, 0);
+    let xs: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            let mut idx: Vec<usize> = (0..N).collect();
+            idx.sort_by(|&a, &b| {
+                xs[b]
+                    .abs()
+                    .partial_cmp(&xs[a].abs())
+                    .expect("finite input")
+                    .then(a.cmp(&b))
+            });
+            idx.truncate(N / 100);
+            black_box(idx);
+        },
+        || {
+            black_box(fedbiad_tensor::stats::top_k_abs_indices(&xs, N / 100));
+        },
+    );
+    out.push(entry("stats/top_k_abs_100k", r, b));
+}
+
 /// The telemetry zero-overhead contract, as a gate entry: a hot loop of
 /// ~10 ns FNV mixing steps, bare (reference) vs instrumented with
 /// `span!` + `counter!` (batched). The bench harness compiles the
@@ -643,6 +736,7 @@ fn main() {
     local_update_entries(smoke, samples, &mut entries);
     aggregation_entries(smoke, samples, &mut entries);
     sim_entries(smoke, samples, &mut entries);
+    hot_path_entries(smoke, samples, &mut entries);
     // Sub-ms loop: extra samples are nearly free, minima converge better.
     telemetry_noop_entry(if smoke { samples } else { samples * 8 }, &mut entries);
 

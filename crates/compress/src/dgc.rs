@@ -125,6 +125,32 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_delta_compresses_instead_of_panicking() {
+        // Regression: a diverged client's NaN coordinates hit
+        // `.expect("NaN score")` in the top-k. They now rank below every
+        // number, so they stay in the accumulator and finite (and ±∞)
+        // mass is what goes on the wire.
+        let delta = [f32::NAN, 3.0, f32::NEG_INFINITY, -0.5, f32::NAN, 1.0];
+        let d = Dgc {
+            keep_fraction: 0.5,
+            momentum: 0.0,
+            warmup_rounds: 0,
+        };
+        let mut st = ClientState::default();
+        let c = d.compress(&mut st, &delta, 0, &mut rng());
+        assert_eq!(c.sent_values, 3);
+        assert_eq!(c.decoded[2], f32::NEG_INFINITY);
+        assert_eq!((c.decoded[1], c.decoded[5]), (3.0, 1.0));
+        assert!(c.decoded.iter().all(|v| !v.is_nan()));
+        assert!(st.residual[0].is_nan() && st.residual[4].is_nan());
+        // All-NaN: the lowest indices are sent, deterministically.
+        let mut st = ClientState::default();
+        let c = d.compress(&mut st, &[f32::NAN; 4], 0, &mut rng());
+        assert!(c.decoded[0].is_nan() && c.decoded[1].is_nan());
+        assert_eq!((c.decoded[2], c.decoded[3]), (0.0, 0.0));
+    }
+
+    #[test]
     fn momentum_amplifies_unsent_persistent_directions() {
         // A persistent direction that keeps losing the top-k race
         // accumulates super-linearly under momentum correction — the

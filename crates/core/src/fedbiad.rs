@@ -19,13 +19,17 @@ use crate::combo;
 use crate::indicator::WeightScores;
 use crate::losstrend::LossTrend;
 use crate::pattern::{keep_count, DropPattern};
-use crate::spike_slab::{client_total_data, resolve_noise, sample_theta, NoiseLevel};
+use crate::spike_slab::{
+    client_total_data, resolve_noise, sample_theta_into, NoiseLevel, ThetaStats,
+};
 use fedbiad_compress::{ClientState as SketchState, Compressor};
 use fedbiad_data::ClientData;
 use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
 use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
+use fedbiad_fl::telemetry::counter;
 use fedbiad_fl::upload::Upload;
+use fedbiad_nn::mask::BitVec;
 use fedbiad_nn::{Model, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::rngs::StdRng;
@@ -158,9 +162,9 @@ impl FedBiad {
 
     /// Rows that must always be kept (small classification heads — see
     /// `protect_small_output_rows`).
-    fn forced_keep(&self, params: &ParamSet) -> fedbiad_nn::mask::BitVec {
+    fn forced_keep(&self, params: &ParamSet) -> BitVec {
         let j = params.num_row_units();
-        let mut forced = fedbiad_nn::mask::BitVec::new(j, false);
+        let mut forced = BitVec::new(j, false);
         for e in 0..params.num_entries() {
             let meta = params.meta(e);
             if !meta.droppable {
@@ -180,20 +184,22 @@ impl FedBiad {
         forced
     }
 
+    /// Stage-one pattern draw; `forced` is [`FedBiad::forced_keep`] of
+    /// `params`, computed once per local update.
     fn sample_pattern(
         &self,
         params: &ParamSet,
-        j: usize,
+        forced: &BitVec,
         keep: usize,
         rng: &mut StdRng,
     ) -> DropPattern {
         match self.cfg.sampling {
             PatternSampling::Global => {
-                let forced = self.forced_keep(params);
+                let j = params.num_row_units();
                 if forced.count_ones() == 0 {
                     DropPattern::sample_global(j, keep, rng)
                 } else {
-                    DropPattern::sample_global_forced(j, keep, &forced, rng)
+                    DropPattern::sample_global_forced(j, keep, forced, rng)
                 }
             }
             PatternSampling::PerEntry => {
@@ -207,27 +213,33 @@ impl FedBiad {
 struct BiadHooks<'a> {
     fedbiad: &'a FedBiad,
     params_template: &'a ParamSet,
+    forced: &'a BitVec,
     pattern: DropPattern,
+    /// `pattern` expanded to matrix rows; rebuilt only when β changes.
+    rows_kept: Vec<Vec<bool>>,
+    /// θ, allocated once per local update and overwritten every step.
+    theta: ParamSet,
+    theta_stats: ThetaStats,
     tracker: LossTrend,
     scores: &'a mut WeightScores,
     stage_one: bool,
     s_tilde: f32,
     keep: usize,
-    j: usize,
     noise_rng: StdRng,
     pattern_rng: StdRng,
-    resamples: usize,
 }
 
 impl LocalHooks for BiadHooks<'_> {
-    fn make_theta(&mut self, _v: usize, u: &ParamSet) -> Option<ParamSet> {
+    fn make_theta<'a>(&'a mut self, _v: usize, u: &'a ParamSet) -> &'a ParamSet {
         // Algorithm 1 line 16: θ ~ β ∘ N(U, s̃²I).
-        Some(sample_theta(
+        self.theta_stats += sample_theta_into(
+            &mut self.theta,
             u,
-            &self.pattern,
+            &self.rows_kept,
             self.s_tilde,
             &mut self.noise_rng,
-        ))
+        );
+        &self.theta
     }
 
     fn mask_grads(&mut self, _v: usize, grads: &mut ParamSet) {
@@ -237,26 +249,25 @@ impl LocalHooks for BiadHooks<'_> {
 
     fn post_iteration(&mut self, v: usize, loss: f32) {
         self.tracker.observe(loss);
-        let held = self.pattern.clone();
-        let mut favourable = true;
         // Algorithm 1 lines 18–25 (stage one only): every τ iterations,
         // keep the pattern when ΔL ≤ 0, re-sample otherwise.
-        if self.stage_one && self.tracker.at_checkpoint(v) {
-            if let Some(gap) = self.tracker.gap() {
-                if gap > 0.0 {
-                    favourable = false;
-                    self.pattern = self.fedbiad.sample_pattern(
-                        self.params_template,
-                        self.j,
-                        self.keep,
-                        &mut self.pattern_rng,
-                    );
-                    self.resamples += 1;
-                }
-            }
-        }
+        let unfavourable = self.stage_one
+            && self.tracker.at_checkpoint(v)
+            && self.tracker.gap().is_some_and(|gap| gap > 0.0);
         // Algorithm 1 line 26 / eq. (9).
-        self.scores.update(&held, &self.pattern, favourable);
+        if unfavourable {
+            let next = self.fedbiad.sample_pattern(
+                self.params_template,
+                self.forced,
+                self.keep,
+                &mut self.pattern_rng,
+            );
+            let held = std::mem::replace(&mut self.pattern, next);
+            self.rows_kept = self.pattern.rows_kept(self.params_template);
+            self.scores.update(&held, &self.pattern, false);
+        } else {
+            self.scores.update(&self.pattern, &self.pattern, true);
+        }
     }
 }
 
@@ -322,22 +333,20 @@ impl FlAlgorithm for FedBiad {
         );
 
         let stage_one = self.stage_one(info.round);
+        let forced = self.forced_keep(global);
         let pattern = if stage_one {
             // Algorithm 1 line 11: random initial pattern — carried over
             // from the client's previous participation when
             // `persistent_patterns` is on (see config docs).
             match (&state.pattern, self.cfg.persistent_patterns) {
                 (Some(p), true) if p.len() == j => p.clone(),
-                _ => self.sample_pattern(global, j, keep, &mut pattern_rng),
+                _ => self.sample_pattern(global, &forced, keep, &mut pattern_rng),
             }
-        } else {
+        } else if forced.count_ones() == 0 {
             // Algorithm 1 line 13: pattern from the weight score vector.
-            let forced = self.forced_keep(global);
-            if forced.count_ones() == 0 {
-                state.scores.to_pattern(keep)
-            } else {
-                DropPattern::from_scores_forced(&state.scores.e, keep, &forced)
-            }
+            state.scores.to_pattern(keep)
+        } else {
+            DropPattern::from_scores_forced(&state.scores.e, keep, &forced)
         };
 
         // s̃² per eq. (13) with m_r = r·V·|D_k| (per-client approximation
@@ -357,16 +366,18 @@ impl FlAlgorithm for FedBiad {
         let mut hooks = BiadHooks {
             fedbiad: self,
             params_template: global,
+            forced: &forced,
+            rows_kept: pattern.rows_kept(global),
             pattern,
+            theta: global.clone(),
+            theta_stats: ThetaStats::default(),
             tracker: LossTrend::new(self.cfg.tau),
             scores: &mut state.scores,
             stage_one,
             s_tilde,
             keep,
-            j,
             noise_rng,
             pattern_rng,
-            resamples: 0,
         };
 
         let id = LocalRunId {
@@ -375,8 +386,16 @@ impl FlAlgorithm for FedBiad {
             client: client_id,
         };
         let stats = run_local_training(id, model, data, cfg, &mut u, &mut hooks);
-        let final_pattern = hooks.pattern.clone();
-        drop(hooks); // release the &mut borrow of state.scores
+        // Moving the pattern out ends the hooks' &mut borrow of
+        // state.scores.
+        let BiadHooks {
+            pattern: final_pattern,
+            theta_stats,
+            ..
+        } = hooks;
+        counter!("theta.transforms", theta_stats.transforms);
+        counter!("theta.transforms_skipped", theta_stats.transforms_skipped);
+        counter!("theta.rows_dropped", theta_stats.rows_dropped);
 
         // Upload: non-dropped rows of U under the *final* pattern β^{k,V}.
         let final_mask = final_pattern.to_mask(global);

@@ -168,6 +168,29 @@ impl DropPattern {
         ModelMask::from_row_pattern(params, &self.beta)
     }
 
+    /// β expanded to matrix rows, the layout the θ sampler
+    /// ([`crate::spike_slab::sample_theta_into`]) walks: `table[e][r]` is
+    /// `true` when row `r` of entry `e` belongs to a kept unit. Every row
+    /// of a non-droppable entry is kept.
+    pub fn rows_kept(&self, params: &ParamSet) -> Vec<Vec<bool>> {
+        (0..params.num_entries())
+            .map(|e| {
+                let mut rows = vec![true; params.mat(e).rows()];
+                if params.meta(e).droppable {
+                    for u in 0..params.entry_units(e) {
+                        let j = params.row_unit_index(e, u).expect("droppable");
+                        if !self.is_kept(j) {
+                            for r in params.unit_rows(e, u) {
+                                rows[r] = false;
+                            }
+                        }
+                    }
+                }
+                rows
+            })
+            .collect()
+    }
+
     /// Zero the gradient rows of dropped units (eq. (7): only non-dropped
     /// rows update U).
     pub fn mask_grads(&self, grads: &mut ParamSet) {

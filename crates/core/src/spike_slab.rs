@@ -10,9 +10,8 @@
 //! through the KL ≈ L2 term and the generalization analysis rather than
 //! through injected noise.
 
-use crate::pattern::DropPattern;
 use fedbiad_nn::{ArchInfo, ParamSet};
-use fedbiad_tensor::init::gaussian;
+use fedbiad_tensor::init::{box_muller, gaussian_uniforms, GAUSSIAN_ABS_BOUND};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -62,32 +61,134 @@ pub fn client_total_data(round_one_based: usize, local_iters: usize, min_dk: usi
     (round_one_based.max(1) * local_iters.max(1) * min_dk.max(1)) as f64
 }
 
-/// Sample θ ~ β∘N(U, s̃²I): clone U, add s̃·ε element-wise, zero dropped
-/// rows. With `s_tilde == 0` this is just the masked copy.
-pub fn sample_theta(
+/// What [`sample_theta_into`] passes did — the `theta.*` telemetry
+/// counters, and the ratio of useful transforms to draws.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThetaStats {
+    /// Box–Muller transforms evaluated (the add could move the weight).
+    pub transforms: u64,
+    /// Draws whose transform was skipped: provably no-op adds on kept
+    /// elements, plus every element of a dropped matrix row.
+    pub transforms_skipped: u64,
+    /// Matrix rows of dropped units, stored as zeros unperturbed.
+    pub rows_dropped: u64,
+}
+
+impl std::ops::AddAssign for ThetaStats {
+    fn add_assign(&mut self, o: Self) {
+        self.transforms += o.transforms;
+        self.transforms_skipped += o.transforms_skipped;
+        self.rows_dropped += o.rows_dropped;
+    }
+}
+
+/// 2⁻²⁶: a quarter of the relative spacing of f32 (2⁻²⁴ is half an ulp of
+/// a number in [1, 2); the extra factor covers the halved spacing just
+/// below a power of two, and the binade's upper end).
+const QUARTER_ULP: f32 = 1.0 / (1u32 << 26) as f32;
+
+/// Is `w + x == w` for every `|x| ≤ no_op_below`? Sufficient, not
+/// necessary: `|w|·2⁻²⁶` underflows to 0 for zeros and subnormals and is
+/// NaN for NaN, so those answer "no"; ±∞ answers "yes" (∞ + finite = ∞).
+#[inline]
+fn add_is_no_op(w: f32, no_op_below: f32) -> bool {
+    no_op_below < w.abs() * QUARTER_ULP
+}
+
+/// One element of θ = U + s̃·ε. Always consumes the two uniforms of a
+/// [`gaussian`](fedbiad_tensor::init::gaussian) sample; evaluates the
+/// transform only when the add could change `w`.
+///
+/// |ε| < [`GAUSSIAN_ABS_BOUND`], so `no_op_below = s̃·bound` bounds
+/// |fl(s̃·ε)| (rounding is monotone). When that is below `|w|·2⁻²⁶` the
+/// addend is under a quarter ulp of `w` and IEEE round-to-nearest returns
+/// `w` itself; any s̃ that is not tiny against `w` fails the test and
+/// takes the full transform, so every noise regime stays exact.
+#[inline]
+fn perturbed(
+    w: f32,
+    s_tilde: f32,
+    no_op_below: f32,
+    rng: &mut impl Rng,
+    transforms: &mut u64,
+) -> f32 {
+    let (u1, u2) = gaussian_uniforms(rng);
+    if add_is_no_op(w, no_op_below) {
+        w
+    } else {
+        *transforms += 1;
+        w + s_tilde * box_muller(u1, u2)
+    }
+}
+
+/// Sample θ ~ β∘N(U, s̃²I) into the persistent buffer `theta` (same shape
+/// as `u`; every element is overwritten): θ = U + s̃·ε on kept rows,
+/// zeros on the rows of dropped units. `rows_kept` is
+/// [`DropPattern::rows_kept`](crate::pattern::DropPattern::rows_kept).
+/// With `s_tilde` not above 0 this is the masked copy and draws nothing.
+///
+/// **RNG contract.** Otherwise exactly one
+/// [`gaussian_uniforms`] pair is consumed per parameter, in entry order,
+/// matrix row-major then bias — dropped rows included — so the stream's
+/// post-state does not depend on β, on U or on which transforms were
+/// skipped. The result and the post-state are bit-identical to "clone U,
+/// add `s̃·gaussian()` to every element, `zero_row_unit` the dropped
+/// units" (`tests/support/sample_theta_spec.rs`, property-tested in
+/// `tests/theta_props.rs`).
+pub fn sample_theta_into(
+    theta: &mut ParamSet,
     u: &ParamSet,
-    pattern: &DropPattern,
+    rows_kept: &[Vec<bool>],
     s_tilde: f32,
     rng: &mut impl Rng,
-) -> ParamSet {
-    let mut theta = u.clone();
-    if s_tilde > 0.0 {
-        for e in 0..theta.num_entries() {
-            let (m, b) = theta.mat_bias_mut(e);
-            for v in m.as_mut_slice() {
-                *v += s_tilde * gaussian(rng);
-            }
-            for v in b.iter_mut() {
-                *v += s_tilde * gaussian(rng);
+) -> ThetaStats {
+    assert_eq!(theta.num_entries(), u.num_entries(), "θ buffer shape");
+    assert_eq!(rows_kept.len(), u.num_entries(), "rows_kept shape");
+    let noisy = s_tilde > 0.0;
+    let no_op_below = s_tilde * GAUSSIAN_ABS_BOUND;
+    let mut stats = ThetaStats::default();
+    for (e, kept) in rows_kept.iter().enumerate() {
+        let (tm, tb) = theta.mat_bias_mut(e);
+        let (um, ub) = (u.mat(e), u.bias(e));
+        assert_eq!(
+            (tm.rows(), tm.cols(), tb.len(), kept.len()),
+            (um.rows(), um.cols(), ub.len(), um.rows()),
+            "θ buffer shape"
+        );
+        for (r, &keep) in kept.iter().enumerate() {
+            let (dst, src) = (tm.row_mut(r), um.row(r));
+            if !keep {
+                if noisy {
+                    for _ in src {
+                        gaussian_uniforms(rng);
+                    }
+                }
+                dst.fill(0.0);
+                stats.rows_dropped += 1;
+            } else if noisy {
+                for (d, &w) in dst.iter_mut().zip(src) {
+                    *d = perturbed(w, s_tilde, no_op_below, rng, &mut stats.transforms);
+                }
+            } else {
+                dst.copy_from_slice(src);
             }
         }
-    }
-    for j in 0..pattern.len() {
-        if !pattern.is_kept(j) {
-            theta.zero_row_unit(j);
+        for ((d, &w), &keep) in tb.iter_mut().zip(ub).zip(kept) {
+            let v = if noisy {
+                perturbed(w, s_tilde, no_op_below, rng, &mut stats.transforms)
+            } else {
+                w
+            };
+            // `zero_row_unit` clears a matrix row but *multiplies* the
+            // bias by 0.0, which keeps the perturbed value's sign and
+            // NaN-ness; reproduce that bit for bit.
+            *d = if keep { v } else { v * 0.0 };
         }
     }
-    theta
+    if noisy {
+        stats.transforms_skipped = u.total_params() as u64 - stats.transforms;
+    }
+    stats
 }
 
 /// Resolve a [`NoiseLevel`] to a concrete s̃ for the current round.
@@ -110,10 +211,12 @@ pub fn resolve_noise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::DropPattern;
     use fedbiad_nn::mask::BitVec;
     use fedbiad_nn::params::{EntryMeta, LayerKind};
     use fedbiad_tensor::rng::{stream, StreamTag};
     use fedbiad_tensor::Matrix;
+    use rand::Rng;
 
     fn arch() -> ArchInfo {
         ArchInfo {
@@ -170,28 +273,109 @@ mod tests {
         p
     }
 
+    fn sample(
+        u: &ParamSet,
+        pattern: &DropPattern,
+        s_tilde: f32,
+        seed: u64,
+    ) -> (ParamSet, ThetaStats) {
+        let mut theta = u.zeros_like();
+        let mut rng = stream(seed, StreamTag::PosteriorNoise, 0, 0);
+        let stats = sample_theta_into(&mut theta, u, &pattern.rows_kept(u), s_tilde, &mut rng);
+        (theta, stats)
+    }
+
     #[test]
     fn sample_theta_masks_and_perturbs() {
         let u = param_set();
         let mut beta = BitVec::new(4, true);
         beta.set(1, false);
-        let pattern = DropPattern { beta };
-        let mut rng = stream(4, StreamTag::PosteriorNoise, 0, 0);
-        let theta = sample_theta(&u, &pattern, 0.1, &mut rng);
+        let (theta, stats) = sample(&u, &DropPattern { beta }, 0.1, 4);
         // Dropped row exactly zero (spike), kept rows perturbed around U.
         assert_eq!(theta.mat(0).row(1), &[0.0, 0.0, 0.0]);
         assert_eq!(theta.bias(0)[1], 0.0);
         assert!(theta.mat(0).row(0).iter().all(|&v| (v - 0.5).abs() < 0.6));
         assert!(theta.mat(0).row(0).iter().any(|&v| v != 0.5));
+        // s̃ = 0.1 against 0.5 is no no-op: every kept element and the
+        // dropped bias pay a transform, the dropped matrix row skips 3.
+        assert_eq!(
+            stats,
+            ThetaStats {
+                transforms: 13,
+                transforms_skipped: 3,
+                rows_dropped: 1
+            }
+        );
     }
 
     #[test]
     fn sample_theta_zero_noise_is_masked_copy() {
         let u = param_set();
-        let pattern = DropPattern::full(4);
-        let mut rng = stream(5, StreamTag::PosteriorNoise, 0, 0);
-        let theta = sample_theta(&u, &pattern, 0.0, &mut rng);
+        let (theta, stats) = sample(&u, &DropPattern::full(4), 0.0, 5);
         assert_eq!(theta.flatten(), u.flatten());
+        assert_eq!(stats, ThetaStats::default());
+    }
+
+    #[test]
+    fn theory_sized_noise_skips_every_transform_and_still_draws() {
+        // Eq. (13)-sized s̃ against O(1) weights: θ = β∘U exactly, no
+        // transform evaluated, yet the stream advances as if all were.
+        let u = param_set();
+        let rows = DropPattern::full(4).rows_kept(&u);
+        let mut theta = u.zeros_like();
+        let mut rng = stream(6, StreamTag::PosteriorNoise, 0, 0);
+        let mut twin = rng.clone();
+        let stats = sample_theta_into(&mut theta, &u, &rows, 2e-12, &mut rng);
+        assert_eq!(theta.flatten(), u.flatten());
+        assert_eq!((stats.transforms, stats.transforms_skipped), (0, 16));
+        for _ in 0..16 {
+            fedbiad_tensor::init::gaussian(&mut twin);
+        }
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+    }
+
+    #[test]
+    fn skipped_adds_are_no_ops_even_at_the_gaussian_bound() {
+        // Random draws almost never come near |ε| = 6, so pin the skip
+        // test against the worst addend it admits: the largest s̃ that
+        // still passes for `w`, times ±GAUSSIAN_ABS_BOUND.
+        let mut rng = stream(8, StreamTag::Init, 0, 0);
+        let mut ws = vec![f32::MAX, f32::MIN_POSITIVE, 1.0, 0.05];
+        for e in -100..100 {
+            let p = 2f32.powi(e);
+            ws.extend([
+                p,
+                f32::from_bits(p.to_bits() - 1),
+                f32::from_bits(p.to_bits() + 1),
+            ]);
+            ws.push(p * rng.gen_range(1.0f32..2.0));
+        }
+        let mut admitted = 0;
+        for w in ws.into_iter().flat_map(|w| [w, -w]) {
+            let mut s = w.abs() * QUARTER_ULP / GAUSSIAN_ABS_BOUND;
+            while s > 0.0 && !add_is_no_op(w, s * GAUSSIAN_ABS_BOUND) {
+                s = f32::from_bits(s.to_bits() - 1);
+            }
+            if s > 0.0 {
+                admitted += 1;
+                for z in [GAUSSIAN_ABS_BOUND, -GAUSSIAN_ABS_BOUND, 5.77, -5.77] {
+                    assert_eq!((w + s * z).to_bits(), w.to_bits(), "w = {w:e}, s̃ = {s:e}");
+                }
+            }
+        }
+        assert!(admitted > 1500, "the sweep must exercise the fast path");
+        // Values the argument does not cover never take it.
+        for w in [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::NAN,
+        ] {
+            assert!(!add_is_no_op(w, f32::from_bits(1)), "{w:e}");
+            assert!(!add_is_no_op(w, 0.0), "{w:e}");
+        }
+        assert!(add_is_no_op(f32::INFINITY, 1e30) && !add_is_no_op(f32::INFINITY, f32::INFINITY));
     }
 
     #[test]

@@ -19,11 +19,13 @@ use rand::Rng;
 
 /// Per-iteration customisation points.
 pub trait LocalHooks {
-    /// Produce the effective parameters θ for iteration `v` from the
+    /// The effective parameters θ for iteration `v`, derived from the
     /// variational parameters `u`. Default: train on `u` directly (plain
-    /// SGD methods), signalled by returning `None` (avoids a full clone).
-    fn make_theta(&mut self, _v: usize, _u: &ParamSet) -> Option<ParamSet> {
-        None
+    /// SGD methods). An implementor that derives θ writes it into a buffer
+    /// it owns for the whole local run and lends that out, so no step
+    /// allocates a model-sized copy.
+    fn make_theta<'a>(&'a mut self, _v: usize, u: &'a ParamSet) -> &'a ParamSet {
+        u
     }
 
     /// Mask the gradient before the optimiser step (eq. (7): only
@@ -114,8 +116,7 @@ pub fn run_local_training(
     let mut first_loss = f32::NAN;
     let mut last_loss = f32::NAN;
     for v in 0..cfg.local_iters {
-        let theta_owned = hooks.make_theta(v, u);
-        let theta: &ParamSet = theta_owned.as_ref().unwrap_or(u);
+        let theta = hooks.make_theta(v, u);
 
         grads.zero();
         let loss = match data {

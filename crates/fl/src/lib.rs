@@ -36,6 +36,11 @@ pub mod timing;
 pub mod upload;
 pub mod workload;
 
+/// The workspace's instrumentation facade, re-exported so algorithm crates
+/// built on [`algorithm::FlAlgorithm`] / [`client::LocalHooks`] report
+/// through the collector this crate's round loop already uses.
+pub use fedbiad_telemetry as telemetry;
+
 pub use adversary::{AdversarySpec, AttackMode, ChurnSpec, GarbageKind};
 pub use aggregate::{AggError, AggSettings, RobustKind};
 pub use algorithm::{FlAlgorithm, LocalResult, RoundInfo};

@@ -279,9 +279,13 @@ impl ParamSet {
     /// spike-and-slab posterior mean E[β∘w] = keep-prob·µ at evaluation.
     pub fn scale_row_unit(&mut self, j: usize, f: f32) {
         let (e, u) = self.row_unit(j);
-        let rows: Vec<usize> = self.unit_rows(e, u).collect();
+        let gate_groups = self.meta[e].gate_groups;
+        let stride = self.entry_units(e);
         let has_bias = self.meta[e].has_bias;
-        for r in rows {
+        // The rows of `unit_rows(e, u)`, spelled out so nothing borrows
+        // `self` across the mutation (this runs per dropped unit per SGD
+        // step through `DropPattern::mask_grads`).
+        for r in (0..gate_groups).map(|g| g * stride + u) {
             if f == 0.0 {
                 self.mats[e].zero_row(r);
             } else {

@@ -58,20 +58,35 @@ pub fn argmax(xs: &[f32]) -> usize {
 }
 
 /// Indices of the `k` largest values of `score(x)`, descending. Determinist
-/// tie-break by smaller index. `k` is clamped to the slice length.
+/// tie-break by smaller index; a NaN score ranks below every number (a
+/// diverged client's non-finite delta reaches this through DGC/STC, so it
+/// must not panic). `k` is clamped to the slice length.
+///
+/// `(score desc, NaN last, index asc)` is a strict total order over the
+/// indices, so selecting the k-th element and sorting only the k-prefix
+/// yields exactly the Vec a full sort would, in O(n + k log k).
 pub fn top_k_indices_by(xs: &[f32], k: usize, score: impl Fn(f32) -> f32) -> Vec<usize> {
+    use std::cmp::Ordering;
     let k = k.min(xs.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let cmp = |a: &usize, b: &usize| {
+        let (sa, sb) = (score(xs[*a]), score(xs[*b]));
+        sb.partial_cmp(&sa)
+            .unwrap_or_else(|| match (sa.is_nan(), sb.is_nan()) {
+                (true, false) => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                _ => Ordering::Equal,
+            })
+            .then(a.cmp(b))
+    };
     let mut idx: Vec<usize> = (0..xs.len()).collect();
-    // Full sort is O(n log n) but deterministic and simple; selection is not
-    // a bottleneck next to GEMV in this workload. select_nth would not give
-    // a stable ordering for equal scores.
-    idx.sort_by(|&a, &b| {
-        score(xs[b])
-            .partial_cmp(&score(xs[a]))
-            .expect("NaN score")
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k - 1, cmp);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(cmp);
     idx
 }
 
@@ -199,6 +214,26 @@ mod tests {
     #[test]
     fn top_k_clamps_k() {
         assert_eq!(top_k_indices(&[1.0], 5), vec![0]);
+        assert_eq!(top_k_indices(&[2.0, 3.0], 2), vec![1, 0]);
+        assert!(top_k_indices(&[1.0, 2.0], 0).is_empty());
+        assert!(top_k_indices(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn top_k_ranks_nan_below_every_number() {
+        // Regression: `.expect("NaN score")` panicked here.
+        let xs = [
+            f32::NAN,
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            0.5,
+            f32::NEG_INFINITY,
+        ];
+        assert_eq!(top_k_indices(&xs, 6), vec![3, 4, 1, 5, 0, 2]);
+        assert_eq!(top_k_indices(&xs, 2), vec![3, 4]);
+        assert_eq!(top_k_abs_indices(&xs, 5), vec![3, 5, 1, 4, 0]);
+        assert_eq!(top_k_indices(&[f32::NAN; 3], 2), vec![0, 1]);
     }
 
     #[test]

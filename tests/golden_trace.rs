@@ -157,5 +157,15 @@ fn fig2_digest_is_unchanged_under_active_telemetry_capture() {
              {digest:#018X} != {GOLDEN_DIGEST:#018X} — spans/counters must be \
              purely observational (no RNG draws, no reordering)."
         );
+        // FedBIAD's θ counters arrive. (No exact totals: the collector
+        // is process-global, so sibling tests may add to them.)
+        let summary = capture.summary();
+        for name in [
+            "theta.transforms",
+            "theta.transforms_skipped",
+            "theta.rows_dropped",
+        ] {
+            assert!(summary.counter(name).is_some_and(|n| n > 0), "{name}");
+        }
     }
 }
