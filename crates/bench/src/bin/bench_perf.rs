@@ -273,7 +273,8 @@ fn threaded_entries(
 }
 
 /// FedBIAD-style masked-weights uploads (p = 0.5 row coverage) as both
-/// the dense decoded twin and the actual wire-encoded frame.
+/// the dense decoded twin (the oracle's input) and the wire-encoded frame
+/// clients send.
 fn masked_uploads(
     global: &fedbiad_nn::ParamSet,
     clients: usize,
@@ -282,67 +283,56 @@ fn masked_uploads(
     Vec<fedbiad_fl::upload::Upload>,
 ) {
     use fedbiad_core::pattern::{keep_count, DropPattern};
-    use fedbiad_fl::upload::{Upload, UploadKind};
+    use fedbiad_fl::aggregate::dense_twin;
+    use fedbiad_fl::upload::Upload;
 
     let j = global.num_row_units();
-    let dense: Vec<Upload> = (0..clients)
+    let wire: Vec<Upload> = (0..clients)
         .map(|k| {
             let mut rng = stream(42, StreamTag::Pattern, 0, k as u64);
             let pat = DropPattern::sample_global(j, keep_count(j, 0.5), &mut rng);
             Upload::masked_weights(global.clone(), pat.to_mask(global))
         })
         .collect();
-    let wire: Vec<Upload> = dense
+    let dense = wire
         .iter()
-        .map(|u| {
-            Upload::wire(
-                UploadKind::Weights,
-                fedbiad_compress::codec::encode_weights(u.params(), &u.coverage),
-                u.coverage.clone(),
-                u.wire_bytes,
-            )
-        })
+        .map(|u| dense_twin(global, u).expect("honest frame decodes"))
         .collect();
     (dense, wire)
 }
 
-/// Sketched delta uploads from a real compressor payload: the structural
-/// payload (for the reference path, which must reconstruct the dense
-/// delta itself) + the wire frame per client.
+/// Sketched delta uploads from a real compressor payload, as the wire
+/// frame per client.
 fn delta_uploads(
     global: &fedbiad_nn::ParamSet,
     comp: &dyn fedbiad_compress::Compressor,
     clients: usize,
-) -> (
-    Vec<fedbiad_compress::codec::Payload>,
-    Vec<fedbiad_fl::upload::Upload>,
-) {
+) -> Vec<fedbiad_fl::upload::Upload> {
     use fedbiad_compress::{codec, ClientState};
     use fedbiad_fl::upload::{Upload, UploadKind};
     use fedbiad_nn::ModelMask;
 
     let n = global.flatten().len();
-    let mut payloads = Vec::with_capacity(clients);
-    let mut wire = Vec::with_capacity(clients);
-    for k in 0..clients {
-        let mut drng = stream(43, StreamTag::Init, 1, k as u64);
-        let delta: Vec<f32> = (0..n).map(|_| drng.gen_range(-0.05f32..0.05)).collect();
-        let mut st = ClientState::default();
-        let mut crng = stream(44, StreamTag::Compress, 0, k as u64);
-        let c = comp.compress(&mut st, &delta, 0, &mut crng);
-        wire.push(Upload::wire(
-            UploadKind::Delta,
-            codec::encode_delta(&c.payload),
-            ModelMask::full(global),
-            c.wire_bytes,
-        ));
-        payloads.push(c.payload);
-    }
-    (payloads, wire)
+    (0..clients)
+        .map(|k| {
+            let mut drng = stream(43, StreamTag::Init, 1, k as u64);
+            let delta: Vec<f32> = (0..n).map(|_| drng.gen_range(-0.05f32..0.05)).collect();
+            let mut st = ClientState::default();
+            let mut crng = stream(44, StreamTag::Compress, 0, k as u64);
+            let c = comp.compress(&mut st, &delta, 0, &mut crng);
+            Upload::wire(
+                UploadKind::Delta,
+                codec::encode_delta(&c.payload),
+                ModelMask::full(global),
+                c.wire_bytes,
+            )
+        })
+        .collect()
 }
 
-/// Server-side aggregation: the dense reference engine vs the sharded
-/// streaming engine, at 1/2/8 worker threads. Four cohorts at MLP scale:
+/// Server-side aggregation: the dense oracle (fed dense twins) vs the
+/// sharded streaming engine (fed the wire frames), at 1/2/8 worker
+/// threads. Four cohorts at MLP scale:
 /// masked weights at the standard (20-client) and large (200-client)
 /// cohort sizes, plus sketched deltas through a sparse-f32 payload (DGC)
 /// and a bit-packed 8-bit payload (FedPAQ). The streaming runs consume
@@ -353,11 +343,11 @@ fn aggregation_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     use fedbiad_compress::dgc::Dgc;
     use fedbiad_compress::fedpaq::FedPaq;
     use fedbiad_fl::aggregate::{
-        aggregate_deltas, aggregate_weights, AggSettings, RobustKind, ZeroMode,
+        aggregate_deltas, aggregate_weights, dense_twin, AggSettings, RobustKind, ZeroMode,
     };
-    use fedbiad_fl::upload::{Upload, UploadBody, UploadKind};
+    use fedbiad_fl::upload::Upload;
     use fedbiad_nn::mlp::MlpModel;
-    use fedbiad_nn::{Model, ModelMask};
+    use fedbiad_nn::Model;
 
     let model = MlpModel::new(784, 128, 10);
     let global = model.init_params(&mut stream(41, StreamTag::Init, 0, 0));
@@ -437,29 +427,19 @@ fn aggregation_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
         ("sparse_f32", &sparse as &dyn fedbiad_compress::Compressor),
         ("quant8", &quant as &dyn fedbiad_compress::Compressor),
     ] {
-        let (payloads, wire_ups) = delta_uploads(&global, comp, clients);
+        let wire_ups = delta_uploads(&global, comp, clients);
         threaded_entries(
             samples,
             &format!("aggregate/delta_{label}_{clients}c"),
             || {
-                // Both engines start from the same compressed payloads:
-                // the dense reference must first materialise each
-                // client's dense delta (decode + unflatten), exactly the
-                // per-client O(model) buffers the streaming engine
-                // exists to avoid.
+                // Both engines start from the same wire frames: the
+                // oracle must first materialise each client's dense
+                // delta (decode + unflatten), exactly the per-client
+                // O(model) buffers the streaming engine exists to avoid.
                 let mut g = global.clone();
-                let dense_ups: Vec<Upload> = payloads
+                let dense_ups: Vec<Upload> = wire_ups
                     .iter()
-                    .map(|p| {
-                        let mut dp = global.zeros_like();
-                        dp.unflatten_from(&p.decode_dense());
-                        Upload {
-                            kind: UploadKind::Delta,
-                            coverage: ModelMask::full(&global),
-                            wire_bytes: p.wire_bytes(),
-                            body: UploadBody::Dense(dp),
-                        }
-                    })
+                    .map(|u| dense_twin(&global, u).expect("honest frame decodes"))
                     .collect();
                 let ups: Vec<(f32, &Upload)> = dense_ups.iter().map(|u| (1.0, u)).collect();
                 aggregate_deltas(&mut g, &ups, AggSettings::default()).unwrap();

@@ -8,7 +8,7 @@ use fedbiad_data::ClientData;
 use fedbiad_fl::aggregate::{aggregate_deltas, aggregate_weights, ZeroMode};
 use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalRunId, NoHooks};
-use fedbiad_fl::upload::{Upload, UploadBody, UploadKind};
+use fedbiad_fl::upload::{Upload, UploadKind};
 use fedbiad_nn::{Model, ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use std::sync::Arc;
@@ -74,10 +74,13 @@ impl FlAlgorithm for FedAvg {
         let stats = run_local_training(id, model, data, cfg, &mut u, &mut NoHooks);
 
         let upload = match &self.sketch {
-            None => Upload::full_weights_with(u, info.agg),
+            None => Upload::full_weights(u),
             Some(comp) => {
                 // Delta = trained − received, compressed with residual
-                // feedback; the server receives the decoded delta.
+                // feedback; the encoded payload is what travels. The
+                // server decodes it shard by shard and never holds a
+                // dense per-client delta (the compressor's own transient
+                // `decoded` scratch is freed right here).
                 let fu = u.flatten();
                 let fg = global.flatten();
                 let delta: Vec<f32> = fu.iter().zip(&fg).map(|(a, b)| a - b).collect();
@@ -88,29 +91,14 @@ impl FlAlgorithm for FedAvg {
                     client_id as u64,
                 );
                 let compressed = comp.compress(state, &delta, info.round, &mut crng);
-                if info.agg.streaming {
-                    // Streaming: ship the real encoded payload; the server
-                    // decodes it shard by shard and never holds a dense
-                    // per-client delta (the compressor's own transient
-                    // `decoded` scratch is freed right here).
-                    let msg = encode_delta(&compressed.payload);
-                    debug_assert_eq!(msg.body_bytes(), compressed.wire_bytes);
-                    Upload::wire(
-                        UploadKind::Delta,
-                        msg,
-                        ModelMask::full(global),
-                        compressed.wire_bytes,
-                    )
-                } else {
-                    let mut dparams = global.zeros_like();
-                    dparams.unflatten_from(&compressed.decoded);
-                    Upload {
-                        kind: UploadKind::Delta,
-                        coverage: ModelMask::full(global),
-                        wire_bytes: compressed.wire_bytes,
-                        body: UploadBody::Dense(dparams),
-                    }
-                }
+                let msg = encode_delta(&compressed.payload);
+                debug_assert_eq!(msg.body_bytes(), compressed.wire_bytes);
+                Upload::wire(
+                    UploadKind::Delta,
+                    msg,
+                    ModelMask::full(global),
+                    compressed.wire_bytes,
+                )
             }
         };
 

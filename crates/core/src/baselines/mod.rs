@@ -29,7 +29,7 @@ use fedbiad_compress::{ClientState as SketchState, Compressor};
 use fedbiad_data::ClientData;
 use fedbiad_fl::algorithm::{LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
-use fedbiad_fl::upload::{Upload, UploadBody, UploadKind};
+use fedbiad_fl::upload::{Upload, UploadKind};
 use fedbiad_nn::{Model, ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 
@@ -68,7 +68,7 @@ pub(crate) fn masked_local_update(
     let stats = run_local_training(id, model, data, cfg, &mut u, &mut MaskHooks { mask: &mask });
 
     let upload = match sketch {
-        None => Upload::masked_weights_with(u, mask, info.agg),
+        None => Upload::masked_weights(u, mask),
         Some(comp) => {
             let mut masked_u = u;
             mask.apply(&mut masked_u);
@@ -86,24 +86,14 @@ pub(crate) fn masked_local_update(
                 &mask,
                 info.round,
                 &mut crng,
-                !info.agg.streaming,
             );
             let overhead = mask.wire_bytes(&masked_u) - mask.kept_params(&masked_u) as u64 * 4;
             let wire_bytes = out.payload_bytes + overhead;
-            if info.agg.streaming {
-                // Streaming: mask bitmaps + compressed payload travel as
-                // real bytes; no dense reconstruction anywhere.
-                let msg = fedbiad_compress::codec::encode_weights_delta(&mask, &out.payload);
-                debug_assert_eq!(msg.body_bytes(), wire_bytes);
-                Upload::wire(UploadKind::Weights, msg, mask, wire_bytes)
-            } else {
-                Upload {
-                    kind: UploadKind::Weights,
-                    body: UploadBody::Dense(out.reconstructed.expect("dense reference path")),
-                    coverage: mask,
-                    wire_bytes,
-                }
-            }
+            // Mask bitmaps + compressed payload travel as real bytes; no
+            // dense reconstruction anywhere.
+            let msg = fedbiad_compress::codec::encode_weights_delta(&mask, &out.payload);
+            debug_assert_eq!(msg.body_bytes(), wire_bytes);
+            Upload::wire(UploadKind::Weights, msg, mask, wire_bytes)
         }
     };
 

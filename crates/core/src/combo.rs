@@ -46,13 +46,10 @@ pub fn kept_flat_indices(params: &ParamSet, mask: &ModelMask) -> Vec<usize> {
 
 /// Result of sketching a masked-weights upload.
 pub struct SketchOutcome {
-    /// Server-side reconstruction of β∘U (masked global + decoded delta).
-    /// `None` when the caller asked for the wire payload only (the
-    /// streaming path never materialises it).
-    pub reconstructed: Option<ParamSet>,
-    /// The compressor's payload over the covered-subvector delta — what a
-    /// streaming upload puts on the wire
-    /// (`fedbiad_compress::codec::encode_weights_delta`).
+    /// The compressor's payload over the covered-subvector delta — what
+    /// the upload puts on the wire
+    /// (`fedbiad_compress::codec::encode_weights_delta`); the server
+    /// reconstructs β∘U as masked global + decoded delta.
     pub payload: fedbiad_compress::codec::Payload,
     /// Compressed payload bytes (excluding the dropping-pattern bits,
     /// which the caller adds).
@@ -61,10 +58,7 @@ pub struct SketchOutcome {
     pub sent_values: u64,
 }
 
-/// Compress the kept-row delta of `masked_u` against `global`. With
-/// `want_dense`, also return the server-side dense reconstruction (the
-/// reference path); without it, only the wire payload is produced.
-#[allow(clippy::too_many_arguments)]
+/// Compress the kept-row delta of `masked_u` against `global`.
 pub fn sketch_masked_weights(
     comp: &dyn Compressor,
     state: &mut SketchState,
@@ -73,12 +67,9 @@ pub fn sketch_masked_weights(
     mask: &ModelMask,
     round: usize,
     rng: &mut StdRng,
-    want_dense: bool,
 ) -> SketchOutcome {
-    let mut masked_g = global.clone();
-    mask.apply(&mut masked_g);
     let fu = masked_u.flatten();
-    let fg = masked_g.flatten();
+    let fg = global.flatten();
     let kept = kept_flat_indices(masked_u, mask);
     state.ensure_len(fu.len());
 
@@ -96,18 +87,7 @@ pub fn sketch_masked_weights(
         state.velocity[i] = tmp.velocity[pos];
     }
 
-    let reconstructed = want_dense.then(|| {
-        let mut rec_flat = fg;
-        for (pos, &i) in kept.iter().enumerate() {
-            rec_flat[i] += compressed.decoded[pos];
-        }
-        let mut reconstructed = masked_u.zeros_like();
-        reconstructed.unflatten_from(&rec_flat);
-        reconstructed
-    });
-
     SketchOutcome {
-        reconstructed,
         payload: compressed.payload,
         payload_bytes: compressed.wire_bytes,
         sent_values: compressed.sent_values,
@@ -131,6 +111,15 @@ mod tests {
             EntryMeta::new("w", LayerKind::DenseHidden, true, true),
         );
         p
+    }
+
+    /// What the server reconstructs from the sketched upload: β∘U as
+    /// masked global + decoded delta.
+    fn server_side(out: &SketchOutcome, mask: &ModelMask, global: &ParamSet) -> ParamSet {
+        use fedbiad_fl::upload::{Upload, UploadKind};
+        let msg = fedbiad_compress::codec::encode_weights_delta(mask, &out.payload);
+        let u = Upload::wire(UploadKind::Weights, msg, mask.clone(), out.payload_bytes);
+        fedbiad_fl::aggregate::decode_dense(global, &u).unwrap()
     }
 
     fn row_mask(p: &ParamSet, kept: [bool; 3]) -> ModelMask {
@@ -170,9 +159,8 @@ mod tests {
             &mask,
             0,
             &mut rng,
-            true,
         );
-        let rec = out.reconstructed.expect("dense reconstruction requested");
+        let rec = server_side(&out, &mask, &global);
         assert_eq!(rec.flatten(), masked_u.flatten());
         // Payload covers exactly the kept scalars.
         assert_eq!(out.sent_values, 6);
@@ -194,7 +182,7 @@ mod tests {
         let mask0 = row_mask(&global, [true, false, true]);
         let mut mu0 = u.clone();
         mask0.apply(&mut mu0);
-        let _ = sketch_masked_weights(&comp, &mut st, &mu0, &global, &mask0, 0, &mut rng, true);
+        let _ = sketch_masked_weights(&comp, &mut st, &mu0, &global, &mask0, 0, &mut rng);
         // Flat index of (row1, col0) is 2.
         assert_eq!(st.residual[2], 0.0, "dropped row has no residual yet");
 
@@ -203,8 +191,8 @@ mod tests {
         let mask1 = row_mask(&global, [false, true, true]);
         let mut mu1 = u.clone();
         mask1.apply(&mut mu1);
-        let out = sketch_masked_weights(&comp, &mut st, &mu1, &global, &mask1, 1, &mut rng, true);
-        let recon = out.reconstructed.expect("dense").mat(0).get(1, 0);
+        let out = sketch_masked_weights(&comp, &mut st, &mu1, &global, &mask1, 1, &mut rng);
+        let recon = server_side(&out, &mask1, &global).mat(0).get(1, 0);
         let resid = st.residual[2];
         assert!(
             (recon + resid - 4.0).abs() < 1e-5,

@@ -403,7 +403,7 @@ impl FlAlgorithm for FedBiad {
         // client's next participation.
         state.pattern = Some(final_pattern);
         let upload = match &self.sketch {
-            None => Upload::masked_weights_with(u, final_mask, info.agg),
+            None => Upload::masked_weights(u, final_mask),
             Some(comp) => {
                 let mut masked_u = u;
                 final_mask.apply(&mut masked_u);
@@ -421,32 +421,19 @@ impl FlAlgorithm for FedBiad {
                     &final_mask,
                     info.round,
                     &mut crng,
-                    !info.agg.streaming,
                 );
                 // Wire = compressed payload + the 1-bit/row pattern.
                 let pattern_overhead =
                     final_mask.wire_bytes(&masked_u) - final_mask.kept_params(&masked_u) as u64 * 4;
                 let wire_bytes = out.payload_bytes + pattern_overhead;
-                if info.agg.streaming {
-                    let msg =
-                        fedbiad_compress::codec::encode_weights_delta(&final_mask, &out.payload);
-                    debug_assert_eq!(msg.body_bytes(), wire_bytes);
-                    Upload::wire(
-                        fedbiad_fl::upload::UploadKind::Weights,
-                        msg,
-                        final_mask,
-                        wire_bytes,
-                    )
-                } else {
-                    Upload {
-                        kind: fedbiad_fl::upload::UploadKind::Weights,
-                        body: fedbiad_fl::upload::UploadBody::Dense(
-                            out.reconstructed.expect("dense reference path"),
-                        ),
-                        coverage: final_mask,
-                        wire_bytes,
-                    }
-                }
+                let msg = fedbiad_compress::codec::encode_weights_delta(&final_mask, &out.payload);
+                debug_assert_eq!(msg.body_bytes(), wire_bytes);
+                Upload::wire(
+                    fedbiad_fl::upload::UploadKind::Weights,
+                    msg,
+                    final_mask,
+                    wire_bytes,
+                )
             }
         };
 
@@ -696,13 +683,12 @@ mod tests {
         let b = sketched.local_update(info, &(), 0, &mut st_b, &global, &data, &model, &cfg());
         // Identity compression reconstructs the masked weights up to the
         // f32 rounding of the delta round-trip (g + (u − g)).
-        for (x, y) in a
-            .upload
-            .params()
-            .flatten()
-            .iter()
-            .zip(b.upload.params().flatten())
-        {
+        let server_side = |u: &Upload| {
+            fedbiad_fl::aggregate::decode_dense(&global, u)
+                .unwrap()
+                .flatten()
+        };
+        for (x, y) in server_side(&a.upload).iter().zip(server_side(&b.upload)) {
             assert!((x - y).abs() < 1e-5, "{x} vs {y}");
         }
         // The identity compressor sends the same kept values densely, so

@@ -10,16 +10,14 @@
 //! attack surface is the wire, not the local optimiser, so every attack
 //! mode composes with every method, compressor, and engine unchanged.
 //!
-//! Corruption decodes the upload to its dense twin
+//! Corruption decodes the upload to its dense values
 //! ([`crate::aggregate::decode_dense`]), maps every payload value through
-//! the attack, re-applies the coverage mask (uncovered positions stay
-//! exact zeros), and re-wraps the result as a dense-body upload with the
+//! the attack, and puts the result back on the wire as a dense-f32 frame
+//! (which carries NaN/Inf bit patterns verbatim; uncovered positions are
+//! not transmitted, so they stay exact zeros server-side) with the
 //! **original** coverage and wire-byte accounting — a byzantine client
 //! lies about values, not about how many bytes it transmitted, so byte
-//! metrics and virtual link timings are unchanged. Under the streaming
-//! engine the dense body is re-encoded by the engine's `prepare_msg`
-//! (dense-f32 frames preserve NaN/Inf bit patterns), which keeps the
-//! dense/streaming differential tests meaningful under attack.
+//! metrics and virtual link timings are unchanged.
 //!
 //! ## Churn model
 //!
@@ -31,7 +29,7 @@
 //! simulator can never disagree on a client's fate.
 
 use crate::aggregate::{decode_dense, AggError};
-use crate::upload::{Upload, UploadBody};
+use crate::upload::Upload;
 use fedbiad_nn::ParamSet;
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::Rng;
@@ -144,10 +142,10 @@ pub fn churn_fate(seed: u64, round: usize, client: usize, spec: ChurnSpec) -> Ch
     }
 }
 
-/// Corrupt one upload: decode to the dense twin against `base` (the
-/// global the client trained from), map every value through the attack,
-/// re-zero uncovered positions, and re-wrap with the original kind,
-/// coverage, and wire-byte accounting.
+/// Corrupt one upload: decode its values against `base` (the global the
+/// client trained from), map every value through the attack, and re-encode
+/// with the original kind, coverage, and wire-byte accounting. The attack
+/// owns covered values only: the frame does not carry dropped positions.
 pub fn corrupt_upload(base: &ParamSet, u: &Upload, mode: AttackMode) -> Result<Upload, AggError> {
     let mut p = decode_dense(base, u)?;
     for e in 0..p.num_entries() {
@@ -158,21 +156,13 @@ pub fn corrupt_upload(base: &ParamSet, u: &Upload, mode: AttackMode) -> Result<U
             *v = mode.apply(*v);
         }
     }
-    // The attack owns covered values only: dropped positions are "not
-    // transmitted" and must stay exact zeros for both engines.
-    u.coverage.apply(&mut p);
-    Ok(Upload {
-        kind: u.kind,
-        body: UploadBody::Dense(p),
-        coverage: u.coverage.clone(),
-        wire_bytes: u.wire_bytes,
-    })
+    Ok(u.with_values(&p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{upload_has_non_finite, AggSettings};
+    use crate::aggregate::upload_has_non_finite;
     use fedbiad_nn::mask::BitVec;
     use fedbiad_nn::params::{EntryMeta, LayerKind};
     use fedbiad_nn::ModelMask;
@@ -242,26 +232,87 @@ mod tests {
         let mask = ModelMask::from_row_pattern(&p, &beta);
         let u = Upload::masked_weights(p, mask);
         let c = corrupt_upload(&base, &u, AttackMode::SignFlip).unwrap();
-        assert_eq!(c.params().mat(0).row(0), &[-2.0, -2.0]);
+        assert!(c.wire_msg().is_some(), "an attacker sends bytes too");
+        let got = decode_dense(&base, &c).unwrap();
+        assert_eq!(got.mat(0).row(0), &[-2.0, -2.0]);
         // The dropped row stays exact zero — "not transmitted", not −0.
-        assert_eq!(c.params().mat(0).row(1), &[0.0, 0.0]);
+        let zero = 0.0f32.to_bits();
+        assert!(got.mat(0).row(1).iter().all(|v| v.to_bits() == zero));
         assert_eq!(c.wire_bytes, u.wire_bytes);
         assert_eq!(c.kind, u.kind);
+        assert_eq!(c.coverage, u.coverage);
     }
 
+    /// What the server decodes from a corrupted upload is the attack
+    /// applied to what it would have decoded from the honest one, bit for
+    /// bit — on a sketched `WeightsDelta` frame (values are `base + δ`)
+    /// and on a sparse `Delta` frame (unsent positions are attackable
+    /// zeros), for finite and non-finite attacks alike.
     #[test]
     fn corruption_decodes_wire_bodies_against_the_broadcast_base() {
+        use crate::upload::UploadKind;
+        use fedbiad_compress::codec::{encode_delta, encode_weights_delta, Payload};
         let base = params(0.5);
-        let p = params(2.0);
         let mut beta = BitVec::new(4, true);
         beta.set(2, false);
-        let mask = ModelMask::from_row_pattern(&p, &beta);
-        let wire = Upload::masked_weights_with(p.clone(), mask.clone(), AggSettings::sharded(1));
-        let dense = Upload::masked_weights(p, mask);
-        let cw = corrupt_upload(&base, &wire, AttackMode::Scale { factor: 10.0 }).unwrap();
-        let cd = corrupt_upload(&base, &dense, AttackMode::Scale { factor: 10.0 }).unwrap();
-        assert_eq!(cw.params().flatten(), cd.params().flatten());
-        assert_eq!(cw.params().mat(0).row(0), &[20.0, 20.0]);
+        let mask = ModelMask::from_row_pattern(&base, &beta);
+        // 3 kept rows × 2 + 3 kept biases = 9 covered scalars.
+        let sketched = Upload::wire(
+            UploadKind::Weights,
+            encode_weights_delta(
+                &mask,
+                &Payload::Dense {
+                    values: (0..9).map(|i| 0.25 * i as f32 - 1.0).collect(),
+                },
+            ),
+            mask.clone(),
+            77,
+        );
+        let delta = Upload::wire(
+            UploadKind::Delta,
+            encode_delta(&Payload::SparseF32 {
+                len: 12,
+                positions: vec![1, 7, 11],
+                values: vec![3.0, -0.5, 8.0],
+            }),
+            ModelMask::full(&base),
+            31,
+        );
+        let modes = [
+            AttackMode::SignFlip,
+            AttackMode::Scale { factor: 10.0 },
+            AttackMode::Garbage {
+                kind: GarbageKind::Nan,
+            },
+            AttackMode::Garbage {
+                kind: GarbageKind::Inf,
+            },
+        ];
+        for u in [&sketched, &delta] {
+            for mode in modes {
+                let c = corrupt_upload(&base, u, mode).unwrap();
+                assert!(c.wire_msg().is_some(), "{mode:?}");
+                assert_eq!((c.kind, c.wire_bytes), (u.kind, u.wire_bytes));
+                assert_eq!(c.coverage, u.coverage);
+                let mut want = decode_dense(&base, u).unwrap();
+                for v in want.mat_mut(0).as_mut_slice() {
+                    *v = mode.apply(*v);
+                }
+                for v in want.bias_mut(0) {
+                    *v = mode.apply(*v);
+                }
+                u.coverage.apply(&mut want);
+                let bits = |p: &ParamSet| -> Vec<u32> {
+                    p.flatten().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&decode_dense(&base, &c).unwrap()),
+                    bits(&want),
+                    "{:?} under {mode:?}",
+                    u.kind
+                );
+            }
+        }
     }
 
     #[test]

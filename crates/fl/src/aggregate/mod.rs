@@ -1,24 +1,28 @@
-//! Server-side aggregation.
+//! Server-side aggregation: **one path, one oracle, routed by body**.
 //!
-//! Two engines implement the same mathematics and are **bit-identical**
-//! (`tests/aggregation_equivalence.rs`):
-//!
-//! * `dense` — the retained reference path: every upload's dense
-//!   `ParamSet` is reduced entry by entry on one thread. Memory is
-//!   O(clients × model).
-//! * `streaming` — the sharded streaming path: the flat parameter
-//!   space is split into fixed-size shards; each client's contribution is
-//!   decoded from its wire bytes shard by shard, straight into per-shard
+//! * `streaming` — *the* implementation. The flat parameter space is
+//!   split into fixed-size shards; each client's contribution is decoded
+//!   from its wire bytes shard by shard, straight into per-shard
 //!   accumulators (fused decode + reduce). Shards run in parallel under
 //!   the deterministic rayon shim with a fixed in-order client reduction
 //!   per shard, and all data-sized scratch comes from a thread-local
 //!   workspace arena, so steady-state aggregation allocates nothing
 //!   ([`arena_churn`]). Server memory is O(model), independent of the
-//!   cohort size.
+//!   cohort size. Every client upload is wire-bodied
+//!   ([`crate::upload`]), so this is what every run executes.
+//! * `dense` — the oracle: every upload's dense `ParamSet` is reduced
+//!   entry by entry on one thread, O(clients × model) memory. It is an
+//!   executable specification the streaming engine is pinned
+//!   **bit-identical** to (`tests/aggregation_equivalence.rs`, the
+//!   benchmark's `server_reduce`), fed with [`dense_twin`]s of the wire
+//!   cohort.
 //!
-//! Which engine runs is a pure execution knob ([`AggSettings`], the
-//! scenario `[aggregation]` table): it can never change results, which is
-//! why it does not feed the scenario seed hash.
+//! No option selects between them. The public entry points look at what
+//! the cohort carries: every body `Wire` ⇒ streaming, every body `Dense`
+//! ⇒ the oracle, a mixture ⇒ [`AggError::MixedBodies`] naming the first
+//! odd upload — never a silent re-encode or decode. [`AggSettings`] only
+//! shapes the streaming engine (`shard_kb`, `tree_fanin`) and picks the
+//! estimator (`robust`).
 //!
 //! ## Zero-handling semantics
 //!
@@ -81,10 +85,10 @@ pub enum ZeroMode {
 }
 
 /// Robust-estimator family of the per-coordinate combine (ROADMAP
-/// item 4). Unlike the engine knobs in [`AggSettings`], the estimator
+/// item 4). Unlike `shard_kb` in [`AggSettings`], the estimator
 /// **changes results**, so the scenario spec feeds it into the seed hash.
 /// See `aggregate::robust` for the exact semantics of each estimator and
-/// how dense ≡ streaming is maintained.
+/// how oracle ≡ streaming is maintained.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum RobustKind {
     /// The weighted mean — the exact historical maths, bit for bit.
@@ -111,39 +115,35 @@ pub enum RobustKind {
     },
 }
 
-/// Aggregation-engine selection, broadcast to clients and server through
-/// `RoundInfo` so both sides of the wire always agree. The `streaming`/
-/// `shard_kb` knobs are pure execution choices; `robust` selects the
-/// estimator and changes results.
+/// Aggregation settings, carried to the server through `RoundInfo`.
+/// `shard_kb` is a pure execution choice; `tree_fanin` and `robust`
+/// change results. None of them selects an engine — the cohort's bodies
+/// do (module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AggSettings {
-    /// Run the sharded streaming engine (clients encode real wire bytes,
-    /// the server decodes shard by shard). `false` = the dense reference.
-    pub streaming: bool,
-    /// Shard size in KiB of f32 parameters (≥ 1). Ignored by the dense
-    /// engine.
+    /// Shard size in KiB of f32 parameters (≥ 1). Bit-transparent.
     pub shard_kb: u32,
-    /// Hierarchical (tree) reduction fan-in for the streaming weights
+    /// Hierarchical (tree) reduction fan-in for the weighted-mean weights
     /// path: uploads reduce in groups of `tree_fanin` whose partial sums
     /// combine in fixed group order, so the per-shard client merge is no
     /// longer one serial chain over the whole cohort. `0` (default)
-    /// disables the tree. **Changes f32 association**, so unlike the
-    /// engine knobs above this is *not* bit-identical to the serial
-    /// reduction — an explicit opt-in for large cohorts, fed into the
-    /// scenario seed hash when set. Requires `streaming = true`; applies
-    /// to the sync weights path (delta/staleness merges keep the serial
-    /// order). Still deterministic across thread counts.
+    /// disables the tree. **Changes f32 association**, so unlike
+    /// `shard_kb` this is *not* bit-identical to the serial reduction —
+    /// an explicit opt-in for large cohorts, fed into the scenario seed
+    /// hash when set. Applies to the sync weights path (delta/staleness
+    /// merges and the order-statistic estimators keep the serial order;
+    /// the dense oracle has no tree). Still deterministic across thread
+    /// counts.
     pub tree_fanin: u32,
     /// The robust-estimator family ([`RobustKind::Mean`] = historical
-    /// behaviour). Works under both engines; *changes results* when not
-    /// `Mean`, so it feeds the scenario seed hash.
+    /// behaviour). *Changes results* when not `Mean`, so it feeds the
+    /// scenario seed hash.
     pub robust: RobustKind,
 }
 
 impl Default for AggSettings {
     fn default() -> Self {
         Self {
-            streaming: false,
             shard_kb: 64,
             tree_fanin: 0,
             robust: RobustKind::Mean,
@@ -152,19 +152,17 @@ impl Default for AggSettings {
 }
 
 impl AggSettings {
-    /// The streaming engine at `shard_kb` KiB shards.
+    /// The defaults at `shard_kb` KiB shards.
     pub fn sharded(shard_kb: u32) -> Self {
         Self {
-            streaming: true,
             shard_kb,
             ..Self::default()
         }
     }
 
-    /// The streaming engine with hierarchical reduction at `fanin`.
+    /// `shard_kb` KiB shards with hierarchical reduction at `fanin`.
     pub fn sharded_tree(shard_kb: u32, fanin: u32) -> Self {
         Self {
-            streaming: true,
             shard_kb,
             tree_fanin: fanin,
             ..Self::default()
@@ -262,9 +260,11 @@ pub enum AggError {
     /// The weight total vanished (cannot happen once every individual
     /// weight is validated, kept as a defence in depth).
     ZeroTotalWeight,
-    /// The dense reference engine received an encoded upload; dense
-    /// aggregation needs dense bodies.
-    DenseBodyRequired {
+    /// The cohort mixes wire and dense bodies: upload `index` is the
+    /// first whose body differs from upload 0's. Bodies pick the engine
+    /// (module docs), so a mixture has no engine — and is never silently
+    /// re-encoded or decoded into one.
+    MixedBodies {
         /// Position in the upload list.
         index: usize,
     },
@@ -306,9 +306,10 @@ impl std::fmt::Display for AggError {
                 "aggregation weight of upload {index} must be finite and positive, got {value}"
             ),
             AggError::ZeroTotalWeight => write!(f, "total aggregation weight must be positive"),
-            AggError::DenseBodyRequired { index } => write!(
+            AggError::MixedBodies { index } => write!(
                 f,
-                "dense aggregation engine received an encoded (wire) upload at {index}"
+                "cohort mixes wire and dense upload bodies (upload {index} differs from upload 0); \
+                 wire bodies run the streaming engine, dense twins the oracle, never both"
             ),
             AggError::NonFiniteValue { index } => write!(
                 f,
@@ -372,6 +373,40 @@ fn resolve_robust(robust: RobustKind, n: usize) -> Option<robust::Estimator> {
     }
 }
 
+/// The engine a cohort's bodies select.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// Every body is encoded wire bytes — what clients send.
+    Streaming,
+    /// Every body is a dense twin — the oracle's input.
+    Dense,
+}
+
+/// Route on what the (non-empty, validated) cohort carries.
+fn engine_of<'a>(mut uploads: impl Iterator<Item = &'a Upload>) -> Result<Engine, AggError> {
+    let is_wire = |u: &Upload| matches!(u.body, UploadBody::Wire(_));
+    let wire = uploads.next().is_some_and(is_wire);
+    match uploads.position(|u| is_wire(u) != wire) {
+        Some(i) => Err(AggError::MixedBodies { index: i + 1 }),
+        None if wire => Ok(Engine::Streaming),
+        None => Ok(Engine::Dense),
+    }
+}
+
+/// `uploads` with the norm-clipped replacements patched in (`clipped` is
+/// empty when no clipping ran, or holds one entry per upload — `None`
+/// where the upload passed through).
+fn patched<'a>(
+    uploads: &[(f32, &'a Upload)],
+    clipped: &'a [Option<Upload>],
+) -> Vec<(f32, &'a Upload)> {
+    uploads
+        .iter()
+        .enumerate()
+        .map(|(i, (w, u))| (*w, clipped.get(i).and_then(Option::as_ref).unwrap_or(u)))
+        .collect()
+}
+
 /// Aggregate `Weights` uploads into `global`. `weights[k]` is |D_k|.
 pub fn aggregate_weights(
     global: &mut ParamSet,
@@ -380,60 +415,26 @@ pub fn aggregate_weights(
     settings: AggSettings,
 ) -> Result<(), AggError> {
     let total_w = validate(uploads, UploadKind::Weights)?;
-    if let RobustKind::NormClip { tau } = settings.robust {
-        let clipped = robust::clip_weights_uploads(global, uploads, tau)?;
-        let patched: Vec<(f32, &Upload)> = uploads
-            .iter()
-            .zip(&clipped)
-            .map(|((w, u), t)| (*w, t.as_ref().unwrap_or(u)))
-            .collect();
-        return weights_mean(global, &patched, mode, settings, total_w);
-    }
-    match resolve_robust(settings.robust, uploads.len()) {
-        None => weights_mean(global, uploads, mode, settings, total_w),
-        Some(est) => {
-            if settings.streaming {
-                streaming::robust_weights(
-                    global,
-                    uploads,
-                    mode,
-                    est,
-                    total_w,
-                    settings.shard_elems(),
-                )
-            } else {
-                dense::robust_weights(global, uploads, mode, est, total_w)
-            }
+    let engine = engine_of(uploads.iter().map(|(_, u)| *u))?;
+    let se = settings.shard_elems();
+    let fanin = settings.tree_fanin as usize;
+    let est = resolve_robust(settings.robust, uploads.len());
+    let clipped = match settings.robust {
+        RobustKind::NormClip { tau } => robust::clip_weights_uploads(global, uploads, tau)?,
+        _ => Vec::new(),
+    };
+    let patched_uploads = patched(uploads, &clipped);
+    let uploads = &patched_uploads[..];
+    match (est, engine) {
+        (None, Engine::Streaming) if fanin >= 2 && uploads.len() > fanin => {
+            streaming::weights_tree(global, uploads, mode, total_w, se, fanin)
         }
-    }
-}
-
-/// The historical weighted-mean weights dispatch (dense reference /
-/// serial streaming / tree streaming), shared by the `Mean` path, the
-/// `trim_frac = 0` route, and the post-clip `NormClip` merge.
-fn weights_mean(
-    global: &mut ParamSet,
-    uploads: &[(f32, &Upload)],
-    mode: ZeroMode,
-    settings: AggSettings,
-    total_w: f32,
-) -> Result<(), AggError> {
-    if settings.streaming {
-        let fanin = settings.tree_fanin as usize;
-        if fanin >= 2 && uploads.len() > fanin {
-            streaming::weights_tree(
-                global,
-                uploads,
-                mode,
-                total_w,
-                settings.shard_elems(),
-                fanin,
-            )
-        } else {
-            streaming::weights(global, uploads, mode, total_w, settings.shard_elems())
+        (None, Engine::Streaming) => streaming::weights(global, uploads, mode, total_w, se),
+        (None, Engine::Dense) => dense::weights(global, uploads, mode, total_w),
+        (Some(est), Engine::Streaming) => {
+            streaming::robust_weights(global, uploads, mode, est, total_w, se)
         }
-    } else {
-        dense::weights(global, uploads, mode, total_w)
+        (Some(est), Engine::Dense) => dense::robust_weights(global, uploads, mode, est, total_w),
     }
 }
 
@@ -445,37 +446,20 @@ pub fn aggregate_deltas(
     settings: AggSettings,
 ) -> Result<(), AggError> {
     let total_w = validate(uploads, UploadKind::Delta)?;
-    if let RobustKind::NormClip { tau } = settings.robust {
-        let clipped = robust::clip_delta_uploads(global, uploads, tau)?;
-        let patched: Vec<(f32, &Upload)> = uploads
-            .iter()
-            .zip(&clipped)
-            .map(|((w, u), t)| (*w, t.as_ref().unwrap_or(u)))
-            .collect();
-        return deltas_mean(global, &patched, settings, total_w);
-    }
-    match resolve_robust(settings.robust, uploads.len()) {
-        None => deltas_mean(global, uploads, settings, total_w),
-        Some(est) => {
-            if settings.streaming {
-                streaming::robust_deltas(global, uploads, est, settings.shard_elems())
-            } else {
-                dense::robust_deltas(global, uploads, est)
-            }
-        }
-    }
-}
-
-fn deltas_mean(
-    global: &mut ParamSet,
-    uploads: &[(f32, &Upload)],
-    settings: AggSettings,
-    total_w: f32,
-) -> Result<(), AggError> {
-    if settings.streaming {
-        streaming::deltas(global, uploads, total_w, settings.shard_elems())
-    } else {
-        dense::deltas(global, uploads, total_w)
+    let engine = engine_of(uploads.iter().map(|(_, u)| *u))?;
+    let se = settings.shard_elems();
+    let est = resolve_robust(settings.robust, uploads.len());
+    let clipped = match settings.robust {
+        RobustKind::NormClip { tau } => robust::clip_delta_uploads(global, uploads, tau)?,
+        _ => Vec::new(),
+    };
+    let patched_uploads = patched(uploads, &clipped);
+    let uploads = &patched_uploads[..];
+    match (est, engine) {
+        (None, Engine::Streaming) => streaming::deltas(global, uploads, total_w, se),
+        (None, Engine::Dense) => dense::deltas(global, uploads, total_w),
+        (Some(est), Engine::Streaming) => streaming::robust_deltas(global, uploads, est, se),
+        (Some(est), Engine::Dense) => dense::robust_deltas(global, uploads, est),
     }
 }
 
@@ -494,8 +478,7 @@ pub struct StalenessUpload<'a> {
 /// upload's Δ is its payload minus the dispatched snapshot on covered
 /// positions (zero elsewhere) and a `Delta` upload's Δ is the payload
 /// itself. This is the simulator's buffered-async policy merge path,
-/// shared here so the dense and streaming engines can never diverge from
-/// each other.
+/// shared here so the streaming engine and its oracle can never diverge.
 pub fn merge_staleness_weighted(
     global: &mut ParamSet,
     items: &[StalenessUpload<'_>],
@@ -520,60 +503,67 @@ pub fn merge_staleness_weighted(
     if !total_w.is_finite() || total_w <= 0.0 {
         return Err(AggError::ZeroTotalWeight);
     }
-    if let RobustKind::NormClip { tau } = settings.robust {
-        let clipped = robust::clip_staleness_uploads(global, items, tau)?;
-        let patched: Vec<StalenessUpload> = items
-            .iter()
-            .zip(&clipped)
-            .map(|(it, t)| StalenessUpload {
-                weight: it.weight,
-                upload: t.as_ref().unwrap_or(it.upload),
-                snapshot: it.snapshot,
-            })
-            .collect();
-        return staleness_mean(global, &patched, server_lr, settings, total_w);
-    }
-    match resolve_robust(settings.robust, items.len()) {
-        None => staleness_mean(global, items, server_lr, settings, total_w),
-        Some(est) => {
-            if settings.streaming {
-                streaming::robust_staleness(global, items, server_lr, est, settings.shard_elems())
-            } else {
-                dense::robust_staleness(global, items, server_lr, est)
-            }
+    let engine = engine_of(items.iter().map(|it| it.upload))?;
+    let se = settings.shard_elems();
+    let est = resolve_robust(settings.robust, items.len());
+    let clipped = match settings.robust {
+        RobustKind::NormClip { tau } => robust::clip_staleness_uploads(global, items, tau)?,
+        _ => Vec::new(),
+    };
+    let patched_items: Vec<StalenessUpload> = items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| StalenessUpload {
+            weight: it.weight,
+            upload: clipped.get(i).and_then(Option::as_ref).unwrap_or(it.upload),
+            snapshot: it.snapshot,
+        })
+        .collect();
+    let items = &patched_items[..];
+    match (est, engine) {
+        (None, Engine::Streaming) => streaming::staleness(global, items, server_lr, total_w, se),
+        (None, Engine::Dense) => dense::staleness(global, items, server_lr, total_w),
+        (Some(est), Engine::Streaming) => {
+            streaming::robust_staleness(global, items, server_lr, est, se)
         }
+        (Some(est), Engine::Dense) => dense::robust_staleness(global, items, server_lr, est),
     }
 }
 
-fn staleness_mean(
-    global: &mut ParamSet,
-    items: &[StalenessUpload<'_>],
-    server_lr: f64,
-    settings: AggSettings,
-    total_w: f64,
-) -> Result<(), AggError> {
-    if settings.streaming {
-        streaming::staleness(global, items, server_lr, total_w, settings.shard_elems())
-    } else {
-        dense::staleness(global, items, server_lr, total_w)
-    }
-}
-
-/// Dense twin of an upload: dense bodies are cloned, wire bodies decoded
+/// Dense values of an upload: dense bodies are cloned, wire bodies decoded
 /// against `base` (the current global for sync rounds, the dispatched
 /// snapshot for buffered `WeightsDelta` bodies) with exact zeros on
-/// dropped positions — the same reconstruction the equivalence tests
-/// build. Used by the adversary corruption hook and by tests.
+/// dropped positions. Used by the adversary corruption hook, the
+/// norm-clip pre-pass and [`dense_twin`].
 pub fn decode_dense(base: &ParamSet, u: &Upload) -> Result<ParamSet, AggError> {
     match &u.body {
         UploadBody::Dense(p) => Ok(p.clone()),
-        UploadBody::Wire(_) => {
-            let base_flat = base.flatten();
-            let flat = streaming::decode_dense_flat(base, &base_flat, u)?;
+        UploadBody::Wire(msg) => {
+            let flat = streaming::decode_dense_flat(base, &base.flatten(), msg)?;
             let mut ps = base.clone();
             ps.unflatten_from(&flat);
             Ok(ps)
         }
+    }
+}
+
+/// The oracle's input: `u` with its body decoded to dense values
+/// ([`decode_dense`]), same kind, coverage and byte accounting. A cohort
+/// of these routes to the dense reference engine, which must reproduce
+/// the streaming result on the wire cohort bit for bit.
+pub fn dense_twin(base: &ParamSet, u: &Upload) -> Result<Upload, AggError> {
+    Ok(dense_like(u, decode_dense(base, u)?))
+}
+
+/// `u`'s kind, coverage and byte accounting around dense `values` — the
+/// one place a dense body is built (the oracle-side mirror of
+/// `Upload::with_values`).
+fn dense_like(u: &Upload, values: ParamSet) -> Upload {
+    Upload {
+        kind: u.kind,
+        body: UploadBody::Dense(values),
+        coverage: u.coverage.clone(),
+        wire_bytes: u.wire_bytes,
     }
 }
 
@@ -591,7 +581,7 @@ pub fn upload_has_non_finite(base: &ParamSet, u: &Upload) -> Result<bool, AggErr
                 .chain(p.bias(e).iter())
                 .any(|v| !v.is_finite())
         })),
-        UploadBody::Wire(_) => streaming::wire_has_non_finite(base, u),
+        UploadBody::Wire(msg) => streaming::wire_has_non_finite(base, msg),
     }
 }
 
@@ -611,12 +601,13 @@ pub fn screen_upload_values(base: &ParamSet, uploads: &[(f32, &Upload)]) -> Resu
     Ok(())
 }
 
-/// Dense body of an upload, or the structured error the dense engine
-/// reports for encoded bodies.
+/// Dense body of an upload the router sent to the oracle. [`engine_of`]
+/// has already rejected mixed cohorts, so the error arm is defence in
+/// depth.
 fn dense_params(u: &Upload, index: usize) -> Result<&ParamSet, AggError> {
     match &u.body {
         UploadBody::Dense(p) => Ok(p),
-        UploadBody::Wire(_) => Err(AggError::DenseBodyRequired { index }),
+        UploadBody::Wire(_) => Err(AggError::MixedBodies { index }),
     }
 }
 
@@ -655,8 +646,7 @@ mod tests {
         }
     }
 
-    const DENSE: AggSettings = AggSettings {
-        streaming: false,
+    const PLAIN: AggSettings = AggSettings {
         shard_kb: 64,
         tree_fanin: 0,
         robust: RobustKind::Mean,
@@ -669,7 +659,7 @@ mod tests {
         let a = masked_upload(4.0, [true, true]);
         let b = masked_upload(8.0, [true, false]);
         let mut g = param(0.0);
-        aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], ZeroMode::ZerosPull, DENSE).unwrap();
+        aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], ZeroMode::ZerosPull, PLAIN).unwrap();
         // Row 0: (1·4 + 3·8)/4 = 7; row 1: (1·4 + 3·0)/4 = 1.
         assert_eq!(g.mat(0).row(0), &[7.0, 7.0]);
         assert_eq!(g.mat(0).row(1), &[1.0, 1.0]);
@@ -685,7 +675,7 @@ mod tests {
             &mut g,
             &[(1.0, &a), (1.0, &b)],
             ZeroMode::HoldersOnly,
-            DENSE,
+            PLAIN,
         )
         .unwrap();
         // Row 0: nobody held it ⇒ previous global value −1 preserved.
@@ -702,7 +692,7 @@ mod tests {
         let a = masked_upload(4.0, [true, true]);
         let b = masked_upload(8.0, [true, false]);
         let mut g = param(2.0);
-        aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], ZeroMode::StaleFill, DENSE).unwrap();
+        aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], ZeroMode::StaleFill, PLAIN).unwrap();
         // Row 0: all cover → (1·4 + 3·8)/4 = 7.
         assert_eq!(g.mat(0).row(0), &[7.0, 7.0]);
         // Row 1: B votes "no change" with the old value 2:
@@ -717,12 +707,12 @@ mod tests {
         // selected client must stay put under StaleFill.
         let a = masked_upload(4.0, [false, true]);
         let mut g = param(5.0);
-        aggregate_weights(&mut g, &[(2.0, &a)], ZeroMode::StaleFill, DENSE).unwrap();
+        aggregate_weights(&mut g, &[(2.0, &a)], ZeroMode::StaleFill, PLAIN).unwrap();
         assert_eq!(g.mat(0).row(0), &[5.0, 5.0]);
         assert_eq!(g.mat(0).row(1), &[4.0, 4.0]);
         // …whereas zeros-pull collapses it.
         let mut g2 = param(5.0);
-        aggregate_weights(&mut g2, &[(2.0, &a)], ZeroMode::ZerosPull, DENSE).unwrap();
+        aggregate_weights(&mut g2, &[(2.0, &a)], ZeroMode::ZerosPull, PLAIN).unwrap();
         assert_eq!(g2.mat(0).row(0), &[0.0, 0.0]);
     }
 
@@ -736,7 +726,7 @@ mod tests {
             ZeroMode::StaleFill,
         ] {
             let mut g = param(0.0);
-            aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], mode, DENSE).unwrap();
+            aggregate_weights(&mut g, &[(1.0, &a), (3.0, &b)], mode, PLAIN).unwrap();
             assert_eq!(g.mat(0).get(0, 0), 5.0, "{mode:?}");
             assert_eq!(g.bias(0)[0], 5.0);
         }
@@ -811,7 +801,7 @@ mod tests {
         d2.mat_mut(0).set(0, 0, 4.0);
         let u1 = delta_upload(d1);
         let u2 = delta_upload(d2);
-        aggregate_deltas(&mut g, &[(1.0, &u1), (1.0, &u2)], DENSE).unwrap();
+        aggregate_deltas(&mut g, &[(1.0, &u1), (1.0, &u2)], PLAIN).unwrap();
         assert_eq!(g.mat(0).get(0, 0), 1.0 + 3.0);
         assert_eq!(g.mat(0).get(1, 1), 1.0);
     }
@@ -820,7 +810,7 @@ mod tests {
     fn kind_mismatch_is_a_structured_error() {
         let u = delta_upload(param(0.0));
         let mut g = param(0.0);
-        let err = aggregate_weights(&mut g, &[(1.0, &u)], ZeroMode::ZerosPull, DENSE).unwrap_err();
+        let err = aggregate_weights(&mut g, &[(1.0, &u)], ZeroMode::ZerosPull, PLAIN).unwrap_err();
         assert_eq!(
             err,
             AggError::KindMismatch {
@@ -840,14 +830,20 @@ mod tests {
         // naming the offending upload now.
         let a = masked_upload(1.0, [true, true]);
         let b = masked_upload(2.0, [true, true]);
-        for settings in [DENSE, AggSettings::sharded(1)] {
+        let base = param(0.0);
+        let (ta, tb) = (
+            dense_twin(&base, &a).unwrap(),
+            dense_twin(&base, &b).unwrap(),
+        );
+        // Both engines: the wire cohort and its dense twins.
+        for (engine, a, b) in [("streaming", &a, &b), ("oracle", &ta, &tb)] {
             for bad in [f32::NAN, f32::INFINITY, 0.0, -1.0] {
                 let mut g = param(0.0);
                 let err = aggregate_weights(
                     &mut g,
-                    &[(3.0, &a), (bad, &b)],
+                    &[(3.0, a), (bad, b)],
                     ZeroMode::StaleFill,
-                    settings,
+                    AggSettings::sharded(1),
                 )
                 .unwrap_err();
                 // NaN != NaN, so compare structurally + on bits.
@@ -855,7 +851,7 @@ mod tests {
                     AggError::InvalidWeight { index: 1, value } => {
                         assert_eq!(value.to_bits(), (bad as f64).to_bits())
                     }
-                    other => panic!("weight {bad} under {settings:?}: got {other:?}"),
+                    other => panic!("weight {bad} under {engine}: got {other:?}"),
                 }
                 // The global must be untouched on error.
                 assert_eq!(g.flatten(), param(0.0).flatten());
@@ -865,7 +861,7 @@ mod tests {
         let d = delta_upload(param(0.0));
         let mut g = param(0.0);
         assert!(matches!(
-            aggregate_deltas(&mut g, &[(f32::NAN, &d)], DENSE),
+            aggregate_deltas(&mut g, &[(f32::NAN, &d)], PLAIN),
             Err(AggError::InvalidWeight { index: 0, .. })
         ));
         let snap = param(0.0);
@@ -875,7 +871,7 @@ mod tests {
             snapshot: Some(&snap),
         };
         assert!(matches!(
-            merge_staleness_weighted(&mut g, &[item], 1.0, DENSE),
+            merge_staleness_weighted(&mut g, &[item], 1.0, PLAIN),
             Err(AggError::InvalidWeight { index: 0, .. })
         ));
     }
@@ -884,13 +880,68 @@ mod tests {
     fn empty_uploads_error() {
         let mut g = param(0.0);
         assert_eq!(
-            aggregate_weights(&mut g, &[], ZeroMode::ZerosPull, DENSE).unwrap_err(),
+            aggregate_weights(&mut g, &[], ZeroMode::ZerosPull, PLAIN).unwrap_err(),
             AggError::NoUploads
         );
         assert_eq!(
-            aggregate_deltas(&mut g, &[], DENSE).unwrap_err(),
+            aggregate_deltas(&mut g, &[], PLAIN).unwrap_err(),
             AggError::NoUploads
         );
+    }
+
+    /// Bodies pick the engine, so a cohort that mixes them has none: all
+    /// three entry points name the first odd upload and leave the global
+    /// untouched — under every estimator route, and whichever body leads.
+    #[test]
+    fn mixed_body_cohorts_are_a_structured_error() {
+        let base = param(0.0);
+        let wire = masked_upload(1.0, [true, true]);
+        let twin = dense_twin(&base, &wire).unwrap();
+        assert!(wire.wire_msg().is_some() && twin.wire_msg().is_none());
+        let dwire = Upload::wire(
+            UploadKind::Delta,
+            fedbiad_compress::codec::encode_delta(&fedbiad_compress::codec::Payload::Dense {
+                values: vec![0.5; 6],
+            }),
+            ModelMask::full(&base),
+            24,
+        );
+        let dtwin = dense_twin(&base, &dwire).unwrap();
+        let odd = AggError::MixedBodies { index: 2 };
+        for robust in [
+            RobustKind::Mean,
+            RobustKind::TrimmedMean { trim_frac: 0.4 },
+            RobustKind::CoordinateMedian,
+            RobustKind::NormClip { tau: 0.1 },
+        ] {
+            let settings = PLAIN.with_robust(robust);
+            for (lead, tail) in [(&wire, &twin), (&twin, &wire)] {
+                let mut g = base.clone();
+                let ups = [(1.0, lead), (2.0, lead), (3.0, tail)];
+                let err = aggregate_weights(&mut g, &ups, ZeroMode::StaleFill, settings);
+                assert_eq!(err.unwrap_err(), odd, "weights/{robust:?}");
+
+                let items: Vec<StalenessUpload> = [lead, lead, tail]
+                    .into_iter()
+                    .map(|upload| StalenessUpload {
+                        weight: 1.0,
+                        upload,
+                        snapshot: Some(&base),
+                    })
+                    .collect();
+                let err = merge_staleness_weighted(&mut g, &items, 1.0, settings);
+                assert_eq!(err.unwrap_err(), odd, "staleness/{robust:?}");
+                assert_eq!(g.flatten(), base.flatten());
+            }
+            for (lead, tail) in [(&dwire, &dtwin), (&dtwin, &dwire)] {
+                let mut g = base.clone();
+                let ups = [(1.0, lead), (2.0, lead), (3.0, tail)];
+                let err = aggregate_deltas(&mut g, &ups, settings);
+                assert_eq!(err.unwrap_err(), odd, "deltas/{robust:?}");
+                assert_eq!(g.flatten(), base.flatten());
+            }
+        }
+        assert!(odd.to_string().contains("upload 2"), "{odd}");
     }
 
     #[test]

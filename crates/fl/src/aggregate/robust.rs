@@ -8,9 +8,9 @@
 //! mean they cannot be expressed as a streaming fold. Both engines
 //! therefore gather the same column — `(value, covered, weight)` per
 //! upload, **in upload order** — and call the one combine function here.
-//! Dense gathers from dense `ParamSet`s, streaming gathers per shard from
-//! the fused wire decode; since the column bits and the combine code are
-//! identical, dense ≡ streaming holds *by construction*
+//! The dense oracle gathers from dense `ParamSet`s, streaming gathers per
+//! shard from the fused wire decode; since the column bits and the combine
+//! code are identical, oracle ≡ streaming holds *by construction*
 //! (`tests/aggregation_equivalence.rs` pins it anyway).
 //!
 //! ## Estimator semantics
@@ -35,9 +35,10 @@
 //!   weighted-mean engines run. Uploads within the ball pass through
 //!   bitwise untouched (so an all-honest round under `norm_clip` with a
 //!   large `tau` reproduces the mean results exactly); uploads beyond it
-//!   are replaced by a dense-body twin moved to `base + c·(v − base)`,
-//!   `c = tau/‖Δ‖`. The clip pre-pass is engine-agnostic — the clipped
-//!   uploads feed whichever mean engine the settings select.
+//!   are replaced by an upload moved to `base + c·(v − base)`,
+//!   `c = tau/‖Δ‖`, in the body kind it arrived in (a dense-f32 wire
+//!   frame for a wire upload, a dense twin for the oracle's) — so the
+//!   clipped cohort feeds the same mean engine its bodies selected.
 //!
 //! `ZeroMode` participant sets: `ZerosPull` keeps every upload (dropped
 //! positions participate as exact zeros, and *are* trimmable — the
@@ -50,7 +51,7 @@
 //! ([`super::screen_upload_values`]); `garbage: huge` attacks (finite but
 //! absurd) are what the trimming/median breakdown point is for.
 
-use super::{dense_params, streaming, AggError, StalenessUpload, ZeroMode};
+use super::{dense_like, dense_params, streaming, AggError, StalenessUpload, ZeroMode};
 use crate::upload::{Upload, UploadBody, UploadKind};
 use fedbiad_nn::{ModelMask, ParamSet};
 use fedbiad_tensor::stats::{sort_weighted_by_value, trimmed_weighted_sum, weighted_lower_median};
@@ -237,7 +238,7 @@ fn clip_one(
 ) -> Result<Option<Upload>, AggError> {
     let vals: Vec<f32> = match &u.body {
         UploadBody::Dense(p) => p.flatten(),
-        UploadBody::Wire(_) => streaming::decode_dense_flat(shape, base_flat, u)?,
+        UploadBody::Wire(msg) => streaming::decode_dense_flat(shape, base_flat, msg)?,
     };
     let cov = if as_delta {
         None
@@ -274,11 +275,11 @@ fn clip_one(
     }
     let mut ps = shape.clone();
     ps.unflatten_from(&t);
-    Ok(Some(Upload {
-        kind: u.kind,
-        body: UploadBody::Dense(ps),
-        coverage: u.coverage.clone(),
-        wire_bytes: u.wire_bytes,
+    // The replacement keeps the cohort's body kind, so clipping can never
+    // turn a uniform cohort into a mixed one.
+    Ok(Some(match &u.body {
+        UploadBody::Wire(_) => u.with_values(&ps),
+        UploadBody::Dense(_) => dense_like(u, ps),
     }))
 }
 

@@ -40,10 +40,10 @@
 //! allocations**.
 
 use super::{robust, AggError, StalenessUpload, ZeroMode};
-use crate::upload::{Upload, UploadBody, UploadKind};
+use crate::upload::{Upload, UploadKind};
 use fedbiad_compress::codec::{
-    bias_kept as codec_bias_kept, encode_delta, encode_weights, mat_kept as codec_mat_kept,
-    BodyKind, Payload, WireError, WireMsg, WireView,
+    bias_kept as codec_bias_kept, mat_kept as codec_mat_kept, BodyKind, WireError, WireMsg,
+    WireView,
 };
 use fedbiad_nn::{CoverageMask, ParamSet};
 use fedbiad_telemetry::{counter, gauge, span};
@@ -329,36 +329,26 @@ fn walk_runs(
     }
 }
 
-// ---- prepared uploads --------------------------------------------------
+// ---- cohort views ------------------------------------------------------
 
-/// An upload ready for shard decoding: either its own wire bytes or an
-/// on-the-fly encoding of a dense body (differential tests drive both
-/// engines from identical dense uploads this way; production streaming
-/// clients ship wire bodies and skip this copy).
-enum PreparedMsg<'a> {
-    Borrowed(&'a WireMsg),
-    Owned(WireMsg),
-}
-
-impl PreparedMsg<'_> {
-    fn get(&self) -> &WireMsg {
-        match self {
-            PreparedMsg::Borrowed(m) => m,
-            PreparedMsg::Owned(m) => m,
-        }
-    }
-}
-
-fn prepare_msg(u: &Upload) -> PreparedMsg<'_> {
-    match &u.body {
-        UploadBody::Wire(m) => PreparedMsg::Borrowed(m),
-        UploadBody::Dense(p) => PreparedMsg::Owned(match u.kind {
-            UploadKind::Weights => encode_weights(p, &u.coverage),
-            UploadKind::Delta => encode_delta(&Payload::Dense {
-                values: p.flatten(),
-            }),
-        }),
-    }
+/// Validate and view every upload's frame, in upload order. The views
+/// borrow the uploads' own wire bytes — nothing is copied or re-encoded.
+fn cohort_views<'a>(
+    shape: &ParamSet,
+    uploads: impl Iterator<Item = &'a Upload>,
+) -> Result<Vec<WireView<'a>>, AggError> {
+    uploads
+        .enumerate()
+        .map(|(i, u)| {
+            let _client_span = span!("agg.client", client = i);
+            // The router sends wire cohorts only; defence in depth.
+            let msg = u.wire_msg().ok_or(AggError::MixedBodies { index: i })?;
+            counter!("agg.decode_bytes", msg.as_bytes().len());
+            let v = msg.view(shape)?;
+            check_kind(&v, u.kind)?;
+            Ok(v)
+        })
+        .collect()
 }
 
 fn check_kind(view: &WireView<'_>, upload_kind: UploadKind) -> Result<(), AggError> {
@@ -663,12 +653,8 @@ fn decode_masked_shard(
 pub(super) fn decode_dense_flat(
     shape: &ParamSet,
     base_flat: &[f32],
-    u: &Upload,
+    msg: &WireMsg,
 ) -> Result<Vec<f32>, AggError> {
-    let msg = match &u.body {
-        UploadBody::Wire(m) => m,
-        UploadBody::Dense(p) => return Ok(p.flatten()),
-    };
     let layout = FlatLayout::of(shape);
     let view = msg.view(shape)?;
     let mut out = vec![0.0f32; layout.total];
@@ -705,11 +691,7 @@ pub(super) fn decode_dense_flat(
 /// fixed-size chunks, never materialising the model. Sign/quantised
 /// payloads decode a poisoned `mu`/`scale` into non-finite values, so
 /// this single decode-level check covers every payload kind.
-pub(super) fn wire_has_non_finite(base: &ParamSet, u: &Upload) -> Result<bool, AggError> {
-    let msg = match &u.body {
-        UploadBody::Wire(m) => m,
-        UploadBody::Dense(_) => unreachable!("dense bodies are scanned directly"),
-    };
+pub(super) fn wire_has_non_finite(base: &ParamSet, msg: &WireMsg) -> Result<bool, AggError> {
     let layout = FlatLayout::of(base);
     let view = msg.view(base)?;
     let total = if view.kind == BodyKind::DeltaFull {
@@ -780,15 +762,7 @@ pub(super) fn weights(
     shard_elems: usize,
 ) -> Result<(), AggError> {
     let layout = FlatLayout::of(global);
-    let msgs: Vec<PreparedMsg> = uploads.iter().map(|(_, u)| prepare_msg(u)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, (_, u))) in msgs.iter().zip(uploads).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, u.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
     let kmetas: Vec<KeptMeta> = views
         .iter()
         .map(|v| KeptMeta::of(&v.masks, &layout))
@@ -915,15 +889,7 @@ pub(super) fn weights_tree(
     fanin: usize,
 ) -> Result<(), AggError> {
     let layout = FlatLayout::of(global);
-    let msgs: Vec<PreparedMsg> = uploads.iter().map(|(_, u)| prepare_msg(u)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, (_, u))) in msgs.iter().zip(uploads).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, u.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
     let kmetas: Vec<KeptMeta> = views
         .iter()
         .map(|v| KeptMeta::of(&v.masks, &layout))
@@ -1095,15 +1061,7 @@ pub(super) fn deltas(
     total_w: f32,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let msgs: Vec<PreparedMsg> = uploads.iter().map(|(_, u)| prepare_msg(u)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, (_, u))) in msgs.iter().zip(uploads).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, u.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
     let needs = Needs {
         num: false,
         den: false,
@@ -1137,15 +1095,7 @@ pub(super) fn staleness(
     shard_elems: usize,
 ) -> Result<(), AggError> {
     let layout = FlatLayout::of(global);
-    let msgs: Vec<PreparedMsg> = items.iter().map(|it| prepare_msg(it.upload)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, it)) in msgs.iter().zip(items).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, it.upload.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, items.iter().map(|it| it.upload))?;
     let kmetas: Vec<KeptMeta> = views
         .iter()
         .map(|v| KeptMeta::of(&v.masks, &layout))
@@ -1208,15 +1158,7 @@ pub(super) fn robust_weights(
     shard_elems: usize,
 ) -> Result<(), AggError> {
     let layout = FlatLayout::of(global);
-    let msgs: Vec<PreparedMsg> = uploads.iter().map(|(_, u)| prepare_msg(u)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, (_, u))) in msgs.iter().zip(uploads).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, u.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
     let kmetas: Vec<KeptMeta> = views
         .iter()
         .map(|v| KeptMeta::of(&v.masks, &layout))
@@ -1276,15 +1218,7 @@ pub(super) fn robust_deltas(
     est: robust::Estimator,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let msgs: Vec<PreparedMsg> = uploads.iter().map(|(_, u)| prepare_msg(u)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, (_, u))) in msgs.iter().zip(uploads).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, u.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
     let n = uploads.len();
     let ws: Vec<f32> = uploads.iter().map(|(w, _)| *w).collect();
     let needs = Needs {
@@ -1326,15 +1260,7 @@ pub(super) fn robust_staleness(
     shard_elems: usize,
 ) -> Result<(), AggError> {
     let layout = FlatLayout::of(global);
-    let msgs: Vec<PreparedMsg> = items.iter().map(|it| prepare_msg(it.upload)).collect();
-    let mut views = Vec::with_capacity(msgs.len());
-    for (i, (m, it)) in msgs.iter().zip(items).enumerate() {
-        let _client_span = span!("agg.client", client = i);
-        counter!("agg.decode_bytes", m.get().as_bytes().len());
-        let v = m.get().view(global)?;
-        check_kind(&v, it.upload.kind)?;
-        views.push(v);
-    }
+    let views = cohort_views(global, items.iter().map(|it| it.upload))?;
     let kmetas: Vec<KeptMeta> = views
         .iter()
         .map(|v| KeptMeta::of(&v.masks, &layout))

@@ -20,9 +20,9 @@ pub struct RoundInfo {
     pub total_rounds: usize,
     /// Experiment seed (for deriving per-component RNG streams).
     pub seed: u64,
-    /// Aggregation-engine selection, broadcast with the round so clients
-    /// (upload encoding) and server (reduction) always agree. A pure
-    /// execution knob: results are bit-identical either way.
+    /// The server's aggregation settings (shard size, tree fan-in,
+    /// robust estimator), which `aggregate` hands to `fl::aggregate`.
+    /// Clients never consult it: they always upload wire bytes.
     pub agg: AggSettings,
 }
 

@@ -11,9 +11,10 @@
 //!   eq. (7));
 //! * [`aggregate`] — weighted aggregation with the zero-handling
 //!   semantics discussed in DESIGN.md (literal eq. (10), holders-only,
-//!   stale-fill), behind two bit-identical engines: the dense reference
-//!   and a sharded streaming reducer that decodes real wire bytes
-//!   shard by shard (O(model) server memory, parallel across shards);
+//!   stale-fill): a sharded streaming reducer that decodes the clients'
+//!   real wire bytes shard by shard (O(model) server memory, parallel
+//!   across shards), plus the dense oracle it is pinned bit-identical
+//!   to — chosen by the bodies a cohort carries, never by an option;
 //! * [`network`] / [`timing`] — the paper's T-Mobile 5G link model
 //!   (14.0 Mbps up / 110.6 Mbps down, §V-C) and LTTR/TTA accounting;
 //! * [`round`] — the reusable round-loop ingredients (client selection,

@@ -47,8 +47,10 @@ pub struct ExperimentConfig {
     pub eval_every: usize,
     /// Cap on evaluated test samples per round (0 = whole test set).
     pub eval_max_samples: usize,
-    /// Aggregation-engine selection (dense reference vs sharded
-    /// streaming). Bit-identical either way; a pure execution knob.
+    /// Aggregation settings: shard size (bit-transparent), tree fan-in
+    /// and robust estimator (both change results). Nothing here selects
+    /// an engine — clients always upload wire bytes, which the server
+    /// streams.
     pub agg: AggSettings,
     /// Explicit per-round cohort size; overrides `⌊κK⌋` when set.
     /// Validated against K at startup ([`CohortError`]).

@@ -1,21 +1,20 @@
 //! What a client sends to the server each round.
 //!
-//! An upload's payload travels in one of two representations:
+//! **One path:** every upload a client produces carries real encoded
+//! bytes ([`UploadBody::Wire`], a [`WireMsg`] of the `fedbiad-compress`
+//! codec) — FedBIAD's contribution is what travels on the uplink (eq. (7):
+//! only the non-dropped rows), so the bytes are made, not merely counted.
+//! The server decodes them shard by shard during aggregation and never
+//! materialises a dense per-client `ParamSet`.
 //!
-//! * [`UploadBody::Dense`] — the decoded dense [`ParamSet`] (the retained
-//!   reference path; every historical behaviour is unchanged);
-//! * [`UploadBody::Wire`] — actual encoded bytes ([`WireMsg`], the
-//!   `fedbiad-compress` codec). The streaming server path decodes these
-//!   shard-by-shard during aggregation and never materialises a dense
-//!   per-client `ParamSet`.
-//!
-//! Which one a client produces is decided by the round's
-//! [`crate::aggregate::AggSettings`] (`RoundInfo::agg`), so the server
-//! and every client always agree. The two are bit-equivalent end to end
-//! (`tests/aggregation_equivalence.rs`).
+//! **One oracle:** [`UploadBody::Dense`] is the decoded twin of a wire
+//! body ([`crate::aggregate::dense_twin`]). No client produces it; it
+//! exists so the equivalence suites and the benchmark's `server_reduce`
+//! oracle can hand the retained dense reference engine the same cohort
+//! and demand the same bits. Which engine aggregates is decided by the
+//! bodies a cohort carries, never by an option (see [`crate::aggregate`]).
 
-use crate::aggregate::AggSettings;
-use fedbiad_compress::codec::{encode_weights, WireMsg};
+use fedbiad_compress::codec::{encode_delta, encode_weights, Payload, WireMsg};
 use fedbiad_nn::{ModelMask, ParamSet};
 
 /// Payload semantics of an upload.
@@ -32,9 +31,10 @@ pub enum UploadKind {
 /// The payload representation an [`Upload`] carries.
 #[derive(Clone, Debug)]
 pub enum UploadBody {
-    /// Decoded dense payload (reference aggregation path).
+    /// Decoded dense twin of a wire body — the reference engine's input,
+    /// built by tests and oracles only.
     Dense(ParamSet),
-    /// Encoded wire bytes (streaming aggregation path).
+    /// Encoded wire bytes — what every client sends.
     Wire(WireMsg),
 }
 
@@ -49,81 +49,31 @@ pub struct Upload {
     pub body: UploadBody,
     /// Which parameters the client actually trained/transmitted.
     pub coverage: ModelMask,
-    /// Exact uplink bytes, including pattern/position overhead. For wire
-    /// bodies this equals the encoded body length
+    /// Exact uplink bytes, including pattern/position overhead. For an
+    /// honest client this equals the encoded body length
     /// (`tests/byte_accounting.rs`).
     pub wire_bytes: u64,
 }
 
 impl Upload {
-    /// Full-model weights upload (FedAvg), dense representation.
+    /// Full-model weights upload (FedAvg).
     pub fn full_weights(params: ParamSet) -> Self {
         let coverage = ModelMask::full(&params);
+        Self::masked_weights(params, coverage)
+    }
+
+    /// Masked weights upload: the values of `params` that `coverage`
+    /// keeps, encoded. Dropped values are never read (the encoder gathers
+    /// covered values only), so the caller need not zero them.
+    pub fn masked_weights(params: ParamSet, coverage: ModelMask) -> Self {
         let wire_bytes = coverage.wire_bytes(&params);
-        Self {
-            kind: UploadKind::Weights,
-            body: UploadBody::Dense(params),
-            coverage,
-            wire_bytes,
-        }
+        let msg = encode_weights(&params, &coverage);
+        debug_assert_eq!(msg.body_bytes(), wire_bytes);
+        Self::wire(UploadKind::Weights, msg, coverage, wire_bytes)
     }
 
-    /// Masked weights upload, dense representation: applies `coverage` to
-    /// `params` (zeroing non-covered rows) and computes wire bytes from
-    /// the mask.
-    pub fn masked_weights(mut params: ParamSet, coverage: ModelMask) -> Self {
-        coverage.apply(&mut params);
-        let wire_bytes = coverage.wire_bytes(&params);
-        Self {
-            kind: UploadKind::Weights,
-            body: UploadBody::Dense(params),
-            coverage,
-            wire_bytes,
-        }
-    }
-
-    /// Full-model weights upload honouring the round's aggregation
-    /// settings: dense under the reference engine, encoded bytes under
-    /// streaming.
-    pub fn full_weights_with(params: ParamSet, agg: AggSettings) -> Self {
-        if agg.streaming {
-            let coverage = ModelMask::full(&params);
-            let wire_bytes = coverage.wire_bytes(&params);
-            let msg = encode_weights(&params, &coverage);
-            debug_assert_eq!(msg.body_bytes(), wire_bytes);
-            Self {
-                kind: UploadKind::Weights,
-                body: UploadBody::Wire(msg),
-                coverage,
-                wire_bytes,
-            }
-        } else {
-            Self::full_weights(params)
-        }
-    }
-
-    /// Masked weights upload honouring the round's aggregation settings.
-    pub fn masked_weights_with(params: ParamSet, coverage: ModelMask, agg: AggSettings) -> Self {
-        if agg.streaming {
-            // No `coverage.apply` here: the encoder gathers covered
-            // values only, so zeroing the dropped ones would be an
-            // unobservable O(model) pass.
-            let wire_bytes = coverage.wire_bytes(&params);
-            let msg = encode_weights(&params, &coverage);
-            debug_assert_eq!(msg.body_bytes(), wire_bytes);
-            Self {
-                kind: UploadKind::Weights,
-                body: UploadBody::Wire(msg),
-                coverage,
-                wire_bytes,
-            }
-        } else {
-            Self::masked_weights(params, coverage)
-        }
-    }
-
-    /// An encoded upload built directly from wire bytes (the streaming
-    /// client path for sketched deltas / Fig. 5 combos).
+    /// An upload built directly from encoded bytes (sketched deltas and
+    /// the Fig. 5 dropout + compression combos).
     pub fn wire(kind: UploadKind, msg: WireMsg, coverage: ModelMask, wire_bytes: u64) -> Self {
         Self {
             kind,
@@ -133,22 +83,27 @@ impl Upload {
         }
     }
 
-    /// The dense payload. Panics on wire bodies — callers on the dense
-    /// reference path only.
-    pub fn params(&self) -> &ParamSet {
-        match &self.body {
-            UploadBody::Dense(p) => p,
-            UploadBody::Wire(_) => {
-                panic!("upload carries encoded wire bytes, not a dense ParamSet")
-            }
-        }
+    /// This upload's kind, coverage and byte accounting around new
+    /// `values`, re-encoded as a dense-f32 frame (which carries NaN/Inf
+    /// bit patterns verbatim): the covered values of a `Weights` upload,
+    /// every value of a `Delta`. What a byzantine client puts on the wire
+    /// and what norm clipping hands on — both change values, neither the
+    /// bytes the honest upload was charged for.
+    pub(crate) fn with_values(&self, values: &ParamSet) -> Self {
+        let msg = match self.kind {
+            UploadKind::Weights => encode_weights(values, &self.coverage),
+            UploadKind::Delta => encode_delta(&Payload::Dense {
+                values: values.flatten(),
+            }),
+        };
+        Self::wire(self.kind, msg, self.coverage.clone(), self.wire_bytes)
     }
 
     /// The encoded bytes, when this upload travels in wire form.
     pub fn wire_msg(&self) -> Option<&WireMsg> {
         match &self.body {
             UploadBody::Wire(m) => Some(m),
-            UploadBody::Dense(_) => None,
+            _ => None,
         }
     }
 }
@@ -156,6 +111,7 @@ impl Upload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{decode_dense, dense_twin};
     use fedbiad_nn::mask::BitVec;
     use fedbiad_nn::params::{EntryMeta, LayerKind};
     use fedbiad_tensor::Matrix;
@@ -176,6 +132,7 @@ mod tests {
         let u = Upload::full_weights(p.clone());
         assert_eq!(u.wire_bytes, p.total_bytes());
         assert_eq!(u.kind, UploadKind::Weights);
+        assert_eq!(u.wire_msg().expect("wire body").body_bytes(), u.wire_bytes);
     }
 
     #[test]
@@ -185,9 +142,12 @@ mod tests {
         beta.set(1, false);
         beta.set(3, false);
         let mask = fedbiad_nn::ModelMask::from_row_pattern(&p, &beta);
+        // No caller-side zeroing: the dropped rows still hold 1.0 here,
+        // and the server still reconstructs them as zeros.
         let u = Upload::masked_weights(p.clone(), mask);
-        assert_eq!(u.params().mat(0).row(1), &[0.0, 0.0]);
-        assert_eq!(u.params().mat(0).row(0), &[1.0, 1.0]);
+        let twin = decode_dense(&p, &u).unwrap();
+        assert_eq!(twin.mat(0).row(1), &[0.0, 0.0]);
+        assert_eq!(twin.mat(0).row(0), &[1.0, 1.0]);
         // 4 kept weights × 4 B + 1 pattern byte.
         assert_eq!(u.wire_bytes, 16 + 1);
         assert!(u.wire_bytes < p.total_bytes());
@@ -199,23 +159,13 @@ mod tests {
         let mut beta = BitVec::new(4, true);
         beta.set(2, false);
         let mask = fedbiad_nn::ModelMask::from_row_pattern(&p, &beta);
-        let agg = AggSettings::sharded(64);
-        let u = Upload::masked_weights_with(p.clone(), mask.clone(), agg);
-        let msg = u.wire_msg().expect("wire body under streaming");
+        let u = Upload::masked_weights(p.clone(), mask.clone());
+        let msg = u.wire_msg().expect("clients always put bytes on the wire");
         assert_eq!(msg.body_bytes(), u.wire_bytes);
         assert_eq!(u.wire_bytes, mask.wire_bytes(&p));
-        // The dense twin reports identical bytes.
-        let d = Upload::masked_weights(p, mask);
+        // The oracle's dense twin reports identical bytes.
+        let d = dense_twin(&p, &u).unwrap();
         assert_eq!(d.wire_bytes, u.wire_bytes);
         assert!(d.wire_msg().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "wire bytes")]
-    fn dense_accessor_panics_on_wire_bodies() {
-        let p = params();
-        let agg = AggSettings::sharded(1);
-        let u = Upload::full_weights_with(p, agg);
-        let _ = u.params();
     }
 }

@@ -22,8 +22,6 @@
 //!   the LSTM, §V-A) and weight decay (the KL(π̃‖π) ≈ L2 term of loss (2)).
 
 pub mod activation;
-pub mod cnn;
-pub mod conv;
 pub mod dense;
 pub mod lstm;
 pub mod lstm_lm;

@@ -226,9 +226,10 @@ pub struct RunOpts {
     /// section); `None` keeps the paper batch size. Batch-vs-sequential
     /// SGD genuinely differ here, so this is an explicit opt-in knob.
     pub batch_size: Option<usize>,
-    /// Aggregation-engine selection (scenario `[aggregation]` section).
-    /// `streaming`/`shard_kb` are bit-identical and never feed the seed
-    /// hash; `tree_fanin` changes the f32 association and does.
+    /// Aggregation settings (scenario `[aggregation]` section).
+    /// `shard_kb` is bit-transparent and never feeds the seed hash;
+    /// `tree_fanin` changes the f32 association and does, as does a
+    /// non-mean `robust` estimator.
     pub agg: fedbiad_fl::AggSettings,
     /// Explicit per-round cohort override (scenario `[population]`
     /// section); `None` derives ⌊κK⌋ from `client_fraction`.

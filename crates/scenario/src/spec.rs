@@ -189,33 +189,35 @@ pub struct FedBiadSection {
     pub dropout_rate: Option<f32>,
 }
 
-/// The `[aggregation]` section: server aggregation-engine selection.
+/// The `[aggregation]` section: how the server reduces a cohort.
 ///
-/// `streaming = true` turns on the sharded streaming engine (clients
-/// encode real wire bytes, the server decodes shard by shard);
-/// `shard_kb` sets the shard size. These two knobs are **bit-identical**
-/// (`tests/aggregation_equivalence.rs`), so — unlike `[training]` — they
-/// deliberately do *not* feed the canonical seed hash: flipping them can
+/// There is one route — clients put encoded bytes on the wire and the
+/// server streams them shard by shard — so nothing here selects an
+/// engine. `shard_kb` sets the shard size; it is **bit-transparent**
+/// (`tests/aggregation_equivalence.rs`), so — unlike `[training]` — it
+/// deliberately does *not* feed the canonical seed hash: changing it can
 /// never change results, only speed and memory.
 ///
-/// `tree_fanin` layers a hierarchical reduction over the streaming
-/// engine (requires `streaming = true`). Unlike the other two knobs it
-/// changes the f32 summation *association*, so it is **not**
+/// `tree_fanin` layers a hierarchical reduction over the weighted-mean
+/// path. It changes the f32 summation *association*, so it is **not**
 /// bit-identical — and therefore *does* feed the canonical seed hash
 /// when set, like `[training] batch_size`.
+///
+/// The retired key `streaming` is still *recognised*, because specs in
+/// the wild carry it: `true` is a no-op, `false` is rejected (the dense
+/// engine it used to select is a test oracle, not a route).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AggregationSection {
-    /// Run the sharded streaming engine.
-    pub streaming: bool,
-    /// Shard size in KiB (requires `streaming = true`; default 64).
+    /// Shard size in KiB (default 64).
     pub shard_kb: Option<u32>,
-    /// Tree-reduction fan-in ≥ 2 (requires `streaming = true`; omitted =
-    /// the serial streaming reducer).
+    /// Tree-reduction fan-in ≥ 2 (omitted = the serial reducer). Only
+    /// the weighted-mean path has a tree, so it cannot be combined with
+    /// an order-statistic `robust` estimator.
     pub tree_fanin: Option<u32>,
     /// Robust estimator: `"mean"` (default), `"trimmed_mean"`,
     /// `"coordinate_median"`, or `"norm_clip"`. Robust estimators change
     /// results, so a non-mean selection **does** feed the canonical seed
-    /// hash (the two engines stay bit-identical within a selection).
+    /// hash.
     pub robust: Option<RobustChoice>,
     /// Per-tail trim fraction for `robust = "trimmed_mean"` (default 0.1;
     /// must lie in `[0, 0.5)`).
@@ -251,10 +253,9 @@ impl RobustChoice {
 }
 
 impl AggregationSection {
-    /// Resolve to the runner's engine settings.
+    /// Resolve to the runner's aggregation settings.
     pub fn resolve(&self) -> fedbiad_fl::AggSettings {
         fedbiad_fl::AggSettings {
-            streaming: self.streaming,
             shard_kb: self.shard_kb.unwrap_or(64),
             tree_fanin: self.tree_fanin.unwrap_or(0),
             robust: self.robust_kind(),
@@ -762,7 +763,7 @@ impl ScenarioSpec {
         if let Some(fanin) = self.aggregation.tree_fanin {
             s.push_str(&format!(";tree_fanin={fanin}"));
         }
-        // Robust estimators change results (unlike streaming/shard_kb), so
+        // Robust estimators change results (unlike shard_kb), so
         // a non-mean selection feeds the seed hash. `Mean` — implicit or
         // an explicit `robust = "mean"` — appends nothing, preserving
         // every pre-existing derived seed.
@@ -1220,15 +1221,20 @@ fn decode_aggregation(v: Option<&Value>) -> Result<AggregationSection, SpecError
             "tau",
         ],
     )?;
-    if let Some(x) = get(t, "streaming") {
-        agg.streaming = match x {
-            Value::Bool(b) => *b,
-            _ => {
-                return Err(SpecError::new(
-                    "[aggregation] streaming must be a boolean (true/false)",
-                ))
-            }
-        };
+    match get(t, "streaming") {
+        None | Some(Value::Bool(true)) => {}
+        Some(Value::Bool(false)) => {
+            return Err(SpecError::new(
+                "[aggregation] streaming = false is not a route: clients always put encoded \
+                 bytes on the wire and the server streams them; the dense engine is a test \
+                 oracle. Delete the key (streaming = true is accepted as a no-op)",
+            ))
+        }
+        Some(_) => {
+            return Err(SpecError::new(
+                "[aggregation] streaming must be a boolean (true/false)",
+            ))
+        }
     }
     if let Some(x) = get(t, "shard_kb") {
         let kb = usize_of(x, "aggregation", "shard_kb", 1)?;
@@ -1303,17 +1309,15 @@ fn decode_aggregation(v: Option<&Value>) -> Result<AggregationSection, SpecError
              update norms",
         ));
     }
-    if agg.shard_kb.is_some() && !agg.streaming {
-        return Err(SpecError::new(
-            "[aggregation] shard_kb requires streaming = true; the dense reference engine \
-             has no shards",
-        ));
-    }
-    if agg.tree_fanin.is_some() && !agg.streaming {
-        return Err(SpecError::new(
-            "[aggregation] tree_fanin requires streaming = true; the dense reference engine \
-             has no shard reduction to layer a tree over",
-        ));
+    if let (Some(_), Some(r @ (RobustChoice::TrimmedMean | RobustChoice::CoordinateMedian))) =
+        (agg.tree_fanin, agg.robust)
+    {
+        return Err(SpecError::new(format!(
+            "[aggregation] tree_fanin cannot be combined with robust = \"{}\"; order statistics \
+             gather whole columns and run no tree, so the fan-in would move every derived \
+             seed and change nothing else",
+            r.name()
+        )));
     }
     Ok(agg)
 }
@@ -1584,34 +1588,17 @@ mod tests {
 
     #[test]
     fn aggregation_section_is_validated_and_seed_transparent() {
-        // Defaults: dense engine.
+        // Defaults.
         let s = ScenarioSpec::from_toml_str(MINIMAL).unwrap();
-        assert!(!s.aggregation.streaming);
-        let resolved = s.aggregation.resolve();
-        assert!(!resolved.streaming);
-        // Enabled with a shard size.
-        let s = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 16\n"
-        ))
-        .unwrap();
-        assert!(s.aggregation.streaming);
+        assert_eq!(s.aggregation.resolve(), fedbiad_fl::AggSettings::default());
+        // A shard size needs no other key.
+        let s = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshard_kb = 16\n"))
+            .unwrap();
         assert_eq!(s.aggregation.resolve().shard_kb, 16);
-        // shard_kb without streaming is rejected.
-        let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshard_kb = 4\n"))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("requires streaming = true"),
-            "{err}"
-        );
         // Out-of-range / wrong-type values are rejected.
-        let err = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 0\n"
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("positive integer"), "{err}");
-        let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nstreaming = 1\n"))
+        let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshard_kb = 0\n"))
             .unwrap_err();
-        assert!(err.to_string().contains("boolean"), "{err}");
+        assert!(err.to_string().contains("positive integer"), "{err}");
         let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshardkb = 4\n"))
             .unwrap_err();
         assert!(
@@ -1619,14 +1606,41 @@ mod tests {
                 .contains("expected one of: streaming, shard_kb, tree_fanin"),
             "{err}"
         );
-        // The engine knob is bit-transparent, so — unlike [training] — it
-        // must NOT move the canonical string (and therefore derived seeds).
+        // The shard size is bit-transparent and the retired `streaming`
+        // key never fed the canonical string, so — unlike [training] —
+        // neither may move it (and therefore derived seeds): stripping
+        // `streaming = true` from a spec leaves every seed where it was.
         let base = ScenarioSpec::from_toml_str(MINIMAL).unwrap();
         let with = ScenarioSpec::from_toml_str(&format!(
             "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 1\n"
         ))
         .unwrap();
         assert_eq!(base.canonical_string(), with.canonical_string());
+    }
+
+    /// The retired engine key: specs that say `true` keep working; `false`
+    /// asked for a route that no longer exists and says so.
+    #[test]
+    fn retired_streaming_key_is_a_no_op_when_true_and_an_error_when_false() {
+        let base = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshard_kb = 4\n"))
+            .unwrap();
+        let with = ScenarioSpec::from_toml_str(&format!(
+            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 4\n"
+        ))
+        .unwrap();
+        assert_eq!(with.aggregation.resolve(), base.aggregation.resolve());
+        let err =
+            ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nstreaming = false\n"))
+                .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "[aggregation] streaming = false is not a route: clients always put encoded bytes \
+             on the wire and the server streams them; the dense engine is a test oracle. \
+             Delete the key (streaming = true is accepted as a no-op)"
+        );
+        let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nstreaming = 1\n"))
+            .unwrap_err();
+        assert!(err.to_string().contains("boolean"), "{err}");
     }
 
     #[test]
@@ -1678,41 +1692,23 @@ mod tests {
     #[test]
     fn tree_fanin_is_gated_and_feeds_the_seed() {
         let s = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 4\ntree_fanin = 32\n"
+            "{MINIMAL}[aggregation]\nshard_kb = 4\ntree_fanin = 32\n"
         ))
         .unwrap();
         assert_eq!(s.aggregation.resolve().tree_fanin, 32);
-        // Requires the streaming engine — there is no shard reduction to
-        // layer a tree over in the dense path.
-        let err =
-            ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\ntree_fanin = 32\n"))
-                .unwrap_err();
-        assert!(
-            err.to_string().contains("requires streaming = true"),
-            "{err}"
-        );
         // Degenerate fan-ins are rejected at both ends.
-        let err = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\ntree_fanin = 1\n"
-        ))
-        .unwrap_err();
+        let err = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\ntree_fanin = 1\n"))
+            .unwrap_err();
         assert!(err.to_string().contains("at least 2"), "{err}");
-        let err = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\ntree_fanin = 65537\n"
-        ))
-        .unwrap_err();
+        let err =
+            ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\ntree_fanin = 65537\n"))
+                .unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
-        // Unlike streaming/shard_kb, the fan-in regroups f32 sums and is
-        // NOT bit-transparent — it must move the canonical string.
-        let base = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 4\n"
-        ))
-        .unwrap();
-        let with = ScenarioSpec::from_toml_str(&format!(
-            "{MINIMAL}[aggregation]\nstreaming = true\nshard_kb = 4\ntree_fanin = 32\n"
-        ))
-        .unwrap();
-        assert_ne!(base.canonical_string(), with.canonical_string());
+        // Unlike shard_kb, the fan-in regroups f32 sums and is NOT
+        // bit-transparent — it must move the canonical string.
+        let base = ScenarioSpec::from_toml_str(&format!("{MINIMAL}[aggregation]\nshard_kb = 4\n"))
+            .unwrap();
+        assert_ne!(base.canonical_string(), s.canonical_string());
     }
 
     #[test]

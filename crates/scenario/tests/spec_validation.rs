@@ -205,6 +205,37 @@ fn adversary_section_is_strictly_validated() {
     );
 }
 
+/// Regression: `tree_fanin` fed the canonical seed string, but the
+/// order-statistic estimators never ran a tree — the combination moved
+/// every derived seed and changed nothing else. Norm clipping ends in the
+/// weighted mean, which does have a tree, so that combination stays.
+#[test]
+fn tree_fanin_with_an_order_statistic_estimator_is_rejected() {
+    for robust in ["trimmed_mean", "coordinate_median"] {
+        assert_eq!(
+            err_of(&format!(
+                "name = \"t\"\n{OK_SWEEP}[aggregation]\ntree_fanin = 8\nrobust = \"{robust}\"\n"
+            )),
+            format!(
+                "[aggregation] tree_fanin cannot be combined with robust = \"{robust}\"; order \
+                 statistics gather whole columns and run no tree, so the fan-in would move \
+                 every derived seed and change nothing else"
+            )
+        );
+    }
+    for ok in [
+        "robust = \"norm_clip\"\ntau = 2.0\n",
+        "robust = \"mean\"\n",
+        "",
+    ] {
+        let spec = ScenarioSpec::from_toml_str(&format!(
+            "name = \"t\"\n{OK_SWEEP}[aggregation]\ntree_fanin = 8\n{ok}"
+        ))
+        .unwrap();
+        assert_eq!(spec.aggregation.resolve().tree_fanin, 8);
+    }
+}
+
 #[test]
 fn churn_section_is_strictly_validated() {
     assert_eq!(

@@ -587,7 +587,7 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
     ///
     /// The merge arithmetic itself lives in
     /// [`fedbiad_fl::aggregate::merge_staleness_weighted`], shared between
-    /// the dense reference and the sharded streaming engine.
+    /// the sharded streaming engine and its dense oracle.
     fn aggregate_buffered(&mut self, alpha: f64, server_lr: f64) -> usize {
         if self.buffer.is_empty() {
             // Same defined no-op as `aggregate_round`: nothing survived,

@@ -1,9 +1,14 @@
 //! Differential suite for the sharded streaming aggregation engine:
-//! streaming must be **bit-identical** to the retained dense reference —
-//! across every `ZeroMode`, both upload kinds, all five compressors,
-//! shard sizes from 1 KiB up to ≥ the whole model, and 1/2/8 worker
-//! threads — plus a 2-round fig2-style end-to-end run and the
-//! buffered-async / deadline policy merge paths.
+//! streaming must be **bit-identical** to the dense oracle — across every
+//! `ZeroMode`, both upload kinds, all five compressors, shard sizes from
+//! 1 KiB up to ≥ the whole model, and 1/2/8 worker threads — plus a
+//! 2-round fig2-style end-to-end run and the buffered-async / deadline
+//! policy merge paths.
+//!
+//! The server routes on upload bodies, so every comparison hands the
+//! streaming side *wire* uploads and the oracle side their *dense twins*
+//! ([`assert_routes`] pins that on both cohorts) — the same uploads on
+//! both calls would compare an engine with itself.
 //!
 //! The suite honours `FEDBIAD_SHARD_KB` (CI's tiny-shard matrix leg): a
 //! value there is added to the tested shard-size set.
@@ -14,11 +19,11 @@ use fedbiad::compress::none::NoCompression;
 use fedbiad::compress::signsgd::SignSgd;
 use fedbiad::compress::stc::Stc;
 use fedbiad::compress::{codec, ClientState, Compressor};
-use fedbiad::core::combo::sketch_masked_weights;
+use fedbiad::core::combo::{kept_flat_indices, sketch_masked_weights};
 use fedbiad::core::pattern::{keep_count, DropPattern};
 use fedbiad::fl::aggregate::{
-    aggregate_deltas, aggregate_weights, arena_churn, merge_staleness_weighted, AggSettings,
-    RobustKind, StalenessUpload, ZeroMode,
+    aggregate_deltas, aggregate_weights, arena_churn, dense_twin, merge_staleness_weighted,
+    AggSettings, RobustKind, StalenessUpload, ZeroMode,
 };
 use fedbiad::fl::upload::{Upload, UploadBody, UploadKind};
 use fedbiad::fl::workload::{build, Scale, Workload};
@@ -29,6 +34,10 @@ use fedbiad::prelude::*;
 use fedbiad::tensor::rng::{stream, StreamTag};
 use rand::Rng;
 use std::sync::Mutex;
+
+#[path = "support/oracle.rs"]
+mod oracle;
+use oracle::DenseTwinClients;
 
 /// Tests in this binary toggle the process-wide `RAYON_NUM_THREADS`; they
 /// must not interleave (same contract as `tests/thread_determinism.rs`).
@@ -73,6 +82,27 @@ fn assert_params_bit_identical(a: &ParamSet, b: &ParamSet, what: &str) {
     }
 }
 
+/// Dense twins of a wire cohort, decoded against `base`.
+fn twins(base: &ParamSet, uploads: &[(f32, Upload)]) -> Vec<(f32, Upload)> {
+    uploads
+        .iter()
+        .map(|(w, u)| (*w, dense_twin(base, u).expect("twin decodes")))
+        .collect()
+}
+
+/// The two sides of a differential comparison really are two engines:
+/// every streaming-side upload is wire-bodied, every oracle-side upload a
+/// dense twin.
+fn assert_routes<'a>(
+    wire: impl IntoIterator<Item = &'a Upload>,
+    dense: impl IntoIterator<Item = &'a Upload>,
+) {
+    assert!(wire.into_iter().all(|u| u.wire_msg().is_some()));
+    assert!(dense
+        .into_iter()
+        .all(|u| matches!(u.body, UploadBody::Dense(_))));
+}
+
 /// A small-but-multi-entry model (MLP 23→17→5: ragged shapes, biases).
 fn test_model() -> MlpModel {
     MlpModel::new(23, 17, 5)
@@ -93,8 +123,9 @@ fn perturbed(global: &ParamSet, seed: u64) -> ParamSet {
     p
 }
 
-/// One masked-weights upload per client, cycling through every coverage
-/// shape (row pattern, rows×cols, elements, full, empty rows).
+/// One masked-weights upload per client (wire-bodied, as clients send
+/// them), cycling through every coverage shape (row pattern, rows×cols,
+/// elements, full, empty rows).
 fn weights_uploads(global: &ParamSet, clients: usize) -> Vec<(f32, Upload)> {
     let j = global.num_row_units();
     (0..clients)
@@ -199,8 +230,10 @@ fn delta_upload_pair(global: &ParamSet, comp: &dyn Compressor, k: u64) -> (Uploa
     (dense, wire)
 }
 
-/// Sketched masked-weights uploads (the Fig. 5 combo): dense
-/// reconstruction twin + real wire frame, per compressor.
+/// Sketched masked-weights uploads (the Fig. 5 combo): the real wire
+/// frame, and a dense twin reconstructed *independently* of the decoder —
+/// masked global + what the compressor says its payload decodes to, at
+/// the kept positions.
 fn combo_upload_pair(global: &ParamSet, comp: &dyn Compressor, k: u64) -> (Upload, Upload) {
     let j = global.num_row_units();
     let mut prng = stream(11, StreamTag::Pattern, 1, k);
@@ -209,45 +242,50 @@ fn combo_upload_pair(global: &ParamSet, comp: &dyn Compressor, k: u64) -> (Uploa
     let mut masked_u = perturbed(global, 500 + k);
     mask.apply(&mut masked_u);
 
-    // Two independent sketch states: the dense and wire paths must see
-    // identical compressor state.
-    let mut rng_a = stream(13, StreamTag::Compress, 2, k);
-    let mut rng_b = stream(13, StreamTag::Compress, 2, k);
-    let mut st_a = ClientState::default();
-    let mut st_b = ClientState::default();
-    let out_a = sketch_masked_weights(
-        comp, &mut st_a, &masked_u, global, &mask, 0, &mut rng_a, true,
-    );
-    let out_b = sketch_masked_weights(
-        comp, &mut st_b, &masked_u, global, &mask, 0, &mut rng_b, false,
-    );
+    let mut rng = stream(13, StreamTag::Compress, 2, k);
+    let mut st = ClientState::default();
+    let out = sketch_masked_weights(comp, &mut st, &masked_u, global, &mask, 0, &mut rng);
     let overhead = mask.wire_bytes(&masked_u) - mask.kept_params(&masked_u) as u64 * 4;
-    let wire_bytes = out_a.payload_bytes + overhead;
+    let wire_bytes = out.payload_bytes + overhead;
+
+    let mut masked_g = global.clone();
+    mask.apply(&mut masked_g);
+    let mut rec_flat = masked_g.flatten();
+    let decoded = out.payload.decode_dense();
+    for (pos, &i) in kept_flat_indices(&masked_u, &mask).iter().enumerate() {
+        rec_flat[i] += decoded[pos];
+    }
+    let mut reconstructed = masked_u.zeros_like();
+    reconstructed.unflatten_from(&rec_flat);
     let dense = Upload {
         kind: UploadKind::Weights,
-        body: UploadBody::Dense(out_a.reconstructed.expect("dense twin")),
+        body: UploadBody::Dense(reconstructed),
         coverage: mask.clone(),
         wire_bytes,
     };
     let wire = Upload::wire(
         UploadKind::Weights,
-        codec::encode_weights_delta(&mask, &out_b.payload),
+        codec::encode_weights_delta(&mask, &out.payload),
         mask,
         wire_bytes,
     );
     (dense, wire)
 }
 
-/// Run the dense reference over `reference_uploads` (dense bodies) and
-/// the streaming engine over `uploads` under every shard size and 1/2/8
-/// threads; everything must agree bitwise.
+/// Run the dense oracle over `reference_uploads` (dense twins) and the
+/// streaming engine over `uploads` (wire bodies) under every shard size
+/// and 1/2/8 threads; everything must agree bitwise.
 fn assert_weights_equivalence(
     uploads: &[(f32, Upload)],
     reference_uploads: &[(f32, Upload)],
+    global0: &ParamSet,
     what: &str,
 ) {
     let _guard = env_lock();
-    let global0 = init_params(1);
+    assert_routes(
+        uploads.iter().map(|(_, u)| u),
+        reference_uploads.iter().map(|(_, u)| u),
+    );
     let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
     let ref_ups: Vec<(f32, &Upload)> = reference_uploads.iter().map(|(w, u)| (*w, u)).collect();
     for mode in [
@@ -277,21 +315,11 @@ fn assert_weights_equivalence(
 fn masked_weights_all_modes_shards_threads() {
     let global = init_params(1);
     let uploads = weights_uploads(&global, 6);
-    // Dense bodies through the streaming engine (on-the-fly encode)…
-    assert_weights_equivalence(&uploads, &uploads, "dense-body");
-    // …and real wire bodies, as streaming clients produce them.
-    let wired: Vec<(f32, Upload)> = uploads
-        .iter()
-        .map(|(w, u)| {
-            let msg = codec::encode_weights(u.params(), &u.coverage);
-            assert_eq!(msg.body_bytes(), u.wire_bytes, "byte accounting");
-            (
-                *w,
-                Upload::wire(UploadKind::Weights, msg, u.coverage.clone(), u.wire_bytes),
-            )
-        })
-        .collect();
-    assert_weights_equivalence(&wired, &uploads, "wire-body");
+    for (_, u) in &uploads {
+        let msg = u.wire_msg().expect("wire body");
+        assert_eq!(msg.body_bytes(), u.wire_bytes, "byte accounting");
+    }
+    assert_weights_equivalence(&uploads, &twins(&global, &uploads), &global, "masked");
 }
 
 #[test]
@@ -304,25 +332,8 @@ fn combo_weights_every_compressor() {
         // The wire frame must decode to exactly the dense reconstruction.
         let dense_ups: Vec<(f32, Upload)> =
             pairs.iter().map(|(d, _)| (2.0f32, d.clone())).collect();
-        assert_weights_equivalence(&dense_ups, &dense_ups, &format!("combo/{name}/dense"));
         let wire_ups: Vec<(f32, Upload)> = pairs.iter().map(|(_, w)| (2.0f32, w.clone())).collect();
-        // Compare wire-streaming directly against dense-reference.
-        let _guard = env_lock();
-        let ups_d: Vec<(f32, &Upload)> = dense_ups.iter().map(|(w, u)| (*w, u)).collect();
-        let ups_w: Vec<(f32, &Upload)> = wire_ups.iter().map(|(w, u)| (*w, u)).collect();
-        for mode in [
-            ZeroMode::ZerosPull,
-            ZeroMode::HoldersOnly,
-            ZeroMode::StaleFill,
-        ] {
-            let mut reference = global.clone();
-            aggregate_weights(&mut reference, &ups_d, mode, AggSettings::default()).unwrap();
-            for kb in shard_kbs() {
-                let mut g = global.clone();
-                aggregate_weights(&mut g, &ups_w, mode, AggSettings::sharded(kb)).unwrap();
-                assert_params_bit_identical(&g, &reference, &format!("combo/{name}/{mode:?}/{kb}"));
-            }
-        }
+        assert_weights_equivalence(&wire_ups, &dense_ups, &global, &format!("combo/{name}"));
     }
 }
 
@@ -344,6 +355,7 @@ fn delta_uploads_every_compressor() {
             .enumerate()
             .map(|(i, (_, w))| ((i + 1) as f32, w))
             .collect();
+        assert_routes(ups_w.iter().map(|(_, u)| *u), ups_d.iter().map(|(_, u)| *u));
         let mut reference = global.clone();
         aggregate_deltas(&mut reference, &ups_d, AggSettings::default()).unwrap();
         for kb in shard_kbs() {
@@ -362,74 +374,88 @@ fn delta_uploads_every_compressor() {
     std::env::remove_var("RAYON_NUM_THREADS");
 }
 
+/// A mixed FedBuff buffer — masked weights (with snapshots) and one
+/// sketched delta — as the wire items the simulator buffers and as their
+/// dense twins.
+struct StalenessFixture {
+    global: ParamSet,
+    snapshots: Vec<ParamSet>,
+    weights: Vec<(f32, Upload)>,
+    weight_twins: Vec<(f32, Upload)>,
+    delta_dense: Upload,
+    delta_wire: Upload,
+}
+
+impl StalenessFixture {
+    fn new() -> Self {
+        let global = init_params(4);
+        let weights = weights_uploads(&global, 3);
+        let dgc = Dgc {
+            keep_fraction: 0.25,
+            momentum: 0.9,
+            warmup_rounds: 0,
+        };
+        let (delta_dense, delta_wire) = delta_upload_pair(&global, &dgc, 9);
+        Self {
+            snapshots: (0..3).map(|k| perturbed(&global, 700 + k)).collect(),
+            weight_twins: twins(&global, &weights),
+            weights,
+            delta_dense,
+            delta_wire,
+            global,
+        }
+    }
+
+    fn items<'a>(
+        &'a self,
+        weights: &'a [(f32, Upload)],
+        delta: &'a Upload,
+    ) -> Vec<StalenessUpload<'a>> {
+        weights
+            .iter()
+            .zip(&self.snapshots)
+            .map(|((w, u), s)| StalenessUpload {
+                weight: *w as f64 / 1.5,
+                upload: u,
+                snapshot: Some(s),
+            })
+            .chain(std::iter::once(StalenessUpload {
+                weight: 4.0,
+                upload: delta,
+                snapshot: None,
+            }))
+            .collect()
+    }
+
+    /// Oracle merge on the twins vs streaming merge on the wire items,
+    /// every shard size × 1/2/8 threads.
+    fn assert_equivalence(&self, settings: impl Fn(AggSettings) -> AggSettings, what: &str) {
+        let dense_items = self.items(&self.weight_twins, &self.delta_dense);
+        let wire_items = self.items(&self.weights, &self.delta_wire);
+        assert_routes(
+            wire_items.iter().map(|it| it.upload),
+            dense_items.iter().map(|it| it.upload),
+        );
+        let mut reference = self.global.clone();
+        let default = settings(AggSettings::default());
+        merge_staleness_weighted(&mut reference, &dense_items, 0.75, default).unwrap();
+        for kb in shard_kbs() {
+            for threads in ["1", "2", "8"] {
+                std::env::set_var("RAYON_NUM_THREADS", threads);
+                let mut g = self.global.clone();
+                let sharded = settings(AggSettings::sharded(kb));
+                merge_staleness_weighted(&mut g, &wire_items, 0.75, sharded).unwrap();
+                assert_params_bit_identical(&g, &reference, &format!("{what}/{kb}KB/{threads}t"));
+            }
+        }
+        std::env::remove_var("RAYON_NUM_THREADS");
+    }
+}
+
 #[test]
 fn staleness_merge_matches_dense() {
     let _guard = env_lock();
-    let global = init_params(4);
-    // Mixed buffer: masked weights (with snapshots) and sketched deltas.
-    let snapshots: Vec<ParamSet> = (0..3).map(|k| perturbed(&global, 700 + k)).collect();
-    let weights = weights_uploads(&global, 3);
-    let dgc = Dgc {
-        keep_fraction: 0.25,
-        momentum: 0.9,
-        warmup_rounds: 0,
-    };
-    let (delta_dense, delta_wire) = delta_upload_pair(&global, &dgc, 9);
-
-    let dense_items: Vec<StalenessUpload> = weights
-        .iter()
-        .zip(&snapshots)
-        .map(|((w, u), s)| StalenessUpload {
-            weight: *w as f64 / 1.5,
-            upload: u,
-            snapshot: Some(s),
-        })
-        .chain(std::iter::once(StalenessUpload {
-            weight: 4.0,
-            upload: &delta_dense,
-            snapshot: None,
-        }))
-        .collect();
-    let mut reference = global.clone();
-    merge_staleness_weighted(&mut reference, &dense_items, 0.75, AggSettings::default()).unwrap();
-
-    // Streaming twin: same weights, wire bodies where clients would
-    // produce them.
-    let wired: Vec<Upload> = weights
-        .iter()
-        .map(|(_, u)| {
-            Upload::wire(
-                UploadKind::Weights,
-                codec::encode_weights(u.params(), &u.coverage),
-                u.coverage.clone(),
-                u.wire_bytes,
-            )
-        })
-        .collect();
-    for kb in shard_kbs() {
-        for threads in ["1", "2", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let items: Vec<StalenessUpload> = wired
-                .iter()
-                .zip(&weights)
-                .zip(&snapshots)
-                .map(|((u, (w, _)), s)| StalenessUpload {
-                    weight: *w as f64 / 1.5,
-                    upload: u,
-                    snapshot: Some(s),
-                })
-                .chain(std::iter::once(StalenessUpload {
-                    weight: 4.0,
-                    upload: &delta_wire,
-                    snapshot: None,
-                }))
-                .collect();
-            let mut g = global.clone();
-            merge_staleness_weighted(&mut g, &items, 0.75, AggSettings::sharded(kb)).unwrap();
-            assert_params_bit_identical(&g, &reference, &format!("staleness/{kb}KB/{threads}t"));
-        }
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
+    StalenessFixture::new().assert_equivalence(|s| s, "staleness");
 }
 
 #[test]
@@ -460,7 +486,7 @@ fn steady_state_streaming_allocates_nothing() {
     std::env::remove_var("RAYON_NUM_THREADS");
 }
 
-// ---- robust estimators: dense ≡ streaming ------------------------------
+// ---- robust estimators: oracle ≡ streaming -----------------------------
 
 /// The non-mean estimator family under differential test. The trim
 /// fraction and clip radius are chosen so both branches of each estimator
@@ -486,6 +512,10 @@ fn assert_robust_weights_equivalence(
 ) {
     let _guard = env_lock();
     let global0 = init_params(1);
+    assert_routes(
+        uploads.iter().map(|(_, u)| u),
+        reference_uploads.iter().map(|(_, u)| u),
+    );
     let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
     let ref_ups: Vec<(f32, &Upload)> = reference_uploads.iter().map(|(w, u)| (*w, u)).collect();
     for mode in [
@@ -530,29 +560,9 @@ fn robust_weights_all_modes_shards_threads() {
     // all-empty-coverage client — partial participant sets per coordinate
     // exercise the trimmed-empty / empty-holder branches.
     let uploads = weights_uploads(&global, 7);
-    let wired: Vec<(f32, Upload)> = uploads
-        .iter()
-        .map(|(w, u)| {
-            let msg = codec::encode_weights(u.params(), &u.coverage);
-            (
-                *w,
-                Upload::wire(UploadKind::Weights, msg, u.coverage.clone(), u.wire_bytes),
-            )
-        })
-        .collect();
+    let reference = twins(&global, &uploads);
     for (name, robust) in robust_kinds() {
-        assert_robust_weights_equivalence(
-            &uploads,
-            &uploads,
-            robust,
-            &format!("robust/{name}/dense-body"),
-        );
-        assert_robust_weights_equivalence(
-            &wired,
-            &uploads,
-            robust,
-            &format!("robust/{name}/wire-body"),
-        );
+        assert_robust_weights_equivalence(&uploads, &reference, robust, &format!("robust/{name}"));
     }
 }
 
@@ -582,6 +592,7 @@ fn robust_deltas_dense_vs_streaming() {
             .enumerate()
             .map(|(i, (_, w))| ((i + 1) as f32, w))
             .collect();
+        assert_routes(ups_w.iter().map(|(_, u)| *u), ups_d.iter().map(|(_, u)| *u));
         for (name, robust) in robust_kinds() {
             let mut reference = global.clone();
             aggregate_deltas(
@@ -611,90 +622,19 @@ fn robust_deltas_dense_vs_streaming() {
 #[test]
 fn robust_staleness_merge_matches_dense() {
     let _guard = env_lock();
-    let global = init_params(4);
-    let snapshots: Vec<ParamSet> = (0..3).map(|k| perturbed(&global, 700 + k)).collect();
-    let weights = weights_uploads(&global, 3);
-    let dgc = Dgc {
-        keep_fraction: 0.25,
-        momentum: 0.9,
-        warmup_rounds: 0,
-    };
-    let (delta_dense, delta_wire) = delta_upload_pair(&global, &dgc, 9);
-    let wired: Vec<Upload> = weights
-        .iter()
-        .map(|(_, u)| {
-            Upload::wire(
-                UploadKind::Weights,
-                codec::encode_weights(u.params(), &u.coverage),
-                u.coverage.clone(),
-                u.wire_bytes,
-            )
-        })
-        .collect();
+    let fixture = StalenessFixture::new();
     for (name, robust) in robust_kinds() {
-        let dense_items: Vec<StalenessUpload> = weights
-            .iter()
-            .zip(&snapshots)
-            .map(|((w, u), s)| StalenessUpload {
-                weight: *w as f64 / 1.5,
-                upload: u,
-                snapshot: Some(s),
-            })
-            .chain(std::iter::once(StalenessUpload {
-                weight: 4.0,
-                upload: &delta_dense,
-                snapshot: None,
-            }))
-            .collect();
-        let mut reference = global.clone();
-        merge_staleness_weighted(
-            &mut reference,
-            &dense_items,
-            0.75,
-            AggSettings::default().with_robust(robust),
-        )
-        .unwrap();
-        for kb in shard_kbs() {
-            for threads in ["1", "2", "8"] {
-                std::env::set_var("RAYON_NUM_THREADS", threads);
-                let items: Vec<StalenessUpload> = wired
-                    .iter()
-                    .zip(&weights)
-                    .zip(&snapshots)
-                    .map(|((u, (w, _)), s)| StalenessUpload {
-                        weight: *w as f64 / 1.5,
-                        upload: u,
-                        snapshot: Some(s),
-                    })
-                    .chain(std::iter::once(StalenessUpload {
-                        weight: 4.0,
-                        upload: &delta_wire,
-                        snapshot: None,
-                    }))
-                    .collect();
-                let mut g = global.clone();
-                merge_staleness_weighted(
-                    &mut g,
-                    &items,
-                    0.75,
-                    AggSettings::sharded(kb).with_robust(robust),
-                )
-                .unwrap();
-                assert_params_bit_identical(
-                    &g,
-                    &reference,
-                    &format!("robust-staleness/{name}/{kb}KB/{threads}t"),
-                );
-            }
-        }
+        fixture.assert_equivalence(
+            |s| s.with_robust(robust),
+            &format!("robust-staleness/{name}"),
+        );
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 /// `trim_frac = 0` (and a cohort too small to trim) routes to the mean
 /// engines verbatim, and an all-honest `norm_clip` round with a radius
 /// larger than any delta passes every upload through untouched — both
-/// must reproduce the historical weighted mean **bitwise**, dense and
+/// must reproduce the historical weighted mean **bitwise**, oracle and
 /// streaming, which is what keeps the robust knob out of the golden
 /// digests when it is configured but inactive.
 #[test]
@@ -702,7 +642,13 @@ fn inactive_robust_settings_reproduce_the_mean_bitwise() {
     let _guard = env_lock();
     let global0 = init_params(6);
     let uploads = weights_uploads(&global0, 6);
+    let reference = twins(&global0, &uploads);
+    assert_routes(
+        uploads.iter().map(|(_, u)| u),
+        reference.iter().map(|(_, u)| u),
+    );
     let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
+    let ref_ups: Vec<(f32, &Upload)> = reference.iter().map(|(w, u)| (*w, u)).collect();
     let inactive = [
         ("trim0", RobustKind::TrimmedMean { trim_frac: 0.0 }),
         // ⌊0.12·6⌋ = 0: a cohort too small for the fraction to bite.
@@ -715,19 +661,19 @@ fn inactive_robust_settings_reproduce_the_mean_bitwise() {
         ZeroMode::StaleFill,
     ] {
         let mut mean = global0.clone();
-        aggregate_weights(&mut mean, &ups, mode, AggSettings::default()).unwrap();
+        aggregate_weights(&mut mean, &ref_ups, mode, AggSettings::default()).unwrap();
         for (name, robust) in inactive {
-            for settings in [
-                AggSettings::default().with_robust(robust),
-                AggSettings::sharded(2).with_robust(robust),
-                AggSettings::sharded(64).with_robust(robust),
+            for (engine, cohort, settings) in [
+                ("oracle", &ref_ups, AggSettings::default()),
+                ("streaming", &ups, AggSettings::sharded(2)),
+                ("streaming", &ups, AggSettings::sharded(64)),
             ] {
                 let mut g = global0.clone();
-                aggregate_weights(&mut g, &ups, mode, settings).unwrap();
+                aggregate_weights(&mut g, cohort, mode, settings.with_robust(robust)).unwrap();
                 assert_params_bit_identical(
                     &g,
                     &mean,
-                    &format!("inactive/{name}/{mode:?}/streaming={}", settings.streaming),
+                    &format!("inactive/{name}/{mode:?}/{engine}/{}KB", settings.shard_kb),
                 );
             }
         }
@@ -771,52 +717,52 @@ fn robust_empty_holder_sets_keep_previous_global() {
         (2.0f32, weights_uploads(&global, 5)[4].1.clone()),
         (1.0f32, weights_uploads(&global, 5)[4].1.clone()),
     ];
+    let reference = twins(&global, &uploads);
+    assert_routes(
+        uploads.iter().map(|(_, u)| u),
+        reference.iter().map(|(_, u)| u),
+    );
     let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
-    let engines = [AggSettings::default(), AggSettings::sharded(2)];
+    let ref_ups: Vec<(f32, &Upload)> = reference.iter().map(|(w, u)| (*w, u)).collect();
+    let engines = [
+        ("oracle", &ref_ups, AggSettings::default()),
+        ("streaming", &ups, AggSettings::sharded(2)),
+    ];
 
     // ⌊0.34·3⌋ = 1 trims one from each tail: the single-holder coordinates
     // trim *empty* and every uncovered coordinate has no holders at all —
     // under HoldersOnly/StaleFill the whole global must survive bitwise.
     let trim = RobustKind::TrimmedMean { trim_frac: 0.34 };
     for mode in [ZeroMode::HoldersOnly, ZeroMode::StaleFill] {
-        for settings in engines {
+        for (engine, cohort, settings) in engines {
             let mut g = global.clone();
-            aggregate_weights(&mut g, &ups, mode, settings.with_robust(trim)).unwrap();
-            assert_params_bit_identical(
-                &g,
-                &global,
-                &format!("trim-empty/{mode:?}/streaming={}", settings.streaming),
-            );
+            aggregate_weights(&mut g, cohort, mode, settings.with_robust(trim)).unwrap();
+            assert_params_bit_identical(&g, &global, &format!("trim-empty/{mode:?}/{engine}"));
         }
     }
     // ZerosPull keeps all three uploads as exact zeros per coordinate, so
-    // the global *does* move — pin dense ≡ streaming on the degenerate
+    // the global *does* move — pin oracle ≡ streaming on the degenerate
     // coverage instead.
-    let mut zp_dense = global.clone();
-    aggregate_weights(
-        &mut zp_dense,
-        &ups,
-        ZeroMode::ZerosPull,
-        AggSettings::default().with_robust(trim),
-    )
-    .unwrap();
-    let mut zp_stream = global.clone();
-    aggregate_weights(
-        &mut zp_stream,
-        &ups,
-        ZeroMode::ZerosPull,
-        AggSettings::sharded(2).with_robust(trim),
-    )
-    .unwrap();
+    let [zp_dense, zp_stream] = engines.map(|(_, cohort, settings)| {
+        let mut g = global.clone();
+        aggregate_weights(
+            &mut g,
+            cohort,
+            ZeroMode::ZerosPull,
+            settings.with_robust(trim),
+        )
+        .unwrap();
+        g
+    });
     assert_params_bit_identical(&zp_dense, &zp_stream, "trim-empty/ZerosPull");
 
     // Coordinate median under HoldersOnly: a single-holder coordinate's
     // median is that holder's value; no-holder coordinates keep g_prev.
-    for settings in engines {
+    for (_, cohort, settings) in engines {
         let mut g = global.clone();
         aggregate_weights(
             &mut g,
-            &ups,
+            cohort,
             ZeroMode::HoldersOnly,
             settings.with_robust(RobustKind::CoordinateMedian),
         )
@@ -834,7 +780,7 @@ fn robust_empty_holder_sets_keep_previous_global() {
     }
 }
 
-// ---- end-to-end: full experiments, dense vs streaming ------------------
+// ---- end-to-end: full experiments, oracle vs streaming -----------------
 
 fn assert_logs_bit_identical(a: &ExperimentLog, b: &ExperimentLog, what: &str) {
     assert_eq!(a.records.len(), b.records.len(), "{what}: rounds");
@@ -875,7 +821,7 @@ fn assert_logs_bit_identical(a: &ExperimentLog, b: &ExperimentLog, what: &str) {
     }
 }
 
-fn e2e_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle, streaming: bool) -> ExperimentConfig {
+fn e2e_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle) -> ExperimentConfig {
     ExperimentConfig {
         rounds: 2,
         client_fraction: 0.5,
@@ -884,11 +830,8 @@ fn e2e_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle, streaming: bool) -> E
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 200,
-        agg: if streaming {
-            AggSettings::sharded(1)
-        } else {
-            AggSettings::default()
-        },
+        // 1 KiB shards: the raggedest schedule.
+        agg: AggSettings::sharded(1),
         cohort: None,
         sampler: Default::default(),
         adversary: None,
@@ -896,46 +839,38 @@ fn e2e_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle, streaming: bool) -> E
     }
 }
 
-/// The fig2 motivation experiment, two rounds, dense vs streaming — the
+/// The fig2 motivation experiment, two rounds, oracle vs streaming — the
 /// whole vertical slice (client encode → wire → sharded reduce) must
-/// reproduce the reference experiment bit for bit, for a dropout method
-/// (FedBIAD, `Weights`) and a sketched method (FedAvg+DGC-style `Delta`).
+/// reproduce the run whose uploads are swapped for dense twins (and
+/// therefore aggregate on the dense reference engine) bit for bit, for a
+/// dropout method (FedBIAD, `Weights`) and a sketched method
+/// (FedAvg+DGC-style `Delta`).
 #[test]
 fn fig2_two_round_end_to_end_dense_vs_streaming() {
     let bundle = build(Workload::MnistLike, Scale::Smoke, 21);
-    let run_fedbiad = |streaming: bool| {
-        let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
-        Experiment::new(
-            bundle.model.as_ref(),
-            &bundle.data,
-            algo,
-            e2e_cfg(&bundle, streaming),
-        )
-        .run()
-    };
-    assert_logs_bit_identical(&run_fedbiad(false), &run_fedbiad(true), "fig2/fedbiad");
-
-    let run_sketched = |streaming: bool| {
-        let algo = FedAvg::with_sketch(std::sync::Arc::new(Dgc::paper()));
-        Experiment::new(
-            bundle.model.as_ref(),
-            &bundle.data,
-            algo,
-            e2e_cfg(&bundle, streaming),
-        )
-        .run()
-    };
-    assert_logs_bit_identical(&run_sketched(false), &run_sketched(true), "fig2/fedavg+dgc");
+    let (model, data, cfg) = (bundle.model.as_ref(), &bundle.data, e2e_cfg(&bundle));
+    let fedbiad = || FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
+    assert_logs_bit_identical(
+        &Experiment::new(model, data, DenseTwinClients(fedbiad()), cfg).run(),
+        &Experiment::new(model, data, fedbiad(), cfg).run(),
+        "fig2/fedbiad",
+    );
+    let sketched = || FedAvg::with_sketch(std::sync::Arc::new(Dgc::paper()));
+    assert_logs_bit_identical(
+        &Experiment::new(model, data, DenseTwinClients(sketched()), cfg).run(),
+        &Experiment::new(model, data, sketched(), cfg).run(),
+        "fig2/fedavg+dgc",
+    );
 }
 
 /// The simulator's three policy merge paths (sync barrier, deadline
 /// over-selection, FedBuff buffered-async staleness weighting) under
-/// streaming vs dense.
+/// streaming vs the oracle.
 #[test]
 fn sim_policies_dense_vs_streaming() {
     let bundle = build(Workload::MnistLike, Scale::Smoke, 31);
-    let mk_cfg = |streaming: bool| {
-        let mut cfg = e2e_cfg(&bundle, streaming);
+    let mk_cfg = || {
+        let mut cfg = e2e_cfg(&bundle);
         cfg.seed = 31;
         SimConfig::new(
             cfg,
@@ -946,38 +881,25 @@ fn sim_policies_dense_vs_streaming() {
             },
         )
     };
-    let run = |policy: &str, streaming: bool| -> SimReport {
-        let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
+    fn run<A: fedbiad::fl::FlAlgorithm>(
+        bundle: &fedbiad::fl::workload::WorkloadBundle,
+        policy: &str,
+        algo: A,
+        cfg: SimConfig,
+    ) -> SimReport {
+        let (model, data) = (bundle.model.as_ref(), &bundle.data);
         match policy {
-            "sync" => Simulator::new(
-                bundle.model.as_ref(),
-                &bundle.data,
-                algo,
-                SyncBarrier,
-                mk_cfg(streaming),
-            )
-            .run(),
-            "deadline" => Simulator::new(
-                bundle.model.as_ref(),
-                &bundle.data,
-                algo,
-                DeadlineOverSelect::new(1.5, 200.0),
-                mk_cfg(streaming),
-            )
-            .run(),
-            _ => Simulator::new(
-                bundle.model.as_ref(),
-                &bundle.data,
-                algo,
-                FedBuff::new(2, 3),
-                mk_cfg(streaming),
-            )
-            .run(),
+            "sync" => Simulator::new(model, data, algo, SyncBarrier, cfg).run(),
+            "deadline" => {
+                Simulator::new(model, data, algo, DeadlineOverSelect::new(1.5, 200.0), cfg).run()
+            }
+            _ => Simulator::new(model, data, algo, FedBuff::new(2, 3), cfg).run(),
         }
-    };
+    }
+    let fedbiad = || FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
     for policy in ["sync", "deadline", "fedbuff"] {
-        let dense = run(policy, false);
-        let streaming = run(policy, true);
+        let dense = run(&bundle, policy, DenseTwinClients(fedbiad()), mk_cfg());
+        let streaming = run(&bundle, policy, fedbiad(), mk_cfg());
         assert_logs_bit_identical(&dense.log, &streaming.log, &format!("sim/{policy}"));
         assert_eq!(
             dense.round_end_seconds, streaming.round_end_seconds,

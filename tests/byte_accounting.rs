@@ -183,7 +183,6 @@ fn combo_encoding_length_matches_payload_plus_pattern() {
             &mask,
             0,
             &mut rng,
-            false,
         );
         let msg = encode_weights_delta(&mask, &out.payload);
         assert_eq!(msg.body_bytes(), out.payload_bytes + overhead, "{name}");

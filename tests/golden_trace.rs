@@ -85,14 +85,7 @@ fn digest_of(outcomes: &[RunOutcome]) -> u64 {
 
 #[test]
 fn fig2_two_round_trace_digest_is_pinned() {
-    let mut spec = smoke_spec();
-    // The bundled spec turns the streaming engine on (execution-only
-    // knob); pin the dense reference engine here so both code paths keep
-    // golden coverage — the streaming test below re-enables it.
-    spec.aggregation.streaming = false;
-    spec.aggregation.shard_kb = None;
-
-    let outcomes = execute(&spec).expect("fig2 smoke run must execute");
+    let outcomes = execute(&smoke_spec()).expect("fig2 smoke run must execute");
     assert_eq!(outcomes.len(), 5, "fig2 sweeps five methods");
 
     let digest = digest_of(&outcomes);
@@ -104,22 +97,20 @@ fn fig2_two_round_trace_digest_is_pinned() {
     );
 }
 
-/// The same pinned digest must come out of the *streaming* sharded
-/// aggregation engine: the engine knob is bit-transparent, so no second
-/// golden constant exists — dense and streaming share this one.
+/// The same pinned digest must come out at the smallest shard size: the
+/// shard size is bit-transparent, so no second golden constant exists —
+/// and 1 KiB shards maximise boundary coverage.
 #[test]
-fn fig2_streaming_engine_reproduces_the_same_digest() {
+fn fig2_tiny_shards_reproduce_the_same_digest() {
     let mut spec = smoke_spec();
-    // Tiny shards maximise boundary coverage.
-    spec.aggregation.streaming = true;
     spec.aggregation.shard_kb = Some(1);
 
-    let outcomes = execute(&spec).expect("fig2 streaming smoke run must execute");
+    let outcomes = execute(&spec).expect("fig2 tiny-shard smoke run must execute");
     let digest = digest_of(&outcomes);
     assert_eq!(
         digest, GOLDEN_DIGEST,
-        "streaming aggregation drifted from the dense golden trace: {digest:#018X} != \
-         {GOLDEN_DIGEST:#018X} — the engines must move together (see \
+        "1 KiB shards drifted from the golden trace: {digest:#018X} != \
+         {GOLDEN_DIGEST:#018X} — a shard boundary changed a result (see \
          tests/aggregation_equivalence.rs)."
     );
 }
@@ -138,7 +129,7 @@ fn fig2_digest_is_unchanged_under_active_telemetry_capture() {
         eprintln!("telemetry not compiled in; capture leg skipped");
         return;
     }
-    let spec = smoke_spec(); // streaming on, per the bundled spec
+    let spec = smoke_spec();
     for threads in ["1", "2", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         fedbiad::telemetry::begin_capture();

@@ -6,8 +6,8 @@ use fedbiad::compress::signsgd::SignSgd;
 use fedbiad::compress::stc::Stc;
 use fedbiad::compress::{ClientState, Compressor};
 use fedbiad::core::pattern::{keep_count, DropPattern};
-use fedbiad::fl::aggregate::{aggregate_weights, AggSettings, RobustKind, ZeroMode};
-use fedbiad::fl::upload::Upload;
+use fedbiad::fl::aggregate::{aggregate_weights, dense_twin, AggSettings, RobustKind, ZeroMode};
+use fedbiad::fl::upload::{Upload, UploadBody};
 use fedbiad::nn::mask::BitVec;
 use fedbiad::nn::mlp::MlpModel;
 use fedbiad::nn::params::{EntryMeta, LayerKind, ParamSet};
@@ -217,30 +217,38 @@ proptest! {
     }
 
     /// `trim_frac = 0` routes to the weighted mean verbatim — **bitwise**,
-    /// for arbitrary values and weights.
+    /// for arbitrary values and weights, on the streaming engine (wire
+    /// uploads) and on the dense oracle (their twins), which must also
+    /// agree with each other.
     #[test]
     fn trim_zero_is_the_weighted_mean_bitwise(
         vals in proptest::collection::vec(-5.0f32..5.0, 2..8),
     ) {
+        let zeros = small_params(2, 2, &[0.0; 4]);
         let uploads: Vec<(f32, Upload)> = vals
             .iter()
             .enumerate()
             .map(|(i, &v)| ((i + 1) as f32 * 0.7, Upload::full_weights(small_params(2, 2, &[v; 4]))))
             .collect();
-        let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
+        let twins: Vec<(f32, Upload)> = uploads
+            .iter()
+            .map(|(w, u)| (*w, dense_twin(&zeros, u).unwrap()))
+            .collect();
+        prop_assert!(uploads.iter().all(|(_, u)| u.wire_msg().is_some()));
+        prop_assert!(twins.iter().all(|(_, u)| matches!(u.body, UploadBody::Dense(_))));
+        let trim0 = AggSettings::default().with_robust(RobustKind::TrimmedMean { trim_frac: 0.0 });
         for mode in [ZeroMode::ZerosPull, ZeroMode::HoldersOnly, ZeroMode::StaleFill] {
-            let mut mean = small_params(2, 2, &[0.0; 4]);
-            aggregate_weights(&mut mean, &ups, mode, AggSettings::default()).unwrap();
-            let mut trim0 = small_params(2, 2, &[0.0; 4]);
-            aggregate_weights(
-                &mut trim0,
-                &ups,
-                mode,
-                AggSettings::default().with_robust(RobustKind::TrimmedMean { trim_frac: 0.0 }),
-            )
-            .unwrap();
-            for (a, b) in mean.flatten().iter().zip(trim0.flatten()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", mode);
+            let run = |cohort: &[(f32, Upload)], settings: AggSettings| {
+                let ups: Vec<(f32, &Upload)> = cohort.iter().map(|(w, u)| (*w, u)).collect();
+                let mut g = zeros.clone();
+                aggregate_weights(&mut g, &ups, mode, settings).unwrap();
+                g.flatten()
+            };
+            let mean = run(&uploads, AggSettings::default());
+            for other in [run(&uploads, trim0), run(&twins, AggSettings::default()), run(&twins, trim0)] {
+                for (a, b) in mean.iter().zip(other) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", mode);
+                }
             }
         }
     }

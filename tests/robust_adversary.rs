@@ -128,8 +128,9 @@ fn hostile_non_finite_frame_is_rejected_with_a_structured_error() {
         );
         // Per-upload predicate agrees, and the dense decoded twin too.
         assert!(upload_has_non_finite(&global, &hostile).unwrap());
-        let dense = fedbiad::fl::aggregate::decode_dense(&global, &hostile).unwrap();
-        assert!(upload_has_non_finite(&global, &Upload::full_weights(dense)).unwrap());
+        let twin = fedbiad::fl::aggregate::dense_twin(&global, &hostile).unwrap();
+        assert!(hostile.wire_msg().is_some() && twin.wire_msg().is_none());
+        assert!(upload_has_non_finite(&global, &twin).unwrap());
         // Honest uploads pass.
         assert!(!upload_has_non_finite(&global, &honest).unwrap());
     }

@@ -12,6 +12,10 @@
 use fedbiad::prelude::*;
 use std::sync::Mutex;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+use oracle::DenseTwinClients;
+
 /// Tests in this binary mutate the process-wide `RAYON_NUM_THREADS`
 /// variable; they must not interleave or a "1 thread" run could silently
 /// execute at the default width.
@@ -97,10 +101,11 @@ fn single_thread_and_default_threading_agree_bitwise() {
 
 /// The streaming sharded aggregation engine parallelises over shards;
 /// the full experiment must stay bit-identical across thread counts —
-/// and to the dense-engine run (the cross-engine contract lives in
-/// `tests/aggregation_equivalence.rs`; this pins the thread axis on a
-/// whole training run with tiny 1 KiB shards, the raggedest schedule).
-fn run_once_streaming(seed: u64) -> ExperimentLog {
+/// and to the same experiment aggregated on the dense oracle (the
+/// cross-engine contract lives in `tests/aggregation_equivalence.rs`;
+/// this pins the thread axis on a whole training run with tiny 1 KiB
+/// shards, the raggedest schedule).
+fn run_once_tiny_shards(seed: u64, oracle: bool) -> ExperimentLog {
     let bundle = build(Workload::MnistLike, Scale::Smoke, seed);
     let cfg = ExperimentConfig {
         rounds: 4,
@@ -116,21 +121,29 @@ fn run_once_streaming(seed: u64) -> ExperimentLog {
         adversary: None,
         churn: None,
     };
+    let (model, data) = (bundle.model.as_ref(), &bundle.data);
     let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 2));
-    Experiment::new(bundle.model.as_ref(), &bundle.data, algo, cfg).run()
+    if oracle {
+        // Dense twins in, so every aggregation routes to the oracle.
+        Experiment::new(model, data, DenseTwinClients(algo), cfg).run()
+    } else {
+        Experiment::new(model, data, algo, cfg).run()
+    }
 }
 
 #[test]
 fn streaming_aggregation_is_bitwise_thread_invariant() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run_once_streaming(2024);
-    // Streaming and dense runs of the same experiment agree bitwise.
-    let dense = run_once(2024);
-    assert_logs_bit_identical(&single, &dense, "streaming vs dense engine");
+    let single = run_once_tiny_shards(2024, false);
+    // Streaming and oracle runs of the same experiment agree bitwise, and
+    // the shard size (1 KiB here, the 64 KiB default there) is inert.
+    let dense = run_once_tiny_shards(2024, true);
+    assert_logs_bit_identical(&single, &dense, "streaming vs dense oracle");
+    assert_logs_bit_identical(&single, &run_once(2024), "1 KiB vs 64 KiB shards");
     for threads in ["2", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let multi = run_once_streaming(2024);
+        let multi = run_once_tiny_shards(2024, false);
         assert_logs_bit_identical(&single, &multi, "streaming 1 thread vs more");
     }
     std::env::remove_var("RAYON_NUM_THREADS");
