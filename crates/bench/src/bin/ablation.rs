@@ -161,11 +161,7 @@ fn run_variant(
         eval_topk: bundle.eval_topk,
         eval_every: 2,
         eval_max_samples: eval_max,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let mut log = Experiment::new(bundle.model.as_ref(), &bundle.data, algo, ecfg).run();
     log.method = format!("fedbiad[{}]", v.name);

@@ -495,8 +495,7 @@ fn sim_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
         agg: AggSettings::sharded_tree(64, 16),
         cohort: Some(64),
         sampler,
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let run = |sampler: SamplerKind| {
         let sim_cfg = SimConfig::new(cfg(sampler), HeterogeneityProfile::homogeneous_5g());

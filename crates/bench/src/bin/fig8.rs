@@ -32,11 +32,7 @@ fn main() {
         eval_topk: bundle.eval_topk,
         eval_every: 2,
         eval_max_samples: cli.eval_max,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
 
     println!("=== Fig. 8 — {} ({} rounds) ===", bundle.data.name, rounds);

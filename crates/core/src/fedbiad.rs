@@ -645,11 +645,7 @@ mod tests {
             eval_topk: 1,
             eval_every: 1,
             eval_max_samples: 0,
-            agg: Default::default(),
-            cohort: None,
-            sampler: Default::default(),
-            adversary: None,
-            churn: None,
+            ..Default::default()
         };
         let algo = FedBiad::new(FedBiadConfig::paper(0.3, 12));
         let log = Experiment::new(&model, &fd, algo, cfg).run();

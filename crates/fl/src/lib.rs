@@ -17,11 +17,13 @@
 //!   to — chosen by the bodies a cohort carries, never by an option;
 //! * [`network`] / [`timing`] — the paper's T-Mobile 5G link model
 //!   (14.0 Mbps up / 110.6 Mbps down, §V-C) and LTTR/TTA accounting;
-//! * [`round`] — the reusable round-loop ingredients (client selection,
-//!   state checkout, parallel local updates, result statistics,
-//!   evaluation), shared by the lock-step runner and `fedbiad-sim`;
-//! * [`runner`] — the lock-step round loop: sample ⌈κK⌉ clients, run local
-//!   updates in parallel (rayon), aggregate, evaluate, record;
+//! * [`round`] — cohort sampling and [`round::RoundCore`], the server
+//!   side of one round written once: broadcast, parallel local updates
+//!   (rayon), upload fate (churn, byzantine corruption, the value
+//!   screen), aggregation, evaluation, the round record;
+//! * [`runner`] — the lock-step *schedule* over that core: sample ⌈κK⌉
+//!   clients, train, aggregate, commit, with measured wall-clock timings
+//!   (`fedbiad-sim` is the other schedule, on a virtual clock);
 //! * [`workload`] — assembles the five benchmark workloads (dataset +
 //!   model + per-dataset hyper-parameters) at smoke/lab/paper scales.
 

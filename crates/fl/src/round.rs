@@ -1,20 +1,25 @@
-//! Round-loop ingredients, factored out of [`crate::runner`] so that more
-//! than one *server policy* can drive them.
+//! The round, written once: cohort sampling, and [`RoundCore`] — the
+//! server side of Algorithm 1 (broadcast, local updates, upload fate,
+//! aggregation, evaluation, the round record).
 //!
-//! The lock-step [`crate::runner::Experiment`] and the discrete-event
-//! simulator (`fedbiad-sim`) share every step of a round — client
-//! selection, checked-out client state, parallel local updates, result
-//! statistics, evaluation with carry-forward — through this module. That
-//! sharing is what makes the simulator's synchronous-barrier policy
-//! reproduce the legacy runner bit-for-bit (see
+//! Two *schedules* drive the one core: the lock-step
+//! [`crate::runner::Experiment`] and the discrete-event simulator
+//! (`fedbiad-sim`). They decide who trains when and what the clock says;
+//! everything that decides a **result** — churn, byzantine corruption,
+//! the value screen, the no-op round, evaluation carry-forward — lives
+//! here and nowhere else, which is why the simulator's
+//! synchronous-barrier policy reproduces the runner bit-for-bit (see
 //! `tests/sim_equivalence.rs` at the workspace root).
 
-use crate::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use crate::metrics::RoundRecord;
+use crate::adversary::{churn_fate, corrupt_upload, is_adversary, ChurnFate};
+use crate::aggregate::upload_has_non_finite;
+use crate::algorithm::{FlAlgorithm, LocalResult, RoundInfo};
+use crate::metrics::{current_rss_bytes, peak_rss_bytes, ExperimentLog, RoundRecord};
+use crate::runner::ExperimentConfig;
 use crate::timing::Stopwatch;
 use fedbiad_data::{ClientData, FedDataset};
 use fedbiad_nn::{Batch, EvalAccum, Model, ParamSet};
-use fedbiad_telemetry::span;
+use fedbiad_telemetry::{counter, span};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -158,110 +163,24 @@ pub fn sample_clients_with(
     }
 }
 
-/// Per-client persistent state table. States are *checked out* for the
-/// duration of a client's local work (so rayon workers — or in-flight
-/// simulated clients — hold disjoint `&mut` access) and restored after.
-///
-/// Keyed by client id: only clients that have actually participated hold
-/// an entry, so memory is O(touched clients), not O(K registered). Access
-/// is strictly keyed (never iterated), so the switch from the historical
-/// `Vec<Option<_>>` cannot reorder anything — checkout/restore sequences
-/// are bit-identical.
-pub struct ClientStates<A: FlAlgorithm> {
-    slots: HashMap<usize, A::ClientState>,
-}
-
-impl<A: FlAlgorithm> Default for ClientStates<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<A: FlAlgorithm> ClientStates<A> {
-    /// Empty table (states are created lazily on first checkout).
-    pub fn new() -> Self {
-        Self {
-            slots: HashMap::new(),
-        }
-    }
-
-    /// Check out the states of `ids`, initialising first-time clients.
-    pub fn checkout(
-        &mut self,
-        ids: &[usize],
-        algo: &A,
-        model: &dyn Model,
-        global: &ParamSet,
-    ) -> Vec<(usize, A::ClientState)> {
-        ids.iter()
-            .map(|&id| {
-                let st = self
-                    .slots
-                    .remove(&id)
-                    .unwrap_or_else(|| algo.init_client_state(id, model, global));
-                (id, st)
-            })
-            .collect()
-    }
-
-    /// Return checked-out states to the table.
-    pub fn restore(&mut self, work: Vec<(usize, A::ClientState)>) {
-        for (id, st) in work {
-            self.slots.insert(id, st);
-        }
-    }
-}
-
-/// Run the checked-out clients' local updates in parallel (rayon),
-/// stamping measured wall-clock `local_seconds` on each result. Results
-/// come back in `work` order (ascending id order when `work` came from
-/// [`sample_clients`] + [`ClientStates::checkout`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_local_updates<A: FlAlgorithm>(
-    algo: &A,
-    model: &dyn Model,
-    data: &FedDataset,
-    train: &TrainConfig,
-    info: RoundInfo,
-    rctx: &A::RoundCtx,
-    global: &ParamSet,
-    work: &mut [(usize, A::ClientState)],
-) -> Vec<(usize, LocalResult)> {
-    work.par_iter_mut()
-        .map(|(id, st)| {
-            let _client_span = span!("train.client", client = *id);
-            let sw = Stopwatch::start();
-            // Borrowed from the eager table, or generated on demand in
-            // lazy mode — either way dropped when the client finishes,
-            // so resident data stays O(cohort).
-            let shard = data.client(*id);
-            let mut res = algo.local_update(info, rctx, *id, st, global, &shard, model, train);
-            // LTTR includes everything the client computed this round
-            // (pattern search, score updates, compression).
-            res.local_seconds = sw.seconds();
-            (*id, res)
-        })
-        .collect()
-}
-
 /// Cross-client statistics of one aggregation's inputs — the
 /// deterministic half of a [`RoundRecord`].
 #[derive(Clone, Copy, Debug)]
-pub struct RoundStats {
+struct RoundStats {
     /// |D_k|-weighted mean of client training losses.
-    pub train_loss: f32,
+    train_loss: f32,
     /// Mean uplink bytes over participating clients.
-    pub upload_bytes_mean: u64,
+    upload_bytes_mean: u64,
     /// Max uplink bytes (round critical path).
-    pub upload_bytes_max: u64,
+    upload_bytes_max: u64,
     /// Mean local-training seconds (LTTR).
-    pub local_seconds_mean: f64,
+    local_seconds_mean: f64,
     /// Max local-training seconds (round critical path).
-    pub local_seconds_max: f64,
+    local_seconds_max: f64,
 }
 
 /// Summarise one round's results exactly as the legacy runner did.
-pub fn summarize_results(results: &[(usize, LocalResult)]) -> RoundStats {
+fn summarize_results(results: &[(usize, LocalResult)]) -> RoundStats {
     let total_w: f64 = results.iter().map(|(_, r)| r.num_samples as f64).sum();
     let train_loss = if total_w > 0.0 {
         (results
@@ -290,30 +209,314 @@ pub fn summarize_results(results: &[(usize, LocalResult)]) -> RoundStats {
 
 /// Whether `round` is evaluated under `eval_every` (the final round is
 /// always evaluated).
-pub fn eval_due(round: usize, total_rounds: usize, eval_every: usize) -> bool {
+fn eval_due(round: usize, total_rounds: usize, eval_every: usize) -> bool {
     round.is_multiple_of(eval_every.max(1)) || round + 1 == total_rounds
 }
 
-/// Evaluate the deployable parameters, or carry the previous record's
-/// `(test_loss, test_acc)` forward when evaluation is not due.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_or_carry<A: FlAlgorithm>(
-    algo: &A,
-    model: &dyn Model,
-    global: &ParamSet,
-    test: &ClientData,
-    eval_topk: usize,
-    eval_max_samples: usize,
-    due: bool,
-    prev: Option<&RoundRecord>,
-) -> (f64, f64) {
-    if due {
-        let deploy = algo.eval_params(global);
-        let acc = evaluate_model(model, &deploy, test, eval_topk, eval_max_samples);
-        (acc.mean_loss(), acc.accuracy())
-    } else {
-        prev.map(|r| (r.test_loss, r.test_acc))
-            .unwrap_or((f64::NAN, 0.0))
+/// [`RoundCore::merge`] over the global alone, so that
+/// [`RoundCore::aggregate`] can lend out the algorithm beside it.
+fn merge_into(
+    global: &mut ParamSet,
+    contributors: usize,
+    merge: impl FnOnce(&mut ParamSet),
+) -> bool {
+    if contributors == 0 {
+        return false;
+    }
+    let _stage = span!("round.aggregate", clients = contributors);
+    merge(global);
+    true
+}
+
+/// One dispatched client's trip through [`RoundCore::train`].
+pub struct Trained {
+    /// The client.
+    pub id: usize,
+    /// Its local result, as it appears on the wire: a byzantine client's
+    /// upload is already corrupted (values only — a byzantine client
+    /// lies about values, not about how many bytes it transmitted).
+    pub result: LocalResult,
+    /// The upload never reaches the aggregator: lost to mid-round churn,
+    /// or rejected by the value-finiteness screen on receipt. The client
+    /// still did the work and the wire still carried the bytes, so a
+    /// schedule with a clock keeps charging for both.
+    pub lost: bool,
+}
+
+/// The server side of one FedBIAD round (Algorithm 1), written once:
+/// [`train`](Self::train) → [`aggregate`](Self::aggregate) →
+/// [`commit`](Self::commit).
+///
+/// The core owns everything a round reads and writes — the global model,
+/// the per-client state table, the algorithm, the churn / adversary /
+/// screening rules and the round records. What it does **not** own is
+/// *when* things happen: who is selected, which trained uploads have
+/// arrived by the time the server aggregates, and what the clock says.
+/// Those are the schedule's — the lock-step [`crate::runner::Experiment`]
+/// (everyone, immediately, wall clock) and `fedbiad-sim`'s event loop
+/// (whoever the policy waited for, virtual clock).
+pub struct RoundCore<'a, A: FlAlgorithm> {
+    model: &'a dyn Model,
+    data: &'a FedDataset,
+    algo: A,
+    cfg: ExperimentConfig,
+    cohort: usize,
+    global: ParamSet,
+    /// Per-client persistent state, keyed by client id: only clients
+    /// that have actually participated hold an entry, so memory is
+    /// O(touched clients), not O(K registered). Access is strictly keyed
+    /// (never iterated), so hash order cannot reorder anything.
+    states: HashMap<usize, A::ClientState>,
+    /// The context of the latest [`train`](Self::train), which the next
+    /// [`aggregate`](Self::aggregate) hands back to the algorithm.
+    last_rctx: Option<A::RoundCtx>,
+    records: Vec<RoundRecord>,
+}
+
+impl<'a, A: FlAlgorithm> RoundCore<'a, A> {
+    /// Resolve the cohort (degenerate regimes are a [`CohortError`], not
+    /// a panic mid-run) and draw the initial global model from the
+    /// `StreamTag::Init` stream.
+    pub fn new(
+        model: &'a dyn Model,
+        data: &'a FedDataset,
+        algo: A,
+        cfg: ExperimentConfig,
+    ) -> Result<Self, CohortError> {
+        let cohort = resolve_cohort(data.num_clients(), cfg.client_fraction, cfg.cohort)?;
+        let global = model.init_params(&mut stream(cfg.seed, StreamTag::Init, 0, 0));
+        Ok(Self {
+            model,
+            data,
+            algo,
+            cfg,
+            cohort,
+            global,
+            states: HashMap::new(),
+            last_rctx: None,
+            records: Vec::with_capacity(cfg.rounds),
+        })
+    }
+
+    /// The model architecture.
+    pub fn model(&self) -> &'a dyn Model {
+        self.model
+    }
+
+    /// The federated data.
+    pub fn data(&self) -> &'a FedDataset {
+        self.data
+    }
+
+    /// The resolved per-round cohort size.
+    pub fn cohort(&self) -> usize {
+        self.cohort
+    }
+
+    /// The current global model.
+    pub fn global(&self) -> &ParamSet {
+        &self.global
+    }
+
+    /// Rounds committed so far — also the index of the open round.
+    pub fn rounds_done(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The algorithm's `RoundInfo` tracks *committed* rounds, so
+    /// round-scheduled behaviour (FedBIAD's stage boundary, anything
+    /// keyed on round/total_rounds) advances identically under every
+    /// schedule.
+    fn info(&self) -> RoundInfo {
+        RoundInfo {
+            round: self.records.len(),
+            total_rounds: self.cfg.rounds,
+            seed: self.cfg.seed,
+            agg: self.cfg.agg,
+        }
+    }
+
+    /// Broadcast the global to `ids` and run their local updates in
+    /// parallel (rayon), in `ids` order. Decides every upload's fate:
+    ///
+    /// 1. an *offline* client (churn) never starts — it is thinned out
+    ///    before any work, and a cohort thinned to nothing returns empty
+    ///    without even calling `begin_round`;
+    /// 2. a byzantine client's upload is corrupted on the wire, after
+    ///    honest training;
+    /// 3. only then is loss decided — mid-round *dropout*, or rejection
+    ///    by the value-finiteness screen. The screen runs on **every**
+    ///    upload, adversary model or not: an honest client whose local
+    ///    SGD diverged to NaN is dropped like a hostile one instead of
+    ///    poisoning the model. Corrupt first, lose second: a lost upload
+    ///    still spends link time on the bytes the wire carried.
+    ///
+    /// Each result's `local_seconds` is the measured wall clock of
+    /// everything the client computed (pattern search, score updates,
+    /// compression).
+    pub fn train(&mut self, ids: &[usize]) -> Vec<Trained> {
+        let ExperimentConfig {
+            seed,
+            churn,
+            adversary,
+            ..
+        } = self.cfg;
+        let info = self.info();
+        let fate = |id: usize| {
+            churn.map_or(ChurnFate::Healthy, |ch| {
+                churn_fate(seed, info.round, id, ch)
+            })
+        };
+        let ids: Vec<usize> = ids
+            .iter()
+            .copied()
+            .filter(|&id| fate(id) != ChurnFate::Offline)
+            .collect();
+        if ids.is_empty() {
+            return Vec::new();
+        }
+
+        let rctx = self.algo.begin_round(info, &self.global);
+        // Check each client's state out of the table (first-timers get a
+        // fresh one) so rayon workers hold disjoint &mut access.
+        let mut work: Vec<(usize, A::ClientState)> =
+            ids.iter()
+                .map(|&id| {
+                    let st = self.states.remove(&id).unwrap_or_else(|| {
+                        self.algo.init_client_state(id, self.model, &self.global)
+                    });
+                    (id, st)
+                })
+                .collect();
+        let results: Vec<(usize, LocalResult)> = {
+            let _stage = span!("round.train", clients = ids.len());
+            work.par_iter_mut()
+                .map(|(id, st)| {
+                    let _client_span = span!("train.client", client = *id);
+                    let sw = Stopwatch::start();
+                    // Borrowed from the eager table, or generated on
+                    // demand in lazy mode — either way dropped when the
+                    // client finishes, so resident data stays O(cohort).
+                    let shard = self.data.client(*id);
+                    let mut res = self.algo.local_update(
+                        info,
+                        &rctx,
+                        *id,
+                        st,
+                        &self.global,
+                        &shard,
+                        self.model,
+                        &self.cfg.train,
+                    );
+                    res.local_seconds = sw.seconds();
+                    (*id, res)
+                })
+                .collect()
+        };
+        self.states.extend(work);
+        self.last_rctx = Some(rctx);
+
+        results
+            .into_iter()
+            .map(|(id, mut result)| {
+                if let Some(adv) = adversary.filter(|a| is_adversary(seed, a.fraction, id)) {
+                    result.upload = corrupt_upload(&self.global, &result.upload, adv.mode)
+                        .expect("corrupting a well-formed upload");
+                }
+                let lost = fate(id) == ChurnFate::Dropout
+                    || upload_has_non_finite(&self.global, &result.upload).unwrap_or(true);
+                Trained { id, result, lost }
+            })
+            .collect()
+    }
+
+    /// Merge `contributors` surviving uploads into the global with
+    /// `merge`, under the `round.aggregate` span — unless nothing
+    /// survived. A round whose entire upload set was lost to churn or
+    /// screening is a defined no-op: the global is untouched, `merge` is
+    /// never called (never a panic out of the engines' `total_w > 0`
+    /// guards) and `false` comes back.
+    ///
+    /// Public for the schedule whose merge is not the algorithm's own
+    /// (FedBuff's staleness-weighted deltas); everyone else calls
+    /// [`aggregate`](Self::aggregate).
+    pub fn merge(&mut self, contributors: usize, merge: impl FnOnce(&mut ParamSet)) -> bool {
+        merge_into(&mut self.global, contributors, merge)
+    }
+
+    /// [`merge`](Self::merge) `results` with the algorithm's own
+    /// aggregation rule (eq. (10)), under the context of the latest
+    /// [`train`](Self::train).
+    pub fn aggregate(&mut self, results: &[(usize, LocalResult)]) -> bool {
+        let info = self.info();
+        let (algo, rctx) = (&mut self.algo, self.last_rctx.as_ref());
+        merge_into(&mut self.global, results.len(), |global| {
+            let rctx = rctx.expect("aggregate before any train");
+            algo.aggregate(info, rctx, global, results)
+        })
+    }
+
+    /// Close the open round over the uploads that were merged: upload
+    /// accounting, evaluation of the deployable parameters (or the
+    /// previous record's `(test_loss, test_acc)` carried forward when
+    /// evaluation is not due), and the round record. `agg_seconds` is
+    /// the schedule's — measured wall clock or virtual cost. Returns the
+    /// index of the round just committed.
+    pub fn commit(&mut self, results: &[(usize, LocalResult)], agg_seconds: f64) -> usize {
+        let round = self.records.len();
+        let stats = {
+            let _stage = span!("round.upload");
+            let stats = summarize_results(results);
+            counter!("round.upload_bytes_max", stats.upload_bytes_max);
+            stats
+        };
+        let due = eval_due(round, self.cfg.rounds, self.cfg.eval_every);
+        let (test_loss, test_acc) = {
+            let _stage = span!("round.eval", due = due);
+            if due {
+                let acc = evaluate_model(
+                    self.model,
+                    &self.algo.eval_params(&self.global),
+                    &self.data.test,
+                    self.cfg.eval_topk,
+                    self.cfg.eval_max_samples,
+                );
+                (acc.mean_loss(), acc.accuracy())
+            } else {
+                self.records
+                    .last()
+                    .map_or((f64::NAN, 0.0), |r| (r.test_loss, r.test_acc))
+            }
+        };
+        self.records.push(RoundRecord {
+            round,
+            train_loss: stats.train_loss,
+            test_loss,
+            test_acc,
+            upload_bytes_mean: stats.upload_bytes_mean,
+            upload_bytes_max: stats.upload_bytes_max,
+            // Downlink: the server broadcasts the full global model
+            // (the uplink is the paper's bottleneck; downlink
+            // sub-model optimisations are out of scope, DESIGN.md §3).
+            download_bytes: self.global.total_bytes(),
+            local_seconds_mean: stats.local_seconds_mean,
+            local_seconds_max: stats.local_seconds_max,
+            agg_seconds,
+            peak_rss_bytes: peak_rss_bytes(),
+            rss_bytes: current_rss_bytes(),
+            contributors: results.len(),
+        });
+        round
+    }
+
+    /// The finished experiment's log.
+    pub fn into_log(self) -> ExperimentLog {
+        ExperimentLog {
+            dataset: self.data.name.clone(),
+            method: self.algo.name(),
+            seed: self.cfg.seed,
+            records: self.records,
+        }
     }
 }
 
@@ -389,6 +592,14 @@ pub fn evaluate_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{AdversarySpec, AttackMode, ChurnSpec, GarbageKind};
+    use crate::aggregate::{aggregate_weights, ZeroMode};
+    use crate::algorithm::TrainConfig;
+    use crate::upload::Upload;
+    use fedbiad_data::dataset::ImageSet;
+    use fedbiad_nn::mlp::MlpModel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn cohort_size_floors_with_min_one() {
@@ -476,7 +687,6 @@ mod tests {
 
     #[test]
     fn summarize_matches_hand_calc() {
-        use crate::upload::Upload;
         use fedbiad_nn::params::{EntryMeta, LayerKind};
         let mut p = ParamSet::new();
         p.push_entry(
@@ -497,5 +707,186 @@ mod tests {
         assert!((s.local_seconds_mean - 3.0).abs() < 1e-12);
         assert!((s.local_seconds_max - 4.0).abs() < 1e-12);
         assert_eq!(s.upload_bytes_mean, p.total_bytes());
+    }
+
+    // ---- RoundCore: the upload-fate rule, where it lives ---------------
+
+    /// FedAvg without the training: every client uploads `global + 1`,
+    /// and the stub counts who was asked to do what.
+    #[derive(Default)]
+    struct Counting {
+        begun: Arc<AtomicUsize>,
+        trained: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl FlAlgorithm for Counting {
+        type ClientState = ();
+        type RoundCtx = ();
+
+        fn name(&self) -> String {
+            "counting".into()
+        }
+
+        fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) {}
+
+        fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {
+            self.begun.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn local_update(
+            &self,
+            _: RoundInfo,
+            _: &(),
+            client_id: usize,
+            _: &mut (),
+            global: &ParamSet,
+            data: &ClientData,
+            _: &dyn Model,
+            _: &TrainConfig,
+        ) -> LocalResult {
+            self.trained.lock().unwrap().push(client_id);
+            let mut u = global.clone();
+            for e in 0..u.num_entries() {
+                u.mat_mut(e)
+                    .as_mut_slice()
+                    .iter_mut()
+                    .for_each(|v| *v += 1.0);
+            }
+            LocalResult {
+                upload: Upload::full_weights(u),
+                train_loss: 1.0,
+                loss_improvement: 0.0,
+                local_seconds: 0.0,
+                num_samples: data.num_samples(),
+            }
+        }
+
+        fn aggregate(
+            &mut self,
+            info: RoundInfo,
+            _: &(),
+            global: &mut ParamSet,
+            results: &[(usize, LocalResult)],
+        ) {
+            let ups: Vec<(f32, &Upload)> = results
+                .iter()
+                .map(|(_, r)| (r.num_samples as f32, &r.upload))
+                .collect();
+            aggregate_weights(global, &ups, ZeroMode::ZerosPull, info.agg).unwrap();
+        }
+    }
+
+    fn bits(p: &ParamSet) -> Vec<u32> {
+        p.flatten().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn core_decides_every_upload_fate_and_commits_what_it_is_given() {
+        const SEED: u64 = 7;
+        let all = |offline, dropout| Some(ChurnSpec { offline, dropout });
+        let nan = Some(AdversarySpec {
+            fraction: 1.0,
+            mode: AttackMode::Garbage {
+                kind: GarbageKind::Nan,
+            },
+        });
+        // (what, churn, adversary): the expected fate of each client
+        // follows from these alone, see below.
+        let cases = [
+            ("healthy", None, None),
+            ("everyone offline", all(1.0, 0.0), None),
+            ("everyone drops out", all(0.0, 1.0), None),
+            ("everyone uploads NaN", None, nan),
+            ("mixed churn", all(0.4, 0.4), None),
+        ];
+
+        let mut shard = ImageSet::empty(4);
+        shard.push(&[0.0, 1.0, 0.0, 1.0], 1);
+        let shard = ClientData::Image(shard);
+        let data = FedDataset {
+            name: "unit".into(),
+            clients: vec![shard.clone(); 8],
+            lazy: None,
+            test: shard,
+        };
+        let model = MlpModel::new(4, 3, 2);
+        let ids: Vec<usize> = (0..8).collect();
+
+        for (what, churn, adversary) in cases {
+            let algo = Counting::default();
+            let (begun, trained_log) = (algo.begun.clone(), algo.trained.clone());
+            let cfg = ExperimentConfig {
+                rounds: 1,
+                seed: SEED,
+                churn,
+                adversary,
+                ..Default::default()
+            };
+            let mut core = RoundCore::new(&model, &data, algo, cfg).unwrap();
+            let before = bits(core.global());
+
+            let fate = |id| churn.map_or(ChurnFate::Healthy, |ch| churn_fate(SEED, 0, id, ch));
+            let online: Vec<usize> = ids
+                .iter()
+                .copied()
+                .filter(|&id| fate(id) != ChurnFate::Offline)
+                .collect();
+
+            let trained = core.train(&ids);
+            // An offline client never reaches local_update; everyone else
+            // does, exactly once, and comes back in id order.
+            let mut log = trained_log.lock().unwrap().clone();
+            log.sort_unstable();
+            assert_eq!(log, online, "{what}: who trained");
+            assert_eq!(
+                trained.iter().map(|t| t.id).collect::<Vec<_>>(),
+                online,
+                "{what}: who came back"
+            );
+            // A cohort thinned to nothing skips begin_round.
+            assert_eq!(
+                begun.load(Ordering::Relaxed),
+                usize::from(!online.is_empty()),
+                "{what}: begin_round calls"
+            );
+            // Dropouts and NaN uploads trained, and are lost.
+            for t in &trained {
+                let expect = fate(t.id) == ChurnFate::Dropout || adversary.is_some();
+                assert_eq!(t.lost, expect, "{what}: client {} lost", t.id);
+            }
+
+            let survivors: Vec<(usize, LocalResult)> = trained
+                .into_iter()
+                .filter(|t| !t.lost)
+                .map(|t| (t.id, t.result))
+                .collect();
+            assert_eq!(core.aggregate(&survivors), !survivors.is_empty(), "{what}");
+            if survivors.is_empty() {
+                assert_eq!(
+                    bits(core.global()),
+                    before,
+                    "{what}: no-op round moved the global"
+                );
+            } else {
+                assert_ne!(bits(core.global()), before, "{what}: nothing merged");
+            }
+            assert_eq!(core.commit(&survivors, 1.25), 0);
+            assert_eq!(core.rounds_done(), 1);
+            let log = core.into_log();
+            assert_eq!(log.records[0].contributors, survivors.len(), "{what}");
+            // The schedule's agg_seconds lands verbatim.
+            assert_eq!(log.records[0].agg_seconds, 1.25, "{what}");
+            assert!(log.records[0].test_loss.is_finite(), "{what}");
+        }
+
+        // The mixed case really mixes, or the table proves less than it
+        // claims.
+        let fates: Vec<ChurnFate> = ids
+            .iter()
+            .map(|&id| churn_fate(SEED, 0, id, all(0.4, 0.4).unwrap()))
+            .collect();
+        for f in [ChurnFate::Healthy, ChurnFate::Offline, ChurnFate::Dropout] {
+            assert!(fates.contains(&f), "seed {SEED} draws no {f:?}: {fates:?}");
+        }
     }
 }

@@ -1,30 +1,25 @@
-//! The experiment runner: the server's lock-step round loop.
+//! The experiment runner: the lock-step *schedule* over
+//! [`crate::round::RoundCore`].
 //!
 //! Per round (Algorithm 1, server side): sample `max(⌊κK⌋, 1)` clients,
-//! broadcast the global variational parameters, run the selected clients'
-//! local updates in parallel (rayon), aggregate the uploads, evaluate the
-//! new global model on the held-out test set, and record everything the
-//! tables/figures need.
-//!
-//! The round's ingredients live in [`crate::round`] and are shared with
-//! the discrete-event simulator (`fedbiad-sim`), whose synchronous-barrier
-//! policy reproduces this loop bit-for-bit.
+//! train them all at once, aggregate whatever survived, commit. The
+//! runner owns only what makes it lock-step — cohort sampling every
+//! round and the *measured* wall-clock `agg_seconds` (each result's
+//! `local_seconds` is measured by the core and left as is). What a round
+//! *is* — churn, corruption, screening, the no-op round, evaluation, the
+//! record — is the core's, shared with the discrete-event simulator
+//! (`fedbiad-sim`), whose synchronous-barrier policy therefore
+//! reproduces this loop bit-for-bit.
 
-use crate::adversary::{
-    churn_fate, corrupt_upload, is_adversary, AdversarySpec, ChurnFate, ChurnSpec,
-};
-use crate::aggregate::{upload_has_non_finite, AggSettings};
-use crate::algorithm::{FlAlgorithm, RoundInfo, TrainConfig};
-use crate::metrics::{current_rss_bytes, peak_rss_bytes, ExperimentLog, RoundRecord};
-use crate::round::{
-    eval_due, eval_or_carry, resolve_cohort, run_local_updates, sample_clients_with,
-    summarize_results, ClientStates, CohortError, SamplerKind,
-};
+use crate::adversary::{AdversarySpec, ChurnSpec};
+use crate::aggregate::AggSettings;
+use crate::algorithm::{FlAlgorithm, TrainConfig};
+use crate::metrics::ExperimentLog;
+use crate::round::{sample_clients_with, CohortError, RoundCore, SamplerKind};
 use crate::timing::Stopwatch;
 use fedbiad_data::FedDataset;
 use fedbiad_nn::Model;
-use fedbiad_telemetry::{counter, span};
-use fedbiad_tensor::rng::{stream, StreamTag};
+use fedbiad_telemetry::span;
 use serde::{Deserialize, Serialize};
 
 pub use crate::round::evaluate_model;
@@ -138,150 +133,41 @@ impl<'a, A: FlAlgorithm> Experiment<'a, A> {
     /// Run all rounds, rejecting degenerate cohort configurations
     /// (no clients, zero cohort, cohort > K) up front as a
     /// [`CohortError`] instead of panicking mid-run.
-    pub fn try_run(mut self) -> Result<ExperimentLog, CohortError> {
+    pub fn try_run(self) -> Result<ExperimentLog, CohortError> {
+        let cfg = self.cfg;
         let k = self.data.num_clients();
-        let c = resolve_cohort(k, self.cfg.client_fraction, self.cfg.cohort)?;
-
-        let mut init_rng = stream(self.cfg.seed, StreamTag::Init, 0, 0);
-        let mut global = self.model.init_params(&mut init_rng);
-        let mut states = ClientStates::<A>::new();
-
-        let mut records: Vec<RoundRecord> = Vec::with_capacity(self.cfg.rounds);
-        for round in 0..self.cfg.rounds {
+        let mut core = RoundCore::new(self.model, self.data, self.algo, cfg)?;
+        let c = core.cohort();
+        for round in 0..cfg.rounds {
             let _round_span = span!("round", round = round);
-            let info = RoundInfo {
-                round,
-                total_rounds: self.cfg.rounds,
-                seed: self.cfg.seed,
-                agg: self.cfg.agg,
-            };
-
-            // --- client sampling (uniform without replacement) ---
-            let mut ids = {
+            // Uniform without replacement, ascending id order.
+            let ids = {
                 let _stage = span!("round.select", cohort = c);
-                sample_clients_with(self.cfg.sampler, self.cfg.seed, round, k, c)
+                sample_clients_with(cfg.sampler, cfg.seed, round, k, c)
             };
-            // Offline churn: the client never starts the round.
-            if let Some(ch) = self.cfg.churn {
-                ids.retain(|&id| churn_fate(self.cfg.seed, round, id, ch) != ChurnFate::Offline);
-            }
-
-            let rctx = self.algo.begin_round(info, &global);
-
-            // --- parallel local updates ---
-            // Move each selected client's state out of the table so rayon
-            // workers get disjoint &mut access.
-            let mut work = states.checkout(&ids, &self.algo, self.model, &global);
-            let mut results = {
-                let _stage = span!("round.train", clients = ids.len());
-                run_local_updates(
-                    &self.algo,
-                    self.model,
-                    self.data,
-                    &self.cfg.train,
-                    info,
-                    &rctx,
-                    &global,
-                    &mut work,
-                )
-            };
-            states.restore(work);
-
-            // Mid-round dropout: the client did the work, the upload is
-            // lost on the wire.
-            if let Some(ch) = self.cfg.churn {
-                results.retain(|(id, _)| {
-                    churn_fate(self.cfg.seed, round, *id, ch) != ChurnFate::Dropout
-                });
-            }
-            // Byzantine corruption happens on the wire, after honest
-            // training; the value-finiteness screen then drops hostile
-            // non-finite uploads instead of letting them poison the model
-            // (or fail the round with AggError::NonFiniteValue).
-            if let Some(adv) = self.cfg.adversary {
-                for (id, res) in results.iter_mut() {
-                    if is_adversary(self.cfg.seed, adv.fraction, *id) {
-                        res.upload = corrupt_upload(&global, &res.upload, adv.mode)
-                            .expect("corrupting a well-formed upload");
-                    }
-                }
-                results.retain(|(_, r)| !upload_has_non_finite(&global, &r.upload).unwrap_or(true));
-            }
-            let contributors = results.len();
-
-            // --- upload accounting ---
-            // Pure over &results, so summarising before aggregation is
-            // bit-identical to the historical after-aggregation order.
-            let stats = {
-                let _stage = span!("round.upload");
-                let stats = summarize_results(&results);
-                counter!("round.upload_bytes_max", stats.upload_bytes_max);
-                stats
-            };
-
-            // --- aggregation ---
-            // A round whose entire surviving upload set was lost to churn
-            // or screening is a defined no-op: the global is unchanged and
-            // the record notes 0 contributors — never a panic out of the
-            // engines' `total_w > 0` guards.
+            let results: Vec<_> = core
+                .train(&ids)
+                .into_iter()
+                .filter(|t| !t.lost)
+                .map(|t| (t.id, t.result))
+                .collect();
             let sw_agg = Stopwatch::start();
-            let agg_seconds = if results.is_empty() {
-                0.0
-            } else {
-                let _stage = span!("round.aggregate", clients = results.len());
-                self.algo.aggregate(info, &rctx, &mut global, &results);
+            let agg_seconds = if core.aggregate(&results) {
                 sw_agg.seconds()
+            } else {
+                0.0
             };
-
-            // --- evaluation ---
-            let due = eval_due(round, self.cfg.rounds, self.cfg.eval_every);
-            let (test_loss, test_acc) = {
-                let _stage = span!("round.eval", due = due);
-                eval_or_carry(
-                    &self.algo,
-                    self.model,
-                    &global,
-                    &self.data.test,
-                    self.cfg.eval_topk,
-                    self.cfg.eval_max_samples,
-                    due,
-                    records.last(),
-                )
-            };
-
-            records.push(RoundRecord {
-                round,
-                train_loss: stats.train_loss,
-                test_loss,
-                test_acc,
-                upload_bytes_mean: stats.upload_bytes_mean,
-                upload_bytes_max: stats.upload_bytes_max,
-                // Downlink: the server broadcasts the full global model
-                // (the uplink is the paper's bottleneck; downlink
-                // sub-model optimisations are out of scope, DESIGN.md §3).
-                download_bytes: global.total_bytes(),
-                local_seconds_mean: stats.local_seconds_mean,
-                local_seconds_max: stats.local_seconds_max,
-                agg_seconds,
-                peak_rss_bytes: peak_rss_bytes(),
-                rss_bytes: current_rss_bytes(),
-                contributors,
-            });
+            core.commit(&results, agg_seconds);
         }
-
-        Ok(ExperimentLog {
-            dataset: self.data.name.clone(),
-            method: self.algo.name(),
-            seed: self.cfg.seed,
-            records,
-        })
+        Ok(core.into_log())
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::{aggregate_weights, ZeroMode};
-    use crate::algorithm::LocalResult;
+    use crate::algorithm::{LocalResult, RoundInfo};
     use crate::upload::Upload;
     use fedbiad_data::dataset::ImageSet;
     use fedbiad_data::partition::{partition_images, ImagePartition};
@@ -289,6 +175,7 @@ mod tests {
     use fedbiad_data::ClientData;
     use fedbiad_nn::mlp::MlpModel;
     use fedbiad_nn::ParamSet;
+    use fedbiad_tensor::rng::{stream, StreamTag};
 
     /// Minimal FedAvg used to exercise the runner before fedbiad-core
     /// exists (the real baselines live there).

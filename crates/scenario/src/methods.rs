@@ -13,7 +13,6 @@ use fedbiad_compress::Compressor;
 use fedbiad_core::baselines::{Afd, FedAvg, FedDrop, FedMp, Fjord, HeteroFl};
 use fedbiad_core::{FedBiad, FedBiadConfig};
 use fedbiad_data::FedDataset;
-use fedbiad_fl::algorithm::TrainConfig;
 use fedbiad_fl::runner::{Experiment, ExperimentConfig};
 use fedbiad_fl::workload::WorkloadBundle;
 use fedbiad_fl::{ExperimentLog, FlAlgorithm};
@@ -264,16 +263,30 @@ impl RunOpts {
             churn: None,
         }
     }
-}
 
-/// The workload's training config with the run's `[training]` overrides
-/// applied — shared by the lock-step and simulator drivers.
-pub(crate) fn train_config(bundle: &WorkloadBundle, opts: &RunOpts) -> TrainConfig {
-    let mut train = bundle.train;
-    if let Some(bs) = opts.batch_size {
-        train.batch_size = bs;
+    /// The experiment configuration these options mean on `bundle` — the
+    /// workload's training config with the run's `[training]` overrides
+    /// applied. Shared by the lock-step and simulator drivers.
+    pub fn experiment_config(&self, bundle: &WorkloadBundle) -> ExperimentConfig {
+        let mut train = bundle.train;
+        if let Some(bs) = self.batch_size {
+            train.batch_size = bs;
+        }
+        ExperimentConfig {
+            rounds: self.rounds,
+            client_fraction: self.client_fraction,
+            seed: self.seed,
+            train,
+            eval_topk: bundle.eval_topk,
+            eval_every: self.eval_every,
+            eval_max_samples: self.eval_max_samples,
+            agg: self.agg,
+            cohort: self.cohort,
+            sampler: self.sampler,
+            adversary: self.adversary,
+            churn: self.churn,
+        }
     }
-    train
 }
 
 /// Run `method` on `bundle` and return the log.
@@ -289,25 +302,11 @@ pub fn run_method_composed(
     opts: RunOpts,
     extra: Option<CompressorChoice>,
 ) -> ExperimentLog {
-    let cfg = ExperimentConfig {
-        rounds: opts.rounds,
-        client_fraction: opts.client_fraction,
-        seed: opts.seed,
-        train: train_config(bundle, &opts),
-        eval_topk: bundle.eval_topk,
-        eval_every: opts.eval_every,
-        eval_max_samples: opts.eval_max_samples,
-        agg: opts.agg,
-        cohort: opts.cohort,
-        sampler: opts.sampler,
-        adversary: opts.adversary,
-        churn: opts.churn,
-    };
     let p = opts.dropout_override.unwrap_or(bundle.dropout_rate);
     let driver = LockstepDriver {
         model: bundle.model.as_ref(),
         data: &bundle.data,
-        cfg,
+        cfg: opts.experiment_config(bundle),
     };
     with_algorithm(method, p, opts.stage_boundary, extra, driver)
 }

@@ -9,7 +9,6 @@
 use crate::methods::{with_algorithm, AlgorithmVisitor, CompressorChoice, Method, RunOpts};
 use fedbiad_data::FedDataset;
 use fedbiad_fl::round::resolve_cohort;
-use fedbiad_fl::runner::ExperimentConfig;
 use fedbiad_fl::workload::WorkloadBundle;
 use fedbiad_fl::FlAlgorithm;
 use fedbiad_nn::Model;
@@ -115,20 +114,7 @@ pub fn run_sim_method_composed(
     profile: HeterogeneityProfile,
     extra: Option<CompressorChoice>,
 ) -> SimReport {
-    let base = ExperimentConfig {
-        rounds: opts.rounds,
-        client_fraction: opts.client_fraction,
-        seed: opts.seed,
-        train: crate::methods::train_config(bundle, &opts),
-        eval_topk: bundle.eval_topk,
-        eval_every: opts.eval_every,
-        eval_max_samples: opts.eval_max_samples,
-        agg: opts.agg,
-        cohort: opts.cohort,
-        sampler: opts.sampler,
-        adversary: opts.adversary,
-        churn: opts.churn,
-    };
+    let base = opts.experiment_config(bundle);
     let cfg = SimConfig::new(base, profile);
     let cohort = resolve_cohort(bundle.data.num_clients(), base.client_fraction, base.cohort)
         .expect("cohort configuration invalid");

@@ -1,13 +1,27 @@
 //! The discrete-event simulator: a virtual clock driving client actors
-//! and a pluggable [`ServerPolicy`].
+//! and a pluggable [`ServerPolicy`] — the event-driven *schedule* over
+//! [`fedbiad_fl::round::RoundCore`].
+//!
+//! ## Who owns what
+//!
+//! The core owns the round: the global model, client state, the
+//! algorithm, churn / byzantine corruption / the value screen, the no-op
+//! round, evaluation and the round records — the same code the lock-step
+//! runner drives, so the synchronous-barrier policy on a homogeneous
+//! cohort reproduces `Experiment::run` bit-for-bit
+//! (`tests/sim_equivalence.rs`). This module owns only *when*: dispatch
+//! ids, global snapshots for delta merging, link/compute profiles and
+//! jitter, arrival times, the in-flight and buffer tables, the staleness
+//! version, FedBuff's staleness-weighted merge, and the virtual
+//! `local_seconds` / `agg_seconds` it writes over the core's measured
+//! ones.
 //!
 //! ## How a dispatch becomes an arrival
 //!
 //! When the policy dispatches a set of clients, the simulator runs their
-//! *real* local updates immediately (in parallel, through the same
-//! [`fedbiad_fl::round`] ingredients as the lock-step runner — this is
-//! what makes results exact rather than modelled) and schedules one
-//! arrival event per client at
+//! *real* local updates immediately (`RoundCore::train` — this is what
+//! makes results exact rather than modelled) and schedules one arrival
+//! event per client at
 //!
 //! ```text
 //! now + download(global)/downlink + RTT          (broadcast)
@@ -15,10 +29,11 @@
 //!     + upload(wire_bytes)/uplink + RTT          (upload)
 //! ```
 //!
-//! using that client's own link and compute profile. Aggregation
-//! semantics, evaluation, and round records are shared with the legacy
-//! runner, so the synchronous-barrier policy on a homogeneous cohort
-//! reproduces `Experiment::run` bit-for-bit (`tests/sim_equivalence.rs`).
+//! using that client's own link and compute profile. Whether the upload
+//! is *lost* (churn dropout, screen rejection) is decided by the core at
+//! dispatch but takes effect only when the arrival fires: the wire still
+//! carries the bytes, the link still spends the time, and the policy
+//! still sees the client finish.
 //!
 //! ## Determinism
 //!
@@ -31,22 +46,22 @@ use crate::event::{EventQueue, TraceEvent, TraceKind};
 use crate::policy::{Action, PolicyEvent, ServerPolicy, ServerView};
 use crate::profile::{CostModel, HeterogeneityProfile};
 use fedbiad_data::FedDataset;
-use fedbiad_fl::adversary::{churn_fate, corrupt_upload, is_adversary, ChurnFate};
-use fedbiad_fl::aggregate::{merge_staleness_weighted, upload_has_non_finite, StalenessUpload};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo};
-use fedbiad_fl::metrics::{ExperimentLog, RoundRecord};
-use fedbiad_fl::round::{
-    eval_due, eval_or_carry, resolve_cohort, run_local_updates, summarize_results, ClientStates,
-    CohortError,
-};
+use fedbiad_fl::aggregate::{merge_staleness_weighted, StalenessUpload};
+use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult};
+use fedbiad_fl::metrics::ExperimentLog;
+use fedbiad_fl::round::{CohortError, RoundCore};
 use fedbiad_fl::runner::ExperimentConfig;
 use fedbiad_nn::{Model, ParamSet};
-use fedbiad_telemetry::{counter, gauge, span};
+use fedbiad_telemetry::{counter, gauge};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// Hard cap on processed events (guards against a policy that stops
+/// making progress).
+const MAX_EVENTS: usize = 1_000_000;
 
 /// Simulation configuration: the experiment base plus the virtual world.
 #[derive(Clone, Copy, Debug)]
@@ -58,19 +73,15 @@ pub struct SimConfig {
     pub heterogeneity: HeterogeneityProfile,
     /// Virtual compute/aggregation cost model.
     pub cost: CostModel,
-    /// Hard cap on processed events (guards against a policy that stops
-    /// making progress).
-    pub max_events: usize,
 }
 
 impl SimConfig {
-    /// Config with default cost model and event cap.
+    /// Config with the default cost model.
     pub fn new(base: ExperimentConfig, heterogeneity: HeterogeneityProfile) -> Self {
         Self {
             base,
             heterogeneity,
             cost: CostModel::default(),
-            max_events: 1_000_000,
         }
     }
 }
@@ -154,25 +165,19 @@ struct Buffered {
 }
 
 struct Engine<'a, A: FlAlgorithm> {
-    model: &'a dyn Model,
-    data: &'a FedDataset,
-    algo: A,
+    /// The round itself; everything below is the schedule around it.
+    core: RoundCore<'a, A>,
     cfg: SimConfig,
-    cohort: usize,
     /// Whether dispatches must snapshot the global (policy merges deltas).
     snapshots_enabled: bool,
-    global: ParamSet,
-    states: ClientStates<A>,
-    last_rctx: Option<A::RoundCtx>,
     queue: EventQueue<SimEvent>,
     now: f64,
     version: u64,
-    dispatch_seq: usize,
+    dispatch_seq: u64,
     next_dispatch_id: u64,
     in_flight: Vec<InFlightEntry>,
     dropped: HashMap<u64, usize>,
     buffer: Vec<Buffered>,
-    records: Vec<RoundRecord>,
     round_end_seconds: Vec<f64>,
     trace: Vec<TraceEvent>,
 }
@@ -206,24 +211,13 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
     /// panics — a million-client scenario would rather learn `cohort 0`
     /// at startup than deep inside the event loop.
     pub fn try_run(self) -> Result<SimReport, CohortError> {
-        let k = self.data.num_clients();
-        let cohort = resolve_cohort(k, self.cfg.base.client_fraction, self.cfg.base.cohort)?;
-        let seed = self.cfg.base.seed;
-
-        // Same initialisation stream as the lock-step runner.
-        let mut init_rng = stream(seed, StreamTag::Init, 0, 0);
-        let global = self.model.init_params(&mut init_rng);
-
+        // Same cohort resolution and initialisation stream as the
+        // lock-step runner: both are the core's.
+        let core = RoundCore::new(self.model, self.data, self.algo, self.cfg.base)?;
         let mut engine = Engine {
-            model: self.model,
-            data: self.data,
-            algo: self.algo,
-            cohort,
+            core,
             snapshots_enabled: self.policy.needs_snapshots(),
             cfg: self.cfg,
-            global,
-            states: ClientStates::new(),
-            last_rctx: None,
             queue: EventQueue::new(),
             now: 0.0,
             version: 0,
@@ -232,7 +226,6 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
             in_flight: Vec::new(),
             dropped: HashMap::new(),
             buffer: Vec::new(),
-            records: Vec::new(),
             round_end_seconds: Vec::new(),
             trace: Vec::new(),
         };
@@ -241,7 +234,7 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
         engine.drive(&mut policy, PolicyEvent::Start);
 
         let mut processed = 0usize;
-        while engine.records.len() < engine.cfg.base.rounds {
+        while engine.core.rounds_done() < engine.cfg.base.rounds {
             let Some(ev) = engine.queue.pop() else {
                 // Queue drained with rounds still owed. Under an active
                 // churn/adversary model that is a legitimate stall — every
@@ -253,7 +246,7 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
                 let models_active =
                     engine.cfg.base.churn.is_some() || engine.cfg.base.adversary.is_some();
                 if models_active && engine.in_flight.is_empty() && engine.buffer.is_empty() {
-                    let round = engine.commit_round(engine.records.len(), &[]);
+                    let round = engine.commit_round(&[], false);
                     engine.drive(&mut policy, PolicyEvent::Recorded { round });
                     continue;
                 }
@@ -263,9 +256,8 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
             gauge!("sim.queue_depth", engine.queue.len());
             processed += 1;
             assert!(
-                processed <= engine.cfg.max_events,
-                "simulator exceeded max_events = {} (policy stopped making progress?)",
-                engine.cfg.max_events
+                processed <= MAX_EVENTS,
+                "simulator exceeded {MAX_EVENTS} events (policy stopped making progress?)"
             );
             engine.now = engine.now.max(ev.time);
             match ev.payload {
@@ -309,12 +301,7 @@ impl<'a, A: FlAlgorithm, P: ServerPolicy> Simulator<'a, A, P> {
         }
 
         Ok(SimReport {
-            log: ExperimentLog {
-                dataset: engine.data.name.clone(),
-                method: engine.algo.name(),
-                seed,
-                records: engine.records,
-            },
+            log: engine.core.into_log(),
             policy: policy.name(),
             profile: engine.cfg.heterogeneity.name().to_string(),
             round_end_seconds: engine.round_end_seconds,
@@ -330,7 +317,7 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
             time: self.now,
             kind,
             client,
-            rounds_done: self.records.len(),
+            rounds_done: self.core.rounds_done(),
         });
     }
 
@@ -354,7 +341,7 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
         let mut pending = VecDeque::new();
         pending.push_back(first);
         while let Some(ev) = pending.pop_front() {
-            if self.records.len() >= self.cfg.base.rounds {
+            if self.core.rounds_done() >= self.cfg.base.rounds {
                 return;
             }
             let actions = {
@@ -363,11 +350,11 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
                 let view = ServerView {
                     now: self.now,
                     seed: self.cfg.base.seed,
-                    num_clients: self.data.num_clients(),
-                    cohort: self.cohort,
+                    num_clients: self.core.data().num_clients(),
+                    cohort: self.core.cohort(),
                     sampler: self.cfg.base.sampler,
                     rounds_total: self.cfg.base.rounds,
-                    rounds_done: self.records.len(),
+                    rounds_done: self.core.rounds_done(),
                     buffered: self.buffer.len(),
                     in_flight: &ids,
                     transit_dropped: &transit_dropped,
@@ -375,7 +362,7 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
                 policy.react(ev, &view)
             };
             for action in actions {
-                if self.records.len() >= self.cfg.base.rounds {
+                if self.core.rounds_done() >= self.cfg.base.rounds {
                     return;
                 }
                 match action {
@@ -407,33 +394,22 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
         }
     }
 
-    /// Broadcast the current global to `ids`, run their local updates
-    /// (in parallel), and schedule each upload's arrival on the virtual
-    /// clock.
+    /// Broadcast the current global to `ids`, train them through the core,
+    /// and schedule each upload's arrival on the virtual clock.
     ///
     /// Returns `Some(round)` only when an active churn model collapsed a
     /// non-empty dispatch to nothing with the server otherwise idle: the
     /// round can never close on its own, so a defined no-op round is
     /// committed on the spot and the caller must drive `Recorded`.
+    ///
+    /// An async policy may dispatch the same client more than once within
+    /// one committed round; such a client reuses its per-round RNG streams
+    /// for that round (its batches repeat until the next aggregation
+    /// commits) — the schedule fidelity matters more.
     fn dispatch(&mut self, ids: &[usize]) -> Option<usize> {
         if ids.is_empty() {
             return None;
         }
-        let seed = self.cfg.base.seed;
-        let round_now = self.records.len();
-        let mut ids: Vec<usize> = ids.to_vec();
-        if let Some(ch) = self.cfg.base.churn {
-            // Offline clients never even start: the policy's selection is
-            // thinned before any work (or virtual traffic) happens.
-            ids.retain(|&id| churn_fate(seed, round_now, id, ch) != ChurnFate::Offline);
-        }
-        if ids.is_empty() {
-            if self.in_flight.is_empty() && self.buffer.is_empty() {
-                return Some(self.commit_round(round_now, &[]));
-            }
-            return None;
-        }
-        let ids = &ids[..];
         debug_assert!(
             ids.iter()
                 .all(|id| self.in_flight.iter().all(|e| e.client != *id)),
@@ -443,64 +419,29 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
             ids.iter().all(|id| !self.dropped.values().any(|c| c == id)),
             "dispatching a client whose dropped upload is still in transit"
         );
-        // The algorithm's RoundInfo tracks *committed* rounds, so
-        // round-scheduled behavior (FedBIAD's stage boundary, data
-        // growth, anything keyed on round/total_rounds) advances exactly
-        // as it would in the lock-step runner, under every policy. An
-        // async policy may dispatch the same client more than once
-        // within one committed round; such a client reuses its per-round
-        // RNG streams for that round (its batches repeat until the next
-        // aggregation commits) — the schedule fidelity matters more.
-        let info = RoundInfo {
-            round: self.records.len(),
-            total_rounds: self.cfg.base.rounds,
-            seed,
-            agg: self.cfg.base.agg,
-        };
-        let dispatch_idx = self.dispatch_seq as u64;
+        let trained = self.core.train(ids);
+        if trained.is_empty() {
+            // Every selected client was offline: no work, no traffic.
+            if self.in_flight.is_empty() && self.buffer.is_empty() {
+                return Some(self.commit_round(&[], false));
+            }
+            return None;
+        }
+        let seed = self.cfg.base.seed;
+        let dispatch_idx = self.dispatch_seq;
         self.dispatch_seq += 1;
 
-        let rctx = self.algo.begin_round(info, &self.global);
-        let mut work = self
-            .states
-            .checkout(ids, &self.algo, self.model, &self.global);
-        let mut results = {
-            let _stage = span!("round.train", clients = ids.len());
-            run_local_updates(
-                &self.algo,
-                self.model,
-                self.data,
-                &self.cfg.base.train,
-                info,
-                &rctx,
-                &self.global,
-                &mut work,
-            )
-        };
-        self.states.restore(work);
-        self.last_rctx = Some(rctx);
-
-        if let Some(adv) = self.cfg.base.adversary {
-            for (id, res) in results.iter_mut() {
-                if is_adversary(seed, adv.fraction, *id) {
-                    res.upload = corrupt_upload(&self.global, &res.upload, adv.mode)
-                        .expect("corrupting a well-formed upload");
-                }
-            }
-        }
-
-        let snapshot = self
-            .snapshots_enabled
-            .then(|| Arc::new(self.global.clone()));
-        let download_bytes = self.global.total_bytes();
-        let total_weights = self.model.arch().total_weights;
+        let global = self.core.global();
+        let snapshot = self.snapshots_enabled.then(|| Arc::new(global.clone()));
+        let download_bytes = global.total_bytes();
+        let total_weights = self.core.model().arch().total_weights;
         let jitter = self.cfg.heterogeneity.jitter();
-        for (id, mut res) in results {
+        for t in trained {
             // Profiles derive on demand from the per-client stream: the
             // engine holds no O(registered-clients) profile table.
-            let prof = self.cfg.heterogeneity.profile_for(seed, id);
+            let prof = self.cfg.heterogeneity.profile_for(seed, t.id);
             let jitter_mult = if jitter > 0.0 {
-                let mut jrng = stream(seed, StreamTag::SimJitter, dispatch_idx, id as u64);
+                let mut jrng = stream(seed, StreamTag::SimJitter, dispatch_idx, t.id as u64);
                 1.0 + jitter * (2.0 * jrng.gen::<f64>() - 1.0)
             } else {
                 1.0
@@ -512,90 +453,60 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
             ) * jitter_mult;
             // Record the *virtual* local time: it is what the simulated
             // clock (and thus TTA) is made of.
-            res.local_seconds = compute;
+            let mut result = t.result;
+            result.local_seconds = compute;
             let arrival = self.now
                 + prof.net.download_message_seconds(download_bytes)
                 + compute
-                + prof.net.upload_message_seconds(res.upload.wire_bytes);
-            // Loss is decided now (the draws are deterministic in
-            // (round, client)), but takes effect only when the arrival
-            // event fires — the wire still carries the bytes, the link
-            // still spends the time, and the policy still sees the
-            // client finish.
-            let dropout = self
-                .cfg
-                .base
-                .churn
-                .is_some_and(|ch| churn_fate(seed, round_now, id, ch) == ChurnFate::Dropout);
-            let screened = self.cfg.base.adversary.is_some()
-                && upload_has_non_finite(&self.global, &res.upload).unwrap_or(true);
+                + prof.net.upload_message_seconds(result.upload.wire_bytes);
             let dispatch_id = self.next_dispatch_id;
             self.next_dispatch_id += 1;
             self.queue.push(arrival, SimEvent::Arrival { dispatch_id });
             self.in_flight.push(InFlightEntry {
                 dispatch_id,
-                client: id,
+                client: t.id,
                 version: self.version,
-                result: res,
+                result,
                 snapshot: snapshot.clone(),
-                lost: dropout || screened,
+                lost: t.lost,
             });
-            self.push_trace(TraceKind::Dispatch, id);
+            self.push_trace(TraceKind::Dispatch, t.id);
         }
         None
     }
 
-    /// Drain the buffer into the algorithm's own aggregation (inputs in
-    /// ascending client-id order — the lock-step runner's order), then
-    /// evaluate and commit a round record. Returns the round index.
-    fn aggregate_round(&mut self) -> usize {
-        if self.buffer.is_empty() {
-            // Every upload of the round was lost to churn or rejected by
-            // the value screen: a defined no-op — the global is untouched
-            // and the record notes zero contributors.
-            return self.commit_round(self.records.len(), &[]);
-        }
+    /// Drain the buffer in ascending client-id order — the lock-step
+    /// runner's aggregation order.
+    fn drain_buffer(&mut self) -> Vec<Buffered> {
         self.buffer.sort_by_key(|b| b.client);
+        std::mem::take(&mut self.buffer)
+    }
+
+    /// Drain the buffer into the algorithm's own aggregation, then
+    /// commit. Returns the round index.
+    fn aggregate_round(&mut self) -> usize {
         let results: Vec<(usize, LocalResult)> = self
-            .buffer
-            .drain(..)
+            .drain_buffer()
+            .into_iter()
             .map(|b| (b.client, b.result))
             .collect();
-        let round = self.records.len();
-        let info = RoundInfo {
-            round,
-            total_rounds: self.cfg.base.rounds,
-            seed: self.cfg.base.seed,
-            agg: self.cfg.base.agg,
-        };
-        let rctx = self
-            .last_rctx
-            .as_ref()
-            .expect("aggregate before any dispatch");
-        {
-            let _stage = span!("round.aggregate", clients = results.len());
+        let merged = self.core.aggregate(&results);
+        if merged {
             counter!("sim.merges_sync", 1u64);
-            self.algo.aggregate(info, rctx, &mut self.global, &results);
         }
-        self.commit_round(round, &results)
+        self.commit_round(&results, merged)
     }
 
     /// FedBuff merge: `global += lr · Σ wᵢΔᵢ / Σ wᵢ` with
     /// `wᵢ = |Dᵢ|/(1+τᵢ)^α`, where Δᵢ is the upload relative to the
     /// global the client was dispatched with (masked uploads contribute
-    /// deltas only on their covered rows). Then evaluate and commit.
+    /// deltas only on their covered rows). Then commit.
     ///
     /// The merge arithmetic itself lives in
     /// [`fedbiad_fl::aggregate::merge_staleness_weighted`], shared between
     /// the sharded streaming engine and its dense oracle.
     fn aggregate_buffered(&mut self, alpha: f64, server_lr: f64) -> usize {
-        if self.buffer.is_empty() {
-            // Same defined no-op as `aggregate_round`: nothing survived,
-            // nothing merges, the version does not advance.
-            return self.commit_round(self.records.len(), &[]);
-        }
-        self.buffer.sort_by_key(|b| b.client);
-        let drained: Vec<Buffered> = self.buffer.drain(..).collect();
+        let drained = self.drain_buffer();
         let items: Vec<StalenessUpload> = drained
             .iter()
             .map(|b| {
@@ -607,67 +518,34 @@ impl<'a, A: FlAlgorithm> Engine<'a, A> {
                 }
             })
             .collect();
-        {
-            let _stage = span!("round.aggregate", clients = items.len());
+        let agg = self.cfg.base.agg;
+        let merged = self.core.merge(items.len(), |global| {
             counter!("sim.merges_staleness", 1u64);
-            merge_staleness_weighted(&mut self.global, &items, server_lr, self.cfg.base.agg)
-                .expect("buffered-async merge failed");
-        }
+            merge_staleness_weighted(global, &items, server_lr, agg)
+                .expect("buffered-async merge failed")
+        });
         drop(items);
-        let round = self.records.len();
         let results: Vec<(usize, LocalResult)> =
             drained.into_iter().map(|b| (b.client, b.result)).collect();
-        self.commit_round(round, &results)
+        self.commit_round(&results, merged)
     }
 
-    /// Shared bookkeeping after any aggregation: version bump, virtual
-    /// aggregation cost, evaluation (or carry-forward), round record.
-    fn commit_round(&mut self, round: usize, results: &[(usize, LocalResult)]) -> usize {
-        // A no-op round (zero contributors) leaves the global — and hence
-        // the staleness version — untouched and spends no virtual
-        // aggregation time; there was nothing to merge.
-        let agg_seconds = if results.is_empty() {
-            0.0
-        } else {
+    /// The schedule's half of closing a round: version bump and *virtual*
+    /// aggregation cost (cost model, not wall clock — see fl::timing's
+    /// clock taxonomy), then the core's commit, then the trace.
+    ///
+    /// A no-op round (`merged` false: zero contributors) leaves the
+    /// global — and hence the staleness version — untouched and spends no
+    /// virtual aggregation time; there was nothing to merge.
+    fn commit_round(&mut self, results: &[(usize, LocalResult)], merged: bool) -> usize {
+        let agg_seconds = if merged {
             self.version += 1;
             self.now += self.cfg.cost.agg_seconds;
             self.cfg.cost.agg_seconds
+        } else {
+            0.0
         };
-        let stats = {
-            let _stage = span!("round.upload");
-            summarize_results(results)
-        };
-        let due = eval_due(round, self.cfg.base.rounds, self.cfg.base.eval_every);
-        let (test_loss, test_acc) = {
-            let _stage = span!("round.eval", due = due);
-            eval_or_carry(
-                &self.algo,
-                self.model,
-                &self.global,
-                &self.data.test,
-                self.cfg.base.eval_topk,
-                self.cfg.base.eval_max_samples,
-                due,
-                self.records.last(),
-            )
-        };
-        self.records.push(RoundRecord {
-            round,
-            train_loss: stats.train_loss,
-            test_loss,
-            test_acc,
-            upload_bytes_mean: stats.upload_bytes_mean,
-            upload_bytes_max: stats.upload_bytes_max,
-            download_bytes: self.global.total_bytes(),
-            local_seconds_mean: stats.local_seconds_mean,
-            local_seconds_max: stats.local_seconds_max,
-            // The simulator's agg_seconds is *virtual* (cost model), not
-            // wall clock — see fl::timing's clock taxonomy.
-            agg_seconds,
-            peak_rss_bytes: fedbiad_fl::metrics::peak_rss_bytes(),
-            rss_bytes: fedbiad_fl::metrics::current_rss_bytes(),
-            contributors: results.len(),
-        });
+        let round = self.core.commit(results, agg_seconds);
         self.round_end_seconds.push(self.now);
         self.push_trace(TraceKind::Aggregate, usize::MAX);
         round

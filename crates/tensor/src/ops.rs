@@ -1,7 +1,7 @@
 //! BLAS-like kernels: GEMV, GEMM, AXPY, dot products, outer-product
 //! accumulation — plus the batched execution-engine kernels
-//! ([`gemm_nt`], [`gemm_nn`], [`gemm_tn_acc`], [`im2col`]) that process a
-//! whole mini-batch per call.
+//! ([`gemm_nt`], [`gemm_nn`], [`gemm_tn_acc`]) that process a whole
+//! mini-batch per call.
 //!
 //! These are the hot loops of local training, so they are written over
 //! plain slices (bounds checks elided by iterator shape) and parallelised
@@ -21,8 +21,8 @@
 //! * [`gemm_tn_acc`] ≡ the sample-ascending sequence of [`ger`] rank-1
 //!   updates (each output row accumulates its AXPYs in sample order,
 //!   skipping zero coefficients exactly like `ger`);
-//! * [`add_bias_cols`]/[`add_bias_rows`] exploit that IEEE-754 addition is
-//!   commutative in its result bits, so `dot + bias` ≡ `bias + dot`;
+//! * [`add_bias_cols`] exploits that IEEE-754 addition is commutative in
+//!   its result bits, so `dot + bias` ≡ `bias + dot`;
 //! * the `_ord` variants replay an explicit row-visit order — the BPTT
 //!   accumulation order (window-major, step-descending) of the sequential
 //!   LSTM reference.
@@ -747,75 +747,6 @@ pub fn add_bias_cols(c: &mut [f32], bias: &[f32]) {
     for row in c.chunks_exact_mut(bias.len()) {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v += b;
-        }
-    }
-}
-
-/// Batched bias-add, row-broadcast: `C[i][j] += bias[i]` over an
-/// `bias.len()×cols` buffer (conv layout: one row per filter).
-pub fn add_bias_rows(c: &mut [f32], cols: usize, bias: &[f32]) {
-    if bias.is_empty() || cols == 0 {
-        return;
-    }
-    assert_eq!(c.len(), bias.len() * cols, "add_bias_rows: C shape");
-    for (row, &b) in c.chunks_exact_mut(cols).zip(bias) {
-        for v in row {
-            *v += b;
-        }
-    }
-}
-
-/// im2col patch extraction for a valid (no-padding) `k×k` convolution.
-///
-/// Input `x` is a `in_ch×h×w` feature map (channel-major). `out` receives
-/// one row per output position `(oy, ox)` in row-major order, with
-/// `in_ch·k·k` columns ordered `(channel, ky, kx)` — the exact flattened
-/// filter layout, so `y[f][pos] = bias[f] + dot(filter_row, patch_row)`.
-/// A pure gather: no arithmetic, hence no rounding concerns.
-pub fn im2col(x: &[f32], in_ch: usize, h: usize, w: usize, k: usize, out: &mut [f32]) {
-    assert!(h >= k && w >= k, "im2col: kernel larger than input");
-    let (oh, ow) = (h - k + 1, w - k + 1);
-    let ckk = in_ch * k * k;
-    assert_eq!(x.len(), in_ch * h * w, "im2col: input shape");
-    assert_eq!(out.len(), oh * ow * ckk, "im2col: output shape");
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &mut out[(oy * ow + ox) * ckk..][..ckk];
-            let mut wi = 0;
-            for c in 0..in_ch {
-                let plane = &x[c * h * w..(c + 1) * h * w];
-                for ky in 0..k {
-                    let src = &plane[(oy + ky) * w + ox..][..k];
-                    row[wi..wi + k].copy_from_slice(src);
-                    wi += k;
-                }
-            }
-        }
-    }
-}
-
-/// Adjoint of [`im2col`]: scatter-add patch-space gradients back onto the
-/// `in_ch×h×w` input gradient (`dx` is accumulated into, not zeroed).
-pub fn col2im_acc(dpatches: &[f32], in_ch: usize, h: usize, w: usize, k: usize, dx: &mut [f32]) {
-    assert!(h >= k && w >= k, "col2im_acc: kernel larger than input");
-    let (oh, ow) = (h - k + 1, w - k + 1);
-    let ckk = in_ch * k * k;
-    assert_eq!(dpatches.len(), oh * ow * ckk, "col2im_acc: patch shape");
-    assert_eq!(dx.len(), in_ch * h * w, "col2im_acc: dx shape");
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &dpatches[(oy * ow + ox) * ckk..][..ckk];
-            let mut wi = 0;
-            for c in 0..in_ch {
-                let base = c * h * w;
-                for ky in 0..k {
-                    let dst = &mut dx[base + (oy + ky) * w + ox..][..k];
-                    for (d, &g) in dst.iter_mut().zip(&row[wi..wi + k]) {
-                        *d += g;
-                    }
-                    wi += k;
-                }
-            }
         }
     }
 }
@@ -2025,31 +1956,9 @@ mod tests {
         let mut c = vec![0.0f32; 6];
         add_bias_cols(&mut c, &[1.0, 2.0, 3.0]);
         assert_eq!(c, vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let mut c = vec![0.0f32; 6];
-        add_bias_rows(&mut c, 3, &[1.0, 2.0]);
-        assert_eq!(c, vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
         // Empty bias is a no-op (layers without biases).
         let mut c = vec![5.0f32; 2];
         add_bias_cols(&mut c, &[]);
-        add_bias_rows(&mut c, 2, &[]);
         assert_eq!(c, vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn im2col_col2im_round_trip_counts_overlaps() {
-        // 1×3×3 input, 2×2 kernel: interior cells belong to several
-        // patches; col2im of im2col multiplies each cell by its patch
-        // multiplicity.
-        let x: Vec<f32> = (1..=9).map(|v| v as f32).collect();
-        let mut patches = vec![0.0f32; 4 * 4];
-        im2col(&x, 1, 3, 3, 2, &mut patches);
-        assert_eq!(patches[0..4], [1.0, 2.0, 4.0, 5.0]);
-        assert_eq!(patches[12..16], [5.0, 6.0, 8.0, 9.0]);
-        let mut back = vec![0.0f32; 9];
-        col2im_acc(&patches, 1, 3, 3, 2, &mut back);
-        let mult = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
-        for i in 0..9 {
-            assert_eq!(back[i], x[i] * mult[i], "cell {i}");
-        }
     }
 }

@@ -145,59 +145,4 @@ proptest! {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
     }
-
-    /// `im2col` gathers exactly `x[c, oy+ky, ox+kx]` into position-major
-    /// rows with (channel, ky, kx)-ordered columns, for any valid shape
-    /// (k = h and k = 1 boundaries included).
-    #[test]
-    fn im2col_matches_direct_indexing(
-        in_ch in 1usize..4,
-        h in 1usize..8,
-        w in 1usize..8,
-        k in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        let k = k.min(h).min(w);
-        let x = filled_vec(in_ch * h * w, seed);
-        let (oh, ow) = (h - k + 1, w - k + 1);
-        let ckk = in_ch * k * k;
-        let mut patches = vec![0.0f32; oh * ow * ckk];
-        ops::im2col(&x, in_ch, h, w, k, &mut patches);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for c in 0..in_ch {
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let wi = (c * k + ky) * k + kx;
-                            let got = patches[(oy * ow + ox) * ckk + wi];
-                            let want = x[c * h * w + (oy + ky) * w + ox + kx];
-                            prop_assert_eq!(got.to_bits(), want.to_bits());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// `col2im_acc` is the adjoint of `im2col`:
-    /// ⟨im2col(x), P⟩ = ⟨x, col2im(P)⟩.
-    #[test]
-    fn col2im_is_the_adjoint_of_im2col(
-        h in 1usize..7,
-        w in 1usize..7,
-        k in 1usize..7,
-        seed in 0u64..1000,
-    ) {
-        let k = k.min(h).min(w);
-        let x = filled_vec(h * w, seed);
-        let (oh, ow) = (h - k + 1, w - k + 1);
-        let p = filled_vec(oh * ow * k * k, seed ^ 0x66);
-        let mut patches = vec![0.0f32; p.len()];
-        ops::im2col(&x, 1, h, w, k, &mut patches);
-        let lhs: f64 = patches.iter().zip(&p).map(|(&a, &b)| (a * b) as f64).sum();
-        let mut dx = vec![0.0f32; x.len()];
-        ops::col2im_acc(&p, 1, h, w, k, &mut dx);
-        let rhs: f64 = x.iter().zip(&dx).map(|(&a, &b)| (a * b) as f64).sum();
-        prop_assert!((lhs - rhs).abs() <= 1e-3 + lhs.abs() * 1e-5, "{} vs {}", lhs, rhs);
-    }
 }

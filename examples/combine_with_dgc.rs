@@ -23,11 +23,7 @@ fn main() {
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let p = bundle.dropout_rate;
     let dgc = || Arc::new(Dgc::paper());

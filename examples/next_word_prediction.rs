@@ -34,11 +34,7 @@ fn main() {
         eval_topk: 3, // mobile keyboards show three candidates (paper §V-B)
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
 
     let p = bundle.dropout_rate;

@@ -26,11 +26,7 @@ fn main() {
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
 
     let fedavg = Experiment::new(bundle.model.as_ref(), &bundle.data, FedAvg::new(), cfg).run();

@@ -24,11 +24,7 @@ fn main() {
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let stragglers = HeterogeneityProfile::Stragglers {
         fraction: 0.4,

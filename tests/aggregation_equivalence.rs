@@ -832,10 +832,7 @@ fn e2e_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle) -> ExperimentConfig {
         eval_max_samples: 200,
         // 1 KiB shards: the raggedest schedule.
         agg: AggSettings::sharded(1),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     }
 }
 

@@ -14,11 +14,7 @@ fn smoke_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle, seed: u64) -> Exper
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     }
 }
 

@@ -117,11 +117,7 @@ fn assert_experiment_level_bitwise(workload: Workload, fedbiad: bool) {
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let run = |model: &dyn Model| -> ExperimentLog {
         if fedbiad {

@@ -16,11 +16,7 @@ fn fedavg_and_fedbiad_both_learn_mnist_like() {
         eval_topk: 1,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let avg = Experiment::new(bundle.model.as_ref(), &bundle.data, FedAvg::new(), cfg).run();
     let biad = Experiment::new(
@@ -58,11 +54,7 @@ fn lstm_learns_above_unigram_baseline() {
         eval_topk: 3,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let avg = Experiment::new(bundle.model.as_ref(), &bundle.data, FedAvg::new(), cfg).run();
     let first = avg.records[0].test_loss;
@@ -83,11 +75,7 @@ fn train_loss_trends_down_for_fedbiad() {
         eval_topk: 1,
         eval_every: 4,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let log = Experiment::new(
         bundle.model.as_ref(),
@@ -132,11 +120,7 @@ fn tta_improves_with_smaller_uploads_all_else_equal() {
         eval_topk: 1,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let net = NetworkModel::t_mobile_5g();
     let avg = Experiment::new(bundle.model.as_ref(), &bundle.data, FedAvg::new(), cfg).run();

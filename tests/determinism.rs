@@ -13,11 +13,7 @@ fn run_once(seed: u64) -> ExperimentLog {
         eval_topk: 1,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 3));
     Experiment::new(bundle.model.as_ref(), &bundle.data, algo, cfg).run()

@@ -160,3 +160,109 @@ fn fig2_digest_is_unchanged_under_active_telemetry_capture() {
         }
     }
 }
+
+// ---- the simulator path ------------------------------------------------
+//
+// `GOLDEN_DIGEST` only covers the lock-step runner. The deadline and
+// FedBuff policies, churn-lost arrivals and the virtual clock are
+// otherwise compared between two runs of one binary, never against a
+// constant — so the constants below pin them. They were computed on the
+// commit *before* the lock-step runner and the simulator were merged onto
+// one `fl::round` core, and follow the same update procedure as
+// `GOLDEN_DIGEST`.
+
+/// Pinned digest of [`sim_smoke_spec`] under a sign-flip adversary.
+const SIM_GOLDEN_SIGN_FLIP: u64 = 0x6562_43A3_A422_86C8;
+/// Pinned digest of [`sim_smoke_spec`] under a NaN-garbage adversary
+/// (every adversarial upload is rejected by the value screen).
+const SIM_GOLDEN_GARBAGE_NAN: u64 = 0x885A_1C00_DE14_79FE;
+
+/// `benchmark/workloads/sim_image.toml` at smoke scale: every server
+/// policy, stragglers, trimmed mean, churn and an adversary all live.
+/// The smoke workload's 8 clients hold no adversary at this seed, so a
+/// 40-client population (cohort 10) stands in for the lab scale's 100.
+fn sim_smoke_spec(adversary: &str) -> ScenarioSpec {
+    ScenarioSpec::from_toml_str(&format!(
+        r#"
+name = "sim_golden"
+mode = "sim"
+
+[run]
+rounds = 4
+seed = 42
+scale = "smoke"
+
+[sweep]
+workload = "mnist"
+method = ["fedbiad", "dgc"]
+policy = ["sync", "deadline", "fedbuff"]
+profile = "stragglers"
+
+[population]
+clients = 40
+cohort = 10
+samples_per_client = 16
+
+[fedbiad]
+stage_boundary = 2
+
+[aggregation]
+robust = "trimmed_mean"
+trim_frac = 0.2
+
+[churn]
+offline = 0.15
+dropout = 0.15
+
+[adversary]
+fraction = 0.25
+{adversary}
+"#
+    ))
+    .expect("inline sim spec must parse")
+}
+
+/// [`digest_of`]'s fields plus what only the simulator decides: who
+/// contributed to each round and every bit of the virtual clock.
+fn sim_digest_of(outcomes: &[RunOutcome]) -> u64 {
+    let mut canon = format!("records={:016x};", digest_of(outcomes));
+    for o in outcomes {
+        let sim = o.sim.as_ref().expect("sim outcome carries the clock");
+        for r in &o.log.records {
+            canon.push_str(&format!("contributors={};", r.contributors));
+        }
+        for t in &sim.round_end_seconds {
+            canon.push_str(&format!("end={:016x};", t.to_bits()));
+        }
+        canon.push_str(&format!(
+            "total={:016x};",
+            sim.total_virtual_seconds.to_bits()
+        ));
+    }
+    fnv1a64(canon.as_bytes())
+}
+
+fn assert_sim_digest(adversary: &str, pinned: u64) {
+    let outcomes = execute(&sim_smoke_spec(adversary)).expect("sim smoke run must execute");
+    assert_eq!(outcomes.len(), 6, "two methods x three policies");
+    let digest = sim_digest_of(&outcomes);
+    assert_eq!(
+        digest, pinned,
+        "sim smoke trace drifted under `{adversary}`: computed digest {digest:#018X} != \
+         pinned {pinned:#018X}. A result, a contributor count or the virtual clock moved; \
+         see this file's header before touching the constant."
+    );
+}
+
+#[test]
+fn sim_trace_digest_is_pinned_under_sign_flip() {
+    assert_sim_digest("mode = \"sign_flip\"", SIM_GOLDEN_SIGN_FLIP);
+}
+
+#[test]
+fn sim_trace_digest_is_pinned_under_nan_garbage() {
+    assert_sim_digest(
+        "mode = \"garbage\"\ngarbage = \"nan\"",
+        SIM_GOLDEN_GARBAGE_NAN,
+    );
+}

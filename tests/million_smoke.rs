@@ -43,8 +43,7 @@ fn population_cfg(
         agg: AggSettings::sharded_tree(64, 16),
         cohort: Some(cohort),
         sampler: SamplerKind::Sparse,
-        adversary: None,
-        churn: None,
+        ..Default::default()
     }
 }
 

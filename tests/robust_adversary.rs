@@ -11,6 +11,7 @@ use fedbiad::fl::aggregate::{
     aggregate_weights, screen_upload_values, upload_has_non_finite, AggError, AggSettings,
     RobustKind, ZeroMode,
 };
+use fedbiad::fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad::fl::upload::{Upload, UploadKind};
 use fedbiad::nn::mlp::MlpModel;
 use fedbiad::nn::{Model, ModelMask, ParamSet};
@@ -28,11 +29,7 @@ fn base_cfg(bundle: &fedbiad::fl::workload::WorkloadBundle, seed: u64) -> Experi
         eval_topk: bundle.eval_topk,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     }
 }
 
@@ -172,6 +169,121 @@ fn garbage_attack_is_screened_out_of_the_round() {
         assert!(r.test_acc.is_finite());
     }
     assert!(saw_screening, "a 30% NaN attack must hit some round");
+}
+
+// ---- the screen needs no announced attacker -----------------------------
+
+/// FedAvg, except that client `diverged` reports a NaN weight — what an
+/// *honest* client whose local SGD blew up puts on the wire.
+struct OneDiverged {
+    inner: FedAvg,
+    diverged: usize,
+}
+
+impl FlAlgorithm for OneDiverged {
+    type ClientState = <FedAvg as FlAlgorithm>::ClientState;
+    type RoundCtx = <FedAvg as FlAlgorithm>::RoundCtx;
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn init_client_state(
+        &self,
+        id: usize,
+        model: &dyn Model,
+        global: &ParamSet,
+    ) -> Self::ClientState {
+        self.inner.init_client_state(id, model, global)
+    }
+
+    fn begin_round(&mut self, info: RoundInfo, global: &ParamSet) -> Self::RoundCtx {
+        self.inner.begin_round(info, global)
+    }
+
+    fn local_update(
+        &self,
+        info: RoundInfo,
+        rctx: &Self::RoundCtx,
+        client_id: usize,
+        state: &mut Self::ClientState,
+        global: &ParamSet,
+        data: &ClientData,
+        model: &dyn Model,
+        cfg: &TrainConfig,
+    ) -> LocalResult {
+        let mut res = self
+            .inner
+            .local_update(info, rctx, client_id, state, global, data, model, cfg);
+        if client_id == self.diverged {
+            let mut flat = global.flatten();
+            flat[0] = f32::NAN;
+            let mut params = global.zeros_like();
+            params.unflatten_from(&flat);
+            res.upload = Upload::full_weights(params);
+        }
+        res
+    }
+
+    fn aggregate(
+        &mut self,
+        info: RoundInfo,
+        rctx: &Self::RoundCtx,
+        global: &mut ParamSet,
+        results: &[(usize, LocalResult)],
+    ) {
+        self.inner.aggregate(info, rctx, global, results)
+    }
+}
+
+#[test]
+fn honest_nan_upload_is_screened_without_any_adversary_model() {
+    // No [adversary], no [churn]: the value screen must still run, or one
+    // diverged client poisons the global for good.
+    let bundle = build(Workload::MnistLike, Scale::Smoke, 71);
+    let k = bundle.data.num_clients();
+    let mut cfg = base_cfg(&bundle, 71);
+    cfg.rounds = 3;
+    cfg.cohort = Some(k); // full participation: client 0 is in every round
+    let algo = || OneDiverged {
+        inner: FedAvg::new(),
+        diverged: 0,
+    };
+
+    let runner = Experiment::new(bundle.model.as_ref(), &bundle.data, algo(), cfg).run();
+    let sim = Simulator::new(
+        bundle.model.as_ref(),
+        &bundle.data,
+        algo(),
+        SyncBarrier,
+        SimConfig::new(cfg, HeterogeneityProfile::homogeneous_5g()),
+    )
+    .run();
+
+    for (driver, log) in [("runner", &runner), ("simulator", &sim.log)] {
+        assert_eq!(log.records.len(), 3, "{driver}: every round commits");
+        for r in &log.records {
+            assert_eq!(
+                r.contributors,
+                k - 1,
+                "{driver} round {}: the NaN upload must not contribute",
+                r.round
+            );
+            // Evaluation runs on the global: a finite loss is a finite global.
+            assert!(
+                r.test_loss.is_finite() && r.train_loss.is_finite(),
+                "{driver} round {}: global poisoned",
+                r.round
+            );
+        }
+    }
+    // The simulator shows the rejected upload as lost, once per round.
+    let lost = sim
+        .trace
+        .iter()
+        .filter(|t| t.kind == TraceKind::ChurnLost)
+        .count();
+    assert_eq!(lost, 3);
 }
 
 // ---- satellite: churn-emptied rounds are defined no-ops ----------------

@@ -31,11 +31,7 @@ fn run_once(seed: u64) -> ExperimentLog {
         eval_topk: 1,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 2));
     Experiment::new(bundle.model.as_ref(), &bundle.data, algo, cfg).run()
@@ -116,10 +112,7 @@ fn run_once_tiny_shards(seed: u64, oracle: bool) -> ExperimentLog {
         eval_every: 1,
         eval_max_samples: 0,
         agg: fedbiad::fl::AggSettings::sharded(1),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let (model, data) = (bundle.model.as_ref(), &bundle.data);
     let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 2));
@@ -192,11 +185,7 @@ fn run_sim_once(seed: u64) -> fedbiad::sim::SimReport {
         eval_topk: 1,
         eval_every: 1,
         eval_max_samples: 0,
-        agg: Default::default(),
-        cohort: None,
-        sampler: Default::default(),
-        adversary: None,
-        churn: None,
+        ..Default::default()
     };
     let stragglers = HeterogeneityProfile::Stragglers {
         fraction: 0.3,
