@@ -13,12 +13,12 @@
 
 use fedbiad_bench::cli::Cli;
 use fedbiad_bench::methods::{run_method, Method, RunOpts};
-use fedbiad_bench::output::{save_logs_and_export, Table};
+use fedbiad_bench::output::{paper_cells, save_logs_and_export, PaperRow, Table};
 use fedbiad_fl::metrics::fmt_bytes;
 use fedbiad_fl::workload::{build, Workload};
 
 /// Published Table I numbers: (method, acc %, upload size label, ratio).
-fn paper_rows(w: Workload) -> &'static [(&'static str, f64, &'static str, f64)] {
+fn paper_rows(w: Workload) -> &'static [PaperRow] {
     match w {
         Workload::MnistLike => &[
             ("FedAvg", 95.06, "531KB", 1.0),
@@ -103,15 +103,11 @@ fn main() {
             "Save (paper)",
         ]);
         let paper = paper_rows(w);
-        let selected: Vec<Method> = match &cli.methods {
-            None => Method::table1().to_vec(),
-            Some(names) => names
-                .iter()
-                .map(|n| Method::parse(n).unwrap_or_else(|| panic!("unknown method {n}")))
-                .collect(),
-        };
+        let selected = cli
+            .methods
+            .clone()
+            .unwrap_or_else(|| Method::table1().to_vec());
         for m in selected {
-            let i = Method::table1().iter().position(|x| *x == m).unwrap_or(0);
             let mut opts = cli.apply(RunOpts::for_rounds(rounds, cli.seed));
             // Evaluate sparsely during the run for speed; final round is
             // always evaluated.
@@ -119,18 +115,14 @@ fn main() {
             let log = run_method(m, &bundle, opts);
             let up = log.mean_upload_bytes();
             let save = full_bytes as f64 / up as f64;
-            let (pname, pacc, pup, psave) = paper[i];
-            debug_assert_eq!(pname, m.name());
-            let _ = pname;
-            table.row(vec![
+            let mut row = vec![
                 m.name().into(),
                 format!("{:.2}", log.final_accuracy_pct()),
                 fmt_bytes(up),
                 format!("{save:.2}x"),
-                format!("{pacc:.2}"),
-                pup.into(),
-                format!("{psave}x"),
-            ]);
+            ];
+            row.extend(paper_cells(paper, m.name(), |r| format!("{r}x")));
+            table.row(row);
             println!("  finished {}", m.name());
             all_logs.push(log);
         }

@@ -9,12 +9,12 @@
 
 use fedbiad_bench::cli::Cli;
 use fedbiad_bench::methods::{run_method, Method, RunOpts};
-use fedbiad_bench::output::{save_logs_and_export, Table};
+use fedbiad_bench::output::{paper_cells, save_logs_and_export, PaperRow, Table};
 use fedbiad_fl::metrics::fmt_bytes;
 use fedbiad_fl::workload::{build, Workload};
 
 /// Published Table II rows: (method, acc %, upload label, save ratio).
-fn paper_rows(w: Workload) -> &'static [(&'static str, f64, &'static str, f64)] {
+fn paper_rows(w: Workload) -> &'static [PaperRow] {
     match w {
         Workload::MnistLike => &[
             ("FedPAQ", 94.90, "129KB", 4.0),
@@ -98,29 +98,23 @@ fn main() {
             "Save (paper)",
         ]);
         let paper = paper_rows(w);
-        let selected: Vec<Method> = match &cli.methods {
-            None => Method::table2().to_vec(),
-            Some(names) => names
-                .iter()
-                .map(|n| Method::parse(n).unwrap_or_else(|| panic!("unknown method {n}")))
-                .collect(),
-        };
+        let selected = cli
+            .methods
+            .clone()
+            .unwrap_or_else(|| Method::table2().to_vec());
         for m in selected {
-            let i = Method::table2().iter().position(|x| *x == m).unwrap_or(0);
             let mut opts = cli.apply(RunOpts::for_rounds(rounds, cli.seed));
             opts.eval_every = (rounds / 15).max(1);
             let log = run_method(m, &bundle, opts);
             let up = log.mean_upload_bytes();
-            let (_, pacc, pup, psave) = paper[i];
-            table.row(vec![
+            let mut row = vec![
                 m.name().into(),
                 format!("{:.2}", log.final_accuracy_pct()),
                 fmt_bytes(up),
                 format!("{:.0}x", full_bytes as f64 / up as f64),
-                format!("{pacc:.2}"),
-                pup.into(),
-                format!("{psave:.0}x"),
-            ]);
+            ];
+            row.extend(paper_cells(paper, m.name(), |r| format!("{r:.0}x")));
+            table.row(row);
             println!("  finished {}", m.name());
             all_logs.push(log);
         }

@@ -1,7 +1,7 @@
 //! Minimal CLI flag parsing shared by the harness binaries (no external
 //! dependency; flags are `--key value`).
 
-use crate::methods::RunOpts;
+use crate::methods::{Method, RunOpts};
 use fedbiad_fl::workload::{Scale, Workload};
 use std::path::PathBuf;
 
@@ -25,7 +25,7 @@ pub struct Cli {
     /// Whether `--eval-max` was given explicitly (spec-override plumbing).
     pub eval_max_explicit: bool,
     /// `--methods a,b` restriction (default: binary-specific set).
-    pub methods: Option<Vec<String>>,
+    pub methods: Option<Vec<Method>>,
     /// `--json-out PATH`: additionally serialize the full experiment
     /// logs (round records + invocation) to this path.
     pub json_out: Option<PathBuf>,
@@ -58,18 +58,6 @@ impl Cli {
     /// bundled spec from the command line. Name-resolution failures
     /// return the same actionable messages the spec loader uses.
     pub fn scenario_overrides(&self) -> Result<fedbiad_scenario::Overrides, String> {
-        let methods = match &self.methods {
-            None => None,
-            Some(names) => Some(
-                names
-                    .iter()
-                    .map(|n| {
-                        fedbiad_scenario::Method::parse(n)
-                            .ok_or_else(|| format!("unknown method {n}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
         let policies = match &self.policies {
             None => None,
             Some(names) => Some(
@@ -102,20 +90,31 @@ impl Cli {
             eval_max: self.eval_max_explicit.then_some(self.eval_max),
             fraction: self.fraction,
             workloads: self.workloads.clone(),
-            methods,
+            methods: self.methods.clone(),
             policies,
             profiles,
             target: self.target,
         })
     }
 
-    /// Parse from `std::env::args`. Unknown flags abort with a message.
+    /// Parse from `std::env::args`; a bad flag or value prints its
+    /// message and exits 2.
     pub fn parse() -> Cli {
         Self::parse_from(std::env::args().skip(1).collect())
     }
 
-    /// Parse from an explicit vector (testable).
+    /// [`try_parse_from`](Self::try_parse_from), exiting 2 with the
+    /// message on error.
     pub fn parse_from(args: Vec<String>) -> Cli {
+        Self::try_parse_from(args).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse from an explicit vector: every flag, value and name checked
+    /// (testable — only `--help` leaves the process).
+    pub fn try_parse_from(args: Vec<String>) -> Result<Cli, String> {
         let mut cli = Cli {
             rounds: None,
             seed: 42,
@@ -135,57 +134,49 @@ impl Cli {
         };
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
-            let mut val = || {
-                it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {flag}");
-                    std::process::exit(2);
-                })
-            };
+            let mut val = || it.next().ok_or(format!("missing value for {flag}"));
             match flag.as_str() {
-                "--rounds" => cli.rounds = Some(val().parse().expect("--rounds: integer")),
+                "--rounds" => cli.rounds = Some(number(&flag, &val()?, "an integer")?),
                 "--seed" => {
-                    cli.seed = val().parse().expect("--seed: integer");
+                    cli.seed = number(&flag, &val()?, "an integer")?;
                     cli.seed_explicit = true;
                 }
                 "--eval-max" => {
-                    cli.eval_max = val().parse().expect("--eval-max: integer");
+                    cli.eval_max = number(&flag, &val()?, "an integer")?;
                     cli.eval_max_explicit = true;
                 }
                 "--scale" => {
                     cli.scale_explicit = true;
-                    cli.scale = match val().as_str() {
+                    cli.scale = match val()?.as_str() {
                         "smoke" => Scale::Smoke,
                         "lab" => Scale::Lab,
-                        other => {
-                            eprintln!("unknown scale {other} (smoke|lab)");
-                            std::process::exit(2);
-                        }
+                        other => return Err(format!("unknown scale {other} (smoke|lab)")),
                     }
                 }
                 "--methods" => {
-                    cli.methods = Some(val().split(',').map(|s| s.to_string()).collect());
+                    cli.methods = Some(
+                        val()?
+                            .split(',')
+                            .map(|s| Method::parse(s).ok_or(format!("unknown method {s}")))
+                            .collect::<Result<_, _>>()?,
+                    );
                 }
-                "--json-out" => cli.json_out = Some(PathBuf::from(val())),
+                "--json-out" => cli.json_out = Some(PathBuf::from(val()?)),
                 "--policies" => {
-                    cli.policies = Some(val().split(',').map(|s| s.to_string()).collect());
+                    cli.policies = Some(val()?.split(',').map(|s| s.to_string()).collect());
                 }
                 "--profiles" => {
-                    cli.profiles = Some(val().split(',').map(|s| s.to_string()).collect());
+                    cli.profiles = Some(val()?.split(',').map(|s| s.to_string()).collect());
                 }
-                "--fraction" => cli.fraction = Some(val().parse().expect("--fraction: float")),
-                "--target" => cli.target = Some(val().parse().expect("--target: float")),
-                "--trace-out" => cli.trace_out = Some(PathBuf::from(val())),
+                "--fraction" => cli.fraction = Some(number(&flag, &val()?, "a number")?),
+                "--target" => cli.target = Some(number(&flag, &val()?, "a number")?),
+                "--trace-out" => cli.trace_out = Some(PathBuf::from(val()?)),
                 "--workloads" => {
-                    let list = val();
                     cli.workloads = Some(
-                        list.split(',')
-                            .map(|s| {
-                                parse_workload(s).unwrap_or_else(|| {
-                                    eprintln!("unknown workload {s}");
-                                    std::process::exit(2);
-                                })
-                            })
-                            .collect(),
+                        val()?
+                            .split(',')
+                            .map(|s| parse_workload(s).ok_or(format!("unknown workload {s}")))
+                            .collect::<Result<_, _>>()?,
                     );
                 }
                 "--help" | "-h" => {
@@ -199,14 +190,17 @@ impl Cli {
                     );
                     std::process::exit(0);
                 }
-                other => {
-                    eprintln!("unknown flag {other}");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        cli
+        Ok(cli)
     }
+}
+
+/// `text` as the numeric value of `flag`, or the message naming both.
+fn number<T: std::str::FromStr>(flag: &str, text: &str, what: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag}: expected {what}, got `{text}`"))
 }
 
 /// Parse a workload name (short forms accepted); see [`Workload::parse`].
@@ -281,6 +275,47 @@ mod tests {
         );
         assert_eq!(c.trace_out, Some(PathBuf::from("/tmp/traces")));
         assert_eq!(Cli::parse_from(vec![]).trace_out, None);
+    }
+
+    #[test]
+    fn bad_flags_and_values_are_messages_not_panics() {
+        let err = |args: &[&str]| {
+            Cli::try_parse_from(args.iter().map(|s| s.to_string()).collect())
+                .expect_err("must be rejected")
+        };
+        for (args, message) in [
+            (
+                &["--rounds", "abc"][..],
+                "--rounds: expected an integer, got `abc`",
+            ),
+            (&["--seed", "-1"], "--seed: expected an integer, got `-1`"),
+            (
+                &["--eval-max", "2k"],
+                "--eval-max: expected an integer, got `2k`",
+            ),
+            (
+                &["--fraction", "tenth"],
+                "--fraction: expected a number, got `tenth`",
+            ),
+            (
+                &["--target", "90%"],
+                "--target: expected a number, got `90%`",
+            ),
+            (&["--scale", "huge"], "unknown scale huge (smoke|lab)"),
+            (&["--workloads", "ptb,bogus"], "unknown workload bogus"),
+            (&["--methods", "fedavg,nope"], "unknown method nope"),
+            (&["--rounds"], "missing value for --rounds"),
+            (&["--frobnicate"], "unknown flag --frobnicate"),
+        ] {
+            assert_eq!(err(args), message);
+        }
+    }
+
+    #[test]
+    fn methods_resolve_at_parse_time() {
+        let c = Cli::try_parse_from(vec!["--methods".into(), "fedbiad+dgc,FedAvg".into()]).unwrap();
+        assert_eq!(c.methods, Some(vec![Method::FedBiadDgc, Method::FedAvg]));
+        assert_eq!(c.scenario_overrides().unwrap().methods, c.methods);
     }
 
     #[test]

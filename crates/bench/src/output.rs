@@ -60,6 +60,21 @@ pub fn export_dump(artifact: &str, logs: &[ExperimentLog], path: &Path) {
     println!("full ExperimentLog JSON written to {}", path.display());
 }
 
+/// One published table row: (method display name, acc %, upload size
+/// label, save ratio).
+pub type PaperRow = (&'static str, f64, &'static str, f64);
+
+/// The three "paper" cells — accuracy, upload size, save ratio as `save`
+/// formats it — of the row `rows` publishes for `method`, or `—` in each
+/// when it has none (`table1 --methods dgc`): a measured row never stands
+/// beside another method's published numbers.
+pub fn paper_cells(rows: &[PaperRow], method: &str, save: fn(f64) -> String) -> [String; 3] {
+    match rows.iter().find(|row| row.0 == method) {
+        Some(&(_, acc, upload, ratio)) => [format!("{acc:.2}"), upload.into(), save(ratio)],
+        None => ["—".into(), "—".into(), "—".into()],
+    }
+}
+
 /// Simple fixed-width table printer.
 pub struct Table {
     headers: Vec<String>,
@@ -126,6 +141,20 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with('-'));
+    }
+
+    #[test]
+    fn paper_cells_belong_to_the_method_or_are_blank() {
+        let rows: &[PaperRow] = &[
+            ("FedAvg", 95.06, "531KB", 1.0),
+            ("AFD", 94.49, "424KB", 1.25),
+        ];
+        let save = |r: f64| format!("{r}x");
+        // Looked up by name, not by position in the caller's selection.
+        assert_eq!(paper_cells(rows, "AFD", save), ["94.49", "424KB", "1.25x"]);
+        assert_eq!(paper_cells(rows, "FedAvg", save), ["95.06", "531KB", "1x"]);
+        // A valid method the table never published: no row, not row 0.
+        assert_eq!(paper_cells(rows, "DGC", save), ["—", "—", "—"]);
     }
 
     #[test]

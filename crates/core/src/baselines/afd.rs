@@ -9,51 +9,41 @@
 //! exploration keeps the map from locking in early. Like FedDrop, AFD is
 //! restricted to non-recurrent structure.
 
-use super::{masked_local_update, units_to_drop};
+use super::{units_to_drop, DropRule, Dropout};
 use crate::neuron::{derive_groups, mask_from_dropped_units, NeuronGroup};
-use fedbiad_compress::{ClientState as SketchState, Compressor};
-use fedbiad_data::ClientData;
-use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use fedbiad_fl::upload::Upload;
-use fedbiad_nn::{Model, ParamSet};
+use fedbiad_fl::algorithm::{LocalResult, RoundInfo};
+use fedbiad_nn::{ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Server-adaptive federated dropout.
-pub struct Afd {
+pub type Afd = Dropout<AfdRule>;
+
+/// AFD's mask rule: the server's score map decides one drop set a round.
+pub struct AfdRule {
     rate: f32,
     /// ε-greedy exploration probability per dropped unit.
     epsilon: f32,
-    sketch: Option<Arc<dyn Compressor>>,
     /// EMA of loss-improvement credit per (group, unit).
     credit: Vec<Vec<f32>>,
-    /// Units dropped in the current round (to know whom to credit).
-    last_drops: Vec<Vec<usize>>,
 }
 
 impl Afd {
     /// Plain AFD at dropout rate `rate`.
     pub fn new(rate: f32) -> Self {
         assert!((0.0..1.0).contains(&rate));
-        Self {
-            rate,
-            epsilon: 0.1,
+        Dropout {
+            rule: AfdRule {
+                rate,
+                epsilon: 0.1,
+                credit: Vec::new(),
+            },
             sketch: None,
-            credit: Vec::new(),
-            last_drops: Vec::new(),
         }
     }
+}
 
-    /// AFD combined with a sketched compressor (Table II "AFD+DGC").
-    pub fn with_sketch(rate: f32, comp: Arc<dyn Compressor>) -> Self {
-        Self {
-            sketch: Some(comp),
-            ..Self::new(rate)
-        }
-    }
-
+impl AfdRule {
     /// Unit score = global weight-norm of the unit's rows/cols + credit.
     fn unit_scores(&self, global: &ParamSet, groups: &[NeuronGroup]) -> Vec<Vec<f32>> {
         groups
@@ -93,19 +83,11 @@ pub struct AfdRoundCtx {
     pub drops: Vec<Vec<usize>>,
 }
 
-impl FlAlgorithm for Afd {
-    type ClientState = SketchState;
+impl DropRule for AfdRule {
     type RoundCtx = AfdRoundCtx;
 
-    fn name(&self) -> String {
-        match &self.sketch {
-            Some(c) => format!("afd+{}", c.name()),
-            None => "afd".into(),
-        }
-    }
-
-    fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) -> SketchState {
-        SketchState::default()
+    fn name(&self) -> &'static str {
+        "afd"
     }
 
     fn begin_round(&mut self, info: RoundInfo, global: &ParamSet) -> AfdRoundCtx {
@@ -138,21 +120,11 @@ impl FlAlgorithm for Afd {
                 dropped
             })
             .collect();
-        self.last_drops = drops.clone();
         AfdRoundCtx { drops }
     }
 
-    fn local_update(
-        &self,
-        info: RoundInfo,
-        rctx: &AfdRoundCtx,
-        client_id: usize,
-        state: &mut SketchState,
-        global: &ParamSet,
-        data: &ClientData,
-        model: &dyn Model,
-        cfg: &TrainConfig,
-    ) -> LocalResult {
+    /// Every client trains the server's sub-model.
+    fn mask(&self, _: RoundInfo, rctx: &AfdRoundCtx, _: usize, global: &ParamSet) -> ModelMask {
         let groups = derive_groups(global);
         let drops: Vec<(&NeuronGroup, Vec<usize>)> = groups
             .iter()
@@ -160,35 +132,11 @@ impl FlAlgorithm for Afd {
             .filter(|(_, d)| !d.is_empty())
             .map(|(g, d)| (g, d.clone()))
             .collect();
-        let mask = mask_from_dropped_units(global, &drops);
-        masked_local_update(
-            info,
-            client_id,
-            global,
-            data,
-            model,
-            cfg,
-            mask,
-            self.sketch.as_deref(),
-            state,
-        )
+        mask_from_dropped_units(global, &drops)
     }
 
-    fn aggregate(
-        &mut self,
-        info: RoundInfo,
-        rctx: &AfdRoundCtx,
-        global: &mut ParamSet,
-        results: &[(usize, LocalResult)],
-    ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
-        aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg)
-            .expect("aggregation failed");
-
-        // Credit active units with the mean loss improvement (EMA 0.9).
+    /// Credit active units with the mean loss improvement (EMA 0.9).
+    fn end_round(&mut self, rctx: &AfdRoundCtx, results: &[(usize, LocalResult)]) {
         let mean_impr = results.iter().map(|(_, r)| r.loss_improvement).sum::<f32>()
             / results.len().max(1) as f32;
         for (gi, credits) in self.credit.iter_mut().enumerate() {
@@ -205,8 +153,12 @@ impl FlAlgorithm for Afd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedbiad_compress::ClientState as SketchState;
     use fedbiad_data::dataset::ImageSet;
+    use fedbiad_data::ClientData;
+    use fedbiad_fl::algorithm::{FlAlgorithm, TrainConfig};
     use fedbiad_nn::mlp::MlpModel;
+    use fedbiad_nn::Model;
 
     fn setup() -> (MlpModel, ParamSet, ClientData) {
         let model = MlpModel::new(4, 12, 2);
@@ -260,7 +212,7 @@ mod tests {
             global.mat_mut(1).set(r, 5, 10.0);
         }
         let mut algo = Afd::new(0.25);
-        algo.epsilon = 0.0; // no exploration for determinism
+        algo.rule.epsilon = 0.0; // no exploration for determinism
         let info = RoundInfo {
             round: 0,
             total_rounds: 5,
@@ -277,7 +229,7 @@ mod tests {
     fn credit_moves_with_improvement() {
         let (model, global, data) = setup();
         let mut algo = Afd::new(0.5);
-        algo.epsilon = 0.0;
+        algo.rule.epsilon = 0.0;
         let info = RoundInfo {
             round: 0,
             total_rounds: 5,
@@ -296,11 +248,11 @@ mod tests {
         let mut g = global.clone();
         algo.aggregate(info, &rctx, &mut g, &[(0, res)]);
         // Some credit flowed to active units.
-        let nonzero = algo.credit[0].iter().filter(|&&c| c != 0.0).count();
+        let nonzero = algo.rule.credit[0].iter().filter(|&&c| c != 0.0).count();
         assert!(nonzero > 0);
         // Dropped units get no credit.
         for &d in &rctx.drops[0] {
-            assert_eq!(algo.credit[0][d], 0.0);
+            assert_eq!(algo.rule.credit[0][d], 0.0);
         }
     }
 }

@@ -2,6 +2,7 @@
 //! the pure sketched-compression methods of Table II (FedPAQ, signSGD,
 //! STC, DGC), which compress the full-model *delta* with no dropout.
 
+use super::weighted_uploads;
 use fedbiad_compress::codec::encode_delta;
 use fedbiad_compress::{ClientState as SketchState, Compressor};
 use fedbiad_data::ClientData;
@@ -118,10 +119,7 @@ impl FlAlgorithm for FedAvg {
         global: &mut ParamSet,
         results: &[(usize, LocalResult)],
     ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
+        let ups = weighted_uploads(results);
         match self.sketch {
             None => aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg),
             Some(_) => aggregate_deltas(global, &ups, info.agg),

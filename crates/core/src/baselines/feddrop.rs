@@ -8,39 +8,33 @@
 //! FedDrop's save ratio on PTB-scale models caps near 1.25× while FedBIAD
 //! reaches 2× (Table I).
 
-use super::{masked_local_update, units_to_drop};
+use super::{units_to_drop, DropRule, Dropout};
 use crate::neuron::{derive_groups, mask_from_dropped_units, NeuronGroup};
-use fedbiad_compress::{ClientState as SketchState, Compressor};
-use fedbiad_data::ClientData;
-use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use fedbiad_fl::upload::Upload;
-use fedbiad_nn::{Model, ParamSet};
+use fedbiad_fl::algorithm::RoundInfo;
+use fedbiad_nn::{ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::seq::SliceRandom;
-use std::sync::Arc;
 
 /// Random neuron dropout at a fixed rate.
-pub struct FedDrop {
+pub type FedDrop = Dropout<FedDropRule>;
+
+/// FedDrop's mask rule: each client draws its own units, uniformly.
+pub struct FedDropRule {
     rate: f32,
-    sketch: Option<Arc<dyn Compressor>>,
 }
 
 impl FedDrop {
     /// Plain FedDrop at dropout rate `rate`.
     pub fn new(rate: f32) -> Self {
         assert!((0.0..1.0).contains(&rate));
-        Self { rate, sketch: None }
-    }
-
-    /// FedDrop combined with a sketched compressor.
-    pub fn with_sketch(rate: f32, comp: Arc<dyn Compressor>) -> Self {
-        Self {
-            sketch: Some(comp),
-            ..Self::new(rate)
+        Dropout {
+            rule: FedDropRule { rate },
+            sketch: None,
         }
     }
+}
 
+impl FedDropRule {
     /// Random per-client drop sets over the non-recurrent groups.
     fn sample_drops<'g>(
         &self,
@@ -68,72 +62,31 @@ impl FedDrop {
     }
 }
 
-impl FlAlgorithm for FedDrop {
-    type ClientState = SketchState;
+impl DropRule for FedDropRule {
     type RoundCtx = ();
 
-    fn name(&self) -> String {
-        match &self.sketch {
-            Some(c) => format!("feddrop+{}", c.name()),
-            None => "feddrop".into(),
-        }
-    }
-
-    fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) -> SketchState {
-        SketchState::default()
+    fn name(&self) -> &'static str {
+        "feddrop"
     }
 
     fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {}
 
-    fn local_update(
-        &self,
-        info: RoundInfo,
-        _rctx: &(),
-        client_id: usize,
-        state: &mut SketchState,
-        global: &ParamSet,
-        data: &ClientData,
-        model: &dyn Model,
-        cfg: &TrainConfig,
-    ) -> LocalResult {
+    fn mask(&self, info: RoundInfo, _: &(), client_id: usize, global: &ParamSet) -> ModelMask {
         let groups = derive_groups(global);
-        let drops = self.sample_drops(&groups, info, client_id);
-        let mask = mask_from_dropped_units(global, &drops);
-        masked_local_update(
-            info,
-            client_id,
-            global,
-            data,
-            model,
-            cfg,
-            mask,
-            self.sketch.as_deref(),
-            state,
-        )
-    }
-
-    fn aggregate(
-        &mut self,
-        info: RoundInfo,
-        _rctx: &(),
-        global: &mut ParamSet,
-        results: &[(usize, LocalResult)],
-    ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
-        aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg)
-            .expect("aggregation failed");
+        mask_from_dropped_units(global, &self.sample_drops(&groups, info, client_id))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedbiad_compress::ClientState as SketchState;
     use fedbiad_data::dataset::ImageSet;
+    use fedbiad_data::ClientData;
+    use fedbiad_fl::algorithm::{FlAlgorithm, TrainConfig};
     use fedbiad_nn::lstm_lm::LstmLmModel;
     use fedbiad_nn::mlp::MlpModel;
+    use fedbiad_nn::Model;
 
     fn image_client() -> ClientData {
         let mut set = ImageSet::empty(4);
@@ -183,7 +136,7 @@ mod tests {
             seed: 7,
             agg: Default::default(),
         };
-        let drops = algo.sample_drops(&groups, info, 0);
+        let drops = algo.rule.sample_drops(&groups, info, 0);
         for (g, units) in &drops {
             assert!(!g.recurrent);
             assert!(!units.is_empty());
@@ -205,8 +158,8 @@ mod tests {
             seed: 4,
             agg: Default::default(),
         };
-        let a = algo.sample_drops(&groups, info, 0);
-        let b = algo.sample_drops(&groups, info, 1);
+        let a = algo.rule.sample_drops(&groups, info, 0);
+        let b = algo.rule.sample_drops(&groups, info, 1);
         assert_ne!(a[0].1, b[0].1);
     }
 }

@@ -8,46 +8,54 @@
 //! magnitude pruning of recurrent and embedding structure is outside the
 //! method's published scope.
 
-use super::masked_local_update;
-use fedbiad_compress::{ClientState as SketchState, Compressor};
-use fedbiad_data::ClientData;
-use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use fedbiad_fl::upload::Upload;
+use super::{DropRule, Dropout};
+use fedbiad_fl::algorithm::RoundInfo;
 use fedbiad_nn::mask::{BitVec, CoverageMask, ModelMask};
 use fedbiad_nn::params::LayerKind;
-use fedbiad_nn::{Model, ParamSet};
+use fedbiad_nn::ParamSet;
 use fedbiad_tensor::stats;
-use std::sync::Arc;
 
 /// Magnitude pruning at a fixed rate.
-pub struct FedMp {
+pub type FedMp = Dropout<FedMpRule>;
+
+/// FedMP's mask rule: keep the largest-magnitude weights of the received
+/// global.
+pub struct FedMpRule {
     rate: f32,
-    sketch: Option<Arc<dyn Compressor>>,
 }
 
 impl FedMp {
     /// Plain FedMP at pruning rate `rate`.
     pub fn new(rate: f32) -> Self {
         assert!((0.0..1.0).contains(&rate));
-        Self { rate, sketch: None }
-    }
-
-    /// FedMP with a sketched compressor.
-    pub fn with_sketch(rate: f32, comp: Arc<dyn Compressor>) -> Self {
-        Self {
-            sketch: Some(comp),
-            ..Self::new(rate)
+        Dropout {
+            rule: FedMpRule { rate },
+            sketch: None,
         }
     }
+}
 
+impl FedMpRule {
     /// Is entry `e` prunable under FedMP's published scope?
     fn prunable(kind: LayerKind) -> bool {
         matches!(kind, LayerKind::DenseHidden | LayerKind::DenseOutput)
     }
+}
 
-    /// Element mask keeping the top-(1−p) |weights| of each prunable entry.
-    pub fn prune_mask(&self, global: &ParamSet) -> ModelMask {
+impl DropRule for FedMpRule {
+    type RoundCtx = ();
+
+    fn name(&self) -> &'static str {
+        "fedmp"
+    }
+
+    fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {}
+
+    /// Element mask keeping the top-(1−p) |weights| of each prunable
+    /// entry. Magnitudes are taken from the received global — all clients
+    /// of a round share them, but the mask recomputes every round as
+    /// weights evolve ("adaptive" pruning).
+    fn mask(&self, _: RoundInfo, _: &(), _: usize, global: &ParamSet) -> ModelMask {
         let per_entry = (0..global.num_entries())
             .map(|e| {
                 if !Self::prunable(global.meta(e).kind) {
@@ -68,73 +76,24 @@ impl FedMp {
     }
 }
 
-impl FlAlgorithm for FedMp {
-    type ClientState = SketchState;
-    type RoundCtx = ();
-
-    fn name(&self) -> String {
-        match &self.sketch {
-            Some(c) => format!("fedmp+{}", c.name()),
-            None => "fedmp".into(),
-        }
-    }
-
-    fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) -> SketchState {
-        SketchState::default()
-    }
-
-    fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {}
-
-    fn local_update(
-        &self,
-        info: RoundInfo,
-        _rctx: &(),
-        client_id: usize,
-        state: &mut SketchState,
-        global: &ParamSet,
-        data: &ClientData,
-        model: &dyn Model,
-        cfg: &TrainConfig,
-    ) -> LocalResult {
-        // Magnitudes are taken from the received global — all clients of a
-        // round share them, but the mask recomputes every round as weights
-        // evolve ("adaptive" pruning).
-        let mask = self.prune_mask(global);
-        masked_local_update(
-            info,
-            client_id,
-            global,
-            data,
-            model,
-            cfg,
-            mask,
-            self.sketch.as_deref(),
-            state,
-        )
-    }
-
-    fn aggregate(
-        &mut self,
-        info: RoundInfo,
-        _rctx: &(),
-        global: &mut ParamSet,
-        results: &[(usize, LocalResult)],
-    ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
-        aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg)
-            .expect("aggregation failed");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedbiad_nn::lstm_lm::LstmLmModel;
     use fedbiad_nn::mlp::MlpModel;
+    use fedbiad_nn::Model;
     use fedbiad_tensor::rng::{stream, StreamTag};
+
+    /// The rule's mask; it reads neither the round nor the client.
+    fn prune_mask(algo: &FedMp, global: &ParamSet) -> ModelMask {
+        let info = RoundInfo {
+            round: 0,
+            total_rounds: 1,
+            seed: 0,
+            agg: Default::default(),
+        };
+        algo.rule.mask(info, &(), 0, global)
+    }
 
     #[test]
     fn prune_mask_keeps_largest_magnitudes() {
@@ -144,7 +103,7 @@ mod tests {
         global.mat_mut(0).set(0, 0, 5.0);
         global.mat_mut(0).set(2, 1, -4.0);
         let algo = FedMp::new(0.8);
-        let mask = algo.prune_mask(&global);
+        let mask = prune_mask(&algo, &global);
         match &mask.per_entry[0] {
             CoverageMask::Elements(bits) => {
                 assert!(bits.get(0)); // (0,0)
@@ -161,7 +120,7 @@ mod tests {
         let model = LstmLmModel::new(15, 6, 5, 1);
         let global = model.init_params(&mut stream(2, StreamTag::Init, 0, 0));
         let algo = FedMp::new(0.5);
-        let mask = algo.prune_mask(&global);
+        let mask = prune_mask(&algo, &global);
         // emb (0), wx (1), wh (2) stay Full; head (3) gets Elements.
         assert_eq!(mask.per_entry[0], CoverageMask::Full);
         assert_eq!(mask.per_entry[1], CoverageMask::Full);
@@ -174,7 +133,7 @@ mod tests {
         let model = MlpModel::new(8, 16, 4);
         let global = model.init_params(&mut stream(3, StreamTag::Init, 0, 0));
         let algo = FedMp::new(0.5);
-        let mask = algo.prune_mask(&global);
+        let mask = prune_mask(&algo, &global);
         let bytes = mask.wire_bytes(&global);
         let kept = mask.kept_params(&global) as u64;
         // weights + biases kept at 4B each, plus ⌈n/8⌉ bitmap per entry.

@@ -8,85 +8,46 @@
 //! in FjORD's uniform sub-model distribution; "the left-most neurons are
 //! used by more clients during training" (paper §V-A).
 
-use super::{masked_local_update, units_to_drop};
-use crate::neuron::{derive_groups, mask_from_dropped_units, NeuronGroup};
-use fedbiad_compress::{ClientState as SketchState, Compressor};
-use fedbiad_data::ClientData;
-use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use fedbiad_fl::upload::Upload;
-use fedbiad_nn::{Model, ParamSet};
+use super::{trailing_drops, DropRule, Dropout};
+use crate::neuron::{derive_groups, mask_from_dropped_units};
+use fedbiad_fl::algorithm::RoundInfo;
+use fedbiad_nn::{ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Ordered (leading-prefix) dropout.
-pub struct Fjord {
+pub type Fjord = Dropout<FjordRule>;
+
+/// FjORD's mask rule: a leading sub-network at a width drawn per client
+/// per round.
+pub struct FjordRule {
     /// Width-multiplier ladder clients sample from.
     ladder: Vec<f32>,
-    sketch: Option<Arc<dyn Compressor>>,
 }
 
 impl Fjord {
     /// Ladder derived from dropout rate p: {1−p, 1−p/2, 1} (uniform).
     pub fn new(rate: f32) -> Self {
         assert!((0.0..1.0).contains(&rate));
-        Self {
-            ladder: vec![1.0 - rate, 1.0 - rate / 2.0, 1.0],
+        Dropout {
+            rule: FjordRule {
+                ladder: vec![1.0 - rate, 1.0 - rate / 2.0, 1.0],
+            },
             sketch: None,
         }
     }
-
-    /// FjORD with a sketched compressor (Table II "Fjord+DGC").
-    pub fn with_sketch(rate: f32, comp: Arc<dyn Compressor>) -> Self {
-        Self {
-            sketch: Some(comp),
-            ..Self::new(rate)
-        }
-    }
-
-    /// Trailing units dropped by a client at width `w`.
-    fn ordered_drops(groups: &[NeuronGroup], width: f32) -> Vec<(&NeuronGroup, Vec<usize>)> {
-        groups
-            .iter()
-            .map(|g| {
-                let n_drop = units_to_drop(g.count, 1.0 - width);
-                let dropped: Vec<usize> = (g.count - n_drop..g.count).collect();
-                (g, dropped)
-            })
-            .filter(|(_, d)| !d.is_empty())
-            .collect()
-    }
 }
 
-impl FlAlgorithm for Fjord {
-    type ClientState = SketchState;
+impl DropRule for FjordRule {
     type RoundCtx = ();
 
-    fn name(&self) -> String {
-        match &self.sketch {
-            Some(c) => format!("fjord+{}", c.name()),
-            None => "fjord".into(),
-        }
-    }
-
-    fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) -> SketchState {
-        SketchState::default()
+    fn name(&self) -> &'static str {
+        "fjord"
     }
 
     fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {}
 
-    fn local_update(
-        &self,
-        info: RoundInfo,
-        _rctx: &(),
-        client_id: usize,
-        state: &mut SketchState,
-        global: &ParamSet,
-        data: &ClientData,
-        model: &dyn Model,
-        cfg: &TrainConfig,
-    ) -> LocalResult {
+    fn mask(&self, info: RoundInfo, _: &(), client_id: usize, global: &ParamSet) -> ModelMask {
         let mut rng = stream(
             info.seed,
             StreamTag::Baseline,
@@ -95,48 +56,25 @@ impl FlAlgorithm for Fjord {
         );
         let width = self.ladder[rng.gen_range(0..self.ladder.len())];
         let groups = derive_groups(global);
-        let drops = Self::ordered_drops(&groups, width);
-        let mask = mask_from_dropped_units(global, &drops);
-        masked_local_update(
-            info,
-            client_id,
-            global,
-            data,
-            model,
-            cfg,
-            mask,
-            self.sketch.as_deref(),
-            state,
-        )
-    }
-
-    fn aggregate(
-        &mut self,
-        info: RoundInfo,
-        _rctx: &(),
-        global: &mut ParamSet,
-        results: &[(usize, LocalResult)],
-    ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
-        aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg)
-            .expect("aggregation failed");
+        mask_from_dropped_units(global, &trailing_drops(&groups, width))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedbiad_compress::ClientState as SketchState;
+    use fedbiad_data::ClientData;
+    use fedbiad_fl::algorithm::{FlAlgorithm, TrainConfig};
     use fedbiad_nn::mlp::MlpModel;
+    use fedbiad_nn::Model;
 
     #[test]
     fn drops_are_trailing_units() {
         let model = MlpModel::new(4, 10, 2);
         let global = model.init_params(&mut stream(1, StreamTag::Init, 0, 0));
         let groups = derive_groups(&global);
-        let drops = Fjord::ordered_drops(&groups, 0.5);
+        let drops = trailing_drops(&groups, 0.5);
         assert_eq!(drops[0].1, vec![5, 6, 7, 8, 9]);
     }
 
@@ -145,7 +83,7 @@ mod tests {
         let model = MlpModel::new(4, 10, 2);
         let global = model.init_params(&mut stream(2, StreamTag::Init, 0, 0));
         let groups = derive_groups(&global);
-        assert!(Fjord::ordered_drops(&groups, 1.0).is_empty());
+        assert!(trailing_drops(&groups, 1.0).is_empty());
     }
 
     #[test]

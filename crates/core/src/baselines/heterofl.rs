@@ -6,133 +6,74 @@
 //! holders-only over the nested sub-matrices, exactly as in the HeteroFL
 //! paper.
 
-use super::{masked_local_update, units_to_drop};
-use crate::neuron::{derive_groups, mask_from_dropped_units, NeuronGroup};
-use fedbiad_compress::{ClientState as SketchState, Compressor};
-use fedbiad_data::ClientData;
-use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
-use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
-use fedbiad_fl::upload::Upload;
-use fedbiad_nn::{Model, ParamSet};
-use std::sync::Arc;
+use super::{trailing_drops, DropRule, Dropout};
+use crate::neuron::{derive_groups, mask_from_dropped_units};
+use fedbiad_fl::algorithm::RoundInfo;
+use fedbiad_nn::{ModelMask, ParamSet};
 
 /// Static per-client width shrinking.
-pub struct HeteroFl {
+pub type HeteroFl = Dropout<HeteroFlRule>;
+
+/// HeteroFL's mask rule: a leading sub-network at the client's fixed
+/// width class.
+pub struct HeteroFlRule {
     /// Width ladder; client k uses `ladder[k % ladder.len()]`.
     ladder: Vec<f32>,
-    sketch: Option<Arc<dyn Compressor>>,
 }
 
 impl HeteroFl {
     /// Ladder derived from dropout rate p: {1−p, √(1−p), 1}.
     pub fn new(rate: f32) -> Self {
         assert!((0.0..1.0).contains(&rate));
-        Self {
-            ladder: vec![1.0 - rate, (1.0 - rate).sqrt(), 1.0],
+        Dropout {
+            rule: HeteroFlRule {
+                ladder: vec![1.0 - rate, (1.0 - rate).sqrt(), 1.0],
+            },
             sketch: None,
         }
     }
+}
 
-    /// HeteroFL with a sketched compressor.
-    pub fn with_sketch(rate: f32, comp: Arc<dyn Compressor>) -> Self {
-        Self {
-            sketch: Some(comp),
-            ..Self::new(rate)
-        }
-    }
-
+impl HeteroFlRule {
     /// The static width class of `client_id`.
-    pub fn width_of(&self, client_id: usize) -> f32 {
+    fn width_of(&self, client_id: usize) -> f32 {
         self.ladder[client_id % self.ladder.len()]
-    }
-
-    fn drops(groups: &[NeuronGroup], width: f32) -> Vec<(&NeuronGroup, Vec<usize>)> {
-        groups
-            .iter()
-            .map(|g| {
-                let n_drop = units_to_drop(g.count, 1.0 - width);
-                ((g), (g.count - n_drop..g.count).collect::<Vec<_>>())
-            })
-            .filter(|(_, d)| !d.is_empty())
-            .collect()
     }
 }
 
-impl FlAlgorithm for HeteroFl {
-    type ClientState = SketchState;
+impl DropRule for HeteroFlRule {
     type RoundCtx = ();
 
-    fn name(&self) -> String {
-        match &self.sketch {
-            Some(c) => format!("heterofl+{}", c.name()),
-            None => "heterofl".into(),
-        }
-    }
-
-    fn init_client_state(&self, _: usize, _: &dyn Model, _: &ParamSet) -> SketchState {
-        SketchState::default()
+    fn name(&self) -> &'static str {
+        "heterofl"
     }
 
     fn begin_round(&mut self, _: RoundInfo, _: &ParamSet) {}
 
-    fn local_update(
-        &self,
-        info: RoundInfo,
-        _rctx: &(),
-        client_id: usize,
-        state: &mut SketchState,
-        global: &ParamSet,
-        data: &ClientData,
-        model: &dyn Model,
-        cfg: &TrainConfig,
-    ) -> LocalResult {
-        let width = self.width_of(client_id);
+    fn mask(&self, _: RoundInfo, _: &(), client_id: usize, global: &ParamSet) -> ModelMask {
         let groups = derive_groups(global);
-        let drops = Self::drops(&groups, width);
-        let mask = mask_from_dropped_units(global, &drops);
-        masked_local_update(
-            info,
-            client_id,
-            global,
-            data,
-            model,
-            cfg,
-            mask,
-            self.sketch.as_deref(),
-            state,
-        )
-    }
-
-    fn aggregate(
-        &mut self,
-        info: RoundInfo,
-        _rctx: &(),
-        global: &mut ParamSet,
-        results: &[(usize, LocalResult)],
-    ) {
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
-        aggregate_weights(global, &ups, ZeroMode::HoldersOnly, info.agg)
-            .expect("aggregation failed");
+        mask_from_dropped_units(global, &trailing_drops(&groups, self.width_of(client_id)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedbiad_compress::ClientState as SketchState;
     use fedbiad_data::dataset::ImageSet;
+    use fedbiad_data::ClientData;
+    use fedbiad_fl::algorithm::{FlAlgorithm, TrainConfig};
     use fedbiad_nn::mlp::MlpModel;
+    use fedbiad_nn::Model;
     use fedbiad_tensor::rng::{stream, StreamTag};
 
     #[test]
     fn width_classes_are_static_per_client() {
         let algo = HeteroFl::new(0.5);
-        assert_eq!(algo.width_of(0), algo.width_of(3));
-        assert_ne!(algo.width_of(0), algo.width_of(1));
+        assert_eq!(algo.rule.width_of(0), algo.rule.width_of(3));
+        assert_ne!(algo.rule.width_of(0), algo.rule.width_of(1));
         // One class trains the full model.
-        assert!(algo.ladder.contains(&1.0));
+        assert!(algo.rule.ladder.contains(&1.0));
     }
 
     #[test]
@@ -161,7 +102,7 @@ mod tests {
         for client in 0..3usize {
             let mut st = SketchState::default();
             let res = algo.local_update(info, &(), client, &mut st, &global, &data, &model, &cfg);
-            bytes.push((algo.width_of(client), res.upload.wire_bytes));
+            bytes.push((algo.rule.width_of(client), res.upload.wire_bytes));
         }
         bytes.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         assert!(

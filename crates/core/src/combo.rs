@@ -13,8 +13,12 @@
 //! is transmitted when that row is next kept, and no error-feedback mass is
 //! ever discarded.
 
+use fedbiad_compress::codec::encode_weights_delta;
 use fedbiad_compress::{ClientState as SketchState, Compressor};
+use fedbiad_fl::algorithm::RoundInfo;
+use fedbiad_fl::upload::{Upload, UploadKind};
 use fedbiad_nn::{ModelMask, ParamSet};
+use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::rngs::StdRng;
 
 /// Flat indices (in [`ParamSet::flatten`] order) covered by `mask`.
@@ -54,11 +58,10 @@ pub struct SketchOutcome {
     /// Compressed payload bytes (excluding the dropping-pattern bits,
     /// which the caller adds).
     pub payload_bytes: u64,
-    /// Number of transmitted values.
-    pub sent_values: u64,
 }
 
-/// Compress the kept-row delta of `masked_u` against `global`.
+/// Compress the kept-row delta of `masked_u` against `global`. Only the
+/// positions `mask` covers are read.
 pub fn sketch_masked_weights(
     comp: &dyn Compressor,
     state: &mut SketchState,
@@ -90,8 +93,40 @@ pub fn sketch_masked_weights(
     SketchOutcome {
         payload: compressed.payload,
         payload_bytes: compressed.wire_bytes,
-        sent_values: compressed.sent_values,
     }
+}
+
+/// What a client that trained `u` under `mask` puts on the wire — the
+/// one upload tail of every dropout method, FedBIAD included: the kept
+/// values as they are, or, with a `sketch`, its payload over their delta
+/// against `global` plus the pattern bits. Values of `u` that `mask`
+/// drops are never read, so the caller need not zero them.
+pub(crate) fn masked_upload(
+    info: RoundInfo,
+    client_id: usize,
+    u: ParamSet,
+    global: &ParamSet,
+    mask: ModelMask,
+    sketch: Option<&dyn Compressor>,
+    state: &mut SketchState,
+) -> Upload {
+    let Some(comp) = sketch else {
+        return Upload::masked_weights(u, mask);
+    };
+    let mut crng = stream(
+        info.seed,
+        StreamTag::Compress,
+        info.round as u64,
+        client_id as u64,
+    );
+    let out = sketch_masked_weights(comp, state, &u, global, &mask, info.round, &mut crng);
+    // Wire = compressed payload + the dropping pattern's bitmaps, as
+    // real bytes; no dense reconstruction anywhere.
+    let pattern_overhead = mask.wire_bytes(&u) - mask.kept_params(&u) as u64 * 4;
+    let wire_bytes = out.payload_bytes + pattern_overhead;
+    let msg = encode_weights_delta(&mask, &out.payload);
+    debug_assert_eq!(msg.body_bytes(), wire_bytes);
+    Upload::wire(UploadKind::Weights, msg, mask, wire_bytes)
 }
 
 #[cfg(test)]
@@ -163,7 +198,7 @@ mod tests {
         let rec = server_side(&out, &mask, &global);
         assert_eq!(rec.flatten(), masked_u.flatten());
         // Payload covers exactly the kept scalars.
-        assert_eq!(out.sent_values, 6);
+        assert_eq!(out.payload.sent_values(), 6);
         assert_eq!(out.payload_bytes, 6 * 4);
     }
 

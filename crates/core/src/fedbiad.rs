@@ -15,6 +15,7 @@
 //!
 //! The server reconstructs β∘U per client and averages per eq. (10).
 
+use crate::baselines::weighted_uploads;
 use crate::combo;
 use crate::indicator::WeightScores;
 use crate::losstrend::LossTrend;
@@ -28,7 +29,6 @@ use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
 use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
 use fedbiad_fl::telemetry::counter;
-use fedbiad_fl::upload::Upload;
 use fedbiad_nn::mask::BitVec;
 use fedbiad_nn::{Model, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
@@ -402,40 +402,15 @@ impl FlAlgorithm for FedBiad {
         // Persist the (possibly loss-trend-refined) pattern for the
         // client's next participation.
         state.pattern = Some(final_pattern);
-        let upload = match &self.sketch {
-            None => Upload::masked_weights(u, final_mask),
-            Some(comp) => {
-                let mut masked_u = u;
-                final_mask.apply(&mut masked_u);
-                let mut crng = stream(
-                    info.seed,
-                    StreamTag::Compress,
-                    info.round as u64,
-                    client_id as u64,
-                );
-                let out = combo::sketch_masked_weights(
-                    comp.as_ref(),
-                    &mut state.sketch,
-                    &masked_u,
-                    global,
-                    &final_mask,
-                    info.round,
-                    &mut crng,
-                );
-                // Wire = compressed payload + the 1-bit/row pattern.
-                let pattern_overhead =
-                    final_mask.wire_bytes(&masked_u) - final_mask.kept_params(&masked_u) as u64 * 4;
-                let wire_bytes = out.payload_bytes + pattern_overhead;
-                let msg = fedbiad_compress::codec::encode_weights_delta(&final_mask, &out.payload);
-                debug_assert_eq!(msg.body_bytes(), wire_bytes);
-                Upload::wire(
-                    fedbiad_fl::upload::UploadKind::Weights,
-                    msg,
-                    final_mask,
-                    wire_bytes,
-                )
-            }
-        };
+        let upload = combo::masked_upload(
+            info,
+            client_id,
+            u,
+            global,
+            final_mask,
+            self.sketch.as_deref(),
+            &mut state.sketch,
+        );
 
         LocalResult {
             upload,
@@ -454,10 +429,7 @@ impl FlAlgorithm for FedBiad {
         results: &[(usize, LocalResult)],
     ) {
         // Eq. (10): weighted average of reconstructed β∘U.
-        let ups: Vec<(f32, &Upload)> = results
-            .iter()
-            .map(|(_, r)| (r.num_samples as f32, &r.upload))
-            .collect();
+        let ups = weighted_uploads(results);
         aggregate_weights(global, &ups, self.cfg.aggregation, info.agg)
             .expect("aggregation failed");
 
@@ -518,6 +490,7 @@ impl FlAlgorithm for FedBiad {
 mod tests {
     use super::*;
     use fedbiad_data::dataset::ImageSet;
+    use fedbiad_fl::upload::Upload;
     use fedbiad_nn::mlp::MlpModel;
 
     fn toy_setup() -> (MlpModel, ParamSet, ClientData) {

@@ -9,7 +9,11 @@
 //!   loss-trend-adaptive pattern search (stage one) and the
 //!   experience-based importance indicator (stage two); composable with a
 //!   sketched compressor (Fig. 5 / Table II "FedBIAD+DGC");
-//! * [`baselines`] — FedAvg, FedDrop, AFD, FedMP, FjORD, HeteroFL;
+//! * [`baselines`] — FedAvg, and the one federated-dropout client
+//!   ([`baselines::Dropout`]) whose five mask rules are FedDrop, AFD,
+//!   FedMP, FjORD and HeteroFL;
+//! * [`combo`] — the upload tail that client shares with FedBIAD: the
+//!   kept values, or a sketch of their delta plus the pattern bits;
 //! * [`pattern`] / [`spike_slab`] / [`losstrend`] / [`indicator`] — the
 //!   algorithm's building blocks (Z_S^N patterns, eq. (13) posterior
 //!   variance, eq. (8) loss gap, eq. (9) weight scores);

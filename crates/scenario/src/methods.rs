@@ -110,19 +110,33 @@ impl Method {
         }
     }
 
+    /// This registry entry as *(base algorithm, the compressor it
+    /// embeds)*: the four pure sketches are FedAvg carrying one, the
+    /// Table II combos their base carrying DGC.
+    fn decompose(self) -> (Base, Option<CompressorChoice>) {
+        use CompressorChoice as C;
+        match self {
+            Method::FedAvg => (Base::FedAvg, None),
+            Method::FedDrop => (Base::FedDrop, None),
+            Method::Afd => (Base::Afd, None),
+            Method::FedMp => (Base::FedMp, None),
+            Method::Fjord => (Base::Fjord, None),
+            Method::HeteroFl => (Base::HeteroFl, None),
+            Method::FedBiad => (Base::FedBiad, None),
+            Method::FedPaq => (Base::FedAvg, Some(C::FedPaq)),
+            Method::SignSgd => (Base::FedAvg, Some(C::SignSgd)),
+            Method::Stc => (Base::FedAvg, Some(C::Stc)),
+            Method::Dgc => (Base::FedAvg, Some(C::Dgc)),
+            Method::AfdDgc => (Base::Afd, Some(C::Dgc)),
+            Method::FjordDgc => (Base::Fjord, Some(C::Dgc)),
+            Method::FedBiadDgc => (Base::FedBiad, Some(C::Dgc)),
+        }
+    }
+
     /// Does this registry entry already bundle a sketched compressor
     /// (Table II combos)? Such methods reject a further `compressor` axis.
     pub fn embeds_compressor(self) -> bool {
-        matches!(
-            self,
-            Method::FedPaq
-                | Method::SignSgd
-                | Method::Stc
-                | Method::Dgc
-                | Method::AfdDgc
-                | Method::FjordDgc
-                | Method::FedBiadDgc
-        )
+        self.decompose().1.is_some()
     }
 
     /// Parse a CLI name (case-insensitive).
@@ -154,6 +168,17 @@ impl Method {
         all.into_iter()
             .find(|m| m.name().to_ascii_lowercase().replace('+', "") == needle)
     }
+}
+
+/// The seven algorithms the fourteen registry entries are built from.
+enum Base {
+    FedAvg,
+    FedDrop,
+    Afd,
+    FedMp,
+    Fjord,
+    HeteroFl,
+    FedBiad,
 }
 
 /// A sketched compressor that a scenario can compose onto any *base*
@@ -348,56 +373,28 @@ pub fn with_algorithm<V: AlgorithmVisitor>(
     extra: Option<CompressorChoice>,
     visitor: V,
 ) -> V::Out {
+    let (base, embedded) = method.decompose();
     assert!(
-        extra.is_none() || !method.embeds_compressor(),
+        extra.is_none() || embedded.is_none(),
         "method {} already embeds a compressor",
         method.name()
     );
     let v = visitor;
-    let sketch = extra.map(CompressorChoice::build);
-    let dgc = || Arc::new(Dgc::paper());
-    match method {
-        Method::FedAvg => match sketch {
-            None => v.visit(FedAvg::new()),
-            Some(c) => v.visit(FedAvg::with_sketch(c)),
-        },
-        Method::FedDrop => match sketch {
-            None => v.visit(FedDrop::new(p)),
-            Some(c) => v.visit(FedDrop::with_sketch(p, c)),
-        },
-        Method::Afd => match sketch {
-            None => v.visit(Afd::new(p)),
-            Some(c) => v.visit(Afd::with_sketch(p, c)),
-        },
-        Method::FedMp => match sketch {
-            None => v.visit(FedMp::new(p)),
-            Some(c) => v.visit(FedMp::with_sketch(p, c)),
-        },
-        Method::Fjord => match sketch {
-            None => v.visit(Fjord::new(p)),
-            Some(c) => v.visit(Fjord::with_sketch(p, c)),
-        },
-        Method::HeteroFl => match sketch {
-            None => v.visit(HeteroFl::new(p)),
-            Some(c) => v.visit(HeteroFl::with_sketch(p, c)),
-        },
-        Method::FedBiad => {
+    let sketch = embedded.or(extra).map(CompressorChoice::build);
+    match base {
+        Base::FedAvg => v.visit(sketch.map_or_else(FedAvg::new, FedAvg::with_sketch)),
+        Base::FedDrop => v.visit(FedDrop::new(p).with_sketch(sketch)),
+        Base::Afd => v.visit(Afd::new(p).with_sketch(sketch)),
+        Base::FedMp => v.visit(FedMp::new(p).with_sketch(sketch)),
+        Base::Fjord => v.visit(Fjord::new(p).with_sketch(sketch)),
+        Base::HeteroFl => v.visit(HeteroFl::new(p).with_sketch(sketch)),
+        Base::FedBiad => {
             let fb = FedBiadConfig::paper(p, stage_boundary);
-            match sketch {
-                None => v.visit(FedBiad::new(fb)),
-                Some(c) => v.visit(FedBiad::with_sketch(fb, c)),
-            }
+            v.visit(match sketch {
+                None => FedBiad::new(fb),
+                Some(c) => FedBiad::with_sketch(fb, c),
+            })
         }
-        Method::FedPaq => v.visit(FedAvg::with_sketch(Arc::new(FedPaq::paper()))),
-        Method::SignSgd => v.visit(FedAvg::with_sketch(Arc::new(SignSgd::default()))),
-        Method::Stc => v.visit(FedAvg::with_sketch(Arc::new(Stc::paper()))),
-        Method::Dgc => v.visit(FedAvg::with_sketch(dgc())),
-        Method::AfdDgc => v.visit(Afd::with_sketch(p, dgc())),
-        Method::FjordDgc => v.visit(Fjord::with_sketch(p, dgc())),
-        Method::FedBiadDgc => v.visit(FedBiad::with_sketch(
-            FedBiadConfig::paper(p, stage_boundary),
-            dgc(),
-        )),
     }
 }
 
@@ -449,6 +446,76 @@ mod tests {
         let sketched =
             run_method_composed(Method::FedDrop, &bundle, opts, Some(CompressorChoice::Stc));
         assert!(sketched.mean_upload_bytes() < plain.mean_upload_bytes());
+    }
+
+    struct NameOf;
+
+    impl AlgorithmVisitor for NameOf {
+        type Out = String;
+
+        fn visit<A: FlAlgorithm>(self, algo: A) -> String {
+            algo.name()
+        }
+    }
+
+    #[test]
+    fn every_registry_entry_builds_the_algorithm_its_name_says() {
+        use CompressorChoice as C;
+        let table = [
+            (Method::FedAvg, None, "fedavg"),
+            (Method::FedDrop, None, "feddrop"),
+            (Method::Afd, None, "afd"),
+            (Method::FedMp, None, "fedmp"),
+            (Method::Fjord, None, "fjord"),
+            (Method::HeteroFl, None, "heterofl"),
+            (Method::FedBiad, None, "fedbiad"),
+            (Method::FedPaq, None, "fedpaq"),
+            (Method::SignSgd, None, "signsgd"),
+            (Method::Stc, None, "stc"),
+            (Method::Dgc, None, "dgc"),
+            (Method::AfdDgc, None, "afd+dgc"),
+            (Method::FjordDgc, None, "fjord+dgc"),
+            (Method::FedBiadDgc, None, "fedbiad+dgc"),
+            (Method::HeteroFl, Some(C::Stc), "heterofl+stc"),
+            (Method::FedAvg, Some(C::SignSgd), "signsgd"),
+        ];
+        for (method, extra, name) in table {
+            assert_eq!(with_algorithm(method, 0.5, 3, extra, NameOf), name);
+        }
+        // Table I is the bases, Table II the entries that embed a sketch.
+        assert!(!Method::table1().iter().any(|m| m.embeds_compressor()));
+        assert!(Method::table2().iter().all(|m| m.embeds_compressor()));
+    }
+
+    /// The deterministic fields of a log, as bits.
+    fn log_bits(log: &ExperimentLog) -> Vec<(String, u32, u64, u64, u64, u64)> {
+        log.records
+            .iter()
+            .map(|r| {
+                (
+                    log.method.clone(),
+                    r.train_loss.to_bits(),
+                    r.test_loss.to_bits(),
+                    r.test_acc.to_bits(),
+                    r.upload_bytes_mean,
+                    r.upload_bytes_max,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_combo_entry_is_its_base_composed_with_the_embedded_compressor() {
+        let bundle = build(Workload::MnistLike, Scale::Smoke, 3);
+        let opts = RunOpts::for_rounds(2, 3);
+        for (combo, base) in [
+            (Method::Dgc, Method::FedAvg),
+            (Method::FedBiadDgc, Method::FedBiad),
+        ] {
+            let embedded = run_method(combo, &bundle, opts);
+            let composed = run_method_composed(base, &bundle, opts, Some(CompressorChoice::Dgc));
+            assert_eq!(log_bits(&embedded), log_bits(&composed), "{}", combo.name());
+        }
     }
 
     #[test]

@@ -266,3 +266,60 @@ fn sim_trace_digest_is_pinned_under_nan_garbage() {
         SIM_GOLDEN_GARBAGE_NAN,
     );
 }
+
+// ---- every registry method ---------------------------------------------
+//
+// `GOLDEN_DIGEST` reaches five of the fourteen registry methods and no
+// `compressor`-axis composition; the constant below reaches all of them,
+// and `log.method` — each algorithm's `name()` — is part of the canonical
+// form. It was computed on the commit *before* the five dropout baselines
+// became mask rules over one client, and follows the same update
+// procedure as `GOLDEN_DIGEST`.
+
+/// Pinned digest of [`all_methods_specs`], run back to back.
+const ALL_METHODS_GOLDEN: u64 = 0x8F12_5722_E55F_9766;
+
+/// (a) both model families x all 14 registry names; (b) element masks
+/// (FedMP) and recurrent width groups (HeteroFL on PTB) under a sketch.
+fn all_methods_specs() -> [ScenarioSpec; 2] {
+    let spec = |name: &str, axes: &str| {
+        ScenarioSpec::from_toml_str(&format!(
+            "name = \"{name}\"\nmode = \"lockstep\"\n\n[run]\nrounds = 2\nseed = 42\n\
+             scale = \"smoke\"\neval_max = 200\n\n[sweep]\nworkload = [\"mnist\", \"ptb\"]\n{axes}"
+        ))
+        .expect("inline methods spec must parse")
+    };
+    [
+        spec(
+            "methods_golden",
+            "method = [\"fedavg\", \"feddrop\", \"afd\", \"fedmp\", \"fjord\", \"heterofl\", \
+             \"fedbiad\", \"fedpaq\", \"signsgd\", \"stc\", \"dgc\", \"afd+dgc\", \"fjord+dgc\", \
+             \"fedbiad+dgc\"]\n",
+        ),
+        spec(
+            "sketched_masks_golden",
+            "method = [\"feddrop\", \"fedmp\", \"heterofl\"]\ncompressor = [\"stc\", \"dgc\"]\n",
+        ),
+    ]
+}
+
+#[test]
+fn every_registry_method_trace_digest_is_pinned() {
+    let [all, sketched] = all_methods_specs();
+    let mut outcomes = execute(&all).expect("all-methods smoke run must execute");
+    assert_eq!(outcomes.len(), 28, "two workloads x fourteen methods");
+    outcomes.extend(execute(&sketched).expect("sketched-masks smoke run must execute"));
+    assert_eq!(
+        outcomes.len(),
+        28 + 12,
+        "plus 2 x 3 methods x 2 compressors"
+    );
+
+    let digest = digest_of(&outcomes);
+    assert_eq!(
+        digest, ALL_METHODS_GOLDEN,
+        "all-methods smoke trace drifted: computed digest {digest:#018X} != pinned \
+         {ALL_METHODS_GOLDEN:#018X}. A method's numbers, bytes or `name()` moved; see this \
+         file's header before touching the constant."
+    );
+}
