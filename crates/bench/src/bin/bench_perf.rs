@@ -604,6 +604,54 @@ fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     out.push(entry("stats/top_k_abs_100k", r, b));
 }
 
+/// `data/lazy_shard_24of60` — what one `million_sparse` dispatch does to
+/// its shard, over 256 clients of the smoke image spec: the whole-shard
+/// specification `LazyClients::client_data` (60 samples derived) vs a
+/// `ShardReader` fed the batch-1 × 24 index stream `run_local_training`
+/// draws (≈ 20 distinct samples derived, the ones passed over only
+/// advanced, the tail untouched). The ratio collapses to ≤ 1 if lookup
+/// goes back to materialising, or if stepping over a sample starts
+/// computing pixels.
+fn lazy_shard_entry(samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_fl::workload::{build_with, PopulationOverride, WorkloadOverrides};
+    use std::hint::black_box;
+
+    const CLIENTS: usize = 256;
+    const SHARD: usize = 60;
+    let overrides = WorkloadOverrides {
+        population: Some(PopulationOverride {
+            clients: CLIENTS,
+            samples_per_client: SHARD,
+        }),
+        ..Default::default()
+    };
+    let bundle = build_with(Workload::MnistLike, Scale::Smoke, 7, &overrides);
+    let lazy = bundle.data.lazy.as_ref().expect("population is lazy");
+    let reads = bundle.train.local_iters;
+    assert_eq!(reads, 24, "the entry's name states the read count");
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            for c in 0..CLIENTS {
+                black_box(lazy.client_data(c));
+            }
+        },
+        || {
+            let (mut bx, mut by) = (Vec::new(), Vec::new());
+            for c in 0..CLIENTS {
+                let view = lazy.shard(c);
+                let mut reader = view.reader();
+                let mut rng = stream(7, StreamTag::Batch, 0, c as u64);
+                for _ in 0..reads {
+                    reader.gather(&[rng.gen_range(0..SHARD)], &mut bx, &mut by);
+                    black_box(&bx);
+                }
+            }
+        },
+    );
+    out.push(entry("data/lazy_shard_24of60", r, b));
+}
+
 /// The telemetry zero-overhead contract, as a gate entry: a hot loop of
 /// ~10 ns FNV mixing steps, bare (reference) vs instrumented with
 /// `span!` + `counter!` (batched). The bench harness compiles the
@@ -716,6 +764,7 @@ fn main() {
     aggregation_entries(smoke, samples, &mut entries);
     sim_entries(smoke, samples, &mut entries);
     hot_path_entries(smoke, samples, &mut entries);
+    lazy_shard_entry(samples, &mut entries);
     // Sub-ms loop: extra samples are nearly free, minima converge better.
     telemetry_noop_entry(if smoke { samples } else { samples * 8 }, &mut entries);
 

@@ -1,6 +1,6 @@
 //! Dataset containers: image sets, token streams, and the federated bundle.
 
-use crate::synth_image::LazyClients;
+use crate::synth_image::{LazyClients, LazyShard};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -106,6 +106,9 @@ pub enum ClientData {
     Image(ImageSet),
     /// Next-word-prediction client.
     Text(TextSet),
+    /// Image classification client of a lazy population: a view whose
+    /// samples are derived when they are read.
+    LazyImage(LazyShard),
 }
 
 impl ClientData {
@@ -115,6 +118,7 @@ impl ClientData {
         match self {
             ClientData::Image(s) => s.len(),
             ClientData::Text(t) => t.num_windows(),
+            ClientData::LazyImage(v) => v.len(),
         }
     }
 }
@@ -126,9 +130,10 @@ impl ClientData {
 ///
 /// * **eager** (`lazy = None`) — every client's shard lives in `clients`,
 ///   O(K · samples) memory; the historical layout, unchanged.
-/// * **lazy** (`lazy = Some(..)`) — `clients` is empty and shards are
-///   derived on demand from the generator handle, O(1) memory in K. This
-///   is what lets the simulator register 10^6 clients while holding only
+/// * **lazy** (`lazy = Some(..)`) — `clients` is empty and a shard is a
+///   [`ClientData::LazyImage`] view over the generator handle whose
+///   samples are derived when they are read, O(1) memory in K. This is
+///   what lets the simulator register 10^6 clients while holding only
 ///   the active cohort.
 ///
 /// All consumers go through [`FedDataset::client`] /
@@ -154,11 +159,11 @@ impl FedDataset {
         }
     }
 
-    /// Client `id`'s shard: borrowed from the eager table, or generated
-    /// on demand (bit-identical on every lookup) in lazy mode.
+    /// Client `id`'s shard: borrowed from the eager table, or a
+    /// [`ClientData::LazyImage`] view in lazy mode — O(1) either way.
     pub fn client(&self, id: usize) -> Cow<'_, ClientData> {
         match &self.lazy {
-            Some(l) => Cow::Owned(l.client_data(id)),
+            Some(l) => Cow::Owned(ClientData::LazyImage(l.shard(id))),
             None => Cow::Borrowed(&self.clients[id]),
         }
     }
@@ -298,30 +303,29 @@ mod tests {
         };
         assert_eq!(fd.num_clients(), 17);
         assert_eq!(fd.min_client_samples(), 8);
-        // On-demand lookups are owned, deterministic, and agree with the
-        // eager materialization element-wise.
+        // On-demand lookups are owned views, deterministic, and agree
+        // with the eager materialization element-wise.
         let eager = fd.materialize();
         assert_eq!(eager.num_clients(), 17);
         assert!(eager.lazy.is_none());
+        let resident = |d: &ClientData| match d {
+            ClientData::LazyImage(v) => v.materialize(),
+            _ => panic!("a lazy lookup is a view"),
+        };
         for id in [0usize, 7, 16] {
             let a = fd.client(id);
-            let b = fd.client(id);
-            let e = eager.client(id);
-            match (a.as_ref(), b.as_ref(), e.as_ref()) {
-                (ClientData::Image(x), ClientData::Image(y), ClientData::Image(z)) => {
-                    assert_eq!(x.x, y.x, "lazy lookup not reproducible at {id}");
-                    assert_eq!(x.x, z.x, "materialization diverges at {id}");
-                    assert_eq!(x.y, z.y);
-                }
-                _ => panic!("image data expected"),
-            }
+            assert!(matches!(a, Cow::Owned(_)));
             assert_eq!(a.num_samples(), 8);
+            let (x, y) = (resident(&a), resident(&fd.client(id)));
+            let ClientData::Image(z) = &eager.clients[id] else {
+                panic!("materialised shards are resident");
+            };
+            assert_eq!(x.x, y.x, "lazy lookup not reproducible at {id}");
+            assert_eq!(x.x, z.x, "materialization diverges at {id}");
+            assert_eq!(x.y, z.y);
         }
         // Distinct clients draw from distinct streams.
-        match (fd.client(0).as_ref(), fd.client(1).as_ref()) {
-            (ClientData::Image(x), ClientData::Image(y)) => assert_ne!(x.x, y.x),
-            _ => panic!("image data expected"),
-        }
+        assert_ne!(resident(&fd.client(0)).x, resident(&fd.client(1)).x);
     }
 
     #[test]
@@ -349,8 +353,10 @@ mod tests {
         let back: FedDataset = serde_json::from_str(&s).unwrap();
         assert_eq!(back.num_clients(), 5);
         match (fd.client(2).as_ref(), back.client(2).as_ref()) {
-            (ClientData::Image(x), ClientData::Image(y)) => assert_eq!(x.x, y.x),
-            _ => panic!("image data expected"),
+            (ClientData::LazyImage(x), ClientData::LazyImage(y)) => {
+                assert_eq!(x.materialize().x, y.materialize().x)
+            }
+            _ => panic!("lazy views expected"),
         }
         // An eager dataset serializes `lazy` as null and round-trips.
         let eager = FedDataset {

@@ -12,9 +12,15 @@
 //!   (low-80s), matching the paper's ordering (Table I: 95% vs 81-83%).
 
 use crate::dataset::{ClientData, ImageSet};
+use fedbiad_tensor::init::{box_muller, gaussian_uniforms};
 use fedbiad_tensor::rng::{stream, StreamTag};
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Class prototypes, `[class][prototype]` → image.
+pub(crate) type Prototypes = Vec<Vec<Vec<f32>>>;
 
 /// Parameters of the synthetic image distribution.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -90,7 +96,7 @@ impl SyntheticImageSpec {
     }
 
     /// Prototype images per class (blend of shared and class bumps).
-    pub(crate) fn build_prototypes(&self, rng: &mut impl Rng) -> Vec<Vec<Vec<f32>>> {
+    pub(crate) fn build_prototypes(&self, rng: &mut impl Rng) -> Prototypes {
         let dim = self.dim();
         // Shared bumps: one pool reused by every class.
         let shared: Vec<Vec<f32>> = (0..self.prototypes_per_class)
@@ -139,36 +145,56 @@ impl SyntheticImageSpec {
         img
     }
 
-    pub(crate) fn sample_set(
-        &self,
-        n: usize,
-        protos: &[Vec<Vec<f32>>],
-        rng: &mut impl Rng,
-    ) -> ImageSet {
+    pub(crate) fn sample_set(&self, n: usize, protos: &Prototypes, rng: &mut impl Rng) -> ImageSet {
         let mut set = ImageSet::empty(self.dim());
         let mut buf = vec![0.0f32; self.dim()];
         for i in 0..n {
-            let class = i % self.classes; // balanced classes
-            let proto = &protos[class][rng.gen_range(0..self.prototypes_per_class)];
-            let sx = rng.gen_range(-(self.shift_max as i32)..=self.shift_max as i32);
-            let sy = rng.gen_range(-(self.shift_max as i32)..=self.shift_max as i32);
-            for yy in 0..self.side {
-                for xx in 0..self.side {
-                    let ox = xx as i32 - sx;
-                    let oy = yy as i32 - sy;
-                    let base =
-                        if ox >= 0 && ox < self.side as i32 && oy >= 0 && oy < self.side as i32 {
-                            proto[oy as usize * self.side + ox as usize]
-                        } else {
-                            0.0
-                        };
-                    let noisy = base + self.noise * fedbiad_tensor::init::gaussian(rng);
-                    buf[yy * self.side + xx] = noisy.clamp(0.0, 1.0);
-                }
-            }
-            set.push(&buf, class as u32);
+            self.sample::<true>(i, protos, rng, &mut buf);
+            set.push(&buf, self.label(i));
         }
         set
+    }
+
+    /// Label of sample `i` of any set: classes are balanced round-robin.
+    fn label(&self, i: usize) -> u32 {
+        (i % self.classes) as u32
+    }
+
+    /// Sample `i` of a set — the draws [`sample_set`](Self::sample_set)
+    /// makes for it, in order: prototype, x shift, y shift, then two
+    /// uniforms per pixel. With `STORE` the pixels land in `out` (`dim`
+    /// long). Without it `out` is not touched and the stream only
+    /// *advances*: no Box–Muller, no clamp, no store. Both are this one
+    /// body, so they leave `rng` in the same state by construction — which
+    /// is what lets [`ShardReader`] step over a sample nobody reads and
+    /// still hand the next one the stream a whole-shard pass would have.
+    fn sample<const STORE: bool>(
+        &self,
+        i: usize,
+        protos: &Prototypes,
+        rng: &mut impl Rng,
+        out: &mut [f32],
+    ) {
+        let proto = &protos[i % self.classes][rng.gen_range(0..self.prototypes_per_class)];
+        let sx = rng.gen_range(-(self.shift_max as i32)..=self.shift_max as i32);
+        let sy = rng.gen_range(-(self.shift_max as i32)..=self.shift_max as i32);
+        for yy in 0..self.side {
+            for xx in 0..self.side {
+                let (u1, u2) = gaussian_uniforms(rng);
+                if !STORE {
+                    continue;
+                }
+                let ox = xx as i32 - sx;
+                let oy = yy as i32 - sy;
+                let base = if ox >= 0 && ox < self.side as i32 && oy >= 0 && oy < self.side as i32 {
+                    proto[oy as usize * self.side + ox as usize]
+                } else {
+                    0.0
+                };
+                let noisy = base + self.noise * box_muller(u1, u2);
+                out[yy * self.side + xx] = noisy.clamp(0.0, 1.0);
+            }
+        }
     }
 }
 
@@ -185,10 +211,10 @@ const LAZY_TEST_STREAM: u64 = 2;
 /// The eager path materializes every client's `ClientData` up front —
 /// O(K · samples) memory, which is what caps the simulator at ~10^4
 /// registered clients. `LazyClients` stores only the generator inputs
-/// (spec + seed + the class prototypes, a few kB) and derives any
-/// client's shard on demand from its dedicated RNG stream
-/// `stream(seed, StreamTag::Data, 1, client_id)`, so a lookup costs
-/// O(samples_per_client) and the handle itself is O(1) in K.
+/// (spec + seed + the class prototypes, a few kB behind an `Arc`) and
+/// hands out [`LazyShard`] views: a lookup is O(1), and a sample of
+/// client `c` is derived from the client's dedicated RNG stream
+/// `stream(seed, StreamTag::Data, 1, c)` when somebody reads it.
 ///
 /// Every client holds `samples_per_client` samples with balanced classes
 /// (`class = i % classes` inside the shard), so `num_samples` and
@@ -204,8 +230,8 @@ pub struct LazyClients {
     /// Samples per client (constant across clients by construction).
     pub samples_per_client: usize,
     /// Class prototypes, built once (classes × prototypes_per_class
-    /// images — kilobytes, not gigabytes).
-    protos: Vec<Vec<Vec<f32>>>,
+    /// images — kilobytes, not gigabytes) and shared by every view.
+    protos: Arc<Prototypes>,
 }
 
 impl LazyClients {
@@ -218,7 +244,7 @@ impl LazyClients {
         samples_per_client: usize,
     ) -> Self {
         let mut rng = stream(seed, StreamTag::Data, 0, 0);
-        let protos = spec.build_prototypes(&mut rng);
+        let protos = Arc::new(spec.build_prototypes(&mut rng));
         Self {
             spec,
             seed,
@@ -228,19 +254,29 @@ impl LazyClients {
         }
     }
 
-    /// Client `c`'s shard, generated on demand — a pure function of
-    /// (spec, seed, c), so repeated lookups are bit-identical.
-    pub fn client_data(&self, c: usize) -> ClientData {
+    /// Client `c`'s shard as a view — O(1); nothing is derived until a
+    /// [`ShardReader`] reads a sample or the view is materialised.
+    pub fn shard(&self, c: usize) -> LazyShard {
+        // An invariant, not input validation: ids come from the cohort
+        // samplers (`fl::round::sample_clients_with`) and FedBuff's
+        // replacement draw, all bounded by `num_clients`.
         assert!(
             c < self.num_clients,
             "client {c} out of range (K = {})",
             self.num_clients
         );
-        let mut rng = stream(self.seed, StreamTag::Data, LAZY_CLIENT_STREAM, c as u64);
-        ClientData::Image(
-            self.spec
-                .sample_set(self.samples_per_client, &self.protos, &mut rng),
-        )
+        LazyShard {
+            clients: self.clone(),
+            client: c,
+        }
+    }
+
+    /// Client `c`'s whole shard in one sequential pass — a pure function
+    /// of (spec, seed, c). This is the **specification** of a lazy
+    /// shard's content: whatever a [`ShardReader`] derives must equal it
+    /// bit for bit.
+    pub fn client_data(&self, c: usize) -> ClientData {
+        ClientData::Image(self.shard(c).materialize())
     }
 
     /// The held-out test set — its own sub-stream, disjoint from every
@@ -248,6 +284,133 @@ impl LazyClients {
     pub fn test_set(&self, test_n: usize) -> ClientData {
         let mut rng = stream(self.seed, StreamTag::Data, LAZY_TEST_STREAM, 0);
         ClientData::Image(self.spec.sample_set(test_n, &self.protos, &mut rng))
+    }
+}
+
+/// One lazy client's shard as a **view**: the generator handle and a
+/// client id. Size, feature dimension and labels are analytic; pixels
+/// exist only once a [`ShardReader`] derives them (training reads a
+/// fraction of the shard) or [`materialize`](Self::materialize) runs the
+/// whole-shard pass (evaluation, differential tests).
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct LazyShard {
+    clients: LazyClients,
+    client: usize,
+}
+
+impl LazyShard {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.clients.samples_per_client
+    }
+
+    /// `true` when there are no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Feature dimension.
+    pub fn dim(&self) -> usize {
+        self.clients.spec.dim()
+    }
+
+    /// The stream feeding this client's samples, before the first draw.
+    fn stream(&self) -> StdRng {
+        let id = self.client as u64;
+        stream(self.clients.seed, StreamTag::Data, LAZY_CLIENT_STREAM, id)
+    }
+
+    /// Every sample, resident: one sequential pass over the stream, the
+    /// same one [`SyntheticImageSpec::generate`] makes over its pool.
+    pub fn materialize(&self) -> ImageSet {
+        let LazyClients { spec, protos, .. } = &self.clients;
+        spec.sample_set(self.len(), protos, &mut self.stream())
+    }
+
+    /// A reader that derives samples as they are read. It owns all its
+    /// scratch, so one per local run keeps the view itself `Sync` and
+    /// nothing shared between workers.
+    pub fn reader(&self) -> ShardReader<'_> {
+        let mut starts = Vec::with_capacity(self.len() + 1);
+        starts.push(self.stream());
+        ShardReader {
+            shard: self,
+            starts,
+            rows: vec![0.0; self.len() * self.dim()],
+            have: vec![false; self.len()],
+            derived: 0,
+        }
+    }
+}
+
+/// Derives a [`LazyShard`]'s samples the first time each is read.
+///
+/// A shard is one sequential RNG stream, so sample `i` can only start
+/// from the state the samples before it leave behind. The reader keeps
+/// that state for every sample the stream has reached: a sample that is
+/// read is derived once into a row memo, a sample passed over on the way
+/// is only *advanced* (draw for draw, no pixel computed — and derived
+/// later from its remembered start if the batch stream comes back to
+/// it), and the tail beyond the highest index read costs nothing.
+///
+/// Worst case: a run that reads every sample pays the whole-shard pass
+/// plus at most one advance over each sample (≈ a tenth of its cost).
+#[derive(Debug)]
+pub struct ShardReader<'a> {
+    shard: &'a LazyShard,
+    /// `starts[i]`: the stream just before sample `i`'s first draw, for
+    /// every sample reached so far plus the one the stream stands at.
+    starts: Vec<StdRng>,
+    /// `len × dim` row memo; row `i` is valid iff `have[i]`.
+    rows: Vec<f32>,
+    have: Vec<bool>,
+    derived: usize,
+}
+
+impl ShardReader<'_> {
+    /// Sample `i`'s pixels, derived now unless already memoised.
+    pub fn sample(&mut self, i: usize) -> &[f32] {
+        let dim = self.shard.dim();
+        let row = i * dim..(i + 1) * dim;
+        if !self.have[i] {
+            let LazyClients { spec, protos, .. } = &self.shard.clients;
+            for j in self.starts.len() - 1..i {
+                let mut rng = self.starts[j].clone();
+                spec.sample::<false>(j, protos, &mut rng, &mut []);
+                self.starts.push(rng);
+            }
+            let mut rng = self.starts[i].clone();
+            spec.sample::<true>(i, protos, &mut rng, &mut self.rows[row.clone()]);
+            if self.starts.len() == i + 1 {
+                self.starts.push(rng);
+            }
+            self.have[i] = true;
+            self.derived += 1;
+        }
+        &self.rows[row]
+    }
+
+    /// [`ImageSet::gather`] over the view: copy the samples at `idx` into
+    /// contiguous batch buffers.
+    pub fn gather(&mut self, idx: &[usize], bx: &mut Vec<f32>, by: &mut Vec<u32>) {
+        bx.clear();
+        by.clear();
+        for &i in idx {
+            bx.extend_from_slice(self.sample(i));
+            by.push(self.shard.clients.spec.label(i));
+        }
+    }
+
+    /// Samples whose pixels were computed so far.
+    pub fn derived(&self) -> usize {
+        self.derived
+    }
+
+    /// Samples the stream stepped over that were never read. With
+    /// [`derived`](Self::derived) they partition the prefix of the shard
+    /// the run touched; the rest of the shard cost nothing.
+    pub fn advanced(&self) -> usize {
+        self.starts.len() - 1 - self.derived
     }
 }
 

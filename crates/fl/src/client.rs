@@ -12,7 +12,7 @@ use crate::timing::Stopwatch;
 use fedbiad_data::ClientData;
 use fedbiad_nn::optimizer::Sgd;
 use fedbiad_nn::{Batch, Model, ParamSet};
-use fedbiad_telemetry::gauge;
+use fedbiad_telemetry::{counter, gauge};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use fedbiad_tensor::Workspace;
 use rand::Rng;
@@ -111,6 +111,14 @@ pub fn run_local_training(
     let mut by: Vec<u32> = Vec::new();
     let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
     let mut windows: Vec<&[u32]> = Vec::new();
+    // A lazy shard's samples are derived as the batch stream reads them;
+    // the reader (and its row memo) lives exactly as long as this run.
+    let mut reader = None;
+
+    // `RoundCore::train` thins a client with an empty shard out of the
+    // cohort before it gets here.
+    let n = data.num_samples();
+    assert!(n > 0, "client has no data");
 
     let mut loss_sum = 0.0f32;
     let mut first_loss = f32::NAN;
@@ -119,34 +127,36 @@ pub fn run_local_training(
         let theta = hooks.make_theta(v, u);
 
         grads.zero();
-        let loss = match data {
+        idx.clear();
+        for _ in 0..cfg.batch_size.min(n) {
+            idx.push(rng.gen_range(0..n));
+        }
+        let batch = match data {
             ClientData::Image(set) => {
-                assert!(!set.is_empty(), "client has no data");
-                idx.clear();
-                for _ in 0..cfg.batch_size.min(set.len()) {
-                    idx.push(rng.gen_range(0..set.len()));
-                }
                 set.gather(&idx, &mut bx, &mut by);
-                let batch = Batch::Dense {
+                Batch::Dense {
                     x: &bx,
                     y: &by,
                     dim: set.dim,
-                };
-                model.loss_grad_batched(theta, &batch, &mut grads, &mut ws)
+                }
+            }
+            ClientData::LazyImage(view) => {
+                reader
+                    .get_or_insert_with(|| view.reader())
+                    .gather(&idx, &mut bx, &mut by);
+                Batch::Dense {
+                    x: &bx,
+                    y: &by,
+                    dim: view.dim(),
+                }
             }
             ClientData::Text(set) => {
-                let n = set.num_windows();
-                assert!(n > 0, "client has no windows");
-                idx.clear();
-                for _ in 0..cfg.batch_size.min(n) {
-                    idx.push(rng.gen_range(0..n));
-                }
                 windows.clear();
                 windows.extend(idx.iter().map(|&i| set.window(i)));
-                let batch = Batch::Seq { windows: &windows };
-                model.loss_grad_batched(theta, &batch, &mut grads, &mut ws)
+                Batch::Seq { windows: &windows }
             }
         };
+        let loss = model.loss_grad_batched(theta, &batch, &mut grads, &mut ws);
 
         // KL ≈ L2 term: decay toward the prior mean 0, on the *effective*
         // parameters so dropped rows get no decay (their μ is not part of
@@ -168,6 +178,10 @@ pub fn run_local_training(
     // Arena behaviour over the whole run: after warm-up the loop should
     // re-use checked-out buffers, so churn stays flat per iteration.
     gauge!("train.ws_churn", ws.churn());
+    if let Some(reader) = &reader {
+        counter!("data.samples_derived", reader.derived());
+        counter!("data.samples_advanced", reader.advanced());
+    }
 
     LocalRunStats {
         mean_loss: loss_sum / cfg.local_iters.max(1) as f32,

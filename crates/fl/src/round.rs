@@ -339,9 +339,12 @@ impl<'a, A: FlAlgorithm> RoundCore<'a, A> {
     /// Broadcast the global to `ids` and run their local updates in
     /// parallel (rayon), in `ids` order. Decides every upload's fate:
     ///
-    /// 1. an *offline* client (churn) never starts — it is thinned out
-    ///    before any work, and a cohort thinned to nothing returns empty
-    ///    without even calling `begin_round`;
+    /// 1. an *offline* client (churn) never starts, and neither does a
+    ///    client whose shard is empty (a skewed Dirichlet partition can
+    ///    hand one out; its eq. (10) weight |D_k| is 0, so the aggregate
+    ///    is what it would have been) — both are thinned out before any
+    ///    work, and a cohort thinned to nothing returns empty without
+    ///    even calling `begin_round`;
     /// 2. a byzantine client's upload is corrupted on the wire, after
     ///    honest training;
     /// 3. only then is loss decided — mid-round *dropout*, or rejection
@@ -371,6 +374,7 @@ impl<'a, A: FlAlgorithm> RoundCore<'a, A> {
             .iter()
             .copied()
             .filter(|&id| fate(id) != ChurnFate::Offline)
+            .filter(|&id| self.data.client(id).num_samples() > 0)
             .collect();
         if ids.is_empty() {
             return Vec::new();
@@ -394,9 +398,10 @@ impl<'a, A: FlAlgorithm> RoundCore<'a, A> {
                 .map(|(id, st)| {
                     let _client_span = span!("train.client", client = *id);
                     let sw = Stopwatch::start();
-                    // Borrowed from the eager table, or generated on
-                    // demand in lazy mode — either way dropped when the
-                    // client finishes, so resident data stays O(cohort).
+                    // Borrowed from the eager table, or a lazy view whose
+                    // samples the local run derives as it reads them —
+                    // either way dropped when the client finishes, so
+                    // resident data stays O(cohort).
                     let shard = self.data.client(*id);
                     let mut res = self.algo.local_update(
                         info,
@@ -561,6 +566,10 @@ pub fn evaluate_model(
                     a.merge(&b);
                     a
                 })
+        }
+        ClientData::LazyImage(view) => {
+            let set = ClientData::Image(view.materialize());
+            evaluate_model(model, params, &set, topk, max_samples)
         }
         ClientData::Text(set) => {
             let n_windows = set.num_windows();

@@ -453,16 +453,17 @@ mod tests {
         assert!(b.data.clients.is_empty(), "no eager shards materialised");
         assert_eq!(b.data.num_clients(), 5_000);
         assert_eq!(b.data.min_client_samples(), 12);
-        // Shards materialise on demand and deterministically.
+        // A lookup is a view; it materialises deterministically.
         let a = b.data.client(4_999);
         let a2 = b.data.client(4_999);
         match (&*a, &*a2) {
-            (ClientData::Image(x), ClientData::Image(y)) => {
+            (ClientData::LazyImage(x), ClientData::LazyImage(y)) => {
+                let (x, y) = (x.materialize(), y.materialize());
                 assert_eq!(x.y, y.y);
                 assert_eq!(x.x, y.x);
                 assert_eq!(x.y.len(), 12);
             }
-            _ => panic!("expected image shards"),
+            _ => panic!("expected lazy image views"),
         }
         // Text workloads ignore the override entirely.
         let t = build_with(

@@ -68,6 +68,7 @@ fn assert_model_level_bitwise(workload: Workload) {
             let eb = model.evaluate_batched(&params, &batch, bundle.eval_topk, &mut ws);
             (lr, lb, gr, gb, er, eb)
         }
+        ClientData::LazyImage(_) => unreachable!("`build` makes resident shards"),
     };
 
     assert_eq!(

@@ -12,12 +12,14 @@
 //! runs only small companion tests whose allocations are far below the
 //! budget.
 
+use fedbiad::data::synth_image::{LazyClients, SyntheticImageSpec};
 use fedbiad::fl::metrics;
 use fedbiad::fl::round::{sample_clients_sparse, SamplerKind};
 use fedbiad::fl::workload::{build_with, PopulationOverride, WorkloadOverrides};
 use fedbiad::fl::AggSettings;
 use fedbiad::prelude::*;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 
 /// Peak-RSS delta budget for a 10⁵-client lazy round. The cohort is 64
 /// clients of 60 samples × 64 features — well under a megabyte of live
@@ -58,8 +60,19 @@ fn lazy_bundle(clients: usize, samples: usize, seed: u64) -> fedbiad::fl::worklo
     build_with(Workload::MnistLike, Scale::Smoke, seed, &overrides)
 }
 
+/// The telemetry collector is process-global: a capture sees every
+/// thread's counters. The tests that train hold this lock, so the
+/// counter test's totals are its own run's.
+static TRAINING: Mutex<()> = Mutex::new(());
+
+fn training_lock() -> MutexGuard<'static, ()> {
+    // A sibling that failed while training leaves nothing half-done here.
+    TRAINING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn hundred_thousand_client_round_stays_within_the_rss_budget() {
+    let _training = training_lock();
     let peak_before = metrics::peak_rss_bytes();
     let bundle = lazy_bundle(100_000, 60, 42);
     assert_eq!(bundle.data.num_clients(), 100_000);
@@ -122,28 +135,100 @@ fn assert_logs_bit_identical(a: &ExperimentLog, b: &ExperimentLog, what: &str) {
 
 /// Training on the lazy dataset must be bit-identical to training on a
 /// fully materialised copy of the same population — the lazy path may
-/// change *when* shards exist, never *what* they contain.
+/// change *when* samples exist, never *what* they contain. `batch_size`
+/// 1 reads a fraction of each shard (most samples are stepped over or
+/// never reached); 32 reads all of it.
 #[test]
 fn lazy_training_is_bit_identical_to_materialised() {
+    let _training = training_lock();
     let bundle = lazy_bundle(512, 24, 7);
     let eager = bundle.data.materialize();
     assert_eq!(eager.num_clients(), 512);
     assert!(eager.lazy.is_none());
 
-    let cfg = population_cfg(&bundle, 7, 2, 16);
-    let run =
-        |data: &FedDataset| Experiment::new(bundle.model.as_ref(), data, FedAvg::new(), cfg).run();
-    assert_logs_bit_identical(&run(&bundle.data), &run(&eager), "fedavg lazy vs eager");
+    let model = bundle.model.as_ref();
+    for batch_size in [bundle.train.batch_size, 1] {
+        let mut cfg = population_cfg(&bundle, 7, 2, 16);
+        cfg.train.batch_size = batch_size;
+        let run = |data: &FedDataset| Experiment::new(model, data, FedAvg::new(), cfg).run();
+        assert_logs_bit_identical(
+            &run(&bundle.data),
+            &run(&eager),
+            &format!("fedavg lazy vs eager, batch {batch_size}"),
+        );
 
-    let masked = |data: &FedDataset| {
-        let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
-        Experiment::new(bundle.model.as_ref(), data, algo, cfg).run()
+        let masked = |data: &FedDataset| {
+            let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
+            Experiment::new(model, data, algo, cfg).run()
+        };
+        assert_logs_bit_identical(
+            &masked(&bundle.data),
+            &masked(&eager),
+            &format!("fedbiad lazy vs eager, batch {batch_size}"),
+        );
+    }
+
+    // The `million_sparse` shape: batch 1 under FedBuff with stragglers,
+    // where a client can be dispatched again within one round.
+    let mut cfg = population_cfg(&bundle, 7, 3, 16);
+    cfg.train.batch_size = 1;
+    let stragglers = HeterogeneityProfile::Stragglers {
+        fraction: 0.2,
+        slowdown: 5.0,
+        jitter: 0.1,
     };
-    assert_logs_bit_identical(
-        &masked(&bundle.data),
-        &masked(&eager),
-        "fedbiad lazy vs eager",
+    let fedbuff = |data: &FedDataset| {
+        let sim_cfg = SimConfig::new(cfg, stragglers);
+        Simulator::new(model, data, FedAvg::new(), FedBuff::new(8, 16), sim_cfg).run()
+    };
+    let (lazy, resident) = (fedbuff(&bundle.data), fedbuff(&eager));
+    assert_logs_bit_identical(&lazy.log, &resident.log, "fedbuff lazy vs eager, batch 1");
+    assert_eq!(
+        lazy.total_virtual_seconds.to_bits(),
+        resident.total_virtual_seconds.to_bits()
     );
+}
+
+/// The reader's counters say what a lazy local run did to its shard:
+/// at most one derivation per index the batch stream drew, and derived
+/// plus stepped-over samples never exceed the shard.
+#[test]
+fn lazy_run_counts_samples_derived_and_advanced() {
+    if !fedbiad::telemetry::compiled() {
+        eprintln!("telemetry not compiled in; counter test skipped");
+        return;
+    }
+    let _training = training_lock();
+    let (samples, cohort, rounds) = (60, 16, 2);
+    let bundle = lazy_bundle(512, samples, 42);
+    let mut cfg = population_cfg(&bundle, 42, rounds, cohort);
+    cfg.train.batch_size = 1;
+
+    fedbiad::telemetry::begin_capture();
+    let log = Experiment::new(bundle.model.as_ref(), &bundle.data, FedAvg::new(), cfg).run();
+    let summary = fedbiad::telemetry::end_capture().summary();
+
+    let dispatches: usize = log.records.iter().map(|r| r.contributors).sum();
+    assert_eq!(dispatches, cohort * rounds);
+    let count = |name| summary.counter(name).unwrap_or(0) as usize;
+    let (derived, advanced) = (
+        count("data.samples_derived"),
+        count("data.samples_advanced"),
+    );
+    assert!(derived > 0 && advanced > 0, "{derived} / {advanced}");
+    assert!(
+        derived <= cfg.train.local_iters * cfg.train.batch_size * dispatches,
+        "{derived} samples derived for {dispatches} runs of {} batch-1 reads",
+        cfg.train.local_iters
+    );
+    assert!(
+        derived + advanced <= samples * dispatches,
+        "{derived} + {advanced} exceed {dispatches} shards of {samples}"
+    );
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -160,16 +245,95 @@ proptest! {
         let eager = bundle.data.materialize();
         let id = probe % clients;
         let lazy = bundle.data.client(id);
-        let (ClientData::Image(l), ClientData::Image(e)) = (lazy.as_ref(), &eager.clients[id])
+        let (ClientData::LazyImage(view), ClientData::Image(e)) =
+            (lazy.as_ref(), &eager.clients[id])
         else {
-            panic!("population override builds image shards");
+            panic!("a population override builds lazy views; materialising makes them resident");
         };
+        prop_assert_eq!(lazy.num_samples(), e.len());
+        let l = view.materialize();
         prop_assert_eq!(l.dim, e.dim);
         prop_assert_eq!(&l.y, &e.y);
         prop_assert_eq!(l.x.len(), e.x.len());
         for (a, b) in l.x.iter().zip(&e.x) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Whatever a `ShardReader` gathers equals the whole-shard
+    /// specification `client_data(c)` bit for bit — for any generator
+    /// spec (incl. no shift, no noise), population, shard size, seed,
+    /// client and index *sequence* (duplicates, descending, everything,
+    /// nothing, only the last sample) — and reading more never changes a
+    /// row already read.
+    #[test]
+    fn shard_reader_equals_the_whole_shard_pass_for_any_index_sequence(
+        clients in 1usize..400,
+        samples in 1usize..=64,
+        seed in 0u64..1_000,
+        probe in 0usize..400,
+        side in 1usize..7,
+        classes in 1usize..6,
+        prototypes_per_class in 1usize..4,
+        shift_max in 0usize..3,
+        noise in prop::sample::select(vec![0.0f32, 0.08, 0.6]),
+        shape in 0usize..5,
+        raw in collection::vec(0usize..1_000, 0..48),
+        batch in 1usize..9,
+    ) {
+        let spec = SyntheticImageSpec {
+            classes,
+            side,
+            train_n: 0,
+            test_n: 0,
+            prototypes_per_class,
+            bumps: 2,
+            distinctiveness: 0.8,
+            noise,
+            shift_max,
+        };
+        let dim = spec.dim();
+        let lazy = LazyClients::new(spec, seed, clients, samples);
+        let c = probe % clients;
+        let ClientData::Image(want) = lazy.client_data(c) else {
+            panic!("the specification is a resident image set");
+        };
+        let idx: Vec<usize> = match shape {
+            0 => raw.iter().map(|r| r % samples).collect(),
+            1 => (0..samples).rev().collect(),
+            2 => (0..samples).collect(),
+            3 => Vec::new(),
+            _ => vec![samples - 1],
+        };
+
+        let view = lazy.shard(c);
+        prop_assert_eq!((view.len(), view.dim()), (samples, dim));
+        let mut reader = view.reader();
+        let (mut bx, mut by) = (Vec::new(), Vec::new());
+        let mut seen: Vec<usize> = Vec::new();
+        for chunk in idx.chunks(batch) {
+            reader.gather(chunk, &mut bx, &mut by);
+            seen.extend(chunk);
+            prop_assert_eq!(by.len(), chunk.len());
+            prop_assert_eq!(bx.len(), chunk.len() * dim);
+            // This batch, and every row memoised before it.
+            for (&i, row) in chunk.iter().zip(bx.chunks(dim.max(1))) {
+                prop_assert_eq!(bits(row), bits(want.sample(i)));
+            }
+            for (&i, &y) in chunk.iter().zip(&by) {
+                prop_assert_eq!(y, want.y[i]);
+            }
+            for &i in &seen {
+                prop_assert_eq!(bits(reader.sample(i)), bits(want.sample(i)));
+            }
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        prop_assert_eq!(reader.derived(), seen.len());
+        prop_assert_eq!(
+            reader.derived() + reader.advanced(),
+            seen.last().map_or(0, |&hi| hi + 1)
+        );
     }
 
     /// Floyd's sparse sampler draws exactly `cohort` unique, in-range,

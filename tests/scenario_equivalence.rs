@@ -13,7 +13,8 @@
 //! (`sim_tta.toml`) has a fully virtual clock, so there the JSON must
 //! match with no exclusions beyond the RSS sample.
 
-use fedbiad::fl::workload::build;
+use fedbiad::fl::round::{resolve_cohort, sample_clients_with};
+use fedbiad::fl::workload::{build, build_with, Scale, Workload, WorkloadOverrides};
 use fedbiad::fl::ExperimentLog;
 use fedbiad::scenario::{execute, run_method, run_sim_method, Overrides, RunOpts, ScenarioSpec};
 use std::path::Path;
@@ -128,4 +129,67 @@ fn sim_tta_spec_reproduces_the_legacy_sim_runner_with_no_exclusions() {
         assert_eq!(sim.round_end_seconds, report.round_end_seconds);
         assert_eq!(sim.total_virtual_seconds, report.total_virtual_seconds);
     }
+}
+
+/// A valid spec used to die in `run_local_training` ("client has no
+/// data"): Dirichlet(0.01) over the smoke pool hands some of the 8
+/// clients zero samples. Such a client is skipped like an offline one —
+/// every round commits, in both drivers, over exactly the selected
+/// clients that hold data.
+#[test]
+fn a_selected_client_with_an_empty_shard_is_skipped_not_a_panic() {
+    let mut skipped = 0;
+    for mode in ["lockstep", "sim"] {
+        for seed in [42, 1, 2] {
+            let spec = ScenarioSpec::from_toml_str(&format!(
+                r#"
+name = "empty_shard"
+mode = "{mode}"
+
+[run]
+rounds = 2
+seed = {seed}
+scale = "smoke"
+
+[sweep]
+workload = "mnist"
+method = "fedavg"
+
+[partition]
+kind = "dirichlet"
+alpha = 0.01
+"#
+            ))
+            .expect("inline spec must parse");
+            let outcomes = execute(&spec).expect("an empty shard must not abort the run");
+            assert_eq!(outcomes.len(), 1);
+            let (log, opts) = (&outcomes[0].log, &outcomes[0].run.opts);
+            assert_eq!(log.records.len(), 2, "{mode}/{seed}: every round commits");
+
+            let overrides = WorkloadOverrides {
+                image_partition: spec.partition.clone(),
+                ..Default::default()
+            };
+            let data = build_with(Workload::MnistLike, Scale::Smoke, opts.seed, &overrides).data;
+            let k = data.num_clients();
+            let cohort = resolve_cohort(k, opts.client_fraction, opts.cohort).unwrap();
+            for rec in &log.records {
+                let selected = sample_clients_with(opts.sampler, opts.seed, rec.round, k, cohort);
+                let holding = selected
+                    .iter()
+                    .filter(|&&c| data.client(c).num_samples() > 0)
+                    .count();
+                assert_eq!(
+                    rec.contributors, holding,
+                    "{mode}/{seed}, round {}",
+                    rec.round
+                );
+                skipped += selected.len() - holding;
+            }
+        }
+    }
+    assert!(
+        skipped > 0,
+        "no selected client was empty — the test is vacuous"
+    );
 }
