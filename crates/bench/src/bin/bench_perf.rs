@@ -111,7 +111,7 @@ fn kernel_entries(samples: usize, out: &mut Vec<BenchEntry>) {
                 ops::gemv(&w_nt, x.row(i), &[], &mut c_r[i * N..(i + 1) * N]);
             }
         },
-        || ops::gemm_nt(x.as_slice(), &w_nt, M, &mut c_b),
+        || ops::gemm_nt(x.as_slice(), &w_nt, M, None, &mut c_b),
     );
     out.push(entry("kernel/forward_32x128x784", r, b));
 
@@ -127,7 +127,7 @@ fn kernel_entries(samples: usize, out: &mut Vec<BenchEntry>) {
         },
         || {
             gw_b.zero();
-            ops::gemm_tn_acc(delta.as_slice(), x.as_slice(), M, &mut gw_b);
+            ops::gemm_tn_acc(delta.as_slice(), x.as_slice(), M, None, &mut gw_b);
         },
     );
     out.push(entry("kernel/grad_acc_32x128x784", r, b));
@@ -141,9 +141,87 @@ fn kernel_entries(samples: usize, out: &mut Vec<BenchEntry>) {
                 ops::gemv_t(&w_nn, delta.row(s), &mut dx_r[s * K..(s + 1) * K]);
             }
         },
-        || ops::gemm_nn(delta.as_slice(), &w_nn, M, &mut dx_b),
+        || ops::gemm_nn(delta.as_slice(), &w_nn, M, None, &mut dx_b),
     );
     out.push(entry("kernel/backprop_32x128x784", r, b));
+
+    // The lab LSTM's gate-gradient accumulation: 16 windows × 16 steps
+    // visited window-major, step-descending into a 4H × H matrix (H = 48).
+    // Reference = one AXPY per (row, sample), the sequence the fused
+    // kernel reproduces element for element.
+    const S: usize = 256;
+    const R: usize = 192;
+    const C: usize = 48;
+    let dz = filled(S, R, 5);
+    let h = filled(S, C, 6);
+    let order: Vec<usize> = (0..16)
+        .flat_map(|w| (0..16).rev().map(move |t| t * 16 + w))
+        .collect();
+    let mut g_r = Matrix::zeros(R, C);
+    let mut g_b = Matrix::zeros(R, C);
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            g_r.zero();
+            for row in 0..R {
+                for &s in &order {
+                    ops::axpy(dz.get(s, row), h.row(s), g_r.row_mut(row));
+                }
+            }
+        },
+        || {
+            g_b.zero();
+            ops::gemm_tn_acc_ord(dz.as_slice(), h.as_slice(), &order, 0, None, &mut g_b);
+        },
+    );
+    out.push(entry("kernel/grad_acc_ord_256x192x48", r, b));
+}
+
+/// `nn/lstm_loss_grad_kept50` — one batched LSTM call (lab PTB shapes,
+/// 16 windows) on a θ whose row units a uniform p = 0.5 pattern zeroed:
+/// dense through the zeros (no view, the specification) vs the same θ
+/// with its kept-row view. The ratio collapses to 1 if the view stops
+/// reaching the kernels.
+fn kept_rows_entry(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_core::{keep_count, DropPattern};
+    use fedbiad_nn::{Batch, RowWork};
+    use fedbiad_tensor::Workspace;
+
+    let scale = if smoke { Scale::Smoke } else { Scale::Lab };
+    let bundle = build(Workload::PtbLike, scale, 7);
+    let model = bundle.model.as_ref();
+    let mut theta = model.init_params(&mut stream(7, StreamTag::Init, 0, 0));
+    let j = theta.num_row_units();
+    let pattern = DropPattern::sample_global(
+        j,
+        keep_count(j, 0.5),
+        &mut stream(7, StreamTag::Pattern, 0, 0),
+    );
+    let mask = pattern.to_mask(&theta);
+    mask.apply(&mut theta);
+    let kept = mask.kept_rows();
+    let fedbiad_data::ClientData::Text(set) = &bundle.data.clients[0] else {
+        panic!("ptb clients hold text");
+    };
+    let windows: Vec<&[u32]> = (0..16.min(set.num_windows()))
+        .map(|i| set.window(i))
+        .collect();
+    let batch = Batch::Seq { windows: &windows };
+    let (mut g_r, mut g_b) = (theta.zeros_like(), theta.zeros_like());
+    let (mut ws_r, mut ws_b) = (Workspace::new(), Workspace::new());
+    let mut work = RowWork::default();
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            g_r.zero();
+            model.loss_grad_batched(&theta, &batch, &mut g_r, &mut ws_r);
+        },
+        || {
+            g_b.zero();
+            model.loss_grad_kept(&theta, Some(&kept), &batch, &mut g_b, &mut ws_b, &mut work);
+        },
+    );
+    out.push(entry("nn/lstm_loss_grad_kept50", r, b));
 }
 
 fn local_update_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
@@ -764,6 +842,11 @@ fn main() {
     aggregation_entries(smoke, samples, &mut entries);
     sim_entries(smoke, samples, &mut entries);
     hot_path_entries(smoke, samples, &mut entries);
+    kept_rows_entry(
+        smoke,
+        if smoke { samples } else { samples * 4 },
+        &mut entries,
+    );
     lazy_shard_entry(samples, &mut entries);
     // Sub-ms loop: extra samples are nearly free, minima converge better.
     telemetry_noop_entry(if smoke { samples } else { samples * 8 }, &mut entries);

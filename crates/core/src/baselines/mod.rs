@@ -39,7 +39,7 @@ use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
 use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
 use fedbiad_fl::upload::Upload;
-use fedbiad_nn::{Model, ModelMask, ParamSet};
+use fedbiad_nn::{KeptRows, Model, ModelMask, ParamSet};
 use std::sync::Arc;
 
 /// How one federated-dropout method chooses the sub-model a client
@@ -84,12 +84,26 @@ impl<R> Dropout<R> {
     }
 }
 
-/// Hooks that keep gradients inside a fixed coverage mask.
+/// Hooks that keep training inside a fixed coverage mask: the engine
+/// computes the mask's kept rows only, and gradients outside the mask
+/// are zeroed.
 struct MaskHooks<'a> {
     mask: &'a ModelMask,
+    /// `mask`'s kept rows. The promise behind the view — dropped rows of
+    /// `u` are `+0.0` — holds from `mask.apply(u)` on, because a masked
+    /// gradient row is `+0.0` and `u −= lr·0` leaves `+0.0` in place.
+    kept: KeptRows,
 }
 
 impl LocalHooks for MaskHooks<'_> {
+    fn make_theta<'a>(
+        &'a mut self,
+        _v: usize,
+        u: &'a ParamSet,
+    ) -> (&'a ParamSet, Option<&'a KeptRows>) {
+        (u, Some(&self.kept))
+    }
+
     fn mask_grads(&mut self, _v: usize, grads: &mut ParamSet) {
         self.mask.apply(grads);
     }
@@ -134,8 +148,11 @@ impl<R: DropRule> FlAlgorithm for Dropout<R> {
             round: info.round,
             client: client_id,
         };
-        let stats =
-            run_local_training(id, model, data, cfg, &mut u, &mut MaskHooks { mask: &mask });
+        let mut hooks = MaskHooks {
+            mask: &mask,
+            kept: mask.kept_rows(),
+        };
+        let stats = run_local_training(id, model, data, cfg, &mut u, &mut hooks);
         let sketch = self.sketch.as_deref();
         LocalResult {
             upload: combo::masked_upload(info, client_id, u, global, mask, sketch, state),

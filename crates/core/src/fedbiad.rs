@@ -29,7 +29,7 @@ use fedbiad_fl::aggregate::{aggregate_weights, ZeroMode};
 use fedbiad_fl::algorithm::{FlAlgorithm, LocalResult, RoundInfo, TrainConfig};
 use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
 use fedbiad_fl::telemetry::counter;
-use fedbiad_nn::mask::BitVec;
+use fedbiad_nn::mask::{BitVec, KeptRows};
 use fedbiad_nn::{Model, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::rngs::StdRng;
@@ -217,6 +217,8 @@ struct BiadHooks<'a> {
     pattern: DropPattern,
     /// `pattern` expanded to matrix rows; rebuilt only when β changes.
     rows_kept: Vec<Vec<bool>>,
+    /// `pattern`'s kept-row view for the engine, rebuilt alongside.
+    kept: KeptRows,
     /// θ, allocated once per local update and overwritten every step.
     theta: ParamSet,
     theta_stats: ThetaStats,
@@ -230,8 +232,14 @@ struct BiadHooks<'a> {
 }
 
 impl LocalHooks for BiadHooks<'_> {
-    fn make_theta<'a>(&'a mut self, _v: usize, u: &'a ParamSet) -> &'a ParamSet {
-        // Algorithm 1 line 16: θ ~ β ∘ N(U, s̃²I).
+    fn make_theta<'a>(
+        &'a mut self,
+        _v: usize,
+        u: &'a ParamSet,
+    ) -> (&'a ParamSet, Option<&'a KeptRows>) {
+        // Algorithm 1 line 16: θ ~ β ∘ N(U, s̃²I). The sampler stores
+        // `+0.0` in every dropped matrix row, which is the promise the
+        // kept-row view is handed out under.
         self.theta_stats += sample_theta_into(
             &mut self.theta,
             u,
@@ -239,7 +247,7 @@ impl LocalHooks for BiadHooks<'_> {
             self.s_tilde,
             &mut self.noise_rng,
         );
-        &self.theta
+        (&self.theta, Some(&self.kept))
     }
 
     fn mask_grads(&mut self, _v: usize, grads: &mut ParamSet) {
@@ -264,6 +272,7 @@ impl LocalHooks for BiadHooks<'_> {
             );
             let held = std::mem::replace(&mut self.pattern, next);
             self.rows_kept = self.pattern.rows_kept(self.params_template);
+            self.kept = self.pattern.to_mask(self.params_template).kept_rows();
             self.scores.update(&held, &self.pattern, false);
         } else {
             self.scores.update(&self.pattern, &self.pattern, true);
@@ -368,6 +377,7 @@ impl FlAlgorithm for FedBiad {
             params_template: global,
             forced: &forced,
             rows_kept: pattern.rows_kept(global),
+            kept: pattern.to_mask(global).kept_rows(),
             pattern,
             theta: global.clone(),
             theta_stats: ThetaStats::default(),

@@ -11,7 +11,7 @@ use crate::algorithm::TrainConfig;
 use crate::timing::Stopwatch;
 use fedbiad_data::ClientData;
 use fedbiad_nn::optimizer::Sgd;
-use fedbiad_nn::{Batch, Model, ParamSet};
+use fedbiad_nn::{Batch, KeptRows, Model, ParamSet, RowWork};
 use fedbiad_telemetry::{counter, gauge};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use fedbiad_tensor::Workspace;
@@ -20,12 +20,19 @@ use rand::Rng;
 /// Per-iteration customisation points.
 pub trait LocalHooks {
     /// The effective parameters θ for iteration `v`, derived from the
-    /// variational parameters `u`. Default: train on `u` directly (plain
-    /// SGD methods). An implementor that derives θ writes it into a buffer
-    /// it owns for the whole local run and lends that out, so no step
-    /// allocates a model-sized copy.
-    fn make_theta<'a>(&'a mut self, _v: usize, u: &'a ParamSet) -> &'a ParamSet {
-        u
+    /// variational parameters `u`, together with θ's kept-row view: `None`
+    /// when every row takes part, otherwise the rows the method kept —
+    /// every other matrix row of θ being all `+0.0` ([`KeptRows`]), which
+    /// the batched engine then leaves out. Default: train on `u` directly
+    /// (plain SGD methods). An implementor that derives θ writes it into a
+    /// buffer it owns for the whole local run and lends that out, so no
+    /// step allocates a model-sized copy.
+    fn make_theta<'a>(
+        &'a mut self,
+        _v: usize,
+        u: &'a ParamSet,
+    ) -> (&'a ParamSet, Option<&'a KeptRows>) {
+        (u, None)
     }
 
     /// Mask the gradient before the optimiser step (eq. (7): only
@@ -79,8 +86,9 @@ impl LocalRunStats {
 /// using a deterministic per-(seed, round, client) stream.
 ///
 /// Each iteration's forward/backward runs through the model's **batched
-/// engine** (`Model::loss_grad_batched`): one GEMM per layer over the
-/// whole mini-batch instead of per-sample GEMV chains, with every scratch
+/// engine** (`Model::loss_grad_kept`): one GEMM per layer over the whole
+/// mini-batch instead of per-sample GEMV chains — over the rows the hooks
+/// kept only, a dropped row costing nothing — with every scratch
 /// buffer checked out of this run's [`Workspace`] arena — after the first
 /// (warm-up) iteration the loop performs no data-sized allocations. The
 /// batched engine is bit-identical to the per-sample reference
@@ -123,8 +131,9 @@ pub fn run_local_training(
     let mut loss_sum = 0.0f32;
     let mut first_loss = f32::NAN;
     let mut last_loss = f32::NAN;
+    let mut row_work = RowWork::default();
     for v in 0..cfg.local_iters {
-        let theta = hooks.make_theta(v, u);
+        let (theta, kept) = hooks.make_theta(v, u);
 
         grads.zero();
         idx.clear();
@@ -156,7 +165,7 @@ pub fn run_local_training(
                 Batch::Seq { windows: &windows }
             }
         };
-        let loss = model.loss_grad_batched(theta, &batch, &mut grads, &mut ws);
+        let loss = model.loss_grad_kept(theta, kept, &batch, &mut grads, &mut ws, &mut row_work);
 
         // KL ≈ L2 term: decay toward the prior mean 0, on the *effective*
         // parameters so dropped rows get no decay (their μ is not part of
@@ -178,6 +187,8 @@ pub fn run_local_training(
     // Arena behaviour over the whole run: after warm-up the loop should
     // re-use checked-out buffers, so churn stays flat per iteration.
     gauge!("train.ws_churn", ws.churn());
+    counter!("nn.rows_computed", row_work.computed);
+    counter!("nn.rows_skipped", row_work.skipped);
     if let Some(reader) = &reader {
         counter!("data.samples_derived", reader.derived());
         counter!("data.samples_advanced", reader.advanced());

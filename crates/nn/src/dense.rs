@@ -16,8 +16,19 @@ pub fn forward(w: &Matrix, b: &[f32], x: &[f32], act: Activation, y: &mut [f32])
 /// Batched `Y = act(X·Wᵀ + b)`: `x: n×in` (row per sample, row-major),
 /// `y: n×out`. Row `i` is bit-identical to [`forward`] on sample `i`
 /// (same dots, commutative bias add, same element-wise activation).
-pub fn forward_batch(w: &Matrix, b: &[f32], x: &[f32], n: usize, act: Activation, y: &mut [f32]) {
-    ops::gemm_nt(x, w, n, y);
+/// `rows` is `w`'s kept-row view ([`crate::KeptRows`]): only the GEMM
+/// takes it — the bias add and the activation stay full, because a
+/// dropped unit's bias need not be `+0.0`.
+pub fn forward_batch(
+    w: &Matrix,
+    b: &[f32],
+    x: &[f32],
+    n: usize,
+    act: Activation,
+    rows: Option<&[u32]>,
+    y: &mut [f32],
+) {
+    ops::gemm_nt(x, w, n, rows, y);
     ops::add_bias_cols(y, b);
     act.forward(y);
 }
@@ -29,6 +40,10 @@ pub fn forward_batch(w: &Matrix, b: &[f32], x: &[f32], n: usize, act: Activation
 /// * Accumulates `dw += Σ_s δ_s ⊗ x_s` **in sample-ascending order** (the
 ///   per-sample [`backward`]'s GER sequence), `db += Σ_s δ_s`, and
 ///   optionally writes `dx = δ·W` (`n×in`).
+/// * `rows` is `w`'s kept-row view: dropped rows of `dw` are not
+///   accumulated into and dropped rows of `w` not pushed through; `db`
+///   stays dense (it is `O(out)`, and a dropped unit's bias gradient is
+///   masked by a multiply that keeps its sign and NaN-ness).
 ///
 /// Same BLAS-style argument shape as the per-sample [`backward`].
 #[allow(clippy::too_many_arguments)]
@@ -38,18 +53,19 @@ pub fn backward_batch(
     y: &[f32],
     n: usize,
     act: Activation,
+    rows: Option<&[u32]>,
     dy: &mut [f32],
     dw: &mut Matrix,
     db: &mut [f32],
     dx: Option<&mut [f32]>,
 ) {
     act.backward_from_output(y, dy);
-    ops::gemm_tn_acc(dy, x, n, dw);
+    ops::gemm_tn_acc(dy, x, n, rows, dw);
     if !db.is_empty() {
         ops::add_row_sums(dy, n, db);
     }
     if let Some(dx) = dx {
-        ops::gemm_nn(dy, w, n, dx);
+        ops::gemm_nn(dy, w, n, rows, dx);
     }
 }
 

@@ -32,6 +32,6 @@ pub mod optimizer;
 pub mod params;
 pub mod softmax;
 
-pub use mask::{CoverageMask, ModelMask};
-pub use model::{Batch, EvalAccum, Model, ReferencePath};
+pub use mask::{CoverageMask, KeptRows, ModelMask};
+pub use model::{Batch, EvalAccum, Model, ReferencePath, RowWork};
 pub use params::{ArchInfo, LayerKind, ParamSet};

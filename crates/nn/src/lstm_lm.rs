@@ -5,7 +5,8 @@
 //! model of Table I.
 
 use crate::lstm::{self, cell_backward, cell_forward, StepCache};
-use crate::model::{Batch, EvalAccum, Model};
+use crate::mask::KeptRows;
+use crate::model::{Batch, EvalAccum, Model, RowWork};
 use crate::params::{ArchInfo, EntryMeta, LayerKind, ParamSet};
 use crate::softmax;
 use fedbiad_tensor::{init, ops, stats, Matrix, Workspace};
@@ -313,26 +314,47 @@ impl Model for LstmLmModel {
         grads: &mut ParamSet,
         ws: &mut Workspace,
     ) -> f32 {
+        self.loss_grad_kept(params, None, batch, grads, ws, &mut RowWork::default())
+    }
+
+    fn loss_grad_kept(
+        &self,
+        params: &ParamSet,
+        kept: Option<&KeptRows>,
+        batch: &Batch<'_>,
+        grads: &mut ParamSet,
+        ws: &mut Workspace,
+        work: &mut RowWork,
+    ) -> f32 {
         let windows = match batch {
             Batch::Seq { windows } => *windows,
             Batch::Dense { .. } => panic!("LstmLmModel expects Batch::Seq"),
         };
         assert!(!windows.is_empty(), "empty batch");
-        let Some(fwd) = BatchedForward::run(self, params, windows, ws) else {
+        let Some(s) = uniform_steps(windows) else {
             // Ragged window lengths: the batched time loop needs one
-            // uniform step count; fall back to the per-window reference.
+            // uniform step count; fall back to the per-window reference,
+            // which is dense through any zeroed rows.
+            work.count(params, None);
             return self.loss_grad(params, batch, grads);
         };
-        let (n, s) = (fwd.n, fwd.s);
+        let n = windows.len();
         let _gemm_span = fedbiad_telemetry::span!("nn.batch.loss_grad", n = n, steps = s);
         fedbiad_telemetry::gauge!("nn.ws_churn", ws.churn());
+        debug_assert!(
+            kept.is_none_or(|k| k.dropped_rows_are_zero(params)),
+            "a dropped row of θ is not +0.0"
+        );
+        work.count(params, kept);
+        let rows = |e: usize| kept.and_then(|k| k.entry(e));
+        let mut fwd = BatchedForward::run(self, params, kept, windows, s, ws);
+        let _backward_span = fedbiad_telemetry::span!("nn.lstm.backward");
         let (h, e) = (self.hidden, self.embed);
         let inv = 1.0 / (n * s) as f32;
 
         // Per-row softmax + mean-reduce scaling. Individual losses are
         // staged so the final fold can replay the reference's running-sum
         // order (window-major, step-ascending).
-        let mut fwd = fwd;
         let mut loss_buf = ws.take(s * n);
         for t in 0..s {
             for (wi, win) in windows.iter().enumerate() {
@@ -370,7 +392,7 @@ impl Model for LstmLmModel {
         let head = params.mat(self.head_entry());
         for t in (0..s).rev() {
             let dlog = &fwd.logits.as_slice()[t * n * self.vocab..(t + 1) * n * self.vocab];
-            ops::gemm_nn(dlog, head, n, &mut dh_mat);
+            ops::gemm_nn(dlog, head, n, rows(self.head_entry()), &mut dh_mat);
             for l in (0..self.layers).rev() {
                 ops::axpy(1.0, dh_carry[l].as_slice(), &mut dh_mat);
                 let gates_t = &fwd.gates[l].as_slice()[t * n * 4 * h..(t + 1) * n * 4 * h];
@@ -394,14 +416,16 @@ impl Model for LstmLmModel {
                     dz_t,
                     params.mat(self.wh_entry(l)),
                     n,
+                    rows(self.wh_entry(l)),
                     prev_tmp.as_mut_slice(),
                 );
                 std::mem::swap(&mut dh_carry[l], &mut prev_tmp);
+                let (wx, wx_rows) = (params.mat(self.wx_entry(l)), rows(self.wx_entry(l)));
                 if l > 0 {
-                    ops::gemm_nn(dz_t, params.mat(self.wx_entry(l)), n, &mut dh_mat);
+                    ops::gemm_nn(dz_t, wx, n, wx_rows, &mut dh_mat);
                 } else {
                     let dx0_t = &mut dx0.as_mut_slice()[t * n * e..(t + 1) * n * e];
-                    ops::gemm_nn(dz_t, params.mat(self.wx_entry(0)), n, dx0_t);
+                    ops::gemm_nn(dz_t, wx, n, wx_rows, dx0_t);
                 }
             }
         }
@@ -426,6 +450,7 @@ impl Model for LstmLmModel {
                 fwd.h_all[self.layers - 1].as_slice(),
                 &order,
                 n,
+                rows(self.head_entry()),
                 hw,
             );
             ops::add_row_sums_ord(fwd.logits.as_slice(), &order, hb);
@@ -439,24 +464,23 @@ impl Model for LstmLmModel {
             } else {
                 (fwd.h_all[l - 1].as_slice(), n)
             };
-            let ((dwx, dbias), (dwh, _)) = grads.entries_mut2(self.wx_entry(l), self.wh_entry(l));
-            ops::gemm_tn_acc_ord(dz_all[l].as_slice(), x_buf, &order, x_off, dwx);
-            ops::add_row_sums_ord(dz_all[l].as_slice(), &order, dbias);
-            ops::gemm_tn_acc_ord(
-                dz_all[l].as_slice(),
-                fwd.h_all[l].as_slice(),
-                &order,
-                0,
-                dwh,
-            );
+            let (wx, wh) = (self.wx_entry(l), self.wh_entry(l));
+            let ((dwx, dbias), (dwh, _)) = grads.entries_mut2(wx, wh);
+            let dz = dz_all[l].as_slice();
+            ops::gemm_tn_acc_ord(dz, x_buf, &order, x_off, rows(wx), dwx);
+            ops::add_row_sums_ord(dz, &order, dbias);
+            ops::gemm_tn_acc_ord(dz, fwd.h_all[l].as_slice(), &order, 0, rows(wh), dwh);
         }
         // Embedding rows can collide across (window, step); scatter in the
-        // same window-major, step-descending order.
+        // same window-major, step-descending order. A dropped token's
+        // gradient row is left as zeroed, like any dropped gradient row.
         let emb_g = grads.mat_mut(self.emb_entry());
+        let emb_rows = rows(self.emb_entry());
         for (wi, win) in windows.iter().enumerate() {
             for t in (0..s).rev() {
-                let tok = win[t] as usize;
-                ops::axpy(1.0, dx0.row(t * n + wi), emb_g.row_mut(tok));
+                if emb_rows.is_none_or(|kept| kept.binary_search(&win[t]).is_ok()) {
+                    ops::axpy(1.0, dx0.row(t * n + wi), emb_g.row_mut(win[t] as usize));
+                }
             }
         }
 
@@ -485,12 +509,13 @@ impl Model for LstmLmModel {
         if windows.is_empty() {
             return EvalAccum::default();
         }
-        let Some(mut fwd) = BatchedForward::run(self, params, windows, ws) else {
+        let Some(s) = uniform_steps(windows) else {
             return self.evaluate(params, batch, k);
         };
-        let (n, s) = (fwd.n, fwd.s);
+        let n = windows.len();
         let _gemm_span = fedbiad_telemetry::span!("nn.batch.eval", n = n, steps = s);
         fedbiad_telemetry::gauge!("nn.ws_churn", ws.churn());
+        let mut fwd = BatchedForward::run(self, params, None, windows, s, ws);
         // The reference folds loss window-major, step-ascending; stage
         // per-row losses and replay that order.
         let mut loss_buf = ws.take(s * n);
@@ -526,10 +551,6 @@ impl Model for LstmLmModel {
 /// carry an extra leading zero block, so step `t` reads block `t` and
 /// writes block `t+1`).
 struct BatchedForward {
-    /// Windows in the batch.
-    n: usize,
-    /// Uniform step count.
-    s: usize,
     /// Layer-0 inputs: `s·n × embed` gathered embedding rows.
     emb_x: Matrix,
     /// Per layer: post-activation gates, `s·n × 4H`.
@@ -545,20 +566,27 @@ struct BatchedForward {
     logits: Matrix,
 }
 
+/// The step count every window shares, or `None` when the windows are
+/// ragged or empty (the batched time loop needs one uniform count).
+fn uniform_steps(windows: &[&[u32]]) -> Option<usize> {
+    let s = windows.first()?.len().checked_sub(1)?;
+    (s > 0 && windows.iter().all(|w| w.len() == s + 1)).then_some(s)
+}
+
 impl BatchedForward {
-    /// Run the forward pass; `None` when the windows are ragged (the
-    /// batched time loop needs one uniform step count).
+    /// Run the forward pass over `windows` of `s` steps each
+    /// ([`uniform_steps`]); `kept` as in [`Model::loss_grad_kept`].
     fn run(
         model: &LstmLmModel,
         params: &ParamSet,
+        kept: Option<&KeptRows>,
         windows: &[&[u32]],
+        s: usize,
         ws: &mut Workspace,
-    ) -> Option<BatchedForward> {
+    ) -> BatchedForward {
+        let _forward_span = fedbiad_telemetry::span!("nn.lstm.forward");
         let n = windows.len();
-        let s = windows[0].len().checked_sub(1)?;
-        if s == 0 || windows.iter().any(|w| w.len() != s + 1) {
-            return None;
-        }
+        let rows = |e: usize| kept.and_then(|k| k.entry(e));
         let (h, e, v) = (model.hidden, model.embed, model.vocab);
         let mut emb_x = ws.take_matrix(s * n, e);
         let emb = params.mat(model.emb_entry());
@@ -583,9 +611,8 @@ impl BatchedForward {
 
         for t in 0..s {
             for l in 0..model.layers {
-                let wx = params.mat(model.wx_entry(l));
-                let bias = params.bias(model.wx_entry(l));
-                let wh = params.mat(model.wh_entry(l));
+                let (wx_e, wh_e) = (model.wx_entry(l), model.wh_entry(l));
+                let (wx, bias, wh) = (params.mat(wx_e), params.bias(wx_e), params.mat(wh_e));
                 // Split h_all so layer l's state is writable while layer
                 // l−1's output block stays readable.
                 let (below, cur) = h_all.split_at_mut(l);
@@ -597,10 +624,11 @@ impl BatchedForward {
                 let gates_t = &mut gates[l].as_mut_slice()[t * n * 4 * h..(t + 1) * n * 4 * h];
                 // Gate fusion across the batch: z = X·Wxᵀ + b + H_prev·Whᵀ,
                 // each term in the reference's association order.
-                ops::gemm_nt(x_t, wx, n, gates_t);
+                ops::gemm_nt(x_t, wx, n, rows(wx_e), gates_t);
                 ops::add_bias_cols(gates_t, bias);
                 let hl = &mut cur[0];
-                ops::gemm_nt(&hl.as_slice()[t * n * h..(t + 1) * n * h], wh, n, &mut rec);
+                let h_prev = &hl.as_slice()[t * n * h..(t + 1) * n * h];
+                ops::gemm_nt(h_prev, wh, n, rows(wh_e), &mut rec);
                 ops::axpy(1.0, &rec, gates_t);
                 let (_, h_next_part) = hl.as_mut_slice().split_at_mut((t + 1) * n * h);
                 let (c_prev_part, c_next_part) =
@@ -617,20 +645,19 @@ impl BatchedForward {
             }
             let top = &h_all[model.layers - 1].as_slice()[(t + 1) * n * h..(t + 2) * n * h];
             let logits_t = &mut logits.as_mut_slice()[t * n * v..(t + 1) * n * v];
-            ops::gemm_nt(top, params.mat(model.head_entry()), n, logits_t);
-            ops::add_bias_cols(logits_t, params.bias(model.head_entry()));
+            let head_e = model.head_entry();
+            ops::gemm_nt(top, params.mat(head_e), n, rows(head_e), logits_t);
+            ops::add_bias_cols(logits_t, params.bias(head_e));
         }
         ws.give(rec);
-        Some(BatchedForward {
-            n,
-            s,
+        BatchedForward {
             emb_x,
             gates,
             tanh_c,
             h_all,
             c_all,
             logits,
-        })
+        }
     }
 
     /// Return every buffer to the arena.

@@ -326,6 +326,58 @@ impl ModelMask {
     }
 }
 
+/// The rows of each weight matrix a row-structured mask kept, as the
+/// batched engine takes them ([`crate::Model::loss_grad_kept`]): per
+/// entry either `None` — every row — or the ascending kept row indices.
+///
+/// Whoever hands one to the engine beside a parameter set θ promises
+/// that **every other row of that entry's matrix is all `+0.0`** in θ
+/// ([`KeptRows::dropped_rows_are_zero`]); that is what lets the engine
+/// leave those rows out and still produce the dense pass's bits.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KeptRows {
+    per_entry: Vec<Option<Vec<u32>>>,
+}
+
+impl KeptRows {
+    /// Entry `e`'s view: `None` for every row, else the kept rows.
+    pub fn entry(&self, e: usize) -> Option<&[u32]> {
+        self.per_entry[e].as_deref()
+    }
+
+    /// Does `theta` keep the promise this view is handed out under?
+    pub fn dropped_rows_are_zero(&self, theta: &ParamSet) -> bool {
+        self.per_entry.iter().enumerate().all(|(e, view)| {
+            view.as_deref().is_none_or(|kept| {
+                let m = theta.mat(e);
+                (0..m.rows())
+                    .filter(|&r| kept.binary_search(&(r as u32)).is_err())
+                    .all(|r| m.row(r).iter().all(|v| v.to_bits() == 0))
+            })
+        })
+    }
+}
+
+impl ModelMask {
+    /// The kept-row view of this mask, built once per mask: the set bits
+    /// of a `Rows` / `RowsCols` row vector that drops something, `None`
+    /// for entries that keep every row (`Full`, `Elements`, a `RowsCols`
+    /// that only drops columns).
+    pub fn kept_rows(&self) -> KeptRows {
+        let rows_of = |mask: &CoverageMask| match mask {
+            CoverageMask::Rows(rows) | CoverageMask::RowsCols { rows, .. }
+                if rows.count_ones() < rows.len() =>
+            {
+                Some(rows.ones().map(|r| r as u32).collect())
+            }
+            _ => None,
+        };
+        KeptRows {
+            per_entry: self.per_entry.iter().map(rows_of).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,6 +538,35 @@ mod tests {
         assert_eq!(q.mat(0).get(1, 2), 1.0); // flat index 5 kept
         assert_eq!(q.mat(0).get(0, 0), 0.0);
         assert_eq!(q.bias(0), &[1.0; 4]); // bias untouched
+    }
+
+    #[test]
+    fn kept_rows_lists_the_set_row_bits_of_masks_that_drop_rows() {
+        let p = two_entry_params();
+        let mut rows = BitVec::new(4, true);
+        rows.set(1, false);
+        let mut cols = BitVec::new(4, true);
+        cols.set(0, false);
+        let mask = ModelMask {
+            per_entry: vec![
+                CoverageMask::Rows(rows),
+                CoverageMask::RowsCols {
+                    rows: BitVec::new(2, true),
+                    cols,
+                },
+            ],
+        };
+        let view = mask.kept_rows();
+        assert_eq!(view.entry(0), Some(&[0u32, 2, 3][..]));
+        assert_eq!(view.entry(1), None, "only columns dropped");
+        assert_eq!(ModelMask::full(&p).kept_rows().entry(0), None);
+
+        assert!(!view.dropped_rows_are_zero(&p));
+        let mut q = p.clone();
+        mask.apply(&mut q);
+        assert!(view.dropped_rows_are_zero(&q));
+        q.mat_mut(0).set(1, 2, -0.0);
+        assert!(!view.dropped_rows_are_zero(&q), "−0.0 is not +0.0");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use crate::activation::Activation;
 use crate::dense;
-use crate::model::{Batch, EvalAccum, Model};
+use crate::mask::KeptRows;
+use crate::model::{Batch, EvalAccum, Model, RowWork};
 use crate::params::{ArchInfo, EntryMeta, LayerKind, ParamSet};
 use crate::softmax;
 use fedbiad_tensor::{init, stats, Matrix};
@@ -148,6 +149,18 @@ impl Model for MlpModel {
         grads: &mut ParamSet,
         ws: &mut fedbiad_tensor::Workspace,
     ) -> f32 {
+        self.loss_grad_kept(params, None, batch, grads, ws, &mut RowWork::default())
+    }
+
+    fn loss_grad_kept(
+        &self,
+        params: &ParamSet,
+        kept: Option<&KeptRows>,
+        batch: &Batch<'_>,
+        grads: &mut ParamSet,
+        ws: &mut fedbiad_tensor::Workspace,
+        work: &mut RowWork,
+    ) -> f32 {
         let (x, y, dim) = match batch {
             Batch::Dense { x, y, dim } => (*x, *y, *dim),
             Batch::Seq { .. } => panic!("MlpModel expects Batch::Dense"),
@@ -157,6 +170,12 @@ impl Model for MlpModel {
         assert!(n > 0, "empty batch");
         let _gemm_span = fedbiad_telemetry::span!("nn.batch.loss_grad", n = n);
         fedbiad_telemetry::gauge!("nn.ws_churn", ws.churn());
+        debug_assert!(
+            kept.is_none_or(|k| k.dropped_rows_are_zero(params)),
+            "a dropped row of θ is not +0.0"
+        );
+        work.count(params, kept);
+        let rows = |e: usize| kept.and_then(|k| k.entry(e));
         let inv_n = 1.0 / n as f32;
 
         // Whole-batch forward: two GEMMs instead of 2n GEMVs.
@@ -168,6 +187,7 @@ impl Model for MlpModel {
             x,
             n,
             Activation::Relu,
+            rows(0),
             &mut h,
         );
         dense::forward_batch(
@@ -176,6 +196,7 @@ impl Model for MlpModel {
             &h,
             n,
             Activation::Linear,
+            rows(1),
             &mut logits,
         );
 
@@ -193,11 +214,11 @@ impl Model for MlpModel {
         {
             // Output layer (Linear): delta is `logits` itself.
             let (w2g, b2g) = grads.mat_bias_mut(1);
-            fedbiad_tensor::ops::gemm_tn_acc(&logits, &h, n, w2g);
+            fedbiad_tensor::ops::gemm_tn_acc(&logits, &h, n, rows(1), w2g);
             fedbiad_tensor::ops::add_row_sums(&logits, n, b2g);
         }
         let mut dh = ws.take(n * self.hidden);
-        fedbiad_tensor::ops::gemm_nn(&logits, params.mat(1), n, &mut dh);
+        fedbiad_tensor::ops::gemm_nn(&logits, params.mat(1), n, rows(1), &mut dh);
         {
             let (w1g, b1g) = grads.mat_bias_mut(0);
             dense::backward_batch(
@@ -206,6 +227,7 @@ impl Model for MlpModel {
                 &h,
                 n,
                 Activation::Relu,
+                rows(0),
                 &mut dh,
                 w1g,
                 b1g,
@@ -242,6 +264,7 @@ impl Model for MlpModel {
             x,
             n,
             Activation::Relu,
+            None,
             &mut h,
         );
         dense::forward_batch(
@@ -250,6 +273,7 @@ impl Model for MlpModel {
             &h,
             n,
             Activation::Linear,
+            None,
             &mut logits,
         );
         let mut acc = EvalAccum::default();

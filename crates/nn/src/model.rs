@@ -6,6 +6,7 @@
 //! paper's separation between the model structure `(S, L, D)` and the
 //! variational parameters `U` (§IV-A).
 
+use crate::mask::KeptRows;
 use crate::params::{ArchInfo, ParamSet};
 use fedbiad_tensor::Workspace;
 use rand::rngs::StdRng;
@@ -87,6 +88,32 @@ impl EvalAccum {
     }
 }
 
+/// Weight-matrix rows batched calls multiplied through, and rows they
+/// left out because a [`KeptRows`] view said a dropout method zeroed
+/// them — the `nn.rows_computed` / `nn.rows_skipped` counters. Every
+/// [`Model::loss_grad_kept`] call adds the parameter set's total row
+/// count, split between the two.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowWork {
+    /// Rows that took part in the call's GEMMs.
+    pub computed: u64,
+    /// Rows the call did no arithmetic for.
+    pub skipped: u64,
+}
+
+impl RowWork {
+    /// Count one call over `params` that honoured `kept` on every entry
+    /// (`None`: it ran every row — no view, or an engine without one).
+    pub fn count(&mut self, params: &ParamSet, kept: Option<&KeptRows>) {
+        for e in 0..params.num_entries() {
+            let rows = params.mat(e).rows();
+            let computed = kept.and_then(|k| k.entry(e)).map_or(rows, <[u32]>::len);
+            self.computed += computed as u64;
+            self.skipped += (rows - computed) as u64;
+        }
+    }
+}
+
 /// Architecture contract used by the FL stack.
 pub trait Model: Send + Sync {
     /// Human-readable name.
@@ -127,6 +154,27 @@ pub trait Model: Send + Sync {
         self.loss_grad(params, batch, grads)
     }
 
+    /// [`Model::loss_grad_batched`] on parameters θ a dropout method
+    /// zeroed rows of: `kept` names the rows it kept (every other matrix
+    /// row of θ is all `+0.0` — [`KeptRows`]), so an engine may leave the
+    /// rest out of its GEMMs. Loss, and gradients once the caller's
+    /// gradient mask has zeroed the dropped rows, are bit-identical to
+    /// the dense call, which is what this default — for architectures
+    /// and wrappers without a kept-row engine — runs. `work` accumulates
+    /// what the call did with the rows.
+    fn loss_grad_kept(
+        &self,
+        params: &ParamSet,
+        _kept: Option<&KeptRows>,
+        batch: &Batch<'_>,
+        grads: &mut ParamSet,
+        ws: &mut Workspace,
+        work: &mut RowWork,
+    ) -> f32 {
+        work.count(params, None);
+        self.loss_grad_batched(params, batch, grads, ws)
+    }
+
     /// Batched-engine [`Model::evaluate`]; same contract as
     /// [`Model::loss_grad_batched`].
     fn evaluate_batched(
@@ -142,8 +190,9 @@ pub trait Model: Send + Sync {
 
 /// Forces the per-sample reference path of a wrapped model: the batched
 /// entry points fall back to their defaults (which call the reference
-/// implementations). The differential tests and the perf harness use this
-/// to run the exact same architecture down both code paths.
+/// implementations, dense through any zeroed rows). The differential
+/// tests and the perf harness use this to run the exact same
+/// architecture down both code paths.
 pub struct ReferencePath<'a>(pub &'a dyn Model);
 
 impl Model for ReferencePath<'_> {

@@ -26,7 +26,7 @@ fn main() {
     );
     let t0 = Instant::now();
     for _ in 0..reps {
-        ops::gemm_nt(&x, &w, M, &mut c);
+        ops::gemm_nt(&x, &w, M, None, &mut c);
     }
     println!(
         "gemm_nt:   {:.2} GMAC/s",

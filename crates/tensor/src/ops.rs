@@ -26,6 +26,21 @@
 //! * the `_ord` variants replay an explicit row-visit order — the BPTT
 //!   accumulation order (window-major, step-descending) of the sequential
 //!   LSTM reference.
+//!
+//! # Kept rows
+//!
+//! The four GEMMs take `rows: Option<&[u32]>` — `None` for every row of
+//! the weight (or gradient) matrix, otherwise the strictly ascending
+//! indices of the rows a dropout method kept, **every other row of the
+//! weight matrix being all `+0.0`**. With a subset they compute only
+//! those rows and produce the bits the `None` call produces on the same
+//! operands: a zero row's dot is `+0.0` and its AXPY is a no-op *when the
+//! other operand is finite*, so [`gemm_nt`] and [`gemm_nn`] check that
+//! per sample row and run the row dense when it is not; a dropped
+//! gradient row is left as the caller zeroed it, which is what the
+//! caller's gradient mask would have written
+//! (`crates/tensor/tests/kernel_props.rs` pins each against
+//! dense-through-zeros).
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -224,7 +239,7 @@ pub fn gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "gemm: inner dims differ");
     assert_eq!(a.rows(), c.rows(), "gemm: C rows");
     assert_eq!(b.cols(), c.cols(), "gemm: C cols");
-    gemm_nn(a.as_slice(), b, a.rows(), c.as_mut_slice());
+    gemm_nn(a.as_slice(), b, a.rows(), None, c.as_mut_slice());
 }
 
 /// Four simultaneous dot products sharing one pass over `w`.
@@ -383,11 +398,17 @@ unsafe fn dot4_avx(
 /// 4-lane [`dot`]. Rows are processed in blocks of four sharing one pass
 /// over each weight row (`dot4`), which is where the batched path's
 /// single-thread speedup comes from; blocks parallelise over rayon.
-pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, c: &mut [f32]) {
+///
+/// With `rows` (module docs, "Kept rows") only those output columns are
+/// computed and the others are written `+0.0` — the dot of a finite
+/// sample with a zero weight row. A block holding a non-finite input
+/// (`inf·0 = NaN`) runs dense.
+pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.cols();
     let n = b.rows();
     assert_eq!(a.len(), m * k, "gemm_nt: A must be m×k");
     assert_eq!(c.len(), m * n, "gemm_nt: C must be m×n");
+    debug_assert!(is_row_subset(rows, n), "gemm_nt: rows");
     if m == 0 || n == 0 {
         return;
     }
@@ -400,12 +421,21 @@ pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, c: &mut [f32]) {
         let x1 = &a[(i0 + 1) * k..(i0 + 2) * k];
         let x2 = &a[(i0 + 2) * k..(i0 + 3) * k];
         let x3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-        for j in 0..n {
+        let column = |cb: &mut [f32], j: usize| {
             let out = dot4(x0, x1, x2, x3, b.row(j), avx);
             cb[j] = out[0];
             cb[n + j] = out[1];
             cb[2 * n + j] = out[2];
             cb[3 * n + j] = out[3];
+        };
+        match rows.filter(|_| all_finite(&a[i0 * k..(i0 + 4) * k])) {
+            None => (0..n).for_each(|j| column(cb, j)),
+            Some(kept) => {
+                // Workspace buffers are reused: the dropped columns hold
+                // a previous call's values until overwritten.
+                cb.fill(0.0);
+                kept.iter().for_each(|&j| column(cb, j as usize));
+            }
         }
     };
     if head.len() >= GEMM_PAR_THRESHOLD {
@@ -420,10 +450,36 @@ pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, c: &mut [f32]) {
     for (r, crow) in rest.chunks_exact_mut(n).enumerate() {
         let i = blocks * 4 + r;
         let x = &a[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv = dot(x, b.row(j));
+        match rows.filter(|_| all_finite(x)) {
+            None => {
+                for (j, cv) in crow.iter_mut().enumerate() {
+                    *cv = dot(x, b.row(j));
+                }
+            }
+            Some(kept) => {
+                crow.fill(0.0);
+                for &j in kept {
+                    crow[j as usize] = dot(x, b.row(j as usize));
+                }
+            }
         }
     }
+}
+
+/// Is `rows` (when given) strictly ascending and inside `0..n`? The
+/// shape every kept-row argument must have.
+fn is_row_subset(rows: Option<&[u32]>, n: usize) -> bool {
+    rows.is_none_or(|kept| {
+        kept.windows(2).all(|w| w[0] < w[1]) && kept.last().is_none_or(|&r| (r as usize) < n)
+    })
+}
+
+/// No `±inf`, no NaN: the condition under which `x·(+0.0)` is a zero and
+/// a zero weight row can be left out of a dot or an AXPY. Branch-free so
+/// it vectorises; it reads `x` once where the GEMM reads it per row.
+#[inline]
+fn all_finite(x: &[f32]) -> bool {
+    x.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
 /// Batched backprop GEMM `C = A·B` over slice inputs.
@@ -432,20 +488,31 @@ pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, c: &mut [f32]) {
 /// m×n`. Row `i` of `C` is bit-identical to `gemv_t(B, A.row(i), ·)`:
 /// zero-filled, then AXPYs over `B`'s rows in ascending order, skipping
 /// zero coefficients. ([`gemm`] is this kernel over `Matrix` operands.)
-pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, c: &mut [f32]) {
+///
+/// With `rows` (module docs, "Kept rows") the AXPYs of the other weight
+/// rows are left out: the accumulator starts at `+0.0` and can never
+/// become `−0.0`, so adding `a·(+0.0)` changes nothing for finite `a`.
+/// A sample row holding a non-finite coefficient runs dense.
+pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.rows();
     let n = b.cols();
     assert_eq!(a.len(), m * k, "gemm_nn: A must be m×k");
     assert_eq!(c.len(), m * n, "gemm_nn: C must be m×n");
+    debug_assert!(is_row_subset(rows, k), "gemm_nn: rows");
     if m == 0 || n == 0 {
         return;
     }
     let avx = avx_available();
     let row_kernel = |(i, crow): (usize, &mut [f32])| {
         crow.fill(0.0);
-        // Coefficients for row `i` are contiguous, so the shared fused
-        // kernel applies with coefficient stride 1.
-        acc_row_kernel(&a[i * k..(i + 1) * k], b.as_slice(), 1, n, 0, k, crow, avx);
+        let coeffs = &a[i * k..(i + 1) * k];
+        match rows.filter(|_| all_finite(coeffs)) {
+            None => acc_row_kernel(k, |s| (coeffs[s], b.row(s)), crow, avx),
+            Some(kept) => {
+                let term = |t: usize| (coeffs[kept[t] as usize], b.row(kept[t] as usize));
+                acc_row_kernel(kept.len(), term, crow, avx);
+            }
+        }
     };
     if c.len() >= GEMM_PAR_THRESHOLD {
         c.par_chunks_exact_mut(n).enumerate().for_each(row_kernel);
@@ -582,57 +649,81 @@ unsafe fn axpy4_avx(
     chunks * 8
 }
 
-/// One output row's accumulation over sample rows `s0..s0+cnt` of `A`/`B`
-/// — the shared inner loop of [`gemm_tn_acc`]: 4-sample groups whose
-/// coefficients are all nonzero run fused ([`axpy4`]); any group with a
-/// zero falls back to the per-sample zero-skip AXPYs. Both orders execute
-/// the identical f32 operation sequence on each element.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn acc_row_kernel(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    r: usize,
+/// One output row's accumulation `crow += Σ_t coeff_t · row_t` over the
+/// terms `term(0), …, term(k−1)` in that order — the shared inner loop of
+/// [`gemm_nn`] and [`gemm_tn_acc`]`{,_ord}`, which differ only in where
+/// term `t`'s coefficient and row live. Groups of four consecutive terms
+/// whose coefficients are all nonzero run fused ([`axpy4`]); any group
+/// with a zero falls back to the per-term zero-skip AXPYs. Both orders
+/// execute the identical f32 operation sequence on each element.
+/// Always inlined, so each caller's `term` folds into the loop.
+#[inline(always)]
+fn acc_row_kernel<'b>(
     k: usize,
+    term: impl Fn(usize) -> (f32, &'b [f32]),
     crow: &mut [f32],
     avx: bool,
 ) {
-    let mut s = 0;
-    while s + 4 <= k {
-        let k0 = a[s * m + r];
-        let k1 = a[(s + 1) * m + r];
-        let k2 = a[(s + 2) * m + r];
-        let k3 = a[(s + 3) * m + r];
+    let mut t = 0;
+    while t + 4 <= k {
+        let group = [term(t), term(t + 1), term(t + 2), term(t + 3)];
+        let [(k0, x0), (k1, x1), (k2, x2), (k3, x3)] = group;
         if k0 != 0.0 && k1 != 0.0 && k2 != 0.0 && k3 != 0.0 {
-            axpy4(
-                k0,
-                &b[s * n..(s + 1) * n],
-                k1,
-                &b[(s + 1) * n..(s + 2) * n],
-                k2,
-                &b[(s + 2) * n..(s + 3) * n],
-                k3,
-                &b[(s + 3) * n..(s + 4) * n],
-                crow,
-                avx,
-            );
+            axpy4(k0, x0, k1, x1, k2, x2, k3, x3, crow, avx);
         } else {
-            for (t, coeff) in [k0, k1, k2, k3].into_iter().enumerate() {
+            for (coeff, x) in group {
                 if coeff != 0.0 {
-                    axpy(coeff, &b[(s + t) * n..(s + t + 1) * n], crow);
+                    axpy(coeff, x, crow);
                 }
             }
         }
-        s += 4;
+        t += 4;
     }
-    while s < k {
-        let coeff = a[s * m + r];
+    while t < k {
+        let (coeff, x) = term(t);
         if coeff != 0.0 {
-            axpy(coeff, &b[s * n..(s + 1) * n], crow);
+            axpy(coeff, x, crow);
         }
-        s += 1;
+        t += 1;
+    }
+}
+
+/// Run `kernel(r, row r of C)` for every row of a gradient matrix, or for
+/// the `rows` subset only — a dropped gradient row stays as the caller
+/// zeroed it. Rows are independent, so large matrices fan out to rayon.
+fn for_each_grad_row(
+    c: &mut Matrix,
+    rows: Option<&[u32]>,
+    kernel: impl Fn((usize, &mut [f32])) + Send + Sync,
+) {
+    let n = c.cols();
+    debug_assert!(is_row_subset(rows, c.rows()), "gradient rows");
+    let par = c.len() >= GEMM_PAR_THRESHOLD;
+    match rows {
+        None if par => c
+            .as_mut_slice()
+            .par_chunks_exact_mut(n)
+            .enumerate()
+            .for_each(kernel),
+        None => c
+            .as_mut_slice()
+            .chunks_exact_mut(n)
+            .enumerate()
+            .for_each(kernel),
+        Some(kept) if par => c
+            .as_mut_slice()
+            .par_chunks_exact_mut(n)
+            .enumerate()
+            .for_each(|(r, crow)| {
+                if kept.binary_search(&(r as u32)).is_ok() {
+                    kernel((r, crow));
+                }
+            }),
+        Some(kept) => {
+            for &r in kept {
+                kernel((r as usize, c.row_mut(r as usize)));
+            }
+        }
     }
 }
 
@@ -646,7 +737,9 @@ fn acc_row_kernel(
 /// applies to that row, including the skip of zero coefficients. Unlike
 /// the per-sample loop, each gradient row stays hot in cache while all
 /// `k` samples accumulate into it (one pass over `C` instead of `k`).
-pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, c: &mut Matrix) {
+///
+/// With `rows` only those rows of `C` are accumulated into.
+pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
     let m = c.rows();
     let n = c.cols();
     assert_eq!(a.len(), k * m, "gemm_tn_acc: A must be k×m");
@@ -655,19 +748,9 @@ pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, c: &mut Matrix) {
         return;
     }
     let avx = avx_available();
-    let row_kernel = |(r, crow): (usize, &mut [f32])| acc_row_kernel(a, b, m, n, r, k, crow, avx);
-    let len = c.len();
-    if len >= GEMM_PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(row_kernel);
-    } else {
-        c.as_mut_slice()
-            .chunks_exact_mut(n)
-            .enumerate()
-            .for_each(row_kernel);
-    }
+    for_each_grad_row(c, rows, |(r, crow)| {
+        acc_row_kernel(k, |s| (a[s * m + r], &b[s * n..(s + 1) * n]), crow, avx)
+    });
 }
 
 /// [`gemm_tn_acc`] with an explicit row-visit `order` (row indices into
@@ -677,7 +760,14 @@ pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, c: &mut Matrix) {
 /// the batched time loop produces rows step-major — this kernel replays
 /// the sequential reference's order. `b_row_off` lets `B` be a state
 /// buffer whose block `t+1` holds step `t`'s output (hidden states).
-pub fn gemm_tn_acc_ord(a: &[f32], b: &[f32], order: &[usize], b_row_off: usize, c: &mut Matrix) {
+pub fn gemm_tn_acc_ord(
+    a: &[f32],
+    b: &[f32],
+    order: &[usize],
+    b_row_off: usize,
+    rows: Option<&[u32]>,
+    c: &mut Matrix,
+) {
     let m = c.rows();
     let n = c.cols();
     if m == 0 || n == 0 || order.is_empty() {
@@ -690,26 +780,15 @@ pub fn gemm_tn_acc_ord(a: &[f32], b: &[f32], order: &[usize], b_row_off: usize, 
             "gemm_tn_acc_ord: B too short"
         );
     }
-    let row_kernel = |(r, crow): (usize, &mut [f32])| {
-        for &s in order {
-            let coeff = a[s * m + r];
-            if coeff != 0.0 {
-                let br = s + b_row_off;
-                axpy(coeff, &b[br * n..(br + 1) * n], crow);
-            }
-        }
-    };
-    if c.len() >= GEMM_PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(row_kernel);
-    } else {
-        c.as_mut_slice()
-            .chunks_exact_mut(n)
-            .enumerate()
-            .for_each(row_kernel);
-    }
+    let avx = avx_available();
+    for_each_grad_row(c, rows, |(r, crow)| {
+        let term = |t: usize| {
+            let s = order[t];
+            let br = s + b_row_off;
+            (a[s * m + r], &b[br * n..(br + 1) * n])
+        };
+        acc_row_kernel(order.len(), term, crow, avx)
+    });
 }
 
 /// Bias-gradient accumulation: `acc += Σ_rows A`, rows ascending.
@@ -1856,7 +1935,7 @@ mod tests {
                 .map(|i| ((i * 11) % 23) as f32 * 0.21 - 1.8)
                 .collect();
             let mut c = vec![0.0f32; m * n];
-            gemm_nt(&a, &w, m, &mut c);
+            gemm_nt(&a, &w, m, None, &mut c);
             let mut want = vec![0.0f32; n];
             for i in 0..m {
                 gemv(&w, &a[i * k..(i + 1) * k], &[], &mut want);
@@ -1879,7 +1958,7 @@ mod tests {
                 .map(|i| ((i * 7) % 11) as f32 * 0.3 - 1.2)
                 .collect();
             let mut c = vec![0.0f32; m * n];
-            gemm_nn(&a, &w, m, &mut c);
+            gemm_nn(&a, &w, m, None, &mut c);
             let mut want = vec![0.0f32; n];
             for i in 0..m {
                 gemv_t(&w, &a[i * k..(i + 1) * k], &mut want);
@@ -1910,7 +1989,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.07 - 1.0).collect();
         let mut c = Matrix::full(m, n, 0.25);
         let mut want = c.clone();
-        gemm_tn_acc(&a, &b, k, &mut c);
+        gemm_tn_acc(&a, &b, k, None, &mut c);
         for s in 0..k {
             ger(
                 &mut want,
@@ -1936,9 +2015,9 @@ mod tests {
         let a = [1.0f32, 4.0e-8, 4.0e-8];
         let b = [1.0f32, 1.0, 1.0];
         let mut fwd = Matrix::zeros(1, 1);
-        gemm_tn_acc_ord(&a, &b, &[0, 1, 2], 0, &mut fwd);
+        gemm_tn_acc_ord(&a, &b, &[0, 1, 2], 0, None, &mut fwd);
         let mut rev = Matrix::zeros(1, 1);
-        gemm_tn_acc_ord(&a, &b, &[2, 1, 0], 0, &mut rev);
+        gemm_tn_acc_ord(&a, &b, &[2, 1, 0], 0, None, &mut rev);
         assert_ne!(fwd.get(0, 0).to_bits(), rev.get(0, 0).to_bits());
 
         let mut acc_fwd = vec![0.0f32; 1];

@@ -5,7 +5,10 @@
 //! * naive triple-loop references (value correctness, tolerance-checked
 //!   because the naive association order differs), and
 //! * the per-sample GEMV/GER primitives (the determinism contract:
-//!   **bit-identical**, no tolerance).
+//!   **bit-identical**, no tolerance), and
+//! * for a kept-row subset, the kernel's own every-row form run through
+//!   zeroed rows (**bit-identical**, operands including ±0, subnormals,
+//!   `MAX`, ±∞ and NaN, so the finite guards decide the outcome).
 
 use fedbiad_tensor::ops;
 use fedbiad_tensor::rng::{stream, StreamTag};
@@ -31,6 +34,68 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, filled_vec(rows * cols, seed))
 }
 
+/// One operand element: mostly unit-scale normals, otherwise a value
+/// from the edges where `x·0` stops being `+0.0` or an add stops being
+/// exact (the generator of `crates/core/tests/theta_props.rs`).
+fn edge(rng: &mut impl Rng) -> f32 {
+    let sign = if rng.gen::<bool>() { 1.0f32 } else { -1.0 };
+    sign * match rng.gen_range(0u32..24) {
+        0 | 1 => 0.0,
+        2 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)), // subnormal
+        3 => f32::MIN_POSITIVE,
+        4 => f32::INFINITY,
+        5 => f32::NAN,
+        6 => f32::MAX,
+        7 => 2f32.powi(rng.gen_range(-30i32..4)),
+        _ => rng.gen_range(1e-3f32..2.0),
+    }
+}
+
+/// `len` elements; `edgy` sprinkles [`edge`] values, otherwise the
+/// operand is finite (zeros included).
+fn operand(len: usize, edgy: bool, rng: &mut impl Rng) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if edgy {
+                edge(rng)
+            } else if rng.gen_range(0..5) == 0 {
+                0.0
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        })
+        .collect()
+}
+
+/// A kept-row subset of `0..n` by shape: empty, all, one, every other,
+/// all but a trailing block, random.
+fn subset(shape: u32, n: usize, rng: &mut impl Rng) -> Vec<u32> {
+    let n32 = n as u32;
+    match shape {
+        0 => Vec::new(),
+        1 => (0..n32).collect(),
+        2 => (0..n32).filter(|&r| r == n32 / 2).collect(),
+        3 => (0..n32).step_by(2).collect(),
+        4 => (0..n32 - n32 / 3).collect(),
+        _ => (0..n32).filter(|_| rng.gen::<bool>()).collect(),
+    }
+}
+
+/// `m` with every row outside `kept` set to `+0.0` — what a dropout
+/// method hands the engine beside the kept-row view.
+fn zero_dropped_rows(mut m: Matrix, kept: &[u32]) -> Matrix {
+    for r in 0..m.rows() {
+        if kept.binary_search(&(r as u32)).is_err() {
+            m.zero_row(r);
+        }
+    }
+    m
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 fn assert_close(got: f32, want: f32, what: &str) {
     let tol = 1e-3f32.max(want.abs() * 1e-4);
     assert!((got - want).abs() <= tol, "{what}: {got} vs {want}");
@@ -49,7 +114,7 @@ proptest! {
         let a = filled_vec(m * k, seed);
         let b = matrix(n, k, seed ^ 0x11);
         let mut c = vec![0.0f32; m * n];
-        ops::gemm_nt(&a, &b, m, &mut c);
+        ops::gemm_nt(&a, &b, m, None, &mut c);
 
         let mut row = vec![0.0f32; n];
         for i in 0..m {
@@ -76,7 +141,7 @@ proptest! {
         let b = filled_vec(k * n, seed ^ 0x22);
         let init = matrix(m, n, seed ^ 0x33);
         let mut c = init.clone();
-        ops::gemm_tn_acc(&a, &b, k, &mut c);
+        ops::gemm_tn_acc(&a, &b, k, None, &mut c);
 
         let mut want = init.clone();
         for s in 0..k {
@@ -105,7 +170,7 @@ proptest! {
         let a = filled_vec(m * k, seed);
         let b = matrix(k, n, seed ^ 0x44);
         let mut c = vec![0.0f32; m * n];
-        ops::gemm_nn(&a, &b, m, &mut c);
+        ops::gemm_nn(&a, &b, m, None, &mut c);
         let mut row = vec![0.0f32; n];
         for i in 0..m {
             ops::gemv_t(&b, &a[i * k..(i + 1) * k], &mut row);
@@ -130,9 +195,9 @@ proptest! {
         let order: Vec<usize> = (0..k).collect();
 
         let mut plain = Matrix::zeros(m, n);
-        ops::gemm_tn_acc(&a, &b[off * n..], k, &mut plain);
+        ops::gemm_tn_acc(&a, &b[off * n..], k, None, &mut plain);
         let mut ord = Matrix::zeros(m, n);
-        ops::gemm_tn_acc_ord(&a, &b, &order, off, &mut ord);
+        ops::gemm_tn_acc_ord(&a, &b, &order, off, None, &mut ord);
         for (g, w) in ord.as_slice().iter().zip(plain.as_slice()) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
@@ -144,5 +209,191 @@ proptest! {
         for (g, w) in acc_ord.iter().zip(&acc_plain) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
+    }
+
+    /// Forward: only the kept weight rows' output columns are computed;
+    /// the rest are written `+0.0` over whatever the buffer held — unless
+    /// a non-finite input makes a zero row's dot NaN.
+    #[test]
+    fn gemm_nt_on_kept_rows_equals_dense_through_zeros(
+        m in 0usize..11,
+        n in 1usize..10,
+        k in 0usize..12,
+        shape in 0u32..6,
+        edgy in 0u32..3,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 1, 0);
+        let kept = subset(shape, n, &mut rng);
+        let a = operand(m * k, edgy == 1, &mut rng);
+        let b = Matrix::from_vec(n, k, operand(n * k, edgy == 2, &mut rng));
+        let b = zero_dropped_rows(b, &kept);
+        let mut want = vec![7.0f32; m * n];
+        ops::gemm_nt(&a, &b, m, None, &mut want);
+        let mut got = vec![f32::NAN; m * n];
+        ops::gemm_nt(&a, &b, m, Some(&kept), &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// Backprop: the AXPYs of dropped weight rows are left out — unless a
+    /// non-finite coefficient makes `a·(+0.0)` NaN.
+    #[test]
+    fn gemm_nn_on_kept_rows_equals_dense_through_zeros(
+        m in 0usize..8,
+        n in 0usize..20,
+        k in 1usize..14,
+        shape in 0u32..6,
+        edgy in 0u32..3,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 2, 0);
+        let kept = subset(shape, k, &mut rng);
+        let a = operand(m * k, edgy == 1, &mut rng);
+        let b = Matrix::from_vec(k, n, operand(k * n, edgy == 2, &mut rng));
+        let b = zero_dropped_rows(b, &kept);
+        let mut want = vec![7.0f32; m * n];
+        ops::gemm_nn(&a, &b, m, None, &mut want);
+        let mut got = vec![f32::NAN; m * n];
+        ops::gemm_nn(&a, &b, m, Some(&kept), &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// Gradient accumulation, plain and ordered: kept rows receive the
+    /// every-row call's bits, dropped rows are left exactly as they were
+    /// (the caller's gradient mask zeroes them either way).
+    #[test]
+    fn gemm_tn_acc_on_kept_rows_equals_dense_then_masked(
+        k in 0usize..11,
+        m in 1usize..10,
+        n in 0usize..20,
+        off in 0usize..3,
+        shape in 0u32..6,
+        edgy in 0u32..2,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 3, 0);
+        let kept = subset(shape, m, &mut rng);
+        let a = operand(k * m, edgy == 1, &mut rng);
+        let b = operand((k + off) * n, edgy == 1, &mut rng);
+        let init = Matrix::from_vec(m, n, operand(m * n, false, &mut rng));
+        let mut order: Vec<usize> = (0..k).collect();
+        for i in (1..k).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+
+        let (mut want, mut got) = (init.clone(), init.clone());
+        ops::gemm_tn_acc(&a, &b[off * n..], k, None, &mut want);
+        ops::gemm_tn_acc(&a, &b[off * n..], k, Some(&kept), &mut got);
+        let (mut want_ord, mut got_ord) = (init.clone(), init.clone());
+        ops::gemm_tn_acc_ord(&a, &b, &order, off, None, &mut want_ord);
+        ops::gemm_tn_acc_ord(&a, &b, &order, off, Some(&kept), &mut got_ord);
+        for r in 0..m {
+            let on = kept.binary_search(&(r as u32)).is_ok();
+            let (w, wo) = if on { (&want, &want_ord) } else { (&init, &init) };
+            prop_assert_eq!(bits(got.row(r)), bits(w.row(r)), "row {}", r);
+            prop_assert_eq!(bits(got_ord.row(r)), bits(wo.row(r)), "ordered row {}", r);
+        }
+    }
+
+    /// The fused ordered accumulation performs, per element, the AXPY
+    /// sequence of the visit order with zero coefficients skipped — for
+    /// any order (repeats included, length not a multiple of four),
+    /// scattered zeros and a `B` row offset.
+    #[test]
+    fn fused_ordered_accumulation_equals_the_per_sample_axpy_sequence(
+        k in 1usize..9,
+        m in 1usize..6,
+        n in 0usize..20,
+        visits in 0usize..23,
+        off in 0usize..3,
+        edgy in 0u32..2,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 4, 0);
+        let a = operand(k * m, edgy == 1, &mut rng);
+        let b = operand((k + off) * n, edgy == 1, &mut rng);
+        let order: Vec<usize> = (0..visits).map(|_| rng.gen_range(0..k)).collect();
+        let init = Matrix::from_vec(m, n, operand(m * n, false, &mut rng));
+
+        let mut got = init.clone();
+        ops::gemm_tn_acc_ord(&a, &b, &order, off, None, &mut got);
+        let mut want = init;
+        for r in 0..m {
+            for &s in &order {
+                let coeff = a[s * m + r];
+                if coeff != 0.0 {
+                    ops::axpy(coeff, &b[(s + off) * n..(s + off + 1) * n], want.row_mut(r));
+                }
+            }
+        }
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+    }
+}
+
+/// The same four identities on shapes past the rayon threshold
+/// (`m·n ≥ 4096`), where gradient rows are filtered inside the parallel
+/// iterator instead of being visited from the kept list.
+#[test]
+fn kept_rows_equal_dense_through_zeros_on_parallel_shapes() {
+    let (m, n, k) = (48usize, 96usize, 33usize);
+    let mut rng = stream(5, StreamTag::Init, 5, 0);
+    let a = operand(m * k, false, &mut rng);
+    let kept = subset(5, n, &mut rng);
+    let b = zero_dropped_rows(
+        Matrix::from_vec(n, k, operand(n * k, false, &mut rng)),
+        &kept,
+    );
+    let (mut want, mut got) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
+    ops::gemm_nt(&a, &b, m, None, &mut want);
+    ops::gemm_nt(&a, &b, m, Some(&kept), &mut got);
+    assert_eq!(bits(&got), bits(&want), "gemm_nt");
+
+    // C = A·B with A: m×n coefficients over B's n (kept) rows.
+    let coeffs = operand(m * n, false, &mut rng);
+    let wide = zero_dropped_rows(
+        Matrix::from_vec(n, n, operand(n * n, false, &mut rng)),
+        &kept,
+    );
+    let (mut want, mut got) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
+    ops::gemm_nn(&coeffs, &wide, m, None, &mut want);
+    ops::gemm_nn(&coeffs, &wide, m, Some(&kept), &mut got);
+    assert_eq!(bits(&got), bits(&want), "gemm_nn");
+
+    // Gradient of an n×k matrix from m samples.
+    let order: Vec<usize> = (0..m).rev().collect();
+    let (mut want, mut got) = (Matrix::zeros(n, k), Matrix::zeros(n, k));
+    ops::gemm_tn_acc(&coeffs, &a, m, None, &mut want);
+    ops::gemm_tn_acc(&coeffs, &a, m, Some(&kept), &mut got);
+    let (mut want_ord, mut got_ord) = (Matrix::zeros(n, k), Matrix::zeros(n, k));
+    ops::gemm_tn_acc_ord(&coeffs, &a, &order, 0, None, &mut want_ord);
+    ops::gemm_tn_acc_ord(&coeffs, &a, &order, 0, Some(&kept), &mut got_ord);
+    assert!(
+        n * k < 4096 && n * n >= 4096,
+        "one sequential, one parallel gradient"
+    );
+    let (mut want_par, mut got_par) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    ops::gemm_tn_acc(&coeffs, &coeffs, m, None, &mut want_par);
+    ops::gemm_tn_acc(&coeffs, &coeffs, m, Some(&kept), &mut got_par);
+    for r in 0..n {
+        let on = kept.binary_search(&(r as u32)).is_ok();
+        let zero = vec![0u32; n];
+        let pick = |w: &Matrix| {
+            if on {
+                bits(w.row(r))
+            } else {
+                zero[..w.cols()].to_vec()
+            }
+        };
+        assert_eq!(bits(got.row(r)), pick(&want), "gemm_tn_acc row {r}");
+        assert_eq!(
+            bits(got_ord.row(r)),
+            pick(&want_ord),
+            "gemm_tn_acc_ord row {r}"
+        );
+        assert_eq!(
+            bits(got_par.row(r)),
+            pick(&want_par),
+            "parallel gemm_tn_acc row {r}"
+        );
     }
 }

@@ -12,8 +12,11 @@
 //!  * model-level: one mini-batch drawn exactly like a client's first
 //!    local iteration, gradients compared bitwise;
 //!  * experiment-level: full 2-round federated runs (the fig2 workloads —
-//!    MNIST-like MLP and PTB-like LSTM — under FedAvg and FedBIAD),
-//!    entire logs compared bitwise.
+//!    MNIST-like MLP and PTB-like LSTM — under FedAvg, FedBIAD, FjORD,
+//!    HeteroFL and FedDrop), entire logs compared bitwise. The dropout
+//!    methods hand the batched engine a kept-row view and `ReferencePath`
+//!    does not forward it, so these legs also pin "only the kept rows"
+//!    against "dense through the zeroed rows", end to end.
 
 use fedbiad::nn::model::ReferencePath;
 use fedbiad::nn::Batch;
@@ -105,10 +108,30 @@ fn lstm_batched_gradients_match_per_sample_bitwise() {
     assert_model_level_bitwise(Workload::PtbLike);
 }
 
+/// The methods of the experiment-level legs: the mean path, FedBIAD's
+/// sampled row patterns, both width-scaling rules (trailing recurrent
+/// rows and columns), and random non-recurrent neuron dropout.
+#[derive(Clone, Copy, Debug)]
+enum Method {
+    FedAvg,
+    FedBiad,
+    Fjord,
+    HeteroFl,
+    FedDrop,
+}
+
+const METHODS: [Method; 5] = [
+    Method::FedAvg,
+    Method::FedBiad,
+    Method::Fjord,
+    Method::HeteroFl,
+    Method::FedDrop,
+];
+
 /// Run 2 federated rounds twice — once with the batched engine (the
 /// default) and once with the reference path forced — and require the
 /// logs to agree bitwise on every deterministic field.
-fn assert_experiment_level_bitwise(workload: Workload, fedbiad: bool) {
+fn assert_experiment_level_bitwise(workload: Workload, method: Method) {
     let bundle = build(workload, Scale::Smoke, 4242);
     let cfg = ExperimentConfig {
         rounds: 2,
@@ -120,12 +143,17 @@ fn assert_experiment_level_bitwise(workload: Workload, fedbiad: bool) {
         eval_max_samples: 0,
         ..Default::default()
     };
+    let p = bundle.dropout_rate;
     let run = |model: &dyn Model| -> ExperimentLog {
-        if fedbiad {
-            let algo = FedBiad::new(FedBiadConfig::paper(bundle.dropout_rate, 1));
-            Experiment::new(model, &bundle.data, algo, cfg).run()
-        } else {
-            Experiment::new(model, &bundle.data, FedAvg::new(), cfg).run()
+        match method {
+            Method::FedAvg => Experiment::new(model, &bundle.data, FedAvg::new(), cfg).run(),
+            Method::FedBiad => {
+                let algo = FedBiad::new(FedBiadConfig::paper(p, 1));
+                Experiment::new(model, &bundle.data, algo, cfg).run()
+            }
+            Method::Fjord => Experiment::new(model, &bundle.data, Fjord::new(p), cfg).run(),
+            Method::HeteroFl => Experiment::new(model, &bundle.data, HeteroFl::new(p), cfg).run(),
+            Method::FedDrop => Experiment::new(model, &bundle.data, FedDrop::new(p), cfg).run(),
         }
     };
     let batched = run(bundle.model.as_ref());
@@ -136,19 +164,19 @@ fn assert_experiment_level_bitwise(workload: Workload, fedbiad: bool) {
         assert_eq!(
             b.train_loss.to_bits(),
             r.train_loss.to_bits(),
-            "{workload:?} fedbiad={fedbiad} round {}: train loss",
+            "{workload:?} {method:?} round {}: train loss",
             b.round
         );
         assert_eq!(
             b.test_loss.to_bits(),
             r.test_loss.to_bits(),
-            "{workload:?} fedbiad={fedbiad} round {}: test loss",
+            "{workload:?} {method:?} round {}: test loss",
             b.round
         );
         assert_eq!(
             b.test_acc.to_bits(),
             r.test_acc.to_bits(),
-            "{workload:?} fedbiad={fedbiad} round {}: test acc",
+            "{workload:?} {method:?} round {}: test acc",
             b.round
         );
         assert_eq!(b.upload_bytes_mean, r.upload_bytes_mean);
@@ -159,12 +187,14 @@ fn assert_experiment_level_bitwise(workload: Workload, fedbiad: bool) {
 
 #[test]
 fn fig2_mlp_experiment_is_bitwise_engine_invariant() {
-    assert_experiment_level_bitwise(Workload::MnistLike, false);
-    assert_experiment_level_bitwise(Workload::MnistLike, true);
+    for method in METHODS {
+        assert_experiment_level_bitwise(Workload::MnistLike, method);
+    }
 }
 
 #[test]
 fn fig2_lstm_experiment_is_bitwise_engine_invariant() {
-    assert_experiment_level_bitwise(Workload::PtbLike, false);
-    assert_experiment_level_bitwise(Workload::PtbLike, true);
+    for method in METHODS {
+        assert_experiment_level_bitwise(Workload::PtbLike, method);
+    }
 }

@@ -230,9 +230,10 @@ fn assert_traces_bit_identical(
 }
 
 /// The batched GEMM kernels parallelise over row panels; their outputs
-/// must not depend on how the panels are scheduled. Shapes straddle the
-/// parallel threshold, the 4-row sample blocks and the 4-wide unroll
-/// (odd row counts and a non-multiple-of-4 inner dimension).
+/// must not depend on how the panels are scheduled — with every row and
+/// with a kept-row subset. Shapes cross the parallel threshold and
+/// straddle the 4-row sample blocks and the 4-wide unroll (odd row counts
+/// and a non-multiple-of-4 inner dimension).
 #[test]
 fn batched_kernels_are_bitwise_thread_invariant() {
     use fedbiad::tensor::ops;
@@ -241,7 +242,8 @@ fn batched_kernels_are_bitwise_thread_invariant() {
     use rand::Rng;
 
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (m, n, k) = (41usize, 97usize, 131usize);
+    // m·n ≥ 4096, so every kernel takes its rayon branch.
+    let (m, n, k) = (45usize, 97usize, 131usize);
     let mut rng = stream(7, StreamTag::Init, 0, 0);
     let mut fill = |len: usize| -> Vec<f32> {
         (0..len)
@@ -260,23 +262,28 @@ fn batched_kernels_are_bitwise_thread_invariant() {
     let coeffs = fill(k * m);
     let order: Vec<usize> = (0..k).rev().collect();
 
-    let run_all = || {
+    // Every third row of the weight / gradient matrix, and every row.
+    let thirds = |rows: usize| -> Vec<u32> { (0..rows as u32).step_by(3).collect() };
+    let (kept_n, kept_k, kept_m) = (thirds(n), thirds(k), thirds(m));
+    let run_all = |subset: bool| {
+        let [rows_n, rows_k, rows_m] =
+            [&kept_n, &kept_k, &kept_m].map(|kept| subset.then_some(&kept[..]));
         let mut nt = vec![0.0f32; m * n];
-        ops::gemm_nt(&a, &wt, m, &mut nt);
+        ops::gemm_nt(&a, &wt, m, rows_n, &mut nt);
         let mut nn = vec![0.0f32; m * n];
-        ops::gemm_nn(&a, &wn, m, &mut nn);
+        ops::gemm_nn(&a, &wn, m, rows_k, &mut nn);
         let mut tn = Matrix::zeros(m, n);
-        ops::gemm_tn_acc(&coeffs, wn.as_slice(), k, &mut tn);
+        ops::gemm_tn_acc(&coeffs, wn.as_slice(), k, rows_m, &mut tn);
         let mut ord = Matrix::zeros(m, n);
-        ops::gemm_tn_acc_ord(&coeffs, wn.as_slice(), &order, 0, &mut ord);
+        ops::gemm_tn_acc_ord(&coeffs, wn.as_slice(), &order, 0, rows_m, &mut ord);
         (nt, nn, tn, ord)
     };
 
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let base = run_all();
-    for threads in ["2", "8"] {
+    for (subset, threads) in [(false, "2"), (false, "8"), (true, "2"), (true, "8")] {
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let base = run_all(subset);
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let got = run_all();
+        let got = run_all(subset);
         let pairs = [(&base.0, &got.0, "gemm_nt"), (&base.1, &got.1, "gemm_nn")];
         for (b, g, what) in pairs {
             for (i, (x, y)) in b.iter().zip(g.iter()).enumerate() {
