@@ -35,6 +35,11 @@ pub struct BenchEntry {
     pub batched_ns: f64,
     /// `reference_ns / batched_ns`.
     pub speedup: f64,
+    /// Pool width the entry executed at: the requested thread count capped
+    /// at the machine's. The `aggregate/*` entries used to be written three
+    /// times (`_1t` / `_2t` / `_8t`) — on a one-core baseline, the same
+    /// number three times; each is now one entry that says how wide it ran.
+    pub threads: usize,
 }
 
 /// The `BENCH_kernels.json` document.
@@ -44,14 +49,32 @@ pub struct BenchReport {
     pub schema: String,
     /// Whether this was a `--smoke` (CI) run.
     pub smoke: bool,
-    /// Rayon worker threads available during the run.
-    pub threads: usize,
     /// All measurements.
     pub entries: Vec<BenchEntry>,
 }
 
-/// The schema tag this crate writes and accepts.
-pub const SCHEMA: &str = "fedbiad-bench-kernels/v1";
+/// The schema tag this crate writes and accepts. `v2`: every entry
+/// carries `threads`, the report no longer does.
+pub const SCHEMA: &str = "fedbiad-bench-kernels/v2";
+
+/// Read a report. The schema tag is read on its own first, so a file
+/// written under another tag is reported as [`GateFinding::SchemaMismatch`]
+/// and not as whichever field that tag happened to lack.
+pub fn parse(text: &str) -> Result<BenchReport, String> {
+    #[derive(Deserialize)]
+    struct Tagged {
+        schema: String,
+    }
+    let tag: Tagged = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
+    if tag.schema != SCHEMA {
+        let mismatch = GateFinding::SchemaMismatch {
+            baseline: tag.schema,
+            fresh: SCHEMA.to_string(),
+        };
+        return Err(mismatch.to_string());
+    }
+    serde_json::from_str(text).map_err(|e| format!("{e:?}"))
+}
 
 /// One gate verdict line.
 #[derive(Clone, Debug, PartialEq)]
@@ -152,7 +175,6 @@ mod tests {
         BenchReport {
             schema: SCHEMA.to_string(),
             smoke: false,
-            threads: 1,
             entries: entries
                 .iter()
                 .map(|&(name, speedup)| BenchEntry {
@@ -160,6 +182,7 @@ mod tests {
                     reference_ns: 1000.0 * speedup,
                     batched_ns: 1000.0,
                     speedup,
+                    threads: 1,
                 })
                 .collect(),
         }
@@ -215,10 +238,22 @@ mod tests {
     fn schema_mismatch_fails_fast() {
         let b = report(&[("kernel/a", 2.0)]);
         let mut f = report(&[("kernel/a", 2.0)]);
-        f.schema = "fedbiad-bench-kernels/v2".to_string();
+        f.schema = "fedbiad-bench-kernels/v3".to_string();
         let out = compare(&b, &f, DEFAULT_TOLERANCE);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], GateFinding::SchemaMismatch { .. }));
+    }
+
+    #[test]
+    fn a_file_of_another_schema_is_named_as_such() {
+        // A v1 file: report-level `threads`, entries without it.
+        let v1 = r#"{"schema": "fedbiad-bench-kernels/v1", "smoke": false, "threads": 1,
+            "entries": [{"name": "kernel/a", "reference_ns": 2.0, "batched_ns": 1.0,
+                         "speedup": 2.0}]}"#;
+        let err = parse(v1).unwrap_err();
+        assert!(err.starts_with("schema mismatch"), "{err}");
+        let now = serde_json::to_string(&report(&[("kernel/a", 2.0)])).unwrap();
+        assert_eq!(parse(&now).unwrap().entries[0].threads, 1);
     }
 
     #[test]
@@ -236,5 +271,6 @@ mod tests {
         assert_eq!(back.schema, SCHEMA);
         assert_eq!(back.entries.len(), 1);
         assert_eq!(back.entries[0].speedup, 2.0);
+        assert_eq!(back.entries[0].threads, 1);
     }
 }

@@ -1,49 +1,151 @@
-//! Quick manual timing probe for the batched kernels (dev aid).
+//! Manual timing probe for the four batched GEMMs (dev aid): GMAC/s,
+//! best of seven, at the shapes the scenario workloads run — the lab
+//! LSTM's gates and head (batch 16, H = E = 48, V = 400), the lab MLP's
+//! first layer (batch 32 and batch 1, 784 → 128) and its W2 backward —
+//! plus the per-sample `gemv` loop as the yardstick. Run it under
+//! `taskset -c 0` with `RAYON_NUM_THREADS=1`; the roofline table in
+//! BENCHMARKS.md ("PR 22") is this program's output on two commits.
 use fedbiad_tensor::ops;
 use fedbiad_tensor::Matrix;
+use std::hint::black_box;
 use std::time::Instant;
 
-fn main() {
-    const K: usize = 784;
-    const N: usize = 128;
-    const M: usize = 32;
-    let mut w = Matrix::zeros(N, K);
-    for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-        *v = (i % 17) as f32 * 0.1;
-    }
-    let x: Vec<f32> = (0..M * K).map(|i| (i % 13) as f32 * 0.1).collect();
-    let mut c = vec![0.0f32; M * N];
-    let reps = 200;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for i in 0..M {
-            ops::gemv(&w, &x[i * K..(i + 1) * K], &[], &mut c[i * N..(i + 1) * N]);
+/// Deterministic fill in (−1, 1) with no exact zeros.
+fn filled(len: usize, salt: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| (((i * 31 + salt * 17) % 199) as f32 - 99.25) / 100.0)
+        .collect()
+}
+
+/// `x` with every second element (by a hash of its index) set to `0.0`:
+/// the coefficient pattern a ReLU layer's deltas have.
+fn relu_sparse(mut x: Vec<f32>) -> Vec<f32> {
+    for (i, v) in x.iter_mut().enumerate() {
+        if (i.wrapping_mul(2_654_435_761) >> 7) & 1 == 0 {
+            *v = 0.0;
         }
     }
-    println!(
-        "gemv loop: {:.2} GMAC/s",
-        reps as f64 * (M * N * K) as f64 / t0.elapsed().as_secs_f64() / 1e9
-    );
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        ops::gemm_nt(&x, &w, M, None, &mut c);
+    x
+}
+
+/// Best-of-seven rate of `f`, which performs `macs` multiply-adds per call.
+fn gmacs(macs: usize, mut f: impl FnMut()) -> f64 {
+    let reps = (20_000_000 / macs).clamp(3, 2_000);
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
     }
-    println!(
-        "gemm_nt:   {:.2} GMAC/s",
-        reps as f64 * (M * N * K) as f64 / t0.elapsed().as_secs_f64() / 1e9
-    );
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for i in 0..M {
-            let xs = &x[i * K..(i + 1) * K];
-            for j in 0..N {
-                c[i * N + j] = ops::dot(xs, w.row(j));
+    macs as f64 / best / 1e9
+}
+
+/// The host's no-FMA ceiling: twelve independent `acc = acc·a + b` chains
+/// on `ymm` registers, nothing loaded or stored — enough chains to cover
+/// the multiply + add latency, so this is what `vmulps` + `vaddps` can
+/// retire when nothing else is in the way (one multiply-add per lane per
+/// pair of instructions).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn ceiling_gmacs() -> f64 {
+    use std::arch::x86_64::*;
+    const CHAINS: usize = 12;
+    const ROUNDS: usize = 2_000_000;
+    let (a, b) = (_mm256_set1_ps(0.999_999), _mm256_set1_ps(1e-6));
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let mut acc = [black_box(_mm256_set1_ps(1.0)); CHAINS];
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            for chain in acc.iter_mut() {
+                *chain = _mm256_add_ps(_mm256_mul_ps(*chain, a), b);
             }
         }
+        best = best.min(t0.elapsed().as_secs_f64());
+        black_box(acc);
     }
-    println!(
-        "dot loop:  {:.2} GMAC/s",
-        reps as f64 * (M * N * K) as f64 / t0.elapsed().as_secs_f64() / 1e9
-    );
-    println!("{}", c.iter().sum::<f32>());
+    (CHAINS * ROUNDS * 8) as f64 / best / 1e9
+}
+
+fn report(kernel: &str, shape: &str, rate: f64) {
+    println!("{kernel:<18} {shape:<22} {rate:>6.2} GMAC/s");
+}
+
+fn main() {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        report("vmulps + vaddps", "registers only", unsafe {
+            ceiling_gmacs()
+        });
+    }
+    // Forward: C (m×n) = A (m×k) · Bᵀ, B a weight matrix n×k.
+    for (m, n, k) in [(16, 192, 48), (16, 400, 48), (32, 128, 784), (1, 128, 784)] {
+        let w = Matrix::from_vec(n, k, filled(n * k, 1));
+        let x = filled(m * k, 2);
+        let mut c = vec![0.0f32; m * n];
+        let shape = format!("{m} x {n} x {k}");
+        let rate = gmacs(m * n * k, || {
+            for i in 0..m {
+                ops::gemv(&w, &x[i * k..(i + 1) * k], &[], &mut c[i * n..(i + 1) * n]);
+            }
+            black_box(&c);
+        });
+        report("gemv loop", &shape, rate);
+        let rate = gmacs(m * n * k, || {
+            ops::gemm_nt(black_box(&x), &w, m, None, &mut c);
+            black_box(&c);
+        });
+        report("gemm_nt", &shape, rate);
+    }
+
+    // Backprop: C (m×n) = A (m×k) · B, B a weight matrix k×n.
+    for (m, k, n) in [(16, 192, 48), (16, 400, 48), (32, 10, 128), (32, 128, 784)] {
+        let w = Matrix::from_vec(k, n, filled(k * n, 3));
+        let d = filled(m * k, 4);
+        let mut c = vec![0.0f32; m * n];
+        let rate = gmacs(m * k * n, || {
+            ops::gemm_nn(black_box(&d), &w, m, None, &mut c);
+            black_box(&c);
+        });
+        report("gemm_nn", &format!("{m} x {k} -> {n}"), rate);
+    }
+
+    // Ordered gradient accumulation: C (m×n) += Aᵀ·B over 16 windows × 16
+    // steps visited window-major, step-descending (the BPTT order).
+    let order: Vec<usize> = (0..16)
+        .flat_map(|w| (0..16).rev().map(move |t| t * 16 + w))
+        .collect();
+    for (s, m, n) in [(256, 192, 48), (256, 400, 48)] {
+        let dz = filled(s * m, 5);
+        let h = filled(s * n, 6);
+        let mut g = Matrix::zeros(m, n);
+        let rate = gmacs(s * m * n, || {
+            ops::gemm_tn_acc_ord(black_box(&dz), &h, &order, 0, None, &mut g);
+            black_box(&g);
+        });
+        report("gemm_tn_acc_ord", &format!("{s} x {m} x {n}"), rate);
+    }
+
+    // Gradient accumulation at the MLP's shapes: W1 (128 × 784) from 32
+    // samples with dense and with ReLU-sparse deltas, W2 (10 × 128).
+    for (s, m, n, sparse) in [
+        (32, 128, 784, false),
+        (32, 128, 784, true),
+        (32, 10, 128, false),
+    ] {
+        let delta = filled(s * m, 7);
+        let delta = if sparse { relu_sparse(delta) } else { delta };
+        let x = filled(s * n, 8);
+        let mut g = Matrix::zeros(m, n);
+        let rate = gmacs(s * m * n, || {
+            ops::gemm_tn_acc(black_box(&delta), &x, s, None, &mut g);
+            black_box(&g);
+        });
+        let tag = if sparse { " relu-sparse" } else { "" };
+        report("gemm_tn_acc", &format!("{s} x {m} x {n}{tag}"), rate);
+    }
 }

@@ -41,6 +41,75 @@
 //! caller's gradient mask would have written
 //! (`crates/tensor/tests/kernel_props.rs` pins each against
 //! dense-through-zeros).
+//!
+//! # Register tiles
+//!
+//! The bit contract fixes, per *output element*, the order of its adds.
+//! It says nothing about how many outputs are in flight, so with AVX
+//! (runtime-detected; no FMA, no AVX2) the inner loops hold a tile of
+//! outputs in `ymm` registers across the whole reduction and touch memory
+//! for them once. Inside a tile every operation is a vertical `vmulps`
+//! followed by a vertical `vaddps` on unaligned loads — lane for lane the
+//! scalar sequence of the primitive; nothing is fused, reassociated or
+//! added horizontally.
+//!
+//! | kernel | tile | accumulators | parallel over |
+//! |---|---|---|---|
+//! | [`gemm_nt`] | 4 samples × 4 weight rows | 8 (two samples' 4-lane chunk sums each) | blocks of 4 samples |
+//! | [`gemm_nt`], `m mod 4` rows (all of batch 1) | 1 sample × 8 weight rows | 4 (two weight rows' chunk sums each) | — (after the blocks) |
+//! | [`gemm_nn`] | up to 2 sample rows × the whole row (≤ 96 columns) | rows × `n/8` ≤ 12 | pairs of sample rows |
+//! | [`gemm_tn_acc`]`{,_ord}` | up to 4 gradient rows × the whole row (≤ 96 columns) | rows × `n/8` ≤ 12 | aligned groups of 4 gradient rows |
+//!
+//! Why no bit can move:
+//!
+//! * [`gemm_nt`]: an accumulator is `dot4`'s packing — one sample pair's
+//!   private four lane sums against one weight row — and there are eight
+//!   of them instead of two, so eight add chains overlap where two
+//!   stalled on add latency; each chain is still one output's chunk sum,
+//!   closed by `((l0 + l1) + l2) + l3 + tail` (an in-lane transpose lines
+//!   the lanes up so the three adds are vertical).
+//! * [`gemm_nn`], [`gemm_tn_acc`]`{,_ord}`: an accumulator is eight
+//!   adjacent elements of one output row; term `t` updates it as
+//!   `acc = acc + coeff·b`, in term order, and the `coeff != 0.0` test is
+//!   taken per (row, term) — a `−0.0` element survives a zero coefficient
+//!   and `0·inf` is never formed where [`axpy`] would have been skipped.
+//!   That is [`axpy`]'s element update with the row kept in a register
+//!   between terms instead of stored and reloaded.
+//! * Kept rows ride the same tiles: a kept list only changes which weight
+//!   rows (or terms, or gradient rows) a tile is handed.
+//! * A tile never stores a NaN. Where both operands of a multiply or an
+//!   add are NaN the hardware returns the first source operand, and which
+//!   operand that is is the compiler's choice per loop — the one thing a
+//!   different code shape could change. So a tile checks its results
+//!   before storing them (a NaN never leaves a chain of adds, so the
+//!   final values tell) and, if one is NaN, leaves memory untouched and
+//!   hands its rows to the loop the tiles replaced (`dot4` / [`dot`],
+//!   `acc_row_kernel`): the NaN encodings a call returns are the ones it
+//!   returned before tiles existed.
+//!
+//! **Shape rule.** A tile shape is chosen from the operands' shape alone:
+//! `m mod 4` picks the forward tile, and an accumulation row is tiled
+//! only when *all* of it fits the twelve accumulators (`n/8 ≤ 12`, with
+//! as many rows beside each other as then fit; the `n mod 8` trailing
+//! columns stream). Wider rows keep the row-streaming form
+//! (`acc_row_kernel`: fused groups of four AXPYs over the whole row).
+//! The line is where it is because of the zero test. A tile that covers
+//! the whole row asks `coeff != 0.0` once per (row, term), like the
+//! streaming form; a row cut into panels would ask once per panel, and
+//! with coefficients that are zero unpredictably — a ReLU layer's deltas
+//! — every question is a likely branch miss against three vector
+//! multiply-adds of work. Measured on the 2-thread Xeon this was
+//! developed on, one thread, C `128 × n` from 32 samples, tile ÷
+//! streaming: whole-row tiles at `n` = 24 / 48 / 64 / 96: 2.2 / 1.9 /
+//! 1.3 / 1.2 with dense coefficients and 1.6 / 1.6 / 1.3 / 1.3 with half
+//! of them zero at random; panelled tiles at `n` = 128 / 256 / 784: 1.0 /
+//! 0.9 / 1.3 dense but 0.7 / 0.7 / 0.85 half-zero (0.4 at 10 % density) —
+//! and the MLP's W1 gradient (`128 × 784`, ReLU deltas) is exactly that
+//! case, so `n > 96 + 7` streams.
+//!
+//! Without AVX (SSE2 on x86-64, portable code elsewhere) the pre-tile
+//! loops run unchanged; [`baseline`] exposes them so the property tests
+//! hold the tiles against them on the same operands.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -189,14 +258,20 @@ pub fn ger(w: &mut Matrix, alpha: f32, u: &[f32], v: &[f32]) {
     }
 }
 
-/// Minimum number of output elements before `gemm` fans out to rayon.
-/// Below this the spawn/steal overhead dominates.
+/// Minimum number of output elements before a GEMM hands its tile rows
+/// to the rayon pool. The vendored pool has no work stealing: a parallel
+/// call publishes one job and every participating thread claims tile
+/// rows from an atomic counter. On one worker thread such a call runs
+/// inline for the price of an environment lookup (≈ 0.1 µs — the pool
+/// caches the hardware width), so there the threshold buys nothing and
+/// costs nothing; with helpers it keeps the mutex / condvar hand-off (a
+/// few µs per call) away from products whose arithmetic is shorter.
 const GEMM_PAR_THRESHOLD: usize = 64 * 64;
 
 /// One-shot AVX capability snapshot, hoisted out of the per-row kernel
 /// dispatch (`is_x86_feature_detected!` is a cached atomic load, but the
-/// inner GEMM loops call `dot4`/`axpy4` per output group — a plain bool
-/// passed down costs nothing).
+/// inner GEMM loops dispatch per output group — a plain bool passed down
+/// costs nothing).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx_available() -> bool {
@@ -240,6 +315,73 @@ pub fn gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.rows(), c.rows(), "gemm: C rows");
     assert_eq!(b.cols(), c.cols(), "gemm: C cols");
     gemm_nn(a.as_slice(), b, a.rows(), None, c.as_mut_slice());
+}
+
+/// The four batched GEMMs forced onto the non-AVX bodies (SSE2 on x86-64,
+/// portable elsewhere: the pre-tile loops) — the path a CPU without AVX
+/// runs in production, exposed so `tests/kernel_props.rs` can hold the AVX
+/// register tiles against it on the same operands. Same contracts as the
+/// functions they mirror.
+#[doc(hidden)]
+pub mod baseline {
+    use super::Matrix;
+
+    /// [`super::gemm_nt`] on the baseline body.
+    pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+        super::gemm_nt_on(false, a, b, m, rows, c);
+    }
+
+    /// [`super::gemm_nn`] on the baseline body.
+    pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+        super::gemm_nn_on(false, a, b, m, rows, c);
+    }
+
+    /// [`super::gemm_tn_acc`] on the baseline body.
+    pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
+        super::gemm_tn_acc_on(false, a, b, k, rows, c);
+    }
+
+    /// [`super::gemm_tn_acc_ord`] on the baseline body.
+    pub fn gemm_tn_acc_ord(
+        a: &[f32],
+        b: &[f32],
+        order: &[usize],
+        b_row_off: usize,
+        rows: Option<&[u32]>,
+        c: &mut Matrix,
+    ) {
+        super::gemm_tn_acc_ord_on(false, a, b, order, b_row_off, rows, c);
+    }
+}
+
+/// An index list a GEMM walks: weight rows of a forward product, terms of
+/// an accumulation. `All(k)` is `0..k`; the other two are a kept-row list
+/// and a BPTT visit order.
+#[derive(Clone, Copy)]
+enum Idx<'a> {
+    All(usize),
+    Kept(&'a [u32]),
+    Order(&'a [usize]),
+}
+
+impl Idx<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        match self {
+            Idx::All(k) => *k,
+            Idx::Kept(l) => l.len(),
+            Idx::Order(l) => l.len(),
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, t: usize) -> usize {
+        match self {
+            Idx::All(_) => t,
+            Idx::Kept(l) => l[t] as usize,
+            Idx::Order(l) => l[t],
+        }
+    }
 }
 
 /// Four simultaneous dot products sharing one pass over `w`.
@@ -395,48 +537,43 @@ unsafe fn dot4_avx(
 /// Shapes: `A: m×k` (row per sample, row-major slice), `B: n×k` (row per
 /// output unit — a weight matrix as stored), `C: m×n`. Row `i` of `C` is
 /// bit-identical to `gemv(B, A.row(i), [], ·)`: each output is the same
-/// 4-lane [`dot`]. Rows are processed in blocks of four sharing one pass
-/// over each weight row (`dot4`), which is where the batched path's
-/// single-thread speedup comes from; blocks parallelise over rayon.
+/// 4-lane [`dot`]. Samples are processed in blocks of four, each block a
+/// row of register tiles (module docs, "Register tiles"); blocks
+/// parallelise over rayon.
 ///
 /// With `rows` (module docs, "Kept rows") only those output columns are
 /// computed and the others are written `+0.0` — the dot of a finite
 /// sample with a zero weight row. A block holding a non-finite input
 /// (`inf·0 = NaN`) runs dense.
 pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+    gemm_nt_on(avx_available(), a, b, m, rows, c);
+}
+
+fn gemm_nt_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.cols();
     let n = b.rows();
     assert_eq!(a.len(), m * k, "gemm_nt: A must be m×k");
     assert_eq!(c.len(), m * n, "gemm_nt: C must be m×n");
-    debug_assert!(is_row_subset(rows, n), "gemm_nt: rows");
+    assert!(is_row_subset(rows, n), "gemm_nt: rows");
     if m == 0 || n == 0 {
         return;
     }
+    // The weight rows the samples `x` meet: the kept ones when every
+    // input is finite, else all of them. Workspace buffers are reused,
+    // so the dropped columns hold a previous call's values until zeroed.
+    let columns = |x: &[f32], out: &mut [f32]| match rows.filter(|_| all_finite(x)) {
+        None => Idx::All(n),
+        Some(kept) => {
+            out.fill(0.0);
+            Idx::Kept(kept)
+        }
+    };
     let blocks = m / 4;
-    let avx = avx_available();
     let (head, rest) = c.split_at_mut(blocks * 4 * n);
     let block_kernel = |(blk, cb): (usize, &mut [f32])| {
-        let i0 = blk * 4;
-        let x0 = &a[i0 * k..(i0 + 1) * k];
-        let x1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-        let x2 = &a[(i0 + 2) * k..(i0 + 3) * k];
-        let x3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-        let column = |cb: &mut [f32], j: usize| {
-            let out = dot4(x0, x1, x2, x3, b.row(j), avx);
-            cb[j] = out[0];
-            cb[n + j] = out[1];
-            cb[2 * n + j] = out[2];
-            cb[3 * n + j] = out[3];
-        };
-        match rows.filter(|_| all_finite(&a[i0 * k..(i0 + 4) * k])) {
-            None => (0..n).for_each(|j| column(cb, j)),
-            Some(kept) => {
-                // Workspace buffers are reused: the dropped columns hold
-                // a previous call's values until overwritten.
-                cb.fill(0.0);
-                kept.iter().for_each(|&j| column(cb, j as usize));
-            }
-        }
+        let xs = &a[blk * 4 * k..(blk + 1) * 4 * k];
+        let cols = columns(xs, cb);
+        nt_block(avx, xs, b, cols, cb);
     };
     if head.len() >= GEMM_PAR_THRESHOLD {
         head.par_chunks_exact_mut(4 * n)
@@ -450,19 +587,105 @@ pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f
     for (r, crow) in rest.chunks_exact_mut(n).enumerate() {
         let i = blocks * 4 + r;
         let x = &a[i * k..(i + 1) * k];
-        match rows.filter(|_| all_finite(x)) {
-            None => {
-                for (j, cv) in crow.iter_mut().enumerate() {
-                    *cv = dot(x, b.row(j));
-                }
-            }
-            Some(kept) => {
-                crow.fill(0.0);
-                for &j in kept {
-                    crow[j as usize] = dot(x, b.row(j as usize));
-                }
-            }
+        let cols = columns(x, crow);
+        nt_row(avx, x, b, cols, crow);
+    }
+}
+
+/// Columns `cols` of four consecutive output rows `cb` (`4×n`): the dots
+/// of the four samples in `xs` (`4×k`) with those weight rows. AVX takes
+/// the weight rows four at a time through the 4 × 4 register tile; what
+/// is left, every column without AVX, and a tile whose result held a NaN
+/// (module docs, "Register tiles") go through [`dot4`].
+fn nt_block(avx: bool, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
+    let k = b.cols();
+    let n = b.rows();
+    let x: [&[f32]; 4] = std::array::from_fn(|s| &xs[s * k..(s + 1) * k]);
+    let column = |cb: &mut [f32], j: usize| {
+        let out = dot4(x[0], x[1], x[2], x[3], b.row(j), avx);
+        for s in 0..4 {
+            cb[s * n + j] = out[s];
         }
+    };
+    let mut t = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx {
+        while t + 4 <= cols.len() {
+            let j: [usize; 4] = std::array::from_fn(|q| cols.get(t + q));
+            let w = j.map(|j| b.row(j).as_ptr());
+            // SAFETY: AVX was detected at runtime; the four sample slices
+            // and the four weight rows (`Matrix::row` bounds-checks `j`)
+            // are each `k` long.
+            let out = unsafe { tiles::nt_4x4(x.map(<[f32]>::as_ptr), w, k) };
+            if holds_nan(out.as_flattened()) {
+                j.iter().for_each(|&j| column(cb, j));
+            } else {
+                for (crow, outs) in cb.chunks_exact_mut(n).zip(&out) {
+                    store_columns(crow, j, outs);
+                }
+            }
+            t += 4;
+        }
+    }
+    while t < cols.len() {
+        column(cb, cols.get(t));
+        t += 1;
+    }
+}
+
+/// Does a forward tile's result hold a NaN? Such a tile is recomputed by
+/// the loop the tiles replaced, whose NaN encodings are the contract
+/// (module docs, "Register tiles"). Branch-free, so it vectorises.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn holds_nan(out: &[f32]) -> bool {
+    out.iter().fold(false, |nan, v| nan | v.is_nan())
+}
+
+/// `crow[j[q]] = out[q]` for a tile's strictly ascending columns `j` — one
+/// copy when they are adjacent (every dense call, and any run of a kept
+/// list).
+#[cfg(target_arch = "x86_64")]
+fn store_columns<const N: usize>(crow: &mut [f32], j: [usize; N], out: &[f32; N]) {
+    if j[N - 1] == j[0] + N - 1 {
+        crow[j[0]..j[0] + N].copy_from_slice(out);
+    } else {
+        for q in 0..N {
+            crow[j[q]] = out[q];
+        }
+    }
+}
+
+/// Columns `cols` of one output row: the remainder samples of a batch —
+/// the whole call at batch 1. AVX takes the weight rows eight at a time
+/// through the 1 × 8 register tile; the rest, and a tile whose result
+/// held a NaN, is [`dot`].
+fn nt_row(avx: bool, x: &[f32], b: &Matrix, cols: Idx, crow: &mut [f32]) {
+    assert_eq!(x.len(), b.cols(), "nt_row: sample length");
+    let mut t = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx {
+        while t + 8 <= cols.len() {
+            let j: [usize; 8] = std::array::from_fn(|q| cols.get(t + q));
+            let w = j.map(|j| b.row(j).as_ptr());
+            // SAFETY: AVX was detected at runtime; `x` and the eight
+            // weight rows (bounds-checked by `Matrix::row`) are each
+            // `b.cols()` long.
+            let out = unsafe { tiles::nt_1x8(x.as_ptr(), w, b.cols()) };
+            if holds_nan(&out) {
+                j.iter().for_each(|&j| crow[j] = dot(x, b.row(j)));
+            } else {
+                store_columns(crow, j, &out);
+            }
+            t += 8;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx;
+    while t < cols.len() {
+        let j = cols.get(t);
+        crow[j] = dot(x, b.row(j));
+        t += 1;
     }
 }
 
@@ -494,30 +717,59 @@ fn all_finite(x: &[f32]) -> bool {
 /// become `−0.0`, so adding `a·(+0.0)` changes nothing for finite `a`.
 /// A sample row holding a non-finite coefficient runs dense.
 pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+    gemm_nn_on(avx_available(), a, b, m, rows, c);
+}
+
+fn gemm_nn_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.rows();
     let n = b.cols();
     assert_eq!(a.len(), m * k, "gemm_nn: A must be m×k");
     assert_eq!(c.len(), m * n, "gemm_nn: C must be m×n");
-    debug_assert!(is_row_subset(rows, k), "gemm_nn: rows");
+    assert!(is_row_subset(rows, k), "gemm_nn: rows");
     if m == 0 || n == 0 {
         return;
     }
-    let avx = avx_available();
-    let row_kernel = |(i, crow): (usize, &mut [f32])| {
-        crow.fill(0.0);
-        let coeffs = &a[i * k..(i + 1) * k];
-        match rows.filter(|_| all_finite(coeffs)) {
-            None => acc_row_kernel(k, |s| (coeffs[s], b.row(s)), crow, avx),
-            Some(kept) => {
-                let term = |t: usize| (coeffs[kept[t] as usize], b.row(kept[t] as usize));
-                acc_row_kernel(kept.len(), term, crow, avx);
-            }
+    // Two sample rows per tile; an odd last row is a tile of one. A row
+    // skips the dropped weight rows only if its own coefficients are
+    // finite, so a pair of which one row is and one is not splits into
+    // two tiles of one.
+    let tile_kernel = |(tile, ct): (usize, &mut [f32])| {
+        ct.fill(0.0);
+        let height = ct.len() / n;
+        let coeffs = &a[tile * 2 * k..(tile * 2 + height) * k];
+        let skips = |r: usize| rows.is_some() && all_finite(&coeffs[r * k..(r + 1) * k]);
+        let run = |ct: &mut [f32], skip: bool, local: &[usize]| {
+            let acc = Accumulation {
+                avx,
+                terms: rows.filter(|_| skip).map_or(Idx::All(k), Idx::Kept),
+                term_bound: k,
+                a: coeffs,
+                a_stride: 1,
+                b: b.as_slice(),
+                n,
+            };
+            acc.run(ct, local, [0, k, 0, 0].map(|col| col + local[0] * k));
+        };
+        if height == 2 && skips(0) != skips(1) {
+            run(ct, skips(0), &[0]);
+            run(ct, skips(1), &[1]);
+        } else {
+            run(ct, skips(0), &[0, 1][..height]);
         }
     };
-    if c.len() >= GEMM_PAR_THRESHOLD {
-        c.par_chunks_exact_mut(n).enumerate().for_each(row_kernel);
+    let par = c.len() >= GEMM_PAR_THRESHOLD;
+    let (head, last) = c.split_at_mut(m / 2 * 2 * n);
+    if par {
+        head.par_chunks_exact_mut(2 * n)
+            .enumerate()
+            .for_each(tile_kernel);
     } else {
-        c.chunks_exact_mut(n).enumerate().for_each(row_kernel);
+        head.chunks_exact_mut(2 * n)
+            .enumerate()
+            .for_each(tile_kernel);
+    }
+    if !last.is_empty() {
+        tile_kernel((m / 2, last));
     }
 }
 
@@ -688,41 +940,158 @@ fn acc_row_kernel<'b>(
     }
 }
 
-/// Run `kernel(r, row r of C)` for every row of a gradient matrix, or for
-/// the `rows` subset only — a dropped gradient row stays as the caller
-/// zeroed it. Rows are independent, so large matrices fan out to rayon.
-fn for_each_grad_row(
-    c: &mut Matrix,
-    rows: Option<&[u32]>,
-    kernel: impl Fn((usize, &mut [f32])) + Send + Sync,
-) {
-    let n = c.cols();
-    debug_assert!(is_row_subset(rows, c.rows()), "gradient rows");
-    let par = c.len() >= GEMM_PAR_THRESHOLD;
-    match rows {
-        None if par => c
-            .as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(kernel),
-        None => c
-            .as_mut_slice()
-            .chunks_exact_mut(n)
-            .enumerate()
-            .for_each(kernel),
-        Some(kept) if par => c
-            .as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(r, crow)| {
-                if kept.binary_search(&(r as u32)).is_ok() {
-                    kernel((r, crow));
-                }
-            }),
-        Some(kept) => {
-            for &r in kept {
-                kernel((r as usize, c.row_mut(r as usize)));
+/// One accumulation GEMM's operands, shared by all of its tiles. Output
+/// row `q` of a tile receives, for `t = 0, 1, …` in that order,
+/// `row += a[s·a_stride + a_row[q]] · b[s·n..(s+1)·n]` with
+/// `s = terms.get(t)`, a zero coefficient skipping its term — the AXPY
+/// sequence [`gemv_t`] / [`ger`] apply to that row.
+struct Accumulation<'a> {
+    avx: bool,
+    terms: Idx<'a>,
+    /// Exclusive bound on every `terms.get(t)` — what the callers'
+    /// shape asserts establish; the tiles read through raw pointers on
+    /// the strength of it.
+    term_bound: usize,
+    a: &'a [f32],
+    a_stride: usize,
+    b: &'a [f32],
+    n: usize,
+}
+
+impl Accumulation<'_> {
+    /// Accumulate into rows `local` (at most four) of the tile `ct`
+    /// (row-major, `n` wide); row `local[q]` takes its coefficients from
+    /// column `a_row[q]`. With AVX, a row of at most
+    /// [`ACC_TILE_VECTORS`] whole vectors runs as register tiles of as
+    /// many rows as fit beside each other. What a tile did not do — the
+    /// last `n mod 8` columns, every wider row, and all of a tile whose
+    /// result held a NaN (module docs, "Register tiles") — goes through
+    /// [`acc_row_kernel`] one row at a time. Columns are independent, so
+    /// the split changes no bit.
+    fn run(&self, ct: &mut [f32], local: &[usize], a_row: [usize; 4]) {
+        let (n, terms) = (self.n, self.terms);
+        if local.is_empty() || terms.len() == 0 {
+            return;
+        }
+        // Leading columns of row `local[q]` a tile has accumulated.
+        let mut done = [0usize; 4];
+        #[cfg(target_arch = "x86_64")]
+        if self.avx && (1..=ACC_TILE_VECTORS).contains(&(n / 8)) {
+            let vectors = n / 8;
+            let last = self.term_bound - 1;
+            assert!((last + 1) * n <= self.b.len(), "accumulation: B too short");
+            for (q, &l) in local.iter().enumerate() {
+                assert!((l + 1) * n <= ct.len(), "accumulation: tile row");
+                assert!(
+                    last * self.a_stride + a_row[q] < self.a.len(),
+                    "accumulation: A too short"
+                );
             }
+            let height = (ACC_TILE_VECTORS / vectors).min(4);
+            let groups = local.chunks(height).zip(a_row.chunks(height));
+            for ((rows, cols), tiled) in groups.zip(done.chunks_mut(height)) {
+                // SAFETY: AVX was detected at runtime. Every term index
+                // is below `term_bound` (the struct's invariant), so by
+                // the three asserts above each coefficient
+                // `a[s·a_stride + a_row[q]]`, each `b[s·n..][..8·vectors]`
+                // and each `ct[l·n..][..8·vectors]` the tile touches is in
+                // bounds; `rows.len() ≤ height ≤ 4` and `rows.len() ·
+                // vectors ≤ ACC_TILE_VECTORS` by the choice of `height`;
+                // `cols` is at least as long as `rows` (`local.len() ≤ 4`).
+                let stored = unsafe {
+                    tiles::accumulate(
+                        vectors,
+                        terms,
+                        (self.a.as_ptr(), self.a_stride, cols),
+                        (self.b.as_ptr(), n),
+                        (ct.as_mut_ptr(), rows),
+                    )
+                };
+                if stored {
+                    tiled.fill(8 * vectors);
+                }
+            }
+        }
+        for (q, &l) in local.iter().enumerate() {
+            if done[q] < n {
+                self.stream_row(done[q], a_row[q], &mut ct[l * n..(l + 1) * n]);
+            }
+        }
+    }
+
+    /// The row-streaming form: columns `from..` of one output row through
+    /// [`acc_row_kernel`].
+    fn stream_row(&self, from: usize, a_col: usize, crow: &mut [f32]) {
+        let crow = &mut crow[from..];
+        // One loop per index kind, so each folds its lookup in.
+        match self.terms {
+            Idx::All(k) => self.stream(k, |t| t, from, a_col, crow),
+            Idx::Kept(kept) => self.stream(kept.len(), |t| kept[t] as usize, from, a_col, crow),
+            Idx::Order(order) => self.stream(order.len(), |t| order[t], from, a_col, crow),
+        }
+    }
+
+    /// [`Self::stream_row`] with term `t` being `index(t)`.
+    fn stream(
+        &self,
+        terms: usize,
+        index: impl Fn(usize) -> usize,
+        from: usize,
+        a_col: usize,
+        crow: &mut [f32],
+    ) {
+        let n = self.n;
+        let term = |t: usize| {
+            let s = index(t);
+            (
+                self.a[s * self.a_stride + a_col],
+                &self.b[s * n + from..(s + 1) * n],
+            )
+        };
+        acc_row_kernel(terms, term, crow, self.avx);
+    }
+
+    /// `C += Aᵀ·B` into a gradient matrix, or into its `rows` only — a
+    /// dropped gradient row stays as the caller zeroed it. Tiles are
+    /// aligned groups of four gradient rows (of which a kept subset may
+    /// use fewer); they are independent, so large matrices fan out to
+    /// rayon.
+    fn accumulate_gradient(&self, rows: Option<&[u32]>, c: &mut Matrix) {
+        let (m, n) = (c.rows(), c.cols());
+        assert!(is_row_subset(rows, m), "gradient rows");
+        let par = c.len() >= GEMM_PAR_THRESHOLD;
+        let group_kernel = |(g, cg): (usize, &mut [f32])| {
+            let (r0, height) = (4 * g, cg.len() / n);
+            let mut local = [0, 1, 2, 3];
+            let count = match rows {
+                None => height,
+                Some(kept) => {
+                    let from = kept.partition_point(|&r| (r as usize) < r0);
+                    let in_group = kept[from..]
+                        .iter()
+                        .take_while(|&&r| (r as usize) < r0 + height);
+                    let mut count = 0;
+                    for &r in in_group {
+                        local[count] = r as usize - r0;
+                        count += 1;
+                    }
+                    count
+                }
+            };
+            self.run(cg, &local[..count], local.map(|l| r0 + l));
+        };
+        let (head, last) = c.as_mut_slice().split_at_mut(m / 4 * 4 * n);
+        if par {
+            head.par_chunks_exact_mut(4 * n)
+                .enumerate()
+                .for_each(group_kernel);
+        } else {
+            head.chunks_exact_mut(4 * n)
+                .enumerate()
+                .for_each(group_kernel);
+        }
+        if !last.is_empty() {
+            group_kernel((m / 4, last));
         }
     }
 }
@@ -735,11 +1104,16 @@ fn for_each_grad_row(
 /// `axpy(A[s][r], B.row(s), ·)` for `s = 0..k` — exactly the AXPY
 /// sequence the sample-ascending [`ger`] loop of the per-sample reference
 /// applies to that row, including the skip of zero coefficients. Unlike
-/// the per-sample loop, each gradient row stays hot in cache while all
-/// `k` samples accumulate into it (one pass over `C` instead of `k`).
+/// the per-sample loop, each gradient row stays hot in cache — or, as a
+/// register tile, in registers — while all `k` samples accumulate into
+/// it (one pass over `C` instead of `k`).
 ///
 /// With `rows` only those rows of `C` are accumulated into.
 pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
+    gemm_tn_acc_on(avx_available(), a, b, k, rows, c);
+}
+
+fn gemm_tn_acc_on(avx: bool, a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
     let m = c.rows();
     let n = c.cols();
     assert_eq!(a.len(), k * m, "gemm_tn_acc: A must be k×m");
@@ -747,10 +1121,16 @@ pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let avx = avx_available();
-    for_each_grad_row(c, rows, |(r, crow)| {
-        acc_row_kernel(k, |s| (a[s * m + r], &b[s * n..(s + 1) * n]), crow, avx)
-    });
+    Accumulation {
+        avx,
+        terms: Idx::All(k),
+        term_bound: k,
+        a,
+        a_stride: m,
+        b,
+        n,
+    }
+    .accumulate_gradient(rows, c);
 }
 
 /// [`gemm_tn_acc`] with an explicit row-visit `order` (row indices into
@@ -768,27 +1148,269 @@ pub fn gemm_tn_acc_ord(
     rows: Option<&[u32]>,
     c: &mut Matrix,
 ) {
+    gemm_tn_acc_ord_on(avx_available(), a, b, order, b_row_off, rows, c);
+}
+
+fn gemm_tn_acc_ord_on(
+    avx: bool,
+    a: &[f32],
+    b: &[f32],
+    order: &[usize],
+    b_row_off: usize,
+    rows: Option<&[u32]>,
+    c: &mut Matrix,
+) {
     let m = c.rows();
     let n = c.cols();
-    if m == 0 || n == 0 || order.is_empty() {
+    let Some(&max) = order.iter().max() else {
+        return;
+    };
+    if m == 0 || n == 0 {
         return;
     }
-    if let Some(&max) = order.iter().max() {
-        assert!((max + 1) * m <= a.len(), "gemm_tn_acc_ord: A too short");
-        assert!(
-            (max + b_row_off + 1) * n <= b.len(),
-            "gemm_tn_acc_ord: B too short"
-        );
+    assert!((max + 1) * m <= a.len(), "gemm_tn_acc_ord: A too short");
+    assert!(
+        (max + b_row_off + 1) * n <= b.len(),
+        "gemm_tn_acc_ord: B too short"
+    );
+    Accumulation {
+        avx,
+        terms: Idx::Order(order),
+        term_bound: max + 1,
+        a,
+        a_stride: m,
+        b: &b[b_row_off * n..],
+        n,
     }
-    let avx = avx_available();
-    for_each_grad_row(c, rows, |(r, crow)| {
-        let term = |t: usize| {
-            let s = order[t];
-            let br = s + b_row_off;
-            (a[s * m + r], &b[br * n..(br + 1) * n])
-        };
-        acc_row_kernel(order.len(), term, crow, avx)
-    });
+    .accumulate_gradient(rows, c);
+}
+
+/// The accumulation tiles hold at most this many 8-column vectors of
+/// outputs in registers (sixteen `ymm`, less the coefficient broadcast and
+/// the product in flight). A row is tiled only when *all* of it fits —
+/// module docs, "Register tiles", shape rule.
+const ACC_TILE_VECTORS: usize = 12;
+
+/// The AVX register tiles (module docs, "Register tiles"). Everything
+/// here is vertical `vmulps` / `vaddps` on unaligned loads: no FMA, no
+/// horizontal add, no reassociation — each output element runs the
+/// scalar operation sequence of the primitive it stands for.
+#[cfg(target_arch = "x86_64")]
+// The const-bounded loops index parallel register arrays (`acc[q][v]`
+// beside `c[q]` and a pointer offset `8·v`): a range loop is their
+// natural shape, and the shape LLVM unrolls into straight-line code.
+#[allow(clippy::needless_range_loop)]
+mod tiles {
+    use super::Idx;
+    use std::arch::x86_64::*;
+
+    /// `dot`'s closing sum for eight outputs at once. `acc[j]` holds the
+    /// four lane sums of one output in its low half and of another in its
+    /// high half; an in-lane 4 × 4 transpose lines lane `l` of the four
+    /// `j` up in one register, so three vertical adds form
+    /// `((l0 + l1) + l2) + l3` per output — `dot`'s left-to-right order.
+    /// Low half: outputs `j = 0..4` of the low packing, high half: of the
+    /// high packing.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn lane_sums(acc: [__m256; 4]) -> __m256 {
+        let t0 = _mm256_unpacklo_ps(acc[0], acc[1]);
+        let t1 = _mm256_unpackhi_ps(acc[0], acc[1]);
+        let t2 = _mm256_unpacklo_ps(acc[2], acc[3]);
+        let t3 = _mm256_unpackhi_ps(acc[2], acc[3]);
+        let l0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let l1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let l2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let l3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(l0, l1), l2), l3)
+    }
+
+    /// `dot`'s scalar tail over elements `from..k`.
+    #[inline]
+    unsafe fn tail(x: *const f32, w: *const f32, from: usize, k: usize) -> f32 {
+        let mut t = 0.0;
+        for i in from..k {
+            t += *x.add(i) * *w.add(i);
+        }
+        t
+    }
+
+    /// The 4 samples × 4 weight rows tile of `gemm_nt`: `out[s][j] =
+    /// dot(x[s], w[j])`. Eight accumulators, each the private 4-lane
+    /// chunk sums of two samples against one weight row (`dot4_avx`'s
+    /// packing), live in registers across the whole reduction — eight
+    /// independent add chains where `dot4_avx` has two.
+    ///
+    /// # Safety
+    /// AVX must be available; every pointer must be valid for `k` reads.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn nt_4x4(x: [*const f32; 4], w: [*const f32; 4], k: usize) -> [[f32; 4]; 4] {
+        let chunks = k / 4;
+        let mut a01 = [_mm256_setzero_ps(); 4];
+        let mut a23 = [_mm256_setzero_ps(); 4];
+        for c in 0..chunks {
+            let i = c * 4;
+            let x01 = _mm256_loadu2_m128(x[1].add(i), x[0].add(i));
+            let x23 = _mm256_loadu2_m128(x[3].add(i), x[2].add(i));
+            for j in 0..4 {
+                // Unaligned load, then mirror: the data is only 4-byte
+                // aligned, so no `&__m128` may be formed from it.
+                let wx = _mm_loadu_ps(w[j].add(i));
+                let wv = _mm256_set_m128(wx, wx);
+                a01[j] = _mm256_add_ps(a01[j], _mm256_mul_ps(x01, wv));
+                a23[j] = _mm256_add_ps(a23[j], _mm256_mul_ps(x23, wv));
+            }
+        }
+        let mut tails = [[0.0f32; 4]; 4];
+        if chunks * 4 < k {
+            for s in 0..4 {
+                for j in 0..4 {
+                    tails[s][j] = tail(x[s], w[j], chunks * 4, k);
+                }
+            }
+        }
+        let t = tails.as_ptr() as *const f32;
+        let r01 = _mm256_add_ps(lane_sums(a01), _mm256_loadu_ps(t));
+        let r23 = _mm256_add_ps(lane_sums(a23), _mm256_loadu_ps(t.add(8)));
+        let mut out = [[0.0f32; 4]; 4];
+        let o = out.as_mut_ptr() as *mut f32;
+        _mm256_storeu_ps(o, r01);
+        _mm256_storeu_ps(o.add(8), r23);
+        out
+    }
+
+    /// The 1 sample × 8 weight rows tile of `gemm_nt` — remainder samples,
+    /// and the whole call at batch 1: `out[j] = dot(x, w[j])`. Four
+    /// accumulators, each the 4-lane chunk sums of weight rows `p` and
+    /// `p + 4`, against the sample's chunk mirrored into both halves.
+    ///
+    /// # Safety
+    /// AVX must be available; every pointer must be valid for `k` reads.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn nt_1x8(x: *const f32, w: [*const f32; 8], k: usize) -> [f32; 8] {
+        let chunks = k / 4;
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for c in 0..chunks {
+            let i = c * 4;
+            let xx = _mm_loadu_ps(x.add(i));
+            let xv = _mm256_set_m128(xx, xx);
+            for p in 0..4 {
+                let wv = _mm256_loadu2_m128(w[p + 4].add(i), w[p].add(i));
+                acc[p] = _mm256_add_ps(acc[p], _mm256_mul_ps(xv, wv));
+            }
+        }
+        let mut tails = [0.0f32; 8];
+        if chunks * 4 < k {
+            for j in 0..8 {
+                tails[j] = tail(x, w[j], chunks * 4, k);
+            }
+        }
+        let r = _mm256_add_ps(lane_sums(acc), _mm256_loadu_ps(tails.as_ptr()));
+        let mut out = [0.0f32; 8];
+        _mm256_storeu_ps(out.as_mut_ptr(), r);
+        out
+    }
+
+    /// The `R` rows × `8·V` columns tile of the accumulation GEMMs. The
+    /// tile's outputs are loaded once, stay in `R·V` registers while every
+    /// term is applied — `acc = acc + coeff·b`, with the `coeff != 0.0`
+    /// skip taken per (row, term) — and are stored once. Row `q`'s
+    /// coefficient for term index `s` is `a[s·a_stride + a_row[q]]`, the
+    /// term's row is `b[s·n..]`, the tile's outputs are `c[q][..8·V]`.
+    ///
+    /// Returns whether the outputs were stored: a tile holding a NaN
+    /// stores nothing and returns `false` (a NaN never leaves a chain of
+    /// adds, so the final accumulators tell), and the caller streams its
+    /// rows (module docs, "Register tiles").
+    ///
+    /// # Safety
+    /// AVX must be available. For every `s` that `terms` yields and every
+    /// `q < R`: `a[s·a_stride + a_row[q]]` readable, `b[s·n..][..8·V]`
+    /// readable, `c[q][..8·V]` readable and writable and not overlapping
+    /// another row's.
+    #[target_feature(enable = "avx")]
+    unsafe fn acc_tile<const R: usize, const V: usize>(
+        terms: Idx,
+        (a, a_stride, a_row): (*const f32, usize, [usize; R]),
+        (b, n): (*const f32, usize),
+        c: [*mut f32; R],
+    ) -> bool {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for q in 0..R {
+            for v in 0..V {
+                acc[q][v] = _mm256_loadu_ps(c[q].add(8 * v));
+            }
+        }
+        for t in 0..terms.len() {
+            let s = terms.get(t);
+            let (ap, bp) = (a.add(s * a_stride), b.add(s * n));
+            for q in 0..R {
+                let coeff = *ap.add(a_row[q]);
+                if coeff != 0.0 {
+                    let kv = _mm256_set1_ps(coeff);
+                    for v in 0..V {
+                        let term = _mm256_mul_ps(kv, _mm256_loadu_ps(bp.add(8 * v)));
+                        acc[q][v] = _mm256_add_ps(acc[q][v], term);
+                    }
+                }
+            }
+        }
+        let mut nan = _mm256_setzero_ps();
+        for q in 0..R {
+            for v in 0..V {
+                nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(acc[q][v], acc[q][v]));
+            }
+        }
+        if _mm256_movemask_ps(nan) != 0 {
+            return false;
+        }
+        for q in 0..R {
+            for v in 0..V {
+                _mm256_storeu_ps(c[q].add(8 * v), acc[q][v]);
+            }
+        }
+        true
+    }
+
+    /// Accumulate `terms` into the rows `rows` of a tile, `vectors`
+    /// 8-column vectors wide: row `q` is `c[rows[q]·n..][..8·vectors]`,
+    /// its coefficients are column `a_row[q]`. One [`acc_tile`]
+    /// instantiation per shape that fits the register file; returns
+    /// what it returns.
+    ///
+    /// # Safety
+    /// As [`acc_tile`], for every row of `rows` (which must be distinct)
+    /// and the matching entry of `a_row` (at least as long);
+    /// `rows.len() · vectors` must be between 1 and
+    /// [`super::ACC_TILE_VECTORS`] and `rows.len() ≤ 4`.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn accumulate(
+        vectors: usize,
+        terms: Idx,
+        (a, a_stride, a_row): (*const f32, usize, &[usize]),
+        b: (*const f32, usize),
+        (c, rows): (*mut f32, &[usize]),
+    ) -> bool {
+        macro_rules! shapes {
+            ($(($R:literal, $V:literal))+) => {
+                match (rows.len(), vectors) {
+                    $(($R, $V) => acc_tile::<$R, $V>(
+                        terms,
+                        (a, a_stride, std::array::from_fn(|q| a_row[q])),
+                        b,
+                        std::array::from_fn(|q| c.add(rows[q] * b.1)),
+                    ),)+
+                    (count, _) => unreachable!("no register tile of {count} rows × {vectors} vectors"),
+                }
+            };
+        }
+        shapes! {
+            (1, 1) (1, 2) (1, 3) (1, 4) (1, 5) (1, 6) (1, 7) (1, 8) (1, 9) (1, 10) (1, 11) (1, 12)
+            (2, 1) (2, 2) (2, 3) (2, 4) (2, 5) (2, 6)
+            (3, 1) (3, 2) (3, 3) (3, 4)
+            (4, 1) (4, 2) (4, 3)
+        }
+    }
 }
 
 /// Bias-gradient accumulation: `acc += Σ_rows A`, rows ascending.

@@ -8,7 +8,11 @@
 //!   **bit-identical**, no tolerance), and
 //! * for a kept-row subset, the kernel's own every-row form run through
 //!   zeroed rows (**bit-identical**, operands including ±0, subnormals,
-//!   `MAX`, ±∞ and NaN, so the finite guards decide the outcome).
+//!   `MAX`, ±∞ and NaN, so the finite guards decide the outcome), and
+//! * the AVX register tiles against both the per-sample primitives and
+//!   the SSE2 / portable bodies they replaced (`ops::baseline`), over
+//!   shapes that land on every tile remainder — the shapes the ASan leg
+//!   (`scripts/asan.sh`) watches the tiles' edge loads on.
 
 use fedbiad_tensor::ops;
 use fedbiad_tensor::rng::{stream, StreamTag};
@@ -92,8 +96,36 @@ fn zero_dropped_rows(mut m: Matrix, kept: &[u32]) -> Matrix {
     m
 }
 
+/// Bit patterns, NaN encodings included. The one exception is the ASan
+/// leg (`scripts/asan.sh` builds with `--cfg fedbiad_asan`): instrumented
+/// code orders the operands of `axpy` / `axpy4` differently, two of the
+/// properties below fail there on the commit before the tiles too, and
+/// that leg is about loads and stores — so it compares NaN as NaN.
 fn bits(x: &[f32]) -> Vec<u32> {
+    if cfg!(fedbiad_asan) {
+        return bits_nan_as_nan(x);
+    }
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN mapped to one encoding, for comparing a
+/// batched kernel with the per-sample primitives or with its SSE2 twin on
+/// operands that hold NaNs of both signs. Where both operands of a
+/// multiply or an add are NaN, x86 returns the first source operand, and
+/// which one that is differs per compiled loop: before the tiles existed
+/// `gemm_nt` already differed from `gemv` there (`dot4`'s vector loop
+/// against `dot`'s scalar one), `gemm_tn_acc` from `ger` (`axpy4`'s body
+/// against `axpy`'s) and every AVX body from its SSE2 twin (`vmulps k,
+/// [x]` against `mulps x, k`). Every other value, and *whether* an element
+/// is NaN, is still compared exactly. The comparisons that did hold NaN
+/// encodings equal — a kept-row call against dense-through-zeros, the
+/// fused ordered accumulation against the `axpy` sequence — use [`bits`]
+/// and still do: a register tile never stores a NaN, it hands the rows to
+/// the loop it replaced (`ops.rs`, "Register tiles").
+fn bits_nan_as_nan(x: &[f32]) -> Vec<u32> {
+    x.iter()
+        .map(|v| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() })
+        .collect()
 }
 
 fn assert_close(got: f32, want: f32, what: &str) {
@@ -327,6 +359,243 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+    }
+}
+
+/// Batch sizes that land on every sample-tile remainder of the three
+/// kernels (`gemm_nt`: 4 + 1; `gemm_nn`: 2 + 1; gradient rows: 4 + 1..3).
+fn tile_row_counts() -> Vec<usize> {
+    vec![1, 2, 3, 4, 5, 7, 16, 33]
+}
+
+/// Row widths around every accumulation-tile boundary: below one vector,
+/// `n mod 8` columns beside 1..12 vectors (tile heights 4, 3, 2, 1), and
+/// past the twelve accumulators, where rows stream.
+fn acc_widths() -> Vec<usize> {
+    vec![
+        1, 3, 7, 8, 9, 15, 16, 23, 24, 25, 31, 33, 40, 47, 48, 49, 63, 71, 95, 96, 97, 103, 104,
+        110,
+    ]
+}
+
+/// A kept subset of `0..n` by `shape` (see [`subset`]); `shape` 6 is
+/// `None`, every row.
+fn kept_rows(shape: u32, n: usize, rng: &mut impl Rng) -> Option<Vec<u32>> {
+    (shape < 6).then(|| subset(shape, n, rng))
+}
+
+/// The rows of a gradient a call with `kept` accumulates into.
+fn takes_row(kept: &Option<Vec<u32>>, r: usize) -> bool {
+    kept.as_ref()
+        .is_none_or(|k| k.binary_search(&(r as u32)).is_ok())
+}
+
+proptest! {
+    /// The forward tiles (4 × 4, 1 × 8, their `dot4` / `dot` remainders)
+    /// equal `gemv` per sample and the baseline body, on every row of
+    /// the weight matrix or on a kept subset of it.
+    #[test]
+    fn tiled_gemm_nt_equals_gemv_and_the_baseline_body(
+        m in prop::sample::select(tile_row_counts()),
+        n in 1usize..27,
+        k in prop::sample::select(vec![0usize, 1, 2, 3, 4, 5, 7, 8, 13, 23, 24, 47, 48, 49, 50]),
+        shape in 0u32..7,
+        edgy in 0u32..3,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 6, 0);
+        let kept = kept_rows(shape, n, &mut rng);
+        let a = operand(m * k, edgy == 1, &mut rng);
+        let mut b = Matrix::from_vec(n, k, operand(n * k, edgy == 2, &mut rng));
+        if let Some(kept) = &kept {
+            b = zero_dropped_rows(b, kept);
+        }
+        let mut want = vec![0.0f32; m * n];
+        for i in 0..m {
+            ops::gemv(&b, &a[i * k..(i + 1) * k], &[], &mut want[i * n..(i + 1) * n]);
+        }
+        let mut got = vec![f32::NAN; m * n];
+        ops::gemm_nt(&a, &b, m, kept.as_deref(), &mut got);
+        prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&want), "tiles vs gemv");
+        let mut base = vec![f32::NAN; m * n];
+        ops::baseline::gemm_nt(&a, &b, m, kept.as_deref(), &mut base);
+        prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&base), "tiles vs baseline");
+    }
+
+    /// The backprop tiles equal `gemv_t` per sample and the baseline
+    /// body: zero coefficients (one in five, or `±0` among the edge
+    /// values) are skipped per (sample, weight row), whatever the tile.
+    #[test]
+    fn tiled_gemm_nn_equals_gemv_t_and_the_baseline_body(
+        m in prop::sample::select(tile_row_counts()),
+        k in 1usize..14,
+        n in prop::sample::select(acc_widths()),
+        shape in 0u32..7,
+        edgy in 0u32..3,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 7, 0);
+        let kept = kept_rows(shape, k, &mut rng);
+        let a = operand(m * k, edgy == 1, &mut rng);
+        let mut b = Matrix::from_vec(k, n, operand(k * n, edgy == 2, &mut rng));
+        if let Some(kept) = &kept {
+            b = zero_dropped_rows(b, kept);
+        }
+        let mut want = vec![0.0f32; m * n];
+        for i in 0..m {
+            ops::gemv_t(&b, &a[i * k..(i + 1) * k], &mut want[i * n..(i + 1) * n]);
+        }
+        let mut got = vec![f32::NAN; m * n];
+        ops::gemm_nn(&a, &b, m, kept.as_deref(), &mut got);
+        prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&want), "tiles vs gemv_t");
+        let mut base = vec![f32::NAN; m * n];
+        ops::baseline::gemm_nn(&a, &b, m, kept.as_deref(), &mut base);
+        prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&base), "tiles vs baseline");
+    }
+
+    /// The gradient tiles, plain and ordered, equal the `ger` / `axpy`
+    /// sequences and the baseline body — into a gradient seeded with
+    /// `−0.0` (which only survives if zero coefficients are skipped and
+    /// not multiplied through), for any visit order with repeats and a
+    /// `B` row offset, on every row or on a kept subset (the other rows
+    /// left untouched).
+    #[test]
+    fn tiled_gemm_tn_acc_equals_the_ger_sequence_and_the_baseline_body(
+        k in 0usize..9,
+        m in prop::sample::select(tile_row_counts()),
+        n in prop::sample::select(acc_widths()),
+        visits in 0usize..19,
+        off in 0usize..3,
+        shape in 0u32..7,
+        edgy in 0u32..2,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = stream(seed, StreamTag::Init, 8, 0);
+        let kept = kept_rows(shape, m, &mut rng);
+        let a = operand(k * m, edgy == 1, &mut rng);
+        let b = operand((k + off) * n, edgy == 1, &mut rng);
+        let order: Vec<usize> = (0..visits.min(k * 19)).map(|_| rng.gen_range(0..k)).collect();
+        let mut init = operand(m * n, false, &mut rng);
+        for v in init.iter_mut() {
+            if rng.gen_range(0..4) == 0 {
+                *v = -0.0;
+            }
+        }
+        let init = Matrix::from_vec(m, n, init);
+
+        let (mut want, mut want_ord) = (init.clone(), init.clone());
+        for s in 0..k {
+            let brow = &b[(s + off) * n..(s + off + 1) * n];
+            ops::ger(&mut want, 1.0, &a[s * m..(s + 1) * m], brow);
+        }
+        for r in 0..m {
+            if !takes_row(&kept, r) {
+                want.row_mut(r).copy_from_slice(init.row(r));
+                continue;
+            }
+            for &s in &order {
+                let coeff = a[s * m + r];
+                if coeff != 0.0 {
+                    ops::axpy(coeff, &b[(s + off) * n..(s + off + 1) * n], want_ord.row_mut(r));
+                }
+            }
+        }
+
+        let rows = kept.as_deref();
+        let (mut got, mut base) = (init.clone(), init.clone());
+        ops::gemm_tn_acc(&a, &b[off * n..], k, rows, &mut got);
+        ops::baseline::gemm_tn_acc(&a, &b[off * n..], k, rows, &mut base);
+        prop_assert_eq!(
+            bits_nan_as_nan(got.as_slice()),
+            bits_nan_as_nan(want.as_slice()),
+            "tiles vs ger"
+        );
+        prop_assert_eq!(
+            bits_nan_as_nan(got.as_slice()),
+            bits_nan_as_nan(base.as_slice()),
+            "tiles vs baseline"
+        );
+
+        let (mut got, mut base) = (init.clone(), init.clone());
+        ops::gemm_tn_acc_ord(&a, &b, &order, off, rows, &mut got);
+        ops::baseline::gemm_tn_acc_ord(&a, &b, &order, off, rows, &mut base);
+        prop_assert_eq!(
+            bits_nan_as_nan(got.as_slice()),
+            bits_nan_as_nan(want_ord.as_slice()),
+            "ordered tiles vs axpy"
+        );
+        prop_assert_eq!(
+            bits_nan_as_nan(got.as_slice()),
+            bits_nan_as_nan(base.as_slice()),
+            "ordered tiles vs baseline"
+        );
+    }
+}
+
+/// The zero test is per (output row, term), not per tile: one zero
+/// coefficient planted at each position of a tile in turn, the matching
+/// `B` row holding an infinity and the gradient seeded with `−0.0`. A
+/// tile that skipped the term for all of its rows would drop the other
+/// rows' infinities; one that multiplied through would turn the planted
+/// row's `−0.0` into NaN (`0·inf`) — and an all-zero coefficient column
+/// must leave its `−0.0` row exactly as it was.
+#[test]
+fn a_zero_coefficient_is_skipped_at_every_position_of_a_tile() {
+    let terms = 6usize;
+    // Tile heights 4, 2, 1 (whole-row tiles) and a streamed row.
+    for n in [24usize, 48, 96, 104] {
+        for q in 0..4 {
+            for t in 0..terms {
+                let m = 5; // one full group of four rows and a remainder row
+                let mut a = vec![1.5f32; terms * m];
+                a[t * m + q] = 0.0;
+                for s in 0..terms {
+                    a[s * m + 4] = 0.0; // row 4: every coefficient zero
+                }
+                let mut b: Vec<f32> = (0..terms * n).map(|i| 0.25 + (i % 7) as f32).collect();
+                b[t * n + n / 2] = f32::INFINITY;
+                let init = Matrix::full(m, n, -0.0);
+                let order: Vec<usize> = (0..terms).rev().collect();
+
+                let mut want = init.clone();
+                for r in 0..m {
+                    for &s in &order {
+                        if a[s * m + r] != 0.0 {
+                            ops::axpy(a[s * m + r], &b[s * n..(s + 1) * n], want.row_mut(r));
+                        }
+                    }
+                }
+                let mut got = init.clone();
+                ops::gemm_tn_acc_ord(&a, &b, &order, 0, None, &mut got);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "gradient, n {n} row {q} term {t}"
+                );
+                assert!(got.row(q).iter().all(|v| v.is_finite()), "0·inf formed");
+                assert!(got
+                    .row(4)
+                    .iter()
+                    .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+                assert_eq!(got.get((q + 1) % 4, n / 2), f32::INFINITY);
+
+                // The same plant through the backprop product: sample
+                // row `q` of `Aᵀ` against weight rows `b`.
+                let at: Vec<f32> = (0..m * terms)
+                    .map(|i| a[(i % terms) * m + i / terms])
+                    .collect();
+                let w = Matrix::from_vec(terms, n, b.clone());
+                let mut want = vec![0.0f32; m * n];
+                for i in 0..m {
+                    let coeffs = &at[i * terms..(i + 1) * terms];
+                    ops::gemv_t(&w, coeffs, &mut want[i * n..(i + 1) * n]);
+                }
+                let mut got = vec![f32::NAN; m * n];
+                ops::gemm_nn(&at, &w, m, None, &mut got);
+                assert_eq!(bits(&got), bits(&want), "backprop, n {n} row {q} term {t}");
+                assert!(got[q * n..(q + 1) * n].iter().all(|v| v.is_finite()));
+            }
+        }
     }
 }
 

@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# AddressSanitizer leg for the `unsafe` in `fedbiad-tensor` (the SIMD
+# kernels and AVX register tiles of `ops.rs`) and in the vendored rayon
+# pool: unit tests and property tests, every load and store instrumented.
+# The `kernel_props` shapes land on each tile's edge accesses — the last
+# chunk of a row whose length is not a multiple of 8, the last tile row of
+# a matrix — so an out-of-bounds lane there is reported, not read.
+#
+# Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
+# they do not link under ASan. CI's `asan` job runs this same script.
+#
+# `--cfg fedbiad_asan`: `kernel_props` compares NaN as NaN in this leg.
+# Which of two NaN operands an add returns is the compiler's choice per
+# loop, instrumented code chooses differently, and the properties that pin
+# NaN encodings fail under ASan on the commit before the tiles as well.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+RUSTFLAGS="-Zsanitizer=address --cfg fedbiad_asan" cargo +nightly test --offline \
+    -p fedbiad-tensor -p rayon \
+    --target x86_64-unknown-linux-gnu --lib --tests "$@"

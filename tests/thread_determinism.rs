@@ -229,21 +229,31 @@ fn assert_traces_bit_identical(
     assert_logs_bit_identical(&a.log, &b.log, what);
 }
 
-/// The batched GEMM kernels parallelise over row panels; their outputs
-/// must not depend on how the panels are scheduled — with every row and
-/// with a kept-row subset. Shapes cross the parallel threshold and
-/// straddle the 4-row sample blocks and the 4-wide unroll (odd row counts
-/// and a non-multiple-of-4 inner dimension).
+/// The batched GEMM kernels parallelise over tile rows (blocks of four
+/// samples, pairs of sample rows, aligned groups of four gradient rows);
+/// their outputs must not depend on how those are scheduled — with every
+/// row and with a kept-row subset. Both shapes cross the parallel
+/// threshold with a tile-row count that neither 2 nor 8 divides (11 / 22
+/// / 11 and 23 / 47 / 23, each with remainder rows after the last whole
+/// tile) and a non-multiple-of-4 inner dimension; the first is too wide
+/// for a two-row accumulation tile (`n = 97`: one row × 12 vectors and a
+/// scalar column), the second is the LSTM's width (`n = 48`: two rows × 6).
 #[test]
 fn batched_kernels_are_bitwise_thread_invariant() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (m, n, k) in [(45usize, 97usize, 131usize), (94, 48, 27)] {
+        assert!(m * n >= 4096, "every kernel takes its rayon branch");
+        batched_kernels_agree_across_thread_counts(m, n, k);
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+fn batched_kernels_agree_across_thread_counts(m: usize, n: usize, k: usize) {
     use fedbiad::tensor::ops;
     use fedbiad::tensor::rng::{stream, StreamTag};
     use fedbiad::tensor::Matrix;
     use rand::Rng;
 
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // m·n ≥ 4096, so every kernel takes its rayon branch.
-    let (m, n, k) = (45usize, 97usize, 131usize);
     let mut rng = stream(7, StreamTag::Init, 0, 0);
     let mut fill = |len: usize| -> Vec<f32> {
         (0..len)
@@ -321,7 +331,6 @@ fn batched_kernels_are_bitwise_thread_invariant() {
             "gemm_tn_acc_ord at {threads} threads"
         );
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 #[test]
