@@ -44,6 +44,12 @@ use std::time::Instant;
 #[path = "../../../core/tests/support/sample_theta_spec.rs"]
 mod theta_spec;
 
+/// `nn::softmax`'s executable specification (the reference side of
+/// `math/softmax_256x400`), shared with the test that pins the production
+/// loop to it.
+#[path = "../../../nn/tests/support/softmax_spec.rs"]
+mod softmax_spec;
+
 /// One timed run of `f`, in ns.
 fn time_once(f: &mut impl FnMut()) -> f64 {
     let t0 = Instant::now();
@@ -291,6 +297,77 @@ fn kernel_entries(samples: usize, out: &mut Vec<BenchEntry>) {
     backprop_entry(samples, 16, 192, 48, out);
     grad_acc_ord_entry(samples, 192, 48, out);
     grad_acc_ord_entry(samples, 400, 48, out);
+}
+
+/// `math/*` — `tensor::math`'s slice forms against its scalar definitions
+/// one element at a time, at the lab LSTM's shapes over 256 rows (16
+/// windows × 16 steps): one `g` gate of 48 per call, the `[i, f]` + `o`
+/// gates as one 144, and a 400-way `softmax` row (reference: its
+/// one-element-at-a-time specification). Operands are
+/// gate pre-activations in (−4, 4) and logits in (−4, 4).
+fn math_entries(samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_tensor::math;
+    const ROWS: usize = 256;
+    let operands = |cols: usize, seed: u64| {
+        let mut m = filled(ROWS, cols, seed);
+        m.as_mut_slice().iter_mut().for_each(|v| *v *= 4.0);
+        m
+    };
+    type Pair = (&'static str, usize, fn(f32) -> f32, fn(&mut [f32]));
+    let pairs: [Pair; 2] = [
+        ("math/tanh_256x48", 48, math::tanh, math::tanh_slice),
+        (
+            "math/sigmoid_256x144",
+            144,
+            math::sigmoid,
+            math::sigmoid_slice,
+        ),
+    ];
+    for (label, cols, scalar, slice) in pairs {
+        let input = operands(cols, 11);
+        let buf = RefCell::new(input.clone());
+        timed_entry(
+            samples,
+            label,
+            || {
+                let mut buf = buf.borrow_mut();
+                buf.as_mut_slice().copy_from_slice(input.as_slice());
+                for v in buf.as_mut_slice() {
+                    *v = scalar(*v);
+                }
+            },
+            || {
+                let mut buf = buf.borrow_mut();
+                buf.as_mut_slice().copy_from_slice(input.as_slice());
+                for row in buf.as_mut_slice().chunks_exact_mut(cols) {
+                    slice(row);
+                }
+            },
+            out,
+        );
+    }
+
+    let input = operands(400, 12);
+    let buf = RefCell::new(input.clone());
+    timed_entry(
+        samples,
+        "math/softmax_256x400",
+        || {
+            let mut buf = buf.borrow_mut();
+            buf.as_mut_slice().copy_from_slice(input.as_slice());
+            for row in buf.as_mut_slice().chunks_exact_mut(400) {
+                softmax_spec::softmax(row);
+            }
+        },
+        || {
+            let mut buf = buf.borrow_mut();
+            buf.as_mut_slice().copy_from_slice(input.as_slice());
+            for row in buf.as_mut_slice().chunks_exact_mut(400) {
+                fedbiad_nn::softmax::softmax(row);
+            }
+        },
+        out,
+    );
 }
 
 /// [`POOL_ENTRY`] — what a parallel call costs before it does anything:
@@ -939,6 +1016,7 @@ fn main() {
     // need far more draws to converge than the ms-scale entries; extra
     // samples are nearly free at this granularity.
     kernel_entries(if smoke { samples } else { samples * 8 }, &mut entries);
+    math_entries(if smoke { samples } else { samples * 8 }, &mut entries);
     pool_entry(if smoke { samples } else { samples * 8 }, &mut entries);
     local_update_entries(smoke, samples, &mut entries);
     aggregation_entries(smoke, samples, &mut entries);

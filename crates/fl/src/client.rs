@@ -187,6 +187,9 @@ pub fn run_local_training(
     // Arena behaviour over the whole run: after warm-up the loop should
     // re-use checked-out buffers, so churn stays flat per iteration.
     gauge!("train.ws_churn", ws.churn());
+    // Which route produced this run's nn timings: 1 = `math`'s vector
+    // bodies, 0 = its scalar definitions (same values either way).
+    gauge!("nn.math.wide", u8::from(fedbiad_tensor::math::wide()));
     counter!("nn.rows_computed", row_work.computed);
     counter!("nn.rows_skipped", row_work.skipped);
     if let Some(reader) = &reader {

@@ -3,6 +3,7 @@
 //! The paper's Assumption 1 requires 1-Lipschitz activations; ReLU, tanh and
 //! sigmoid (the three the paper names) all satisfy it.
 
+use fedbiad_tensor::math;
 use serde::{Deserialize, Serialize};
 
 /// Supported activation functions.
@@ -30,16 +31,8 @@ impl Activation {
                     }
                 }
             }
-            Activation::Tanh => {
-                for x in xs {
-                    *x = x.tanh();
-                }
-            }
-            Activation::Sigmoid => {
-                for x in xs {
-                    *x = sigmoid(*x);
-                }
-            }
+            Activation::Tanh => math::tanh_slice(xs),
+            Activation::Sigmoid => math::sigmoid_slice(xs),
         }
     }
 
@@ -71,21 +64,10 @@ impl Activation {
     }
 }
 
-/// Numerically stable logistic sigmoid.
-#[inline(always)]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedbiad_tensor::math::sigmoid;
 
     #[test]
     fn relu_forward_backward() {

@@ -11,8 +11,7 @@
 //! pre-activation contribution vanishes — exactly the spike-and-slab
 //! semantics of eq. (4) (weights are zeroed, not activations).
 
-use crate::activation::sigmoid;
-use fedbiad_tensor::{ops, Matrix};
+use fedbiad_tensor::{math, ops, Matrix};
 
 /// Per-timestep forward cache required by the backward pass.
 #[derive(Clone, Debug, Default)]
@@ -66,17 +65,18 @@ pub fn cell_forward(
     ops::gemv(wh, h_prev, &[], &mut rec);
     ops::axpy(1.0, &rec, &mut cache.gates);
 
-    // Gate nonlinearities: σ on i/f/o, tanh on g.
+    // Gate nonlinearities: σ on i/f/o, tanh on g — the scalar definitions,
+    // one element at a time (the batched block runs the slice forms).
     let (ifg, o) = cache.gates.split_at_mut(3 * h);
     let (i_f, g) = ifg.split_at_mut(2 * h);
     for v in i_f.iter_mut() {
-        *v = sigmoid(*v);
+        *v = math::sigmoid(*v);
     }
     for v in g.iter_mut() {
-        *v = v.tanh();
+        *v = math::tanh(*v);
     }
     for v in o.iter_mut() {
-        *v = sigmoid(*v);
+        *v = math::sigmoid(*v);
     }
 
     cache.c.resize(h, 0.0);
@@ -92,7 +92,7 @@ pub fn cell_forward(
         let o = cache.gates[3 * h + k];
         let c = f * cp + i * g;
         cache.c[k] = c;
-        let tc = c.tanh();
+        let tc = math::tanh(c);
         cache.tanh_c[k] = tc;
         cache.h[k] = o * tc;
     }
@@ -157,8 +157,9 @@ pub fn cell_backward(
 /// `gates` holds `nb` rows of 4H pre-activations `[i, f, g, o]` (already
 /// `Wx·x + b + Wh·h_prev`); `c_prev` holds `nb` rows of H. Writes the new
 /// cell state, its tanh and the hidden state row-aligned. Every element
-/// runs the exact computation of [`cell_forward`], so a row is
-/// bit-identical to the per-window step.
+/// runs the exact computation of [`cell_forward`] — the nonlinearities
+/// through `math`'s slice forms, which return the scalar definitions'
+/// bits — so a row is bit-identical to the per-window step.
 pub fn cell_forward_block(
     gates: &mut [f32],
     c_prev: &[f32],
@@ -175,32 +176,24 @@ pub fn cell_forward_block(
     debug_assert_eq!(h_out.len(), nb * hd);
     for w in 0..nb {
         let grow = &mut gates[w * 4 * hd..(w + 1) * 4 * hd];
-        let (ifg, o) = grow.split_at_mut(3 * hd);
-        let (i_f, g) = ifg.split_at_mut(2 * hd);
-        for v in i_f.iter_mut() {
-            *v = sigmoid(*v);
-        }
-        for v in g.iter_mut() {
-            *v = v.tanh();
-        }
-        for v in o.iter_mut() {
-            *v = sigmoid(*v);
-        }
-        let grow = &gates[w * 4 * hd..(w + 1) * 4 * hd];
-        let cp = &c_prev[w * hd..(w + 1) * hd];
+        let (i_f, go) = grow.split_at_mut(2 * hd);
+        let (g, o) = go.split_at_mut(hd);
+        math::sigmoid_slice(i_f);
+        math::tanh_slice(g);
+        math::sigmoid_slice(o);
         let cw = &mut c[w * hd..(w + 1) * hd];
-        let tw = &mut tanh_c[w * hd..(w + 1) * hd];
+        for (k, &cpk) in c_prev[w * hd..(w + 1) * hd].iter().enumerate() {
+            cw[k] = i_f[hd + k] * cpk + i_f[k] * g[k];
+        }
+    }
+    // tanh(c) for the whole block in one call, then h = o · tanh(c).
+    tanh_c.copy_from_slice(c);
+    math::tanh_slice(tanh_c);
+    for w in 0..nb {
+        let o = &gates[w * 4 * hd + 3 * hd..(w + 1) * 4 * hd];
         let hw = &mut h_out[w * hd..(w + 1) * hd];
-        for (k, &cpk) in cp.iter().enumerate() {
-            let i = grow[k];
-            let f = grow[hd + k];
-            let g = grow[2 * hd + k];
-            let o = grow[3 * hd + k];
-            let cv = f * cpk + i * g;
-            cw[k] = cv;
-            let tc = cv.tanh();
-            tw[k] = tc;
-            hw[k] = o * tc;
+        for (k, &tc) in tanh_c[w * hd..(w + 1) * hd].iter().enumerate() {
+            hw[k] = o[k] * tc;
         }
     }
 }

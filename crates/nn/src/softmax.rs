@@ -1,17 +1,31 @@
 //! Fused softmax + cross-entropy.
 
+use fedbiad_tensor::math;
+
 /// Numerically stable in-place softmax.
 pub fn softmax(xs: &mut [f32]) {
     let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
     for x in xs.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+        *x -= max;
+    }
+    math::exp_slice(xs);
+    let mut sum = 0.0f32;
+    for &x in xs.iter() {
+        sum += x;
     }
     let inv = 1.0 / sum;
     for x in xs.iter_mut() {
         *x *= inv;
     }
+}
+
+/// `−ln p` with `p` floored at `1e-12`: with float32 underflow a
+/// probability can be exactly 0. The floor is a comparison, not
+/// `f32::max` — that returns its non-NaN operand, and a diverged model's
+/// NaN probability must report a NaN loss, not 27.631.
+fn neg_ln_floored(p: f32) -> f32 {
+    let p = if p < 1e-12 { 1e-12 } else { p };
+    -p.ln()
 }
 
 /// Fused forward+backward for softmax cross-entropy.
@@ -22,9 +36,7 @@ pub fn softmax(xs: &mut [f32]) {
 pub fn softmax_xent_grad(logits: &mut [f32], target: usize) -> f32 {
     debug_assert!(target < logits.len());
     softmax(logits);
-    // Guard the log: with float32 underflow p can be exactly 0.
-    let p = logits[target].max(1e-12);
-    let loss = -p.ln();
+    let loss = neg_ln_floored(logits[target]);
     logits[target] -= 1.0;
     loss
 }
@@ -33,7 +45,7 @@ pub fn softmax_xent_grad(logits: &mut [f32], target: usize) -> f32 {
 /// without mutating the caller's buffer beyond the softmax itself.
 pub fn softmax_xent_loss(logits: &mut [f32], target: usize) -> f32 {
     softmax(logits);
-    -logits[target].max(1e-12).ln()
+    neg_ln_floored(logits[target])
 }
 
 #[cfg(test)]
@@ -77,6 +89,25 @@ mod tests {
             let fd = (fp - fm) / (2.0 * eps);
             assert!((g[i] - fd).abs() < 1e-3, "dim {i}: {} vs {}", g[i], fd);
         }
+    }
+
+    #[test]
+    fn nan_probability_reports_nan_loss_and_zero_keeps_its_floor() {
+        // A NaN logit makes every probability NaN; the floor used to turn
+        // that into −ln 1e-12.
+        for loss in [
+            softmax_xent_grad(&mut [0.5, f32::NAN, -1.0], 0),
+            softmax_xent_loss(&mut [0.5, f32::NAN, -1.0], 2),
+        ] {
+            assert!(loss.is_nan(), "{loss}");
+        }
+        // p underflows to exactly 0: the floor holds as before.
+        let floor = -(1e-12f32).ln();
+        assert!((floor - 27.631).abs() < 1e-3);
+        let mut logits = [0.0, 200.0];
+        assert_eq!(softmax_xent_grad(&mut logits, 0), floor);
+        assert_eq!(logits[0], -1.0);
+        assert_eq!(softmax_xent_loss(&mut [0.0, 200.0], 0), floor);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! best of seven, at the shapes the scenario workloads run — the lab
 //! LSTM's gates and head (batch 16, H = E = 48, V = 400), the lab MLP's
 //! first layer (batch 32 and batch 1, 784 → 128) and its W2 backward —
-//! plus the per-sample `gemv` loop as the yardstick. Run it under
+//! plus the per-sample `gemv` loop as the yardstick — and ns/element for
+//! `math`'s three slice forms at the lab LSTM's shapes (256 rows of one
+//! `g` gate, of `[i, f, o]`, of a 400-way softmax's exponentials) beside
+//! the scalar definition and the host's libm. Run it under
 //! `taskset -c 0` with `RAYON_NUM_THREADS=1`; the roofline table in
 //! BENCHMARKS.md ("PR 22") is this program's output on two commits.
+use fedbiad_tensor::math;
 use fedbiad_tensor::ops;
 use fedbiad_tensor::Matrix;
 use std::hint::black_box;
@@ -28,9 +32,9 @@ fn relu_sparse(mut x: Vec<f32>) -> Vec<f32> {
     x
 }
 
-/// Best-of-seven rate of `f`, which performs `macs` multiply-adds per call.
-fn gmacs(macs: usize, mut f: impl FnMut()) -> f64 {
-    let reps = (20_000_000 / macs).clamp(3, 2_000);
+/// Best-of-seven seconds per call of `f`, which does `work` units a call.
+fn best_seconds(work: usize, mut f: impl FnMut()) -> f64 {
+    let reps = (20_000_000 / work).clamp(3, 2_000);
     f();
     let mut best = f64::INFINITY;
     for _ in 0..7 {
@@ -40,7 +44,23 @@ fn gmacs(macs: usize, mut f: impl FnMut()) -> f64 {
         }
         best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
     }
-    macs as f64 / best / 1e9
+    best
+}
+
+/// Best-of-seven rate of `f`, which performs `macs` multiply-adds per call.
+fn gmacs(macs: usize, f: impl FnMut()) -> f64 {
+    macs as f64 / best_seconds(macs, f) / 1e9
+}
+
+/// ns/element of an in-place map over a copy of `input`.
+fn ns_per_element(input: &[f32], mut map: impl FnMut(&mut [f32])) -> f64 {
+    let mut buf = input.to_vec();
+    let secs = best_seconds(input.len(), || {
+        buf.copy_from_slice(black_box(input));
+        map(&mut buf);
+        black_box(&buf);
+    });
+    secs * 1e9 / input.len() as f64
 }
 
 /// The host's no-FMA ceiling: twelve independent `acc = acc·a + b` chains
@@ -72,6 +92,25 @@ unsafe fn ceiling_gmacs() -> f64 {
 
 fn report(kernel: &str, shape: &str, rate: f64) {
     println!("{kernel:<18} {shape:<22} {rate:>6.2} GMAC/s");
+}
+
+/// One `math` function three ways: the slice form, the scalar definition
+/// element by element, and the host libm's function.
+fn report_math(
+    name: &str,
+    shape: &str,
+    input: &[f32],
+    slice: fn(&mut [f32]),
+    scalar: fn(f32) -> f32,
+    host: fn(f32) -> f32,
+) {
+    let each = |f: fn(f32) -> f32| move |xs: &mut [f32]| xs.iter_mut().for_each(|x| *x = f(*x));
+    println!(
+        "{name:<18} {shape:<22} {:>6.2} ns/element (scalar definition {:.2}, host libm {:.2})",
+        ns_per_element(input, slice),
+        ns_per_element(input, each(scalar)),
+        ns_per_element(input, each(host)),
+    );
 }
 
 fn main() {
@@ -148,4 +187,45 @@ fn main() {
         let tag = if sparse { " relu-sparse" } else { "" };
         report("gemm_tn_acc", &format!("{s} x {m} x {n}{tag}"), rate);
     }
+
+    // Transcendentals: gate pre-activations in (−4, 4), softmax arguments
+    // (logit − max) in (−8, 0].
+    println!("math::wide() = {}", math::wide());
+    let gates = |len| filled(len, 9).iter().map(|v| 4.0 * v).collect::<Vec<_>>();
+    let shifted: Vec<f32> = filled(256 * 400, 10)
+        .iter()
+        .map(|v| -4.0 * (v + 1.0))
+        .collect();
+    report_math(
+        "math::tanh_slice",
+        "256 x 48",
+        &gates(256 * 48),
+        math::tanh_slice,
+        math::tanh,
+        f32::tanh,
+    );
+    let host_sigmoid = |x: f32| {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    };
+    report_math(
+        "math::sigmoid_slice",
+        "256 x 144",
+        &gates(256 * 144),
+        math::sigmoid_slice,
+        math::sigmoid,
+        host_sigmoid,
+    );
+    report_math(
+        "math::exp_slice",
+        "256 x 400",
+        &shifted,
+        math::exp_slice,
+        math::exp,
+        f32::exp,
+    );
 }

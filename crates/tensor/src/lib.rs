@@ -4,14 +4,17 @@
 //!
 //! This crate deliberately implements only what the federated-learning stack
 //! above it needs — row-major matrices, matrix–vector and matrix–matrix
-//! products, element-wise kernels, reductions, quantiles and deterministic
-//! random initialisation — but implements those pieces carefully:
+//! products, element-wise kernels, reductions, quantiles, deterministic
+//! random initialisation and the three transcendentals the models apply
+//! ([`math`]) — but implements those pieces carefully:
 //!
 //! * hot loops are written over slices so the compiler can elide bounds
 //!   checks (see the Rust Performance Book guidance on bounds checks),
 //! * [`ops::gemm`] is blocked and parallelised with rayon,
 //! * all randomness flows through [`rng::stream`] so every experiment is
-//!   bit-reproducible regardless of thread scheduling.
+//!   bit-reproducible regardless of thread scheduling,
+//! * [`math`]'s `tanh` / `exp` / `sigmoid` are defined here, not by the
+//!   host's libm, and its vector forms return the definitions' bits.
 //!
 //! The crate has no opinion about neural networks; that lives in
 //! `fedbiad-nn`.
@@ -19,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod init;
+pub mod math;
 pub mod matrix;
 pub mod ops;
 pub mod rng;

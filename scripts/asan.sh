@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # AddressSanitizer leg for the `unsafe` in `fedbiad-tensor` (the SIMD
-# kernels and AVX register tiles of `ops.rs`) and in the vendored rayon
-# pool: unit tests and property tests, every load and store instrumented.
-# The `kernel_props` shapes land on each tile's edge accesses — the last
-# chunk of a row whose length is not a multiple of 8, the last tile row of
-# a matrix — so an out-of-bounds lane there is reported, not read.
+# kernels and AVX register tiles of `ops.rs`, the AVX2 bodies of
+# `math.rs`) and in the vendored rayon pool: unit tests and property
+# tests, every load and store instrumented. The `kernel_props` shapes land
+# on each tile's edge accesses — the last chunk of a row whose length is
+# not a multiple of 8, the last tile row of a matrix — and `math_props`
+# runs every slice length 0..=17 at four alignments through the 8-lane
+# and scalar seams and the `exp` table gather, so an out-of-bounds lane
+# there is reported, not read.
 #
 # Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
 # they do not link under ASan. CI's `asan` job runs this same script.
