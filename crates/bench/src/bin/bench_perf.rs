@@ -30,7 +30,7 @@ use fedbiad_fl::client::{run_local_training, LocalRunId, NoHooks};
 use fedbiad_fl::round::evaluate_model;
 use fedbiad_fl::workload::{build, Scale, Workload};
 use fedbiad_nn::model::ReferencePath;
-use fedbiad_tensor::rng::{stream, StreamTag};
+use fedbiad_tensor::rng::{stream, stream_key, StreamTag};
 use fedbiad_tensor::{ops, Matrix};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -304,7 +304,8 @@ fn kernel_entries(samples: usize, out: &mut Vec<BenchEntry>) {
 /// windows × 16 steps): one `g` gate of 48 per call, the `[i, f]` + `o`
 /// gates as one 144, and a 400-way `softmax` row (reference: its
 /// one-element-at-a-time specification). Operands are
-/// gate pre-activations in (−4, 4) and logits in (−4, 4).
+/// gate pre-activations in (−4, 4) and logits in (−4, 4). Plus
+/// `math/gaussian_784`, the Gaussian field at the synthetic image's shape.
 fn math_entries(samples: usize, out: &mut Vec<BenchEntry>) {
     use fedbiad_tensor::math;
     const ROWS: usize = 256;
@@ -364,6 +365,27 @@ fn math_entries(samples: usize, out: &mut Vec<BenchEntry>) {
             buf.as_mut_slice().copy_from_slice(input.as_slice());
             for row in buf.as_mut_slice().chunks_exact_mut(400) {
                 fedbiad_nn::softmax::softmax(row);
+            }
+        },
+        out,
+    );
+
+    // One synthetic image's pixel noise, 64 images a call: the field's
+    // definition element by element vs `gaussian_slice`.
+    const PIXELS: usize = 784;
+    let key = stream_key(11, StreamTag::Data, 1, 0);
+    let noise = RefCell::new(vec![0.0f32; 64 * PIXELS]);
+    timed_entry(
+        samples,
+        "math/gaussian_784",
+        || {
+            for (i, v) in noise.borrow_mut().iter_mut().enumerate() {
+                *v = math::gaussian(key, i as u64);
+            }
+        },
+        || {
+            for (i, image) in noise.borrow_mut().chunks_exact_mut(PIXELS).enumerate() {
+                math::gaussian_slice(key, (i * PIXELS) as u64, image);
             }
         },
         out,
@@ -777,11 +799,12 @@ fn sim_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
 /// replaced.
 ///
 /// * `core/sample_theta_mlp` — one local update's worth of
-///   θ ~ β∘N(U, s̃²I) draws on the MLP at p = 0.5 with eq. (13)'s s̃:
-///   the executable specification (clone U, Box–Muller every element,
-///   zero the dropped units) vs `sample_theta_into` on a persistent
-///   buffer. The ratio collapses toward 1 if the no-op skip stops firing
-///   or a per-step allocation comes back.
+///   θ ~ β∘N(U, s̃²I) on the MLP at p = 0.5 with eq. (13)'s s̃: the
+///   executable specification (clone U, evaluate the Gaussian field at
+///   every element, zero the dropped units) vs `sample_theta_into` on a
+///   persistent buffer, which evaluates it only where the add can move
+///   the weight (≈ 1.6 % of P). The ratio collapses toward 1 if the
+///   no-op skip stops firing or a per-step allocation comes back.
 /// * `stats/top_k_abs_100k` — DGC's magnitude top-1 % of 10⁵ values:
 ///   full index sort vs selection + k-prefix sort.
 fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
@@ -812,24 +835,18 @@ fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     );
     let rows_kept = pattern.rows_kept(&u);
     let mut theta = u.clone();
+    let key = stream_key(7, StreamTag::PosteriorNoise, 0, 0);
     let (r, b) = time_pair_ns(
         samples,
         || {
-            let mut rng = stream(7, StreamTag::PosteriorNoise, 0, 0);
-            for _ in 0..steps {
-                black_box(theta_spec::sample_theta(
-                    &u,
-                    &pattern.beta,
-                    s_tilde,
-                    &mut rng,
-                ));
+            for v in 0..steps as u64 {
+                black_box(theta_spec::sample_theta(&u, &pattern.beta, s_tilde, key, v));
             }
         },
         || {
-            let mut rng = stream(7, StreamTag::PosteriorNoise, 0, 0);
-            for _ in 0..steps {
+            for v in 0..steps as u64 {
                 black_box(sample_theta_into(
-                    &mut theta, &u, &rows_kept, s_tilde, &mut rng,
+                    &mut theta, &u, &rows_kept, s_tilde, key, v,
                 ));
             }
         },
@@ -864,10 +881,11 @@ fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
 /// its shard, over 256 clients of the smoke image spec: the whole-shard
 /// specification `LazyClients::client_data` (60 samples derived) vs a
 /// `ShardReader` fed the batch-1 × 24 index stream `run_local_training`
-/// draws (≈ 20 distinct samples derived, the ones passed over only
-/// advanced, the tail untouched). The ratio collapses to ≤ 1 if lookup
-/// goes back to materialising, or if stepping over a sample starts
-/// computing pixels.
+/// draws (≈ 20 distinct samples derived, the other ≈ 40 never touched).
+/// Both sides are the same per-sample function, so the ratio is the
+/// share of the shard a run reads (≈ 3x); it collapses to ≤ 1 if lookup
+/// goes back to materialising, or if a sample nobody reads starts
+/// costing something.
 fn lazy_shard_entry(samples: usize, out: &mut Vec<BenchEntry>) {
     use fedbiad_fl::workload::{build_with, PopulationOverride, WorkloadOverrides};
     use std::hint::black_box;

@@ -31,7 +31,7 @@ use fedbiad_fl::client::{run_local_training, LocalHooks, LocalRunId};
 use fedbiad_fl::telemetry::counter;
 use fedbiad_nn::mask::{BitVec, KeptRows};
 use fedbiad_nn::{Model, ParamSet};
-use fedbiad_tensor::rng::{stream, StreamTag};
+use fedbiad_tensor::rng::{stream, stream_key, StreamTag};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -227,14 +227,15 @@ struct BiadHooks<'a> {
     stage_one: bool,
     s_tilde: f32,
     keep: usize,
-    noise_rng: StdRng,
+    /// Key of this run's θ-noise field (`StreamTag::PosteriorNoise`).
+    noise_key: u64,
     pattern_rng: StdRng,
 }
 
 impl LocalHooks for BiadHooks<'_> {
     fn make_theta<'a>(
         &'a mut self,
-        _v: usize,
+        v: usize,
         u: &'a ParamSet,
     ) -> (&'a ParamSet, Option<&'a KeptRows>) {
         // Algorithm 1 line 16: θ ~ β ∘ N(U, s̃²I). The sampler stores
@@ -245,7 +246,8 @@ impl LocalHooks for BiadHooks<'_> {
             u,
             &self.rows_kept,
             self.s_tilde,
-            &mut self.noise_rng,
+            self.noise_key,
+            v as u64,
         );
         (&self.theta, Some(&self.kept))
     }
@@ -334,7 +336,7 @@ impl FlAlgorithm for FedBiad {
             info.round as u64,
             pattern_client,
         );
-        let noise_rng = stream(
+        let noise_key = stream_key(
             info.seed,
             StreamTag::PosteriorNoise,
             info.round as u64,
@@ -386,7 +388,7 @@ impl FlAlgorithm for FedBiad {
             stage_one,
             s_tilde,
             keep,
-            noise_rng,
+            noise_key,
             pattern_rng,
         };
 

@@ -11,8 +11,7 @@
 //! through injected noise.
 
 use fedbiad_nn::{ArchInfo, ParamSet};
-use fedbiad_tensor::init::{box_muller, gaussian_uniforms, GAUSSIAN_ABS_BOUND};
-use rand::Rng;
+use fedbiad_tensor::math::{gaussian, GAUSSIAN_ABS_BOUND};
 use serde::{Deserialize, Serialize};
 
 /// How the posterior standard deviation s̃ is chosen.
@@ -62,12 +61,12 @@ pub fn client_total_data(round_one_based: usize, local_iters: usize, min_dk: usi
 }
 
 /// What [`sample_theta_into`] passes did — the `theta.*` telemetry
-/// counters, and the ratio of useful transforms to draws.
+/// counters, and the ratio of Gaussians evaluated to parameters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThetaStats {
-    /// Box–Muller transforms evaluated (the add could move the weight).
+    /// Gaussians evaluated (the add could move the weight).
     pub transforms: u64,
-    /// Draws whose transform was skipped: provably no-op adds on kept
+    /// Parameters that cost no Gaussian: provably no-op adds on kept
     /// elements, plus every element of a dropped matrix row.
     pub transforms_skipped: u64,
     /// Matrix rows of dropped units, stored as zeros unperturbed.
@@ -95,29 +94,61 @@ fn add_is_no_op(w: f32, no_op_below: f32) -> bool {
     no_op_below < w.abs() * QUARTER_ULP
 }
 
-/// One element of θ = U + s̃·ε. Always consumes the two uniforms of a
-/// [`gaussian`](fedbiad_tensor::init::gaussian) sample; evaluates the
-/// transform only when the add could change `w`.
-///
-/// |ε| < [`GAUSSIAN_ABS_BOUND`], so `no_op_below = s̃·bound` bounds
-/// |fl(s̃·ε)| (rounding is monotone). When that is below `|w|·2⁻²⁶` the
-/// addend is under a quarter ulp of `w` and IEEE round-to-nearest returns
-/// `w` itself; any s̃ that is not tiny against `w` fails the test and
-/// takes the full transform, so every noise regime stays exact.
-#[inline]
-fn perturbed(
-    w: f32,
+/// The noise of one θ sample: element `i` of the pass is perturbed by
+/// `s̃·g(key, first + i)`.
+#[derive(Clone, Copy)]
+struct Noise {
     s_tilde: f32,
+    /// `s̃·`[`GAUSSIAN_ABS_BOUND`]: bounds |fl(s̃·ε)| (rounding is monotone).
     no_op_below: f32,
-    rng: &mut impl Rng,
-    transforms: &mut u64,
-) -> f32 {
-    let (u1, u2) = gaussian_uniforms(rng);
-    if add_is_no_op(w, no_op_below) {
-        w
-    } else {
-        *transforms += 1;
-        w + s_tilde * box_muller(u1, u2)
+    key: u64,
+    /// Field index of the pass's element 0.
+    first: u64,
+}
+
+impl Noise {
+    /// One element of θ = U + s̃·ε, element `i` of the pass. The Gaussian
+    /// is evaluated only when the add could change `w`: when
+    /// `no_op_below` is under `|w|·2⁻²⁶` the addend is under a quarter ulp
+    /// of `w` and IEEE round-to-nearest returns `w` itself; any s̃ that is
+    /// not tiny against `w` fails the test and takes the full transform,
+    /// so every noise regime stays exact.
+    #[inline]
+    fn perturbed(&self, w: f32, i: u64, transforms: &mut u64) -> f32 {
+        if add_is_no_op(w, self.no_op_below) {
+            w
+        } else {
+            *transforms += 1;
+            w + self.s_tilde * gaussian(self.key, self.first.wrapping_add(i))
+        }
+    }
+
+    /// [`perturbed`](Self::perturbed) over a kept row whose first element
+    /// is element `base` of the pass. Eight at a time: the no-op test of a
+    /// whole group is a handful of vector instructions, and at eq. (13)'s
+    /// s̃ nearly every group passes it whole and is a copy. (`chunks_exact`
+    /// and a separate tail, not `chunks`: with the group length unknown
+    /// the test is not vectorised and the pass takes twice as long.)
+    fn perturb_row(&self, dst: &mut [f32], src: &[f32], base: u64, transforms: &mut u64) {
+        const GROUP: usize = 8;
+        let mut at = base;
+        let (mut d, mut s) = (dst.chunks_exact_mut(GROUP), src.chunks_exact(GROUP));
+        for (d, s) in d.by_ref().zip(s.by_ref()) {
+            let unmoved = s
+                .iter()
+                .fold(true, |all, &w| all & add_is_no_op(w, self.no_op_below));
+            if unmoved {
+                d.copy_from_slice(s);
+            } else {
+                for (j, (d, &w)) in d.iter_mut().zip(s).enumerate() {
+                    *d = self.perturbed(w, at + j as u64, transforms);
+                }
+            }
+            at += GROUP as u64;
+        }
+        for (j, (d, &w)) in d.into_remainder().iter_mut().zip(s.remainder()).enumerate() {
+            *d = self.perturbed(w, at + j as u64, transforms);
+        }
     }
 }
 
@@ -125,14 +156,16 @@ fn perturbed(
 /// as `u`; every element is overwritten): θ = U + s̃·ε on kept rows,
 /// zeros on the rows of dropped units. `rows_kept` is
 /// [`DropPattern::rows_kept`](crate::pattern::DropPattern::rows_kept).
-/// With `s_tilde` not above 0 this is the masked copy and draws nothing.
+/// With `s_tilde` not above 0 this is the masked copy.
 ///
-/// **RNG contract.** Otherwise exactly one
-/// [`gaussian_uniforms`] pair is consumed per parameter, in entry order,
-/// matrix row-major then bias — dropped rows included — so the stream's
-/// post-state does not depend on β, on U or on which transforms were
-/// skipped. The result and the post-state are bit-identical to "clone U,
-/// add `s̃·gaussian()` to every element, `zero_row_unit` the dropped
+/// **Noise contract.** ε is the Gaussian field of the stream `key`
+/// ([`fedbiad_tensor::math::gaussian`]): parameter `i` — in entry order,
+/// matrix row-major then bias — of local step `step` reads element
+/// `step·P + i`, `P = u.total_params()`. The value of an element depends
+/// on nothing else, so the pass evaluates it only where the add can move
+/// the weight: a dropped row is a fill, a provably unchanged weight a
+/// compare and a copy. The result is bit-identical to "clone U, add
+/// `s̃·g(key, step·P + i)` to every element, `zero_row_unit` the dropped
 /// units" (`tests/support/sample_theta_spec.rs`, property-tested in
 /// `tests/theta_props.rs`).
 pub fn sample_theta_into(
@@ -140,13 +173,20 @@ pub fn sample_theta_into(
     u: &ParamSet,
     rows_kept: &[Vec<bool>],
     s_tilde: f32,
-    rng: &mut impl Rng,
+    key: u64,
+    step: u64,
 ) -> ThetaStats {
     assert_eq!(theta.num_entries(), u.num_entries(), "θ buffer shape");
     assert_eq!(rows_kept.len(), u.num_entries(), "rows_kept shape");
-    let noisy = s_tilde > 0.0;
-    let no_op_below = s_tilde * GAUSSIAN_ABS_BOUND;
+    let total = u.total_params() as u64;
+    let noise = (s_tilde > 0.0).then_some(Noise {
+        s_tilde,
+        no_op_below: s_tilde * GAUSSIAN_ABS_BOUND,
+        key,
+        first: step.wrapping_mul(total),
+    });
     let mut stats = ThetaStats::default();
+    let mut at = 0u64;
     for (e, kept) in rows_kept.iter().enumerate() {
         let (tm, tb) = theta.mat_bias_mut(e);
         let (um, ub) = (u.mat(e), u.bias(e));
@@ -157,36 +197,30 @@ pub fn sample_theta_into(
         );
         for (r, &keep) in kept.iter().enumerate() {
             let (dst, src) = (tm.row_mut(r), um.row(r));
-            if !keep {
-                if noisy {
-                    for _ in src {
-                        gaussian_uniforms(rng);
-                    }
+            match (keep, &noise) {
+                (false, _) => {
+                    dst.fill(0.0);
+                    stats.rows_dropped += 1;
                 }
-                dst.fill(0.0);
-                stats.rows_dropped += 1;
-            } else if noisy {
-                for (d, &w) in dst.iter_mut().zip(src) {
-                    *d = perturbed(w, s_tilde, no_op_below, rng, &mut stats.transforms);
-                }
-            } else {
-                dst.copy_from_slice(src);
+                (true, Some(noise)) => noise.perturb_row(dst, src, at, &mut stats.transforms),
+                (true, None) => dst.copy_from_slice(src),
             }
+            at += src.len() as u64;
         }
         for ((d, &w), &keep) in tb.iter_mut().zip(ub).zip(kept) {
-            let v = if noisy {
-                perturbed(w, s_tilde, no_op_below, rng, &mut stats.transforms)
-            } else {
-                w
+            let v = match &noise {
+                Some(noise) => noise.perturbed(w, at, &mut stats.transforms),
+                None => w,
             };
             // `zero_row_unit` clears a matrix row but *multiplies* the
             // bias by 0.0, which keeps the perturbed value's sign and
             // NaN-ness; reproduce that bit for bit.
             *d = if keep { v } else { v * 0.0 };
+            at += 1;
         }
     }
-    if noisy {
-        stats.transforms_skipped = u.total_params() as u64 - stats.transforms;
+    if noise.is_some() {
+        stats.transforms_skipped = total - stats.transforms;
     }
     stats
 }
@@ -214,7 +248,7 @@ mod tests {
     use crate::pattern::DropPattern;
     use fedbiad_nn::mask::BitVec;
     use fedbiad_nn::params::{EntryMeta, LayerKind};
-    use fedbiad_tensor::rng::{stream, StreamTag};
+    use fedbiad_tensor::rng::{stream, stream_key, StreamTag};
     use fedbiad_tensor::Matrix;
     use rand::Rng;
 
@@ -280,8 +314,8 @@ mod tests {
         seed: u64,
     ) -> (ParamSet, ThetaStats) {
         let mut theta = u.zeros_like();
-        let mut rng = stream(seed, StreamTag::PosteriorNoise, 0, 0);
-        let stats = sample_theta_into(&mut theta, u, &pattern.rows_kept(u), s_tilde, &mut rng);
+        let key = stream_key(seed, StreamTag::PosteriorNoise, 0, 0);
+        let stats = sample_theta_into(&mut theta, u, &pattern.rows_kept(u), s_tilde, key, 0);
         (theta, stats)
     }
 
@@ -317,21 +351,61 @@ mod tests {
     }
 
     #[test]
-    fn theory_sized_noise_skips_every_transform_and_still_draws() {
-        // Eq. (13)-sized s̃ against O(1) weights: θ = β∘U exactly, no
-        // transform evaluated, yet the stream advances as if all were.
+    fn theory_sized_noise_evaluates_nothing_and_is_the_masked_copy() {
+        // Eq. (13)-sized s̃ against O(1) weights: θ = β∘U exactly and not
+        // one Gaussian is evaluated — on kept rows because the add is
+        // provably a no-op, on the dropped row because nothing reads it.
         let u = param_set();
-        let rows = DropPattern::full(4).rows_kept(&u);
-        let mut theta = u.zeros_like();
-        let mut rng = stream(6, StreamTag::PosteriorNoise, 0, 0);
-        let mut twin = rng.clone();
-        let stats = sample_theta_into(&mut theta, &u, &rows, 2e-12, &mut rng);
-        assert_eq!(theta.flatten(), u.flatten());
-        assert_eq!((stats.transforms, stats.transforms_skipped), (0, 16));
-        for _ in 0..16 {
-            fedbiad_tensor::init::gaussian(&mut twin);
+        let mut beta = BitVec::new(4, true);
+        beta.set(2, false);
+        let (theta, stats) = sample(&u, &DropPattern { beta }, 2e-12, 6);
+        let mut want = u.clone();
+        want.zero_row_unit(2);
+        assert_eq!(theta.flatten(), want.flatten());
+        assert_eq!(
+            stats,
+            ThetaStats {
+                transforms: 0,
+                transforms_skipped: 16,
+                rows_dropped: 1
+            }
+        );
+    }
+
+    #[test]
+    fn each_step_reads_its_own_stretch_of_the_field() {
+        // Parameter i of step v is element v·P + i: consecutive steps see
+        // fresh noise, and a step's noise does not depend on the pattern
+        // or on which steps ran before it.
+        let u = param_set();
+        let p = u.total_params() as u64;
+        let key = stream_key(9, StreamTag::PosteriorNoise, 1, 2);
+        let full = DropPattern::full(4).rows_kept(&u);
+        let theta_at = |rows: &[Vec<bool>], step| {
+            let mut theta = u.zeros_like();
+            sample_theta_into(&mut theta, &u, rows, 0.1, key, step);
+            theta
+        };
+        let (t0, t1) = (theta_at(&full, 0), theta_at(&full, 1));
+        assert_ne!(t0.flatten(), t1.flatten());
+        for (step, theta) in [(0, &t0), (1, &t1)] {
+            // Entry order: the 4×3 matrix row-major, then the 4 biases.
+            for (i, got) in theta
+                .mat(0)
+                .as_slice()
+                .iter()
+                .chain(theta.bias(0))
+                .enumerate()
+            {
+                let want = 0.5 + 0.1 * gaussian(key, step * p + i as u64);
+                assert_eq!(got.to_bits(), want.to_bits(), "step {step}, element {i}");
+            }
         }
-        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+        let mut beta = BitVec::new(4, true);
+        beta.set(0, false);
+        let masked = theta_at(&DropPattern { beta }.rows_kept(&u), 1);
+        assert_eq!(masked.mat(0).row(3), t1.mat(0).row(3));
+        assert_eq!(masked.bias(0)[1..], t1.bias(0)[1..]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::dataset::{ImageSet, TextSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
+use fedbiad_tensor::{init, math};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -141,13 +142,13 @@ fn gamma_sample(alpha: f32, rng: &mut impl Rng) -> f32 {
     let d = alpha - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        let x = fedbiad_tensor::init::gaussian(rng);
+        let x = init::gaussian(rng);
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;
         }
         let u: f32 = rng.gen::<f32>().max(1e-12);
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
+        if math::ln(u) < 0.5 * x * x + d - d * v + d * math::ln(v) {
             return d * v;
         }
     }

@@ -194,7 +194,6 @@ pub fn run_local_training(
     counter!("nn.rows_skipped", row_work.skipped);
     if let Some(reader) = &reader {
         counter!("data.samples_derived", reader.derived());
-        counter!("data.samples_advanced", reader.advanced());
     }
 
     LocalRunStats {

@@ -3,14 +3,18 @@
 //! LSTM's gates and head (batch 16, H = E = 48, V = 400), the lab MLP's
 //! first layer (batch 32 and batch 1, 784 → 128) and its W2 backward —
 //! plus the per-sample `gemv` loop as the yardstick — and ns/element for
-//! `math`'s three slice forms at the lab LSTM's shapes (256 rows of one
-//! `g` gate, of `[i, f, o]`, of a 400-way softmax's exponentials) beside
+//! `math`'s slice forms at the lab LSTM's shapes (256 rows of one
+//! `g` gate, of `[i, f, o]`, of a 400-way softmax's exponentials) and at
+//! the Gaussian field's (64 images of 784 uniforms; `gaussian_slice`
+//! beside the sequential Box–Muller over libm it replaced), each beside
 //! the scalar definition and the host's libm. Run it under
 //! `taskset -c 0` with `RAYON_NUM_THREADS=1`; the roofline table in
 //! BENCHMARKS.md ("PR 22") is this program's output on two commits.
 use fedbiad_tensor::math;
 use fedbiad_tensor::ops;
+use fedbiad_tensor::rng::{stream, stream_key, StreamTag};
 use fedbiad_tensor::Matrix;
+use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -227,5 +231,47 @@ fn main() {
         math::exp_slice,
         math::exp,
         f32::exp,
+    );
+
+    // The Gaussian field's kernels on its own inputs: u1 ∈ (0, 1],
+    // u2 ∈ [0, 1), both on the 24-bit grid.
+    let key = stream_key(42, StreamTag::Data, 1, 0);
+    let pixels = 64 * 784;
+    let (u1, u2): (Vec<f32>, Vec<f32>) = (0..pixels as u64)
+        .map(|i| math::gaussian_uniform_pair(key, i))
+        .unzip();
+    report_math(
+        "math::ln_slice",
+        "64 x 784",
+        &u1,
+        math::ln_slice,
+        math::ln,
+        f32::ln,
+    );
+    report_math(
+        "math::cos2pi_slice",
+        "64 x 784",
+        &u2,
+        math::cos2pi_slice,
+        math::cos2pi,
+        |u| (2.0 * std::f32::consts::PI * u).cos(),
+    );
+    let mut rng = stream(42, StreamTag::Data, 1, 0);
+    println!(
+        "{:<18} {:<22} {:>6.2} ns/element (scalar definition {:.2}, sequential draws + host libm {:.2})",
+        "math::gaussian_slice",
+        "64 x 784",
+        ns_per_element(&u1, |out| math::gaussian_slice(key, 0, out)),
+        ns_per_element(&u1, |out| {
+            for (i, v) in out.iter_mut().enumerate() {
+                *v = math::gaussian(key, i as u64);
+            }
+        }),
+        ns_per_element(&u1, |out| {
+            for v in out.iter_mut() {
+                let (a, b): (f32, f32) = (rng.gen::<f32>().max(f32::MIN_POSITIVE), rng.gen());
+                *v = (-2.0 * a.ln()).sqrt() * (2.0 * std::f32::consts::PI * b).cos();
+            }
+        }),
     );
 }

@@ -1,5 +1,6 @@
-//! `tanh`, `exp` and `sigmoid` in single precision, defined by this
-//! repository instead of by whichever libm the host links.
+//! `tanh`, `exp`, `sigmoid`, `ln` and `cos 2πu` in single precision — and
+//! the Gaussian field built on the last two — defined by this repository
+//! instead of by whichever libm the host links.
 //!
 //! # Why
 //!
@@ -48,15 +49,34 @@
 //!
 //! * [`sigmoid`] is the stable two-branch logistic over [`exp`], in `f32`.
 //!
+//! * [`ln`] and [`cos2pi`] are this repository's own: nothing had to equal
+//!   an earlier value when they landed (the noise they shape was re-pinned
+//!   once, with them), so they are written for eight lanes rather than
+//!   transcribed from a libm, and there is no host migration proof to keep.
+//!   `ln` splits `x = 2ᵏ·m`, `m ∈ [√½, √2)`, and sums the `atanh` series of
+//!   `s = (m−1)/(m+1)` in the compensated form `f − (f²/2 − s·(f²/2 + R))`;
+//!   `cos2pi` picks the quadrant `q = round(4u)` — exact, there is no π to
+//!   reduce by — and evaluates a degree-4 polynomial in `(4u − q)²` for
+//!   `sin` or `cos` of the remainder. Coefficients are Chebyshev fits
+//!   rounded to `f32`; all arithmetic is `f32`, nothing fused. Measured
+//!   over the whole 24-bit grids the Gaussian path reads
+//!   (`tests/gaussian_props.rs`): `ln` within 1 ulp, `cos2pi` within 2.
+//!
+//! * [`gaussian`] is Box & Muller's transform, `sqrt(−2·ln u₁)·cos 2πu₂`,
+//!   of the two 24-bit uniforms in [`rng::counter_word`]`(key, i)`:
+//!   **one Gaussian field per stream key, addressed by element index**.
+//!
 //! # Bit contract
 //!
 //! The scalar functions are the definition — plain Rust, no intrinsics,
 //! the only bodies on a host without AVX2/FMA. The slice forms
-//! ([`tanh_slice`], [`exp_slice`], [`sigmoid_slice`]) return exactly
-//! `f(x)` per element: their AVX2 bodies run the same IEEE operations per
+//! ([`tanh_slice`], [`exp_slice`], [`sigmoid_slice`], [`ln_slice`],
+//! [`cos2pi_slice`], [`gaussian_slice`]) return exactly `f(x)` per
+//! element: their AVX2 bodies run the same IEEE operations per
 //! lane with every branch turned into a blend, and a vector holding a
 //! lane the blends do not cover (non-finite for `tanh`; `|x| ≥ 88`, ±∞ or
-//! NaN for `exp`) is handed to the scalar definition whole. Two lane
+//! NaN for `exp`; anything but a positive normal for `ln`; outside
+//! `[0, 1)` for `cos2pi`) is handed to the scalar definition whole. Two lane
 //! shortcuts are identities of the definition rather than transcriptions
 //! and are argued where they are taken (`|x| < 2⁻²⁶ ⇒ tanh x = x`, and
 //! `expm1`'s `k = 0` / `k = ±1` special cases as the general reduction).
@@ -64,13 +84,17 @@
 //! `#[ignore]`d sweeps in `tests/math_exhaustive.rs` pin it on all 2³²
 //! bit patterns, and separately record that scalar ≡ the host's libm
 //! (a migration proof for the host the goldens were pinned on, not a
-//! gate).
+//! gate). `tests/gaussian_props.rs` pins `ln` / `cos2pi` /
+//! `gaussian_slice` vector ≡ scalar over every input the field can
+//! produce, in tier 1.
 //!
 //! # Dispatch
 //!
-//! [`wide`] is one cached runtime check, AVX2 **and** FMA (`tanh` needs
-//! only the former; one flag keeps a trace's `nn.math.wide` a single
-//! bit). No knob, no env var, no cargo feature.
+//! [`wide`] is one cached runtime check, AVX2 **and** FMA (`tanh`, `ln`,
+//! `cos2pi` and the field need only the former; one flag keeps a trace's
+//! `nn.math.wide` a single bit). No knob, no env var, no cargo feature.
+
+use crate::rng::{self, counter_word};
 
 // ---------------------------------------------------------------- tanh
 
@@ -388,6 +412,159 @@ pub fn sigmoid(x: f32) -> f32 {
     sigmoid_def(x)
 }
 
+// ------------------------------------------------------------------ ln
+
+/// `bits(√½)`: the mantissa split point, so that `m ∈ [√½, √2)`.
+const SQRT_HALF: u32 = 0x3f35_04f3;
+/// `atanh` series tail: `ln(1+f) = 2s + s·R(s²)`, `s = f/(2+f)`,
+/// `R(z) = z·(LG1 + z·(LG2 + z·LG3))` ≈ `⅔z + ⅖z² + ²⁄₇z³ + …` fitted on
+/// `z ≤ (3 − 2√2)²`.
+const LG1: f32 = f32::from_bits(0x3f2a_aaae); // 6.6666685e-01
+const LG2: f32 = f32::from_bits(0x3ecc_be18); // 3.9988780e-01
+const LG3: f32 = f32::from_bits(0x3e97_7308); // 2.9579949e-01
+
+/// Natural logarithm.
+///
+/// ```text
+/// ln(±0) = −∞, ln(+∞) = +∞, ln(x < 0) = ln(NaN) = NaN
+/// x = 2ᵏ·m, m ∈ [√½, √2), f = m − 1, s = f/(2 + f), h = f²/2
+/// ln x = k·ln2_hi − ((h − (s·(h + R(s²)) + k·ln2_lo)) − f)
+/// ```
+///
+/// `ln(1+f) = 2s + s·R` with `2s = f − s·f` and `s·f = h − s·h` is
+/// `f − (h − s·(h + R))`: the exact `f` leads and everything that was
+/// rounded sits an order of magnitude below it.
+pub fn ln(x: f32) -> f32 {
+    let ix = x.to_bits();
+    if ix.wrapping_sub(0x0080_0000) < 0x7f00_0000 {
+        return ln_normal(ix, 0);
+    }
+    // Not a positive normal number.
+    if ix << 1 == 0 {
+        return f32::NEG_INFINITY;
+    }
+    if ix == 0x7f80_0000 {
+        return x;
+    }
+    if ix >> 31 != 0 || x.is_nan() {
+        return f32::NAN;
+    }
+    // Subnormal: scale into the normal range.
+    ln_normal((x * 33_554_432.0).to_bits(), -25)
+}
+
+/// [`ln`] of the positive normal number with bits `ix`, plus `k0·ln 2`.
+#[inline(always)]
+fn ln_normal(ix: u32, k0: i32) -> f32 {
+    let ix = ix + (0x3f80_0000 - SQRT_HALF);
+    let k = k0 + (ix >> 23) as i32 - 127;
+    let m = f32::from_bits((ix & 0x007f_ffff) + SQRT_HALF);
+    let f = m - 1.0;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let r = z * (LG1 + z * (LG2 + z * LG3));
+    let h = 0.5 * f * f;
+    let dk = k as f32;
+    dk * LN2_HI - ((h - (s * (h + r) + dk * LN2_LO)) - f)
+}
+
+// -------------------------------------------------------------- cos 2πu
+
+/// `1.5·2²³`: adding and subtracting it rounds a `|t| < 2²²` to the nearest
+/// integer (ties to even) in the default rounding mode.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `sin(πr/2) = r·(SN0 + z·(SN1 + z·(SN2 + z·SN3)))`, `z = r² ≤ ¼`.
+const SN0: f32 = f32::from_bits(0x3fc9_0fdb); //  1.5707964e+00
+const SN1: f32 = f32::from_bits(0xbf25_5ddd); // -6.4596349e-01
+const SN2: f32 = f32::from_bits(0x3da3_2f62); //  7.9680219e-02
+const SN3: f32 = f32::from_bits(0xbb96_cda0); // -4.6021491e-03
+/// `cos(πr/2) = 1 + z·(CS1 + z·(CS2 + z·(CS3 + z·CS4)))`.
+const CS1: f32 = f32::from_bits(0xbf9d_e9e6); // -1.2337005e+00
+const CS2: f32 = f32::from_bits(0x3e81_e0f5); //  2.5366941e-01
+const CS3: f32 = f32::from_bits(0xbcaa_e5cc); // -2.0861529e-02
+const CS4: f32 = f32::from_bits(0x3a6d_b249); //  9.0673991e-04
+
+/// Both polynomials' coefficients, by quadrant parity.
+static QUADRANT: [[f32; 5]; 2] = [[1.0, CS1, CS2, CS3, CS4], [0.0, SN0, SN1, SN2, SN3]];
+
+/// `cos(2π·u)`: cosine with the argument in turns.
+///
+/// ```text
+/// cos2pi(±∞) = cos2pi(NaN) = NaN; |u| ≥ 2²³ is a whole number of turns: 1
+/// t = 4·frac|u| ∈ [0, 4), q = round(t), r = t − q ∈ [−½, ½]   (all exact)
+/// q mod 4:  0 → cos(πr/2)   1 → −sin(πr/2)   2 → −cos(πr/2)   3 → sin(πr/2)
+/// ```
+pub fn cos2pi(u: f32) -> f32 {
+    let a = u.abs();
+    if a >= 8_388_608.0 || a.is_nan() {
+        return if a.is_finite() { 1.0 } else { f32::NAN };
+    }
+    // `a as i32` truncates; below 2²³ the subtraction is exact.
+    cos_quarter_turns(4.0 * (a - (a as i32) as f32))
+}
+
+/// `cos(π/2 · t)` for `t ∈ [0, 4]`.
+#[inline(always)]
+fn cos_quarter_turns(t: f32) -> f32 {
+    let shifted = t + ROUND_MAGIC;
+    let q = shifted - ROUND_MAGIC;
+    let r = t - q;
+    let z = r * r;
+    // `shifted` is `1.5·2²³ + q` exactly: its low mantissa bits are q.
+    let qi = shifted.to_bits();
+    // Even quadrants take `1 + z·C(z)`, odd ones `0 + r·S(z)`: one shape,
+    // `k0 + b·(k1 + z·(k2 + z·(k3 + z·k4)))`, with the coefficients looked
+    // up — the quadrant is as good as random where the field calls this, and
+    // a mispredicted branch costs more than the polynomial.
+    let odd = (qi & 1) as usize;
+    let k = &QUADRANT[odd];
+    let b = [z, r][odd];
+    let v = k[0] + b * (k[1] + z * (k[2] + z * (k[3] + z * k[4])));
+    // Quadrants 1 and 2 are the negative half-turn: bit 1 of q + 1 is the
+    // sign to flip.
+    f32::from_bits(v.to_bits() ^ ((qi + 1) & 2) << 30)
+}
+
+// ------------------------------------------------------- Gaussian field
+
+/// Strict upper bound on |[`gaussian`]| and |[`gaussian_of`]| on the
+/// 24-bit grid: `u1 ≥ 2⁻²⁴`, so |ε| ≤ sqrt(−2·ln 2⁻²⁴) ≈ 5.77
+/// (`tests/gaussian_props.rs` proves it over every `u2`). Callers use it to
+/// prove that a scaled sample cannot move a sum
+/// (`fedbiad-core::spike_slab`).
+pub const GAUSSIAN_ABS_BOUND: f32 = 6.0;
+
+/// 2⁻²⁴, the spacing of the uniform grids.
+const GRID: f32 = 1.0 / (1u32 << 24) as f32;
+
+/// Box & Muller's transform of `u1 ∈ (0, 1]` and `u2 ∈ [0, 1)` (the sine
+/// twin is not used): `sqrt(−2·ln u1) · cos 2πu2`.
+#[inline]
+pub fn gaussian_of(u1: f32, u2: f32) -> f32 {
+    (-2.0 * ln(u1)).sqrt() * cos2pi(u2)
+}
+
+/// The two uniforms of element `i` of field `key`, on the 24-bit grid:
+/// `u1 ∈ {1, …, 2²⁴}·2⁻²⁴` from the top 24 bits of
+/// [`counter_word`]`(key, i)` (never 0, so there is no rejection loop) and
+/// `u2 ∈ {0, …, 2²⁴−1}·2⁻²⁴` from the next 24.
+#[inline]
+pub fn gaussian_uniform_pair(key: u64, i: u64) -> (f32, f32) {
+    let w = counter_word(key, i);
+    let u1 = ((w >> 40) as u32 + 1) as f32 * GRID;
+    let u2 = ((w >> 16) as u32 & 0x00ff_ffff) as f32 * GRID;
+    (u1, u2)
+}
+
+/// Element `i` of the standard-normal field `key`: a pure function of the
+/// two, so any element can be read without the ones before it.
+/// `key` is a [`rng::stream_key`]; `|g| <` [`GAUSSIAN_ABS_BOUND`].
+#[inline]
+pub fn gaussian(key: u64, i: u64) -> f32 {
+    let (u1, u2) = gaussian_uniform_pair(key, i);
+    gaussian_of(u1, u2)
+}
+
 // -------------------------------------------------------------- slices
 
 /// Whether the slice forms run their vector bodies on this host (AVX2 and
@@ -449,6 +626,48 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
     }
     for x in xs {
         *x = sigmoid(*x);
+    }
+}
+
+/// `x ← ln(x)` for every element, bit-identical to [`ln`].
+pub fn ln_slice(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if wide() {
+        // SAFETY: `wide()` verified AVX2 at run time.
+        return unsafe { x86::ln_slice(xs) };
+    }
+    for x in xs {
+        *x = ln(*x);
+    }
+}
+
+/// `u ← cos(2π·u)` for every element, bit-identical to [`cos2pi`].
+pub fn cos2pi_slice(us: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if wide() {
+        // SAFETY: `wide()` verified AVX2 at run time.
+        return unsafe { x86::cos2pi_slice(us) };
+    }
+    for u in us {
+        *u = cos2pi(*u);
+    }
+}
+
+/// `out[j] ← gaussian(key, start + j)` (the index wraps at 2⁶⁴),
+/// bit-identical to [`gaussian`].
+pub fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if wide() {
+        // SAFETY: `wide()` verified AVX2 at run time.
+        return unsafe { x86::gaussian_slice(key, start, out) };
+    }
+    gaussian_run(key, start, out);
+}
+
+/// The definition of [`gaussian_slice`], and the tail of its vector body.
+fn gaussian_run(key: u64, start: u64, out: &mut [f32]) {
+    for (j, v) in out.iter_mut().enumerate() {
+        *v = gaussian(key, start.wrapping_add(j as u64));
     }
 }
 
@@ -721,6 +940,203 @@ mod x86 {
         for v in chunks.into_remainder() {
             *v = sigmoid_def(*v);
         }
+    }
+
+    /// [`ln_normal`]`(bits(x), 0)` of eight positive normal lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn ln8(x: __m256) -> __m256 {
+        let ps = |v: f32| _mm256_set1_ps(v);
+        let epi = |v: u32| _mm256_set1_epi32(v as i32);
+        let ix = _mm256_add_epi32(_mm256_castps_si256(x), epi(0x3f80_0000 - SQRT_HALF));
+        let k = _mm256_sub_epi32(_mm256_srli_epi32::<23>(ix), epi(127));
+        let m = _mm256_castsi256_ps(_mm256_add_epi32(
+            _mm256_and_si256(ix, epi(0x007f_ffff)),
+            epi(SQRT_HALF),
+        ));
+        let f = _mm256_sub_ps(m, ps(1.0));
+        let s = _mm256_div_ps(f, _mm256_add_ps(ps(2.0), f));
+        let z = _mm256_mul_ps(s, s);
+        let mut r = ps(LG3);
+        for c in [LG2, LG1] {
+            r = _mm256_add_ps(ps(c), _mm256_mul_ps(z, r));
+        }
+        let r = _mm256_mul_ps(z, r);
+        let h = _mm256_mul_ps(_mm256_mul_ps(ps(0.5), f), f);
+        let dk = _mm256_cvtepi32_ps(k);
+        let inner = _mm256_add_ps(
+            _mm256_mul_ps(s, _mm256_add_ps(h, r)),
+            _mm256_mul_ps(dk, ps(LN2_LO)),
+        );
+        _mm256_sub_ps(
+            _mm256_mul_ps(dk, ps(LN2_HI)),
+            _mm256_sub_ps(_mm256_sub_ps(h, inner), f),
+        )
+    }
+
+    /// [`cos_quarter_turns`] of eight lanes in `[0, 4]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cos_quarter_turns8(t: __m256) -> __m256 {
+        let ps = |v: f32| _mm256_set1_ps(v);
+        let shifted = _mm256_add_ps(t, ps(ROUND_MAGIC));
+        let q = _mm256_sub_ps(shifted, ps(ROUND_MAGIC));
+        let r = _mm256_sub_ps(t, q);
+        let z = _mm256_mul_ps(r, r);
+        let qi = _mm256_castps_si256(shifted);
+        // Bit 0 of q → the sign bit: odd quadrants take the sine's row.
+        let odd = _mm256_castsi256_ps(_mm256_slli_epi32::<31>(qi));
+        let k = |i: usize| _mm256_blendv_ps(ps(QUADRANT[0][i]), ps(QUADRANT[1][i]), odd);
+        let mut p = k(4);
+        for i in [3, 2, 1] {
+            p = _mm256_add_ps(k(i), _mm256_mul_ps(z, p));
+        }
+        let b = _mm256_blendv_ps(z, r, odd);
+        let v = _mm256_add_ps(k(0), _mm256_mul_ps(b, p));
+        // Bit 1 of q + 1 → the sign bit: quadrants 1 and 2 are negative.
+        let negative = _mm256_and_si256(
+            _mm256_slli_epi32::<30>(_mm256_add_epi32(qi, _mm256_set1_epi32(1))),
+            _mm256_set1_epi32(SIGN),
+        );
+        _mm256_xor_ps(v, _mm256_castsi256_ps(negative))
+    }
+
+    /// See [`super::ln_slice`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn ln_slice(xs: &mut [f32]) {
+        let mut chunks = xs.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            // SAFETY: `chunk` is exactly eight floats.
+            let x = _mm256_loadu_ps(chunk.as_ptr());
+            // Positive normal ⇔ 0 ≤ bits − 0x0080_0000 < 0x7f00_0000, as a
+            // signed compare on both ends (a set sign bit stays negative).
+            let d = _mm256_sub_epi32(_mm256_castps_si256(x), _mm256_set1_epi32(0x0080_0000));
+            let outside = _mm256_or_si256(
+                _mm256_cmpgt_epi32(_mm256_setzero_si256(), d),
+                _mm256_cmpgt_epi32(d, _mm256_set1_epi32(0x7eff_ffff)),
+            );
+            if _mm256_movemask_epi8(outside) != 0 {
+                for v in chunk {
+                    *v = ln(*v);
+                }
+                continue;
+            }
+            // SAFETY: as above.
+            _mm256_storeu_ps(chunk.as_mut_ptr(), ln8(x));
+        }
+        for v in chunks.into_remainder() {
+            *v = ln(*v);
+        }
+    }
+
+    /// See [`super::cos2pi_slice`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cos2pi_slice(us: &mut [f32]) {
+        let mut chunks = us.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            // SAFETY: `chunk` is exactly eight floats.
+            let u = _mm256_loadu_ps(chunk.as_ptr());
+            // In [+0, 1) the definition's `frac|u|` is `u` itself; as bit
+            // patterns that range is 0 ≤ bits < bits(1.0).
+            let bits = _mm256_castps_si256(u);
+            let outside = _mm256_or_si256(
+                _mm256_cmpgt_epi32(_mm256_setzero_si256(), bits),
+                _mm256_cmpgt_epi32(bits, _mm256_set1_epi32(0x3f7f_ffff)),
+            );
+            if _mm256_movemask_epi8(outside) != 0 {
+                for v in chunk {
+                    *v = cos2pi(*v);
+                }
+                continue;
+            }
+            let t = _mm256_mul_ps(_mm256_set1_ps(4.0), u);
+            // SAFETY: as above.
+            _mm256_storeu_ps(chunk.as_mut_ptr(), cos_quarter_turns8(t));
+        }
+        for v in chunks.into_remainder() {
+            *v = cos2pi(*v);
+        }
+    }
+
+    /// `z·m mod 2⁶⁴` in four 64-bit lanes; `m_hi` holds `m >> 32`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul64(z: __m256i, m: __m256i, m_hi: __m256i) -> __m256i {
+        let low = _mm256_mul_epu32(z, m);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(z), m),
+            _mm256_mul_epu32(z, m_hi),
+        );
+        _mm256_add_epi64(low, _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// [`counter_word`]'s two rounds over four counters `key + i·γ`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn counter_words4(counters: __m256i, key: u64) -> __m256i {
+        let x = |v: u64| _mm256_set1_epi64x(v as i64);
+        let z = _mm256_xor_si256(counters, _mm256_srli_epi64::<30>(counters));
+        let z = mul64(z, x(rng::MIX_1), x(rng::MIX_1 >> 32));
+        let z = _mm256_xor_si256(z, x(key.rotate_left(32)));
+        let z = _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z));
+        let z = mul64(z, x(rng::MIX_2), x(rng::MIX_2 >> 32));
+        _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
+    }
+
+    /// See [`super::gaussian_slice`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
+        let g = |n: u64| rng::GAMMA.wrapping_mul(n) as i64;
+        // Elements 0 1 4 5 in one register and 2 3 6 7 in the other, so
+        // that one in-lane shuffle of the words' 32-bit halves puts the
+        // eight results in order.
+        let lanes_a = _mm256_set_epi64x(g(5), g(4), g(1), g(0));
+        let lanes_b = _mm256_set_epi64x(g(7), g(6), g(3), g(2));
+        let mut counter = key.wrapping_add(start.wrapping_mul(rng::GAMMA));
+        let (body, tail) = out.split_at_mut(out.len() / 8 * 8);
+        for chunk in body.chunks_exact_mut(8) {
+            let base = _mm256_set1_epi64x(counter as i64);
+            let a = counter_words4(_mm256_add_epi64(base, lanes_a), key);
+            let b = counter_words4(_mm256_add_epi64(base, lanes_b), key);
+            counter = counter.wrapping_add(rng::GAMMA.wrapping_mul(8));
+            // Low dword of each 64-bit lane, `a`'s pair then `b`'s.
+            let gather = |a: __m256i, b: __m256i| {
+                _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(
+                    _mm256_castsi256_ps(a),
+                    _mm256_castsi256_ps(b),
+                ))
+            };
+            let n1 = gather(_mm256_srli_epi64::<40>(a), _mm256_srli_epi64::<40>(b));
+            let n2 = _mm256_and_si256(
+                gather(_mm256_srli_epi64::<16>(a), _mm256_srli_epi64::<16>(b)),
+                _mm256_set1_epi32(0x00ff_ffff),
+            );
+            let u1 = _mm256_mul_ps(
+                _mm256_cvtepi32_ps(_mm256_add_epi32(n1, _mm256_set1_epi32(1))),
+                _mm256_set1_ps(GRID),
+            );
+            // 4·u2, as `cos2pi` forms it (both products are exact).
+            let t = _mm256_mul_ps(
+                _mm256_set1_ps(4.0),
+                _mm256_mul_ps(_mm256_cvtepi32_ps(n2), _mm256_set1_ps(GRID)),
+            );
+            let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln8(u1)));
+            // SAFETY: `chunk` is exactly eight floats.
+            _mm256_storeu_ps(
+                chunk.as_mut_ptr(),
+                _mm256_mul_ps(radius, cos_quarter_turns8(t)),
+            );
+        }
+        gaussian_run(key, start.wrapping_add(body.len() as u64), tail);
     }
 }
 

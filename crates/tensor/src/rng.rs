@@ -2,13 +2,28 @@
 //!
 //! Every stochastic component of the reproduction — data synthesis,
 //! partitioning, client sampling, dropping-pattern sampling, spike-and-slab
-//! reparameterisation noise — derives its own [`StdRng`] from a
-//! `(seed, tag, round, client)` tuple via [`stream`]. Two consequences:
+//! reparameterisation noise — owns the randomness of one
+//! `(seed, tag, round, client)` tuple, mixed into a 64-bit [`stream_key`].
+//! Two consequences:
 //!
 //! 1. experiments are bit-reproducible regardless of rayon scheduling,
 //!    because no RNG is shared across threads, and
 //! 2. changing one component's draw count cannot perturb another component
 //!    (no accidental stream coupling).
+//!
+//! A key is read in one of two ways:
+//!
+//! * **sequentially** — [`stream`] seeds a [`StdRng`] with it. Every
+//!   *discrete* draw goes this way (cohort sampling, partitioning, batch
+//!   indices, dropping patterns, churn, simulator profiles): each consumes
+//!   a data-dependent number of words (rejection, shuffles), and nobody
+//!   skips part of one.
+//! * **by index** — [`counter_word`]`(key, i)` is a pure function of the
+//!   key and an element index. The Gaussian fields
+//!   ([`math::gaussian`](crate::math::gaussian): FedBIAD's θ noise, the
+//!   synthetic pixels) go this way, because their readers want element
+//!   `i` without paying for `0..i`: a dropped row or a sample nobody reads
+//!   costs nothing, and any evaluation order gives the same values.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,21 +70,68 @@ pub enum StreamTag {
     Churn = 15,
 }
 
+/// SplitMix64's Weyl increment (the odd integer nearest 2⁶⁴/φ).
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// SplitMix64's two multipliers (Stafford's "Mix13").
+pub(crate) const MIX_1: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const MIX_2: u64 = 0x94D0_49BB_1331_11EB;
+
 /// SplitMix64 finaliser: scrambles a 64-bit state into a well-mixed output.
 /// Used to turn structured `(seed, tag, round, client)` tuples into
 /// independent-looking seeds.
 #[inline]
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_2);
     z ^ (z >> 31)
 }
 
-/// Derive an independent RNG stream for `(seed, tag, round, client)`.
+/// The 64-bit key of stream `(seed, tag, round, client)`: the seed of
+/// [`stream`]'s generator, and the address of the stream's index-addressed
+/// values ([`counter_word`], [`math::gaussian`](crate::math::gaussian)).
 ///
 /// `round`/`client` may be 0 for components that are not per-round or
 /// per-client.
+pub fn stream_key(seed: u64, tag: StreamTag, round: u64, client: u64) -> u64 {
+    let mut s = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
+    s = splitmix64(s ^ (tag as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
+    s = splitmix64(s ^ round.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
+    splitmix64(s ^ client.wrapping_mul(0x5899_65CC_7537_4CC3))
+}
+
+/// Word `i` of the stream `key`, with no word before it computed: a
+/// counter-based generator in the sense of Salmon et al., "Parallel Random
+/// Numbers: As Easy as 1, 2, 3" (SC'11).
+///
+/// The counter is SplitMix64's Weyl sequence `key + i·γ` and the two mixing
+/// rounds are its finaliser; between them the key is injected a second time
+/// (rotated by half a word). Without that every stream would be a window
+/// onto one 2⁶⁴-cycle — keys `k` and `k + d·γ` the same words `d` apart;
+/// with it that relation needs the rotated keys to agree as well, i.e.
+/// `d = 0`.
+///
+/// ```
+/// use fedbiad_tensor::rng::{counter_word, stream_key, StreamTag};
+///
+/// let key = stream_key(42, StreamTag::Data, 1, 7);
+/// // Any order, any subset: element 1000 does not need elements 0..1000.
+/// assert_eq!(counter_word(key, 1000), counter_word(key, 1000));
+/// assert_ne!(counter_word(key, 1000), counter_word(key, 1001));
+/// assert_ne!(counter_word(key, 1000), counter_word(key ^ 1, 1000));
+/// ```
+#[inline]
+pub fn counter_word(key: u64, i: u64) -> u64 {
+    let mut z = key.wrapping_add(i.wrapping_mul(GAMMA));
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_1);
+    z ^= key.rotate_left(32);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_2);
+    z ^ (z >> 31)
+}
+
+/// Derive an independent sequential RNG stream for
+/// `(seed, tag, round, client)`: a generator seeded with the tuple's
+/// [`stream_key`].
 ///
 /// ```
 /// use fedbiad_tensor::rng::{stream, StreamTag};
@@ -83,11 +145,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// assert_ne!(a, b);
 /// ```
 pub fn stream(seed: u64, tag: StreamTag, round: u64, client: u64) -> StdRng {
-    let mut s = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
-    s = splitmix64(s ^ (tag as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    s = splitmix64(s ^ round.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-    s = splitmix64(s ^ client.wrapping_mul(0x5899_65CC_7537_4CC3));
-    StdRng::seed_from_u64(s)
+    StdRng::seed_from_u64(stream_key(seed, tag, round, client))
 }
 
 #[cfg(test)]

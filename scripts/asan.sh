@@ -6,8 +6,10 @@
 # on each tile's edge accesses — the last chunk of a row whose length is
 # not a multiple of 8, the last tile row of a matrix — and `math_props`
 # runs every slice length 0..=17 at four alignments through the 8-lane
-# and scalar seams and the `exp` table gather, so an out-of-bounds lane
-# there is reported, not read.
+# and scalar seams and the `exp` table gather, and `gaussian_props` does
+# the same for `gaussian_slice` (eight alignments, NaN canaries on both
+# sides of the destination, `ln_slice` / `cos2pi_slice` over both whole
+# 24-bit grids), so an out-of-bounds lane there is reported, not read.
 #
 # Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
 # they do not link under ASan. CI's `asan` job runs this same script.

@@ -31,7 +31,7 @@ use std::path::Path;
 
 /// Pinned digest of the 2-round smoke fig2 trace (see module docs for
 /// the update procedure).
-const GOLDEN_DIGEST: u64 = 0x8CC5_8120_02BF_5841;
+const GOLDEN_DIGEST: u64 = 0x1A87_6F23_7413_C9FE;
 
 /// FNV-1a, the same primitive the scenario engine uses for spec hashes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -166,16 +166,18 @@ fn fig2_digest_is_unchanged_under_active_telemetry_capture() {
 // `GOLDEN_DIGEST` only covers the lock-step runner. The deadline and
 // FedBuff policies, churn-lost arrivals and the virtual clock are
 // otherwise compared between two runs of one binary, never against a
-// constant — so the constants below pin them. They were computed on the
-// commit *before* the lock-step runner and the simulator were merged onto
-// one `fl::round` core, and follow the same update procedure as
-// `GOLDEN_DIGEST`.
+// constant — so the constants below pin them. They were first computed
+// on the commit *before* the lock-step runner and the simulator were
+// merged onto one `fl::round` core, have moved once since, with every
+// other absolute constant in this file, when the Gaussian noise became
+// index-addressed (CHANGES.md, PR 24: old → new), and follow the same
+// update procedure as `GOLDEN_DIGEST`.
 
 /// Pinned digest of [`sim_smoke_spec`] under a sign-flip adversary.
-const SIM_GOLDEN_SIGN_FLIP: u64 = 0x6562_43A3_A422_86C8;
+const SIM_GOLDEN_SIGN_FLIP: u64 = 0xD07D_2BDE_B356_A850;
 /// Pinned digest of [`sim_smoke_spec`] under a NaN-garbage adversary
 /// (every adversarial upload is rejected by the value screen).
-const SIM_GOLDEN_GARBAGE_NAN: u64 = 0x885A_1C00_DE14_79FE;
+const SIM_GOLDEN_GARBAGE_NAN: u64 = 0x41F0_752D_1686_B5AD;
 
 /// `benchmark/workloads/sim_image.toml` at smoke scale: every server
 /// policy, stragglers, trimmed mean, churn and an adversary all live.
@@ -272,12 +274,12 @@ fn sim_trace_digest_is_pinned_under_nan_garbage() {
 // `GOLDEN_DIGEST` reaches five of the fourteen registry methods and no
 // `compressor`-axis composition; the constant below reaches all of them,
 // and `log.method` — each algorithm's `name()` — is part of the canonical
-// form. It was computed on the commit *before* the five dropout baselines
-// became mask rules over one client, and follows the same update
-// procedure as `GOLDEN_DIGEST`.
+// form. It was first computed on the commit *before* the five dropout
+// baselines became mask rules over one client (re-pinned once since, see
+// above), and follows the same update procedure as `GOLDEN_DIGEST`.
 
 /// Pinned digest of [`all_methods_specs`], run back to back.
-const ALL_METHODS_GOLDEN: u64 = 0x8F12_5722_E55F_9766;
+const ALL_METHODS_GOLDEN: u64 = 0x6D8A_BDC4_A01C_0556;
 
 /// (a) both model families x all 14 registry names; (b) element masks
 /// (FedMP) and recurrent width groups (HeteroFL on PTB) under a sketch.

@@ -139,7 +139,7 @@ fn assert_step_is_view_invariant(
     let (theta, mask) = match &shape {
         Shape::Pattern(pattern) => {
             let mut theta = u.clone();
-            sample_theta_into(&mut theta, &u, &pattern.rows_kept(&u), 1e-3, rng);
+            sample_theta_into(&mut theta, &u, &pattern.rows_kept(&u), 1e-3, rng.gen(), 0);
             (theta, pattern.to_mask(&u))
         }
         Shape::Mask(mask) => {

@@ -136,8 +136,8 @@ fn assert_logs_bit_identical(a: &ExperimentLog, b: &ExperimentLog, what: &str) {
 /// Training on the lazy dataset must be bit-identical to training on a
 /// fully materialised copy of the same population — the lazy path may
 /// change *when* samples exist, never *what* they contain. `batch_size`
-/// 1 reads a fraction of each shard (most samples are stepped over or
-/// never reached); 32 reads all of it.
+/// 1 reads a fraction of each shard (most samples are never derived); 32
+/// reads all of it.
 #[test]
 fn lazy_training_is_bit_identical_to_materialised() {
     let _training = training_lock();
@@ -189,11 +189,11 @@ fn lazy_training_is_bit_identical_to_materialised() {
     );
 }
 
-/// The reader's counters say what a lazy local run did to its shard:
-/// at most one derivation per index the batch stream drew, and derived
-/// plus stepped-over samples never exceed the shard.
+/// The reader's counter says what a lazy local run did to its shard:
+/// exactly one derivation per distinct index the batch stream drew —
+/// a fraction of the shard at batch 1 — and nothing for the rest.
 #[test]
-fn lazy_run_counts_samples_derived_and_advanced() {
+fn lazy_run_counts_samples_derived() {
     if !fedbiad::telemetry::compiled() {
         eprintln!("telemetry not compiled in; counter test skipped");
         return;
@@ -210,20 +210,21 @@ fn lazy_run_counts_samples_derived_and_advanced() {
 
     let dispatches: usize = log.records.iter().map(|r| r.contributors).sum();
     assert_eq!(dispatches, cohort * rounds);
-    let count = |name| summary.counter(name).unwrap_or(0) as usize;
-    let (derived, advanced) = (
-        count("data.samples_derived"),
-        count("data.samples_advanced"),
-    );
-    assert!(derived > 0 && advanced > 0, "{derived} / {advanced}");
+    let derived = summary.counter("data.samples_derived").unwrap_or(0) as usize;
+    let reads = cfg.train.local_iters * cfg.train.batch_size * dispatches;
     assert!(
-        derived <= cfg.train.local_iters * cfg.train.batch_size * dispatches,
+        derived > reads / 2 && derived <= reads,
         "{derived} samples derived for {dispatches} runs of {} batch-1 reads",
         cfg.train.local_iters
     );
     assert!(
-        derived + advanced <= samples * dispatches,
-        "{derived} + {advanced} exceed {dispatches} shards of {samples}"
+        derived < samples * dispatches / 2,
+        "{derived} derived of {dispatches} shards of {samples}: most of a shard is never read"
+    );
+    assert_eq!(
+        summary.counter("data.samples_advanced"),
+        None,
+        "no sample is stepped over any more"
     );
 }
 
@@ -327,13 +328,10 @@ proptest! {
                 prop_assert_eq!(bits(reader.sample(i)), bits(want.sample(i)));
             }
         }
+        // One derivation per distinct index, whatever the order.
         seen.sort_unstable();
         seen.dedup();
         prop_assert_eq!(reader.derived(), seen.len());
-        prop_assert_eq!(
-            reader.derived() + reader.advanced(),
-            seen.last().map_or(0, |&hi| hi + 1)
-        );
     }
 
     /// Floyd's sparse sampler draws exactly `cohort` unique, in-range,
