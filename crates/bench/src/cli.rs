@@ -1,8 +1,8 @@
 //! Minimal CLI flag parsing shared by the harness binaries (no external
 //! dependency; flags are `--key value`).
 
-use crate::methods::{Method, RunOpts};
 use fedbiad_fl::workload::{Scale, Workload};
+use fedbiad_scenario::Method;
 use std::path::PathBuf;
 
 /// Parsed common flags.
@@ -29,13 +29,13 @@ pub struct Cli {
     /// `--json-out PATH`: additionally serialize the full experiment
     /// logs (round records + invocation) to this path.
     pub json_out: Option<PathBuf>,
-    /// `--policies sync,deadline,fedbuff` (sim binaries only).
+    /// `--policies sync,deadline,fedbuff` (sim specs only).
     pub policies: Option<Vec<String>>,
-    /// `--profiles homogeneous,mixed,stragglers` (sim binaries only).
+    /// `--profiles homogeneous,mixed,stragglers` (sim specs only).
     pub profiles: Option<Vec<String>>,
     /// `--fraction F`: client participation fraction κ (default 0.1).
     pub fraction: Option<f32>,
-    /// `--target A`: TTA target accuracy override (sim binaries only).
+    /// `--target A`: TTA target accuracy override (sim specs only).
     pub target: Option<f64>,
     /// `--trace-out DIR` (`scenario` only): capture telemetry and write
     /// one Chrome trace + JSONL stream per run into DIR.
@@ -43,20 +43,9 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Apply the shared overrides (`--eval-max`, `--fraction`) to a set
-    /// of run options.
-    pub fn apply(&self, mut opts: RunOpts) -> RunOpts {
-        opts.eval_max_samples = self.eval_max;
-        if let Some(f) = self.fraction {
-            opts.client_fraction = f;
-        }
-        opts
-    }
-
     /// Map the explicitly given flags onto scenario-spec overrides, so
-    /// the thin wrapper binaries (and `scenario` itself) can tweak a
-    /// bundled spec from the command line. Name-resolution failures
-    /// return the same actionable messages the spec loader uses.
+    /// `scenario` can tweak a spec from the command line. Name-resolution
+    /// failures return the same actionable messages the spec loader uses.
     pub fn scenario_overrides(&self) -> Result<fedbiad_scenario::Overrides, String> {
         let policies = match &self.policies {
             None => None,

@@ -1,34 +1,23 @@
 //! # fedbiad-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§V). One binary per artifact:
+//! Experiment harness for the paper's evaluation (§V). Three binaries:
 //!
-//! | binary        | paper artifact | what it prints |
-//! |---------------|----------------|----------------|
-//! | `fig2`        | Fig. 2         | PTB test loss/top-3 acc vs rounds, 5 methods |
-//! | `table1`      | Table I        | acc / upload size / save ratio, 7 methods × 5 datasets |
-//! | `table2`      | Table II       | sketched compressors × 5 datasets |
-//! | `fig6`        | Fig. 6         | train-loss & test-acc curves (MNIST, WikiText-2) |
-//! | `fig7`        | Fig. 7         | LTTR + TTA bars |
-//! | `fig8`        | Fig. 8         | accuracy + TTA vs dropout rate (Reddit) |
-//! | `theory_bound`| Thm. 1         | bound vs measured generalization gap |
-//! | `ablation`    | DESIGN.md §4   | design-choice ablations |
-//! | `sim_tta`     | (beyond paper) | discrete-event TTA: policies × heterogeneity × methods |
-//! | `scenario`    | (beyond paper) | run any declarative spec from `scenarios/` |
+//! | binary       | what it runs |
+//! |--------------|--------------|
+//! | `scenario`   | any declarative spec from `scenarios/` — every paper artifact is one: `table1`, `table2` (Tables I/II), `fig2`, `fig6`, `fig7`, `fig8` (Figs. 2, 6–8), plus `sim_tta` and the beyond-paper stress specs |
+//! | `ablation`   | FedBIAD's design-choice variants (`FedBiadConfig` fields no spec key reaches) |
+//! | `bench_perf` | the kernel perf report and its `--gate` against `BENCH_kernels.json` |
 //!
-//! Each binary accepts `--rounds`, `--seed`, `--scale smoke|lab` and
-//! writes machine-readable JSON to `target/experiments/`. The `fig2` and
-//! `sim_tta` binaries are thin wrappers over bundled scenario specs
-//! (`scenarios/fig2.toml`, `scenarios/sim_tta.toml`) executed by the
-//! `fedbiad-scenario` engine; the method registry and simulation runner
-//! live there too and are re-exported here under their old paths.
+//! `scenario` prints one roll-up per spec: accuracy, upload size, save
+//! ratio, LTTR and time-to-accuracy per run, plus the paper's published
+//! accuracy / upload / save ratio ([`paper`]) beside every run that has
+//! one. Theorem 1's bound is the `theory_bound` example, the centralized
+//! LSTM ceiling the `lm_ceiling` example.
+//!
+//! Every binary accepts `--rounds`, `--seed`, `--scale smoke|lab` and
+//! writes machine-readable JSON under `target/experiments/`.
 
 pub mod cli;
 pub mod gate;
 pub mod output;
-
-pub use fedbiad_scenario::methods;
-pub use fedbiad_scenario::simrun;
-
-pub use methods::{run_method, Method};
-pub use simrun::{run_sim_method, PolicyChoice};
+pub mod paper;

@@ -26,7 +26,7 @@ pub fn save_logs(artifact: &str, logs: &[ExperimentLog]) -> PathBuf {
 /// self-describing.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchDump {
-    /// The artifact name (`fig2`, `table1`, …).
+    /// The artifact name (the binary's, or the specs' joined by `+`).
     pub artifact: String,
     /// The binary's full argv (the run configuration).
     pub argv: Vec<String>,
@@ -64,12 +64,17 @@ pub fn export_dump(artifact: &str, logs: &[ExperimentLog], path: &Path) {
 /// label, save ratio).
 pub type PaperRow = (&'static str, f64, &'static str, f64);
 
-/// The three "paper" cells — accuracy, upload size, save ratio as `save`
-/// formats it — of the row `rows` publishes for `method`, or `—` in each
-/// when it has none (`table1 --methods dgc`): a measured row never stands
-/// beside another method's published numbers.
-pub fn paper_cells(rows: &[PaperRow], method: &str, save: fn(f64) -> String) -> [String; 3] {
-    match rows.iter().find(|row| row.0 == method) {
+/// The row `rows` publishes for `method`, if any (none for a composed
+/// `FedDrop+STC`, say): a measured row never stands beside another
+/// method's published numbers.
+pub fn paper_row<'a>(rows: &'a [PaperRow], method: &str) -> Option<&'a PaperRow> {
+    rows.iter().find(|row| row.0 == method)
+}
+
+/// The three "paper" cells of `row` — accuracy, upload size, save ratio
+/// as `save` formats it — or `—` in each when there is no row.
+pub fn paper_cells(row: Option<&PaperRow>, save: fn(f64) -> String) -> [String; 3] {
+    match row {
         Some(&(_, acc, upload, ratio)) => [format!("{acc:.2}"), upload.into(), save(ratio)],
         None => ["—".into(), "—".into(), "—".into()],
     }
@@ -149,12 +154,12 @@ mod tests {
             ("FedAvg", 95.06, "531KB", 1.0),
             ("AFD", 94.49, "424KB", 1.25),
         ];
-        let save = |r: f64| format!("{r}x");
+        let cells = |method| paper_cells(paper_row(rows, method), |r| format!("{r}x"));
         // Looked up by name, not by position in the caller's selection.
-        assert_eq!(paper_cells(rows, "AFD", save), ["94.49", "424KB", "1.25x"]);
-        assert_eq!(paper_cells(rows, "FedAvg", save), ["95.06", "531KB", "1x"]);
+        assert_eq!(cells("AFD"), ["94.49", "424KB", "1.25x"]);
+        assert_eq!(cells("FedAvg"), ["95.06", "531KB", "1x"]);
         // A valid method the table never published: no row, not row 0.
-        assert_eq!(paper_cells(rows, "DGC", save), ["—", "—", "—"]);
+        assert_eq!(cells("DGC"), ["—", "—", "—"]);
     }
 
     #[test]

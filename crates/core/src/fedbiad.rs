@@ -81,12 +81,6 @@ pub struct FedBiadConfig {
     /// largely cancel at small cohort sizes (DESIGN.md §4). Default true;
     /// set false for the literal per-round re-sampling (ablation).
     pub persistent_patterns: bool,
-    /// Draw the stage-one pattern from a *round-shared* RNG stream so
-    /// every client in the cohort starts from the same β (the
-    /// server-decided-sub-model convention of federated dropout,
-    /// Caldas et al.). Clients still adapt individually via the loss
-    /// trend. Off by default (client-private draws).
-    pub shared_round_patterns: bool,
 }
 
 impl FedBiadConfig {
@@ -107,7 +101,6 @@ impl FedBiadConfig {
             protect_small_output_rows: 64,
             protect_kinds: Vec::new(),
             persistent_patterns: true,
-            shared_round_patterns: false,
         }
     }
 }
@@ -323,18 +316,11 @@ impl FlAlgorithm for FedBiad {
         let keep = keep_count(j, self.cfg.dropout_rate);
         let mut u = global.clone();
 
-        // Shared-round mode: all cohort members draw the same initial β
-        // (stream keyed on the round only).
-        let pattern_client = if self.cfg.shared_round_patterns {
-            u64::MAX
-        } else {
-            client_id as u64
-        };
         let mut pattern_rng = stream(
             info.seed,
             StreamTag::Pattern,
             info.round as u64,
-            pattern_client,
+            client_id as u64,
         );
         let noise_key = stream_key(
             info.seed,

@@ -7,7 +7,7 @@
 //!   envelope of eqs. (17)/(18) showing the rate is minimax-optimal up to
 //!   a squared logarithmic factor.
 //!
-//! The `theory_bound` bench binary evaluates these alongside a measured
+//! The `theory_bound` example evaluates these alongside a measured
 //! generalization gap to validate the *shape* (monotone decrease in
 //! rounds, rate envelope).
 

@@ -27,8 +27,6 @@ pub struct SimMeta {
     pub policy: String,
     /// Heterogeneity-profile name.
     pub profile: String,
-    /// The TTA target accuracy this run was judged against.
-    pub target_acc: f64,
     /// Virtual seconds to the target, `None` if never reached.
     pub tta_virtual_seconds: Option<f64>,
     /// Virtual time when the simulation stopped.
@@ -44,6 +42,9 @@ pub struct RunOutcome {
     pub run: MaterializedRun,
     /// The experiment log (identical in shape for both drivers).
     pub log: ExperimentLog,
+    /// The TTA target accuracy this run is judged against in either mode:
+    /// `[sim] target_acc`, else the workload's calibrated target.
+    pub target_acc: f64,
     /// Virtual-clock extras (sim mode only).
     pub sim: Option<SimMeta>,
     /// This run's telemetry capture ([`execute_traced`] only; empty when
@@ -131,10 +132,12 @@ pub fn execute_traced(spec: &ScenarioSpec) -> Result<Vec<RunOutcome>, SpecError>
 }
 
 fn execute_one(spec: &ScenarioSpec, run: &MaterializedRun, bundle: &WorkloadBundle) -> RunOutcome {
+    let target_acc = spec.target_acc.unwrap_or(bundle.target_acc);
     match run.mode {
         Mode::Lockstep => RunOutcome {
             run: run.clone(),
             log: run_method_composed(run.method, bundle, run.opts, run.compressor),
+            target_acc,
             sim: None,
             capture: None,
         },
@@ -149,11 +152,9 @@ fn execute_one(spec: &ScenarioSpec, run: &MaterializedRun, bundle: &WorkloadBund
                 profile.resolve(spec.network),
                 run.compressor,
             );
-            let target_acc = spec.target_acc.unwrap_or(bundle.target_acc);
             let sim = SimMeta {
                 policy: report.policy.clone(),
                 profile: report.profile.clone(),
-                target_acc,
                 tta_virtual_seconds: report.time_to_accuracy(target_acc),
                 total_virtual_seconds: report.total_virtual_seconds,
                 round_end_seconds: report.round_end_seconds.clone(),
@@ -161,6 +162,7 @@ fn execute_one(spec: &ScenarioSpec, run: &MaterializedRun, bundle: &WorkloadBund
             RunOutcome {
                 run: run.clone(),
                 log: report.log,
+                target_acc,
                 sim: Some(sim),
                 capture: None,
             }

@@ -1,10 +1,10 @@
 //! Grid expansion: turn a validated [`ScenarioSpec`] into the concrete
 //! list of runs its sweep axes imply.
 //!
-//! Axis order is fixed — workload, method, compressor, policy, profile,
-//! replicate — so run indices (and therefore derived seeds and output
-//! file names) are stable properties of the spec, independent of thread
-//! count or execution order.
+//! Axis order is fixed — workload, method, dropout rate, compressor,
+//! policy, profile, replicate — so run indices (and therefore derived
+//! seeds and output file names) are stable properties of the spec,
+//! independent of thread count or execution order.
 
 use crate::methods::{CompressorChoice, Method, RunOpts};
 use crate::simrun::PolicyChoice;
@@ -81,80 +81,100 @@ pub fn expand(spec: &ScenarioSpec) -> Result<Vec<MaterializedRun>, SpecError> {
             ),
         };
 
+    // The `[fedbiad] dropout_rate` axis: a method that takes no rate runs
+    // once (with the first rate, which it ignores), and only a real axis
+    // names p in the label.
+    let rates: Vec<Option<f32>> = match spec.fedbiad.dropout_rates.as_slice() {
+        [] => vec![None],
+        rs => rs.iter().map(|&p| Some(p)).collect(),
+    };
+    let rate_axis = rates.len() > 1;
+
     let mut runs = Vec::new();
     for &workload in &spec.sweep.workloads {
         for &method in &spec.sweep.methods {
-            for &compressor in &spec.sweep.compressors {
-                for &policy in &policies {
-                    for &profile in &profiles {
-                        for replicate in 0..spec.run.replicates {
-                            let index = runs.len();
-                            // Shared mode keeps replicate r *paired* across
-                            // every grid cell (seed depends only on r), so
-                            // methods stay comparable on identical data;
-                            // per-run mode gives every cell its own draw.
-                            let seed = match (spec.run.seed_mode, replicate) {
-                                (SeedMode::Shared, 0) => spec.run.seed,
-                                (SeedMode::Shared, r) => derived_seed(spec.run.seed, hash, 0, r),
-                                (SeedMode::PerRun, r) => {
-                                    derived_seed(spec.run.seed, hash, index, r)
+            let (method_rates, label_p) = if method.uses_dropout_rate() {
+                (&rates[..], rate_axis)
+            } else {
+                (&rates[..1], false)
+            };
+            for &dropout_override in method_rates {
+                for &compressor in &spec.sweep.compressors {
+                    for &policy in &policies {
+                        for &profile in &profiles {
+                            for replicate in 0..spec.run.replicates {
+                                let index = runs.len();
+                                // Shared mode keeps replicate r *paired* across
+                                // every grid cell (seed depends only on r), so
+                                // methods stay comparable on identical data;
+                                // per-run mode gives every cell its own draw.
+                                let seed = match (spec.run.seed_mode, replicate) {
+                                    (SeedMode::Shared, 0) => spec.run.seed,
+                                    (SeedMode::Shared, r) => {
+                                        derived_seed(spec.run.seed, hash, 0, r)
+                                    }
+                                    (SeedMode::PerRun, r) => {
+                                        derived_seed(spec.run.seed, hash, index, r)
+                                    }
+                                };
+                                let opts = RunOpts {
+                                    rounds: spec.run.rounds,
+                                    stage_boundary: spec.fedbiad.stage_boundary.unwrap_or_else(
+                                        || spec.run.rounds.saturating_sub(5).max(1),
+                                    ),
+                                    seed,
+                                    eval_every: spec.run.eval_every,
+                                    eval_max_samples: spec.run.eval_max,
+                                    client_fraction: spec.run.fraction,
+                                    dropout_override,
+                                    batch_size: spec.training.batch_size,
+                                    agg: spec.aggregation.resolve(),
+                                    cohort: spec.population.and_then(|p| p.cohort),
+                                    // A lazy population implies the O(cohort)
+                                    // sparse sampler: the whole point is never
+                                    // touching all K registered clients.
+                                    sampler: if spec.population.is_some() {
+                                        fedbiad_fl::round::SamplerKind::Sparse
+                                    } else {
+                                        fedbiad_fl::round::SamplerKind::Shuffle
+                                    },
+                                    adversary: spec.adversary,
+                                    churn: spec.churn,
+                                };
+                                let mut label = format!("{}/{}", workload.name(), method.name());
+                                if let Some(p) = dropout_override.filter(|_| label_p) {
+                                    label.push_str(&format!("(p={p})"));
                                 }
-                            };
-                            let opts = RunOpts {
-                                rounds: spec.run.rounds,
-                                stage_boundary: spec
-                                    .fedbiad
-                                    .stage_boundary
-                                    .unwrap_or_else(|| spec.run.rounds.saturating_sub(5).max(1)),
-                                seed,
-                                eval_every: spec.run.eval_every,
-                                eval_max_samples: spec.run.eval_max,
-                                client_fraction: spec.run.fraction,
-                                dropout_override: spec.fedbiad.dropout_rate,
-                                batch_size: spec.training.batch_size,
-                                agg: spec.aggregation.resolve(),
-                                cohort: spec.population.and_then(|p| p.cohort),
-                                // A lazy population implies the O(cohort)
-                                // sparse sampler: the whole point is never
-                                // touching all K registered clients.
-                                sampler: if spec.population.is_some() {
-                                    fedbiad_fl::round::SamplerKind::Sparse
-                                } else {
-                                    fedbiad_fl::round::SamplerKind::Shuffle
-                                },
-                                adversary: spec.adversary,
-                                churn: spec.churn,
-                            };
-                            let mut label = format!("{}/{}", workload.name(), method.name());
-                            if let Some(c) = compressor {
-                                label.push('+');
-                                label.push_str(c.name());
+                                if let Some(c) = compressor {
+                                    label.push('+');
+                                    label.push_str(c.name());
+                                }
+                                if let Some(p) = policy {
+                                    label.push('@');
+                                    label.push_str(p.name());
+                                }
+                                if let Some(p) = profile {
+                                    label.push('[');
+                                    label.push_str(p.name());
+                                    label.push(']');
+                                }
+                                if spec.run.replicates > 1 {
+                                    label.push_str(&format!("#{replicate}"));
+                                }
+                                runs.push(MaterializedRun {
+                                    index,
+                                    replicate,
+                                    workload,
+                                    scale: spec.run.scale,
+                                    method,
+                                    compressor,
+                                    mode: spec.mode,
+                                    policy,
+                                    profile,
+                                    opts,
+                                    label,
+                                });
                             }
-                            if let Some(p) = policy {
-                                label.push('@');
-                                label.push_str(p.name());
-                            }
-                            if let Some(p) = profile {
-                                label.push('[');
-                                label.push_str(p.name());
-                                label.push(']');
-                            }
-                            if spec.run.replicates > 1 {
-                                label.push_str(&format!("#{replicate}"));
-                            }
-                            runs.push(MaterializedRun {
-                                index,
-                                replicate,
-                                workload,
-                                scale: spec.run.scale,
-                                method,
-                                compressor,
-                                mode: spec.mode,
-                                policy,
-                                profile,
-                                opts,
-                                label,
-                            });
                         }
                     }
                 }

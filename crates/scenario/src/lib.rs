@@ -36,8 +36,9 @@
 //!   counts) returning one `ExperimentLog` per run, plus virtual-clock
 //!   extras for `mode = "sim"`;
 //! * [`methods`] / [`simrun`] — the method registry and the simulation
-//!   runner (re-exported by `fedbiad-bench`, whose binaries are thin
-//!   wrappers over bundled specs in `scenarios/`).
+//!   runner, which `fedbiad-bench`'s `scenario` binary drives for every
+//!   bundled spec in `scenarios/` (the paper's tables and figures among
+//!   them).
 //!
 //! ## End to end
 //!

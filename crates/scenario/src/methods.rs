@@ -1,9 +1,5 @@
 //! Method registry: build + run any algorithm of Tables I/II against a
 //! workload, optionally composed with a sketched compressor.
-//!
-//! Moved here from `fedbiad-bench` so the declarative scenario engine and
-//! the legacy harness binaries share one registry (`fedbiad-bench`
-//! re-exports this module unchanged).
 
 use fedbiad_compress::dgc::Dgc;
 use fedbiad_compress::fedpaq::FedPaq;
@@ -53,42 +49,24 @@ pub enum Method {
 }
 
 impl Method {
-    /// Table I row order.
-    pub fn table1() -> [Method; 7] {
-        [
-            Method::FedAvg,
-            Method::FedDrop,
-            Method::Afd,
-            Method::FedMp,
-            Method::Fjord,
-            Method::HeteroFl,
-            Method::FedBiad,
-        ]
-    }
-
-    /// Table II column order.
-    pub fn table2() -> [Method; 7] {
-        [
-            Method::FedPaq,
-            Method::SignSgd,
-            Method::Stc,
-            Method::Dgc,
-            Method::AfdDgc,
-            Method::FjordDgc,
-            Method::FedBiadDgc,
-        ]
-    }
-
-    /// Fig. 2 methods (the motivation experiment).
-    pub fn fig2() -> [Method; 5] {
-        [
-            Method::FedAvg,
-            Method::FedDrop,
-            Method::Afd,
-            Method::Fjord,
-            Method::FedBiad,
-        ]
-    }
+    /// The fourteen registry entries: Table I's rows, then Table II's
+    /// columns, each in the paper's order.
+    pub const ALL: [Method; 14] = [
+        Method::FedAvg,
+        Method::FedDrop,
+        Method::Afd,
+        Method::FedMp,
+        Method::Fjord,
+        Method::HeteroFl,
+        Method::FedBiad,
+        Method::FedPaq,
+        Method::SignSgd,
+        Method::Stc,
+        Method::Dgc,
+        Method::AfdDgc,
+        Method::FjordDgc,
+        Method::FedBiadDgc,
+    ];
 
     /// Display name matching the paper's tables.
     pub fn name(self) -> &'static str {
@@ -139,6 +117,13 @@ impl Method {
         self.decompose().1.is_some()
     }
 
+    /// Does the dropout rate p reach this method's algorithm? FedAvg and
+    /// the four pure sketches (FedAvg carrying one) take no rate, so a
+    /// `dropout_rate` axis runs them once.
+    pub fn uses_dropout_rate(self) -> bool {
+        !matches!(self.decompose().0, Base::FedAvg)
+    }
+
     /// Parse a CLI name (case-insensitive).
     ///
     /// ```
@@ -148,24 +133,9 @@ impl Method {
     /// assert_eq!(Method::parse("nope"), None);
     /// ```
     pub fn parse(s: &str) -> Option<Method> {
-        let all = [
-            Method::FedAvg,
-            Method::FedDrop,
-            Method::Afd,
-            Method::FedMp,
-            Method::Fjord,
-            Method::HeteroFl,
-            Method::FedBiad,
-            Method::FedPaq,
-            Method::SignSgd,
-            Method::Stc,
-            Method::Dgc,
-            Method::AfdDgc,
-            Method::FjordDgc,
-            Method::FedBiadDgc,
-        ];
         let needle = s.to_ascii_lowercase().replace(['-', '_', '+'], "");
-        all.into_iter()
+        Method::ALL
+            .into_iter()
             .find(|m| m.name().to_ascii_lowercase().replace('+', "") == needle)
     }
 }
@@ -228,7 +198,7 @@ impl CompressorChoice {
     }
 }
 
-/// Options shared by all harness binaries.
+/// The resolved options of one run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOpts {
     /// Global rounds R.
@@ -405,7 +375,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_names() {
-        for m in Method::table1().into_iter().chain(Method::table2()) {
+        for m in Method::ALL {
             assert_eq!(Method::parse(m.name()), Some(m), "{}", m.name());
         }
         assert_eq!(Method::parse("fedbiad+dgc"), Some(Method::FedBiadDgc));
@@ -482,9 +452,25 @@ mod tests {
         for (method, extra, name) in table {
             assert_eq!(with_algorithm(method, 0.5, 3, extra, NameOf), name);
         }
-        // Table I is the bases, Table II the entries that embed a sketch.
-        assert!(!Method::table1().iter().any(|m| m.embeds_compressor()));
-        assert!(Method::table2().iter().all(|m| m.embeds_compressor()));
+        // Table I is the bases, Table II the entries that embed a sketch;
+        // FedAvg and the pure sketches are the five that take no rate.
+        let (table1, table2) = Method::ALL.split_at(7);
+        assert!(!table1.iter().any(|m| m.embeds_compressor()));
+        assert!(table2.iter().all(|m| m.embeds_compressor()));
+        let rate_free: Vec<Method> = Method::ALL
+            .into_iter()
+            .filter(|m| !m.uses_dropout_rate())
+            .collect();
+        assert_eq!(
+            rate_free,
+            [
+                Method::FedAvg,
+                Method::FedPaq,
+                Method::SignSgd,
+                Method::Stc,
+                Method::Dgc
+            ]
+        );
     }
 
     /// The deterministic fields of a log, as bits.

@@ -1,10 +1,6 @@
 //! Discrete-event simulation runner: build + run any registry method
-//! under any server policy × heterogeneity profile (the engine behind the
-//! `sim_tta` binary and every `mode = "sim"` scenario).
-//!
-//! Moved here from `fedbiad-bench` so the declarative scenario engine and
-//! the legacy harness binaries share one runner (`fedbiad-bench`
-//! re-exports this module unchanged).
+//! under any server policy × heterogeneity profile (the engine behind
+//! every `mode = "sim"` scenario).
 
 use crate::methods::{with_algorithm, AlgorithmVisitor, CompressorChoice, Method, RunOpts};
 use fedbiad_data::FedDataset;

@@ -181,12 +181,14 @@ pub struct SweepSection {
 }
 
 /// The `[fedbiad]` section: method hyper-parameter overrides.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct FedBiadSection {
     /// Stage boundary R_b (default: R − 5).
     pub stage_boundary: Option<usize>,
-    /// Dropout rate p override (default: the workload's paper rate).
-    pub dropout_rate: Option<f32>,
+    /// Dropout rates p (`dropout_rate`, a number or an array of them);
+    /// empty keeps the workload's paper rate. Two or more make a grid
+    /// axis after `method` that the methods taking no rate skip.
+    pub dropout_rates: Vec<f32>,
 }
 
 /// The `[aggregation]` section: how the server reduces a cohort.
@@ -343,8 +345,8 @@ pub struct ScenarioSpec {
     pub target_acc: Option<f64>,
 }
 
-/// CLI-flag overrides the thin wrapper binaries map onto a loaded spec
-/// (so `fig2 --rounds 5 --scale smoke` still works).
+/// CLI-flag overrides the `scenario` binary maps onto a loaded spec
+/// (`scenario scenarios/fig2.toml --rounds 5 --scale smoke`).
 #[derive(Clone, Debug, Default)]
 pub struct Overrides {
     /// `--rounds`.
@@ -369,9 +371,6 @@ pub struct Overrides {
     pub target: Option<f64>,
 }
 
-const KNOWN_METHODS: &str =
-    "FedAvg, FedDrop, AFD, FedMP, FjORD, HeteroFL, FedBIAD, FedPAQ, SignSGD, STC, DGC, \
-     AFD+DGC, Fjord+DGC, FedBIAD+DGC";
 const KNOWN_WORKLOADS: &str = "mnist, fmnist, ptb, wikitext2, reddit";
 
 impl ScenarioSpec {
@@ -665,7 +664,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        if let Some(p) = self.fedbiad.dropout_rate {
+        for &p in &self.fedbiad.dropout_rates {
             if !(p > 0.0 && p < 1.0) {
                 return Err(SpecError::new(format!(
                     "[fedbiad] dropout_rate = {p} is out of range; the dropout rate must be \
@@ -685,11 +684,18 @@ impl ScenarioSpec {
     /// exact derived seeds they had before the section existed.
     pub fn canonical_string(&self) -> String {
         let names = |v: &[String]| v.join(",");
+        // A single rate prints as the `Option` it was before arrays were
+        // accepted, so scalar specs keep their derived seeds.
+        let (sb, rates) = (self.fedbiad.stage_boundary, &self.fedbiad.dropout_rates);
+        let fedbiad = match rates.len() {
+            0 | 1 => format!("{:?}", (sb, rates.first())),
+            _ => format!("{:?}", (sb, rates)),
+        };
         let mut s = format!(
             "name={};mode={};rounds={};seed={};seed_mode={:?};scale={:?};eval_every={};\
              eval_max={};fraction={};replicates={};workloads=[{}];methods=[{}];\
              compressors=[{}];policies=[{}];profiles=[{}];partition={:?};network={:?};\
-             fedbiad={:?};target={:?}",
+             fedbiad={};target={:?}",
             self.name,
             self.mode.name(),
             self.run.rounds,
@@ -743,7 +749,7 @@ impl ScenarioSpec {
             self.partition,
             self.network
                 .map(|n| (n.uplink_mbps, n.downlink_mbps, n.rtt_seconds)),
-            (self.fedbiad.stage_boundary, self.fedbiad.dropout_rate),
+            fedbiad,
             self.target_acc,
         );
         if let Some(bs) = self.training.batch_size {
@@ -1005,8 +1011,8 @@ fn decode_sweep(v: Option<&Value>, mode: Mode) -> Result<SweepSection, SpecError
             .map(|s| {
                 Method::parse(s).ok_or_else(|| {
                     SpecError::new(format!(
-                        "unknown method `{s}` in sweep axis `method`; known methods: \
-                         {KNOWN_METHODS}"
+                        "unknown method `{s}` in sweep axis `method`; known methods: {}",
+                        Method::ALL.map(Method::name).join(", ")
                     ))
                 })
             })
@@ -1199,9 +1205,20 @@ fn decode_fedbiad(v: Option<&Value>) -> Result<FedBiadSection, SpecError> {
     if let Some(x) = get(t, "stage_boundary") {
         fb.stage_boundary = Some(usize_of(x, "fedbiad", "stage_boundary", 1)?);
     }
-    if let Some(x) = get(t, "dropout_rate") {
-        fb.dropout_rate = Some(f64_of(x, "fedbiad", "dropout_rate")? as f32);
-    }
+    fb.dropout_rates = match get(t, "dropout_rate") {
+        None => Vec::new(),
+        Some(Value::Array(items)) if items.is_empty() => {
+            return Err(SpecError::new(
+                "[fedbiad] dropout_rate is an empty array; list at least one rate or omit the \
+                 field",
+            ))
+        }
+        Some(Value::Array(items)) => items
+            .iter()
+            .map(|x| Ok(f64_of(x, "fedbiad", "dropout_rate")? as f32))
+            .collect::<Result<_, SpecError>>()?,
+        Some(x) => vec![f64_of(x, "fedbiad", "dropout_rate")? as f32],
+    };
     Ok(fb)
 }
 

@@ -256,6 +256,34 @@ fn churn_section_is_strictly_validated() {
 }
 
 #[test]
+fn dropout_rate_is_a_number_or_a_non_empty_array_of_rates() {
+    assert_eq!(
+        err_of(&format!(
+            "name = \"t\"\n{OK_SWEEP}[fedbiad]\ndropout_rate = [0.1, 1.0]\n"
+        )),
+        "[fedbiad] dropout_rate = 1 is out of range; the dropout rate must be in (0, 1)"
+    );
+    assert_eq!(
+        err_of(&format!(
+            "name = \"t\"\n{OK_SWEEP}[fedbiad]\ndropout_rate = 0.0\n"
+        )),
+        "[fedbiad] dropout_rate = 0 is out of range; the dropout rate must be in (0, 1)"
+    );
+    assert_eq!(
+        err_of(&format!(
+            "name = \"t\"\n{OK_SWEEP}[fedbiad]\ndropout_rate = []\n"
+        )),
+        "[fedbiad] dropout_rate is an empty array; list at least one rate or omit the field"
+    );
+    assert_eq!(
+        err_of(&format!(
+            "name = \"t\"\n{OK_SWEEP}[fedbiad]\ndropout_rate = [0.1, \"half\"]\n"
+        )),
+        "[fedbiad] dropout_rate must be a number"
+    );
+}
+
+#[test]
 fn adversary_and_churn_feed_the_seed_hash() {
     // The attack model changes results, so it must change the canonical
     // string (and therefore every derived per-run seed); re-ordering

@@ -1,6 +1,7 @@
 //! Theorem 1 in action: evaluate the generalization-error bound (eqs. (13),
-//! (14), (15)) for the paper's MNIST-scale model across rounds, and show
-//! the minimax-rate envelope (eqs. (17)/(18)).
+//! (14), (15)) across rounds for the lab-scale MNIST model, beside the
+//! measured |test − train| loss gap of a FedBIAD run on the same workload,
+//! and show the minimax-rate envelope (eqs. (17)/(18)).
 //!
 //! ```text
 //! cargo run --release --example theory_bound
@@ -10,34 +11,55 @@ use fedbiad::core::spike_slab::posterior_variance;
 use fedbiad::core::theory::{
     epsilon_bound, generalization_bound, holder_upper_bound, m_r, minimax_rate, TheoryParams,
 };
-use fedbiad::nn::mlp::MlpModel;
-use fedbiad::nn::Model;
+use fedbiad::fl::workload::{build, Scale, Workload};
+use fedbiad::scenario::{run_method, Method, RunOpts};
+
+const ROUNDS: usize = 40;
+const SEED: u64 = 42;
 
 fn main() {
-    let model = MlpModel::new(784, 128, 10);
-    let arch = model.arch();
-    let p = TheoryParams::from_arch(&arch, 0.2);
+    // Architecture, V and min |D_k| come from the workload FedBIAD trains.
+    let bundle = build(Workload::MnistLike, Scale::Lab, SEED);
+    let arch = bundle.model.arch();
+    let p = TheoryParams::from_arch(&arch, bundle.dropout_rate as f64);
+    let (v, min_dk) = (bundle.train.local_iters, bundle.data.min_client_samples());
     println!(
-        "model: MLP 784-128-10, N = {} weights, S = {:.0} (p = 0.2), L = {}, D = {}",
-        arch.total_weights, p.s, p.l, p.d_width
+        "model: {} (lab), N = {} weights, S = {:.0} (p = {}), L = {}, D = {}, d = {}; \
+         V = {v}, min|D_k| = {min_dk}",
+        bundle.data.name, arch.total_weights, p.s, bundle.dropout_rate, p.l, p.d_width, p.d_in
     );
 
-    // The paper's setting: V local iterations, min |D_k| = 60 samples.
-    let (v, min_dk) = (24, 60);
-    println!("\nround     m_r      s̃² (eq.13)     ε (eq.15)   bound (eq.14)");
-    for r in [1usize, 2, 5, 10, 20, 40, 60] {
+    // Measured side: FedBIAD's per-round train and test loss.
+    let log = run_method(Method::FedBiad, &bundle, RunOpts::for_rounds(ROUNDS, SEED));
+
+    println!("\nround     m_r      s̃² (eq.13)     ε (eq.15)   bound (eq.14)   |test−train| loss");
+    for r in [1usize, 2, 5, 10, 20, 40] {
         let m = m_r(r, v, min_dk);
         let s2 = posterior_variance(p.s, m, &arch, p.b);
         let eps = epsilon_bound(&p, m);
         let bound = generalization_bound(&p, m, 0.0);
-        println!("{r:>5} {m:>8.0}  {s2:>12.3e}  {eps:>12.4}  {bound:>12.4}");
+        let rec = &log.records[r - 1];
+        let gap = (rec.test_loss - rec.train_loss as f64).abs();
+        println!("{r:>5} {m:>8.0}  {s2:>12.3e}  {eps:>12.4}  {bound:>12.4}  {gap:>16.4}");
     }
 
-    println!("\nminimax envelope (γ-Hölder targets, γ = 1.5, d = 784):");
+    // The Theorem 1 shape: the bound strictly decreases with rounds.
+    let bounds: Vec<f64> = (1..=ROUNDS)
+        .map(|r| generalization_bound(&p, m_r(r, v, min_dk), 0.0))
+        .collect();
+    assert!(
+        bounds.windows(2).all(|w| w[1] < w[0]),
+        "Theorem 1 shape violated"
+    );
+
+    println!(
+        "\nminimax envelope (γ-Hölder targets, γ = 1.5, d = {}):",
+        p.d_in
+    );
     println!("  m_r        lower C₂·rate    upper C₁·rate·log²m    ratio(=log²m)");
     for m in [1e3, 1e4, 1e5, 1e6] {
-        let lo = minimax_rate(m, 1.5, 784.0);
-        let hi = holder_upper_bound(m, 1.5, 784.0, 1.0);
+        let lo = minimax_rate(m, 1.5, p.d_in);
+        let hi = holder_upper_bound(m, 1.5, p.d_in, 1.0);
         println!(
             "{m:>8.0e}   {lo:>12.4e}     {hi:>14.4e}      {:>10.1}",
             hi / lo
