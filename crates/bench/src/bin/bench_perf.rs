@@ -50,6 +50,12 @@ mod theta_spec;
 #[path = "../../../nn/tests/support/softmax_spec.rs"]
 mod softmax_spec;
 
+/// The robust aggregators' stable-sort-and-fold specification (the
+/// reference side of `stats/trimmed_column_128`), shared with the property
+/// test that pins the keyed kernels to it.
+#[path = "../../../tensor/tests/support/order_stat_spec.rs"]
+mod order_stat_spec;
+
 /// One timed run of `f`, in ns.
 fn time_once(f: &mut impl FnMut()) -> f64 {
     let t0 = Instant::now();
@@ -877,6 +883,61 @@ fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     out.push(entry("stats/top_k_abs_100k", r, b));
 }
 
+/// `stats/trimmed_column_128` — the per-coordinate work of
+/// `server_reduce`'s trimmed mean: 4 096 columns of 128 clients at 50 %
+/// coverage, trim depth 25 per tail. Reference = the specification
+/// (gather the covered `(value, weight)` pairs, stable `total_cmp` sort,
+/// fold the survivors); batched = the production gather into order keys
+/// and `keyed_trimmed_sum` (two selections, survivors sorted). Both fold
+/// the same bits; the ratio is what the keyed selection saves.
+fn trimmed_column_entry(samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_tensor::stats::{keyed_trimmed_sum, order_key};
+    use std::hint::black_box;
+
+    const CLIENTS: usize = 128;
+    const COLUMNS: usize = 4096;
+    const K: usize = 25;
+    let mut rng = stream(26, StreamTag::Init, 0, 0);
+    let vals: Vec<f32> = (0..CLIENTS * COLUMNS)
+        .map(|_| rng.gen_range(-0.05f32..0.05))
+        .collect();
+    let covered: Vec<bool> = (0..CLIENTS * COLUMNS).map(|_| rng.gen_bool(0.5)).collect();
+    let ws: Vec<f32> = (0..CLIENTS)
+        .map(|_| rng.gen_range(40u32..80) as f32)
+        .collect();
+    let column = |c: usize| (0..CLIENTS).map(move |i| (i, c * CLIENTS + i));
+    let mut pairs: Vec<(f32, f32)> = Vec::with_capacity(CLIENTS);
+    let mut keys = vec![0u64; CLIENTS];
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            for c in 0..COLUMNS {
+                pairs.clear();
+                pairs.extend(
+                    column(c)
+                        .filter(|&(_, j)| covered[j])
+                        .map(|(i, j)| (vals[j], ws[i])),
+                );
+                if pairs.len() > 2 * K {
+                    order_stat_spec::sort_weighted_by_value(&mut pairs);
+                    black_box(order_stat_spec::trimmed_weighted_sum(&pairs, K));
+                }
+            }
+        },
+        || {
+            for c in 0..COLUMNS {
+                let mut m = 0;
+                for (i, j) in column(c) {
+                    keys[m] = order_key(vals[j], i);
+                    m += usize::from(covered[j]);
+                }
+                black_box(keyed_trimmed_sum(&mut keys[..m], K, |i| ws[i]));
+            }
+        },
+    );
+    out.push(entry("stats/trimmed_column_128", r, b));
+}
+
 /// `data/lazy_shard_24of60` — what one `million_sparse` dispatch does to
 /// its shard, over 256 clients of the smoke image spec: the whole-shard
 /// specification `LazyClients::client_data` (60 samples derived) vs a
@@ -1040,6 +1101,7 @@ fn main() {
     aggregation_entries(smoke, samples, &mut entries);
     sim_entries(smoke, samples, &mut entries);
     hot_path_entries(smoke, samples, &mut entries);
+    trimmed_column_entry(if smoke { samples } else { samples * 4 }, &mut entries);
     kept_rows_entry(
         smoke,
         if smoke { samples } else { samples * 4 },

@@ -154,10 +154,10 @@ pub(super) fn weights(
 }
 
 /// Robust weights combine, dense reference: flatten every upload, gather
-/// each coordinate's `(value, covered, weight)` column in upload order,
-/// and defer to the shared per-coordinate estimator. The streaming twin
-/// gathers the same column from the wire decode and calls the same
-/// estimator, which is the bit-exactness argument.
+/// each coordinate's `(value, covered)` column in upload order, and defer
+/// to the shared per-coordinate estimator. The streaming twin gathers the
+/// same column from the wire decode and calls the same estimator, which
+/// is the bit-exactness argument.
 pub(super) fn robust_weights(
     global: &mut ParamSet,
     uploads: &[(f32, &Upload)],
@@ -178,11 +178,12 @@ pub(super) fn robust_weights(
         .collect();
     let ws: Vec<f32> = uploads.iter().map(|(w, _)| *w).collect();
     let mut g = global.flatten();
-    let mut scratch = Vec::with_capacity(n + 1);
+    let mut keys = vec![0u64; n + 1];
     for (j, gj) in g.iter_mut().enumerate() {
         *gj = robust::weights_coord(
-            &mut scratch,
-            (0..n).map(|i| (flats[i][j], covs[i][j] != 0.0, ws[i])),
+            &mut keys,
+            (0..n).map(|i| (flats[i][j], covs[i][j] != 0.0)),
+            &ws,
             est,
             mode,
             total_w,
@@ -209,9 +210,9 @@ pub(super) fn robust_deltas(
     let flats: Vec<Vec<f32>> = params.iter().map(|p| p.flatten()).collect();
     let ws: Vec<f32> = uploads.iter().map(|(w, _)| *w).collect();
     let mut g = global.flatten();
-    let mut scratch = Vec::with_capacity(n);
+    let mut keys = vec![0u64; n];
     for (j, gj) in g.iter_mut().enumerate() {
-        *gj += robust::delta_move_coord(&mut scratch, (0..n).map(|i| (flats[i][j], ws[i])), est);
+        *gj += robust::delta_move_coord(&mut keys, flats.iter().map(|f| f[j]), &ws, est);
     }
     global.unflatten_from(&g);
     Ok(())
@@ -231,11 +232,12 @@ pub(super) fn robust_staleness(
     let n = items.len();
     let ws: Vec<f64> = items.iter().map(|it| it.weight).collect();
     let mut g = global.flatten();
-    let mut scratch = Vec::with_capacity(n);
+    let mut keys = vec![0u64; n];
     for (j, gj) in g.iter_mut().enumerate() {
         *gj += robust::staleness_move_coord(
-            &mut scratch,
-            (0..n).map(|i| (deltas[i][j], ws[i])),
+            &mut keys,
+            deltas.iter().map(|d| d[j]),
+            &ws,
             est,
             server_lr,
         );

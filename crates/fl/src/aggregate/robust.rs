@@ -4,22 +4,53 @@
 //! ## Why one module serves both engines
 //!
 //! The robust estimators are order statistics: each output coordinate is
-//! a function of the *sorted* per-client column, so unlike the weighted
+//! a function of the *ordered* per-client column, so unlike the weighted
 //! mean they cannot be expressed as a streaming fold. Both engines
-//! therefore gather the same column — `(value, covered, weight)` per
-//! upload, **in upload order** — and call the one combine function here.
-//! The dense oracle gathers from dense `ParamSet`s, streaming gathers per
-//! shard from the fused wire decode; since the column bits and the combine
-//! code are identical, oracle ≡ streaming holds *by construction*
+//! therefore gather the same column — `(value, covered)` per upload,
+//! **in upload order**, beside the uploads' weights — and call the one
+//! combine function here. The dense oracle gathers from dense
+//! `ParamSet`s, streaming gathers per column tile from the fused wire
+//! decode; since the column bits and the combine code are identical,
+//! oracle ≡ streaming holds *by construction*
 //! (`tests/aggregation_equivalence.rs` pins it anyway).
+//!
+//! ## The participant order
+//!
+//! Every estimator ranks a coordinate's participants by value under the
+//! IEEE total order (`f32::total_cmp`: −NaN < −∞ < … < −0 < +0 < … < +∞ <
+//! +NaN), ties in upload order — the order a *stable* `total_cmp` sort of
+//! the column gives. The combine never sorts `(value, weight)` pairs:
+//! each participant becomes one `u64` key,
+//! [`order_key`]`(value, upload index)` — the value's bits mapped so that
+//! unsigned order is `total_cmp` order, above the upload index. The keys
+//! are distinct and ascend in exactly (total order, upload index), so an
+//! *unstable* selection or sort of them places every participant where
+//! the stable sort would, and the value bits come back out of the key
+//! unchanged ([`fedbiad_tensor::stats::keyed_trimmed_sum`],
+//! [`fedbiad_tensor::stats::keyed_lower_median`]; the stable-sort
+//! specification and the property test pinning the two together live in
+//! `fedbiad-tensor`'s `tests/`). The trimmed mean selects the `k`-th key,
+//! then the upper bound inside the tail, and sorts only the survivors
+//! before folding `Σ w·v` and `Σ w` in ascending key order.
+//!
+//! ## Column tiles
+//!
+//! The streaming engine does not decode a whole shard's `n × shard`
+//! column block before combining (at 128 clients and 64 KiB shards that
+//! is 8 MiB of values plus 8 MiB of coverage, read with a 64 KiB
+//! stride). It decodes and combines sub-tiles of
+//! `⌊32 768 / n⌋` coordinates, so each block is ≈ 128 KiB and stays in
+//! L2. The tile is derived from the cohort size, not a knob, and it is
+//! bit-transparent for the same reason `shard_kb` is: a coordinate's
+//! column holds the same bits however the flat range is cut.
 //!
 //! ## Estimator semantics
 //!
 //! With trim depth `k = ⌊trim_frac · cohort⌋` (resolved once per call
 //! from the *cohort* size, not per coordinate):
 //!
-//! * **Trimmed mean** — per coordinate, sort the participants by value
-//!   (stable, IEEE total order), drop the `k` smallest and `k` largest,
+//! * **Trimmed mean** — per coordinate, rank the participants in the
+//!   order above, drop the `k` smallest and `k` largest,
 //!   and take the weighted mean of the survivors. Because `k` is
 //!   cohort-level, a coordinate whose participant set is smaller (partial
 //!   coverage under `HoldersOnly`/`StaleFill`) can be trimmed *empty* —
@@ -45,8 +76,8 @@
 //! literal eq. (10) reading); `HoldersOnly`/`StaleFill` keep covering
 //! uploads only.
 //!
-//! NaN/Inf *values* are not absorbed here — `total_cmp` keeps the sort
-//! deterministic, but a surviving non-finite value still poisons the
+//! NaN/Inf *values* are not absorbed here — the total order keeps the
+//! ranking deterministic, but a surviving non-finite value still poisons the
 //! estimate. The round layer screens them out first
 //! ([`super::screen_upload_values`]); `garbage: huge` attacks (finite but
 //! absurd) are what the trimming/median breakdown point is for.
@@ -54,7 +85,7 @@
 use super::{dense_like, dense_params, streaming, AggError, StalenessUpload, ZeroMode};
 use crate::upload::{Upload, UploadBody, UploadKind};
 use fedbiad_nn::{ModelMask, ParamSet};
-use fedbiad_tensor::stats::{sort_weighted_by_value, trimmed_weighted_sum, weighted_lower_median};
+use fedbiad_tensor::stats::{keyed_lower_median, keyed_trimmed_sum, order_key};
 
 /// The resolved order-statistic estimator a robust aggregation call runs
 /// (`NormClip` and the `k = 0` trimmed mean never reach here — they route
@@ -68,143 +99,109 @@ pub(super) enum Estimator {
 }
 
 /// One coordinate of a robust *weights* combine. `col` yields
-/// `(value-or-exact-zero, covered, weight)` per upload in upload order;
+/// `(value-or-exact-zero, covered)` per upload in upload order, `ws` the
+/// uploads' validated (finite, positive) weights in the same order;
 /// `total_w` is Σw over all uploads (the validated eq. (10) denominator);
-/// `g_prev` the coordinate's previous global value. Returns the new
-/// global value.
+/// `g_prev` the coordinate's previous global value. `keys` is scratch of
+/// at least `ws.len() + 1` slots. Returns the new global value.
 pub(super) fn weights_coord(
-    scratch: &mut Vec<(f32, f32)>,
-    col: impl Iterator<Item = (f32, bool, f32)>,
+    keys: &mut [u64],
+    col: impl Iterator<Item = (f32, bool)>,
+    ws: &[f32],
     est: Estimator,
     mode: ZeroMode,
     total_w: f32,
     g_prev: f32,
 ) -> f32 {
-    scratch.clear();
-    // Σw over covering uploads, folded in upload order — the same f32
-    // chain `validate` folds for `total_w`, so full coverage gives
-    // `rest == 0.0` exactly.
+    let n = ws.len();
+    let every = mode == ZeroMode::ZerosPull;
+    // Gather without a branch per upload: every key is written, and the
+    // participant count only advances past participants. Σw over
+    // covering uploads folds in upload order — the same f32 chain
+    // `validate` folds for `total_w`, so full coverage gives `rest == 0.0`
+    // exactly; adding `+0.0` for a non-covering upload leaves every bit
+    // of it unchanged (weights are positive, so `den` is never `−0.0`).
+    let mut m = 0usize;
     let mut den = 0.0f32;
-    for (v, covered, w) in col {
-        match mode {
-            ZeroMode::ZerosPull => scratch.push((v, w)),
-            ZeroMode::HoldersOnly | ZeroMode::StaleFill => {
-                if covered {
-                    scratch.push((v, w));
-                    den += w;
-                }
-            }
-        }
+    for (i, ((v, covered), &w)) in col.zip(ws).enumerate() {
+        keys[m] = order_key(v, i);
+        m += usize::from(every || covered);
+        den += if covered { w } else { 0.0 };
     }
+    let rest = total_w - den;
     match est {
         Estimator::Trim { k } => {
-            if scratch.len() <= 2 * k {
+            let Some((num, den_r)) = keyed_trimmed_sum(&mut keys[..m], k, |i| ws[i]) else {
                 // The cohort-level trim depth emptied this coordinate's
                 // participant set (possible only under partial coverage):
                 // keep the previous global value, the "no holders" rule.
                 return g_prev;
-            }
-            sort_weighted_by_value(scratch);
-            let (num, den_r) = trimmed_weighted_sum(scratch, k);
+            };
             match mode {
                 // The non-covering mass still votes "no change" with the
                 // broadcast value — and is never trimmed.
-                ZeroMode::StaleFill => {
-                    let rest = total_w - den;
-                    (num + rest * g_prev) / (den_r + rest)
-                }
+                ZeroMode::StaleFill => (num + rest * g_prev) / (den_r + rest),
                 ZeroMode::ZerosPull | ZeroMode::HoldersOnly => num / den_r,
             }
         }
         Estimator::Median => {
             if mode == ZeroMode::StaleFill {
-                scratch.push((g_prev, total_w - den));
+                keys[m] = order_key(g_prev, n);
+                m += 1;
             }
-            if scratch.is_empty() {
-                return g_prev;
-            }
-            sort_weighted_by_value(scratch);
-            weighted_lower_median(scratch)
+            keyed_lower_median(&mut keys[..m], |i| if i < n { ws[i] } else { rest })
+                .unwrap_or(g_prev)
         }
     }
 }
 
 /// One coordinate of a robust *delta* combine: the robust location
-/// estimate of the per-upload delta values (all uploads participate;
-/// sparse payloads contribute exact zeros). The caller adds the returned
-/// move to the global. An emptied trim moves nothing.
+/// estimate of the per-upload delta values `col` (all uploads
+/// participate; sparse payloads contribute exact zeros), weighted by
+/// `ws`. `keys` is scratch of at least `ws.len()` slots. The caller adds
+/// the returned move to the global. An emptied trim moves nothing.
 pub(super) fn delta_move_coord(
-    scratch: &mut Vec<(f32, f32)>,
-    col: impl Iterator<Item = (f32, f32)>,
+    keys: &mut [u64],
+    col: impl Iterator<Item = f32>,
+    ws: &[f32],
     est: Estimator,
 ) -> f32 {
-    scratch.clear();
-    scratch.extend(col);
+    let keys = gather(keys, col, ws.len());
     match est {
-        Estimator::Trim { k } => {
-            if scratch.len() <= 2 * k {
-                return 0.0;
-            }
-            sort_weighted_by_value(scratch);
-            let (num, den) = trimmed_weighted_sum(scratch, k);
-            num / den
-        }
-        Estimator::Median => {
-            if scratch.is_empty() {
-                return 0.0;
-            }
-            sort_weighted_by_value(scratch);
-            weighted_lower_median(scratch)
-        }
+        Estimator::Trim { k } => keyed_trimmed_sum(keys, k, |i| ws[i]).map_or(0.0, |(n, d)| n / d),
+        Estimator::Median => keyed_lower_median(keys, |i| ws[i]).unwrap_or(0.0),
     }
 }
 
 /// One coordinate of the robust FedBuff merge: the robust location
-/// estimate of the buffered Δ values (staleness weights stay in f64 as in
-/// the mean merge), scaled by the server learning rate. The caller adds
-/// the returned move to the global. All buffered items participate — an
-/// item's uncovered positions are exact-zero Δ, i.e. "no change" votes.
+/// estimate of the buffered Δ values (staleness weights `ws` stay in f64
+/// as in the mean merge), scaled by the server learning rate. The caller
+/// adds the returned move to the global. All buffered items participate —
+/// an item's uncovered positions are exact-zero Δ, i.e. "no change" votes.
 pub(super) fn staleness_move_coord(
-    scratch: &mut Vec<(f32, f64)>,
-    col: impl Iterator<Item = (f32, f64)>,
+    keys: &mut [u64],
+    col: impl Iterator<Item = f32>,
+    ws: &[f64],
     est: Estimator,
     server_lr: f64,
 ) -> f32 {
-    scratch.clear();
-    scratch.extend(col);
+    let keys = gather(keys, col, ws.len());
     match est {
-        Estimator::Trim { k } => {
-            if scratch.len() <= 2 * k {
-                return 0.0;
-            }
-            scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut num = 0.0f64;
-            let mut den = 0.0f64;
-            for &(v, w) in &scratch[k..scratch.len() - k] {
-                num += w * v as f64;
-                den += w;
-            }
-            (server_lr * num / den) as f32
-        }
+        Estimator::Trim { k } => keyed_trimmed_sum(keys, k, |i| ws[i])
+            .map_or(0.0, |(num, den)| (server_lr * num / den) as f32),
         Estimator::Median => {
-            if scratch.is_empty() {
-                return 0.0;
-            }
-            scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let total: f64 = scratch.iter().map(|p| p.1).sum();
-            let half = 0.5 * total;
-            let mut cum = 0.0f64;
-            let mut med = scratch[scratch.len() - 1].0;
-            for &(v, w) in scratch.iter() {
-                cum += w;
-                if cum >= half {
-                    med = v;
-                    break;
-                }
-            }
-            (server_lr * med as f64) as f32
+            keyed_lower_median(keys, |i| ws[i]).map_or(0.0, |med| (server_lr * med as f64) as f32)
         }
     }
+}
+
+/// Key the first `n` values of `col` by their column position.
+fn gather(keys: &mut [u64], col: impl Iterator<Item = f32>, n: usize) -> &mut [u64] {
+    let keys = &mut keys[..n];
+    for (i, (key, v)) in keys.iter_mut().zip(col).enumerate() {
+        *key = order_key(v, i);
+    }
+    keys
 }
 
 // ---- norm clipping -----------------------------------------------------

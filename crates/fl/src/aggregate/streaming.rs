@@ -1141,12 +1141,68 @@ pub(super) fn staleness(
 // ---- the robust engines ------------------------------------------------
 //
 // Order-statistic estimators cannot stream as a fold: each shard decodes
-// every client's column material into an (n × shard) block from the
-// worker thread's arena, then walks coordinates through the shared
-// per-coordinate estimator in `super::robust` — the same function the
-// dense engine calls on the same column bits, which is the bit-exactness
-// argument. Peak memory is O(cohort × shard) per worker, not
-// O(cohort × model).
+// every client's column material, one column tile at a time, into an
+// (n × tile) block from the worker thread's arena, then walks the tile's
+// coordinates through the shared per-coordinate estimator in
+// `super::robust` — the same function the dense engine calls on the same
+// column bits, which is the bit-exactness argument. Peak memory is
+// O(cohort × tile) per worker, not O(cohort × model).
+
+/// Column cells (clients × coordinates) per robust tile: a tile's value
+/// block is ≈ 128 KiB whatever the cohort, so the combine reads it from
+/// L2 instead of striding across an `n × shard` block.
+const ROBUST_TILE_CELLS: usize = 32 * 1024;
+
+/// Coordinates per robust tile for a cohort of `n` on a shard of `len`
+/// (derived, not a knob — see the `robust` module doc, "Column tiles").
+fn robust_tile(n: usize, len: usize) -> usize {
+    (ROBUST_TILE_CELLS / n.max(1)).clamp(1, len.max(1))
+}
+
+/// The robust engines' per-worker column block: `n × tile` values (and,
+/// for the weights combine, coverage), a tile of kept-value scratch and
+/// `n + 1` order-statistic keys — all checked out of the *worker
+/// thread's* arena (the round-loop thread's borrow was released before
+/// the parallel region, and each worker owns its own thread-local
+/// workspace), so steady-state rounds allocate none of it.
+struct ColumnBlock {
+    vals: Vec<f32>,
+    cov: Vec<f32>,
+    kept: Vec<f32>,
+    keys: Vec<u64>,
+}
+
+impl ColumnBlock {
+    fn take(n: usize, tile: usize, with_cov: bool) -> ColumnBlock {
+        ARENA.with(|arena| {
+            let mut a = arena.borrow_mut();
+            ColumnBlock {
+                vals: a.take(n * tile),
+                cov: a.take(if with_cov { n * tile } else { 0 }),
+                kept: a.take(tile),
+                keys: a.take_u64(n + 1),
+            }
+        })
+    }
+
+    fn give(self) {
+        ARENA.with(|arena| {
+            let mut a = arena.borrow_mut();
+            a.give(self.vals);
+            a.give(self.cov);
+            a.give(self.kept);
+            a.give_u64(self.keys);
+        });
+    }
+}
+
+/// Call `f(lo, tl)` for each column tile `lo..lo + tl` of a `len`-long
+/// shard.
+fn for_each_tile(len: usize, tile: usize, mut f: impl FnMut(usize, usize)) {
+    for lo in (0..len).step_by(tile) {
+        f(lo, tile.min(len - lo));
+    }
+}
 
 /// Robust weights combine, streaming engine.
 pub(super) fn robust_weights(
@@ -1174,39 +1230,39 @@ pub(super) fn robust_weights(
     };
     with_shards(global, shard_elems, needs, |t| {
         let len = t.g.len();
-        // Column blocks come from the *worker thread's* arena — the
-        // round-loop thread's borrow was released before the parallel
-        // region, and each worker owns its own thread-local workspace.
-        let (mut vals, mut cov, mut kept) = ARENA.with(|arena| {
-            let mut a = arena.borrow_mut();
-            (a.take(n * len), a.take(n * len), a.take(len))
+        let tile = robust_tile(n, len);
+        let mut b = ColumnBlock::take(n, tile, true);
+        for_each_tile(len, tile, |lo, tl| {
+            // Decode against the tile's still-unwritten previous global
+            // (`WeightsDelta` bodies reconstruct `g + δ`).
+            let g = &mut t.g[lo..lo + tl];
+            for i in 0..n {
+                let cells = i * tl..(i + 1) * tl;
+                decode_masked_shard(
+                    &views[i],
+                    &kmetas[i],
+                    &layout,
+                    t.start + lo,
+                    tl,
+                    g,
+                    &mut b.vals[cells.clone()],
+                    &mut b.cov[cells],
+                    &mut b.kept,
+                );
+            }
+            for (j, gj) in g.iter_mut().enumerate() {
+                *gj = robust::weights_coord(
+                    &mut b.keys,
+                    (0..n).map(|i| (b.vals[i * tl + j], b.cov[i * tl + j] != 0.0)),
+                    &ws,
+                    est,
+                    mode,
+                    total_w,
+                    *gj,
+                );
+            }
         });
-        for i in 0..n {
-            let (row, crow) = (
-                &mut vals[i * len..(i + 1) * len],
-                &mut cov[i * len..(i + 1) * len],
-            );
-            decode_masked_shard(
-                &views[i], &kmetas[i], &layout, t.start, len, t.g, row, crow, &mut kept,
-            );
-        }
-        let mut scratch: Vec<(f32, f32)> = Vec::with_capacity(n + 1);
-        for j in 0..len {
-            t.g[j] = robust::weights_coord(
-                &mut scratch,
-                (0..n).map(|i| (vals[i * len + j], cov[i * len + j] != 0.0, ws[i])),
-                est,
-                mode,
-                total_w,
-                t.g[j],
-            );
-        }
-        ARENA.with(|arena| {
-            let mut a = arena.borrow_mut();
-            a.give(vals);
-            a.give(cov);
-            a.give(kept);
-        });
+        b.give();
     });
     Ok(())
 }
@@ -1230,26 +1286,29 @@ pub(super) fn robust_deltas(
     };
     with_shards(global, shard_elems, needs, |t| {
         let len = t.g.len();
-        let mut vals = ARENA.with(|a| a.borrow_mut().take(n * len));
-        for (i, view) in views.iter().enumerate() {
-            view.payload
-                .decode_range(t.start, &mut vals[i * len..i * len + len]);
-        }
-        let mut scratch: Vec<(f32, f32)> = Vec::with_capacity(n);
-        for j in 0..len {
-            t.g[j] += robust::delta_move_coord(
-                &mut scratch,
-                (0..n).map(|i| (vals[i * len + j], ws[i])),
-                est,
-            );
-        }
-        ARENA.with(|a| a.borrow_mut().give(vals));
+        let tile = robust_tile(n, len);
+        let mut b = ColumnBlock::take(n, tile, false);
+        for_each_tile(len, tile, |lo, tl| {
+            for (i, view) in views.iter().enumerate() {
+                view.payload
+                    .decode_range(t.start + lo, &mut b.vals[i * tl..(i + 1) * tl]);
+            }
+            for (j, gj) in t.g[lo..lo + tl].iter_mut().enumerate() {
+                *gj += robust::delta_move_coord(
+                    &mut b.keys,
+                    (0..n).map(|i| b.vals[i * tl + j]),
+                    &ws,
+                    est,
+                );
+            }
+        });
+        b.give();
     });
     Ok(())
 }
 
-/// Robust FedBuff merge, streaming engine: per shard, every buffered Δ
-/// column decodes through the exact mean-path expressions
+/// Robust FedBuff merge, streaming engine: per column tile, every
+/// buffered Δ column decodes through the exact mean-path expressions
 /// ([`decode_weights_delta_shard`]), then coordinates walk the shared
 /// estimator.
 pub(super) fn robust_staleness(
@@ -1271,35 +1330,47 @@ pub(super) fn robust_staleness(
         num: false,
         den: false,
         vals: false,
-        kept: true,
+        kept: false,
         snap: true,
     };
     with_shards(global, shard_elems, needs, |t| {
         let len = t.g.len();
-        let mut vals = ARENA.with(|a| a.borrow_mut().take(n * len));
-        for (i, (it, view)) in items.iter().zip(&views).enumerate() {
-            let row = &mut vals[i * len..i * len + len];
-            match view.kind {
-                BodyKind::DeltaFull => view.payload.decode_range(t.start, row),
-                BodyKind::WeightsAbsolute | BodyKind::WeightsDelta => {
-                    let snapshot = it.snapshot.expect("validated in mod.rs");
-                    snapshot.copy_flat_range(t.start, &mut t.snap[..len]);
-                    decode_weights_delta_shard(
-                        view, &kmetas[i], &layout, t.start, len, t.snap, t.snap, row, t.kept,
-                    );
+        let tile = robust_tile(n, len);
+        let mut b = ColumnBlock::take(n, tile, false);
+        for_each_tile(len, tile, |lo, tl| {
+            let (start, snap) = (t.start + lo, &mut t.snap[..tl]);
+            for (i, (it, view)) in items.iter().zip(&views).enumerate() {
+                let row = &mut b.vals[i * tl..(i + 1) * tl];
+                match view.kind {
+                    BodyKind::DeltaFull => view.payload.decode_range(start, row),
+                    BodyKind::WeightsAbsolute | BodyKind::WeightsDelta => {
+                        let snapshot = it.snapshot.expect("validated in mod.rs");
+                        snapshot.copy_flat_range(start, snap);
+                        decode_weights_delta_shard(
+                            view,
+                            &kmetas[i],
+                            &layout,
+                            start,
+                            tl,
+                            snap,
+                            snap,
+                            row,
+                            &mut b.kept,
+                        );
+                    }
                 }
             }
-        }
-        let mut scratch: Vec<(f32, f64)> = Vec::with_capacity(n);
-        for j in 0..len {
-            t.g[j] += robust::staleness_move_coord(
-                &mut scratch,
-                (0..n).map(|i| (vals[i * len + j], ws[i])),
-                est,
-                server_lr,
-            );
-        }
-        ARENA.with(|a| a.borrow_mut().give(vals));
+            for (j, gj) in t.g[lo..lo + tl].iter_mut().enumerate() {
+                *gj += robust::staleness_move_coord(
+                    &mut b.keys,
+                    (0..n).map(|i| b.vals[i * tl + j]),
+                    &ws,
+                    est,
+                    server_lr,
+                );
+            }
+        });
+        b.give();
     });
     Ok(())
 }

@@ -101,55 +101,141 @@ pub fn top_k_abs_indices(xs: &[f32], k: usize) -> Vec<usize> {
     top_k_indices_by(xs, k, |v| v.abs())
 }
 
-/// Stable in-place sort of weighted samples `(value, weight)` by value
-/// under the IEEE total order (`f32::total_cmp`). Stability makes the
-/// outcome a pure function of the input sequence even with tied values,
-/// which is what lets the dense and streaming robust-aggregation engines
-/// stay bit-identical: both feed the column in upload order and run this
-/// exact sort. NaN values order last deterministically instead of
-/// poisoning the comparison.
-pub fn sort_weighted_by_value(pairs: &mut [(f32, f32)]) {
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+// ---- weighted order statistics over total-order keys -----------------
+//
+// The robust aggregators (coordinate-wise trimmed mean and weighted
+// median) are defined on a *stable* sort of a column's `(value, weight)`
+// participants by `f32::total_cmp`, folded serially in that order. The
+// kernels below compute exactly that without sorting pairs: each
+// participant becomes one `u64` key, `order_key(v, pos)`, whose high half
+// is the total-order image of `v`'s bits and whose low half is the
+// participant's position in the column. The image is strictly monotone in
+// `total_cmp` (−NaN < −∞ < … < −0 < +0 < … < +∞ < +NaN, payloads
+// included), and positions are distinct, so the keys are distinct and
+// their ascending order is `(total_cmp, position)` — which is precisely
+// the order a stable sort of the column produces, ties and all. An
+// *unstable* sort or selection of the keys therefore lands every
+// participant where the stable sort would, and the value bits come back
+// out of the key unchanged. The executable specification (stable sort,
+// then fold) lives in `tests/support/order_stat_spec.rs`, and
+// `tests/order_stat_props.rs` pins these kernels to it bit for bit.
+
+/// A participant weight: `f32` for the sync engines, `f64` for the
+/// staleness merge. `From<f32>` lifts a value (exactly) into the fold's
+/// precision, so `w · W::from(v)` is the `w * v` / `w * v as f64` each
+/// fold was written with.
+pub trait OrderWeight:
+    Copy
+    + PartialOrd
+    + core::ops::Add<Output = Self>
+    + core::ops::Mul<Output = Self>
+    + core::iter::Sum
+    + From<f32>
+{
 }
 
-/// Weighted numerator and denominator of the trimmed range
-/// `sorted[k..len−k]`: `(Σ wᵢvᵢ, Σ wᵢ)` folded serially in sorted order
-/// (the robust engines' bit-exactness contract — both engines call this
-/// one kernel). Panics if trimming exceeds the sample (`2k ≥ len`);
-/// callers guard that case (it means "keep the previous value").
-pub fn trimmed_weighted_sum(sorted: &[(f32, f32)], k: usize) -> (f32, f32) {
-    assert!(
-        2 * k < sorted.len(),
-        "trim depth {k} empties {} samples",
-        sorted.len()
+impl<W> OrderWeight for W where
+    W: Copy
+        + PartialOrd
+        + core::ops::Add<Output = W>
+        + core::ops::Mul<Output = W>
+        + core::iter::Sum
+        + From<f32>
+{
+}
+
+/// The sort key of the participant at column position `pos` with value
+/// `v`: `v`'s bits mapped so that unsigned order is `f32::total_cmp`
+/// order (negative values have all bits flipped, non-negative ones the
+/// sign bit set), shifted above the position. Positions must fit in 32
+/// bits (a column is one coordinate across a cohort).
+#[inline]
+pub fn order_key(v: f32, pos: usize) -> u64 {
+    debug_assert!(
+        pos <= u32::MAX as usize,
+        "column position {pos} exceeds 32 bits"
     );
-    let mut num = 0.0f32;
-    let mut den = 0.0f32;
-    for &(v, w) in &sorted[k..sorted.len() - k] {
-        num += w * v;
-        den += w;
-    }
-    (num, den)
+    let b = v.to_bits();
+    let ord = b ^ (((b as i32 >> 31) as u32) | 0x8000_0000);
+    (u64::from(ord) << 32) | pos as u64
 }
 
-/// Weighted lower median of value-sorted samples: the first value whose
-/// cumulative weight reaches half the total weight. With unit weights and
-/// odd `n` this is the classic median; with even `n` it is the lower of
-/// the two middle values (no interpolation — the estimate is always one
-/// of the inputs, the property that gives the median its breakdown
-/// point). Panics on empty input.
-pub fn weighted_lower_median(sorted: &[(f32, f32)]) -> f32 {
-    assert!(!sorted.is_empty(), "weighted median of empty slice");
-    let total: f32 = sorted.iter().map(|p| p.1).sum();
-    let half = 0.5 * total;
-    let mut cum = 0.0f32;
-    for &(v, w) in sorted {
-        cum += w;
-        if cum >= half {
-            return v;
+/// The value bits a key was built from (the exact inverse of
+/// [`order_key`]'s map — NaN payloads and signed zeros included).
+#[inline]
+pub fn key_value(key: u64) -> f32 {
+    let ord = (key >> 32) as u32;
+    f32::from_bits(ord ^ (!((ord as i32 >> 31) as u32) | 0x8000_0000))
+}
+
+/// The column position a key was built with.
+#[inline]
+pub fn key_pos(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// Trimmed weighted sum of a keyed column: drop the `k` smallest and `k`
+/// largest participants and return `(Σ wᵢvᵢ, Σ wᵢ)` over the survivors,
+/// folded serially in ascending key order — bit for bit the fold over
+/// `stable_sort(column)[k..m−k]`. `weight(pos)` is the weight of the
+/// participant at column position `pos`. `None` when the trim empties the
+/// column (`2k ≥ m`), which callers read as "no survivors".
+///
+/// Only the survivors are sorted: one selection puts the `k` smallest
+/// below position `k`, a second one inside the tail puts the `m − 2k`
+/// survivors next, and their `m − 2k` keys are sorted for the fold.
+/// `keys` is left permuted.
+pub fn keyed_trimmed_sum<W: OrderWeight>(
+    keys: &mut [u64],
+    k: usize,
+    weight: impl Fn(usize) -> W,
+) -> Option<(W, W)> {
+    let m = keys.len();
+    if 2 * k >= m {
+        return None;
+    }
+    let keep = m - 2 * k;
+    if k > 0 {
+        keys.select_nth_unstable(k);
+        // `keys[k]` is the smallest survivor; the other `keep − 1` are the
+        // smallest of the `keep + k − 1` keys above it.
+        if keep > 1 {
+            keys[k + 1..].select_nth_unstable(keep - 2);
         }
     }
-    sorted[sorted.len() - 1].0
+    let survivors = &mut keys[k..k + keep];
+    survivors.sort_unstable();
+    let mut num = W::from(0.0);
+    let mut den = W::from(0.0);
+    for &key in survivors.iter() {
+        let w = weight(key_pos(key));
+        num = num + w * W::from(key_value(key));
+        den = den + w;
+    }
+    Some((num, den))
+}
+
+/// Weighted lower median of a keyed column: in ascending key order, the
+/// first value whose cumulative weight reaches half the total (itself
+/// summed in that order). With unit weights and odd `m` this is the
+/// classic median; with even `m` the lower of the two middle values — the
+/// estimate is always one of the inputs, which is what gives the median
+/// its breakdown point. `None` for an empty column. `keys` is left sorted.
+pub fn keyed_lower_median<W: OrderWeight>(
+    keys: &mut [u64],
+    weight: impl Fn(usize) -> W,
+) -> Option<f32> {
+    keys.sort_unstable();
+    let total: W = keys.iter().map(|&key| weight(key_pos(key))).sum();
+    let half = W::from(0.5) * total;
+    let mut cum = W::from(0.0);
+    for &key in keys.iter() {
+        cum = cum + weight(key_pos(key));
+        if cum >= half {
+            return Some(key_value(key));
+        }
+    }
+    keys.last().map(|&key| key_value(key))
 }
 
 /// `true` iff the top-`k` set of `logits` contains `target` (top-k accuracy,
@@ -236,47 +322,65 @@ mod tests {
         assert_eq!(top_k_indices(&[f32::NAN; 3], 2), vec![0, 1]);
     }
 
+    /// Keys of a column, one per participant in column order.
+    fn keys_of(values: &[f32]) -> Vec<u64> {
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| order_key(v, i))
+            .collect()
+    }
+
     #[test]
     fn sort_weighted_is_stable_and_total() {
-        let mut pairs = vec![(2.0, 10.0), (1.0, 20.0), (2.0, 30.0), (f32::NAN, 40.0)];
-        sort_weighted_by_value(&mut pairs);
-        // Ties keep input order (stability), NaN sorts last.
-        assert_eq!(pairs[0], (1.0, 20.0));
-        assert_eq!(pairs[1], (2.0, 10.0));
-        assert_eq!(pairs[2], (2.0, 30.0));
-        assert!(pairs[3].0.is_nan());
+        let values = [2.0, 1.0, 2.0, f32::NAN, -0.0, 0.0];
+        let mut keys = keys_of(&values);
+        keys.sort_unstable();
+        // Ties keep column order (stability), −0 precedes +0, NaN sorts
+        // last, and the value bits survive the key.
+        let order: Vec<usize> = keys.iter().map(|&k| key_pos(k)).collect();
+        assert_eq!(order, vec![4, 5, 1, 0, 2, 3]);
+        for &k in &keys {
+            assert_eq!(key_value(k).to_bits(), values[key_pos(k)].to_bits());
+        }
     }
 
     #[test]
     fn trimmed_sum_drops_both_tails() {
-        let sorted = [(-100.0, 1.0), (1.0, 2.0), (3.0, 2.0), (900.0, 1.0)];
-        let (num, den) = trimmed_weighted_sum(&sorted, 1);
+        let (values, weights) = ([900.0, 1.0, -100.0, 3.0], [1.0f32, 2.0, 1.0, 2.0]);
+        let (num, den) = keyed_trimmed_sum(&mut keys_of(&values), 1, |i| weights[i]).unwrap();
         assert_eq!(num, 2.0 * 1.0 + 2.0 * 3.0);
         assert_eq!(den, 4.0);
-        // k = 0 is the plain weighted sum.
-        let (num0, den0) = trimmed_weighted_sum(&sorted, 0);
+        // k = 0 is the plain weighted sum, folded in value order.
+        let (num0, den0) = keyed_trimmed_sum(&mut keys_of(&values), 0, |i| weights[i]).unwrap();
         assert_eq!(num0, -100.0 + 2.0 + 6.0 + 900.0);
         assert_eq!(den0, 6.0);
     }
 
     #[test]
-    #[should_panic(expected = "trim depth")]
-    fn trimmed_sum_rejects_emptying_trims() {
-        trimmed_weighted_sum(&[(1.0, 1.0), (2.0, 1.0)], 1);
+    fn trimmed_sum_reports_emptying_trims() {
+        let w = |_| 1.0f32;
+        assert_eq!(keyed_trimmed_sum(&mut keys_of(&[1.0, 2.0]), 1, w), None);
+        assert_eq!(keyed_trimmed_sum(&mut keys_of(&[]), 0, w), None);
+        assert_eq!(
+            keyed_trimmed_sum(&mut keys_of(&[1.0, 2.0, 3.0]), 1, w),
+            Some((2.0, 1.0))
+        );
     }
 
     #[test]
     fn weighted_median_lower_convention() {
+        let median = |values: &[f32], weights: &[f32]| {
+            keyed_lower_median(&mut keys_of(values), |i| weights[i])
+        };
         // Odd count, unit weights: the middle value.
-        let s = [(1.0, 1.0), (2.0, 1.0), (9.0, 1.0)];
-        assert_eq!(weighted_lower_median(&s), 2.0);
+        assert_eq!(median(&[9.0, 1.0, 2.0], &[1.0; 3]), Some(2.0));
         // Even count: the lower middle value, never an interpolation.
-        let s = [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (9.0, 1.0)];
-        assert_eq!(weighted_lower_median(&s), 2.0);
+        assert_eq!(median(&[3.0, 9.0, 2.0, 1.0], &[1.0; 4]), Some(2.0));
         // Weights shift the mass: one heavy sample owns the median.
-        let s = [(1.0, 1.0), (5.0, 10.0), (9.0, 1.0)];
-        assert_eq!(weighted_lower_median(&s), 5.0);
-        assert_eq!(weighted_lower_median(&[(7.0, 3.0)]), 7.0);
+        assert_eq!(median(&[1.0, 5.0, 9.0], &[1.0, 10.0, 1.0]), Some(5.0));
+        assert_eq!(median(&[7.0], &[3.0]), Some(7.0));
+        assert_eq!(median(&[], &[]), None);
     }
 
     #[test]

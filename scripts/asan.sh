@@ -10,6 +10,15 @@
 # the same for `gaussian_slice` (eight alignments, NaN canaries on both
 # sides of the destination, `ln_slice` / `cos2pi_slice` over both whole
 # 24-bit grids), so an out-of-bounds lane there is reported, not read.
+# `order_stat_props` runs the keyed order-statistic kernels over columns
+# of 0..=300 participants at every trim depth.
+#
+# The same flags then cover the slicing that wire bytes drive:
+# `fedbiad-compress` (lib + tests: the frame parser, `WireView` /
+# `PayloadView` decode and the codec property tests) and the root
+# `aggregation_equivalence` suite (the streaming engine's shard and
+# column-tile indexing into decoded frames, against the dense oracle, at
+# 1/2/8 threads and three shard sizes).
 #
 # Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
 # they do not link under ASan. CI's `asan` job runs this same script.
@@ -20,6 +29,11 @@
 # NaN encodings fail under ASan on the commit before the tiles as well.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-RUSTFLAGS="-Zsanitizer=address --cfg fedbiad_asan" cargo +nightly test --offline \
-    -p fedbiad-tensor -p rayon \
-    --target x86_64-unknown-linux-gnu --lib --tests "$@"
+export RUSTFLAGS="-Zsanitizer=address --cfg fedbiad_asan"
+target=x86_64-unknown-linux-gnu
+cargo +nightly test --offline \
+    -p fedbiad-tensor -p rayon -p fedbiad-compress \
+    --target "$target" --lib --tests "$@"
+cargo +nightly test --offline \
+    -p fedbiad --test aggregation_equivalence \
+    --target "$target" "$@"

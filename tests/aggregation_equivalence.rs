@@ -465,18 +465,29 @@ fn steady_state_streaming_allocates_nothing() {
     let global0 = init_params(5);
     let uploads = weights_uploads(&global0, 4);
     let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
-    let run = |g0: &ParamSet| {
+    // The mean, and both order statistics (four clients: trim depth 1),
+    // whose column tiles and keys come from the same arena.
+    let settings = [
+        AggSettings::sharded(16),
+        AggSettings::sharded(16).with_robust(RobustKind::TrimmedMean { trim_frac: 0.25 }),
+        AggSettings::sharded(16).with_robust(RobustKind::CoordinateMedian),
+    ];
+    let run = |g0: &ParamSet, settings: AggSettings| {
         let mut g = g0.clone();
-        aggregate_weights(&mut g, &ups, ZeroMode::StaleFill, AggSettings::sharded(16)).unwrap();
+        aggregate_weights(&mut g, &ups, ZeroMode::StaleFill, settings).unwrap();
         g
     };
     // Warm-up round populates the arena…
-    let _ = run(&global0);
+    for s in settings {
+        let _ = run(&global0, s);
+    }
     let warm = arena_churn();
     // …after which repeated aggregations must not allocate data buffers.
     let mut g = global0.clone();
     for _ in 0..5 {
-        g = run(&g);
+        for s in settings {
+            g = run(&g, s);
+        }
     }
     assert_eq!(
         arena_churn(),
