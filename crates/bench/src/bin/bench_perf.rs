@@ -56,6 +56,18 @@ mod softmax_spec;
 #[path = "../../../tensor/tests/support/order_stat_spec.rs"]
 mod order_stat_spec;
 
+/// The comparator top-k (the reference side of `stats/top_k_abs_100k`
+/// and, inside DGC, of `compress/dgc_101k`), shared with the property
+/// test that pins the keyed selection to it.
+#[path = "../../../tensor/tests/support/top_k_spec.rs"]
+mod top_k_spec;
+
+/// The client write side's specification (the reference sides of
+/// `compress/fedpaq_101k` and `compress/dgc_101k`), shared with the
+/// property tests that pin production to it.
+#[path = "../../../compress/tests/support/write_spec.rs"]
+mod write_spec;
+
 /// One timed run of `f`, in ns.
 fn time_once(f: &mut impl FnMut()) -> f64 {
     let t0 = Instant::now();
@@ -811,8 +823,9 @@ fn sim_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
 ///   persistent buffer, which evaluates it only where the add can move
 ///   the weight (≈ 1.6 % of P). The ratio collapses toward 1 if the
 ///   no-op skip stops firing or a per-step allocation comes back.
-/// * `stats/top_k_abs_100k` — DGC's magnitude top-1 % of 10⁵ values:
-///   full index sort vs selection + k-prefix sort.
+/// * `stats/top_k_abs_100k` — a magnitude top-1 % of 10⁵ values in rank
+///   order: the comparator selection + k-prefix sort it replaced vs the
+///   keyed selection + a sort of the k keys.
 fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     use fedbiad_core::spike_slab::{
         client_total_data, resolve_noise, sample_theta_into, NoiseLevel,
@@ -865,22 +878,69 @@ fn hot_path_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
     let (r, b) = time_pair_ns(
         samples,
         || {
-            let mut idx: Vec<usize> = (0..N).collect();
-            idx.sort_by(|&a, &b| {
-                xs[b]
-                    .abs()
-                    .partial_cmp(&xs[a].abs())
-                    .expect("finite input")
-                    .then(a.cmp(&b))
-            });
-            idx.truncate(N / 100);
-            black_box(idx);
+            black_box(top_k_spec::top_k_abs_indices(&xs, N / 100));
         },
         || {
-            black_box(fedbiad_tensor::stats::top_k_abs_indices(&xs, N / 100));
+            use fedbiad_tensor::stats::{abs_rank, key_pos, top_k_keys};
+            let mut keys = top_k_keys(&xs, N / 100, abs_rank);
+            keys.sort_unstable();
+            black_box(keys.iter().map(|&key| key_pos(key)).collect::<Vec<_>>());
         },
     );
     out.push(entry("stats/top_k_abs_100k", r, b));
+}
+
+/// The client write side on the MLP's 101 770-parameter delta, each
+/// against its specification (`compress/tests/support/write_spec.rs`):
+///
+/// * `compress/fedpaq_101k` — FedPAQ's 8-bit scale and codes: the
+///   `fold(max)` and per-element `round().clamp()` (a libm call on the
+///   baseline target) vs `ops::max_abs` + `ops::quantise`.
+/// * `compress/dgc_101k` — one DGC round at the round-0 (25 %) and the
+///   round-4 (0.1 %) keep fraction, from a fresh state, through
+///   `Compressed`: the comparator top-k and the sorting payload
+///   constructor vs the keyed selection with positions sorted once.
+fn compress_entries(samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_compress::dgc::Dgc;
+    use fedbiad_compress::{ClientState, Compressed, Compressor};
+    use std::hint::black_box;
+
+    const N: usize = 101_770;
+    let mut rng = stream(28, StreamTag::Compress, 0, 0);
+    let xs: Vec<f32> = (0..N).map(|_| rng.gen_range(-0.05f32..0.05)).collect();
+    let mut codes = vec![0u16; N];
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            black_box(write_spec::quantise(&xs, 8));
+        },
+        || {
+            let scale = ops::max_abs(&xs);
+            ops::quantise(&xs, 127.0 / scale, 127, &mut codes);
+            black_box((scale, &codes));
+        },
+    );
+    out.push(entry("compress/fedpaq_101k", r, b));
+
+    let dgc = Dgc::paper();
+    let mut stream_rng = stream(28, StreamTag::Compress, 1, 0);
+    let (r, b) = time_pair_ns(
+        samples,
+        || {
+            for round in [0, 4] {
+                let mut st = ClientState::default();
+                let p = write_spec::dgc(&dgc, &mut st, &xs, round, top_k_spec::top_k_abs_indices);
+                black_box(Compressed::from_payload(p));
+            }
+        },
+        || {
+            for round in [0, 4] {
+                let mut st = ClientState::default();
+                black_box(dgc.compress(&mut st, &xs, round, &mut stream_rng));
+            }
+        },
+    );
+    out.push(entry("compress/dgc_101k", r, b));
 }
 
 /// `stats/trimmed_column_128` — the per-coordinate work of
@@ -1101,6 +1161,7 @@ fn main() {
     aggregation_entries(smoke, samples, &mut entries);
     sim_entries(smoke, samples, &mut entries);
     hot_path_entries(smoke, samples, &mut entries);
+    compress_entries(if smoke { samples } else { samples * 4 }, &mut entries);
     trimmed_column_entry(if smoke { samples } else { samples * 4 }, &mut entries);
     kept_rows_entry(
         smoke,

@@ -65,6 +65,8 @@ pub const MAGIC: [u8; 4] = *b"FBWC";
 pub const VERSION: u8 = 1;
 /// Fixed frame-header length (before the per-entry coverage tags).
 pub const HEADER_BYTES: usize = 28;
+/// Payload tag of [`Payload::Dense`].
+const DENSE_TAG: u8 = 0;
 
 /// A structural decoding failure. `Display` is the full message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -377,7 +379,7 @@ impl Payload {
 
     fn tag(&self) -> u8 {
         match self {
-            Payload::Dense { .. } => 0,
+            Payload::Dense { .. } => DENSE_TAG,
             Payload::SparseF32 { .. } => 1,
             Payload::SignDense { .. } => 2,
             Payload::SparseSign { .. } => 3,
@@ -404,20 +406,12 @@ impl Payload {
     /// Append the body bytes (exactly [`Payload::wire_bytes`] of them).
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            Payload::Dense { values } => {
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Payload::Dense { values } => put_f32s(out, values),
             Payload::SparseF32 {
                 positions, values, ..
             } => {
-                for p in positions {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                put_u64s(out, positions);
+                put_f32s(out, values);
             }
             Payload::SignDense { mu, negatives, .. } => {
                 out.extend_from_slice(&mu.to_le_bytes());
@@ -430,41 +424,69 @@ impl Payload {
                 ..
             } => {
                 out.extend_from_slice(&mu.to_le_bytes());
-                for p in positions {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
+                put_u64s(out, positions);
                 out.extend_from_slice(negatives);
             }
             Payload::Quantized {
-                len,
-                bits,
-                scale,
-                codes,
-                ..
+                bits, scale, codes, ..
             } => {
                 out.extend_from_slice(&scale.to_le_bytes());
-                // Bit-pack codes little-endian: code i occupies bits
-                // [i·bits, (i+1)·bits) of the packed stream.
-                let nbytes = (len * *bits as usize).div_ceil(8);
-                let base = out.len();
-                out.resize(base + nbytes, 0);
-                let packed = &mut out[base..];
-                let mut bitpos = 0usize;
-                for &c in codes {
-                    let mut v = c as u32;
-                    let mut left = *bits as usize;
-                    while left > 0 {
-                        let byte = bitpos / 8;
-                        let off = bitpos % 8;
-                        let take = (8 - off).min(left);
-                        packed[byte] |= ((v & ((1u32 << take) - 1)) as u8) << off;
-                        v >>= take;
-                        bitpos += take;
-                        left -= take;
-                    }
-                }
+                pack_codes(out, codes, *bits);
             }
         }
+    }
+}
+
+// ---- body writers ----
+//
+// Bulk little-endian copies: one resize, then fixed-width stores the
+// compiler turns into straight copies — not a capacity check and a 4- or
+// 8-byte append per element.
+
+/// Append `values` as little-endian `f32`s.
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    let base = out.len();
+    out.resize(base + 4 * values.len(), 0);
+    for (dst, v) in out[base..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append `values` as little-endian `u64`s.
+fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    let base = out.len();
+    out.resize(base + 8 * values.len(), 0);
+    for (dst, v) in out[base..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append `codes` bit-packed little-endian: code `i` occupies bits
+/// `[i·bits, (i+1)·bits)` of the stream, each code cut to its low `bits`
+/// bits and the last byte zero-padded — `⌈n·bits/8⌉` bytes. Width 8 is a
+/// byte per code; every other width goes through a 64-bit accumulator
+/// flushed 32 bits at a time (`bits ≤ 16`, so it never holds more than
+/// 47).
+fn pack_codes(out: &mut Vec<u8>, codes: &[u16], bits: u8) {
+    if bits == 8 {
+        out.extend(codes.iter().map(|&c| c as u8));
+        return;
+    }
+    let (width, mask) = (u32::from(bits), (1u64 << bits) - 1);
+    out.reserve((codes.len() * usize::from(bits)).div_ceil(8));
+    let (mut acc, mut have) = (0u64, 0u32);
+    for &c in codes {
+        acc |= (u64::from(c) & mask) << have;
+        have += width;
+        if have >= 32 {
+            out.extend_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            have -= 32;
+        }
+    }
+    for _ in 0..have.div_ceil(8) {
+        out.push(acc as u8);
+        acc >>= 8;
     }
 }
 
@@ -955,16 +977,25 @@ impl WireMsg {
     }
 }
 
-fn encode_frame(kind: BodyKind, masks: Option<&ModelMask>, payload: &Payload) -> WireMsg {
+/// The frame up to its payload — header, coverage tags and pattern
+/// bitmaps — with room reserved for `payload_bytes` more. `fields` is
+/// the payload's (tag, quantisation width, logical length, sparse count).
+fn frame_head(
+    kind: BodyKind,
+    masks: Option<&ModelMask>,
+    fields: (u8, u8, usize, usize),
+    payload_bytes: usize,
+) -> Vec<u8> {
+    let (tag, bits, n, k) = fields;
     let entries = masks.map(|m| m.per_entry.len()).unwrap_or(0);
-    let mut bytes = Vec::with_capacity(HEADER_BYTES + entries + payload.wire_bytes() as usize);
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + entries + payload_bytes);
     bytes.extend_from_slice(&MAGIC);
     bytes.push(VERSION);
     bytes.push(kind.tag());
-    bytes.push(payload.tag());
-    bytes.push(payload.quant_bits());
-    bytes.extend_from_slice(&(payload.logical_len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&(payload.sparse_k() as u64).to_le_bytes());
+    bytes.push(tag);
+    bytes.push(bits);
+    bytes.extend_from_slice(&(n as u64).to_le_bytes());
+    bytes.extend_from_slice(&(k as u64).to_le_bytes());
     bytes.extend_from_slice(&(entries as u16).to_le_bytes());
     bytes.extend_from_slice(&[0, 0]);
     if let Some(m) = masks {
@@ -975,53 +1006,68 @@ fn encode_frame(kind: BodyKind, masks: Option<&ModelMask>, payload: &Payload) ->
             mask_pattern_bytes(e, &mut bytes);
         }
     }
+    bytes
+}
+
+fn encode_frame(kind: BodyKind, masks: Option<&ModelMask>, payload: &Payload) -> WireMsg {
+    let fields = (
+        payload.tag(),
+        payload.quant_bits(),
+        payload.logical_len(),
+        payload.sparse_k(),
+    );
+    let mut bytes = frame_head(kind, masks, fields, payload.wire_bytes() as usize);
     payload.encode_body(&mut bytes);
     WireMsg { bytes }
 }
 
 /// Encode a (masked) weights upload β∘U: coverage bitmaps + the covered
-/// values, gathered in [`ParamSet::flatten`] order. The body is exactly
+/// values in [`ParamSet::flatten`] order, as a dense payload. The values
+/// go straight into the frame — a covered row, a `Full` matrix and a
+/// transmitted bias vector each as one bulk copy. The body is exactly
 /// `mask.wire_bytes(params)` bytes.
 pub fn encode_weights(params: &ParamSet, mask: &ModelMask) -> WireMsg {
     assert_eq!(mask.per_entry.len(), params.num_entries());
-    let mut values = Vec::with_capacity(mask.kept_params(params));
-    for e in 0..params.num_entries() {
+    let kept = mask.kept_params(params);
+    let mut bytes = frame_head(
+        BodyKind::WeightsAbsolute,
+        Some(mask),
+        (DENSE_TAG, 0, kept, 0),
+        4 * kept,
+    );
+    let payload_start = bytes.len();
+    for (e, cov) in mask.per_entry.iter().enumerate() {
         let m = params.mat(e);
-        let cols = m.cols();
-        let cov = &mask.per_entry[e];
         match cov {
-            CoverageMask::Full => values.extend_from_slice(m.as_slice()),
-            _ => {
+            CoverageMask::Full => put_f32s(&mut bytes, m.as_slice()),
+            CoverageMask::Rows(rb) => {
+                for r in (0..m.rows()).filter(|&r| rb.get(r)) {
+                    put_f32s(&mut bytes, m.row(r));
+                }
+            }
+            CoverageMask::RowsCols { .. } | CoverageMask::Elements(_) => {
                 for r in 0..m.rows() {
-                    let row = m.row(r);
-                    match cov {
-                        CoverageMask::Rows(rb) => {
-                            if rb.get(r) {
-                                values.extend_from_slice(row);
-                            }
-                        }
-                        _ => {
-                            for (c, &v) in row.iter().enumerate() {
-                                if cov.covers(r, c, cols) {
-                                    values.push(v);
-                                }
-                            }
+                    for (c, v) in m.row(r).iter().enumerate() {
+                        if cov.covers(r, c, m.cols()) {
+                            bytes.extend_from_slice(&v.to_le_bytes());
                         }
                     }
                 }
             }
         }
-        for (r, &v) in params.bias(e).iter().enumerate() {
-            if cov.covers_bias(r) {
-                values.push(v);
+        let bias = params.bias(e);
+        if matches!(cov, CoverageMask::Full | CoverageMask::Elements(_)) {
+            put_f32s(&mut bytes, bias);
+        } else {
+            for (r, v) in bias.iter().enumerate() {
+                if cov.covers_bias(r) {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
             }
         }
     }
-    encode_frame(
-        BodyKind::WeightsAbsolute,
-        Some(mask),
-        &Payload::Dense { values },
-    )
+    debug_assert_eq!(bytes.len() - payload_start, 4 * kept);
+    WireMsg { bytes }
 }
 
 /// Encode a sketched masked-weights upload (Fig. 5 combos): coverage

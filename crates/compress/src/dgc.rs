@@ -70,16 +70,22 @@ impl Compressor for Dgc {
         }
         let keep = self.keep_at(round);
         let k = ((n as f64 * keep as f64).ceil() as usize).clamp(1, n);
-        let idx = stats::top_k_abs_indices(&state.residual, k);
-
-        let pairs: Vec<(usize, f32)> = idx.iter().map(|&i| (i, state.residual[i])).collect();
-        for &i in &idx {
+        // The top-k set by magnitude, then its positions ascending — the
+        // payload's order. Which k go is all DGC reads of the ranking.
+        let keys = stats::top_k_keys(&state.residual, k, stats::abs_rank);
+        let (mut positions, mut values) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        for i in stats::ascending_positions(&keys, n) {
+            positions.push(i as u64);
             // Sent mass leaves the accumulator *and* the velocity (the DGC
             // paper zeroes both at transmitted coordinates).
-            state.residual[i] = 0.0;
+            values.push(std::mem::replace(&mut state.residual[i], 0.0));
             state.velocity[i] = 0.0;
         }
-        let c = Compressed::from_payload(crate::codec::Payload::sparse_f32(n, pairs));
+        let c = Compressed::from_payload(crate::codec::Payload::SparseF32 {
+            len: n,
+            positions,
+            values,
+        });
         debug_assert_eq!(c.wire_bytes, bytes::sparse_f32_bytes(k));
         c
     }

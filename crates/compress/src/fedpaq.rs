@@ -5,6 +5,7 @@
 //! Table II uses the 8-bit variant (≈4× save ratio).
 
 use crate::{bytes, ClientState, Compressed, Compressor};
+use fedbiad_tensor::ops;
 use rand::rngs::StdRng;
 
 /// Uniform `bits`-wide quantiser.
@@ -34,24 +35,18 @@ impl Compressor for FedPaq {
         _rng: &mut StdRng,
     ) -> Compressed {
         assert!(self.bits >= 2 && self.bits <= 16, "bits out of range");
-        let levels = (1i64 << (self.bits - 1)) - 1; // symmetric: ±levels
-        let scale = delta.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let levels = (1u16 << (self.bits - 1)) - 1; // symmetric: ±levels
+        let scale = ops::max_abs(delta);
         // Codes stored offset-binary: code + levels ∈ [0, 2·levels]. The
         // decoder computes `code · (scale / levels)`, the exact expression
         // the pre-codec reconstruction used; a zero scale makes inv_q
         // +0.0 and every code 0, so all-zero inputs still decode to +0.0.
-        let codes: Vec<u16> = if scale == 0.0 {
-            vec![levels as u16; delta.len()]
-        } else {
-            let q = levels as f32 / scale;
-            delta
-                .iter()
-                .map(|&v| {
-                    let code = (v * q).round().clamp(-(levels as f32), levels as f32);
-                    (code as i64 + levels) as u16
-                })
-                .collect()
-        };
+        // Each code is `v · q` rounded half away from zero and clamped to
+        // ±levels, NaN to 0 (`ops::quant_code`, which needs no libm).
+        let mut codes = vec![levels; delta.len()];
+        if scale != 0.0 {
+            ops::quantise(delta, f32::from(levels) / scale, levels, &mut codes);
+        }
         let c = Compressed::from_payload(crate::codec::Payload::Quantized {
             len: delta.len(),
             bits: self.bits as u8,

@@ -47,7 +47,11 @@ impl Compressor for Stc {
             .map(|(d, r)| d + r)
             .collect();
         let k = ((n as f64 * self.keep_fraction as f64).ceil() as usize).clamp(1, n);
-        let idx = stats::top_k_abs_indices(&corrected, k);
+        // μ is summed in descending-|v| order, so only here are the k keys
+        // sorted (ascending key = descending magnitude).
+        let mut keys = stats::top_k_keys(&corrected, k, stats::abs_rank);
+        keys.sort_unstable();
+        let idx: Vec<usize> = keys.iter().map(|&key| stats::key_pos(key)).collect();
         let mu = idx.iter().map(|&i| corrected[i].abs()).sum::<f32>() / k as f32;
 
         // Sign bit set ⇔ NOT (v ≥ 0.0), matching the pre-codec ternary

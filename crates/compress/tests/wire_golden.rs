@@ -133,7 +133,7 @@ fn delta(fam: Family, n: usize, salt: u64) -> Vec<f32> {
             Family::QuantTies(levels) => {
                 if i == 0 {
                     levels as f32
-                } else if mix.next() % 13 == 0 {
+                } else if mix.next().is_multiple_of(13) {
                     f32::NAN
                 } else {
                     let span = 4 * levels as u64 + 1;
@@ -148,6 +148,25 @@ fn delta(fam: Family, n: usize, salt: u64) -> Vec<f32> {
 
 fn rng() -> StdRng {
     stream(28, StreamTag::Compress, 0, 0)
+}
+
+/// A delta frame's bytes, its floats read as `nan` says: a sparse-f32
+/// body's values (after `k` positions) and a sign body's leading µ.
+fn frame_bytes(frame: &[u8], nan: Nan) -> Vec<u8> {
+    let mut frame = frame.to_vec();
+    if matches!(nan, Nan::AsNan) {
+        let k = u64::from_le_bytes(frame[16..24].try_into().unwrap()) as usize;
+        let floats = match frame[6] {
+            1 => HEADER_BYTES + 8 * k..HEADER_BYTES + 12 * k,
+            2 | 3 => HEADER_BYTES..HEADER_BYTES + 4,
+            _ => 0..0,
+        };
+        for word in frame[floats].chunks_exact_mut(4) {
+            let v = f32::from_le_bytes(word.try_into().unwrap());
+            word.copy_from_slice(&nan.bits(v).to_le_bytes());
+        }
+    }
+    frame
 }
 
 /// Digest of `rounds` rounds of `comp` over every length and `families`:
@@ -166,13 +185,7 @@ fn compressor_digest(
             for round in 0..rounds {
                 let d = delta(fam, n, round as u64 + 1);
                 let c = comp.compress(&mut st, &d, round, &mut rng());
-                let mut frame = encode_delta(&c.payload).as_bytes().to_vec();
-                if matches!(nan, Nan::AsNan) {
-                    // A sign payload's body opens with its shared µ.
-                    let mu = f32::from_le_bytes(frame[HEADER_BYTES..][..4].try_into().unwrap());
-                    frame[HEADER_BYTES..][..4].copy_from_slice(&nan.bits(mu).to_le_bytes());
-                }
-                h.bytes(&frame);
+                h.bytes(&frame_bytes(encode_delta(&c.payload).as_bytes(), nan));
                 // `decoded` is the payload's reconstruction; a change that
                 // stops deriving it so shows up here too.
                 h.f32s(&c.decoded, nan);
@@ -231,7 +244,7 @@ fn rows_mask(rows: usize, salt: u64) -> BitVec {
     let mut mix = Mix(salt);
     let mut b = BitVec::new(rows, false);
     for r in 0..rows {
-        b.set(r, mix.next() % 3 != 0);
+        b.set(r, !mix.next().is_multiple_of(3));
     }
     b
 }
@@ -254,7 +267,8 @@ fn weights_digest(mask_of: impl Fn(usize, &Matrix) -> CoverageMask) -> u64 {
 #[test]
 #[ignore = "prints the digests; the pinned ones are asserted below"]
 fn print_digests() {
-    println!("dgc       {:#018x}", dgc());
+    println!("dgc       {:#018x}", dgc(Nan::Exact));
+    println!("dgc nan   {:#018x}", dgc(Nan::AsNan));
     println!("fedpaq2   {:#018x}", fedpaq_digest(2));
     println!("fedpaq8   {:#018x}", fedpaq_digest(8));
     println!("fedpaq16  {:#018x}", fedpaq_digest(16));
@@ -265,8 +279,8 @@ fn print_digests() {
     println!("w_elems   {:#018x}", weights_elements());
 }
 
-fn dgc() -> u64 {
-    compressor_digest(&Dgc::paper(), &GENERIC, NONEMPTY, 6, Nan::Exact)
+fn dgc(nan: Nan) -> u64 {
+    compressor_digest(&Dgc::paper(), &GENERIC, NONEMPTY, 6, nan)
 }
 
 fn stc() -> u64 {
@@ -297,9 +311,20 @@ fn weights_elements() -> u64 {
     weights_digest(|e, m| CoverageMask::Elements(rows_mask(m.len(), e as u64 + 11)))
 }
 
+/// [`dgc`] read NaN-as-NaN, taken on the parent with the exact digest.
+const NAN_AS_NAN_DGC: u64 = 0x9bc1_5ad0_5626_79f0;
+
+/// DGC's NaN encodings are exact in every optimised build. The ASan leg
+/// (`scripts/asan.sh`, `--cfg fedbiad_asan`) instruments the momentum
+/// loop, which then hands back the other of two NaN operands, so there it
+/// is held to the NaN-as-NaN digest — taken on the same parent commit.
 #[test]
 fn dgc_frames_and_state_are_pinned() {
-    assert_eq!(dgc(), 0xa7c1_1ef0_9d4d_316c);
+    if cfg!(fedbiad_asan) {
+        assert_eq!(dgc(Nan::AsNan), NAN_AS_NAN_DGC);
+    } else {
+        assert_eq!(dgc(Nan::Exact), 0xa7c1_1ef0_9d4d_316c);
+    }
 }
 
 #[test]

@@ -64,10 +64,9 @@ impl DropRule for FedMpRule {
                 let w = global.mat(e).as_slice();
                 let keep = ((w.len() as f64 * (1.0 - self.rate) as f64).round() as usize)
                     .clamp(1, w.len());
-                let top = stats::top_k_abs_indices(w, keep);
                 let mut bits = BitVec::new(w.len(), false);
-                for &i in &top {
-                    bits.set(i, true);
+                for key in stats::top_k_keys(w, keep, stats::abs_rank) {
+                    bits.set(stats::key_pos(key), true);
                 }
                 CoverageMask::Elements(bits)
             })

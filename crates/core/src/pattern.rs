@@ -130,10 +130,9 @@ impl DropPattern {
     pub fn from_scores(scores: &[f32], keep: usize) -> Self {
         let j = scores.len();
         assert!(keep >= 1 && keep <= j);
-        let top = stats::top_k_indices(scores, keep);
         let mut beta = BitVec::new(j, false);
-        for &r in &top {
-            beta.set(r, true);
+        for key in stats::top_k_keys(scores, keep, stats::value_rank) {
+            beta.set(stats::key_pos(key), true);
         }
         Self { beta }
     }
@@ -148,16 +147,14 @@ impl DropPattern {
         let mut beta = forced.clone();
         let budget = keep.saturating_sub(n_forced);
         if budget > 0 {
-            // Rank non-forced rows only.
-            let mut ranked: Vec<usize> = (0..j).filter(|&r| !forced.get(r)).collect();
-            ranked.sort_by(|&a, &b| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .expect("NaN score")
-                    .then(a.cmp(&b))
-            });
-            for &r in ranked.iter().take(budget) {
-                beta.set(r, true);
+            // Rank non-forced rows only (a NaN score ranks last).
+            let mut keys: Vec<u64> = (0..j)
+                .filter(|&r| !forced.get(r))
+                .map(|r| stats::top_key(stats::value_rank(scores[r]), r))
+                .collect();
+            stats::select_top_keys(&mut keys, budget);
+            for key in keys {
+                beta.set(stats::key_pos(key), true);
             }
         }
         Self { beta }

@@ -2415,9 +2415,322 @@ unsafe fn dequant_u8_sse(codes: &[u8], levels: i32, inv_q: f32, out: &mut [f32])
     chunks * 8
 }
 
+/// The largest `|x|` over the elements that are not NaN, `+0.0` when
+/// there is none — bit for bit `xs.iter().fold(0.0, |m, v| m.max(v.abs()))`
+/// (FedPAQ's scale). `f32::max` returns its other operand when one is
+/// NaN, and `maxps` returns its second, which is where the running
+/// maximum sits; the maximum of non-negative, non-NaN floats is a single
+/// bit pattern (`abs` leaves no −0), so the lanes may take it in any
+/// order.
+pub fn max_abs(xs: &[f32]) -> f32 {
+    let (mut m, done);
+    #[cfg(target_arch = "x86_64")]
+    {
+        // Safety: SSE2 is baseline, AVX runtime-verified; the bodies read
+        // whole vectors inside `xs` only.
+        (m, done) = unsafe {
+            if avx_available() {
+                max_abs_avx(xs)
+            } else {
+                max_abs_sse(xs)
+            }
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        (m, done) = (0.0f32, 0);
+    }
+    for &v in &xs[done..] {
+        m = m.max(v.abs());
+    }
+    m
+}
+
+/// SSE2 body of [`max_abs`]: the maximum over the leading multiple of 4
+/// elements, and that count.
+///
+/// # Safety
+/// None beyond SSE2 (baseline on x86-64).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+unsafe fn max_abs_sse(xs: &[f32]) -> (f32, usize) {
+    use std::arch::x86_64::*;
+    let chunks = xs.len() / 4;
+    let abs = _mm_castsi128_ps(_mm_set1_epi32(i32::MAX));
+    let mut m = _mm_setzero_ps();
+    for c in 0..chunks {
+        let a = _mm_and_ps(_mm_loadu_ps(xs.as_ptr().add(c * 4)), abs);
+        m = _mm_max_ps(a, m);
+    }
+    let mut lanes = [0.0f32; 4];
+    _mm_storeu_ps(lanes.as_mut_ptr(), m);
+    (lanes.iter().fold(0.0f32, |m, &v| m.max(v)), chunks * 4)
+}
+
+/// AVX body of [`max_abs`] (8 lanes).
+///
+/// # Safety
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn max_abs_avx(xs: &[f32]) -> (f32, usize) {
+    use std::arch::x86_64::*;
+    let chunks = xs.len() / 8;
+    let abs = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
+    let mut m = _mm256_setzero_ps();
+    for c in 0..chunks {
+        let a = _mm256_and_ps(_mm256_loadu_ps(xs.as_ptr().add(c * 8)), abs);
+        m = _mm256_max_ps(a, m);
+    }
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+    (lanes.iter().fold(0.0f32, |m, &v| m.max(v)), chunks * 8)
+}
+
+/// 2²³: adding it to a float in `[0, 2²³)` leaves that float rounded to
+/// an integer (ties to even) in the low mantissa bits.
+const ROUND_MAGIC: f32 = 8_388_608.0;
+
+/// The symmetric quantisation code of `x`: `x` clamped to
+/// `[−levels, levels]`, then rounded half away from zero; NaN gives 0.
+/// `levels` must be an integer in `1..=32 767` (FedPAQ's `2^(bits−1) − 1`).
+///
+/// This is `x.round().clamp(−levels, levels)` (NaN → 0) without libm's
+/// `roundf` — the baseline x86-64 target has no rounding instruction, so
+/// `f32::round` is a call. Clamping first changes nothing: rounding is
+/// monotone and leaves the integers ±`levels` where they are, so both
+/// orders send every `x` beyond a bound to that bound. After the clamp
+/// `a = |x| ≤ 32 767 < 2²³`, where `(a + 2²³) − 2²³` is `a` rounded to
+/// the nearest integer with ties to even, both operations exact but the
+/// one rounding; the tie fix adds the 1 that "half away from zero"
+/// wants where that rounding went down by exactly one half (`a − r` is
+/// exact: `r` is within a factor two of `a`, or zero).
+#[inline]
+pub fn quant_code(x: f32, levels: f32) -> i32 {
+    if x.is_nan() {
+        return 0;
+    }
+    let c = x.max(-levels).min(levels);
+    let a = c.abs();
+    let mut r = (a + ROUND_MAGIC) - ROUND_MAGIC;
+    if a - r == 0.5 {
+        r += 1.0;
+    }
+    let code = r as i32;
+    if c < 0.0 {
+        -code
+    } else {
+        code
+    }
+}
+
+/// FedPAQ's codes: `out[i] = quant_code(xs[i] · q, levels) + levels`, the
+/// offset-binary code in `[0, 2·levels]` — bit for bit the
+/// `(v * q).round().clamp(−L, L) as i64 + L` it replaces ([`quant_code`]
+/// says why). The vector bodies run the same IEEE operations per lane:
+/// NaN lanes are zeroed by an ordered-compare mask, `minps`/`maxps`
+/// clamp, the magic-number round and the tie fix, the sign put back with
+/// an OR (the rounded magnitude is non-negative), then a truncating
+/// convert of an integer-valued float (exact), a saturating pack to 16
+/// bits (exact: `|code| ≤ 32 767`) and a wrapping 16-bit add of the
+/// offset (exact: the sum is below 2¹⁶).
+pub fn quantise(xs: &[f32], q: f32, levels: u16, out: &mut [u16]) {
+    assert_eq!(xs.len(), out.len(), "quantise length mismatch");
+    assert!(
+        (1..=i16::MAX as u16).contains(&levels),
+        "quantise levels out of range"
+    );
+    let done;
+    #[cfg(target_arch = "x86_64")]
+    {
+        // Safety: SSE2 is baseline, AVX runtime-verified; equal lengths
+        // checked above, and the bodies touch whole 8-element groups.
+        done = unsafe {
+            if avx_available() {
+                quantise_avx(xs, q, levels, out)
+            } else {
+                quantise_sse(xs, q, levels, out)
+            }
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        done = 0;
+    }
+    let lv = f32::from(levels);
+    for (o, &v) in out[done..].iter_mut().zip(&xs[done..]) {
+        *o = (quant_code(v * q, lv) + i32::from(levels)) as u16;
+    }
+}
+
+/// SSE2 body of [`quantise`]; returns elements processed (a multiple of
+/// 8).
+///
+/// # Safety
+/// Caller guarantees equal slice lengths.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+unsafe fn quantise_sse(xs: &[f32], q: f32, levels: u16, out: &mut [u16]) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = xs.len() / 8;
+    let lv = f32::from(levels);
+    let (qv, lo, hi) = (_mm_set1_ps(q), _mm_set1_ps(-lv), _mm_set1_ps(lv));
+    let magic = _mm_set1_ps(ROUND_MAGIC);
+    let (neg, half, one) = (_mm_set1_ps(-0.0), _mm_set1_ps(0.5), _mm_set1_ps(1.0));
+    // Signed codes of four lanes ([`quant_code`] per lane).
+    let code4 = |v: __m128| {
+        let x = _mm_mul_ps(v, qv);
+        let x = _mm_and_ps(x, _mm_cmpeq_ps(x, x));
+        let c = _mm_min_ps(_mm_max_ps(x, lo), hi);
+        let sign = _mm_and_ps(c, neg);
+        let a = _mm_xor_ps(c, sign);
+        let r = _mm_sub_ps(_mm_add_ps(a, magic), magic);
+        let tie = _mm_cmpeq_ps(_mm_sub_ps(a, r), half);
+        let r = _mm_add_ps(r, _mm_and_ps(tie, one));
+        _mm_cvttps_epi32(_mm_or_ps(r, sign))
+    };
+    let offset = _mm_set1_epi16(levels as i16);
+    for c in 0..chunks {
+        let p = xs.as_ptr().add(c * 8);
+        let codes = _mm_packs_epi32(code4(_mm_loadu_ps(p)), code4(_mm_loadu_ps(p.add(4))));
+        _mm_storeu_si128(
+            out.as_mut_ptr().add(c * 8) as *mut __m128i,
+            _mm_add_epi16(codes, offset),
+        );
+    }
+    chunks * 8
+}
+
+/// AVX body of [`quantise`]: the float steps at 8 lanes, the pack and
+/// offset on the two 128-bit halves.
+///
+/// # Safety
+/// Caller guarantees equal slice lengths and AVX support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn quantise_avx(xs: &[f32], q: f32, levels: u16, out: &mut [u16]) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = xs.len() / 8;
+    let lv = f32::from(levels);
+    let (qv, lo, hi) = (_mm256_set1_ps(q), _mm256_set1_ps(-lv), _mm256_set1_ps(lv));
+    let magic = _mm256_set1_ps(ROUND_MAGIC);
+    let (neg, half, one) = (
+        _mm256_set1_ps(-0.0),
+        _mm256_set1_ps(0.5),
+        _mm256_set1_ps(1.0),
+    );
+    let offset = _mm_set1_epi16(levels as i16);
+    for c in 0..chunks {
+        let x = _mm256_mul_ps(_mm256_loadu_ps(xs.as_ptr().add(c * 8)), qv);
+        let x = _mm256_and_ps(x, _mm256_cmp_ps::<_CMP_EQ_OQ>(x, x));
+        let cl = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+        let sign = _mm256_and_ps(cl, neg);
+        let a = _mm256_xor_ps(cl, sign);
+        let r = _mm256_sub_ps(_mm256_add_ps(a, magic), magic);
+        let tie = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_sub_ps(a, r), half);
+        let r = _mm256_add_ps(r, _mm256_and_ps(tie, one));
+        let codes = _mm256_cvttps_epi32(_mm256_or_ps(r, sign));
+        let packed = _mm_packs_epi32(
+            _mm256_castsi256_si128(codes),
+            _mm256_extractf128_si256::<1>(codes),
+        );
+        _mm_storeu_si128(
+            out.as_mut_ptr().add(c * 8) as *mut __m128i,
+            _mm_add_epi16(packed, offset),
+        );
+    }
+    chunks * 8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quant_code_rounds_half_away_from_zero_and_clamps() {
+        let l = 127.0;
+        for (x, want) in [
+            (0.5, 1),
+            (-0.5, -1),
+            (1.5, 2),
+            (2.5, 3),
+            (-2.5, -3),
+            (0.49999997, 0),
+            (126.5, 127),
+            (127.4, 127),
+            (1e9, 127),
+            (-1e9, -127),
+            (f32::INFINITY, 127),
+            (f32::NEG_INFINITY, -127),
+            (-0.0, 0),
+            (f32::NAN, 0),
+        ] {
+            assert_eq!(quant_code(x, l), want, "{x}");
+        }
+    }
+
+    #[test]
+    fn quantise_bodies_equal_the_scalar_code_on_every_lane() {
+        let xs: Vec<f32> = (0..203)
+            .map(|i| match i % 7 {
+                0 => f32::NAN,
+                1 => (i as f32 - 100.0) / 2.0,
+                2 => -0.0,
+                3 => f32::INFINITY,
+                _ => (i as f32 * 0.731).sin() * 150.0,
+            })
+            .collect();
+        for levels in [1u16, 127, 32_767] {
+            let want: Vec<u16> = xs
+                .iter()
+                .map(|&v| (quant_code(v, f32::from(levels)) + i32::from(levels)) as u16)
+                .collect();
+            let mut out = vec![0u16; xs.len()];
+            quantise(&xs, 1.0, levels, &mut out);
+            assert_eq!(out, want, "dispatched, L = {levels}");
+            // Each body on its own, whatever this host dispatches to.
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut sse = want.clone();
+                // Safety: SSE2 is baseline; equal lengths.
+                let done = unsafe { quantise_sse(&xs, 1.0, levels, &mut sse) };
+                assert_eq!(
+                    (done, &sse),
+                    (xs.len() / 8 * 8, &want),
+                    "SSE2, L = {levels}"
+                );
+                if avx_available() {
+                    let mut avx = want.clone();
+                    // Safety: AVX detected; equal lengths.
+                    unsafe { quantise_avx(&xs, 1.0, levels, &mut avx) };
+                    assert_eq!(avx, want, "AVX, L = {levels}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_abs_ignores_nan_and_starts_at_zero() {
+        assert_eq!(max_abs(&[]).to_bits(), 0);
+        assert_eq!(max_abs(&[f32::NAN; 9]).to_bits(), 0);
+        let xs: Vec<f32> = (0..37)
+            .map(|i| if i == 21 { -5.0 } else { i as f32 / 10.0 })
+            .collect();
+        assert_eq!(max_abs(&xs), 5.0);
+        let mut xs = xs;
+        xs[3] = f32::NAN;
+        xs[36] = f32::NEG_INFINITY;
+        assert_eq!(max_abs(&xs), f32::INFINITY);
+        #[cfg(target_arch = "x86_64")]
+        {
+            xs[36] = 0.5;
+            // Safety: SSE2 is baseline; AVX only where detected.
+            assert_eq!(unsafe { max_abs_sse(&xs) }, (5.0, 36));
+            if avx_available() {
+                assert_eq!(unsafe { max_abs_avx(&xs) }, (5.0, 32));
+            }
+        }
+    }
 
     fn naive_gemm(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());

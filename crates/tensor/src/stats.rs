@@ -2,7 +2,7 @@
 //!
 //! The p-quantile ([`quantile`]) is load-bearing for FedBIAD stage two: the
 //! threshold λ_r^k is "the p-quantile of E^k" (paper §IV-D), and the top-k
-//! selection ([`top_k_indices`]) drives DGC/STC sparsification.
+//! selection ([`top_k_keys`]) drives DGC/STC sparsification.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f32]) -> f32 {
@@ -57,48 +57,109 @@ pub fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Indices of the `k` largest values of `score(x)`, descending. Determinist
-/// tie-break by smaller index; a NaN score ranks below every number (a
-/// diverged client's non-finite delta reaches this through DGC/STC, so it
-/// must not panic). `k` is clamped to the slice length.
-///
-/// `(score desc, NaN last, index asc)` is a strict total order over the
-/// indices, so selecting the k-th element and sorting only the k-prefix
-/// yields exactly the Vec a full sort would, in O(n + k log k).
-pub fn top_k_indices_by(xs: &[f32], k: usize, score: impl Fn(f32) -> f32) -> Vec<usize> {
-    use std::cmp::Ordering;
-    let k = k.min(xs.len());
-    if k == 0 {
-        return Vec::new();
+// ---- top-k over integer keys ----------------------------------------
+//
+// DGC, STC and FedMP keep the `k` largest |values| of a vector, FedBIAD's
+// stage two the `k` highest scores. Each is defined on the strict total
+// order `(score desc, NaN last, index asc)`: a NaN score ranks below every
+// number (a diverged client's delta reaches DGC/STC, so it must not
+// panic), and equal scores go to the smaller index. The executable
+// specification — a comparator sort over indices — lives in
+// `tests/support/top_k_spec.rs`, and `tests/stats_props.rs` pins the
+// selection below to it.
+//
+// Each element becomes one `u64` key, `top_key(rank(v), i)`: the high half
+// is `u32::MAX − rank`, the low half the index. A rank is 0 for NaN and
+// ≥ 1 for every number, strictly monotone in the score and equal exactly
+// when the scores compare equal (±0 included), so ascending keys are
+// score descending, NaN last, index ascending — the comparator's order,
+// with the keys distinct. One `select_nth_unstable` over plain integers
+// then picks the set, without a comparator closure re-reading the vector
+// on every compare; a caller that needs score order sorts only its `k`
+// keys.
+
+/// Rank of `v` under the magnitude score `|v|`: 0 for NaN, else
+/// `(bits & 0x7fff_ffff) + 1`. For non-negative floats the unsigned bit
+/// order is the value order (+∞ is `0x7f80_0000`, so the `+ 1` cannot
+/// overflow), and ±0 share a rank.
+#[inline]
+pub fn abs_rank(v: f32) -> u32 {
+    let a = v.to_bits() & 0x7fff_ffff;
+    if a > 0x7f80_0000 {
+        0
+    } else {
+        a + 1
     }
-    let cmp = |a: &usize, b: &usize| {
-        let (sa, sb) = (score(xs[*a]), score(xs[*b]));
-        sb.partial_cmp(&sa)
-            .unwrap_or_else(|| match (sa.is_nan(), sb.is_nan()) {
-                (true, false) => Ordering::Greater,
-                (false, true) => Ordering::Less,
-                _ => Ordering::Equal,
-            })
-            .then(a.cmp(b))
-    };
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
-    }
-    idx.sort_unstable_by(cmp);
-    idx
 }
 
-/// Indices of the `k` largest values, descending.
-pub fn top_k_indices(xs: &[f32], k: usize) -> Vec<usize> {
-    top_k_indices_by(xs, k, |v| v)
+/// Rank of `v` under the signed score `v`: 0 for NaN, else the
+/// total-order image of `v`'s bits with −0 read as +0. The image of −∞ is
+/// `0x007f_ffff`, so every number ranks ≥ 1.
+#[inline]
+pub fn value_rank(v: f32) -> u32 {
+    if v.is_nan() {
+        return 0;
+    }
+    let b = if v == 0.0 { 0 } else { v.to_bits() };
+    b ^ (((b as i32 >> 31) as u32) | 0x8000_0000)
 }
 
-/// Indices of the `k` largest |values|, descending (magnitude top-k for
-/// DGC/STC/FedMP).
-pub fn top_k_abs_indices(xs: &[f32], k: usize) -> Vec<usize> {
-    top_k_indices_by(xs, k, |v| v.abs())
+/// The top-k sort key of element `i` with rank `rank`; [`key_pos`] reads
+/// the index back. Indices must fit in 32 bits.
+#[inline]
+pub fn top_key(rank: u32, i: usize) -> u64 {
+    debug_assert!(i <= u32::MAX as usize, "index {i} exceeds 32 bits");
+    (u64::from(u32::MAX - rank) << 32) | i as u64
+}
+
+/// Keep the `k` smallest of distinct `keys` (`k` clamped to the length):
+/// afterwards `keys` holds exactly them, in no particular order except
+/// that the last is the largest.
+pub fn select_top_keys(keys: &mut Vec<u64>, k: usize) {
+    let k = k.min(keys.len());
+    if k > 0 && k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+    }
+    keys.truncate(k);
+}
+
+/// The keys of the `k` highest-ranked elements of `xs` (`k` clamped to
+/// the length), in no particular order: the set the comparator sort's
+/// first `k` indices form. Sort them for score order; map [`key_pos`] for
+/// the indices.
+pub fn top_k_keys(xs: &[f32], k: usize, rank: impl Fn(f32) -> u32) -> Vec<u64> {
+    assert!(
+        xs.len() <= u32::MAX as usize + 1,
+        "top-k over more than 2^32 elements"
+    );
+    let mut keys: Vec<u64> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| top_key(rank(v), i))
+        .collect();
+    select_top_keys(&mut keys, k);
+    keys
+}
+
+/// The indices `keys` were built with (distinct, each below `n`), in
+/// ascending order: one bit per index set, then the set bits read out in
+/// order — O(n/64 + k) instead of sorting `k` indices (a quarter of a
+/// 10⁵-element model during DGC's warm-up).
+pub fn ascending_positions(keys: &[u64], n: usize) -> Vec<usize> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for &key in keys {
+        let i = key_pos(key);
+        words[i / 64] |= 1 << (i % 64);
+    }
+    let mut out = Vec::with_capacity(keys.len());
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 // ---- weighted order statistics over total-order keys -----------------
@@ -168,7 +229,8 @@ pub fn key_value(key: u64) -> f32 {
     f32::from_bits(ord ^ (!((ord as i32 >> 31) as u32) | 0x8000_0000))
 }
 
-/// The column position a key was built with.
+/// The column position an [`order_key`] was built with, or the index a
+/// [`top_key`] was.
 #[inline]
 pub fn key_pos(key: u64) -> usize {
     key as u32 as usize
@@ -290,11 +352,75 @@ mod tests {
         assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), 1);
     }
 
+    /// The selected indices in key (= score) order.
+    fn ranked(xs: &[f32], k: usize, rank: fn(f32) -> u32) -> Vec<usize> {
+        let mut keys = top_k_keys(xs, k, rank);
+        keys.sort_unstable();
+        keys.iter().map(|&key| key_pos(key)).collect()
+    }
+
+    fn top_k_indices(xs: &[f32], k: usize) -> Vec<usize> {
+        ranked(xs, k, value_rank)
+    }
+
+    fn top_k_abs_indices(xs: &[f32], k: usize) -> Vec<usize> {
+        ranked(xs, k, abs_rank)
+    }
+
     #[test]
     fn top_k_orders_and_breaks_ties_by_index() {
         let xs = [1.0, 9.0, 9.0, 3.0];
         assert_eq!(top_k_indices(&xs, 3), vec![1, 2, 3]);
         assert_eq!(top_k_abs_indices(&[-10.0, 2.0, 5.0], 2), vec![0, 2]);
+        // ±0 tie under both scores; the magnitude score ties ±v.
+        assert_eq!(top_k_indices(&[-0.0, 0.0, -1.0], 3), vec![0, 1, 2]);
+        assert_eq!(
+            top_k_abs_indices(&[-2.0, 0.0, 2.0, -0.0], 4),
+            vec![0, 2, 1, 3]
+        );
+    }
+
+    #[test]
+    fn ascending_positions_reads_the_selected_indices_in_order() {
+        for n in [0usize, 1, 63, 64, 65, 200] {
+            let xs: Vec<f32> = (0..n).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+            for k in [0, 1, n / 3, n] {
+                let keys = top_k_keys(&xs, k, abs_rank);
+                let mut want: Vec<usize> = keys.iter().map(|&key| key_pos(key)).collect();
+                want.sort_unstable();
+                assert_eq!(ascending_positions(&keys, n), want, "n = {n}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_are_monotone_and_leave_zero_for_nan() {
+        let ascending = [
+            f32::NEG_INFINITY,
+            -f32::MAX,
+            -1.0,
+            -1e-45,
+            0.0,
+            1e-45,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for w in ascending.windows(2) {
+            assert!(value_rank(w[0]) < value_rank(w[1]), "{w:?}");
+        }
+        assert_eq!(value_rank(-0.0), value_rank(0.0));
+        assert_eq!(abs_rank(-3.0), abs_rank(3.0));
+        assert_eq!(abs_rank(f32::INFINITY), 0x7f80_0001);
+        for nan in [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffff_ffff),
+        ] {
+            assert_eq!((value_rank(nan), abs_rank(nan)), (0, 0));
+        }
+        assert!(value_rank(f32::NEG_INFINITY) > 0 && abs_rank(0.0) > 0);
     }
 
     #[test]

@@ -330,7 +330,14 @@ proptest! {
     /// The fused ordered accumulation performs, per element, the AXPY
     /// sequence of the visit order with zero coefficients skipped — for
     /// any order (repeats included, length not a multiple of four),
-    /// scattered zeros and a `B` row offset.
+    /// scattered zeros and a `B` row offset. NaN compares as NaN: where
+    /// the running sum and a product are both NaN, `axpy` adds with `y`
+    /// folded in as the memory operand and `axpy4` with its running sum
+    /// in a register, so x86 hands back a different NaN of the two — in
+    /// release on this property's own cases, and at 20 000 cases under
+    /// every profile. Putting the product first in `axpy4` does not
+    /// settle it (it fails there too), so the encoding is left to the
+    /// code generator and this property holds every non-NaN bit.
     #[test]
     fn fused_ordered_accumulation_equals_the_per_sample_axpy_sequence(
         k in 1usize..9,
@@ -358,7 +365,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        prop_assert_eq!(bits_nan_as_nan(got.as_slice()), bits_nan_as_nan(want.as_slice()));
     }
 }
 

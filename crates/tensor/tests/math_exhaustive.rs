@@ -10,6 +10,9 @@
 //!   libm-free, so it holds (or fails) the same on every host; CI runs it.
 //!   On a host without AVX2/FMA both sides are the scalar definition and
 //!   the sweep is vacuous — it says so.
+//!   `vector_quantise_*` holds `ops::quantise` (FedPAQ's codes) to
+//!   `ops::quant_code` and both to `x.round().clamp(−L, L)`: `roundf` is
+//!   exact by definition, so every libm returns the same there.
 //! * `host_*`: the scalar definition equals the host's `f32::tanh` /
 //!   `f32::exp`. This is a **migration proof**, not a property of the
 //!   code: it held on the host every golden was pinned on (glibc 2.36, an
@@ -18,7 +21,7 @@
 //!   algorithms (fdlibm `tanhf`; Nagy's `expf`, FMA build). A newer glibc
 //!   is expected to fail it. Not a CI gate; results in BENCHMARKS.md.
 
-use fedbiad_tensor::math;
+use fedbiad_tensor::{math, ops};
 
 /// Patterns per batch: consecutive, so a vector's eight lanes are
 /// neighbours and every in-range pattern goes through a vector body
@@ -93,4 +96,46 @@ fn host_tanhf_is_the_scalar_definition_on_all_inputs() {
 fn host_expf_is_the_scalar_definition_on_all_inputs() {
     let host = |xs: &mut [f32]| xs.iter_mut().for_each(|x| *x = x.exp());
     assert_eq!(sweep("f32::exp", host, math::exp), 0);
+}
+
+/// FedPAQ's code of every `f32` at `levels`: the kernel (with `q = 1`,
+/// so its product is the input itself), the scalar definition and the
+/// libm expression it replaced, `round` then `clamp` (NaN → 0).
+fn quantise_sweep(levels: u16) -> u64 {
+    let l = f32::from(levels);
+    let mut buf = vec![0.0f32; BATCH as usize];
+    let mut codes = vec![0u16; BATCH as usize];
+    let mut mismatches = 0u64;
+    for base in (0..=u32::MAX).step_by(BATCH as usize) {
+        for (i, v) in buf.iter_mut().enumerate() {
+            *v = f32::from_bits(base + i as u32);
+        }
+        ops::quantise(&buf, 1.0, levels, &mut codes);
+        for (&x, &got) in buf.iter().zip(&codes) {
+            let scalar = ops::quant_code(x, l) + i32::from(levels);
+            let libm = if x.is_nan() {
+                i32::from(levels)
+            } else {
+                x.round().clamp(-l, l) as i32 + i32::from(levels)
+            };
+            if i32::from(got) != scalar || scalar != libm {
+                mismatches += 1;
+                if mismatches <= 8 {
+                    eprintln!(
+                        "quantise L = {levels}: x = {:#010x} ({x:e}): vector {got}, scalar {scalar}, libm {libm}",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+    }
+    eprintln!("quantise L = {levels}: {mismatches} mismatches in 2^32 inputs");
+    mismatches
+}
+
+#[test]
+#[ignore = "2^32 evaluations x 2 widths; run in release"]
+fn vector_quantise_equals_the_scalar_code_and_round_clamp_on_all_inputs() {
+    assert_eq!(quantise_sweep(127), 0);
+    assert_eq!(quantise_sweep(32_767), 0);
 }

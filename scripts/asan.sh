@@ -23,7 +23,8 @@
 # Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
 # they do not link under ASan. CI's `asan` job runs this same script.
 #
-# `--cfg fedbiad_asan`: `kernel_props` compares NaN as NaN in this leg.
+# `--cfg fedbiad_asan`: `kernel_props` compares NaN as NaN in this leg,
+# and `wire_golden` holds DGC to its NaN-as-NaN digest.
 # Which of two NaN operands an add returns is the compiler's choice per
 # loop, instrumented code chooses differently, and the properties that pin
 # NaN encodings fail under ASan on the commit before the tiles as well.
