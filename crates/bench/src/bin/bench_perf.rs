@@ -677,10 +677,12 @@ fn aggregation_entries(smoke: bool, samples: usize, out: &mut Vec<BenchEntry>) {
 
     // The robust estimator family: the per-coordinate trimmed mean (20%
     // per tail) is an order statistic, so neither engine can stream it as
-    // a fold — both gather per-coordinate columns and sort. This entry
-    // pins the streaming engine's per-shard gather (fused wire decode,
-    // arena scratch) against the dense gather, the robust analogue of the
-    // stalefill entries above.
+    // a fold — both gather per-coordinate columns and order them, the
+    // dense engine one coordinate at a time, the streaming engine four at
+    // a time through the tile kernel. This entry pins the streaming
+    // engine (fused wire decode, arena scratch, tile kernel) against the
+    // dense per-coordinate path, the robust analogue of the stalefill
+    // entries above.
     {
         let (dense_ups, wire_ups) = masked_uploads(&global, clients);
         let trimmed = RobustKind::TrimmedMean { trim_frac: 0.2 };
@@ -998,6 +1000,109 @@ fn trimmed_column_entry(samples: usize, out: &mut Vec<BenchEntry>) {
     out.push(entry("stats/trimmed_column_128", r, b));
 }
 
+/// `stats/trimmed_tile_128` and `stats/trimmed_tile_128_percol` — the
+/// streaming trimmed mean's column tile at `server_reduce`'s shape: one
+/// `128 × 256` block of decoded values (client-major, as the engine
+/// decodes it: ⌊32 768 / 128⌋ columns, 128 KiB, L2-resident), 50 %
+/// coverage, trim depth 25 per tail, combined 64 times. Reference = the
+/// per-coordinate path the streaming engine ran before the tile kernel
+/// (gather each column's covered keys from the coverage block,
+/// `keyed_trimmed_sum`); batched = `KeyTile`, four columns per network.
+/// `_128` covers whole 128-column row pieces per client, as FedBIAD's
+/// row masks do: one participant list per row piece, one four-column
+/// load per participant. `_percol` draws coverage per cell (`RowsCols` /
+/// `Elements` masks), so each lane gathers its own participants from the
+/// coverage block — no benchmark workload runs that path, and this entry
+/// holds it at or above the per-coordinate speed.
+fn trimmed_tile_entries(samples: usize, out: &mut Vec<BenchEntry>) {
+    use fedbiad_tensor::stats::{keyed_trimmed_sum, order_key, KeyTile, LANES};
+    use std::hint::black_box;
+
+    const CLIENTS: usize = 128;
+    const COLUMNS: usize = 256;
+    const ROW: usize = 128;
+    const PASSES: usize = 64;
+    const K: usize = 25;
+    let mut rng = stream(29, StreamTag::Init, 0, 0);
+    let vals: Vec<f32> = (0..CLIENTS * COLUMNS)
+        .map(|_| rng.gen_range(-0.05f32..0.05))
+        .collect();
+    let ws: Vec<f32> = (0..CLIENTS)
+        .map(|_| rng.gen_range(40u32..80) as f32)
+        .collect();
+    let row_cov: Vec<bool> = (0..CLIENTS * COLUMNS / ROW)
+        .map(|_| rng.gen_bool(0.5))
+        .collect();
+    let cell_cov: Vec<f32> = (0..CLIENTS * COLUMNS)
+        .map(|_| f32::from(u8::from(rng.gen_bool(0.5))))
+        .collect();
+    let row_cov_cells: Vec<f32> = (0..CLIENTS * COLUMNS)
+        .map(|c| f32::from(u8::from(row_cov[c / ROW])))
+        .collect();
+    let mut keys = vec![0u64; CLIENTS];
+    let mut tile = KeyTile::new();
+    let mut parts: Vec<usize> = Vec::with_capacity(CLIENTS);
+
+    // Today's per-coordinate path over a coverage block.
+    let mut per_column = |cov: &[f32]| {
+        for _ in 0..PASSES {
+            for j in 0..COLUMNS {
+                let mut m = 0;
+                for i in 0..CLIENTS {
+                    let c = i * COLUMNS + j;
+                    keys[m] = order_key(vals[c], i);
+                    m += usize::from(cov[c] != 0.0);
+                }
+                black_box(keyed_trimmed_sum(&mut keys[..m], K, |i| ws[i]));
+            }
+        }
+    };
+    let (r, b) = time_pair_ns(
+        samples,
+        || per_column(&row_cov_cells),
+        || {
+            for _ in 0..PASSES {
+                for row in 0..COLUMNS / ROW {
+                    parts.clear();
+                    parts.extend((0..CLIENTS).filter(|&i| row_cov[i * COLUMNS / ROW + row]));
+                    for j0 in (row * ROW..(row + 1) * ROW).step_by(LANES) {
+                        tile.clear(parts.len());
+                        tile.push_columns(&vals, COLUMNS, j0, &parts);
+                        tile.sort();
+                        for l in 0..LANES {
+                            black_box(tile.trimmed_sum(l, K, |i| ws[i]));
+                        }
+                    }
+                }
+            }
+        },
+    );
+    out.push(entry("stats/trimmed_tile_128", r, b));
+
+    let (r, b) = time_pair_ns(
+        samples,
+        || per_column(&cell_cov),
+        || {
+            for _ in 0..PASSES {
+                for j0 in (0..COLUMNS).step_by(LANES) {
+                    tile.clear(CLIENTS);
+                    for i in 0..CLIENTS {
+                        for l in 0..LANES {
+                            let c = i * COLUMNS + j0 + l;
+                            tile.push_if(l, order_key(vals[c], i), cell_cov[c] != 0.0);
+                        }
+                    }
+                    tile.sort();
+                    for l in 0..LANES {
+                        black_box(tile.trimmed_sum(l, K, |i| ws[i]));
+                    }
+                }
+            }
+        },
+    );
+    out.push(entry("stats/trimmed_tile_128_percol", r, b));
+}
+
 /// `data/lazy_shard_24of60` — what one `million_sparse` dispatch does to
 /// its shard, over 256 clients of the smoke image spec: the whole-shard
 /// specification `LazyClients::client_data` (60 samples derived) vs a
@@ -1163,6 +1268,7 @@ fn main() {
     hot_path_entries(smoke, samples, &mut entries);
     compress_entries(if smoke { samples } else { samples * 4 }, &mut entries);
     trimmed_column_entry(if smoke { samples } else { samples * 4 }, &mut entries);
+    trimmed_tile_entries(if smoke { samples } else { samples * 4 }, &mut entries);
     kept_rows_entry(
         smoke,
         if smoke { samples } else { samples * 4 },

@@ -7,12 +7,16 @@
 //! a function of the *ordered* per-client column, so unlike the weighted
 //! mean they cannot be expressed as a streaming fold. Both engines
 //! therefore gather the same column — `(value, covered)` per upload,
-//! **in upload order**, beside the uploads' weights — and call the one
-//! combine function here. The dense oracle gathers from dense
-//! `ParamSet`s, streaming gathers per column tile from the fused wire
-//! decode; since the column bits and the combine code are identical,
-//! oracle ≡ streaming holds *by construction*
-//! (`tests/aggregation_equivalence.rs` pins it anyway).
+//! **in upload order**, beside the uploads' weights — order it, and
+//! finish it with the one combine here ([`weights_combine`],
+//! [`delta_move`], [`staleness_move`], written once over any
+//! [`Column`]). The dense oracle gathers from dense `ParamSet`s and
+//! orders each coordinate on its own ([`weights_coord`] and its two
+//! twins: the per-coordinate keyed path, which is the executable
+//! specification of the streaming kernel); streaming gathers per column
+//! tile from the fused wire decode and orders four coordinates at once
+//! (the tile kernel below). `tests/aggregation_equivalence.rs` pins
+//! oracle ≡ streaming bitwise, cohorts of up to 257 included.
 //!
 //! ## The participant order
 //!
@@ -23,15 +27,44 @@
 //! each participant becomes one `u64` key,
 //! [`order_key`]`(value, upload index)` — the value's bits mapped so that
 //! unsigned order is `total_cmp` order, above the upload index. The keys
-//! are distinct and ascend in exactly (total order, upload index), so an
-//! *unstable* selection or sort of them places every participant where
-//! the stable sort would, and the value bits come back out of the key
-//! unchanged ([`fedbiad_tensor::stats::keyed_trimmed_sum`],
+//! are distinct and ascend in exactly (total order, upload index), so
+//! their ascending order is unique: *any* correct selection or sort of
+//! them places every participant where the stable sort would, and the
+//! value bits come back out of the key unchanged
+//! ([`fedbiad_tensor::stats::keyed_trimmed_sum`],
 //! [`fedbiad_tensor::stats::keyed_lower_median`]; the stable-sort
-//! specification and the property test pinning the two together live in
-//! `fedbiad-tensor`'s `tests/`). The trimmed mean selects the `k`-th key,
-//! then the upper bound inside the tail, and sorts only the survivors
-//! before folding `Σ w·v` and `Σ w` in ascending key order.
+//! specification and the property tests pinning the kernels to it live in
+//! `fedbiad-tensor`'s `tests/`). The per-coordinate path selects the
+//! `k`-th key, then the upper bound inside the tail, and sorts only the
+//! survivors before folding `Σ w·v` and `Σ w` in ascending key order.
+//!
+//! ## The tile kernel
+//!
+//! A selection over ≈ 64 keys costs about a microsecond a coordinate,
+//! most of it branch mispredictions. The streaming engines instead load
+//! four adjacent coordinates' keys into a [`KeyTile`] — an `[m][4]`
+//! block, one row per participant — and sort all four lanes with one
+//! data-oblivious Batcher odd–even merge network, restricted to `m`
+//! wires and cached per `m` (an AVX2 compare and masked swap of whole
+//! rows where the host has it, a scalar body of the same network
+//! otherwise). A lane with fewer participants is padded with a sentinel
+//! key above every `order_key`, so its real keys sort first. Each lane
+//! is then folded in ascending order by the same fold the keyed kernels
+//! run — and since the order is unique, it hands the fold the same
+//! survivors in the same order: the result is bit-identical to the
+//! per-coordinate path.
+//!
+//! Runs of coordinates that share one participant set build it once,
+//! with the weights combine's upload-order Σw: a row extent when every
+//! upload's mask of the entry is `Full` or `Rows` (the FedBIAD shape),
+//! the whole tile when every upload participates (delta, staleness and
+//! `ZerosPull` combines). Such a run's keys come from one four-wide load
+//! per participant's decoded block row, with no coverage reads; a
+//! `RowsCols` or `Elements` coordinate gathers its own participants per
+//! lane from the decoded coverage block. The streaming engines count the
+//! coordinates they combine (`agg.robust_columns`) and those the
+//! cohort-level trim empties (`agg.robust_columns_emptied`), once per
+//! shard.
 //!
 //! ## Column tiles
 //!
@@ -85,7 +118,9 @@
 use super::{dense_like, dense_params, streaming, AggError, StalenessUpload, ZeroMode};
 use crate::upload::{Upload, UploadBody, UploadKind};
 use fedbiad_nn::{ModelMask, ParamSet};
-use fedbiad_tensor::stats::{keyed_lower_median, keyed_trimmed_sum, order_key};
+use fedbiad_tensor::stats::{
+    keyed_lower_median, keyed_trimmed_sum, order_key, KeyTile, OrderWeight,
+};
 
 /// The resolved order-statistic estimator a robust aggregation call runs
 /// (`NormClip` and the `k = 0` trimmed mean never reach here — they route
@@ -98,12 +133,46 @@ pub(super) enum Estimator {
     Median,
 }
 
+/// One coordinate's participants, ready for an order statistic: the keyed
+/// column of the per-coordinate path, or one lane of a [`KeyTile`] the
+/// streaming engines have sorted. Both return the same bits (the keys are
+/// distinct, so they have one ascending order), and the combines below
+/// are written once over either.
+pub(super) trait Column {
+    fn trimmed_sum<W: OrderWeight>(self, k: usize, weight: impl Fn(usize) -> W) -> Option<(W, W)>;
+    fn lower_median<W: OrderWeight>(self, weight: impl Fn(usize) -> W) -> Option<f32>;
+}
+
+impl Column for &mut [u64] {
+    fn trimmed_sum<W: OrderWeight>(self, k: usize, weight: impl Fn(usize) -> W) -> Option<(W, W)> {
+        keyed_trimmed_sum(self, k, weight)
+    }
+
+    fn lower_median<W: OrderWeight>(self, weight: impl Fn(usize) -> W) -> Option<f32> {
+        keyed_lower_median(self, weight)
+    }
+}
+
+/// Lane `.1` of a sorted tile.
+impl Column for (&KeyTile, usize) {
+    fn trimmed_sum<W: OrderWeight>(self, k: usize, weight: impl Fn(usize) -> W) -> Option<(W, W)> {
+        self.0.trimmed_sum(self.1, k, weight)
+    }
+
+    fn lower_median<W: OrderWeight>(self, weight: impl Fn(usize) -> W) -> Option<f32> {
+        self.0.lower_median(self.1, weight)
+    }
+}
+
 /// One coordinate of a robust *weights* combine. `col` yields
 /// `(value-or-exact-zero, covered)` per upload in upload order, `ws` the
 /// uploads' validated (finite, positive) weights in the same order;
 /// `total_w` is Σw over all uploads (the validated eq. (10) denominator);
 /// `g_prev` the coordinate's previous global value. `keys` is scratch of
 /// at least `ws.len() + 1` slots. Returns the new global value.
+///
+/// This per-coordinate path is what the dense engine runs, and the
+/// executable specification of the streaming engines' tile kernel.
 pub(super) fn weights_coord(
     keys: &mut [u64],
     col: impl Iterator<Item = (f32, bool)>,
@@ -128,10 +197,29 @@ pub(super) fn weights_coord(
         m += usize::from(every || covered);
         den += if covered { w } else { 0.0 };
     }
-    let rest = total_w - den;
+    if est == Estimator::Median && mode == ZeroMode::StaleFill {
+        keys[m] = order_key(g_prev, n);
+        m += 1;
+    }
+    weights_combine(&mut keys[..m], ws, est, mode, total_w - den, g_prev)
+}
+
+/// The weights combine of one coordinate's participants `col`: `rest` is
+/// the non-covering weight mass `total_w − den`. Under `StaleFill` the
+/// median's `col` also holds the previous global as participant
+/// `ws.len()` (weight `rest`), appended after every upload.
+pub(super) fn weights_combine(
+    col: impl Column,
+    ws: &[f32],
+    est: Estimator,
+    mode: ZeroMode,
+    rest: f32,
+    g_prev: f32,
+) -> f32 {
+    let n = ws.len();
     match est {
         Estimator::Trim { k } => {
-            let Some((num, den_r)) = keyed_trimmed_sum(&mut keys[..m], k, |i| ws[i]) else {
+            let Some((num, den_r)) = col.trimmed_sum(k, |i| ws[i]) else {
                 // The cohort-level trim depth emptied this coordinate's
                 // participant set (possible only under partial coverage):
                 // keep the previous global value, the "no holders" rule.
@@ -144,14 +232,9 @@ pub(super) fn weights_coord(
                 ZeroMode::ZerosPull | ZeroMode::HoldersOnly => num / den_r,
             }
         }
-        Estimator::Median => {
-            if mode == ZeroMode::StaleFill {
-                keys[m] = order_key(g_prev, n);
-                m += 1;
-            }
-            keyed_lower_median(&mut keys[..m], |i| if i < n { ws[i] } else { rest })
-                .unwrap_or(g_prev)
-        }
+        Estimator::Median => col
+            .lower_median(|i| if i < n { ws[i] } else { rest })
+            .unwrap_or(g_prev),
     }
 }
 
@@ -159,17 +242,22 @@ pub(super) fn weights_coord(
 /// estimate of the per-upload delta values `col` (all uploads
 /// participate; sparse payloads contribute exact zeros), weighted by
 /// `ws`. `keys` is scratch of at least `ws.len()` slots. The caller adds
-/// the returned move to the global. An emptied trim moves nothing.
+/// the returned move to the global.
 pub(super) fn delta_move_coord(
     keys: &mut [u64],
     col: impl Iterator<Item = f32>,
     ws: &[f32],
     est: Estimator,
 ) -> f32 {
-    let keys = gather(keys, col, ws.len());
+    delta_move(gather(keys, col, ws.len()), ws, est)
+}
+
+/// The delta combine of one coordinate's participants. An emptied trim
+/// moves nothing.
+pub(super) fn delta_move(col: impl Column, ws: &[f32], est: Estimator) -> f32 {
     match est {
-        Estimator::Trim { k } => keyed_trimmed_sum(keys, k, |i| ws[i]).map_or(0.0, |(n, d)| n / d),
-        Estimator::Median => keyed_lower_median(keys, |i| ws[i]).unwrap_or(0.0),
+        Estimator::Trim { k } => col.trimmed_sum(k, |i| ws[i]).map_or(0.0, |(n, d)| n / d),
+        Estimator::Median => col.lower_median(|i| ws[i]).unwrap_or(0.0),
     }
 }
 
@@ -185,13 +273,18 @@ pub(super) fn staleness_move_coord(
     est: Estimator,
     server_lr: f64,
 ) -> f32 {
-    let keys = gather(keys, col, ws.len());
+    staleness_move(gather(keys, col, ws.len()), ws, est, server_lr)
+}
+
+/// The FedBuff merge's combine of one coordinate's participants.
+pub(super) fn staleness_move(col: impl Column, ws: &[f64], est: Estimator, server_lr: f64) -> f32 {
     match est {
-        Estimator::Trim { k } => keyed_trimmed_sum(keys, k, |i| ws[i])
+        Estimator::Trim { k } => col
+            .trimmed_sum(k, |i| ws[i])
             .map_or(0.0, |(num, den)| (server_lr * num / den) as f32),
-        Estimator::Median => {
-            keyed_lower_median(keys, |i| ws[i]).map_or(0.0, |med| (server_lr * med as f64) as f32)
-        }
+        Estimator::Median => col
+            .lower_median(|i| ws[i])
+            .map_or(0.0, |med| (server_lr * med as f64) as f32),
     }
 }
 

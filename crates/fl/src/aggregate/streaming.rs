@@ -47,9 +47,11 @@ use fedbiad_compress::codec::{
 };
 use fedbiad_nn::{CoverageMask, ParamSet};
 use fedbiad_telemetry::{counter, gauge, span};
+use fedbiad_tensor::stats::{order_key, KeyTile, LANES};
 use fedbiad_tensor::{ops, Workspace};
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
     /// The server's scratch arena. Aggregation runs on the round-loop
@@ -603,11 +605,11 @@ fn for_each_row_extent(
 }
 
 /// Decode one upload's masked values for a shard into `vals` (exact
-/// zeros on dropped positions) with a parallel coverage indicator in
-/// `cov` (1.0 covered / 0.0 dropped) — the per-client column material of
-/// the robust per-coordinate combine. `WeightsDelta` bodies reconstruct
-/// the client's absolute values `base + δ` elementwise, the same
-/// expression the fused mean path feeds `axpy_sum2`.
+/// zeros on dropped positions), with a parallel coverage indicator in
+/// `cov` if given (1.0 covered / 0.0 dropped) — the per-client column
+/// material of the robust weights combine. `WeightsDelta` bodies
+/// reconstruct the client's absolute values `base + δ` elementwise, the
+/// same expression the fused mean path feeds `axpy_sum2`.
 #[allow(clippy::too_many_arguments)]
 fn decode_masked_shard(
     view: &WireView<'_>,
@@ -617,7 +619,7 @@ fn decode_masked_shard(
     len: usize,
     base: &[f32],
     vals: &mut [f32],
-    cov: &mut [f32],
+    mut cov: Option<&mut [f32]>,
     kept_scratch: &mut [f32],
 ) {
     if len == 0 {
@@ -636,11 +638,15 @@ fn decode_masked_shard(
             } else {
                 seg.copy_from_slice(kseg);
             }
-            cov[local..local + n].fill(1.0);
+            if let Some(cov) = cov.as_mut() {
+                cov[local..local + n].fill(1.0);
+            }
         }
         Run::Dropped { local, n } => {
             vals[local..local + n].fill(0.0);
-            cov[local..local + n].fill(0.0);
+            if let Some(cov) = cov.as_mut() {
+                cov[local..local + n].fill(0.0);
+            }
         }
     });
 }
@@ -1142,11 +1148,22 @@ pub(super) fn staleness(
 //
 // Order-statistic estimators cannot stream as a fold: each shard decodes
 // every client's column material, one column tile at a time, into an
-// (n × tile) block from the worker thread's arena, then walks the tile's
-// coordinates through the shared per-coordinate estimator in
-// `super::robust` — the same function the dense engine calls on the same
-// column bits, which is the bit-exactness argument. Peak memory is
+// (n × tile) block from the worker thread's arena, then combines the
+// tile's columns four at a time through `KeyTile` — one comparator
+// network sorts four columns' order keys, and each lane folds through
+// the same combine (`super::robust`) the dense engine's per-coordinate
+// path runs. The keys are distinct, so any correct sort hands the fold
+// the same keys in the same order: that is the bit-exactness argument,
+// and the dense engine is its executable specification. Peak memory is
 // O(cohort × tile) per worker, not O(cohort × model).
+//
+// A run of columns with one participant set builds it — and the weights
+// combine's upload-order Σw — once: a row extent when every upload's mask
+// of the entry is `Full` or `Rows`, the whole tile when every upload
+// participates (delta, staleness and `ZerosPull` combines). Its keys then
+// come from one four-column load per participant's decoded block row.
+// `RowsCols` and `Elements` columns gather per lane from the coverage
+// block.
 
 /// Column cells (clients × coordinates) per robust tile: a tile's value
 /// block is ≈ 128 KiB whatever the cohort, so the combine reads it from
@@ -1159,39 +1176,53 @@ fn robust_tile(n: usize, len: usize) -> usize {
     (ROBUST_TILE_CELLS / n.max(1)).clamp(1, len.max(1))
 }
 
+thread_local! {
+    /// Each worker thread's key tile, kept across shards and rounds.
+    static KEY_TILE: RefCell<KeyTile> = RefCell::new(KeyTile::new());
+}
+
 /// The robust engines' per-worker column block: `n × tile` values (and,
-/// for the weights combine, coverage), a tile of kept-value scratch and
-/// `n + 1` order-statistic keys — all checked out of the *worker
-/// thread's* arena (the round-loop thread's borrow was released before
-/// the parallel region, and each worker owns its own thread-local
-/// workspace), so steady-state rounds allocate none of it.
+/// when some column gathers per lane, coverage), a tile of kept-value
+/// scratch and an empty participant list with room for `n` — all checked
+/// out of the *worker thread's* arena (the round-loop thread's borrow was
+/// released before the parallel region, and each worker owns its own
+/// thread-local workspace) — plus the worker's key tile, so steady-state
+/// rounds allocate none of it.
 struct ColumnBlock {
     vals: Vec<f32>,
     cov: Vec<f32>,
     kept: Vec<f32>,
-    keys: Vec<u64>,
+    parts: Vec<usize>,
+    keys: KeyTile,
 }
 
 impl ColumnBlock {
     fn take(n: usize, tile: usize, with_cov: bool) -> ColumnBlock {
+        let keys = KEY_TILE.with(|k| std::mem::take(&mut *k.borrow_mut()));
         ARENA.with(|arena| {
             let mut a = arena.borrow_mut();
             ColumnBlock {
                 vals: a.take(n * tile),
                 cov: a.take(if with_cov { n * tile } else { 0 }),
                 kept: a.take(tile),
-                keys: a.take_u64(n + 1),
+                parts: {
+                    let mut parts = a.take_usize(n);
+                    parts.clear();
+                    parts
+                },
+                keys,
             }
         })
     }
 
     fn give(self) {
+        KEY_TILE.with(|k| *k.borrow_mut() = self.keys);
         ARENA.with(|arena| {
             let mut a = arena.borrow_mut();
             a.give(self.vals);
             a.give(self.cov);
             a.give(self.kept);
-            a.give_u64(self.keys);
+            a.give_usize(self.parts);
         });
     }
 }
@@ -1202,6 +1233,63 @@ fn for_each_tile(len: usize, tile: usize, mut f: impl FnMut(usize, usize)) {
     for lo in (0..len).step_by(tile) {
         f(lo, tile.min(len - lo));
     }
+}
+
+/// Whether the trim of `est` empties a column of `m` participants.
+fn trim_empties(est: robust::Estimator, m: usize) -> bool {
+    matches!(est, robust::Estimator::Trim { k } if 2 * k >= m)
+}
+
+/// Combine the columns `cols` of a decoded `n × tl` block (`vals`, client
+/// `i`'s row at `i·tl`) that share the participants `parts` (upload
+/// indices, ascending), four at a time. `pseudo`, if set, is one more
+/// participant per column: the previous global `g[j]` at that position
+/// (the `StaleFill` median's vote). `finish(lane, g[j])` is column `j`'s
+/// new value. Returns the columns the trim emptied, which skip the sort:
+/// their lanes are left empty.
+#[allow(clippy::too_many_arguments)]
+fn combine_shared(
+    keys: &mut KeyTile,
+    vals: &[f32],
+    tl: usize,
+    cols: Range<usize>,
+    parts: &[usize],
+    pseudo: Option<usize>,
+    est: robust::Estimator,
+    g: &mut [f32],
+    mut finish: impl FnMut((&KeyTile, usize), f32) -> f32,
+) -> usize {
+    let m = parts.len() + usize::from(pseudo.is_some());
+    if trim_empties(est, m) {
+        keys.clear(0);
+        for gj in &mut g[cols.clone()] {
+            *gj = finish((keys, 0), *gj);
+        }
+        return cols.len();
+    }
+    for j0 in cols.clone().step_by(LANES) {
+        let lanes = LANES.min(cols.end - j0);
+        keys.clear(m);
+        if lanes == LANES {
+            keys.push_columns(vals, tl, j0, parts);
+        } else {
+            for &i in parts {
+                for l in 0..lanes {
+                    keys.push_if(l, order_key(vals[i * tl + j0 + l], i), true);
+                }
+            }
+        }
+        if let Some(p) = pseudo {
+            for l in 0..lanes {
+                keys.push_if(l, order_key(g[j0 + l], p), true);
+            }
+        }
+        keys.sort();
+        for l in 0..lanes {
+            g[j0 + l] = finish((keys, l), g[j0 + l]);
+        }
+    }
+    0
 }
 
 /// Robust weights combine, streaming engine.
@@ -1221,6 +1309,20 @@ pub(super) fn robust_weights(
         .collect();
     let n = uploads.len();
     let ws: Vec<f32> = uploads.iter().map(|(w, _)| *w).collect();
+    let every = mode == ZeroMode::ZerosPull;
+    // Entries whose rows each have one participant set across the cohort.
+    let row_shared: Vec<bool> = (0..layout.spans.len())
+        .map(|e| {
+            views
+                .iter()
+                .all(|v| matches!(v.masks[e], CoverageMask::Full | CoverageMask::Rows(_)))
+        })
+        .collect();
+    let with_cov = !every && row_shared.contains(&false);
+    let pseudo = (est == robust::Estimator::Median && mode == ZeroMode::StaleFill).then_some(n);
+    let combine = |col: (&KeyTile, usize), rest: f32, g_prev: f32| {
+        robust::weights_combine(col, &ws, est, mode, rest, g_prev)
+    };
     let needs = Needs {
         num: false,
         den: false,
@@ -1231,7 +1333,11 @@ pub(super) fn robust_weights(
     with_shards(global, shard_elems, needs, |t| {
         let len = t.g.len();
         let tile = robust_tile(n, len);
-        let mut b = ColumnBlock::take(n, tile, true);
+        let mut b = ColumnBlock::take(n, tile, with_cov);
+        let mut emptied = 0usize;
+        if every {
+            b.parts.extend(0..n);
+        }
         for_each_tile(len, tile, |lo, tl| {
             // Decode against the tile's still-unwritten previous global
             // (`WeightsDelta` bodies reconstruct `g + δ`).
@@ -1246,25 +1352,111 @@ pub(super) fn robust_weights(
                     tl,
                     g,
                     &mut b.vals[cells.clone()],
-                    &mut b.cov[cells],
+                    with_cov.then(|| &mut b.cov[cells]),
                     &mut b.kept,
                 );
             }
-            for (j, gj) in g.iter_mut().enumerate() {
-                *gj = robust::weights_coord(
-                    &mut b.keys,
-                    (0..n).map(|i| (b.vals[i * tl + j], b.cov[i * tl + j] != 0.0)),
-                    &ws,
-                    est,
-                    mode,
-                    total_w,
-                    *gj,
-                );
+            let ColumnBlock {
+                vals,
+                cov,
+                parts,
+                keys,
+                ..
+            } = &mut b;
+            if every {
+                // Every upload participates; `rest` is never read.
+                emptied += combine_shared(keys, vals, tl, 0..tl, parts, None, est, g, |col, gj| {
+                    combine(col, 0.0, gj)
+                });
+                return;
             }
+            for_each_row_extent(&layout, t.start + lo, tl, &mut |a, z, e, r| {
+                if row_shared[e] {
+                    // Σw over the row's holders in upload order: the
+                    // per-coordinate chain with its `+0.0` terms dropped.
+                    parts.clear();
+                    let mut den = 0.0f32;
+                    for (i, v) in views.iter().enumerate() {
+                        let covered = match &v.masks[e] {
+                            CoverageMask::Rows(rb) => rb.get(r),
+                            _ => true,
+                        };
+                        if covered {
+                            parts.push(i);
+                            den += ws[i];
+                        }
+                    }
+                    let rest = total_w - den;
+                    emptied +=
+                        combine_shared(keys, vals, tl, a..z, parts, pseudo, est, g, |col, gj| {
+                            combine(col, rest, gj)
+                        });
+                } else {
+                    emptied += combine_per_lane(
+                        keys,
+                        vals,
+                        cov,
+                        tl,
+                        a..z,
+                        &ws,
+                        pseudo,
+                        est,
+                        g,
+                        |col, den, gj| combine(col, total_w - den, gj),
+                    );
+                }
+            });
         });
+        counter!("agg.robust_columns", len);
+        counter!("agg.robust_columns_emptied", emptied);
         b.give();
     });
     Ok(())
+}
+
+/// [`combine_shared`] for columns whose participants differ: each lane
+/// gathers its covering uploads from the coverage block `cov`, and
+/// `finish(lane, den, g[j])` also gets the column's Σw over them (folded
+/// in upload order, `+0.0` for a non-covering upload, as
+/// `robust::weights_coord` folds it).
+#[allow(clippy::too_many_arguments)]
+fn combine_per_lane(
+    keys: &mut KeyTile,
+    vals: &[f32],
+    cov: &[f32],
+    tl: usize,
+    cols: Range<usize>,
+    ws: &[f32],
+    pseudo: Option<usize>,
+    est: robust::Estimator,
+    g: &mut [f32],
+    mut finish: impl FnMut((&KeyTile, usize), f32, f32) -> f32,
+) -> usize {
+    let mut emptied = 0;
+    for j0 in cols.clone().step_by(LANES) {
+        let lanes = LANES.min(cols.end - j0);
+        keys.clear(ws.len() + 1);
+        let mut dens = [0.0f32; LANES];
+        for (i, &w) in ws.iter().enumerate() {
+            for (l, den) in dens.iter_mut().enumerate().take(lanes) {
+                let c = i * tl + j0 + l;
+                let covered = cov[c] != 0.0;
+                keys.push_if(l, order_key(vals[c], i), covered);
+                *den += if covered { w } else { 0.0 };
+            }
+        }
+        if let Some(p) = pseudo {
+            for l in 0..lanes {
+                keys.push_if(l, order_key(g[j0 + l], p), true);
+            }
+        }
+        keys.sort();
+        for (l, &den) in dens.iter().enumerate().take(lanes) {
+            emptied += usize::from(trim_empties(est, keys.len(l)));
+            g[j0 + l] = finish((keys, l), den, g[j0 + l]);
+        }
+    }
+    emptied
 }
 
 /// Robust deltas combine, streaming engine.
@@ -1288,20 +1480,28 @@ pub(super) fn robust_deltas(
         let len = t.g.len();
         let tile = robust_tile(n, len);
         let mut b = ColumnBlock::take(n, tile, false);
+        let mut emptied = 0usize;
+        b.parts.extend(0..n);
         for_each_tile(len, tile, |lo, tl| {
             for (i, view) in views.iter().enumerate() {
                 view.payload
                     .decode_range(t.start + lo, &mut b.vals[i * tl..(i + 1) * tl]);
             }
-            for (j, gj) in t.g[lo..lo + tl].iter_mut().enumerate() {
-                *gj += robust::delta_move_coord(
-                    &mut b.keys,
-                    (0..n).map(|i| b.vals[i * tl + j]),
-                    &ws,
-                    est,
-                );
-            }
+            let g = &mut t.g[lo..lo + tl];
+            emptied += combine_shared(
+                &mut b.keys,
+                &b.vals,
+                tl,
+                0..tl,
+                &b.parts,
+                None,
+                est,
+                g,
+                |col, gj| gj + robust::delta_move(col, &ws, est),
+            );
         });
+        counter!("agg.robust_columns", len);
+        counter!("agg.robust_columns_emptied", emptied);
         b.give();
     });
     Ok(())
@@ -1309,8 +1509,8 @@ pub(super) fn robust_deltas(
 
 /// Robust FedBuff merge, streaming engine: per column tile, every
 /// buffered Δ column decodes through the exact mean-path expressions
-/// ([`decode_weights_delta_shard`]), then coordinates walk the shared
-/// estimator.
+/// ([`decode_weights_delta_shard`]), then the tile's columns combine
+/// four at a time, every item participating.
 pub(super) fn robust_staleness(
     global: &mut ParamSet,
     items: &[StalenessUpload<'_>],
@@ -1337,6 +1537,8 @@ pub(super) fn robust_staleness(
         let len = t.g.len();
         let tile = robust_tile(n, len);
         let mut b = ColumnBlock::take(n, tile, false);
+        let mut emptied = 0usize;
+        b.parts.extend(0..n);
         for_each_tile(len, tile, |lo, tl| {
             let (start, snap) = (t.start + lo, &mut t.snap[..tl]);
             for (i, (it, view)) in items.iter().zip(&views).enumerate() {
@@ -1360,16 +1562,21 @@ pub(super) fn robust_staleness(
                     }
                 }
             }
-            for (j, gj) in t.g[lo..lo + tl].iter_mut().enumerate() {
-                *gj += robust::staleness_move_coord(
-                    &mut b.keys,
-                    (0..n).map(|i| b.vals[i * tl + j]),
-                    &ws,
-                    est,
-                    server_lr,
-                );
-            }
+            let g = &mut t.g[lo..lo + tl];
+            emptied += combine_shared(
+                &mut b.keys,
+                &b.vals,
+                tl,
+                0..tl,
+                &b.parts,
+                None,
+                est,
+                g,
+                |col, gj| gj + robust::staleness_move(col, &ws, est, server_lr),
+            );
         });
+        counter!("agg.robust_columns", len);
+        counter!("agg.robust_columns_emptied", emptied);
         b.give();
     });
     Ok(())

@@ -267,14 +267,7 @@ pub fn keyed_trimmed_sum<W: OrderWeight>(
     }
     let survivors = &mut keys[k..k + keep];
     survivors.sort_unstable();
-    let mut num = W::from(0.0);
-    let mut den = W::from(0.0);
-    for &key in survivors.iter() {
-        let w = weight(key_pos(key));
-        num = num + w * W::from(key_value(key));
-        den = den + w;
-    }
-    Some((num, den))
+    Some(fold_trimmed(survivors.iter().copied(), weight))
 }
 
 /// Weighted lower median of a keyed column: in ascending key order, the
@@ -288,16 +281,366 @@ pub fn keyed_lower_median<W: OrderWeight>(
     weight: impl Fn(usize) -> W,
 ) -> Option<f32> {
     keys.sort_unstable();
-    let total: W = keys.iter().map(|&key| weight(key_pos(key))).sum();
+    fold_lower_median(keys.iter().copied(), weight)
+}
+
+/// `(Σ wᵢvᵢ, Σ wᵢ)` over ascending `survivors`, folded serially — the one
+/// fold both the keyed kernels and [`KeyTile`] lanes run.
+fn fold_trimmed<W: OrderWeight>(
+    survivors: impl Iterator<Item = u64>,
+    weight: impl Fn(usize) -> W,
+) -> (W, W) {
+    let mut num = W::from(0.0);
+    let mut den = W::from(0.0);
+    for key in survivors {
+        let w = weight(key_pos(key));
+        num = num + w * W::from(key_value(key));
+        den = den + w;
+    }
+    (num, den)
+}
+
+/// The weighted lower median of ascending `keys` (see
+/// [`keyed_lower_median`]); `None` when there are none.
+fn fold_lower_median<W: OrderWeight>(
+    keys: impl Iterator<Item = u64> + Clone,
+    weight: impl Fn(usize) -> W,
+) -> Option<f32> {
+    let total: W = keys.clone().map(|key| weight(key_pos(key))).sum();
     let half = W::from(0.5) * total;
     let mut cum = W::from(0.0);
-    for &key in keys.iter() {
+    let mut last = None;
+    for key in keys {
         cum = cum + weight(key_pos(key));
         if cum >= half {
             return Some(key_value(key));
         }
+        last = Some(key);
     }
-    keys.last().map(|&key| key_value(key))
+    last.map(key_value)
+}
+
+// ---- column-batched order statistics ----------------------------------
+//
+// The streaming robust engines combine a whole column tile at a time.
+// Rather than one selection per column — about a microsecond over ≈ 64
+// keys, most of it branch mispredictions — [`KeyTile`] sorts four
+// columns' `order_key`s at once with a data-oblivious comparator network
+// (Batcher, "Sorting networks and their applications", AFIPS 1968): an
+// `[m][4]` block of keys, one row per participant, where every comparator
+// is a compare and a masked swap on a whole row. The keys are distinct, so
+// their ascending order is unique and any correct sort — this network,
+// the keyed selections above, the stable-sort specification — hands the
+// folds the same keys in the same order: the lanes fold exactly the bits
+// the keyed kernels do.
+//
+// Rows hold keys with the top bit flipped, so the signed 64-bit compare
+// AVX2 has (`vpcmpgtq`) orders them as unsigned keys. A lane shorter than
+// the block is padded with [`SENTINEL`], the largest key, so the lane's
+// real keys sort first; a real key equal to it (the +NaN `0x7fff_ffff` at
+// position `u32::MAX`) is indistinguishable from the padding, so even
+// then the lane reads back its own keys.
+
+/// Columns a [`KeyTile`] sorts at once: one 256-bit register of keys.
+pub const LANES: usize = 4;
+
+/// The key a short lane is padded with: above every [`order_key`] of a
+/// position below `u32::MAX`.
+pub const SENTINEL: u64 = u64::MAX;
+
+/// Top bit: flipping it maps unsigned key order to signed order.
+const FLIP: u64 = 1 << 63;
+
+/// One participant's keys across the four lanes, aligned to a register.
+#[derive(Clone, Copy)]
+#[repr(C, align(32))]
+struct Row([u64; LANES]);
+
+/// Batcher's odd–even merge sort on the next power of two ≥ `m` wires,
+/// restricted to the first `m`: comparators `(i, j)`, `i < j`, in an order
+/// that sorts ascending when each puts the smaller key on `i`. Padding the
+/// missing wires with keys above every input would leave them untouched
+/// by every comparator (the larger key always moves to the higher wire),
+/// so dropping the comparators that touch them leaves a sorting network
+/// on `m` wires. Exhaustively checked by the 0–1 principle for `m ≤ 18`
+/// (`tests/column_sort_props.rs`).
+pub fn sort_network(m: usize) -> Vec<(u32, u32)> {
+    assert!(m <= u32::MAX as usize, "network of {m} wires");
+    let n = m.next_power_of_two();
+    let mut pairs = Vec::new();
+    let mut p = 1;
+    while p < n {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < n {
+                for i in 0..k.min(n - j - k) {
+                    let (a, b) = (i + j, i + j + k);
+                    if a / (2 * p) == b / (2 * p) && b < m {
+                        pairs.push((a as u32, b as u32));
+                    }
+                }
+                j += 2 * k;
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+    pairs
+}
+
+/// A comparator of a cached network: the byte offsets of its two rows in
+/// a block of [`Row`]s, so the vector body addresses them directly.
+type Comparator = (u32, u32);
+
+thread_local! {
+    /// [`sort_network`] per wire count as [`Comparator`]s, built on first
+    /// use by this thread.
+    static NETWORKS: std::cell::RefCell<Vec<Option<std::rc::Rc<[Comparator]>>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The calling thread's cached network of `m` wires.
+fn cached_network(m: usize) -> std::rc::Rc<[Comparator]> {
+    const ROW: u32 = std::mem::size_of::<Row>() as u32;
+    NETWORKS.with(|nets| {
+        let mut nets = nets.borrow_mut();
+        if nets.len() <= m {
+            nets.resize(m + 1, None);
+        }
+        nets[m]
+            .get_or_insert_with(|| {
+                assert!(m <= (u32::MAX / ROW) as usize, "network of {m} wires");
+                sort_network(m)
+                    .into_iter()
+                    .map(|(i, j)| (i * ROW, j * ROW))
+                    .collect()
+            })
+            .clone()
+    })
+}
+
+/// Four columns' order keys, sorted together: an `[m][4]` block with one
+/// lane per column. Fill the lanes ([`KeyTile::clear`], then
+/// [`KeyTile::push_columns`] for participants every column shares and
+/// [`KeyTile::push_if`] per lane), [`KeyTile::sort`], then read each lane
+/// in ascending order ([`KeyTile::trimmed_sum`],
+/// [`KeyTile::lower_median`], [`KeyTile::lane`]). The block grows to the
+/// largest lane seen and is reused, so a caller that keeps one tile
+/// allocates only while its cohort grows.
+#[derive(Default)]
+pub struct KeyTile {
+    rows: Vec<Row>,
+    lens: [usize; LANES],
+}
+
+impl KeyTile {
+    /// An empty tile; the block is allocated by the first `clear`.
+    pub fn new() -> KeyTile {
+        KeyTile::default()
+    }
+
+    /// Empty every lane, with room for `cap` keys in each.
+    pub fn clear(&mut self, cap: usize) {
+        if self.rows.len() < cap {
+            self.rows.resize(cap, Row([0; LANES]));
+        }
+        self.lens = [0; LANES];
+    }
+
+    /// Append one row per participant `i` of `parts`: the keys of the
+    /// four values `block[i·stride + j0..][..4]` at position `i` — four
+    /// adjacent columns of a client-major block whose participants every
+    /// column shares. Every lane must hold the same number of keys.
+    pub fn push_columns(&mut self, block: &[f32], stride: usize, j0: usize, parts: &[usize]) {
+        let q = self.lens[0];
+        debug_assert!(self.lens.iter().all(|&l| l == q), "ragged lanes");
+        let rows = &mut self.rows[q..q + parts.len()];
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: AVX2 was detected at run time.
+            unsafe { x86::push_columns(rows, block, stride, j0, parts) };
+            self.lens = [q + parts.len(); LANES];
+            return;
+        }
+        for (row, &i) in rows.iter_mut().zip(parts) {
+            let v = &block[i * stride + j0..][..LANES];
+            *row = Row(std::array::from_fn(|l| order_key(v[l], i) ^ FLIP));
+        }
+        self.lens = [q + parts.len(); LANES];
+    }
+
+    /// Append `key` to `lane` if `keep` — without a branch: the slot is
+    /// written either way and the lane only grows past a kept key, so
+    /// `clear`'s `cap` must cover the pushes, kept or not.
+    #[inline]
+    pub fn push_if(&mut self, lane: usize, key: u64, keep: bool) {
+        let q = self.lens[lane];
+        self.rows[q].0[lane] = key ^ FLIP;
+        self.lens[lane] = q + usize::from(keep);
+    }
+
+    /// Keys in `lane`.
+    pub fn len(&self, lane: usize) -> usize {
+        self.lens[lane]
+    }
+
+    /// Pad every lane to the longest with [`SENTINEL`]; the wire count.
+    fn pad(&mut self) -> usize {
+        let m = self.lens.iter().copied().max().unwrap_or(0);
+        for (lane, &len) in self.lens.iter().enumerate() {
+            for row in &mut self.rows[len..m] {
+                row.0[lane] = SENTINEL ^ FLIP;
+            }
+        }
+        m
+    }
+
+    /// Sort every lane ascending: the cached network of the longest
+    /// lane's length, on AVX2 where the host has it.
+    pub fn sort(&mut self) {
+        let m = self.pad();
+        let net = cached_network(m);
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: AVX2 was detected at run time, and every wire of
+            // `net` is below `m ≤ self.rows.len()`.
+            return unsafe { x86::sort_rows(&mut self.rows[..m], &net) };
+        }
+        sort_rows_scalar(&mut self.rows[..m], &net);
+    }
+
+    /// [`KeyTile::sort`] through the portable body of the same network —
+    /// what hosts without AVX2 run, and what the vector body is held to.
+    pub fn sort_scalar(&mut self) {
+        let m = self.pad();
+        sort_rows_scalar(&mut self.rows[..m], &cached_network(m));
+    }
+
+    /// `lane`'s keys in block order (ascending once sorted).
+    pub fn lane(&self, lane: usize) -> impl Iterator<Item = u64> + Clone + '_ {
+        self.rows[..self.lens[lane]]
+            .iter()
+            .map(move |row| row.0[lane] ^ FLIP)
+    }
+
+    /// [`keyed_trimmed_sum`] of a sorted lane, bit for bit: `None` when
+    /// the trim empties it (`2k ≥ len`).
+    pub fn trimmed_sum<W: OrderWeight>(
+        &self,
+        lane: usize,
+        k: usize,
+        weight: impl Fn(usize) -> W,
+    ) -> Option<(W, W)> {
+        let m = self.lens[lane];
+        if 2 * k >= m {
+            return None;
+        }
+        Some(fold_trimmed(
+            self.lane(lane).skip(k).take(m - 2 * k),
+            weight,
+        ))
+    }
+
+    /// [`keyed_lower_median`] of a sorted lane, bit for bit.
+    pub fn lower_median<W: OrderWeight>(
+        &self,
+        lane: usize,
+        weight: impl Fn(usize) -> W,
+    ) -> Option<f32> {
+        fold_lower_median(self.lane(lane), weight)
+    }
+}
+
+/// The network on whole rows, one lane at a time: each comparator is a
+/// min and a max per lane (the signed compare `x86::sort_rows` runs).
+fn sort_rows_scalar(rows: &mut [Row], net: &[Comparator]) {
+    const ROW: usize = std::mem::size_of::<Row>();
+    for &(oi, oj) in net {
+        let (i, j) = (oi as usize / ROW, oj as usize / ROW);
+        let (a, b) = (rows[i].0, rows[j].0);
+        let (mut lo, mut hi) = (a, b);
+        for l in 0..LANES {
+            let (x, y) = (a[l] as i64, b[l] as i64);
+            lo[l] = x.min(y) as u64;
+            hi[l] = x.max(y) as u64;
+        }
+        rows[i] = Row(lo);
+        rows[j] = Row(hi);
+    }
+}
+
+/// Whether this host runs [`KeyTile::sort`]'s vector body (AVX2, checked
+/// once).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2() -> bool {
+    use std::sync::atomic::{AtomicU8, Ordering};
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    match STATE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => {
+            let has = std::arch::is_x86_feature_detected!("avx2");
+            STATE.store(if has { 1 } else { 2 }, Ordering::Relaxed);
+            has
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Comparator, Row};
+    use std::arch::x86_64::*;
+
+    /// The network on whole rows, four lanes per comparator: a signed
+    /// 64-bit compare, then the smaller lane values onto row `i` and the
+    /// larger onto row `j` (`t` is `a ^ b` where `a > b`, zero elsewhere,
+    /// so `a ^ t` is the minimum and `b ^ t` the maximum).
+    ///
+    /// # Safety
+    /// The host must support AVX2, and every comparator's byte offsets
+    /// must address rows of `rows`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sort_rows(rows: &mut [Row], net: &[Comparator]) {
+        let bytes = std::mem::size_of_val(rows);
+        let p = rows.as_mut_ptr().cast::<u8>();
+        for &(oi, oj) in net {
+            debug_assert!((oi as usize) < bytes && (oj as usize) < bytes);
+            // `Row` is 32-byte aligned and 32 bytes long, so each offset
+            // is an aligned register.
+            let pi = p.add(oi as usize).cast::<__m256i>();
+            let pj = p.add(oj as usize).cast::<__m256i>();
+            let (a, b) = (_mm256_load_si256(pi), _mm256_load_si256(pj));
+            let t = _mm256_and_si256(_mm256_xor_si256(a, b), _mm256_cmpgt_epi64(a, b));
+            _mm256_store_si256(pi, _mm256_xor_si256(a, t));
+            _mm256_store_si256(pj, _mm256_xor_si256(b, t));
+        }
+    }
+
+    /// `KeyTile::push_columns`' rows: per participant one 128-bit load of
+    /// four values, their total-order images (`v ^ ((v >> 31) >>> 1)`, the
+    /// flipped high half of `order_key`) widened above the position.
+    ///
+    /// # Safety
+    /// The host must support AVX2. (Every load is bounds-checked.)
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn push_columns(
+        rows: &mut [Row],
+        block: &[f32],
+        stride: usize,
+        j0: usize,
+        parts: &[usize],
+    ) {
+        for (row, &i) in rows.iter_mut().zip(parts) {
+            let v = &block[i * stride + j0..][..super::LANES];
+            let v = _mm_loadu_si128(v.as_ptr().cast());
+            let ord = _mm_xor_si128(v, _mm_srli_epi32(_mm_srai_epi32(v, 31), 1));
+            let high = _mm256_slli_epi64(_mm256_cvtepu32_epi64(ord), 32);
+            let key = _mm256_or_si256(high, _mm256_set1_epi64x(i as i64));
+            _mm256_store_si256((row as *mut Row).cast(), key);
+        }
+    }
 }
 
 /// `true` iff the top-`k` set of `logits` contains `target` (top-k accuracy,

@@ -17,13 +17,11 @@
 
 use crate::matrix::Matrix;
 
-/// A pool of reusable `f32`/`usize`/`u64` buffers (and `Vec<Matrix>`
-/// shells).
+/// A pool of reusable `f32`/`usize` buffers (and `Vec<Matrix>` shells).
 #[derive(Debug, Default)]
 pub struct Workspace {
     f32_pool: Vec<Vec<f32>>,
     usize_pool: Vec<Vec<usize>>,
-    u64_pool: Vec<Vec<u64>>,
     shells: Vec<Vec<Matrix>>,
     churn: u64,
 }
@@ -88,16 +86,6 @@ impl Workspace {
         self.usize_pool.push(buf);
     }
 
-    /// Check out a zero-filled `u64` buffer (order-statistic keys).
-    pub fn take_u64(&mut self, len: usize) -> Vec<u64> {
-        take_from(&mut self.u64_pool, len, 0, &mut self.churn)
-    }
-
-    /// Return a buffer checked out with [`Workspace::take_u64`].
-    pub fn give_u64(&mut self, buf: Vec<u64>) {
-        self.u64_pool.push(buf);
-    }
-
     /// Check out an empty `Vec<Matrix>` shell (per-layer buffer lists).
     /// The shell's own heap block is recycled, so growing it to a
     /// previously seen layer count allocates nothing.
@@ -157,12 +145,10 @@ mod tests {
             let m = ws.take_matrix(8, 16);
             let b = ws.take(32);
             let idx = ws.take_usize(8);
-            let keys = ws.take_u64(65);
             ws.give(a);
             ws.give_matrix(m);
             ws.give(b);
             ws.give_usize(idx);
-            ws.give_u64(keys);
         };
         iteration(&mut ws);
         let warm = ws.churn();

@@ -11,7 +11,10 @@
 # sides of the destination, `ln_slice` / `cos2pi_slice` over both whole
 # 24-bit grids), so an out-of-bounds lane there is reported, not read.
 # `order_stat_props` runs the keyed order-statistic kernels over columns
-# of 0..=300 participants at every trim depth.
+# of 0..=300 participants at every trim depth, and `column_sort_props`
+# drives `stats::x86::{sort_rows, push_columns}` — the AVX2 comparator
+# network over a `KeyTile`'s aligned rows and its four-column key gather
+# — over blocks of 0..=300 rows with 1 to 4 lanes.
 #
 # The same flags then cover the slicing that wire bytes drive:
 # `fedbiad-compress` (lib + tests: the frame parser, `WireView` /

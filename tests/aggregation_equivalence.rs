@@ -791,6 +791,293 @@ fn robust_empty_holder_sets_keep_previous_global() {
     }
 }
 
+/// The robust engines count, once per shard, the coordinates they
+/// combined (`agg.robust_columns`) and those the cohort-level trim
+/// emptied (`agg.robust_columns_emptied`, kept at the previous global).
+/// One client covering one row and two covering nothing, trimmed by one
+/// per tail: under `HoldersOnly` every coordinate empties; under
+/// `ZerosPull` all three uploads participate everywhere and none does;
+/// the median never trims.
+#[test]
+fn robust_column_counters_count_emptied_trims() {
+    if !fedbiad::telemetry::compiled() {
+        eprintln!("telemetry not compiled in; counter test skipped");
+        return;
+    }
+    // Only robust aggregations emit these counters, and every test that
+    // runs one holds this lock, so the capture sees this test's alone.
+    let _guard = env_lock();
+    let global = init_params(8);
+    let params = perturbed(&global, 902);
+    let mask = ModelMask {
+        per_entry: (0..params.num_entries())
+            .map(|e| {
+                let mut rb = BitVec::new(params.mat(e).rows(), false);
+                rb.set(0, e == 0);
+                CoverageMask::Rows(rb)
+            })
+            .collect(),
+    };
+    let empty = weights_uploads(&global, 5)[4].1.clone();
+    let uploads = [
+        (3.0f32, Upload::masked_weights(params, mask)),
+        (2.0f32, empty.clone()),
+        (1.0f32, empty),
+    ];
+    let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
+    let total = global.total_params() as u64;
+    let trim = RobustKind::TrimmedMean { trim_frac: 0.34 };
+    for (robust, mode, emptied) in [
+        (trim, ZeroMode::HoldersOnly, total),
+        (trim, ZeroMode::ZerosPull, 0),
+        (RobustKind::CoordinateMedian, ZeroMode::StaleFill, 0),
+    ] {
+        let mut g = global.clone();
+        fedbiad::telemetry::begin_capture();
+        aggregate_weights(
+            &mut g,
+            &ups,
+            mode,
+            AggSettings::sharded(2).with_robust(robust),
+        )
+        .unwrap();
+        let summary = fedbiad::telemetry::end_capture().summary();
+        let count = |name| summary.counter(name).unwrap_or(0);
+        assert_eq!(count("agg.robust_columns"), total, "{robust:?}/{mode:?}");
+        assert_eq!(
+            count("agg.robust_columns_emptied"),
+            emptied,
+            "{robust:?}/{mode:?}"
+        );
+    }
+}
+
+// ---- large cohorts: column tiles that cut rows ---------------------------
+
+/// Cohort sizes for the large-cohort suite: one and two uploads (only the
+/// median is active there), a handful, and cohorts whose column tiles
+/// (`⌊32 768 / n⌋` coordinates) are shorter than a 600-wide row, so tiles
+/// cut rows and a 4-column batch can straddle a tile's last row piece.
+const LARGE_COHORTS: [usize; 7] = [1, 2, 5, 64, 128, 129, 257];
+
+/// The large-cohort model: MLP 600→20→7, whose first matrix's rows are
+/// longer than every tile of a cohort of 64 or more.
+fn wide_params(seed: u64) -> ParamSet {
+    MlpModel::new(600, 20, 7).init_params(&mut stream(seed, StreamTag::Init, 0, seed))
+}
+
+/// Masked-weights uploads of a large cohort, cycling through `Full`,
+/// `Rows`, finer coverage and empty coverage. The finer masks
+/// (`RowsCols` on some clients, `Elements` on others) sit on entry
+/// `fine_entry` only; the other entry is `Rows` there, so one entry's
+/// rows share a participant list across the cohort and the other's
+/// columns gather per lane.
+fn large_weights_uploads(global: &ParamSet, n: usize, fine_entry: usize) -> Vec<(f32, Upload)> {
+    (0..n)
+        .map(|k| {
+            let params = perturbed(global, 2000 + k as u64);
+            let mut rng = stream(17, StreamTag::Pattern, 0, k as u64);
+            let per_entry = (0..params.num_entries())
+                .map(|e| {
+                    let (rows, cols) = (params.mat(e).rows(), params.mat(e).cols());
+                    let mut bits = |len: usize, p: f64| {
+                        let mut b = BitVec::new(len, false);
+                        for i in 0..len {
+                            b.set(i, rng.gen_bool(p));
+                        }
+                        b
+                    };
+                    match k % 5 {
+                        0 => CoverageMask::Full,
+                        4 => CoverageMask::Rows(BitVec::new(rows, false)),
+                        2 if e == fine_entry => CoverageMask::RowsCols {
+                            rows: bits(rows, 0.7),
+                            cols: bits(cols, 0.7),
+                        },
+                        3 if e == fine_entry => CoverageMask::Elements(bits(rows * cols, 0.5)),
+                        _ => CoverageMask::Rows(bits(rows, 0.5)),
+                    }
+                })
+                .collect();
+            (
+                large_weight(k),
+                Upload::masked_weights(params, ModelMask { per_entry }),
+            )
+        })
+        .collect()
+}
+
+/// The weight of upload `k` of a large cohort: not an integer, so a Σw
+/// chain folded in another order, or over other uploads, rounds
+/// differently.
+fn large_weight(k: usize) -> f32 {
+    0.5 + (k as f32 * 0.618_034).fract() * 4.0
+}
+
+/// Shard sizes of the large-cohort suite: ragged shards shorter than a
+/// row, and the default.
+const LARGE_SHARD_KBS: [u32; 2] = [2, 64];
+
+/// The order statistics under large-cohort test: a shallow and a deep
+/// trim, and the median.
+fn large_robust_kinds() -> [(&'static str, RobustKind); 3] {
+    [
+        ("trim0.2", RobustKind::TrimmedMean { trim_frac: 0.2 }),
+        ("trim0.45", RobustKind::TrimmedMean { trim_frac: 0.45 }),
+        ("median", RobustKind::CoordinateMedian),
+    ]
+}
+
+/// Run `streaming(settings)` at every large-cohort shard size and 1/2/8
+/// threads against `reference`, bitwise.
+fn assert_streaming_matches(
+    reference: &ParamSet,
+    robust: RobustKind,
+    what: &str,
+    streaming: impl Fn(AggSettings) -> ParamSet,
+) {
+    for kb in LARGE_SHARD_KBS {
+        for threads in ["1", "2", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let g = streaming(AggSettings::sharded(kb).with_robust(robust));
+            assert_params_bit_identical(&g, reference, &format!("{what}/{kb}KB/{threads}t"));
+        }
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+#[test]
+fn large_cohort_robust_weights_dense_vs_streaming() {
+    let _guard = env_lock();
+    let global = wide_params(40);
+    for n in LARGE_COHORTS {
+        for fine_entry in [0, 1] {
+            let uploads = large_weights_uploads(&global, n, fine_entry);
+            let reference = twins(&global, &uploads);
+            let ups: Vec<(f32, &Upload)> = uploads.iter().map(|(w, u)| (*w, u)).collect();
+            let ref_ups: Vec<(f32, &Upload)> = reference.iter().map(|(w, u)| (*w, u)).collect();
+            assert_routes(ups.iter().map(|(_, u)| *u), ref_ups.iter().map(|(_, u)| *u));
+            for (name, robust) in large_robust_kinds() {
+                for mode in [
+                    ZeroMode::ZerosPull,
+                    ZeroMode::HoldersOnly,
+                    ZeroMode::StaleFill,
+                ] {
+                    let mut want = global.clone();
+                    let settings = AggSettings::default().with_robust(robust);
+                    aggregate_weights(&mut want, &ref_ups, mode, settings).unwrap();
+                    let what = format!("large/n={n}/fine={fine_entry}/{name}/{mode:?}");
+                    assert_streaming_matches(&want, robust, &what, |settings| {
+                        let mut g = global.clone();
+                        aggregate_weights(&mut g, &ups, mode, settings).unwrap();
+                        g
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// A large FedBuff buffer: masked weights against one of three
+/// `snapshots`, every fourth item a delta frame (`deltas`' dense twin on
+/// the oracle side).
+fn large_buffer<'a>(
+    masked: &'a [(f32, Upload)],
+    deltas: &'a [(Upload, Upload)],
+    snapshots: &'a [ParamSet],
+    dense: bool,
+) -> Vec<StalenessUpload<'a>> {
+    (0..masked.len())
+        .map(|k| {
+            let weight = f64::from(large_weight(k)) / (1.0 + (k % 4) as f64).sqrt();
+            if k % 4 == 3 {
+                let (d, w) = &deltas[k];
+                StalenessUpload {
+                    weight,
+                    upload: if dense { d } else { w },
+                    snapshot: None,
+                }
+            } else {
+                StalenessUpload {
+                    weight,
+                    upload: &masked[k].1,
+                    snapshot: Some(&snapshots[k % 3]),
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn large_cohort_robust_deltas_and_staleness_dense_vs_streaming() {
+    let _guard = env_lock();
+    let global = wide_params(41);
+    let dgc = Dgc {
+        keep_fraction: 0.25,
+        momentum: 0.9,
+        warmup_rounds: 0,
+    };
+    let snapshots: Vec<ParamSet> = (0..3).map(|k| perturbed(&global, 800 + k)).collect();
+    for n in LARGE_COHORTS {
+        // Dense and sparse delta frames, alternating.
+        let deltas: Vec<(Upload, Upload)> = (0..n as u64)
+            .map(|k| {
+                let comp: &dyn Compressor = if k % 2 == 0 { &NoCompression } else { &dgc };
+                delta_upload_pair(&global, comp, k)
+            })
+            .collect();
+        let ups_d: Vec<(f32, &Upload)> = deltas
+            .iter()
+            .enumerate()
+            .map(|(k, (d, _))| (large_weight(k), d))
+            .collect();
+        let ups_w: Vec<(f32, &Upload)> = deltas
+            .iter()
+            .enumerate()
+            .map(|(k, (_, w))| (large_weight(k), w))
+            .collect();
+        assert_routes(ups_w.iter().map(|(_, u)| *u), ups_d.iter().map(|(_, u)| *u));
+
+        let masked = large_weights_uploads(&global, n, 0);
+        let masked_twins = twins(&global, &masked);
+        let dense_items = large_buffer(&masked_twins, &deltas, &snapshots, true);
+        let wire_items = large_buffer(&masked, &deltas, &snapshots, false);
+        assert_routes(
+            wire_items.iter().map(|it| it.upload),
+            dense_items.iter().map(|it| it.upload),
+        );
+
+        for (name, robust) in large_robust_kinds() {
+            let mut want = global.clone();
+            aggregate_deltas(
+                &mut want,
+                &ups_d,
+                AggSettings::default().with_robust(robust),
+            )
+            .unwrap();
+            assert_streaming_matches(&want, robust, &format!("large-delta/n={n}/{name}"), |s| {
+                let mut g = global.clone();
+                aggregate_deltas(&mut g, &ups_w, s).unwrap();
+                g
+            });
+
+            let mut want = global.clone();
+            let settings = AggSettings::default().with_robust(robust);
+            merge_staleness_weighted(&mut want, &dense_items, 0.75, settings).unwrap();
+            assert_streaming_matches(
+                &want,
+                robust,
+                &format!("large-staleness/n={n}/{name}"),
+                |s| {
+                    let mut g = global.clone();
+                    merge_staleness_weighted(&mut g, &wire_items, 0.75, s).unwrap();
+                    g
+                },
+            );
+        }
+    }
+}
+
 // ---- end-to-end: full experiments, oracle vs streaming -----------------
 
 fn assert_logs_bit_identical(a: &ExperimentLog, b: &ExperimentLog, what: &str) {
