@@ -190,6 +190,9 @@ pub fn run_local_training(
     // Which route produced this run's nn timings: 1 = `math`'s vector
     // bodies, 0 = its scalar definitions (same values either way).
     gauge!("nn.math.wide", u8::from(fedbiad_tensor::math::wide()));
+    // Which register tiles ran the batched GEMMs: 0 = none (the pre-tile
+    // loops), 1 = AVX, 2 = AVX-512 (same bits at every tier).
+    gauge!("nn.gemm.tier", fedbiad_tensor::ops::tier() as u8);
     counter!("nn.rows_computed", row_work.computed);
     counter!("nn.rows_skipped", row_work.skipped);
     if let Some(reader) = &reader {

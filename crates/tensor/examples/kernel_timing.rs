@@ -94,6 +94,30 @@ unsafe fn ceiling_gmacs() -> f64 {
     (CHAINS * ROUNDS * 8) as f64 / best / 1e9
 }
 
+/// [`ceiling_gmacs`] on `zmm` registers: twenty-four chains, sixteen
+/// lanes each — the ceiling of the AVX-512 register tiles.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn ceiling_gmacs_zmm() -> f64 {
+    use std::arch::x86_64::*;
+    const CHAINS: usize = 24;
+    const ROUNDS: usize = 1_000_000;
+    let (a, b) = (_mm512_set1_ps(0.999_999), _mm512_set1_ps(1e-6));
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let mut acc = [black_box(_mm512_set1_ps(1.0)); CHAINS];
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            for chain in acc.iter_mut() {
+                *chain = _mm512_add_ps(_mm512_mul_ps(*chain, a), b);
+            }
+        }
+        best = best.min(t0.elapsed().as_secs_f64());
+        black_box(acc);
+    }
+    (CHAINS * ROUNDS * 16) as f64 / best / 1e9
+}
+
 fn report(kernel: &str, shape: &str, rate: f64) {
     println!("{kernel:<18} {shape:<22} {rate:>6.2} GMAC/s");
 }
@@ -125,6 +149,13 @@ fn main() {
             ceiling_gmacs()
         });
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F was just detected.
+        report("vmulps + vaddps zmm", "registers only", unsafe {
+            ceiling_gmacs_zmm()
+        });
+    }
     // Forward: C (m×n) = A (m×k) · Bᵀ, B a weight matrix n×k.
     for (m, n, k) in [(16, 192, 48), (16, 400, 48), (32, 128, 784), (1, 128, 784)] {
         let w = Matrix::from_vec(n, k, filled(n * k, 1));
@@ -139,6 +170,11 @@ fn main() {
         });
         report("gemv loop", &shape, rate);
         let rate = gmacs(m * n * k, || {
+            ops::avx::gemm_nt(black_box(&x), &w, m, None, &mut c);
+            black_box(&c);
+        });
+        report("gemm_nt ymm", &shape, rate);
+        let rate = gmacs(m * n * k, || {
             ops::gemm_nt(black_box(&x), &w, m, None, &mut c);
             black_box(&c);
         });
@@ -150,6 +186,11 @@ fn main() {
         let w = Matrix::from_vec(k, n, filled(k * n, 3));
         let d = filled(m * k, 4);
         let mut c = vec![0.0f32; m * n];
+        let rate = gmacs(m * k * n, || {
+            ops::avx::gemm_nn(black_box(&d), &w, m, None, &mut c);
+            black_box(&c);
+        });
+        report("gemm_nn ymm", &format!("{m} x {k} -> {n}"), rate);
         let rate = gmacs(m * k * n, || {
             ops::gemm_nn(black_box(&d), &w, m, None, &mut c);
             black_box(&c);
@@ -167,6 +208,11 @@ fn main() {
         let h = filled(s * n, 6);
         let mut g = Matrix::zeros(m, n);
         let rate = gmacs(s * m * n, || {
+            ops::avx::gemm_tn_acc_ord(black_box(&dz), &h, &order, 0, None, &mut g);
+            black_box(&g);
+        });
+        report("gemm_tn_acc_ord ymm", &format!("{s} x {m} x {n}"), rate);
+        let rate = gmacs(s * m * n, || {
             ops::gemm_tn_acc_ord(black_box(&dz), &h, &order, 0, None, &mut g);
             black_box(&g);
         });
@@ -174,21 +220,37 @@ fn main() {
     }
 
     // Gradient accumulation at the MLP's shapes: W1 (128 × 784) from 32
-    // samples with dense and with ReLU-sparse deltas, W2 (10 × 128).
+    // samples with dense and with ReLU-sparse deltas, W2 (10 × 128). Then
+    // the evidence for `ops.rs`'s shape rule: C (128 × n) from 32 samples,
+    // both kinds of deltas, at rows wider than the `ymm` tiles take —
+    // the `ymm` tier streams them, the `zmm` tier tiles them whole.
     for (s, m, n, sparse) in [
         (32, 128, 784, false),
         (32, 128, 784, true),
         (32, 10, 128, false),
+        (32, 128, 128, false),
+        (32, 128, 128, true),
+        (32, 128, 192, false),
+        (32, 128, 192, true),
+        (32, 128, 256, false),
+        (32, 128, 256, true),
+        (32, 128, 384, false),
+        (32, 128, 384, true),
     ] {
         let delta = filled(s * m, 7);
         let delta = if sparse { relu_sparse(delta) } else { delta };
         let x = filled(s * n, 8);
         let mut g = Matrix::zeros(m, n);
+        let tag = if sparse { " relu-sparse" } else { "" };
+        let rate = gmacs(s * m * n, || {
+            ops::avx::gemm_tn_acc(black_box(&delta), &x, s, None, &mut g);
+            black_box(&g);
+        });
+        report("gemm_tn_acc ymm", &format!("{s} x {m} x {n}{tag}"), rate);
         let rate = gmacs(s * m * n, || {
             ops::gemm_tn_acc(black_box(&delta), &x, s, None, &mut g);
             black_box(&g);
         });
-        let tag = if sparse { " relu-sparse" } else { "" };
         report("gemm_tn_acc", &format!("{s} x {m} x {n}{tag}"), rate);
     }
 

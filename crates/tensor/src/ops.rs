@@ -45,36 +45,51 @@
 //! # Register tiles
 //!
 //! The bit contract fixes, per *output element*, the order of its adds.
-//! It says nothing about how many outputs are in flight, so with AVX
-//! (runtime-detected; no FMA, no AVX2) the inner loops hold a tile of
-//! outputs in `ymm` registers across the whole reduction and touch memory
-//! for them once. Inside a tile every operation is a vertical `vmulps`
-//! followed by a vertical `vaddps` on unaligned loads — lane for lane the
-//! scalar sequence of the primitive; nothing is fused, reassociated or
-//! added horizontally.
+//! It says nothing about how many outputs are in flight, so the inner
+//! loops hold a tile of outputs in vector registers across the whole
+//! reduction and touch memory for them once. [`tier`] picks the tiles
+//! once per process from the CPU's features: with AVX, `ymm` tiles sized
+//! for its sixteen registers; with AVX-512F as well, `zmm` tiles sized
+//! for its thirty-two, and the `ymm` tiles for the shapes those leave.
+//! Neither tier uses FMA or AVX2 (the `zmm` tier needs AVX-512F, nothing
+//! more). Inside a tile every operation is a vertical `vmulps` followed by
+//! a vertical `vaddps` on unaligned loads — lane for lane the scalar
+//! sequence of the primitive; nothing is fused, reassociated or added
+//! horizontally.
 //!
-//! | kernel | tile | accumulators | parallel over |
-//! |---|---|---|---|
-//! | [`gemm_nt`] | 4 samples × 4 weight rows | 8 (two samples' 4-lane chunk sums each) | blocks of 4 samples |
-//! | [`gemm_nt`], `m mod 4` rows (all of batch 1) | 1 sample × 8 weight rows | 4 (two weight rows' chunk sums each) | — (after the blocks) |
-//! | [`gemm_nn`] | up to 2 sample rows × the whole row (≤ 96 columns) | rows × `n/8` ≤ 12 | pairs of sample rows |
-//! | [`gemm_tn_acc`]`{,_ord}` | up to 4 gradient rows × the whole row (≤ 96 columns) | rows × `n/8` ≤ 12 | aligned groups of 4 gradient rows |
+//! | tier | kernel | tile | accumulators | parallel over |
+//! |---|---|---|---|---|
+//! | `ymm` | [`gemm_nt`] | 4 samples × 4 weight rows | 8 (two samples' 4-lane chunk sums each) | blocks of 4 samples |
+//! | `zmm` | [`gemm_nt`] | 4 samples × 8 weight rows, then the `ymm` 4 × 4 for a remainder of 4–7 | 8 (four samples' 4-lane chunk sums each, one per 128-bit quarter) | blocks of 4 samples |
+//! | both | [`gemm_nt`], `m mod 4` rows (all of batch 1) | 1 sample × 8 weight rows (`ymm`) | 4 (two weight rows' chunk sums each) | — (after the blocks) |
+//! | `ymm` | [`gemm_nn`] | up to 2 sample rows × the whole row (8–103 columns) | rows × `n/8` ≤ 12 | pairs of sample rows |
+//! | `zmm` | [`gemm_nn`] | up to 4 sample rows × the whole row (16–399 columns; 8–15 take the `ymm` tile) | rows × `n/16` ≤ 24 | groups of 4 sample rows |
+//! | `ymm` | [`gemm_tn_acc`]`{,_ord}` | up to 4 gradient rows × the whole row (8–103 columns) | rows × `n/8` ≤ 12 | aligned groups of 4 gradient rows |
+//! | `zmm` | [`gemm_tn_acc`]`{,_ord}` | up to 4 gradient rows × the whole row (16–399 columns; 8–15 take the `ymm` tile) | rows × `n/16` ≤ 24 | aligned groups of 4 gradient rows |
 //!
 //! Why no bit can move:
 //!
-//! * [`gemm_nt`]: an accumulator is `dot4`'s packing — one sample pair's
-//!   private four lane sums against one weight row — and there are eight
-//!   of them instead of two, so eight add chains overlap where two
+//! * [`gemm_nt`], `ymm`: an accumulator is `dot4`'s packing — one sample
+//!   pair's private four lane sums against one weight row — and there are
+//!   eight of them instead of two, so eight add chains overlap where two
 //!   stalled on add latency; each chain is still one output's chunk sum,
 //!   closed by `((l0 + l1) + l2) + l3 + tail` (an in-lane transpose lines
 //!   the lanes up so the three adds are vertical).
+//! * [`gemm_nt`], `zmm`: quarter `s` of an accumulator is sample `s`'s
+//!   private four lane sums against one weight row. The block's four
+//!   samples are interleaved by 4-element chunk once per block, so one
+//!   load brings chunk `c` of all four, and each weight row's chunk is
+//!   broadcast to the four quarters (`vbroadcastf32x4`). The same in-lane
+//!   transpose, quarter by quarter, closes each chain as `dot` does.
 //! * [`gemm_nn`], [`gemm_tn_acc`]`{,_ord}`: an accumulator is eight
-//!   adjacent elements of one output row; term `t` updates it as
-//!   `acc = acc + coeff·b`, in term order, and the `coeff != 0.0` test is
-//!   taken per (row, term) — a `−0.0` element survives a zero coefficient
-//!   and `0·inf` is never formed where [`axpy`] would have been skipped.
-//!   That is [`axpy`]'s element update with the row kept in a register
-//!   between terms instead of stored and reloaded.
+//!   (`zmm`: sixteen) adjacent elements of one output row; term `t`
+//!   updates it as `acc = acc + coeff·b`, in term order, and the
+//!   `coeff != 0.0` test is taken per (row, term) — a `−0.0` element
+//!   survives a zero coefficient and `0·inf` is never formed where
+//!   [`axpy`] would have been skipped. That is [`axpy`]'s element update
+//!   with the row kept in a register between terms instead of stored and
+//!   reloaded. A `zmm` tile of four sample rows shares each weight row's
+//!   loads four ways where the `ymm` tile's two rows share them two ways.
 //! * Kept rows ride the same tiles: a kept list only changes which weight
 //!   rows (or terms, or gradient rows) a tile is handed.
 //! * A tile never stores a NaN. Where both operands of a multiply or an
@@ -85,31 +100,42 @@
 //!   final values tell) and, if one is NaN, leaves memory untouched and
 //!   hands its rows to the loop the tiles replaced (`dot4` / [`dot`],
 //!   `acc_row_kernel`): the NaN encodings a call returns are the ones it
-//!   returned before tiles existed.
+//!   returned before tiles existed, at either tier. (The `zmm` forward
+//!   loop returns to its caller before that loop runs, so the loop is
+//!   never compiled into AVX-512 code.)
 //!
 //! **Shape rule.** A tile shape is chosen from the operands' shape alone:
 //! `m mod 4` picks the forward tile, and an accumulation row is tiled
-//! only when *all* of it fits the twelve accumulators (`n/8 ≤ 12`, with
-//! as many rows beside each other as then fit; the `n mod 8` trailing
-//! columns stream). Wider rows keep the row-streaming form
-//! (`acc_row_kernel`: fused groups of four AXPYs over the whole row).
-//! The line is where it is because of the zero test. A tile that covers
-//! the whole row asks `coeff != 0.0` once per (row, term), like the
-//! streaming form; a row cut into panels would ask once per panel, and
-//! with coefficients that are zero unpredictably — a ReLU layer's deltas
-//! — every question is a likely branch miss against three vector
-//! multiply-adds of work. Measured on the 2-thread Xeon this was
+//! only when *all* of it fits the accumulators — `n/16 ≤ 24` `zmm`
+//! vectors (`n ≤ 399`) in the `zmm` tier, `n/8 ≤ 12` `ymm` vectors
+//! (`n ≤ 103`) otherwise — with as many rows beside each other as then
+//! fit (at most four); the `n mod 16` (`n mod 8`) trailing columns
+//! stream. Wider rows keep the row-streaming form (`acc_row_kernel`:
+//! fused groups of four AXPYs over the whole row). The line is where it
+//! is because of the zero test. A tile that covers the whole row asks
+//! `coeff != 0.0` once per (row, term), like the streaming form; a row
+//! cut into panels would ask once per panel, and with coefficients that
+//! are zero unpredictably — a ReLU layer's deltas — every question is a
+//! likely branch miss against three vector multiply-adds of work.
+//! Measured on the 2-thread Sapphire-Rapids-class Xeon this was
 //! developed on, one thread, C `128 × n` from 32 samples, tile ÷
-//! streaming: whole-row tiles at `n` = 24 / 48 / 64 / 96: 2.2 / 1.9 /
-//! 1.3 / 1.2 with dense coefficients and 1.6 / 1.6 / 1.3 / 1.3 with half
-//! of them zero at random; panelled tiles at `n` = 128 / 256 / 784: 1.0 /
-//! 0.9 / 1.3 dense but 0.7 / 0.7 / 0.85 half-zero (0.4 at 10 % density) —
-//! and the MLP's W1 gradient (`128 × 784`, ReLU deltas) is exactly that
-//! case, so `n > 96 + 7` streams.
+//! streaming: `ymm` whole-row tiles at `n` = 24 / 48 / 64 / 96: 2.2 /
+//! 1.9 / 1.3 / 1.2 with dense coefficients and 1.6 / 1.6 / 1.3 / 1.3
+//! with half of them zero at random; `ymm` panelled tiles at `n` = 128 /
+//! 256 / 784: 1.0 / 0.9 / 1.3 dense but 0.7 / 0.7 / 0.85 half-zero (0.4
+//! at 10 % density) — and the MLP's W1 gradient (`128 × 784`, ReLU
+//! deltas) is exactly that case, so it streams at both tiers. The `zmm`
+//! whole-row tiles were measured the same way before rows wider than 96
+//! columns were admitted (`examples/kernel_timing.rs`, its `gemm_tn_acc
+//! 32 x 128 x n` rows): at `n` = 128 / 192 / 256 / 384, ≈ 2.3 / 2.1 /
+//! 1.6 / 1.3 dense and ≈ 3.9 / 3.2 / 2.6 / 2.2 half-zero — never below
+//! the streaming form, so every row that fits the 24 accumulators is
+//! tiled.
 //!
 //! Without AVX (SSE2 on x86-64, portable code elsewhere) the pre-tile
-//! loops run unchanged; [`baseline`] exposes them so the property tests
-//! hold the tiles against them on the same operands.
+//! loops run unchanged; [`baseline`] exposes them, and [`avx`] the `ymm`
+//! tier, so the property tests hold the tiles against them on the same
+//! operands.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -275,14 +301,33 @@ const GEMM_PAR_THRESHOLD: usize = 64 * 64;
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::atomic::AtomicU8;
     static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
+    snapshot(&STATE, || std::arch::is_x86_feature_detected!("avx"))
+}
+
+/// [`avx_available`]'s twin for AVX-512F — what the 512-bit register
+/// tiles of the batched GEMMs need ([`tier`]).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_available() -> bool {
+    use std::sync::atomic::AtomicU8;
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    snapshot(&STATE, || std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// `detect()`, asked once and cached in `state` (0 = not asked yet,
+/// 1 = present, 2 = absent).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn snapshot(state: &std::sync::atomic::AtomicU8, detect: fn() -> bool) -> bool {
+    use std::sync::atomic::Ordering;
+    match state.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
         _ => {
-            let has = std::arch::is_x86_feature_detected!("avx");
-            STATE.store(if has { 1 } else { 2 }, Ordering::Relaxed);
+            let has = detect();
+            state.store(if has { 1 } else { 2 }, Ordering::Relaxed);
             has
         }
     }
@@ -292,6 +337,39 @@ fn avx_available() -> bool {
 #[inline]
 fn avx_available() -> bool {
     false
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn avx512_available() -> bool {
+    false
+}
+
+/// Which register tiles the batched GEMMs run (module docs, "Register
+/// tiles"); every tier returns the same bits. `as u8` is the trace gauge
+/// `nn.gemm.tier`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub enum Tier {
+    /// No AVX: the pre-tile loops ([`baseline`]).
+    Baseline = 0,
+    /// The 256-bit tiles.
+    Avx = 1,
+    /// The 512-bit tiles, with the 256-bit ones for what they leave.
+    Avx512 = 2,
+}
+
+/// The tier this host runs: one cached CPU-feature snapshot each for AVX
+/// and AVX-512F. No knob, no env var, no cargo feature.
+#[inline]
+pub fn tier() -> Tier {
+    if !avx_available() {
+        Tier::Baseline
+    } else if avx512_available() {
+        Tier::Avx512
+    } else {
+        Tier::Avx
+    }
 }
 
 /// `C = A B` (GEMM), blocked over K and parallelised over row panels of C.
@@ -317,42 +395,74 @@ pub fn gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     gemm_nn(a.as_slice(), b, a.rows(), None, c.as_mut_slice());
 }
 
-/// The four batched GEMMs forced onto the non-AVX bodies (SSE2 on x86-64,
-/// portable elsewhere: the pre-tile loops) — the path a CPU without AVX
-/// runs in production, exposed so `tests/kernel_props.rs` can hold the AVX
-/// register tiles against it on the same operands. Same contracts as the
-/// functions they mirror.
-#[doc(hidden)]
-pub mod baseline {
-    use super::Matrix;
+/// The four batched GEMMs on a forced [`Tier`], capped at the host's:
+/// `$tier` names the tier, `$doc` what it is.
+macro_rules! forced_tier {
+    ($name:ident, $tier:expr, $doc:literal) => {
+        #[doc = $doc]
+        #[doc(hidden)]
+        pub mod $name {
+            use super::{Matrix, Tier};
 
-    /// [`super::gemm_nt`] on the baseline body.
-    pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
-        super::gemm_nt_on(false, a, b, m, rows, c);
-    }
+            fn forced() -> Tier {
+                super::tier().min($tier)
+            }
 
-    /// [`super::gemm_nn`] on the baseline body.
-    pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
-        super::gemm_nn_on(false, a, b, m, rows, c);
-    }
+            /// [`super::gemm_nt`] on this tier.
+            pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+                super::gemm_nt_on(forced(), a, b, m, rows, c);
+            }
 
-    /// [`super::gemm_tn_acc`] on the baseline body.
-    pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
-        super::gemm_tn_acc_on(false, a, b, k, rows, c);
-    }
+            /// [`super::gemm_nn`] on this tier.
+            pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+                super::gemm_nn_on(forced(), a, b, m, rows, c);
+            }
 
-    /// [`super::gemm_tn_acc_ord`] on the baseline body.
-    pub fn gemm_tn_acc_ord(
-        a: &[f32],
-        b: &[f32],
-        order: &[usize],
-        b_row_off: usize,
-        rows: Option<&[u32]>,
-        c: &mut Matrix,
-    ) {
-        super::gemm_tn_acc_ord_on(false, a, b, order, b_row_off, rows, c);
-    }
+            /// [`super::gemm_tn_acc`] on this tier.
+            pub fn gemm_tn_acc(
+                a: &[f32],
+                b: &[f32],
+                k: usize,
+                rows: Option<&[u32]>,
+                c: &mut Matrix,
+            ) {
+                super::gemm_tn_acc_on(forced(), a, b, k, rows, c);
+            }
+
+            /// [`super::gemm_tn_acc_ord`] on this tier.
+            pub fn gemm_tn_acc_ord(
+                a: &[f32],
+                b: &[f32],
+                order: &[usize],
+                b_row_off: usize,
+                rows: Option<&[u32]>,
+                c: &mut Matrix,
+            ) {
+                super::gemm_tn_acc_ord_on(forced(), a, b, order, b_row_off, rows, c);
+            }
+        }
+    };
 }
+
+forced_tier!(
+    baseline,
+    Tier::Baseline,
+    "The four batched GEMMs forced onto the non-AVX bodies (SSE2 on x86-64, \
+     portable elsewhere: the pre-tile loops) — the path a CPU without AVX \
+     runs in production, exposed so `tests/kernel_props.rs` can hold the \
+     register tiles against it on the same operands. Same contracts as the \
+     functions they mirror."
+);
+
+forced_tier!(
+    avx,
+    Tier::Avx,
+    "The four batched GEMMs forced onto the 256-bit register tiles (the \
+     baseline bodies on a host without AVX) — the path a CPU without \
+     AVX-512F runs in production, exposed so `tests/kernel_props.rs` can \
+     hold the 512-bit tiles against it and `bench_perf`'s `kernel512/*` \
+     entries can time them. Same contracts as the functions they mirror."
+);
 
 /// An index list a GEMM walks: weight rows of a forward product, terms of
 /// an accumulation. `All(k)` is `0..k`; the other two are a kept-row list
@@ -546,10 +656,10 @@ unsafe fn dot4_avx(
 /// sample with a zero weight row. A block holding a non-finite input
 /// (`inf·0 = NaN`) runs dense.
 pub fn gemm_nt(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
-    gemm_nt_on(avx_available(), a, b, m, rows, c);
+    gemm_nt_on(tier(), a, b, m, rows, c);
 }
 
-fn gemm_nt_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+fn gemm_nt_on(tier: Tier, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.cols();
     let n = b.rows();
     assert_eq!(a.len(), m * k, "gemm_nt: A must be m×k");
@@ -573,7 +683,7 @@ fn gemm_nt_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, 
     let block_kernel = |(blk, cb): (usize, &mut [f32])| {
         let xs = &a[blk * 4 * k..(blk + 1) * 4 * k];
         let cols = columns(xs, cb);
-        nt_block(avx, xs, b, cols, cb);
+        nt_block(tier, xs, b, cols, cb);
     };
     if head.len() >= GEMM_PAR_THRESHOLD {
         head.par_chunks_exact_mut(4 * n)
@@ -588,18 +698,20 @@ fn gemm_nt_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, 
         let i = blocks * 4 + r;
         let x = &a[i * k..(i + 1) * k];
         let cols = columns(x, crow);
-        nt_row(avx, x, b, cols, crow);
+        nt_row(tier >= Tier::Avx, x, b, cols, crow);
     }
 }
 
 /// Columns `cols` of four consecutive output rows `cb` (`4×n`): the dots
-/// of the four samples in `xs` (`4×k`) with those weight rows. AVX takes
-/// the weight rows four at a time through the 4 × 4 register tile; what
-/// is left, every column without AVX, and a tile whose result held a NaN
-/// (module docs, "Register tiles") go through [`dot4`].
-fn nt_block(avx: bool, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
+/// of the four samples in `xs` (`4×k`) with those weight rows. AVX-512
+/// takes the weight rows eight at a time through the 4 × 8 `zmm` tile,
+/// AVX (and AVX-512 for what is left) four at a time through the 4 × 4
+/// `ymm` tile; what is left, every column without AVX, and a tile whose
+/// result held a NaN (module docs, "Register tiles") go through [`dot4`].
+fn nt_block(tier: Tier, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
     let k = b.cols();
     let n = b.rows();
+    let avx = tier >= Tier::Avx;
     let x: [&[f32]; 4] = std::array::from_fn(|s| &xs[s * k..(s + 1) * k]);
     let column = |cb: &mut [f32], j: usize| {
         let out = dot4(x[0], x[1], x[2], x[3], b.row(j), avx);
@@ -608,6 +720,19 @@ fn nt_block(avx: bool, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
         }
     };
     let mut t = 0;
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 && cols.len() >= 8 {
+        let packed = pack_chunks(x);
+        while t + 8 <= cols.len() {
+            // SAFETY: AVX-512F was detected at runtime.
+            t = unsafe { zmm::nt_groups(&packed, x, b, cols, t, cb) };
+            if t + 8 <= cols.len() {
+                (t..t + 8).for_each(|t| column(cb, cols.get(t)));
+                t += 8;
+            }
+        }
+        PACK.set(packed);
+    }
     #[cfg(target_arch = "x86_64")]
     if avx {
         while t + 4 <= cols.len() {
@@ -620,8 +745,8 @@ fn nt_block(avx: bool, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
             if holds_nan(out.as_flattened()) {
                 j.iter().for_each(|&j| column(cb, j));
             } else {
-                for (crow, outs) in cb.chunks_exact_mut(n).zip(&out) {
-                    store_columns(crow, j, outs);
+                for (s, outs) in out.iter().enumerate() {
+                    store_columns(&mut cb[s * n..(s + 1) * n], j, outs);
                 }
             }
             t += 4;
@@ -631,6 +756,29 @@ fn nt_block(avx: bool, xs: &[f32], b: &Matrix, cols: Idx, cb: &mut [f32]) {
         column(cb, cols.get(t));
         t += 1;
     }
+}
+
+/// The four samples of a forward block interleaved by 4-element chunk —
+/// chunk `c` of sample `s` at `16·c + 4·s` — so the 4 × 8 `zmm` tile
+/// loads chunk `c` of all four with one load. Built once per block in the
+/// thread's [`PACK`] buffer; the caller hands it back when done.
+#[cfg(target_arch = "x86_64")]
+fn pack_chunks(x: [&[f32]; 4]) -> Vec<f32> {
+    let mut buf = PACK.take();
+    buf.clear();
+    buf.resize(x[0].len() / 4 * 16, 0.0);
+    for (c, dst) in buf.chunks_exact_mut(16).enumerate() {
+        for (s, xs) in x.iter().enumerate() {
+            dst[4 * s..4 * s + 4].copy_from_slice(&xs[4 * c..4 * c + 4]);
+        }
+    }
+    buf
+}
+
+#[cfg(target_arch = "x86_64")]
+thread_local! {
+    /// [`pack_chunks`]'s buffer, kept per thread between blocks.
+    static PACK: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// Does a forward tile's result hold a NaN? Such a tile is recomputed by
@@ -657,9 +805,9 @@ fn store_columns<const N: usize>(crow: &mut [f32], j: [usize; N], out: &[f32; N]
 }
 
 /// Columns `cols` of one output row: the remainder samples of a batch —
-/// the whole call at batch 1. AVX takes the weight rows eight at a time
-/// through the 1 × 8 register tile; the rest, and a tile whose result
-/// held a NaN, is [`dot`].
+/// the whole call at batch 1. AVX (either tier) takes the weight rows
+/// eight at a time through the 1 × 8 register tile; the rest, and a tile
+/// whose result held a NaN, is [`dot`].
 fn nt_row(avx: bool, x: &[f32], b: &Matrix, cols: Idx, crow: &mut [f32]) {
     assert_eq!(x.len(), b.cols(), "nt_row: sample length");
     let mut t = 0;
@@ -717,10 +865,10 @@ fn all_finite(x: &[f32]) -> bool {
 /// become `−0.0`, so adding `a·(+0.0)` changes nothing for finite `a`.
 /// A sample row holding a non-finite coefficient runs dense.
 pub fn gemm_nn(a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
-    gemm_nn_on(avx_available(), a, b, m, rows, c);
+    gemm_nn_on(tier(), a, b, m, rows, c);
 }
 
-fn gemm_nn_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
+fn gemm_nn_on(tier: Tier, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, c: &mut [f32]) {
     let k = b.rows();
     let n = b.cols();
     assert_eq!(a.len(), m * k, "gemm_nn: A must be m×k");
@@ -729,18 +877,27 @@ fn gemm_nn_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, 
     if m == 0 || n == 0 {
         return;
     }
-    // Two sample rows per tile; an odd last row is a tile of one. A row
-    // skips the dropped weight rows only if its own coefficients are
-    // finite, so a pair of which one row is and one is not splits into
-    // two tiles of one.
+    // Four sample rows per tile with AVX-512, two otherwise; the last
+    // tile holds what is left. A row skips the dropped weight rows only
+    // if its own coefficients are finite, so a tile whose rows disagree
+    // runs as two: the rows that skip, then the rows that do not.
+    let per_tile = if tier == Tier::Avx512 { 4 } else { 2 };
     let tile_kernel = |(tile, ct): (usize, &mut [f32])| {
         ct.fill(0.0);
         let height = ct.len() / n;
-        let coeffs = &a[tile * 2 * k..(tile * 2 + height) * k];
-        let skips = |r: usize| rows.is_some() && all_finite(&coeffs[r * k..(r + 1) * k]);
-        let run = |ct: &mut [f32], skip: bool, local: &[usize]| {
+        let coeffs = &a[tile * per_tile * k..(tile * per_tile + height) * k];
+        let skips: [bool; 4] = std::array::from_fn(|r| {
+            r < height && rows.is_some() && all_finite(&coeffs[r * k..(r + 1) * k])
+        });
+        for skip in [true, false] {
+            let mut local = [0usize; 4];
+            let mut count = 0;
+            for r in (0..height).filter(|&r| skips[r] == skip) {
+                local[count] = r;
+                count += 1;
+            }
             let acc = Accumulation {
-                avx,
+                tier,
                 terms: rows.filter(|_| skip).map_or(Idx::All(k), Idx::Kept),
                 term_bound: k,
                 a: coeffs,
@@ -748,28 +905,22 @@ fn gemm_nn_on(avx: bool, a: &[f32], b: &Matrix, m: usize, rows: Option<&[u32]>, 
                 b: b.as_slice(),
                 n,
             };
-            acc.run(ct, local, [0, k, 0, 0].map(|col| col + local[0] * k));
-        };
-        if height == 2 && skips(0) != skips(1) {
-            run(ct, skips(0), &[0]);
-            run(ct, skips(1), &[1]);
-        } else {
-            run(ct, skips(0), &[0, 1][..height]);
+            acc.run(ct, &local[..count], local.map(|r| r * k));
         }
     };
     let par = c.len() >= GEMM_PAR_THRESHOLD;
-    let (head, last) = c.split_at_mut(m / 2 * 2 * n);
+    let (head, last) = c.split_at_mut(m / per_tile * per_tile * n);
     if par {
-        head.par_chunks_exact_mut(2 * n)
+        head.par_chunks_exact_mut(per_tile * n)
             .enumerate()
             .for_each(tile_kernel);
     } else {
-        head.chunks_exact_mut(2 * n)
+        head.chunks_exact_mut(per_tile * n)
             .enumerate()
             .for_each(tile_kernel);
     }
     if !last.is_empty() {
-        tile_kernel((m / 2, last));
+        tile_kernel((m / per_tile, last));
     }
 }
 
@@ -946,7 +1097,7 @@ fn acc_row_kernel<'b>(
 /// `s = terms.get(t)`, a zero coefficient skipping its term — the AXPY
 /// sequence [`gemv_t`] / [`ger`] apply to that row.
 struct Accumulation<'a> {
-    avx: bool,
+    tier: Tier,
     terms: Idx<'a>,
     /// Exclusive bound on every `terms.get(t)` — what the callers'
     /// shape asserts establish; the tiles read through raw pointers on
@@ -961,13 +1112,13 @@ struct Accumulation<'a> {
 impl Accumulation<'_> {
     /// Accumulate into rows `local` (at most four) of the tile `ct`
     /// (row-major, `n` wide); row `local[q]` takes its coefficients from
-    /// column `a_row[q]`. With AVX, a row of at most
-    /// [`ACC_TILE_VECTORS`] whole vectors runs as register tiles of as
-    /// many rows as fit beside each other. What a tile did not do — the
-    /// last `n mod 8` columns, every wider row, and all of a tile whose
-    /// result held a NaN (module docs, "Register tiles") — goes through
-    /// [`acc_row_kernel`] one row at a time. Columns are independent, so
-    /// the split changes no bit.
+    /// column `a_row[q]`. A row of at most [`Self::tile_shape`]'s budget
+    /// of whole vectors runs as register tiles of as many rows as fit
+    /// beside each other. What a tile did not do — the last `n mod 16`
+    /// (`zmm`) or `n mod 8` (`ymm`) columns, every wider row, and all of
+    /// a tile whose result held a NaN (module docs, "Register tiles") —
+    /// goes through [`acc_row_kernel`] one row at a time. Columns are
+    /// independent, so the split changes no bit.
     fn run(&self, ct: &mut [f32], local: &[usize], a_row: [usize; 4]) {
         let (n, terms) = (self.n, self.terms);
         if local.is_empty() || terms.len() == 0 {
@@ -976,8 +1127,8 @@ impl Accumulation<'_> {
         // Leading columns of row `local[q]` a tile has accumulated.
         let mut done = [0usize; 4];
         #[cfg(target_arch = "x86_64")]
-        if self.avx && (1..=ACC_TILE_VECTORS).contains(&(n / 8)) {
-            let vectors = n / 8;
+        if let Some((lanes, budget)) = self.tile_shape() {
+            let vectors = n / lanes;
             let last = self.term_bound - 1;
             assert!((last + 1) * n <= self.b.len(), "accumulation: B too short");
             for (q, &l) in local.iter().enumerate() {
@@ -987,28 +1138,31 @@ impl Accumulation<'_> {
                     "accumulation: A too short"
                 );
             }
-            let height = (ACC_TILE_VECTORS / vectors).min(4);
+            let height = (budget / vectors).min(4);
             let groups = local.chunks(height).zip(a_row.chunks(height));
             for ((rows, cols), tiled) in groups.zip(done.chunks_mut(height)) {
-                // SAFETY: AVX was detected at runtime. Every term index
-                // is below `term_bound` (the struct's invariant), so by
-                // the three asserts above each coefficient
-                // `a[s·a_stride + a_row[q]]`, each `b[s·n..][..8·vectors]`
-                // and each `ct[l·n..][..8·vectors]` the tile touches is in
+                let a = (self.a.as_ptr(), self.a_stride, cols);
+                let b = (self.b.as_ptr(), n);
+                let c = (ct.as_mut_ptr(), rows);
+                // SAFETY: `tile_shape` returned `lanes = 16` only where
+                // AVX-512F, and `8` only where AVX, was detected at
+                // runtime. Every term index is below `term_bound` (the
+                // struct's invariant), so by the three asserts above each
+                // coefficient `a[s·a_stride + a_row[q]]`, each
+                // `b[s·n..][..lanes·vectors]` and each
+                // `ct[l·n..][..lanes·vectors]` the tile touches is in
                 // bounds; `rows.len() ≤ height ≤ 4` and `rows.len() ·
-                // vectors ≤ ACC_TILE_VECTORS` by the choice of `height`;
-                // `cols` is at least as long as `rows` (`local.len() ≤ 4`).
+                // vectors ≤ budget` by the choice of `height`; `cols` is
+                // at least as long as `rows` (`local.len() ≤ 4`).
                 let stored = unsafe {
-                    tiles::accumulate(
-                        vectors,
-                        terms,
-                        (self.a.as_ptr(), self.a_stride, cols),
-                        (self.b.as_ptr(), n),
-                        (ct.as_mut_ptr(), rows),
-                    )
+                    if lanes == 16 {
+                        zmm::accumulate(vectors, terms, a, b, c)
+                    } else {
+                        tiles::accumulate(vectors, terms, a, b, c)
+                    }
                 };
                 if stored {
-                    tiled.fill(8 * vectors);
+                    tiled.fill(lanes * vectors);
                 }
             }
         }
@@ -1016,6 +1170,23 @@ impl Accumulation<'_> {
             if done[q] < n {
                 self.stream_row(done[q], a_row[q], &mut ct[l * n..(l + 1) * n]);
             }
+        }
+    }
+
+    /// The register tile a row of `n` columns takes, as (lanes per
+    /// vector, accumulator budget in vectors): `zmm` with AVX-512 when
+    /// one to [`ACC_TILE_ZMM`] whole 16-column vectors fit, else `ymm`
+    /// with AVX when one to [`ACC_TILE_VECTORS`] 8-column vectors do,
+    /// else none — the shape rule (module docs, "Register tiles").
+    #[cfg(target_arch = "x86_64")]
+    fn tile_shape(&self) -> Option<(usize, usize)> {
+        let n = self.n;
+        if self.tier == Tier::Avx512 && (1..=ACC_TILE_ZMM).contains(&(n / 16)) {
+            Some((16, ACC_TILE_ZMM))
+        } else if self.tier >= Tier::Avx && (1..=ACC_TILE_VECTORS).contains(&(n / 8)) {
+            Some((8, ACC_TILE_VECTORS))
+        } else {
+            None
         }
     }
 
@@ -1048,7 +1219,7 @@ impl Accumulation<'_> {
                 &self.b[s * n + from..(s + 1) * n],
             )
         };
-        acc_row_kernel(terms, term, crow, self.avx);
+        acc_row_kernel(terms, term, crow, self.tier >= Tier::Avx);
     }
 
     /// `C += Aᵀ·B` into a gradient matrix, or into its `rows` only — a
@@ -1110,10 +1281,17 @@ impl Accumulation<'_> {
 ///
 /// With `rows` only those rows of `C` are accumulated into.
 pub fn gemm_tn_acc(a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
-    gemm_tn_acc_on(avx_available(), a, b, k, rows, c);
+    gemm_tn_acc_on(tier(), a, b, k, rows, c);
 }
 
-fn gemm_tn_acc_on(avx: bool, a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]>, c: &mut Matrix) {
+fn gemm_tn_acc_on(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    rows: Option<&[u32]>,
+    c: &mut Matrix,
+) {
     let m = c.rows();
     let n = c.cols();
     assert_eq!(a.len(), k * m, "gemm_tn_acc: A must be k×m");
@@ -1122,7 +1300,7 @@ fn gemm_tn_acc_on(avx: bool, a: &[f32], b: &[f32], k: usize, rows: Option<&[u32]
         return;
     }
     Accumulation {
-        avx,
+        tier,
         terms: Idx::All(k),
         term_bound: k,
         a,
@@ -1148,11 +1326,11 @@ pub fn gemm_tn_acc_ord(
     rows: Option<&[u32]>,
     c: &mut Matrix,
 ) {
-    gemm_tn_acc_ord_on(avx_available(), a, b, order, b_row_off, rows, c);
+    gemm_tn_acc_ord_on(tier(), a, b, order, b_row_off, rows, c);
 }
 
 fn gemm_tn_acc_ord_on(
-    avx: bool,
+    tier: Tier,
     a: &[f32],
     b: &[f32],
     order: &[usize],
@@ -1174,7 +1352,7 @@ fn gemm_tn_acc_ord_on(
         "gemm_tn_acc_ord: B too short"
     );
     Accumulation {
-        avx,
+        tier,
         terms: Idx::Order(order),
         term_bound: max + 1,
         a,
@@ -1190,6 +1368,11 @@ fn gemm_tn_acc_ord_on(
 /// the product in flight). A row is tiled only when *all* of it fits —
 /// module docs, "Register tiles", shape rule.
 const ACC_TILE_VECTORS: usize = 12;
+
+/// [`ACC_TILE_VECTORS`] for the 16-column `zmm` tiles: 24 of the 32
+/// registers, the rest for the coefficient broadcast and the products in
+/// flight.
+const ACC_TILE_ZMM: usize = 24;
 
 /// The AVX register tiles (module docs, "Register tiles"). Everything
 /// here is vertical `vmulps` / `vaddps` on unaligned loads: no FMA, no
@@ -1227,7 +1410,7 @@ mod tiles {
 
     /// `dot`'s scalar tail over elements `from..k`.
     #[inline]
-    unsafe fn tail(x: *const f32, w: *const f32, from: usize, k: usize) -> f32 {
+    pub(super) unsafe fn tail(x: *const f32, w: *const f32, from: usize, k: usize) -> f32 {
         let mut t = 0.0;
         for i in from..k {
             t += *x.add(i) * *w.add(i);
@@ -1409,6 +1592,256 @@ mod tiles {
             (2, 1) (2, 2) (2, 3) (2, 4) (2, 5) (2, 6)
             (3, 1) (3, 2) (3, 3) (3, 4)
             (4, 1) (4, 2) (4, 3)
+        }
+    }
+}
+
+/// The AVX-512 register tiles (module docs, "Register tiles"): the
+/// shapes of [`tiles`] one ISA tier up, 16 lanes and 32 registers. The
+/// same rules hold — vertical `vmulps` / `vaddps` on unaligned loads, no
+/// FMA, no horizontal add, no reassociation, nothing stored from a tile
+/// that holds a NaN.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::needless_range_loop)]
+mod zmm {
+    use super::Idx;
+    use std::arch::x86_64::*;
+
+    /// [`super::tiles`]' `lane_sums` on four 128-bit quarters at once:
+    /// `acc[j]` holds, in quarter `s`, the four lane sums of sample `s`
+    /// against weight row `j`; the same in-lane 4 × 4 transpose (every
+    /// unpack and shuffle here works within a quarter) lines lane `l` of
+    /// the four `j` up, so three vertical adds form `((l0 + l1) + l2) +
+    /// l3` per output. Quarter `s` of the result: sample `s`, rows
+    /// `j = 0..4`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn lane_sums(acc: [__m512; 4]) -> __m512 {
+        let t0 = _mm512_unpacklo_ps(acc[0], acc[1]);
+        let t1 = _mm512_unpackhi_ps(acc[0], acc[1]);
+        let t2 = _mm512_unpacklo_ps(acc[2], acc[3]);
+        let t3 = _mm512_unpackhi_ps(acc[2], acc[3]);
+        let l0 = _mm512_shuffle_ps::<0x44>(t0, t2);
+        let l1 = _mm512_shuffle_ps::<0xEE>(t0, t2);
+        let l2 = _mm512_shuffle_ps::<0x44>(t1, t3);
+        let l3 = _mm512_shuffle_ps::<0xEE>(t1, t3);
+        _mm512_add_ps(_mm512_add_ps(_mm512_add_ps(l0, l1), l2), l3)
+    }
+
+    /// Columns `cols[t..]` of a forward block (`cb`, `4×n`) through
+    /// [`nt_4x8`], eight at a time, up to the first group whose result
+    /// held a NaN: returns where that group starts — it stored nothing
+    /// there, and the caller runs it through the loop the tiles replaced,
+    /// outside this function's codegen — or where the whole groups end.
+    ///
+    /// `packed` is `super::pack_chunks(x)`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nt_groups(
+        packed: &[f32],
+        x: [&[f32]; 4],
+        b: &super::Matrix,
+        cols: Idx,
+        mut t: usize,
+        cb: &mut [f32],
+    ) -> usize {
+        let (k, n) = (b.cols(), b.rows());
+        assert!(x.iter().all(|x| x.len() == k), "nt_groups: sample length");
+        assert_eq!(packed.len(), k / 4 * 16, "nt_groups: packed block");
+        while t + 8 <= cols.len() {
+            let j: [usize; 8] = std::array::from_fn(|q| cols.get(t + q));
+            let w = j.map(|j| b.row(j).as_ptr());
+            // SAFETY: the caller's AVX-512F; the asserts above and
+            // `Matrix::row`'s bounds check give `nt_4x8`'s lengths.
+            let out = nt_4x8(packed, x.map(<[f32]>::as_ptr), w, k);
+            if super::holds_nan(out.as_flattened()) {
+                break;
+            }
+            for (s, outs) in out.iter().enumerate() {
+                super::store_columns(&mut cb[s * n..(s + 1) * n], j, outs);
+            }
+            t += 8;
+        }
+        t
+    }
+
+    /// The 4 samples × 8 weight rows tile of `gemm_nt`: `out[s][j] =
+    /// dot(x[s], w[j])`. Eight accumulators, one per weight row, each
+    /// holding in quarter `s` sample `s`'s private 4-lane chunk sums: one
+    /// load of the packed block (`packed[16·c..]`, chunk `c` of all four
+    /// samples) is multiplied by each weight row's chunk broadcast to all
+    /// four quarters (`vbroadcastf32x4`). `x` supplies the tails.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `packed` must hold `k / 4` chunks of
+    /// 16 (`super::pack_chunks` of `x`); every pointer of `x` and `w` must
+    /// be valid for `k` reads.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn nt_4x8(
+        packed: &[f32],
+        x: [*const f32; 4],
+        w: [*const f32; 8],
+        k: usize,
+    ) -> [[f32; 8]; 4] {
+        let chunks = k / 4;
+        let mut acc = [_mm512_setzero_ps(); 8];
+        for c in 0..chunks {
+            let xv = _mm512_loadu_ps(packed.as_ptr().add(16 * c));
+            for j in 0..8 {
+                let wv = _mm512_broadcast_f32x4(_mm_loadu_ps(w[j].add(4 * c)));
+                acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(xv, wv));
+            }
+        }
+        // `tails[h][4·s + j mod 4]` beside the lane sums of rows
+        // `4h..4h + 4` (`dot` adds its tail, `+0.0` when empty, last).
+        let mut tails = [[0.0f32; 16]; 2];
+        if chunks * 4 < k {
+            for s in 0..4 {
+                for j in 0..8 {
+                    tails[j / 4][4 * s + j % 4] = super::tiles::tail(x[s], w[j], chunks * 4, k);
+                }
+            }
+        }
+        let lo = lane_sums([acc[0], acc[1], acc[2], acc[3]]);
+        let lo = _mm512_add_ps(lo, _mm512_loadu_ps(tails[0].as_ptr()));
+        let hi = lane_sums([acc[4], acc[5], acc[6], acc[7]]);
+        let hi = _mm512_add_ps(hi, _mm512_loadu_ps(tails[1].as_ptr()));
+        // Output row `s` is quarter `s` of `lo`, then of `hi` (an index
+        // below 16 picks from `lo`, from 16 on from `hi`).
+        const ROWS_01: [i32; 16] = [0, 1, 2, 3, 16, 17, 18, 19, 4, 5, 6, 7, 20, 21, 22, 23];
+        const ROWS_23: [i32; 16] = [8, 9, 10, 11, 24, 25, 26, 27, 12, 13, 14, 15, 28, 29, 30, 31];
+        let mut out = [[0.0f32; 8]; 4];
+        let o = out.as_mut_ptr() as *mut f32;
+        for (half, rows) in [ROWS_01, ROWS_23].iter().enumerate() {
+            let idx = _mm512_loadu_si512(rows.as_ptr().cast());
+            _mm512_storeu_ps(o.add(16 * half), _mm512_permutex2var_ps(lo, idx, hi));
+        }
+        out
+    }
+
+    /// `super::tiles`' accumulation tile at 16 columns a vector: `R`
+    /// rows × `16·V` columns, outputs loaded once, held in `R·V` `zmm`
+    /// registers while every term is applied — `acc = acc + coeff·b`, the
+    /// `coeff != 0.0` skip taken per (row, term) — and stored once. Row
+    /// `q`'s coefficient for term index `s` is `a[s·a_stride + a_row[q]]`,
+    /// the term's row is `b[s·n..]`, the tile's outputs are
+    /// `c[q][..16·V]`. Returns whether the outputs were stored (a tile
+    /// holding a NaN stores nothing).
+    ///
+    /// # Safety
+    /// AVX-512F must be available. For every `s` that `terms` yields and
+    /// every `q < R`: `a[s·a_stride + a_row[q]]` readable,
+    /// `b[s·n..][..16·V]` readable, `c[q][..16·V]` readable and writable
+    /// and not overlapping another row's.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn acc_tile<const R: usize, const V: usize>(
+        terms: Idx,
+        (a, a_stride, a_row): (*const f32, usize, [usize; R]),
+        (b, n): (*const f32, usize),
+        c: [*mut f32; R],
+    ) -> bool {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for q in 0..R {
+            for v in 0..V {
+                acc[q][v] = _mm512_loadu_ps(c[q].add(16 * v));
+            }
+        }
+        let a = (a, a_stride, a_row);
+        match terms {
+            Idx::All(k) => apply_terms(&mut acc, k, |t| t, a, (b, n)),
+            Idx::Kept(l) => apply_terms(&mut acc, l.len(), |t| l[t] as usize, a, (b, n)),
+            Idx::Order(l) => apply_terms(&mut acc, l.len(), |t| l[t], a, (b, n)),
+        }
+        let mut nan: __mmask16 = 0;
+        for q in 0..R {
+            for v in 0..V {
+                nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(acc[q][v], acc[q][v]);
+            }
+        }
+        if nan != 0 {
+            return false;
+        }
+        for q in 0..R {
+            for v in 0..V {
+                _mm512_storeu_ps(c[q].add(16 * v), acc[q][v]);
+            }
+        }
+        true
+    }
+
+    /// [`acc_tile`]'s term loop, one instantiation per index kind, so
+    /// the kind is not asked per term: term `t` is index `index(t)`.
+    ///
+    /// # Safety
+    /// As [`acc_tile`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn apply_terms<const R: usize, const V: usize>(
+        acc: &mut [[__m512; V]; R],
+        terms: usize,
+        index: impl Fn(usize) -> usize,
+        (a, a_stride, a_row): (*const f32, usize, [usize; R]),
+        (b, n): (*const f32, usize),
+    ) {
+        for t in 0..terms {
+            let s = index(t);
+            let (ap, bp) = (a.add(s * a_stride), b.add(s * n));
+            for q in 0..R {
+                let cp = ap.add(a_row[q]);
+                // `coeff != 0.0`, asked of the bits: only ±0.0 have every
+                // bit but the sign clear (a NaN is nonzero either way).
+                // Asked of memory, the broadcast loads the coefficient
+                // itself rather than moving it out of a scalar register.
+                if cp.cast::<u32>().read() << 1 != 0 {
+                    let kv = _mm512_broadcastss_ps(_mm_load_ss(cp));
+                    for v in 0..V {
+                        let term = _mm512_mul_ps(kv, _mm512_loadu_ps(bp.add(16 * v)));
+                        acc[q][v] = _mm512_add_ps(acc[q][v], term);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `super::tiles::accumulate` at 16 columns a vector: one
+    /// [`acc_tile`] instantiation per shape of at most
+    /// [`super::ACC_TILE_ZMM`] accumulators.
+    ///
+    /// # Safety
+    /// As [`acc_tile`], for every row of `rows` (which must be distinct)
+    /// and the matching entry of `a_row` (at least as long);
+    /// `rows.len() · vectors` must be between 1 and
+    /// [`super::ACC_TILE_ZMM`] and `rows.len() ≤ 4`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn accumulate(
+        vectors: usize,
+        terms: Idx,
+        (a, a_stride, a_row): (*const f32, usize, &[usize]),
+        b: (*const f32, usize),
+        (c, rows): (*mut f32, &[usize]),
+    ) -> bool {
+        macro_rules! shapes {
+            ($(($R:literal, $V:literal))+) => {
+                match (rows.len(), vectors) {
+                    $(($R, $V) => acc_tile::<$R, $V>(
+                        terms,
+                        (a, a_stride, std::array::from_fn(|q| a_row[q])),
+                        b,
+                        std::array::from_fn(|q| c.add(rows[q] * b.1)),
+                    ),)+
+                    (count, _) => unreachable!("no zmm tile of {count} rows × {vectors} vectors"),
+                }
+            };
+        }
+        shapes! {
+            (1, 1) (1, 2) (1, 3) (1, 4) (1, 5) (1, 6) (1, 7) (1, 8) (1, 9) (1, 10) (1, 11) (1, 12)
+            (1, 13) (1, 14) (1, 15) (1, 16) (1, 17) (1, 18) (1, 19) (1, 20) (1, 21) (1, 22) (1, 23) (1, 24)
+            (2, 1) (2, 2) (2, 3) (2, 4) (2, 5) (2, 6) (2, 7) (2, 8) (2, 9) (2, 10) (2, 11) (2, 12)
+            (3, 1) (3, 2) (3, 3) (3, 4) (3, 5) (3, 6) (3, 7) (3, 8)
+            (4, 1) (4, 2) (4, 3) (4, 4) (4, 5) (4, 6)
         }
     }
 }

@@ -9,12 +9,15 @@
 //! * for a kept-row subset, the kernel's own every-row form run through
 //!   zeroed rows (**bit-identical**, operands including ±0, subnormals,
 //!   `MAX`, ±∞ and NaN, so the finite guards decide the outcome), and
-//! * the AVX register tiles against both the per-sample primitives and
-//!   the SSE2 / portable bodies they replaced (`ops::baseline`), over
-//!   shapes that land on every tile remainder — the shapes the ASan leg
-//!   (`scripts/asan.sh`) watches the tiles' edge loads on.
+//! * the register tiles against both the per-sample primitives and
+//!   the SSE2 / portable bodies they replaced (`ops::baseline`), and the
+//!   512-bit tiles against the 256-bit ones (`ops::avx`, NaN encodings
+//!   included), over shapes that land on every tile remainder of both
+//!   tiers — the shapes the ASan leg (`scripts/asan.sh`) watches the
+//!   tiles' edge loads on. A host without AVX-512F says on stderr that
+//!   the 512-bit leg did not run ([`note_the_zmm_leg`]).
 
-use fedbiad_tensor::ops;
+use fedbiad_tensor::ops::{self, Tier};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use fedbiad_tensor::Matrix;
 use proptest::prelude::*;
@@ -69,6 +72,20 @@ fn operand(len: usize, edgy: bool, rng: &mut impl Rng) -> Vec<f32> {
             }
         })
         .collect()
+}
+
+/// `x` with every NaN replaced by one of any sign, quiet or signalling,
+/// with a random payload — so a comparison of NaN encodings tells which
+/// operand an operation returned, not just its sign. Only the tier
+/// properties use it: the kept-row pins above compare two call shapes
+/// whose NaN encodings are the code generator's choice (ROADMAP item
+/// 3(d)), and distinct payloads make that choice visible where the
+/// default NaN hides it.
+fn with_payloads(mut x: Vec<f32>, rng: &mut impl Rng) -> Vec<f32> {
+    for v in x.iter_mut().filter(|v| v.is_nan()) {
+        *v = f32::from_bits(0x7F80_0001 | (rng.gen::<u32>() & 0x807F_FFFF));
+    }
+    x
 }
 
 /// A kept-row subset of `0..n` by shape: empty, all, one, every other,
@@ -370,19 +387,42 @@ proptest! {
 }
 
 /// Batch sizes that land on every sample-tile remainder of the three
-/// kernels (`gemm_nt`: 4 + 1; `gemm_nn`: 2 + 1; gradient rows: 4 + 1..3).
+/// kernels (`gemm_nt`: 4 + 1; `gemm_nn`: 2 + 1, or 4 + 1..3 with
+/// AVX-512; gradient rows: 4 + 1..3) — every `m mod 4`.
 fn tile_row_counts() -> Vec<usize> {
-    vec![1, 2, 3, 4, 5, 7, 16, 33]
+    vec![1, 2, 3, 4, 5, 6, 7, 16, 33]
 }
 
-/// Row widths around every accumulation-tile boundary: below one vector,
-/// `n mod 8` columns beside 1..12 vectors (tile heights 4, 3, 2, 1), and
-/// past the twelve accumulators, where rows stream.
+/// Row widths around every accumulation-tile boundary of both tiers:
+/// below one vector, `n mod 8` columns beside 1..12 `ymm` vectors (tile
+/// heights 4, 3, 2, 1) and past them; `n mod 16` columns beside 1..24
+/// `zmm` vectors (heights 4, 3, 2, 1 at 1–6, 7–8, 9–12, 13–24 vectors)
+/// and past the 24 accumulators, where rows stream.
 fn acc_widths() -> Vec<usize> {
     vec![
-        1, 3, 7, 8, 9, 15, 16, 23, 24, 25, 31, 33, 40, 47, 48, 49, 63, 71, 95, 96, 97, 103, 104,
-        110,
+        1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 40, 47, 48, 49, 63, 71, 95, 96, 97, 103,
+        104, 110, 112, 127, 128, 129, 143, 144, 193, 383, 384, 399, 400, 401,
     ]
+}
+
+/// Whether the production GEMMs run the 512-bit tier on this host. Where
+/// they do not, every `zmm ≡ ymm` comparison below compares the 256-bit
+/// tier with itself, and this says so once — on stderr, past the test
+/// harness's capture — so that leg never passes silently.
+fn note_the_zmm_leg() -> bool {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let runs = ops::tier() == Tier::Avx512;
+    if !runs {
+        NOTE.call_once(|| {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "kernel_props: no avx512f on this host (tier {:?}) — the 512-bit tile leg did not run",
+                ops::tier()
+            );
+        });
+    }
+    runs
 }
 
 /// A kept subset of `0..n` by `shape` (see [`subset`]); `shape` 6 is
@@ -398,13 +438,14 @@ fn takes_row(kept: &Option<Vec<u32>>, r: usize) -> bool {
 }
 
 proptest! {
-    /// The forward tiles (4 × 4, 1 × 8, their `dot4` / `dot` remainders)
-    /// equal `gemv` per sample and the baseline body, on every row of
-    /// the weight matrix or on a kept subset of it.
+    /// The forward tiles (4 × 8 `zmm`, 4 × 4, 1 × 8, their `dot4` / `dot`
+    /// remainders) equal `gemv` per sample, the baseline body and — NaN
+    /// encodings included — the 256-bit tier, on every row of the weight
+    /// matrix or on a kept subset of it.
     #[test]
     fn tiled_gemm_nt_equals_gemv_and_the_baseline_body(
         m in prop::sample::select(tile_row_counts()),
-        n in 1usize..27,
+        n in 1usize..42,
         k in prop::sample::select(vec![0usize, 1, 2, 3, 4, 5, 7, 8, 13, 23, 24, 47, 48, 49, 50]),
         shape in 0u32..7,
         edgy in 0u32..3,
@@ -413,7 +454,9 @@ proptest! {
         let mut rng = stream(seed, StreamTag::Init, 6, 0);
         let kept = kept_rows(shape, n, &mut rng);
         let a = operand(m * k, edgy == 1, &mut rng);
-        let mut b = Matrix::from_vec(n, k, operand(n * k, edgy == 2, &mut rng));
+        let a = with_payloads(a, &mut rng);
+        let b = with_payloads(operand(n * k, edgy == 2, &mut rng), &mut rng);
+        let mut b = Matrix::from_vec(n, k, b);
         if let Some(kept) = &kept {
             b = zero_dropped_rows(b, kept);
         }
@@ -427,15 +470,20 @@ proptest! {
         let mut base = vec![f32::NAN; m * n];
         ops::baseline::gemm_nt(&a, &b, m, kept.as_deref(), &mut base);
         prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&base), "tiles vs baseline");
+        let mut ymm = vec![f32::NAN; m * n];
+        ops::avx::gemm_nt(&a, &b, m, kept.as_deref(), &mut ymm);
+        note_the_zmm_leg();
+        prop_assert_eq!(bits(&got), bits(&ymm), "zmm vs ymm");
     }
 
-    /// The backprop tiles equal `gemv_t` per sample and the baseline
-    /// body: zero coefficients (one in five, or `±0` among the edge
-    /// values) are skipped per (sample, weight row), whatever the tile.
+    /// The backprop tiles equal `gemv_t` per sample, the baseline body
+    /// and the 256-bit tier: zero coefficients (one in five, or `±0`
+    /// among the edge values) are skipped per (sample, weight row),
+    /// whatever the tile — no weight rows at all included.
     #[test]
     fn tiled_gemm_nn_equals_gemv_t_and_the_baseline_body(
         m in prop::sample::select(tile_row_counts()),
-        k in 1usize..14,
+        k in 0usize..14,
         n in prop::sample::select(acc_widths()),
         shape in 0u32..7,
         edgy in 0u32..3,
@@ -444,7 +492,9 @@ proptest! {
         let mut rng = stream(seed, StreamTag::Init, 7, 0);
         let kept = kept_rows(shape, k, &mut rng);
         let a = operand(m * k, edgy == 1, &mut rng);
-        let mut b = Matrix::from_vec(k, n, operand(k * n, edgy == 2, &mut rng));
+        let a = with_payloads(a, &mut rng);
+        let b = with_payloads(operand(k * n, edgy == 2, &mut rng), &mut rng);
+        let mut b = Matrix::from_vec(k, n, b);
         if let Some(kept) = &kept {
             b = zero_dropped_rows(b, kept);
         }
@@ -458,10 +508,15 @@ proptest! {
         let mut base = vec![f32::NAN; m * n];
         ops::baseline::gemm_nn(&a, &b, m, kept.as_deref(), &mut base);
         prop_assert_eq!(bits_nan_as_nan(&got), bits_nan_as_nan(&base), "tiles vs baseline");
+        let mut ymm = vec![f32::NAN; m * n];
+        ops::avx::gemm_nn(&a, &b, m, kept.as_deref(), &mut ymm);
+        note_the_zmm_leg();
+        prop_assert_eq!(bits(&got), bits(&ymm), "zmm vs ymm");
     }
 
     /// The gradient tiles, plain and ordered, equal the `ger` / `axpy`
-    /// sequences and the baseline body — into a gradient seeded with
+    /// sequences, the baseline body and the 256-bit tier (NaN encodings
+    /// included) — into a gradient seeded with
     /// `−0.0` (which only survives if zero coefficients are skipped and
     /// not multiplied through), for any visit order with repeats and a
     /// `B` row offset, on every row or on a kept subset (the other rows
@@ -480,7 +535,8 @@ proptest! {
         let mut rng = stream(seed, StreamTag::Init, 8, 0);
         let kept = kept_rows(shape, m, &mut rng);
         let a = operand(k * m, edgy == 1, &mut rng);
-        let b = operand((k + off) * n, edgy == 1, &mut rng);
+        let a = with_payloads(a, &mut rng);
+        let b = with_payloads(operand((k + off) * n, edgy == 1, &mut rng), &mut rng);
         let order: Vec<usize> = (0..visits.min(k * 19)).map(|_| rng.gen_range(0..k)).collect();
         let mut init = operand(m * n, false, &mut rng);
         for v in init.iter_mut() {
@@ -509,9 +565,12 @@ proptest! {
         }
 
         let rows = kept.as_deref();
-        let (mut got, mut base) = (init.clone(), init.clone());
+        note_the_zmm_leg();
+        let (mut got, mut base, mut ymm) = (init.clone(), init.clone(), init.clone());
         ops::gemm_tn_acc(&a, &b[off * n..], k, rows, &mut got);
         ops::baseline::gemm_tn_acc(&a, &b[off * n..], k, rows, &mut base);
+        ops::avx::gemm_tn_acc(&a, &b[off * n..], k, rows, &mut ymm);
+        prop_assert_eq!(bits(got.as_slice()), bits(ymm.as_slice()), "zmm vs ymm");
         prop_assert_eq!(
             bits_nan_as_nan(got.as_slice()),
             bits_nan_as_nan(want.as_slice()),
@@ -523,9 +582,11 @@ proptest! {
             "tiles vs baseline"
         );
 
-        let (mut got, mut base) = (init.clone(), init.clone());
+        let (mut got, mut base, mut ymm) = (init.clone(), init.clone(), init.clone());
         ops::gemm_tn_acc_ord(&a, &b, &order, off, rows, &mut got);
         ops::baseline::gemm_tn_acc_ord(&a, &b, &order, off, rows, &mut base);
+        ops::avx::gemm_tn_acc_ord(&a, &b, &order, off, rows, &mut ymm);
+        prop_assert_eq!(bits(got.as_slice()), bits(ymm.as_slice()), "ordered zmm vs ymm");
         prop_assert_eq!(
             bits_nan_as_nan(got.as_slice()),
             bits_nan_as_nan(want_ord.as_slice()),
@@ -549,8 +610,9 @@ proptest! {
 #[test]
 fn a_zero_coefficient_is_skipped_at_every_position_of_a_tile() {
     let terms = 6usize;
-    // Tile heights 4, 2, 1 (whole-row tiles) and a streamed row.
-    for n in [24usize, 48, 96, 104] {
+    // `ymm` tile heights 4, 2, 1 and a streamed row; `zmm` heights 4, 3,
+    // 1 and a streamed row.
+    for n in [24usize, 48, 96, 104, 128, 384, 400] {
         for q in 0..4 {
             for t in 0..terms {
                 let m = 5; // one full group of four rows and a remainder row
@@ -672,4 +734,24 @@ fn kept_rows_equal_dense_through_zeros_on_parallel_shapes() {
             "parallel gemm_tn_acc row {r}"
         );
     }
+}
+
+/// The tier is what the host offers: the 512-bit tiles run wherever AVX
+/// and AVX-512F are detected, so the `zmm ≡ ymm` leg above is never
+/// skipped on a host that could run it.
+#[test]
+fn the_gemm_tier_is_the_hosts() {
+    #[cfg(target_arch = "x86_64")]
+    let want = match (
+        std::arch::is_x86_feature_detected!("avx"),
+        std::arch::is_x86_feature_detected!("avx512f"),
+    ) {
+        (false, _) => Tier::Baseline,
+        (true, false) => Tier::Avx,
+        (true, true) => Tier::Avx512,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let want = Tier::Baseline;
+    assert_eq!(ops::tier(), want);
+    assert_eq!(note_the_zmm_leg(), want == Tier::Avx512);
 }

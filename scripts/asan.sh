@@ -4,7 +4,11 @@
 # `math.rs`) and in the vendored rayon pool: unit tests and property
 # tests, every load and store instrumented. The `kernel_props` shapes land
 # on each tile's edge accesses — the last chunk of a row whose length is
-# not a multiple of 8, the last tile row of a matrix — and `math_props`
+# not a multiple of 8, the last tile row of a matrix — and, on a host
+# with AVX-512F, on those of the 512-bit tiles (`ops::zmm`: `nt_groups` /
+# `nt_4x8` over the packed sample block and the weight rows' broadcast
+# chunks, `acc_tile` up to 24 vectors, the last `n mod 16` columns);
+# without it they do not run, and `kernel_props` says so. `math_props`
 # runs every slice length 0..=17 at four alignments through the 8-lane
 # and scalar seams and the `exp` table gather, and `gaussian_props` does
 # the same for `gaussian_slice` (eight alignments, NaN canaries on both
