@@ -1223,6 +1223,79 @@ fn lazy_shard_entry(samples: usize, out: &mut Vec<BenchEntry>) {
     out.push(entry("data/lazy_shard_24of60", r, b));
 }
 
+/// `vertical/*`: the vectorization guard. `ops`' element-wise kernels are
+/// each one scalar loop that the compiler vectorizes; if it stopped, every
+/// bit would stay the same and only the time would say so. Each entry
+/// times a kernel against the same loop with a `black_box` on every
+/// element, which keeps that loop scalar; both sides write one shared
+/// output, so the entry's working set stays inside L1:
+///
+/// * `vertical/axpy_from_le_bytes_4096` — the dense wire frame's fused
+///   decode + accumulate over 4 096 weights;
+/// * `vertical/holders_combine_scalar_20` — the row-granular holders
+///   combine, one call per row of 20 elements (a short FedBIAD row
+///   extent), over 128 rows with their own denominators.
+fn vertical_entries(samples: usize, out: &mut Vec<BenchEntry>) {
+    use std::hint::black_box;
+
+    const N: usize = 4096;
+    let mut rng = stream(33, StreamTag::Compress, 0, 0);
+    let bytes: Vec<u8> = (0..N)
+        .flat_map(|_| rng.gen_range(-1.0f32..1.0).to_le_bytes())
+        .collect();
+    let alpha = 0.25f32;
+    let y = RefCell::new(vec![0.0f32; N]);
+    timed_entry(
+        samples,
+        "vertical/axpy_from_le_bytes_4096",
+        || {
+            let mut y = y.borrow_mut();
+            for (y, b) in y.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                *y += alpha * black_box(f32::from_le_bytes(*b));
+            }
+        },
+        || ops::axpy_from_le_bytes(alpha, &bytes, &mut y.borrow_mut()),
+        out,
+    );
+
+    const ROW: usize = 20;
+    const ROWS: usize = 128;
+    let num: Vec<f32> = (0..ROWS * ROW)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let dens: Vec<f32> = (0..ROWS).map(|_| rng.gen_range(1.0f32..8.0)).collect();
+    let g = RefCell::new(vec![0.0f32; ROWS * ROW]);
+    timed_entry(
+        samples,
+        "vertical/holders_combine_scalar_20",
+        || {
+            let mut g = g.borrow_mut();
+            for ((g, num), &den) in g
+                .chunks_exact_mut(ROW)
+                .zip(num.chunks_exact(ROW))
+                .zip(&dens)
+            {
+                if den > 0.0 {
+                    for (g, &n) in g.iter_mut().zip(num) {
+                        *g = black_box(n) / den;
+                    }
+                }
+            }
+        },
+        || {
+            let mut g = g.borrow_mut();
+            for ((g, num), &den) in g
+                .chunks_exact_mut(ROW)
+                .zip(num.chunks_exact(ROW))
+                .zip(&dens)
+            {
+                ops::holders_combine_scalar(num, den, g);
+            }
+        },
+        out,
+    );
+}
+
 /// The telemetry zero-overhead contract, as a gate entry: a hot loop of
 /// ~10 ns FNV mixing steps, bare (reference) vs instrumented with
 /// `span!` + `counter!` (batched). The bench harness compiles the
@@ -1347,6 +1420,7 @@ fn main() {
         &mut entries,
     );
     lazy_shard_entry(samples, &mut entries);
+    vertical_entries(if smoke { samples } else { samples * 8 }, &mut entries);
     // Sub-ms loop: extra samples are nearly free, minima converge better.
     telemetry_noop_entry(if smoke { samples } else { samples * 8 }, &mut entries);
 

@@ -14,7 +14,7 @@ use fedbiad_nn::optimizer::Sgd;
 use fedbiad_nn::{Batch, KeptRows, Model, ParamSet, RowWork};
 use fedbiad_telemetry::{counter, gauge};
 use fedbiad_tensor::rng::{stream, StreamTag};
-use fedbiad_tensor::Workspace;
+use fedbiad_tensor::{cpu, Workspace};
 use rand::Rng;
 
 /// Per-iteration customisation points.
@@ -189,7 +189,7 @@ pub fn run_local_training(
     gauge!("train.ws_churn", ws.churn());
     // Which route produced this run's nn timings: 1 = `math`'s vector
     // bodies, 0 = its scalar definitions (same values either way).
-    gauge!("nn.math.wide", u8::from(fedbiad_tensor::math::wide()));
+    gauge!("nn.math.wide", u8::from(cpu::get().avx2_fma));
     // Which register tiles ran the batched GEMMs: 0 = none (the pre-tile
     // loops), 1 = AVX, 2 = AVX-512 (same bits at every tier).
     gauge!("nn.gemm.tier", fedbiad_tensor::ops::tier() as u8);

@@ -18,12 +18,17 @@ use std::time::Instant;
 ///
 /// Two clocks coexist in this workspace and must not be conflated:
 ///
-/// * the **virtual clock** — the simulator's deterministic event time
-///   and the cost-model seconds fed into LTTR/TTA ([`round_seconds`],
-///   [`time_to_accuracy`]); bit-identical across machines and runs;
-/// * the **wall clock** — `Instant`-measured host time, recorded for
-///   observability only and explicitly *excluded* from determinism
-///   digests and cross-run comparisons.
+/// * the **virtual clock** — the simulator's deterministic event time,
+///   priced by its cost model; bit-identical across machines and runs;
+/// * the **wall clock** — `Instant`-measured host time, explicitly
+///   *excluded* from determinism digests.
+///
+/// The lock-step LTTR/TTA accounting ([`round_seconds`],
+/// [`time_to_accuracy`]) is **not** on the virtual clock: it adds
+/// `local_seconds_max` and `agg_seconds`, which are readings of this
+/// stopwatch, to the modelled transmission time. Lock-step TTA therefore
+/// moves between runs and machines; ROADMAP.md item 2 replaces those
+/// readings with a deterministic cost.
 ///
 /// Every wall-clock measurement goes through this one helper instead of
 /// ad-hoc `Instant` arithmetic so the exclusion rule has a single home.
@@ -46,7 +51,8 @@ impl Stopwatch {
     }
 }
 
-/// Wall-clock duration of one round's critical path.
+/// One round's critical path: the wall-clock local and aggregation
+/// seconds plus the modelled upload and download time.
 pub fn round_seconds(rec: &RoundRecord, net: &NetworkModel) -> f64 {
     rec.local_seconds_max
         + net.upload_message_seconds(rec.upload_bytes_max)

@@ -10,10 +10,10 @@
 //! the scalar definition and the host's libm. Run it under
 //! `taskset -c 0` with `RAYON_NUM_THREADS=1`; the roofline table in
 //! BENCHMARKS.md ("PR 22") is this program's output on two commits.
-use fedbiad_tensor::math;
 use fedbiad_tensor::ops;
 use fedbiad_tensor::rng::{stream, stream_key, StreamTag};
 use fedbiad_tensor::Matrix;
+use fedbiad_tensor::{cpu, math};
 use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
@@ -143,15 +143,15 @@ fn report_math(
 
 fn main() {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX was just detected.
+    if cpu::get().avx {
+        // SAFETY: the CPU snapshot saw AVX.
         report("vmulps + vaddps", "registers only", unsafe {
             ceiling_gmacs()
         });
     }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: AVX-512F was just detected.
+    if cpu::get().avx512f {
+        // SAFETY: the CPU snapshot saw AVX-512F.
         report("vmulps + vaddps zmm", "registers only", unsafe {
             ceiling_gmacs_zmm()
         });
@@ -256,7 +256,7 @@ fn main() {
 
     // Transcendentals: gate pre-activations in (−4, 4), softmax arguments
     // (logit − max) in (−8, 0].
-    println!("math::wide() = {}", math::wide());
+    println!("cpu::get().avx2_fma = {}", cpu::get().avx2_fma);
     let gates = |len| filled(len, 9).iter().map(|v| 4.0 * v).collect::<Vec<_>>();
     let shifted: Vec<f32> = filled(256 * 400, 10)
         .iter()

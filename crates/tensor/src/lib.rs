@@ -18,13 +18,16 @@
 //!   regardless of thread scheduling,
 //! * [`math`]'s `tanh` / `exp` / `sigmoid` / `ln` / `cos2pi` are defined
 //!   here, not by the host's libm, and its vector forms return the
-//!   definitions' bits.
+//!   definitions' bits,
+//! * every vector body is chosen from one [`cpu`] snapshot of the host's
+//!   features, and returns the bits of the scalar code it replaces.
 //!
 //! The crate has no opinion about neural networks; that lives in
 //! `fedbiad-nn`.
 
 #![warn(missing_docs)]
 
+pub mod cpu;
 pub mod init;
 pub mod math;
 pub mod matrix;

@@ -90,9 +90,11 @@
 //!
 //! # Dispatch
 //!
-//! [`wide`] is one cached runtime check, AVX2 **and** FMA (`tanh`, `ln`,
-//! `cos2pi` and the field need only the former; one flag keeps a trace's
-//! `nn.math.wide` a single bit). No knob, no env var, no cargo feature.
+//! Every vector body runs where the [`crate::cpu`] snapshot's
+//! `avx2_fma` is set: AVX2 **and** FMA (`tanh`, `ln`, `cos2pi` and the
+//! field need only the former; one flag keeps a trace's `nn.math.wide` a
+//! single bit). Either way the functions return the scalar definitions'
+//! values. No knob, no env var, no cargo feature.
 
 use crate::rng::{self, counter_word};
 
@@ -380,8 +382,8 @@ fn exp_def(x: f32) -> f32 {
 /// `ln 2⁻¹⁵⁰ ≤ x < ln 2⁻¹⁴⁹` returns `2⁻¹⁴⁹`.
 pub fn exp(x: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified FMA at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw FMA at run time.
         return unsafe { x86::exp(x) };
     }
     exp_def(x)
@@ -405,8 +407,8 @@ fn sigmoid_def(x: f32) -> f32 {
 /// `x ≥ 0`, `eˣ / (1 + eˣ)` otherwise (a NaN takes the second branch).
 pub fn sigmoid(x: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified FMA at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw FMA at run time.
         return unsafe { x86::sigmoid(x) };
     }
     sigmoid_def(x)
@@ -567,37 +569,11 @@ pub fn gaussian(key: u64, i: u64) -> f32 {
 
 // -------------------------------------------------------------- slices
 
-/// Whether the slice forms run their vector bodies on this host (AVX2 and
-/// FMA, checked once). Either way they return the scalar functions'
-/// values; this is for a trace to say which route produced its timings.
-#[inline]
-pub fn wide() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::atomic::{AtomicU8, Ordering};
-        static STATE: AtomicU8 = AtomicU8::new(0);
-        match STATE.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => {
-                let has = std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma");
-                STATE.store(if has { 1 } else { 2 }, Ordering::Relaxed);
-                has
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// `x ← tanh(x)` for every element, bit-identical to [`tanh`].
 pub fn tanh_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 at run time.
         return unsafe { x86::tanh_slice(xs) };
     }
     for x in xs {
@@ -608,8 +584,8 @@ pub fn tanh_slice(xs: &mut [f32]) {
 /// `x ← exp(x)` for every element, bit-identical to [`exp`].
 pub fn exp_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 and FMA at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 and FMA at run time.
         return unsafe { x86::exp_slice(xs) };
     }
     for x in xs {
@@ -620,8 +596,8 @@ pub fn exp_slice(xs: &mut [f32]) {
 /// `x ← sigmoid(x)` for every element, bit-identical to [`sigmoid`].
 pub fn sigmoid_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 and FMA at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 and FMA at run time.
         return unsafe { x86::sigmoid_slice(xs) };
     }
     for x in xs {
@@ -632,8 +608,8 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 /// `x ← ln(x)` for every element, bit-identical to [`ln`].
 pub fn ln_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 at run time.
         return unsafe { x86::ln_slice(xs) };
     }
     for x in xs {
@@ -644,8 +620,8 @@ pub fn ln_slice(xs: &mut [f32]) {
 /// `u ← cos(2π·u)` for every element, bit-identical to [`cos2pi`].
 pub fn cos2pi_slice(us: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 at run time.
         return unsafe { x86::cos2pi_slice(us) };
     }
     for u in us {
@@ -657,8 +633,8 @@ pub fn cos2pi_slice(us: &mut [f32]) {
 /// bit-identical to [`gaussian`].
 pub fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` verified AVX2 at run time.
+    if crate::cpu::get().avx2_fma {
+        // SAFETY: the CPU snapshot saw AVX2 at run time.
         return unsafe { x86::gaussian_slice(key, start, out) };
     }
     gaussian_run(key, start, out);

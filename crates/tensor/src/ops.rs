@@ -136,82 +136,43 @@
 //! loops run unchanged; [`baseline`] exposes them, and [`avx`] the `ymm`
 //! tier, so the property tests hold the tiles against them on the same
 //! operands.
+//!
+//! # Element-wise kernels
+//!
+//! Twelve kernels are purely vertical — output element `i` depends only
+//! on element `i` of each operand: [`axpy`], [`add_assign_scalar`],
+//! [`axpy_sum2`], [`axpy_from_le_bytes`], [`scale_into`],
+//! [`div_scalar_into`], [`holders_combine`], [`stale_fill_combine`],
+//! [`holders_combine_scalar`], [`stale_fill_combine_scalar`],
+//! [`diff_into`] and [`sum2_diff_into`]. Each is written once, as its
+//! scalar loop, and that loop is the definition. One private helper
+//! compiles it twice — inside an AVX function where the [`crate::cpu`]
+//! snapshot saw AVX, as baseline code otherwise — and the compiler
+//! vectorizes both. A vector lane performs the loop's IEEE operations on
+//! its element in the loop's order, so every instantiation returns the
+//! loop's bits (up to which of two NaN operands an operation passes on:
+//! the compiler picks the operand order per loop, in scalar code too, so
+//! such a lane is NaN but its payload is not pinned). Each loop sits in a `move` closure: a closure that
+//! borrowed its scalars would leave the compiler unable to prove that the
+//! output slice does not write through them, so it would re-load them per
+//! element behind run-time alias checks. [`max_abs`] (a reduction),
+//! [`quantise`] (a hand-chosen lane order and an integer pack), the GEMM
+//! fallbacks `dot4` / `axpy4` and the two byte decoders keep hand-written
+//! bodies.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
 
-/// `y += alpha * x` over equal-length slices.
-///
-/// Vertical arithmetic: the SSE2/AVX bodies apply the identical per-lane
-/// `y[i] += alpha · x[i]` the scalar tail does, so every width produces
-/// the same bits.
+/// `y += alpha * x` over equal-length slices: one of the vertical
+/// kernels (module docs, "Element-wise kernels").
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 is baseline, AVX runtime-verified; accesses stay
-        // inside the equal-length slices.
-        unsafe {
-            done = if avx_available() {
-                axpy_avx(alpha, x, y)
-            } else {
-                axpy_sse(alpha, x, y)
-            };
+    vertical(move || {
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y += alpha * x;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..y.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// SSE2 body of [`axpy`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn axpy_sse(alpha: f32, x: &[f32], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 4;
-    let av = _mm_set1_ps(alpha);
-    for c in 0..chunks {
-        let i = c * 4;
-        let p = y.as_mut_ptr().add(i);
-        let v = _mm_add_ps(
-            _mm_loadu_ps(p),
-            _mm_mul_ps(av, _mm_loadu_ps(x.as_ptr().add(i))),
-        );
-        _mm_storeu_ps(p, v);
-    }
-    chunks * 4
-}
-
-/// AVX body of [`axpy`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_avx(alpha: f32, x: &[f32], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 8;
-    let av = _mm256_set1_ps(alpha);
-    for c in 0..chunks {
-        let i = c * 8;
-        let p = y.as_mut_ptr().add(i);
-        let v = _mm256_add_ps(
-            _mm256_loadu_ps(p),
-            _mm256_mul_ps(av, _mm256_loadu_ps(x.as_ptr().add(i))),
-        );
-        _mm256_storeu_ps(p, v);
-    }
-    chunks * 8
+    });
 }
 
 /// Dot product of equal-length slices.
@@ -294,57 +255,6 @@ pub fn ger(w: &mut Matrix, alpha: f32, u: &[f32], v: &[f32]) {
 /// few µs per call) away from products whose arithmetic is shorter.
 const GEMM_PAR_THRESHOLD: usize = 64 * 64;
 
-/// One-shot AVX capability snapshot, hoisted out of the per-row kernel
-/// dispatch (`is_x86_feature_detected!` is a cached atomic load, but the
-/// inner GEMM loops dispatch per output group — a plain bool passed down
-/// costs nothing).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx_available() -> bool {
-    use std::sync::atomic::AtomicU8;
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    snapshot(&STATE, || std::arch::is_x86_feature_detected!("avx"))
-}
-
-/// [`avx_available`]'s twin for AVX-512F — what the 512-bit register
-/// tiles of the batched GEMMs need ([`tier`]).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512_available() -> bool {
-    use std::sync::atomic::AtomicU8;
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    snapshot(&STATE, || std::arch::is_x86_feature_detected!("avx512f"))
-}
-
-/// `detect()`, asked once and cached in `state` (0 = not asked yet,
-/// 1 = present, 2 = absent).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn snapshot(state: &std::sync::atomic::AtomicU8, detect: fn() -> bool) -> bool {
-    use std::sync::atomic::Ordering;
-    match state.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let has = detect();
-            state.store(if has { 1 } else { 2 }, Ordering::Relaxed);
-            has
-        }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn avx_available() -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn avx512_available() -> bool {
-    false
-}
-
 /// Which register tiles the batched GEMMs run (module docs, "Register
 /// tiles"); every tier returns the same bits. `as u8` is the trace gauge
 /// `nn.gemm.tier`.
@@ -359,13 +269,14 @@ pub enum Tier {
     Avx512 = 2,
 }
 
-/// The tier this host runs: one cached CPU-feature snapshot each for AVX
-/// and AVX-512F. No knob, no env var, no cargo feature.
+/// The tier this host runs, read from the [`crate::cpu`] snapshot. No
+/// knob, no env var, no cargo feature.
 #[inline]
 pub fn tier() -> Tier {
-    if !avx_available() {
+    let cpu = crate::cpu::get();
+    if !cpu.avx {
         Tier::Baseline
-    } else if avx512_available() {
+    } else if cpu.avx512f {
         Tier::Avx512
     } else {
         Tier::Avx
@@ -1911,85 +1822,54 @@ pub fn clip_norm(g: &mut [f32], max_norm: f32) -> f32 {
     }
 }
 
-// ---- fused decode + reduce helpers (streaming aggregation) -------------
+// ---- element-wise kernels (streaming aggregation, wire decode) ----------
 //
 // The server's sharded streaming reducer (`fedbiad-fl`) and the wire
-// codec's range decoders (`fedbiad-compress`) share these element-wise
-// kernels. Every operation here is purely *vertical* — output lane `i`
-// depends only on element `i` of each operand, with no cross-lane
-// arithmetic — so the SSE2/AVX bodies execute the exact same IEEE-754
-// operation per element as their scalar tails and produce bit-identical
-// results lane for lane. That is what lets the streaming engine run 4/8
-// lanes at a time while staying inside the bit-identical-to-dense
-// contract (`tests/aggregation_equivalence.rs`); the property suite in
-// `crates/tensor/tests/simd_props.rs` pins each kernel against its scalar
-// reference over awkward lengths and unaligned offsets.
+// codec's range decoders (`fedbiad-compress`) share these kernels. The
+// vertical ones follow the module docs' single-definition rule
+// ("Element-wise kernels"), which keeps the streaming engine inside its
+// bit-identical-to-dense contract (`tests/aggregation_equivalence.rs`);
+// `crates/tensor/tests/simd_props.rs` pins each against its scalar
+// definition, and `bench_perf`'s `vertical/*` entries fail if the
+// compiler stops vectorizing them.
 //
 // The two bit-manipulating decoders (`sign_apply_from_bits`,
 // `dequant_u8`) are SSE2-only: widening them needs 256-bit *integer*
-// lanes, which is AVX2 — outside the AVX1 runtime-detect contract the
+// lanes, which is AVX2 — outside the AVX runtime-detect contract the
 // rest of this file uses. Both are decode-bound on byte inputs, so the
 // 128-bit integer path already saturates them.
+
+/// Runs `body`, a vertical kernel's loop in a `move` closure (module
+/// docs, "Element-wise kernels"), compiled for this host: inside an AVX
+/// function where [`crate::cpu`] saw AVX, as baseline code (SSE2 on
+/// x86-64, portable elsewhere) otherwise. Each kernel passes its whole
+/// element loop as plain `iter_mut().zip(..)`, the shape the vectorizer
+/// takes; a loop over fixed-width chunks, or a per-lane closure handed to
+/// a generic loop, hides the element loop from it.
+#[inline(always)]
+fn vertical(body: impl FnOnce()) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::cpu::get().avx {
+        #[target_feature(enable = "avx")]
+        fn wide(body: impl FnOnce()) {
+            body()
+        }
+        // SAFETY: the CPU snapshot saw AVX on this host.
+        return unsafe { wide(body) };
+    }
+    body()
+}
 
 /// `y[i] += w` for every element: the coverage-denominator update, and —
 /// with `w = 0.0` — the dense reference's `+= w·0` normalisation pass
 /// over dropped elements (it turns a `−0.0` accumulator into `+0.0`
 /// exactly like the reference axpy does).
 pub fn add_assign_scalar(y: &mut [f32], w: f32) {
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 is baseline, AVX runtime-verified; accesses stay
-        // inside `y`. Vertical arithmetic: identical bits at any width.
-        unsafe {
-            done = if avx_available() {
-                add_assign_scalar_avx(y, w)
-            } else {
-                add_assign_scalar_sse(y, w)
-            };
+    vertical(move || {
+        for v in y {
+            *v += w;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for v in &mut y[done..] {
-        *v += w;
-    }
-}
-
-/// SSE2 body of [`add_assign_scalar`]; returns elements processed.
-///
-/// # Safety
-/// x86_64 only (SSE2 baseline).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn add_assign_scalar_sse(y: &mut [f32], w: f32) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 4;
-    let wv = _mm_set1_ps(w);
-    for c in 0..chunks {
-        let p = y.as_mut_ptr().add(c * 4);
-        _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), wv));
-    }
-    chunks * 4
-}
-
-/// AVX body of [`add_assign_scalar`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn add_assign_scalar_avx(y: &mut [f32], w: f32) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 8;
-    let wv = _mm256_set1_ps(w);
-    for c in 0..chunks {
-        let p = y.as_mut_ptr().add(c * 8);
-        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), wv));
-    }
-    chunks * 8
+    });
 }
 
 /// `y[i] += w·(a[i] + b[i])`: the WeightsDelta accumulate, where the
@@ -1999,70 +1879,11 @@ pub fn axpy_sum2(w: f32, a: &[f32], b: &[f32], y: &mut [f32]) {
         a.len() == y.len() && b.len() == y.len(),
         "axpy_sum2 length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal-length
-        // slices checked above. Vertical arithmetic.
-        unsafe {
-            done = if avx_available() {
-                axpy_sum2_avx(w, a, b, y)
-            } else {
-                axpy_sum2_sse(w, a, b, y)
-            };
+    vertical(move || {
+        for ((y, &a), &b) in y.iter_mut().zip(a).zip(b) {
+            *y += w * (a + b);
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..y.len() {
-        y[i] += w * (a[i] + b[i]);
-    }
-}
-
-/// SSE2 body of [`axpy_sum2`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn axpy_sum2_sse(w: f32, a: &[f32], b: &[f32], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 4;
-    let wv = _mm_set1_ps(w);
-    for c in 0..chunks {
-        let i = c * 4;
-        let s = _mm_add_ps(
-            _mm_loadu_ps(a.as_ptr().add(i)),
-            _mm_loadu_ps(b.as_ptr().add(i)),
-        );
-        let p = y.as_mut_ptr().add(i);
-        _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), _mm_mul_ps(wv, s)));
-    }
-    chunks * 4
-}
-
-/// AVX body of [`axpy_sum2`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_sum2_avx(w: f32, a: &[f32], b: &[f32], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 8;
-    let wv = _mm256_set1_ps(w);
-    for c in 0..chunks {
-        let i = c * 8;
-        let s = _mm256_add_ps(
-            _mm256_loadu_ps(a.as_ptr().add(i)),
-            _mm256_loadu_ps(b.as_ptr().add(i)),
-        );
-        let p = y.as_mut_ptr().add(i);
-        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), _mm256_mul_ps(wv, s)));
-    }
-    chunks * 8
+    });
 }
 
 /// `y[i] += alpha · f32::from_le_bytes(bytes[4i..4i+4])`: the fused
@@ -2070,277 +1891,58 @@ unsafe fn axpy_sum2_avx(w: f32, a: &[f32], b: &[f32], y: &mut [f32]) -> usize {
 /// intermediate decode buffer entirely. `bytes.len()` must be `4·y.len()`.
 ///
 /// The little-endian byte-to-f32 reinterpretation is a pure bit copy, so
-/// on x86_64 (little-endian) an unaligned vector load over the byte
-/// stream yields exactly the lanes the scalar `from_le_bytes` loop sees.
+/// on x86_64 (little-endian) it compiles to an unaligned vector load over
+/// the byte stream.
 pub fn axpy_from_le_bytes(alpha: f32, bytes: &[u8], y: &mut [f32]) {
     assert_eq!(
         bytes.len(),
         4 * y.len(),
         "axpy_from_le_bytes length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; the length check
-        // above bounds every 4-byte group. Unaligned loads are explicit.
-        unsafe {
-            done = if avx_available() {
-                axpy_from_le_bytes_avx(alpha, bytes, y)
-            } else {
-                axpy_from_le_bytes_sse(alpha, bytes, y)
-            };
+    vertical(move || {
+        for (y, b) in y.iter_mut().zip(bytes.as_chunks::<4>().0) {
+            *y += alpha * f32::from_le_bytes(*b);
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..y.len() {
-        let b = &bytes[4 * i..4 * i + 4];
-        y[i] += alpha * f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    }
-}
-
-/// SSE2 body of [`axpy_from_le_bytes`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees `bytes.len() == 4·y.len()`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn axpy_from_le_bytes_sse(alpha: f32, bytes: &[u8], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 4;
-    let av = _mm_set1_ps(alpha);
-    for c in 0..chunks {
-        let x = _mm_loadu_ps(bytes.as_ptr().add(c * 16) as *const f32);
-        let p = y.as_mut_ptr().add(c * 4);
-        _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), _mm_mul_ps(av, x)));
-    }
-    chunks * 4
-}
-
-/// AVX body of [`axpy_from_le_bytes`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees `bytes.len() == 4·y.len()` and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_from_le_bytes_avx(alpha: f32, bytes: &[u8], y: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = y.len() / 8;
-    let av = _mm256_set1_ps(alpha);
-    for c in 0..chunks {
-        let x = _mm256_loadu_ps(bytes.as_ptr().add(c * 32) as *const f32);
-        let p = y.as_mut_ptr().add(c * 8);
-        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), _mm256_mul_ps(av, x)));
-    }
-    chunks * 8
+    });
 }
 
 /// `out[i] = x[i] · s`: the zeros-pull matrix combine (`num · (1/W)` with
 /// a precomputed reciprocal, exactly as the dense reference writes it).
 pub fn scale_into(x: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "scale_into length mismatch");
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                scale_into_avx(x, s, out)
-            } else {
-                scale_into_sse(x, s, out)
-            };
+    vertical(move || {
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = x * s;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..out.len() {
-        out[i] = x[i] * s;
-    }
-}
-
-/// SSE2 body of [`scale_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn scale_into_sse(x: &[f32], s: f32, out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 4;
-    let sv = _mm_set1_ps(s);
-    for c in 0..chunks {
-        let i = c * 4;
-        _mm_storeu_ps(
-            out.as_mut_ptr().add(i),
-            _mm_mul_ps(_mm_loadu_ps(x.as_ptr().add(i)), sv),
-        );
-    }
-    chunks * 4
-}
-
-/// AVX body of [`scale_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn scale_into_avx(x: &[f32], s: f32, out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 8;
-    let sv = _mm256_set1_ps(s);
-    for c in 0..chunks {
-        let i = c * 8;
-        _mm256_storeu_ps(
-            out.as_mut_ptr().add(i),
-            _mm256_mul_ps(_mm256_loadu_ps(x.as_ptr().add(i)), sv),
-        );
-    }
-    chunks * 8
+    });
 }
 
 /// `out[i] = x[i] / w`: the zeros-pull bias combine (the dense reference
 /// divides biases directly instead of multiplying by the reciprocal).
 pub fn div_scalar_into(x: &[f32], w: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "div_scalar_into length mismatch");
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                div_scalar_into_avx(x, w, out)
-            } else {
-                div_scalar_into_sse(x, w, out)
-            };
+    vertical(move || {
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = x / w;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..out.len() {
-        out[i] = x[i] / w;
-    }
-}
-
-/// SSE2 body of [`div_scalar_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn div_scalar_into_sse(x: &[f32], w: f32, out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 4;
-    let wv = _mm_set1_ps(w);
-    for c in 0..chunks {
-        let i = c * 4;
-        _mm_storeu_ps(
-            out.as_mut_ptr().add(i),
-            _mm_div_ps(_mm_loadu_ps(x.as_ptr().add(i)), wv),
-        );
-    }
-    chunks * 4
-}
-
-/// AVX body of [`div_scalar_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn div_scalar_into_avx(x: &[f32], w: f32, out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 8;
-    let wv = _mm256_set1_ps(w);
-    for c in 0..chunks {
-        let i = c * 8;
-        _mm256_storeu_ps(
-            out.as_mut_ptr().add(i),
-            _mm256_div_ps(_mm256_loadu_ps(x.as_ptr().add(i)), wv),
-        );
-    }
-    chunks * 8
+    });
 }
 
 /// Holders-only combine: `g[i] = num[i] / den[i]` where `den[i] > 0.0`,
-/// untouched elsewhere. The vector bodies divide every lane and select
-/// with the comparison mask — masked-out lanes may compute ±inf/NaN but
-/// are discarded, and x86 float division does not trap.
+/// untouched elsewhere. The loop writes every element — the quotient or
+/// the value it read — so it compiles to a divide and a blend per vector;
+/// a lane that fails the test may divide into ±inf or NaN, which the
+/// blend discards (x86 float division does not trap).
 pub fn holders_combine(num: &[f32], den: &[f32], g: &mut [f32]) {
     assert!(
         num.len() == g.len() && den.len() == g.len(),
         "holders_combine length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        // Selected lanes compute the scalar expression exactly.
-        unsafe {
-            done = if avx_available() {
-                holders_combine_avx(num, den, g)
-            } else {
-                holders_combine_sse(num, den, g)
-            };
+    vertical(move || {
+        for ((g, &n), &d) in g.iter_mut().zip(num).zip(den) {
+            *g = if d > 0.0 { n / d } else { *g };
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..g.len() {
-        if den[i] > 0.0 {
-            g[i] = num[i] / den[i];
-        }
-    }
-}
-
-/// SSE2 body of [`holders_combine`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn holders_combine_sse(num: &[f32], den: &[f32], g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 4;
-    let zero = _mm_setzero_ps();
-    for c in 0..chunks {
-        let i = c * 4;
-        let d = _mm_loadu_ps(den.as_ptr().add(i));
-        let mask = _mm_cmpgt_ps(d, zero);
-        let q = _mm_div_ps(_mm_loadu_ps(num.as_ptr().add(i)), d);
-        let p = g.as_mut_ptr().add(i);
-        let old = _mm_loadu_ps(p);
-        _mm_storeu_ps(p, _mm_or_ps(_mm_and_ps(mask, q), _mm_andnot_ps(mask, old)));
-    }
-    chunks * 4
-}
-
-/// AVX body of [`holders_combine`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn holders_combine_avx(num: &[f32], den: &[f32], g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 8;
-    let zero = _mm256_setzero_ps();
-    for c in 0..chunks {
-        let i = c * 8;
-        let d = _mm256_loadu_ps(den.as_ptr().add(i));
-        let mask = _mm256_cmp_ps::<{ _CMP_GT_OQ }>(d, zero);
-        let q = _mm256_div_ps(_mm256_loadu_ps(num.as_ptr().add(i)), d);
-        let p = g.as_mut_ptr().add(i);
-        _mm256_storeu_ps(p, _mm256_blendv_ps(_mm256_loadu_ps(p), q, mask));
-    }
-    chunks * 8
+    });
 }
 
 /// Stale-fill combine: `g[i] = (num[i] + (W − den[i]) · g[i]) / W`, the
@@ -2350,74 +1952,11 @@ pub fn stale_fill_combine(num: &[f32], den: &[f32], total_w: f32, g: &mut [f32])
         num.len() == g.len() && den.len() == g.len(),
         "stale_fill_combine length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                stale_fill_combine_avx(num, den, total_w, g)
-            } else {
-                stale_fill_combine_sse(num, den, total_w, g)
-            };
+    vertical(move || {
+        for ((g, &n), &d) in g.iter_mut().zip(num).zip(den) {
+            *g = (n + (total_w - d) * *g) / total_w;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..g.len() {
-        g[i] = (num[i] + (total_w - den[i]) * g[i]) / total_w;
-    }
-}
-
-/// SSE2 body of [`stale_fill_combine`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn stale_fill_combine_sse(num: &[f32], den: &[f32], total_w: f32, g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 4;
-    let wv = _mm_set1_ps(total_w);
-    for c in 0..chunks {
-        let i = c * 4;
-        let p = g.as_mut_ptr().add(i);
-        let fill = _mm_mul_ps(
-            _mm_sub_ps(wv, _mm_loadu_ps(den.as_ptr().add(i))),
-            _mm_loadu_ps(p),
-        );
-        let v = _mm_div_ps(_mm_add_ps(_mm_loadu_ps(num.as_ptr().add(i)), fill), wv);
-        _mm_storeu_ps(p, v);
-    }
-    chunks * 4
-}
-
-/// AVX body of [`stale_fill_combine`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stale_fill_combine_avx(num: &[f32], den: &[f32], total_w: f32, g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 8;
-    let wv = _mm256_set1_ps(total_w);
-    for c in 0..chunks {
-        let i = c * 8;
-        let p = g.as_mut_ptr().add(i);
-        let fill = _mm256_mul_ps(
-            _mm256_sub_ps(wv, _mm256_loadu_ps(den.as_ptr().add(i))),
-            _mm256_loadu_ps(p),
-        );
-        let v = _mm256_div_ps(
-            _mm256_add_ps(_mm256_loadu_ps(num.as_ptr().add(i)), fill),
-            wv,
-        );
-        _mm256_storeu_ps(p, v);
-    }
-    chunks * 8
+    });
 }
 
 /// [`holders_combine`] with a constant denominator: `g[i] = num[i] / den`
@@ -2436,65 +1975,11 @@ pub fn holders_combine_scalar(num: &[f32], den: f32, g: &mut [f32]) {
     if den <= 0.0 || den.is_nan() {
         return;
     }
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                holders_combine_scalar_avx(num, den, g)
-            } else {
-                holders_combine_scalar_sse(num, den, g)
-            };
+    vertical(move || {
+        for (g, &n) in g.iter_mut().zip(num) {
+            *g = n / den;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..g.len() {
-        g[i] = num[i] / den;
-    }
-}
-
-/// SSE2 body of [`holders_combine_scalar`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn holders_combine_scalar_sse(num: &[f32], den: f32, g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 4;
-    let d = _mm_set1_ps(den);
-    for c in 0..chunks {
-        let i = c * 4;
-        _mm_storeu_ps(
-            g.as_mut_ptr().add(i),
-            _mm_div_ps(_mm_loadu_ps(num.as_ptr().add(i)), d),
-        );
-    }
-    chunks * 4
-}
-
-/// AVX body of [`holders_combine_scalar`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn holders_combine_scalar_avx(num: &[f32], den: f32, g: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 8;
-    let d = _mm256_set1_ps(den);
-    for c in 0..chunks {
-        let i = c * 8;
-        _mm256_storeu_ps(
-            g.as_mut_ptr().add(i),
-            _mm256_div_ps(_mm256_loadu_ps(num.as_ptr().add(i)), d),
-        );
-    }
-    chunks * 8
+    });
 }
 
 /// [`stale_fill_combine`] with a constant denominator:
@@ -2507,80 +1992,11 @@ pub fn stale_fill_combine_scalar(num: &[f32], den: f32, total_w: f32, g: &mut [f
         "stale_fill_combine_scalar length mismatch"
     );
     let fill_w = total_w - den;
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                stale_fill_combine_scalar_avx(num, fill_w, total_w, g)
-            } else {
-                stale_fill_combine_scalar_sse(num, fill_w, total_w, g)
-            };
+    vertical(move || {
+        for (g, &n) in g.iter_mut().zip(num) {
+            *g = (n + fill_w * *g) / total_w;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..g.len() {
-        g[i] = (num[i] + fill_w * g[i]) / total_w;
-    }
-}
-
-/// SSE2 body of [`stale_fill_combine_scalar`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn stale_fill_combine_scalar_sse(
-    num: &[f32],
-    fill_w: f32,
-    total_w: f32,
-    g: &mut [f32],
-) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 4;
-    let fw = _mm_set1_ps(fill_w);
-    let wv = _mm_set1_ps(total_w);
-    for c in 0..chunks {
-        let i = c * 4;
-        let p = g.as_mut_ptr().add(i);
-        let fill = _mm_mul_ps(fw, _mm_loadu_ps(p));
-        let v = _mm_div_ps(_mm_add_ps(_mm_loadu_ps(num.as_ptr().add(i)), fill), wv);
-        _mm_storeu_ps(p, v);
-    }
-    chunks * 4
-}
-
-/// AVX body of [`stale_fill_combine_scalar`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stale_fill_combine_scalar_avx(
-    num: &[f32],
-    fill_w: f32,
-    total_w: f32,
-    g: &mut [f32],
-) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = g.len() / 8;
-    let fw = _mm256_set1_ps(fill_w);
-    let wv = _mm256_set1_ps(total_w);
-    for c in 0..chunks {
-        let i = c * 8;
-        let p = g.as_mut_ptr().add(i);
-        let fill = _mm256_mul_ps(fw, _mm256_loadu_ps(p));
-        let v = _mm256_div_ps(
-            _mm256_add_ps(_mm256_loadu_ps(num.as_ptr().add(i)), fill),
-            wv,
-        );
-        _mm256_storeu_ps(p, v);
-    }
-    chunks * 8
+    });
 }
 
 /// `out[i] = x[i] + (−1.0) · s[i]` — the staleness merge's Δ = value −
@@ -2592,67 +2008,11 @@ pub fn diff_into(x: &[f32], s: &[f32], out: &mut [f32]) {
         x.len() == out.len() && s.len() == out.len(),
         "diff_into length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                diff_into_avx(x, s, out)
-            } else {
-                diff_into_sse(x, s, out)
-            };
+    vertical(move || {
+        for ((o, &x), &s) in out.iter_mut().zip(x).zip(s) {
+            *o = x + (-1.0) * s;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..out.len() {
-        out[i] = x[i] + (-1.0) * s[i];
-    }
-}
-
-/// SSE2 body of [`diff_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn diff_into_sse(x: &[f32], s: &[f32], out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 4;
-    let neg = _mm_set1_ps(-1.0);
-    for c in 0..chunks {
-        let i = c * 4;
-        let v = _mm_add_ps(
-            _mm_loadu_ps(x.as_ptr().add(i)),
-            _mm_mul_ps(neg, _mm_loadu_ps(s.as_ptr().add(i))),
-        );
-        _mm_storeu_ps(out.as_mut_ptr().add(i), v);
-    }
-    chunks * 4
-}
-
-/// AVX body of [`diff_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn diff_into_avx(x: &[f32], s: &[f32], out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 8;
-    let neg = _mm256_set1_ps(-1.0);
-    for c in 0..chunks {
-        let i = c * 8;
-        let v = _mm256_add_ps(
-            _mm256_loadu_ps(x.as_ptr().add(i)),
-            _mm256_mul_ps(neg, _mm256_loadu_ps(s.as_ptr().add(i))),
-        );
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), v);
-    }
-    chunks * 8
+    });
 }
 
 /// `out[i] = (b[i] + k[i]) + (−1.0) · s[i]` — the WeightsDelta variant of
@@ -2663,69 +2023,11 @@ pub fn sum2_diff_into(b: &[f32], k: &[f32], s: &[f32], out: &mut [f32]) {
         b.len() == out.len() && k.len() == out.len() && s.len() == out.len(),
         "sum2_diff_into length mismatch"
     );
-    let done;
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: SSE2 baseline / AVX runtime-verified; equal lengths.
-        unsafe {
-            done = if avx_available() {
-                sum2_diff_into_avx(b, k, s, out)
-            } else {
-                sum2_diff_into_sse(b, k, s, out)
-            };
+    vertical(move || {
+        for (((o, &b), &k), &s) in out.iter_mut().zip(b).zip(k).zip(s) {
+            *o = (b + k) + (-1.0) * s;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        done = 0;
-    }
-    for i in done..out.len() {
-        out[i] = (b[i] + k[i]) + (-1.0) * s[i];
-    }
-}
-
-/// SSE2 body of [`sum2_diff_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn sum2_diff_into_sse(b: &[f32], k: &[f32], s: &[f32], out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 4;
-    let neg = _mm_set1_ps(-1.0);
-    for c in 0..chunks {
-        let i = c * 4;
-        let rec = _mm_add_ps(
-            _mm_loadu_ps(b.as_ptr().add(i)),
-            _mm_loadu_ps(k.as_ptr().add(i)),
-        );
-        let v = _mm_add_ps(rec, _mm_mul_ps(neg, _mm_loadu_ps(s.as_ptr().add(i))));
-        _mm_storeu_ps(out.as_mut_ptr().add(i), v);
-    }
-    chunks * 4
-}
-
-/// AVX body of [`sum2_diff_into`]; returns elements processed.
-///
-/// # Safety
-/// Caller guarantees equal slice lengths and AVX support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn sum2_diff_into_avx(b: &[f32], k: &[f32], s: &[f32], out: &mut [f32]) -> usize {
-    use std::arch::x86_64::*;
-    let chunks = out.len() / 8;
-    let neg = _mm256_set1_ps(-1.0);
-    for c in 0..chunks {
-        let i = c * 8;
-        let rec = _mm256_add_ps(
-            _mm256_loadu_ps(b.as_ptr().add(i)),
-            _mm256_loadu_ps(k.as_ptr().add(i)),
-        );
-        let v = _mm256_add_ps(rec, _mm256_mul_ps(neg, _mm256_loadu_ps(s.as_ptr().add(i))));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), v);
-    }
-    chunks * 8
+    });
 }
 
 /// Sign-expand decode: `out[o] = −mu` if bit `start_bit + o` of the
@@ -2862,7 +2164,7 @@ pub fn max_abs(xs: &[f32]) -> f32 {
         // Safety: SSE2 is baseline, AVX runtime-verified; the bodies read
         // whole vectors inside `xs` only.
         (m, done) = unsafe {
-            if avx_available() {
+            if crate::cpu::get().avx {
                 max_abs_avx(xs)
             } else {
                 max_abs_sse(xs)
@@ -2979,7 +2281,7 @@ pub fn quantise(xs: &[f32], q: f32, levels: u16, out: &mut [u16]) {
         // Safety: SSE2 is baseline, AVX runtime-verified; equal lengths
         // checked above, and the bodies touch whole 8-element groups.
         done = unsafe {
-            if avx_available() {
+            if crate::cpu::get().avx {
                 quantise_avx(xs, q, levels, out)
             } else {
                 quantise_sse(xs, q, levels, out)
@@ -3132,7 +2434,7 @@ mod tests {
                     (xs.len() / 8 * 8, &want),
                     "SSE2, L = {levels}"
                 );
-                if avx_available() {
+                if crate::cpu::get().avx {
                     let mut avx = want.clone();
                     // Safety: AVX detected; equal lengths.
                     unsafe { quantise_avx(&xs, 1.0, levels, &mut avx) };
@@ -3159,7 +2461,7 @@ mod tests {
             xs[36] = 0.5;
             // Safety: SSE2 is baseline; AVX only where detected.
             assert_eq!(unsafe { max_abs_sse(&xs) }, (5.0, 36));
-            if avx_available() {
+            if crate::cpu::get().avx {
                 assert_eq!(unsafe { max_abs_avx(&xs) }, (5.0, 32));
             }
         }

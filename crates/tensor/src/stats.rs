@@ -457,7 +457,7 @@ impl KeyTile {
         debug_assert!(self.lens.iter().all(|&l| l == q), "ragged lanes");
         let rows = &mut self.rows[q..q + parts.len()];
         #[cfg(target_arch = "x86_64")]
-        if avx2() {
+        if crate::cpu::get().avx2 {
             // SAFETY: AVX2 was detected at run time.
             unsafe { x86::push_columns(rows, block, stride, j0, parts) };
             self.lens = [q + parts.len(); LANES];
@@ -502,7 +502,7 @@ impl KeyTile {
         let m = self.pad();
         let net = cached_network(m);
         #[cfg(target_arch = "x86_64")]
-        if avx2() {
+        if crate::cpu::get().avx2 {
             // SAFETY: AVX2 was detected at run time, and every wire of
             // `net` is below `m ≤ self.rows.len()`.
             return unsafe { x86::sort_rows(&mut self.rows[..m], &net) };
@@ -567,24 +567,6 @@ fn sort_rows_scalar(rows: &mut [Row], net: &[Comparator]) {
         }
         rows[i] = Row(lo);
         rows[j] = Row(hi);
-    }
-}
-
-/// Whether this host runs [`KeyTile::sort`]'s vector body (AVX2, checked
-/// once).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let has = std::arch::is_x86_feature_detected!("avx2");
-            STATE.store(if has { 1 } else { 2 }, Ordering::Relaxed);
-            has
-        }
     }
 }
 

@@ -17,6 +17,7 @@
 //!   tiles' edge loads on. A host without AVX-512F says on stderr that
 //!   the 512-bit leg did not run ([`note_the_zmm_leg`]).
 
+use fedbiad_tensor::cpu;
 use fedbiad_tensor::ops::{self, Tier};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use fedbiad_tensor::Matrix;
@@ -741,17 +742,12 @@ fn kept_rows_equal_dense_through_zeros_on_parallel_shapes() {
 /// skipped on a host that could run it.
 #[test]
 fn the_gemm_tier_is_the_hosts() {
-    #[cfg(target_arch = "x86_64")]
-    let want = match (
-        std::arch::is_x86_feature_detected!("avx"),
-        std::arch::is_x86_feature_detected!("avx512f"),
-    ) {
+    let cpu = cpu::get();
+    let want = match (cpu.avx, cpu.avx512f) {
         (false, _) => Tier::Baseline,
         (true, false) => Tier::Avx,
         (true, true) => Tier::Avx512,
     };
-    #[cfg(not(target_arch = "x86_64"))]
-    let want = Tier::Baseline;
     assert_eq!(ops::tier(), want);
     assert_eq!(note_the_zmm_leg(), want == Tier::Avx512);
 }

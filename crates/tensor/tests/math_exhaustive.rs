@@ -21,7 +21,7 @@
 //!   algorithms (fdlibm `tanhf`; Nagy's `expf`, FMA build). A newer glibc
 //!   is expected to fail it. Not a CI gate; results in BENCHMARKS.md.
 
-use fedbiad_tensor::{math, ops};
+use fedbiad_tensor::{cpu, math, ops};
 
 /// Patterns per batch: consecutive, so a vector's eight lanes are
 /// neighbours and every in-range pattern goes through a vector body
@@ -60,7 +60,7 @@ fn sweep(what: &str, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) -> u64 {
 }
 
 fn vector_sweep(what: &str, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) {
-    if !math::wide() {
+    if !cpu::get().avx2_fma {
         eprintln!("{what}: no AVX2+FMA here, the slice form is the scalar definition");
     }
     assert_eq!(sweep(what, slice, scalar), 0);

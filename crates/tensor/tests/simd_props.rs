@@ -1,56 +1,90 @@
-//! Property tests for the fused decode + reduce SIMD kernels: every
-//! vectorized loop against its scalar reference, **bit-identical** (the
-//! kernels are purely vertical, so no tolerance is ever needed).
+//! Property tests for the element-wise kernels: every kernel against its
+//! scalar definition, **bit-identical** (the kernels are purely vertical,
+//! so no tolerance is ever needed).
 //!
-//! Shapes deliberately stress the dispatch seams: lengths {0, 1, 3,
-//! 4095, 4096, 4097} hit the empty case, the all-tail case, and both
-//! sides of the 4/8-lane unroll boundary; a 0..4-element prefix offset
-//! makes every vector load/store unaligned; and `sign_apply_from_bits`
-//! additionally sweeps its bit-level start offset across byte seams.
+//! Shapes deliberately stress the vectorized loops' seams: every length
+//! 0..=40 crosses the compiler's 8-lane main loop, its unrolled multiples
+//! and the scalar remainder at each step, and {4095, 4096, 4097} cover
+//! long runs either side of a multiple of 32; a 0..4-element prefix
+//! offset makes every vector load/store unaligned; and
+//! `sign_apply_from_bits` additionally sweeps its bit-level start offset
+//! across byte seams. Operands mix in signed zeros, infinities,
+//! subnormals and NaN: a lane whose definition is NaN must be NaN (which
+//! of two NaN operands an operation returns is the compiler's choice),
+//! every other lane must carry the definition's bits.
 
 use fedbiad_tensor::ops;
 use fedbiad_tensor::rng::{stream, StreamTag};
 use proptest::prelude::*;
 use rand::Rng;
 
+/// The edge operands mixed into every vector: signed zeros, infinities,
+/// the smallest and largest subnormals of either sign, and NaN.
+const SPECIALS: [f32; 9] = [
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(1),
+    f32::from_bits(0x8000_0001),
+    f32::from_bits(0x007f_ffff),
+    f32::from_bits(0x807f_ffff),
+    f32::NAN,
+];
+
+/// One element in ten is an edge operand.
+fn special(rng: &mut impl Rng) -> Option<f32> {
+    (rng.gen_range(0..10) == 0).then(|| SPECIALS[rng.gen_range(0..SPECIALS.len())])
+}
+
 fn filled_vec(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = stream(seed, StreamTag::Init, 0, 0);
     (0..len)
         .map(|_| {
             // Sprinkle exact zeros so sign/zero edge cases are exercised.
-            if rng.gen_range(0..5) == 0 {
-                0.0
-            } else {
-                rng.gen_range(-2.0f32..2.0)
-            }
+            special(&mut rng).unwrap_or_else(|| {
+                if rng.gen_range(0..5) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
         })
         .collect()
 }
 
-/// Non-negative "denominator" vector with exact zeros mixed in.
+/// "Denominator" vector: positive, with exact zeros and the edge operands
+/// (negative ones included) mixed in.
 fn weight_vec(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = stream(seed, StreamTag::Init, 0, 1);
     (0..len)
         .map(|_| {
-            if rng.gen_range(0..3) == 0 {
-                0.0
-            } else {
-                rng.gen_range(0.5f32..4.0)
-            }
+            special(&mut rng).unwrap_or_else(|| {
+                if rng.gen_range(0..3) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(0.5f32..4.0)
+                }
+            })
         })
         .collect()
 }
 
-/// The length set from the issue: empty, all-tail, and 4k ± 1 around the
-/// vector unroll boundary.
+/// Every length 0..=40, then 4k − 1, 4k and 4k + 1.
 fn lens() -> impl Strategy<Value = usize> {
-    prop::sample::select(vec![0usize, 1, 3, 4095, 4096, 4097])
+    prop::sample::select((0usize..=40).chain([4095, 4096, 4097]).collect::<Vec<_>>())
 }
 
+/// `got` equals `want` bit for bit where `want` is not NaN, and is NaN
+/// where it is.
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+        if w.is_nan() {
+            assert!(g.is_nan(), "{what}[{i}]: {g} vs NaN");
+        } else {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+        }
     }
 }
 
@@ -134,9 +168,8 @@ proptest! {
         let s = filled_vec(1, seed ^ 0x9)[0];
         let mut got = vec![7.0f32; len + off];
         ops::scale_into(&x[off..], s, &mut got[off..]);
-        for i in off..x.len() {
-            prop_assert_eq!(got[i].to_bits(), (x[i] * s).to_bits());
-        }
+        let want: Vec<f32> = x[off..].iter().map(|&x| x * s).collect();
+        assert_bits_eq(&got[off..], &want, "scale_into");
     }
 
     #[test]
@@ -145,9 +178,8 @@ proptest! {
         let w = weight_vec(1, seed ^ 0xa)[0].max(0.25);
         let mut got = vec![7.0f32; len + off];
         ops::div_scalar_into(&x[off..], w, &mut got[off..]);
-        for i in off..x.len() {
-            prop_assert_eq!(got[i].to_bits(), (x[i] / w).to_bits());
-        }
+        let want: Vec<f32> = x[off..].iter().map(|&x| x / w).collect();
+        assert_bits_eq(&got[off..], &want, "div_scalar_into");
     }
 
     #[test]
@@ -216,9 +248,8 @@ proptest! {
         let s = filled_vec(len + off, seed ^ 0xf);
         let mut got = vec![7.0f32; len + off];
         ops::diff_into(&x[off..], &s[off..], &mut got[off..]);
-        for i in off..x.len() {
-            prop_assert_eq!(got[i].to_bits(), (x[i] + (-1.0) * s[i]).to_bits());
-        }
+        let want: Vec<f32> = (off..x.len()).map(|i| x[i] + (-1.0) * s[i]).collect();
+        assert_bits_eq(&got[off..], &want, "diff_into");
     }
 
     #[test]
@@ -229,9 +260,8 @@ proptest! {
         let s = filled_vec(len + off, seed ^ 0x11);
         let mut got = vec![7.0f32; len + off];
         ops::sum2_diff_into(&b[off..], &k[off..], &s[off..], &mut got[off..]);
-        for i in off..b.len() {
-            prop_assert_eq!(got[i].to_bits(), ((b[i] + k[i]) + (-1.0) * s[i]).to_bits());
-        }
+        let want: Vec<f32> = (off..b.len()).map(|i| (b[i] + k[i]) + (-1.0) * s[i]).collect();
+        assert_bits_eq(&got[off..], &want, "sum2_diff_into");
     }
 
     /// Sweeps the bit-level start across byte seams (0..17 covers both

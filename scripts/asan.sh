@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# AddressSanitizer leg for the `unsafe` in `fedbiad-tensor` (the SIMD
-# kernels and AVX register tiles of `ops.rs`, the AVX2 bodies of
-# `math.rs`) and in the vendored rayon pool: unit tests and property
-# tests, every load and store instrumented. The `kernel_props` shapes land
+# AddressSanitizer leg for the `unsafe` in `fedbiad-tensor` and in the
+# vendored rayon pool: unit tests and property tests, every load and
+# store instrumented. In `ops.rs` that is the AVX / AVX-512 register
+# tiles of the batched GEMMs, the intrinsic bodies that remain (`dot4`,
+# `axpy4`, `max_abs`, `quantise`, `sign_apply_from_bits`, `dequant_u8`)
+# and the one call into the vertical kernels' AVX instantiation (those
+# twelve kernels are safe slice loops, so `simd_props` checks their
+# values here, not their bounds); in `math.rs` and `stats.rs`, the AVX2
+# bodies. The `kernel_props` shapes land
 # on each tile's edge accesses — the last chunk of a row whose length is
 # not a multiple of 8, the last tile row of a matrix — and, on a host
 # with AVX-512F, on those of the 512-bit tiles (`ops::zmm`: `nt_groups` /
