@@ -1234,7 +1234,11 @@ fn lazy_shard_entry(samples: usize, out: &mut Vec<BenchEntry>) {
 ///   decode + accumulate over 4 096 weights;
 /// * `vertical/holders_combine_scalar_20` — the row-granular holders
 ///   combine, one call per row of 20 elements (a short FedBIAD row
-///   extent), over 128 rows with their own denominators.
+///   extent), over 128 rows with their own denominators;
+/// * `vertical/dequant_u8_4096` — FedPAQ's 8-bit wire decode of 4 096
+///   codes;
+/// * `vertical/sign_apply_from_bits_4096` — signSGD's sign-expand decode
+///   of a 4 096-bit bitmap.
 fn vertical_entries(samples: usize, out: &mut Vec<BenchEntry>) {
     use std::hint::black_box;
 
@@ -1292,6 +1296,37 @@ fn vertical_entries(samples: usize, out: &mut Vec<BenchEntry>) {
                 ops::holders_combine_scalar(num, den, g);
             }
         },
+        out,
+    );
+
+    let codes: Vec<u8> = (0..N).map(|_| rng.gen_range(0u32..=254) as u8).collect();
+    let (levels, inv_q) = (127i32, 0.75f32 / 127.0);
+    timed_entry(
+        samples,
+        "vertical/dequant_u8_4096",
+        || {
+            let mut y = y.borrow_mut();
+            for (y, &c) in y.iter_mut().zip(&codes) {
+                *y = (i32::from(black_box(c)) - levels) as f32 * inv_q;
+            }
+        },
+        || ops::dequant_u8(&codes, levels, inv_q, &mut y.borrow_mut()),
+        out,
+    );
+
+    let signs: Vec<u8> = (0..N / 8).map(|_| rng.gen_range(0u32..256) as u8).collect();
+    let mu = 0.01f32.to_bits();
+    timed_entry(
+        samples,
+        "vertical/sign_apply_from_bits_4096",
+        || {
+            let mut y = y.borrow_mut();
+            for (o, y) in y.iter_mut().enumerate() {
+                let bit = black_box(signs[o / 8]) >> (o % 8) & 1;
+                *y = f32::from_bits(mu ^ (u32::from(bit) << 31));
+            }
+        },
+        || ops::sign_apply_from_bits(&signs, 0, f32::from_bits(mu), &mut y.borrow_mut()),
         out,
     );
 }

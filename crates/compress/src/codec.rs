@@ -709,9 +709,9 @@ impl<'a> PayloadView<'a> {
             }
             2 => {
                 let mu = self.f32_at(0);
-                // SIMD sign-expand; bit-identical to the scalar
+                // Vectorized sign-expand; bit-identical to the scalar
                 // `if bit { -mu } else { mu }` loop (negation is an exact
-                // sign flip, which is what the vector body applies).
+                // sign flip, which is what the kernel applies).
                 ops::sign_apply_from_bits(&self.body[4..], start, mu, out);
             }
             3 => {
@@ -741,8 +741,8 @@ impl<'a> PayloadView<'a> {
                 }
                 let packed = &self.body[4..];
                 if self.bits == 8 {
-                    // Byte-aligned width: each code is one byte — SIMD
-                    // widen/subtract/convert (exact per lane).
+                    // Byte-aligned width: each code is one byte — a
+                    // vectorized widen/subtract/convert (exact per lane).
                     ops::dequant_u8(&packed[start..end], levels, inv_q, out);
                     return;
                 }

@@ -1,11 +1,20 @@
 //! The CPU features every kernel dispatches on, detected once per
-//! process.
+//! process, and the helpers that compile one scalar loop per feature
+//! tier.
 //!
 //! [`get`] is the only place in the workspace that asks the CPU what it
 //! can do (CI fails on an `is_x86_feature_detected` anywhere else under
 //! `crates/*/src`). Whatever it reports, every kernel returns the bits of
 //! its scalar definition; the snapshot decides only which body computes
 //! them. No knob, no env var, no cargo feature.
+//!
+//! [`avx`] and [`avx2`] map the snapshot to instantiations: each runs a
+//! kernel's loop — written once, in a `move` closure — inside a function
+//! compiled for that feature where the host has it, and as baseline code
+//! (SSE2 on x86-64, portable elsewhere) otherwise. The compiler, not a
+//! hand-written intrinsic body, vectorizes each instantiation, and every
+//! instantiation performs the loop's own operations per element, so all
+//! of them return the loop's bits.
 
 use std::sync::OnceLock;
 
@@ -13,10 +22,13 @@ use std::sync::OnceLock;
 /// off x86-64.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cpu {
-    /// AVX: the `ops` element-wise kernels' wide instantiation, the
-    /// 256-bit GEMM register tiles and `ops`' other AVX bodies.
+    /// AVX: the [`avx`] instantiation of `ops`' float-lane element-wise
+    /// kernels (the vertical ones and FedPAQ's `quantise`), the 256-bit
+    /// GEMM register tiles and the GEMM fallbacks `dot4` / `axpy4`.
     pub avx: bool,
-    /// AVX2: `stats::KeyTile`'s comparator network and key gather.
+    /// AVX2: the [`avx2`] instantiation of the loops with 256-bit integer
+    /// lanes: `ops::max_abs`, `ops::dequant_u8`, and `stats::KeyTile`'s
+    /// comparator network (64-bit lane compares) and key gather.
     pub avx2: bool,
     /// AVX2 and FMA: `math`'s vector bodies (the slice forms, and the
     /// fused single-element `exp` / `sigmoid`). A traced run records it as
@@ -47,4 +59,43 @@ fn detect() -> Cpu {
 #[cfg(not(target_arch = "x86_64"))]
 fn detect() -> Cpu {
     Cpu::default()
+}
+
+/// Runs `body`, a kernel's loop in a `move` closure, compiled for this
+/// host: inside an AVX function where the snapshot saw AVX, as baseline
+/// code otherwise (module docs). Pass the whole element loop as plain
+/// `iter_mut().zip(..)`, the shape the vectorizer takes; a loop over
+/// fixed-width chunks, or a per-lane closure handed to a generic loop,
+/// hides the element loop from it. The closure must be `move`: one that
+/// borrowed its scalars would leave the compiler unable to prove that the
+/// output slice does not write through them, so it would re-load them per
+/// element behind run-time alias checks.
+#[inline(always)]
+pub fn avx<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if get().avx {
+        #[target_feature(enable = "avx")]
+        fn wide<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: the snapshot saw AVX on this host.
+        return unsafe { wide(body) };
+    }
+    body()
+}
+
+/// [`avx`] for loops that want 256-bit *integer* lanes: inside an AVX2
+/// function where the snapshot saw AVX2, as baseline code otherwise.
+#[inline(always)]
+pub fn avx2<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if get().avx2 {
+        #[target_feature(enable = "avx2")]
+        fn wide<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: the snapshot saw AVX2 on this host.
+        return unsafe { wide(body) };
+    }
+    body()
 }

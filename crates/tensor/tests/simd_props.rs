@@ -12,6 +12,12 @@
 //! subnormals and NaN: a lane whose definition is NaN must be NaN (which
 //! of two NaN operands an operation returns is the compiler's choice),
 //! every other lane must carry the definition's bits.
+//!
+//! FedPAQ's two kernels are held to expressions that share no code with
+//! them: `max_abs` to the `f32::max` fold and `quantise` to libm's
+//! `round().clamp()` (as well as to `quant_code`), over NaNs of both signs
+//! with random payloads, ties at every half-integer and values past the
+//! clamp, at L ∈ {1, 127, 32 767}.
 
 use fedbiad_tensor::ops;
 use fedbiad_tensor::rng::{stream, StreamTag};
@@ -88,7 +94,81 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// A NaN of either sign with a random non-zero payload.
+fn any_nan(rng: &mut impl Rng) -> f32 {
+    let sign = if rng.gen::<bool>() { 0x8000_0000 } else { 0 };
+    f32::from_bits(sign | 0x7f80_0000 | rng.gen_range(1u32..0x0080_0000))
+}
+
+/// FedPAQ operands around `levels`: every `SPECIALS` edge operand and NaNs
+/// of both signs, half-integers (the rounding ties) out to twice the
+/// clamp, values either side of each clamp bound, huge magnitudes and
+/// plain ones. With `nan_share` 1 half the elements are NaN, with 2 all.
+fn fedpaq_vec(len: usize, seed: u64, levels: u16, nan_share: u32) -> Vec<f32> {
+    let mut rng = stream(seed, StreamTag::Compress, 2, 0);
+    let l = f32::from(levels);
+    (0..len)
+        .map(|_| {
+            if nan_share == 2 || (nan_share == 1 && rng.gen::<bool>()) {
+                return any_nan(&mut rng);
+            }
+            let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+            sign * match rng.gen_range(0u32..8) {
+                0 => SPECIALS[rng.gen_range(0..SPECIALS.len())].abs(),
+                1 => any_nan(&mut rng),
+                2 | 3 => rng.gen_range(0..2 * u32::from(levels)) as f32 + 0.5,
+                4 => l + rng.gen_range(-1.0f32..1.0),
+                5 => rng.gen_range(1e5f32..1e30),
+                _ => rng.gen_range(0.0..1.5 * l),
+            }
+        })
+        .collect()
+}
+
 proptest! {
+    /// `max_abs` is the fold it documents, bit for bit: `+0.0` for an
+    /// empty or all-NaN slice, NaN skipped, `−∞` read as `+∞`.
+    #[test]
+    fn max_abs_matches_fold(
+        len in lens(),
+        off in 0usize..4,
+        seed in 0u64..500,
+        nan_share in 0u32..=2,
+    ) {
+        let xs = fedpaq_vec(len + off, seed, 127, nan_share);
+        let want = xs[off..].iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let got = ops::max_abs(&xs[off..]);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+    }
+
+    /// `quantise` is `quant_code(x·q) + L` on every element, and that is
+    /// `(x·q).round().clamp(−L, L) + L` with NaN at `L`.
+    #[test]
+    fn quantise_matches_quant_code(
+        len in lens(),
+        off in 0usize..4,
+        seed in 0u64..500,
+        levels in prop::sample::select(vec![1u16, 127, 32_767]),
+        q in prop::sample::select(vec![1.0f32, 0.75, 3.0]),
+    ) {
+        let xs = fedpaq_vec(len + off, seed, levels, 0);
+        let l = f32::from(levels);
+        let mut got = vec![7u16; len + off];
+        ops::quantise(&xs[off..], q, levels, &mut got[off..]);
+        for i in off..xs.len() {
+            let x = xs[i] * q;
+            let code = ops::quant_code(x, l);
+            let libm = if x.is_nan() { 0 } else { x.round().clamp(-l, l) as i32 };
+            prop_assert_eq!(code, libm, "quant_code({:e}), L = {}", x, levels);
+            prop_assert_eq!(
+                i32::from(got[i]),
+                code + i32::from(levels),
+                "quantise[{}] of {:e} ({:#010x}), L = {}",
+                i - off, x, x.to_bits(), levels
+            );
+        }
+    }
+
     #[test]
     fn axpy_matches_scalar(len in lens(), off in 0usize..4, seed in 0u64..500) {
         let x = filled_vec(len + off, seed);

@@ -2,12 +2,12 @@
 # AddressSanitizer leg for the `unsafe` in `fedbiad-tensor` and in the
 # vendored rayon pool: unit tests and property tests, every load and
 # store instrumented. In `ops.rs` that is the AVX / AVX-512 register
-# tiles of the batched GEMMs, the intrinsic bodies that remain (`dot4`,
-# `axpy4`, `max_abs`, `quantise`, `sign_apply_from_bits`, `dequant_u8`)
-# and the one call into the vertical kernels' AVX instantiation (those
-# twelve kernels are safe slice loops, so `simd_props` checks their
-# values here, not their bounds); in `math.rs` and `stats.rs`, the AVX2
-# bodies. The `kernel_props` shapes land
+# tiles of the batched GEMMs and the intrinsic bodies that remain
+# (`dot4`, `axpy4`); in `math.rs`, the AVX2 bodies; in `cpu.rs`, the calls
+# into the AVX and AVX2 instantiations of the element-wise kernels (safe
+# slice loops, so `simd_props` checks their values here, not their
+# bounds); in `stats.rs`, which has no AVX2 bodies, the one unchecked row
+# access of `KeyTile::sort`'s comparator loop. The `kernel_props` shapes land
 # on each tile's edge accesses — the last chunk of a row whose length is
 # not a multiple of 8, the last tile row of a matrix — and, on a host
 # with AVX-512F, on those of the 512-bit tiles (`ops::zmm`: `nt_groups` /
@@ -21,9 +21,9 @@
 # 24-bit grids), so an out-of-bounds lane there is reported, not read.
 # `order_stat_props` runs the keyed order-statistic kernels over columns
 # of 0..=300 participants at every trim depth, and `column_sort_props`
-# drives `stats::x86::{sort_rows, push_columns}` — the AVX2 comparator
-# network over a `KeyTile`'s aligned rows and its four-column key gather
-# — over blocks of 0..=300 rows with 1 to 4 lanes.
+# drives `KeyTile::{sort, push_columns}` — the comparator network over a
+# tile's aligned rows and its four-column key gather — over blocks of
+# 0..=300 rows with 1 to 4 lanes.
 #
 # The same flags then cover the slicing that wire bytes drive:
 # `fedbiad-compress` (lib + tests: the frame parser, `WireView` /
