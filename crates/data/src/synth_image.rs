@@ -22,7 +22,7 @@
 //! dataset — are drawn from a sequential stream.
 
 use crate::dataset::{ClientData, ImageSet};
-use fedbiad_tensor::math::gaussian_slice;
+use fedbiad_tensor::math::{self, gaussian_slice};
 use fedbiad_tensor::rng::{counter_word, stream, stream_key, StreamTag};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -127,22 +127,29 @@ impl SyntheticImageSpec {
     }
 
     /// Render one smooth image from random Gaussian bumps, normalised to
-    /// peak 1.0.
+    /// peak 1.0. The bumps' `exp` is `fedbiad_tensor::math`'s, so the
+    /// prototypes do not depend on which `expf` body the host's libm picks
+    /// for its CPU.
     fn render_bumps(&self, rng: &mut impl Rng) -> Vec<f32> {
         let s = self.side as f32;
         let mut img = vec![0.0f32; self.dim()];
+        let mut bump = vec![0.0f32; self.dim()];
         for _ in 0..self.bumps {
             let cx: f32 = rng.gen_range(0.15 * s..0.85 * s);
             let cy: f32 = rng.gen_range(0.15 * s..0.85 * s);
             let sigma: f32 = rng.gen_range(0.06 * s..0.16 * s);
             let amp: f32 = rng.gen_range(0.4..1.0);
             let inv2s2 = 1.0 / (2.0 * sigma * sigma);
-            for yy in 0..self.side {
-                for xx in 0..self.side {
+            for (yy, row) in bump.chunks_exact_mut(self.side).enumerate() {
+                for (xx, e) in row.iter_mut().enumerate() {
                     let dx = xx as f32 - cx;
                     let dy = yy as f32 - cy;
-                    img[yy * self.side + xx] += amp * (-(dx * dx + dy * dy) * inv2s2).exp();
+                    *e = -(dx * dx + dy * dy) * inv2s2;
                 }
+            }
+            math::exp_slice(&mut bump);
+            for (v, e) in img.iter_mut().zip(&bump) {
+                *v += amp * e;
             }
         }
         let peak = img.iter().copied().fold(0.0f32, f32::max).max(1e-6);

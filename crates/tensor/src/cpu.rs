@@ -8,13 +8,19 @@
 //! its scalar definition; the snapshot decides only which body computes
 //! them. No knob, no env var, no cargo feature.
 //!
-//! [`avx`] and [`avx2`] map the snapshot to instantiations: each runs a
-//! kernel's loop — written once, in a `move` closure — inside a function
-//! compiled for that feature where the host has it, and as baseline code
-//! (SSE2 on x86-64, portable elsewhere) otherwise. The compiler, not a
-//! hand-written intrinsic body, vectorizes each instantiation, and every
-//! instantiation performs the loop's own operations per element, so all
-//! of them return the loop's bits.
+//! [`avx`], [`avx2`] and [`avx2_fma`] map the snapshot to instantiations:
+//! each runs a kernel's loop — written once, in a `move` closure — inside
+//! a function compiled for that feature where the host has it, and as
+//! baseline code (SSE2 on x86-64, portable elsewhere) otherwise. The
+//! compiler, not a hand-written intrinsic body, vectorizes each
+//! instantiation, and every instantiation performs the loop's own
+//! operations per element, so all of them return the loop's bits.
+//!
+//! A closure with a large body must be marked `#[inline(always)]`, as
+//! `math`'s are: left to the inliner, a body the size of `tanh`'s is not
+//! inlined into the feature function, which then compiles to one jump
+//! into the closure built for baseline SSE2 — the same bits, silently
+//! slower (`math::tanh_slice`: 1.7x, on an AVX-512F Xeon).
 
 use std::sync::OnceLock;
 
@@ -27,12 +33,16 @@ pub struct Cpu {
     /// GEMM register tiles and the GEMM fallbacks `dot4` / `axpy4`.
     pub avx: bool,
     /// AVX2: the [`avx2`] instantiation of the loops with 256-bit integer
-    /// lanes: `ops::max_abs`, `ops::dequant_u8`, and `stats::KeyTile`'s
-    /// comparator network (64-bit lane compares) and key gather.
+    /// lanes: `ops::max_abs`, `ops::dequant_u8`, `stats::KeyTile`'s
+    /// comparator network (64-bit lane compares) and key gather, and
+    /// `math`'s `tanh_slice`, `ln_slice`, `cos2pi_slice` and
+    /// `gaussian_slice`.
     pub avx2: bool,
-    /// AVX2 and FMA: `math`'s vector bodies (the slice forms, and the
-    /// fused single-element `exp` / `sigmoid`). A traced run records it as
-    /// the gauge `nn.math.wide`.
+    /// AVX2 and FMA: the [`avx2_fma`] instantiation (the single-element
+    /// `math::exp` / `math::sigmoid`, whose `mul_add`s become the
+    /// instruction) and the one hand-written body `math` keeps, the `exp`
+    /// table gather under `exp_slice` and `sigmoid_slice`. A traced run
+    /// records it as the gauge `nn.math.wide`.
     pub avx2_fma: bool,
     /// AVX-512F: the 512-bit GEMM register tiles (`ops::tier`).
     pub avx512f: bool,
@@ -95,6 +105,25 @@ pub fn avx2<R>(body: impl FnOnce() -> R) -> R {
             body()
         }
         // SAFETY: the snapshot saw AVX2 on this host.
+        return unsafe { wide(body) };
+    }
+    body()
+}
+
+/// [`avx2`] for bodies that call [`f64::mul_add`]: inside an AVX2 + FMA
+/// function where the snapshot saw both, so each `mul_add` is the
+/// instruction; as baseline code otherwise, where each is a call to the C
+/// library's `fma`. Both are correctly rounded, so both instantiations
+/// return the same bits.
+#[inline(always)]
+pub fn avx2_fma<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if get().avx2_fma {
+        #[target_feature(enable = "avx2,fma")]
+        fn wide<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: the snapshot saw AVX2 and FMA on this host.
         return unsafe { wide(body) };
     }
     body()

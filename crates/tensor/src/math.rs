@@ -14,7 +14,8 @@
 //! scalar calls per LSTM `loss_grad` at the `lockstep_text` shape. This
 //! module fixes the functions' *values* — to the ones glibc 2.36 computes
 //! on an FMA-capable x86-64, so no golden moved when it landed — and
-//! computes them eight lanes at a time.
+//! computes them eight lanes at a time, each slice form a loop the
+//! compiler vectorizes (one, `exp`'s table path, written by hand).
 //!
 //! # Provenance
 //!
@@ -68,33 +69,63 @@
 //!
 //! # Bit contract
 //!
-//! The scalar functions are the definition — plain Rust, no intrinsics,
-//! the only bodies on a host without AVX2/FMA. The slice forms
-//! ([`tanh_slice`], [`exp_slice`], [`sigmoid_slice`], [`ln_slice`],
-//! [`cos2pi_slice`], [`gaussian_slice`]) return exactly `f(x)` per
-//! element: their AVX2 bodies run the same IEEE operations per
-//! lane with every branch turned into a blend, and a vector holding a
-//! lane the blends do not cover (non-finite for `tanh`; `|x| ≥ 88`, ±∞ or
-//! NaN for `exp`; anything but a positive normal for `ln`; outside
-//! `[0, 1)` for `cos2pi`) is handed to the scalar definition whole. Two lane
-//! shortcuts are identities of the definition rather than transcriptions
-//! and are argued where they are taken (`|x| < 2⁻²⁶ ⇒ tanh x = x`, and
-//! `expm1`'s `k = 0` / `k = ±1` special cases as the general reduction).
-//! `tests/math_props.rs` pins vector ≡ scalar on edge operands; the
-//! `#[ignore]`d sweeps in `tests/math_exhaustive.rs` pin it on all 2³²
-//! bit patterns, and separately record that scalar ≡ the host's libm
+//! The scalar functions are the definition — plain Rust, no intrinsics.
+//! The slice forms ([`tanh_slice`], [`exp_slice`], [`sigmoid_slice`],
+//! [`ln_slice`], [`cos2pi_slice`], [`gaussian_slice`]) return exactly
+//! `f(x)` per element:
+//!
+//! * `tanh`, `ln`, `cos2pi` and the field are loops over the
+//!   definition's own branch-free fast path — [`tanh`]'s blends as the
+//!   private `tanh_lane`, `ln_normal`, `cos_quarter_turns` — that the
+//!   compiler vectorizes. A loop performs the definition's IEEE operations
+//!   on each element in the definition's order, nothing reassociated,
+//!   nothing fused, so every instantiation returns its bits. `ln` and
+//!   `cos2pi` first fold each block of 64 for an element off that path
+//!   (anything but a positive normal for `ln`; outside `[0, 1)` for
+//!   `cos2pi`) and hand such a block to the scalar definition whole.
+//!   `tanh`'s loop needs no such pass: its path is exact on every
+//!   non-NaN input (±∞ saturates) and returns a NaN unchanged, so the NaN
+//!   elements, if any, go through the definition afterwards, which quiets
+//!   them. Every uniform pair of the field is on the transform's path.
+//! * `exp` and `sigmoid` keep hand-written AVX2+FMA bodies (the `x86`
+//!   module: `exp4` / `exp8` under `exp_slice` and `sigmoid_slice`),
+//!   which run the same IEEE operations per lane with every branch turned
+//!   into a blend; a vector holding a lane with `|x| ≥ 88`, ±∞ or NaN goes
+//!   to the scalar definition whole.
+//!
+//! Two lane shortcuts are identities of the definition rather than
+//! transcriptions and are argued where they are taken (`|x| < 2⁻²⁶ ⇒
+//! tanh x = x`, and `expm1`'s `k = 0` / `k = ±1` special cases as the
+//! general reduction). `tests/math_props.rs` pins slice ≡ scalar on edge
+//! operands and one off-path element at every position around the block;
+//! the `#[ignore]`d sweeps in `tests/math_exhaustive.rs` pin it on all
+//! 2³² bit patterns, and separately record that scalar ≡ the host's libm
 //! (a migration proof for the host the goldens were pinned on, not a
 //! gate). `tests/gaussian_props.rs` pins `ln` / `cos2pi` /
-//! `gaussian_slice` vector ≡ scalar over every input the field can
+//! `gaussian_slice` slice ≡ scalar over every input the field can
 //! produce, in tier 1.
 //!
 //! # Dispatch
 //!
-//! Every vector body runs where the [`crate::cpu`] snapshot's
-//! `avx2_fma` is set: AVX2 **and** FMA (`tanh`, `ln`, `cos2pi` and the
-//! field need only the former; one flag keeps a trace's `nn.math.wide` a
-//! single bit). Either way the functions return the scalar definitions'
-//! values. No knob, no env var, no cargo feature.
+//! [`crate::cpu`] compiles each loop per tier: `tanh`, `ln`, `cos2pi` and
+//! the field through `cpu::avx2` (inside an AVX2 function where the
+//! snapshot saw AVX2, as baseline code elsewhere); the single-element
+//! [`exp`] and [`sigmoid`], whose `mul_add`s want the FMA instruction,
+//! through `cpu::avx2_fma`. `exp_slice` and `sigmoid_slice` run their
+//! hand-written bodies where the snapshot's `avx2_fma` is set, and the
+//! scalar definition elsewhere. Those two bodies stay because they passed
+//! the keep rule (a loop form more than 5 % slower in an in-process A/B,
+//! 21 alternating pairs at the LSTM's shapes, one pinned core of an
+//! AVX-512F Xeon): over five such rounds the loop form read a median
+//! 1.063 for `exp` over 400-wide rows (1.016–1.098) and 1.073 for
+//! `sigmoid` over 144-wide rows (1.042–1.120) — the compiler scalarises
+//! the 32-entry table load under generic AVX2 tuning, where the
+//! hand-written body issues one `vpgatherqq` per four lanes. The
+//! converted loops read `tanh` 0.99–1.04, `ln` 0.84–0.93, `cos2pi`
+//! 0.87–0.89 and the field 0.91–0.93 against the bodies they replaced
+//! (BENCHMARKS.md, "PR 36"). A traced run's `nn.math.wide` gauge records `avx2_fma`. Either
+//! way the functions return the scalar definitions' values. No knob, no
+//! env var, no cargo feature.
 
 use crate::rng::{self, counter_word};
 
@@ -129,8 +160,7 @@ const EXPM1_3HALF_LN2: u32 = 0x3f85_1592;
 /// `expm1`: `|x| < 2⁻²⁵` returns `x`.
 const EXPM1_TINY: u32 = 0x3300_0000;
 /// `|x| < 2⁻²⁶`, i.e. `2|x|` under [`EXPM1_TINY`]: `tanh x = x` (argued at
-/// the vector body, the only user).
-#[cfg(target_arch = "x86_64")]
+/// [`tanh_lane`], the only user).
 const TANH_IDENTITY: i32 = EXPM1_TINY as i32 - 0x0080_0000;
 
 /// Hyperbolic tangent: fdlibm's `tanhf`.
@@ -175,6 +205,108 @@ pub fn tanh(x: f32) -> f32 {
     } else {
         -z
     }
+}
+
+/// [`tanh`] without a branch: the body of [`tanh_slice`]. Exact on every
+/// input but a NaN, which comes back unchanged (the definition quiets it).
+///
+/// Lanes by magnitude:
+///
+/// * `|x| ≥ 22`, ±∞ included: ±1.
+/// * `|x| < 2⁻²⁶`: `x` itself. The definition has two cases here and
+///   both are the identity: below `2⁻⁵⁵` it returns `x·(1 + x)` and
+///   `1 + x` rounds to 1; from there up, `a = −2|x|` has `|a| < 2⁻²⁵`,
+///   `expm1` returns `a`, `a + 2` rounds to 2, and `−a / 2 = |x|`
+///   exactly.
+/// * otherwise `expm1(a)` with `a = 2|x| ∈ [2, 44)` (`k = 3…63`) or
+///   `a = −2|x| ∈ (−2, −2⁻²⁵]` (`k = 0…−3`), so of `expm1`'s cases
+///   only `k = 0`, `k = −1`, `k ≤ −2 ∨ k > 56`, `k < 23` and
+///   `23 ≤ k ≤ 56` are needed.
+///
+/// The first two kinds, and a NaN (which no compare holds for, so it
+/// counts as an identity lane), are computed as if `|x|` were 1 — their
+/// own values would drag the polynomial through subnormals, a microcode
+/// assist each, or make `k` meaningless — and selected over at the end.
+#[inline(always)]
+fn tanh_lane(x: f32) -> f32 {
+    // The thresholds as float compares of |x| (one instruction a lane,
+    // where the integer form's unsigned compare takes two).
+    let abs = x.abs();
+    let at_least = |bits: i32| abs >= f32::from_bits(bits as u32);
+    let (saturated, identity, big) = (
+        at_least(TANH_SATURATED),
+        !at_least(TANH_IDENTITY),
+        at_least(TANH_ONE),
+    );
+    let ax = if saturated | identity { 1.0 } else { abs };
+    // a = 2|x| where |x| ≥ 1, else −2|x| (an exact negation).
+    let a = if big { 2.0 * ax } else { -(2.0 * ax) };
+
+    // expm1: argument reduction, the general formula in every lane. The
+    // definition special-cases |a| ≤ ½ln2 (k = 0, c = 0) and |a| < 1.5ln2
+    // (k = ±1 without the multiply); for every `a` that `tanh` passes the
+    // general `k = trunc(a/ln2 ∓ ½)` lands on the same k — an identity of
+    // these thresholds and this `invln2`, pinned by the sweep over all
+    // 2³² inputs — and with that k the general `hi = a − k·ln2_hi`,
+    // `lo = k·ln2_lo` are the special cases' values bit for bit:
+    // `a + ln2_hi`, `−ln2_lo` for k = −1; `x = a`, `c = +0` for k = 0.
+    let kf = INVLN2 * a + if big { 0.5 } else { -0.5 };
+    // SAFETY: |a| < 44 (|a| = 2 where |x| is not below 22 or is NaN), so
+    // |kf| < 64: finite and inside i32. (A saturating `as i32` here
+    // would be one scalar conversion per lane.)
+    let k: i32 = unsafe { kf.to_int_unchecked() };
+    let t = k as f32;
+    let hi = a - t * LN2_HI;
+    let lo = t * LN2_LO;
+    let xr = hi - lo;
+    let c = (hi - xr) - lo;
+
+    // Primary range.
+    let hfx = 0.5 * xr;
+    let hxs = xr * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t3 = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t3) / (6.0 - xr * t3));
+    // e ← (x·(e − c) − c) − hxs. With c = +0 this is the k = 0 case's
+    // `x·e − hxs`, so that case needs no separate form.
+    let e = (xr * (e - c) - c) - hxs;
+
+    // k = 0: x − e.   k = −1: ½(x − e) − ½.
+    let x_minus_e = xr - e;
+    let k_m1_form = 0.5 * x_minus_e - 0.5;
+    // The three scaled forms share 2^−k (every k here is in −3…63, so the
+    // exponent field cannot leave the normal range).
+    let two_pow_minus_k = f32::from_bits(((0x7f - k) << 23) as u32);
+    let k_outside = !(-1..=56).contains(&k);
+    // k < 23: y = t − (e − x), t = 1 − 2^−k (exact in f32, so the
+    // subtraction yields the definition's integer-built constant);
+    // k ≤ −2 or k > 56: the same with t = 1, and the result owes a −1.
+    let t = 1.0 - if k_outside { 0.0 } else { two_pow_minus_k };
+    let y_low = t - (e - xr);
+    // 23 ≤ k ≤ 56: y = (x − (e + 2^−k)) + 1.
+    let y_high = (xr - (e + two_pow_minus_k)) + 1.0;
+    let y = if (23..=56).contains(&k) {
+        y_high
+    } else {
+        y_low
+    };
+    // Add k to y's exponent, then settle the −1 (y − 0 is y).
+    let em1 = add_to_exponent(y, k) - if k_outside { 1.0 } else { 0.0 };
+    let em1 = match k {
+        0 => x_minus_e,
+        -1 => k_m1_form,
+        _ => em1,
+    };
+
+    // |x| ≥ 1: 1 − 2/(t + 2); else −t/(t + 2), as 0 − t/(t + 2) (t ≠ 0
+    // here, and IEEE division is odd in its numerator). One division,
+    // and no select after it that a compiler could split it by.
+    let z = (if big { 1.0 } else { 0.0 }) - (if big { 2.0 } else { em1 }) / (em1 + 2.0);
+    let z = if saturated { 1.0 - TINY } else { z };
+    // Selected by magnitude, then signed: a select of `x` itself would let
+    // the compiler turn the store of every identity lane into a masked one.
+    let z = if identity { abs } else { z };
+    f32::from_bits(z.to_bits() ^ (x.to_bits() & 0x8000_0000))
 }
 
 /// `y · 2^k` by adding `k` to `y`'s exponent field.
@@ -381,12 +513,10 @@ fn exp_def(x: f32) -> f32 {
 /// overflows to `+∞`, `x < ln 2⁻¹⁵⁰` underflows to `0`, and
 /// `ln 2⁻¹⁵⁰ ≤ x < ln 2⁻¹⁴⁹` returns `2⁻¹⁴⁹`.
 pub fn exp(x: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw FMA at run time.
-        return unsafe { x86::exp(x) };
-    }
-    exp_def(x)
+    crate::cpu::avx2_fma(
+        #[inline(always)]
+        move || exp_def(x),
+    )
 }
 
 // ------------------------------------------------------------- sigmoid
@@ -406,12 +536,10 @@ fn sigmoid_def(x: f32) -> f32 {
 /// Numerically stable logistic sigmoid over [`exp`]: `1 / (1 + e⁻ˣ)` for
 /// `x ≥ 0`, `eˣ / (1 + eˣ)` otherwise (a NaN takes the second branch).
 pub fn sigmoid(x: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw FMA at run time.
-        return unsafe { x86::sigmoid(x) };
-    }
-    sigmoid_def(x)
+    crate::cpu::avx2_fma(
+        #[inline(always)]
+        move || sigmoid_def(x),
+    )
 }
 
 // ------------------------------------------------------------------ ln
@@ -486,9 +614,6 @@ const CS2: f32 = f32::from_bits(0x3e81_e0f5); //  2.5366941e-01
 const CS3: f32 = f32::from_bits(0xbcaa_e5cc); // -2.0861529e-02
 const CS4: f32 = f32::from_bits(0x3a6d_b249); //  9.0673991e-04
 
-/// Both polynomials' coefficients, by quadrant parity.
-static QUADRANT: [[f32; 5]; 2] = [[1.0, CS1, CS2, CS3, CS4], [0.0, SN0, SN1, SN2, SN3]];
-
 /// `cos(2π·u)`: cosine with the argument in turns.
 ///
 /// ```text
@@ -515,13 +640,16 @@ fn cos_quarter_turns(t: f32) -> f32 {
     // `shifted` is `1.5·2²³ + q` exactly: its low mantissa bits are q.
     let qi = shifted.to_bits();
     // Even quadrants take `1 + z·C(z)`, odd ones `0 + r·S(z)`: one shape,
-    // `k0 + b·(k1 + z·(k2 + z·(k3 + z·k4)))`, with the coefficients looked
-    // up — the quadrant is as good as random where the field calls this, and
-    // a mispredicted branch costs more than the polynomial.
-    let odd = (qi & 1) as usize;
-    let k = &QUADRANT[odd];
-    let b = [z, r][odd];
-    let v = k[0] + b * (k[1] + z * (k[2] + z * (k[3] + z * k[4])));
+    // `k0 + b·(k1 + z·(k2 + z·(k3 + z·k4)))`, each coefficient picked by
+    // q's parity through a bit mask — the quadrant is as good as random
+    // where the field calls this, so a branch mispredicts, and a table
+    // lookup is a gather in a vector loop.
+    let odd = (qi & 1).wrapping_neg();
+    let pick = |even: f32, odd_q: f32| {
+        f32::from_bits(even.to_bits() ^ (odd & (even.to_bits() ^ odd_q.to_bits())))
+    };
+    let p = pick(CS1, SN0) + z * (pick(CS2, SN1) + z * (pick(CS3, SN2) + z * pick(CS4, SN3)));
+    let v = pick(1.0, 0.0) + pick(z, r) * p;
     // Quadrants 1 and 2 are the negative half-turn: bit 1 of q + 1 is the
     // sign to flip.
     f32::from_bits(v.to_bits() ^ ((qi + 1) & 2) << 30)
@@ -552,7 +680,12 @@ pub fn gaussian_of(u1: f32, u2: f32) -> f32 {
 /// `u2 ∈ {0, …, 2²⁴−1}·2⁻²⁴` from the next 24.
 #[inline]
 pub fn gaussian_uniform_pair(key: u64, i: u64) -> (f32, f32) {
-    let w = counter_word(key, i);
+    uniform_pair(counter_word(key, i))
+}
+
+/// [`gaussian_uniform_pair`] of the counter word `w`.
+#[inline(always)]
+fn uniform_pair(w: u64) -> (f32, f32) {
     let u1 = ((w >> 40) as u32 + 1) as f32 * GRID;
     let u2 = ((w >> 16) as u32 & 0x00ff_ffff) as f32 * GRID;
     (u1, u2)
@@ -569,15 +702,53 @@ pub fn gaussian(key: u64, i: u64) -> f32 {
 
 // -------------------------------------------------------------- slices
 
+/// Elements per block of [`by_block`].
+const BLOCK: usize = 64;
+
+/// `x ← def(x)` for every element, computed block by block: a block whose
+/// elements all have `key(bits(x)) < limit` — a max fold, which vectorizes
+/// — runs `fast`, the definition's branch-free path for exactly those
+/// elements; any other block runs `def` whole. Both return `def`'s bits,
+/// so how the slice falls into blocks never shows in the result.
+#[inline(always)]
+fn by_block(
+    xs: &mut [f32],
+    key: impl Fn(u32) -> u32,
+    limit: u32,
+    fast: impl Fn(f32) -> f32,
+    def: impl Fn(f32) -> f32,
+) {
+    for block in xs.chunks_mut(BLOCK) {
+        if block.iter().fold(0, |m: u32, x| m.max(key(x.to_bits()))) < limit {
+            for x in block {
+                *x = fast(*x);
+            }
+        } else {
+            for x in block {
+                *x = def(*x);
+            }
+        }
+    }
+}
+
 /// `x ← tanh(x)` for every element, bit-identical to [`tanh`].
 pub fn tanh_slice(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw AVX2 at run time.
-        return unsafe { x86::tanh_slice(xs) };
-    }
-    for x in xs {
-        *x = tanh(*x);
+    let ys = &mut *xs;
+    let nan = crate::cpu::avx2(
+        #[inline(always)]
+        move || {
+            let mut nan = false;
+            for y in ys {
+                nan |= y.is_nan();
+                *y = tanh_lane(*y);
+            }
+            nan
+        },
+    );
+    if nan {
+        for x in xs.iter_mut().filter(|x| x.is_nan()) {
+            *x = tanh(*x);
+        }
     }
 }
 
@@ -607,49 +778,68 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 
 /// `x ← ln(x)` for every element, bit-identical to [`ln`].
 pub fn ln_slice(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw AVX2 at run time.
-        return unsafe { x86::ln_slice(xs) };
-    }
-    for x in xs {
-        *x = ln(*x);
-    }
+    // Positive normal ⇔ bits − bits(MIN_POSITIVE) < 0x7f00_0000, unsigned.
+    crate::cpu::avx2(
+        #[inline(always)]
+        move || {
+            by_block(
+                xs,
+                |b| b.wrapping_sub(0x0080_0000),
+                0x7f00_0000,
+                |x| ln_normal(x.to_bits(), 0),
+                ln,
+            )
+        },
+    );
 }
 
 /// `u ← cos(2π·u)` for every element, bit-identical to [`cos2pi`].
 pub fn cos2pi_slice(us: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw AVX2 at run time.
-        return unsafe { x86::cos2pi_slice(us) };
-    }
-    for u in us {
-        *u = cos2pi(*u);
-    }
+    // In [+0, 1) — bits below bits(1.0) — the definition's `frac|u|` is
+    // `u` itself.
+    crate::cpu::avx2(
+        #[inline(always)]
+        move || {
+            by_block(
+                us,
+                |b| b,
+                0x3f80_0000,
+                |u| cos_quarter_turns(4.0 * u),
+                cos2pi,
+            )
+        },
+    );
 }
 
 /// `out[j] ← gaussian(key, start + j)` (the index wraps at 2⁶⁴),
 /// bit-identical to [`gaussian`].
+///
+/// Every uniform pair is on the transform's fast path (`u1` a positive
+/// normal, `u2 ∈ [0, 1)`), so there is nothing to check: one loop, whose
+/// counter steps by an add. (Computing each counter from its index, as
+/// [`counter_word`] does, is a 64-bit multiply per element that the
+/// vectorized loop cannot strength-reduce: 15–35 % slower.)
 pub fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::cpu::get().avx2_fma {
-        // SAFETY: the CPU snapshot saw AVX2 at run time.
-        return unsafe { x86::gaussian_slice(key, start, out) };
-    }
-    gaussian_run(key, start, out);
+    crate::cpu::avx2(
+        #[inline(always)]
+        move || {
+            // Element `start`'s counter; each next one is GAMMA on.
+            let mut z = key.wrapping_add(start.wrapping_mul(rng::GAMMA));
+            for v in out {
+                let (u1, u2) = uniform_pair(rng::counter_mix(key, z));
+                *v = (-2.0 * ln_normal(u1.to_bits(), 0)).sqrt() * cos_quarter_turns(4.0 * u2);
+                z = z.wrapping_add(rng::GAMMA);
+            }
+        },
+    );
 }
 
-/// The definition of [`gaussian_slice`], and the tail of its vector body.
-fn gaussian_run(key: u64, start: u64, out: &mut [f32]) {
-    for (j, v) in out.iter_mut().enumerate() {
-        *v = gaussian(key, start.wrapping_add(j as u64));
-    }
-}
-
-/// The AVX2 bodies. Every function here computes, per lane, the IEEE
-/// operations of the scalar definition above in the same order; nothing
-/// is reassociated and nothing but `exp`'s four `mul_add`s is fused.
+/// `exp`'s table path in eight lanes, kept by hand: the 32-entry table
+/// load is a gather (`vpgatherqq`) here, and the compiler, which
+/// scalarises it under generic AVX2 tuning, made the loop form of
+/// [`exp_slice`] 6 % slower and of [`sigmoid_slice`] 7 % slower (module
+/// docs, "Dispatch"). Every lane computes the IEEE operations of
+/// [`exp_def`] in its order, the four `mul_add`s fused.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
@@ -657,168 +847,6 @@ mod x86 {
 
     const ABS: i32 = 0x7fff_ffff;
     const SIGN: i32 = i32::MIN;
-
-    /// See [`super::tanh_slice`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tanh_slice(xs: &mut [f32]) {
-        let mut chunks = xs.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            // SAFETY: `chunk` is exactly eight floats.
-            let x = _mm256_loadu_ps(chunk.as_ptr());
-            let ix = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(ABS));
-            let non_finite = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f7f_ffff));
-            if _mm256_movemask_epi8(non_finite) != 0 {
-                for v in chunk {
-                    *v = tanh(*v);
-                }
-                continue;
-            }
-            // SAFETY: as above.
-            _mm256_storeu_ps(chunk.as_mut_ptr(), tanh8(x, ix));
-        }
-        for v in chunks.into_remainder() {
-            *v = tanh(*v);
-        }
-    }
-
-    /// [`tanh`] of eight finite lanes; `ix = bits(|x|)`.
-    ///
-    /// Lanes by magnitude:
-    ///
-    /// * `|x| ≥ 22`: ±1.
-    /// * `|x| < 2⁻²⁶`: `x` itself. The definition has two cases here and
-    ///   both are the identity: below `2⁻⁵⁵` it returns `x·(1 + x)` and
-    ///   `1 + x` rounds to 1; from there up, `a = −2|x|` has `|a| < 2⁻²⁵`,
-    ///   `expm1` returns `a`, `a + 2` rounds to 2, and `−a / 2 = |x|`
-    ///   exactly.
-    /// * otherwise `expm1(a)` with `a = 2|x| ∈ [2, 44)` (`k = 3…63`) or
-    ///   `a = −2|x| ∈ (−2, −2⁻²⁵]` (`k = 0…−3`), so of `expm1`'s cases
-    ///   only `k = 0`, `k = −1`, `k ≤ −2 ∨ k > 56`, `k < 23` and
-    ///   `23 ≤ k ≤ 56` are needed.
-    ///
-    /// The first two kinds are computed as if `|x|` were 1 (their own
-    /// values would drag the polynomial through subnormals, a microcode
-    /// assist each) and blended over at the end.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tanh8(x: __m256, ix: __m256i) -> __m256 {
-        let ps = |v: f32| _mm256_set1_ps(v);
-        let epi = |v: i32| _mm256_set1_epi32(v);
-        let mask = |m: __m256i| _mm256_castsi256_ps(m);
-        let sign = mask(epi(SIGN));
-        let one = ps(1.0);
-
-        let saturated = _mm256_cmpgt_epi32(ix, epi(TANH_SATURATED - 1));
-        let identity = _mm256_cmpgt_epi32(epi(TANH_IDENTITY), ix);
-        let big = _mm256_cmpgt_epi32(ix, epi(TANH_ONE - 1));
-        let ax = _mm256_blendv_ps(mask(ix), one, mask(_mm256_or_si256(saturated, identity)));
-
-        // a = 2|x| where |x| ≥ 1, else −2|x| (an exact negation).
-        let a_abs = _mm256_mul_ps(ps(2.0), ax);
-        let a_sign = _mm256_andnot_ps(mask(big), sign);
-        let a = _mm256_or_ps(a_abs, a_sign);
-
-        // expm1: argument reduction, the general formula in every lane. The
-        // definition special-cases |a| ≤ ½ln2 (k = 0, c = 0) and |a| <
-        // 1.5ln2 (k = ±1 without the multiply); for every `a` that `tanh`
-        // passes the general `k = trunc(a/ln2 ∓ ½)` lands on the same k —
-        // an identity of these thresholds and this `invln2`, pinned by the
-        // sweep over all 2³² inputs — and with that k the general
-        // `hi = a − k·ln2_hi`, `lo = k·ln2_lo` are the special cases' values
-        // bit for bit: `a + ln2_hi`, `−ln2_lo` for k = −1; `x = a`,
-        // `c = +0` for k = 0.
-        let half = _mm256_or_ps(ps(0.5), a_sign);
-        let kf = _mm256_add_ps(_mm256_mul_ps(ps(INVLN2), a), half);
-        let k = _mm256_cvttps_epi32(kf);
-        let t = _mm256_cvtepi32_ps(k);
-        let hi = _mm256_sub_ps(a, _mm256_mul_ps(t, ps(LN2_HI)));
-        let lo = _mm256_mul_ps(t, ps(LN2_LO));
-        let xr = _mm256_sub_ps(hi, lo);
-        let c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
-
-        // Primary range.
-        let hfx = _mm256_mul_ps(ps(0.5), xr);
-        let hxs = _mm256_mul_ps(xr, hfx);
-        let mut r1 = _mm256_mul_ps(hxs, ps(Q5));
-        for q in [Q4, Q3, Q2, Q1] {
-            r1 = _mm256_mul_ps(hxs, _mm256_add_ps(ps(q), r1));
-        }
-        let r1 = _mm256_add_ps(one, r1);
-        let t3 = _mm256_sub_ps(ps(3.0), _mm256_mul_ps(r1, hfx));
-        let e = _mm256_mul_ps(
-            hxs,
-            _mm256_div_ps(
-                _mm256_sub_ps(r1, t3),
-                _mm256_sub_ps(ps(6.0), _mm256_mul_ps(xr, t3)),
-            ),
-        );
-        // e ← (x·(e − c) − c) − hxs. With c = +0 this is the k = 0 case's
-        // `x·e − hxs`, so that case needs no separate form.
-        let e = _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c);
-        let e = _mm256_sub_ps(e, hxs);
-
-        // k = 0: x − e.   k = −1: ½(x − e) − ½.
-        let x_minus_e = _mm256_sub_ps(xr, e);
-        let k_m1_form = _mm256_sub_ps(_mm256_mul_ps(ps(0.5), x_minus_e), ps(0.5));
-        // The three scaled forms share 2^−k (every k here is in −3…63, so
-        // the exponent field cannot leave the normal range).
-        let two_pow_minus_k = mask(_mm256_slli_epi32::<23>(_mm256_sub_epi32(epi(0x7f), k)));
-        let k_outside = _mm256_or_si256(
-            _mm256_cmpgt_epi32(epi(-1), k),
-            _mm256_cmpgt_epi32(k, epi(56)),
-        );
-        // k < 23: y = t − (e − x), t = 1 − 2^−k (exact in f32, so the
-        // subtraction yields the definition's integer-built constant);
-        // k ≤ −2 or k > 56: the same with t = 1, and the result owes a −1.
-        let t = _mm256_sub_ps(one, _mm256_andnot_ps(mask(k_outside), two_pow_minus_k));
-        let y_low = _mm256_sub_ps(t, _mm256_sub_ps(e, xr));
-        // 23 ≤ k ≤ 56: y = (x − (e + 2^−k)) + 1.
-        let y_high = _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e, two_pow_minus_k)), one);
-        let k_high = _mm256_and_si256(
-            _mm256_cmpgt_epi32(k, epi(22)),
-            _mm256_cmpgt_epi32(epi(57), k),
-        );
-        let y = _mm256_blendv_ps(y_low, y_high, mask(k_high));
-        // Add k to y's exponent, then settle the −1 (y − 0 is y).
-        let y = mask(_mm256_add_epi32(
-            _mm256_castps_si256(y),
-            _mm256_slli_epi32::<23>(k),
-        ));
-        let em1 = _mm256_sub_ps(y, _mm256_and_ps(one, mask(k_outside)));
-        let k_is_m1 = _mm256_cmpeq_epi32(k, epi(-1));
-        let em1 = _mm256_blendv_ps(em1, k_m1_form, mask(k_is_m1));
-        let k_is_0 = _mm256_cmpeq_epi32(k, _mm256_setzero_si256());
-        let em1 = _mm256_blendv_ps(em1, x_minus_e, mask(k_is_0));
-
-        // |x| ≥ 1: 1 − 2/(t + 2); else −t/(t + 2).
-        let num = _mm256_blendv_ps(_mm256_xor_ps(em1, sign), ps(2.0), mask(big));
-        let q = _mm256_div_ps(num, _mm256_add_ps(em1, ps(2.0)));
-        let z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), mask(big));
-        let z = _mm256_blendv_ps(z, ps(1.0 - TINY), mask(saturated));
-        let z = _mm256_xor_ps(z, _mm256_and_ps(x, sign));
-        _mm256_blendv_ps(z, x, mask(identity))
-    }
-
-    /// [`exp_def`] with the FMA instruction for its `mul_add`s.
-    ///
-    /// # Safety
-    /// The CPU must support FMA.
-    #[target_feature(enable = "fma")]
-    pub(super) unsafe fn exp(x: f32) -> f32 {
-        exp_def(x)
-    }
-
-    /// [`sigmoid_def`] with the FMA instruction for its `mul_add`s.
-    ///
-    /// # Safety
-    /// The CPU must support FMA.
-    #[target_feature(enable = "fma")]
-    pub(super) unsafe fn sigmoid(x: f32) -> f32 {
-        sigmoid_def(x)
-    }
 
     /// [`exp`] of four lanes that all take the table path
     /// (`bits(|x|) >> 20 ≤ 0x42a`), as four `f32` results.
@@ -916,203 +944,6 @@ mod x86 {
         for v in chunks.into_remainder() {
             *v = sigmoid_def(*v);
         }
-    }
-
-    /// [`ln_normal`]`(bits(x), 0)` of eight positive normal lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn ln8(x: __m256) -> __m256 {
-        let ps = |v: f32| _mm256_set1_ps(v);
-        let epi = |v: u32| _mm256_set1_epi32(v as i32);
-        let ix = _mm256_add_epi32(_mm256_castps_si256(x), epi(0x3f80_0000 - SQRT_HALF));
-        let k = _mm256_sub_epi32(_mm256_srli_epi32::<23>(ix), epi(127));
-        let m = _mm256_castsi256_ps(_mm256_add_epi32(
-            _mm256_and_si256(ix, epi(0x007f_ffff)),
-            epi(SQRT_HALF),
-        ));
-        let f = _mm256_sub_ps(m, ps(1.0));
-        let s = _mm256_div_ps(f, _mm256_add_ps(ps(2.0), f));
-        let z = _mm256_mul_ps(s, s);
-        let mut r = ps(LG3);
-        for c in [LG2, LG1] {
-            r = _mm256_add_ps(ps(c), _mm256_mul_ps(z, r));
-        }
-        let r = _mm256_mul_ps(z, r);
-        let h = _mm256_mul_ps(_mm256_mul_ps(ps(0.5), f), f);
-        let dk = _mm256_cvtepi32_ps(k);
-        let inner = _mm256_add_ps(
-            _mm256_mul_ps(s, _mm256_add_ps(h, r)),
-            _mm256_mul_ps(dk, ps(LN2_LO)),
-        );
-        _mm256_sub_ps(
-            _mm256_mul_ps(dk, ps(LN2_HI)),
-            _mm256_sub_ps(_mm256_sub_ps(h, inner), f),
-        )
-    }
-
-    /// [`cos_quarter_turns`] of eight lanes in `[0, 4]`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cos_quarter_turns8(t: __m256) -> __m256 {
-        let ps = |v: f32| _mm256_set1_ps(v);
-        let shifted = _mm256_add_ps(t, ps(ROUND_MAGIC));
-        let q = _mm256_sub_ps(shifted, ps(ROUND_MAGIC));
-        let r = _mm256_sub_ps(t, q);
-        let z = _mm256_mul_ps(r, r);
-        let qi = _mm256_castps_si256(shifted);
-        // Bit 0 of q → the sign bit: odd quadrants take the sine's row.
-        let odd = _mm256_castsi256_ps(_mm256_slli_epi32::<31>(qi));
-        let k = |i: usize| _mm256_blendv_ps(ps(QUADRANT[0][i]), ps(QUADRANT[1][i]), odd);
-        let mut p = k(4);
-        for i in [3, 2, 1] {
-            p = _mm256_add_ps(k(i), _mm256_mul_ps(z, p));
-        }
-        let b = _mm256_blendv_ps(z, r, odd);
-        let v = _mm256_add_ps(k(0), _mm256_mul_ps(b, p));
-        // Bit 1 of q + 1 → the sign bit: quadrants 1 and 2 are negative.
-        let negative = _mm256_and_si256(
-            _mm256_slli_epi32::<30>(_mm256_add_epi32(qi, _mm256_set1_epi32(1))),
-            _mm256_set1_epi32(SIGN),
-        );
-        _mm256_xor_ps(v, _mm256_castsi256_ps(negative))
-    }
-
-    /// See [`super::ln_slice`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ln_slice(xs: &mut [f32]) {
-        let mut chunks = xs.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            // SAFETY: `chunk` is exactly eight floats.
-            let x = _mm256_loadu_ps(chunk.as_ptr());
-            // Positive normal ⇔ 0 ≤ bits − 0x0080_0000 < 0x7f00_0000, as a
-            // signed compare on both ends (a set sign bit stays negative).
-            let d = _mm256_sub_epi32(_mm256_castps_si256(x), _mm256_set1_epi32(0x0080_0000));
-            let outside = _mm256_or_si256(
-                _mm256_cmpgt_epi32(_mm256_setzero_si256(), d),
-                _mm256_cmpgt_epi32(d, _mm256_set1_epi32(0x7eff_ffff)),
-            );
-            if _mm256_movemask_epi8(outside) != 0 {
-                for v in chunk {
-                    *v = ln(*v);
-                }
-                continue;
-            }
-            // SAFETY: as above.
-            _mm256_storeu_ps(chunk.as_mut_ptr(), ln8(x));
-        }
-        for v in chunks.into_remainder() {
-            *v = ln(*v);
-        }
-    }
-
-    /// See [`super::cos2pi_slice`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cos2pi_slice(us: &mut [f32]) {
-        let mut chunks = us.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            // SAFETY: `chunk` is exactly eight floats.
-            let u = _mm256_loadu_ps(chunk.as_ptr());
-            // In [+0, 1) the definition's `frac|u|` is `u` itself; as bit
-            // patterns that range is 0 ≤ bits < bits(1.0).
-            let bits = _mm256_castps_si256(u);
-            let outside = _mm256_or_si256(
-                _mm256_cmpgt_epi32(_mm256_setzero_si256(), bits),
-                _mm256_cmpgt_epi32(bits, _mm256_set1_epi32(0x3f7f_ffff)),
-            );
-            if _mm256_movemask_epi8(outside) != 0 {
-                for v in chunk {
-                    *v = cos2pi(*v);
-                }
-                continue;
-            }
-            let t = _mm256_mul_ps(_mm256_set1_ps(4.0), u);
-            // SAFETY: as above.
-            _mm256_storeu_ps(chunk.as_mut_ptr(), cos_quarter_turns8(t));
-        }
-        for v in chunks.into_remainder() {
-            *v = cos2pi(*v);
-        }
-    }
-
-    /// `z·m mod 2⁶⁴` in four 64-bit lanes; `m_hi` holds `m >> 32`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul64(z: __m256i, m: __m256i, m_hi: __m256i) -> __m256i {
-        let low = _mm256_mul_epu32(z, m);
-        let cross = _mm256_add_epi64(
-            _mm256_mul_epu32(_mm256_srli_epi64::<32>(z), m),
-            _mm256_mul_epu32(z, m_hi),
-        );
-        _mm256_add_epi64(low, _mm256_slli_epi64::<32>(cross))
-    }
-
-    /// [`counter_word`]'s two rounds over four counters `key + i·γ`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn counter_words4(counters: __m256i, key: u64) -> __m256i {
-        let x = |v: u64| _mm256_set1_epi64x(v as i64);
-        let z = _mm256_xor_si256(counters, _mm256_srli_epi64::<30>(counters));
-        let z = mul64(z, x(rng::MIX_1), x(rng::MIX_1 >> 32));
-        let z = _mm256_xor_si256(z, x(key.rotate_left(32)));
-        let z = _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z));
-        let z = mul64(z, x(rng::MIX_2), x(rng::MIX_2 >> 32));
-        _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
-    }
-
-    /// See [`super::gaussian_slice`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
-        let g = |n: u64| rng::GAMMA.wrapping_mul(n) as i64;
-        // Elements 0 1 4 5 in one register and 2 3 6 7 in the other, so
-        // that one in-lane shuffle of the words' 32-bit halves puts the
-        // eight results in order.
-        let lanes_a = _mm256_set_epi64x(g(5), g(4), g(1), g(0));
-        let lanes_b = _mm256_set_epi64x(g(7), g(6), g(3), g(2));
-        let mut counter = key.wrapping_add(start.wrapping_mul(rng::GAMMA));
-        let (body, tail) = out.split_at_mut(out.len() / 8 * 8);
-        for chunk in body.chunks_exact_mut(8) {
-            let base = _mm256_set1_epi64x(counter as i64);
-            let a = counter_words4(_mm256_add_epi64(base, lanes_a), key);
-            let b = counter_words4(_mm256_add_epi64(base, lanes_b), key);
-            counter = counter.wrapping_add(rng::GAMMA.wrapping_mul(8));
-            // Low dword of each 64-bit lane, `a`'s pair then `b`'s.
-            let gather = |a: __m256i, b: __m256i| {
-                _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(
-                    _mm256_castsi256_ps(a),
-                    _mm256_castsi256_ps(b),
-                ))
-            };
-            let n1 = gather(_mm256_srli_epi64::<40>(a), _mm256_srli_epi64::<40>(b));
-            let n2 = _mm256_and_si256(
-                gather(_mm256_srli_epi64::<16>(a), _mm256_srli_epi64::<16>(b)),
-                _mm256_set1_epi32(0x00ff_ffff),
-            );
-            let u1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_add_epi32(n1, _mm256_set1_epi32(1))),
-                _mm256_set1_ps(GRID),
-            );
-            // 4·u2, as `cos2pi` forms it (both products are exact).
-            let t = _mm256_mul_ps(
-                _mm256_set1_ps(4.0),
-                _mm256_mul_ps(_mm256_cvtepi32_ps(n2), _mm256_set1_ps(GRID)),
-            );
-            let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln8(u1)));
-            // SAFETY: `chunk` is exactly eight floats.
-            _mm256_storeu_ps(
-                chunk.as_mut_ptr(),
-                _mm256_mul_ps(radius, cos_quarter_turns8(t)),
-            );
-        }
-        gaussian_run(key, start.wrapping_add(body.len() as u64), tail);
     }
 }
 

@@ -73,8 +73,8 @@ pub enum StreamTag {
 /// SplitMix64's Weyl increment (the odd integer nearest 2⁶⁴/φ).
 pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// SplitMix64's two multipliers (Stafford's "Mix13").
-pub(crate) const MIX_1: u64 = 0xBF58_476D_1CE4_E5B9;
-pub(crate) const MIX_2: u64 = 0x94D0_49BB_1331_11EB;
+const MIX_1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// SplitMix64 finaliser: scrambles a 64-bit state into a well-mixed output.
 /// Used to turn structured `(seed, tag, round, client)` tuples into
@@ -122,7 +122,15 @@ pub fn stream_key(seed: u64, tag: StreamTag, round: u64, client: u64) -> u64 {
 /// ```
 #[inline]
 pub fn counter_word(key: u64, i: u64) -> u64 {
-    let mut z = key.wrapping_add(i.wrapping_mul(GAMMA));
+    counter_mix(key, key.wrapping_add(i.wrapping_mul(GAMMA)))
+}
+
+/// [`counter_word`] of the element whose counter `key + i·γ` is `z`: the
+/// mixing rounds alone. The next element's counter is `z + GAMMA`, so a
+/// loop over consecutive elements steps it with one add
+/// (`math::gaussian_slice`).
+#[inline(always)]
+pub(crate) fn counter_mix(key: u64, mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(MIX_1);
     z ^= key.rotate_left(32);
     z = (z ^ (z >> 27)).wrapping_mul(MIX_2);

@@ -4,9 +4,8 @@
 //! * **The definition is the definition.** `ln_slice`, `cos2pi_slice` and
 //!   `gaussian_slice` return the scalar functions' exact bits — over every
 //!   input the field can produce (both 24-bit grids, whole), every slice
-//!   length around the 8-lane seam, unaligned stores, and index ranges that
-//!   cross 2³² and wrap at 2⁶⁴. On a host without AVX2/FMA both sides are
-//!   the scalar definition and these pass trivially.
+//!   length around the 8-lane seam and across 64, unaligned stores, and
+//!   index ranges that cross 2³² and wrap at 2⁶⁴.
 //! * **The kernels are accurate.** `ln` and `cos2pi` against `f64` over
 //!   the whole grids, in ulps of the `f32` result; the bounds asserted
 //!   below are the measured maxima, rounded up.
@@ -149,10 +148,13 @@ fn gaussian_slice_is_gaussian_for_every_length_alignment_and_index_range() {
         (1 << 32) - 3, // … inside the scalar tail of short slices
         (1 << 40) + 5,
         u64::MAX - 11, // wraps at 2⁶⁴
+        u64::MAX - 63, // … on the last element of a 64-long slice
         u64::MAX,
     ];
     for start in starts {
-        for len in 0..=17usize {
+        // Around the 8-lane seam, and across 64 (the other slice forms'
+        // block, and a multiple of every vector width the loop may take).
+        for len in (0..=17usize).chain([63, 64, 65, 129]) {
             // A 0..7-float prefix leaves the stores unaligned every way.
             for offset in 0..8usize {
                 let mut buf = vec![f32::NAN; offset + len + 1];

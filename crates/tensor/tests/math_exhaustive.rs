@@ -8,8 +8,9 @@
 //!
 //! * `vector_*`: a slice form equals the scalar definition on every input.
 //!   libm-free, so it holds (or fails) the same on every host; CI runs it.
-//!   On a host without AVX2/FMA both sides are the scalar definition and
-//!   the sweep is vacuous — it says so.
+//!   `tanh`, `ln` and `cos2pi` run their loops on every host; on one
+//!   without AVX2+FMA the `exp` and `sigmoid` slice forms are the scalar
+//!   definition and those two sweeps are vacuous — they say so.
 //!   `vector_quantise_*` holds `ops::quantise` (FedPAQ's codes) to
 //!   `ops::quant_code` and both to `x.round().clamp(−L, L)`: `roundf` is
 //!   exact by definition, so every libm returns the same there.
@@ -60,10 +61,15 @@ fn sweep(what: &str, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) -> u64 {
 }
 
 fn vector_sweep(what: &str, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) {
+    assert_eq!(sweep(what, slice, scalar), 0);
+}
+
+/// [`vector_sweep`] for the slice forms with a hand-written AVX2+FMA body.
+fn fma_body_sweep(what: &str, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) {
     if !cpu::get().avx2_fma {
         eprintln!("{what}: no AVX2+FMA here, the slice form is the scalar definition");
     }
-    assert_eq!(sweep(what, slice, scalar), 0);
+    vector_sweep(what, slice, scalar);
 }
 
 #[test]
@@ -75,13 +81,25 @@ fn vector_tanh_equals_the_scalar_definition_on_all_inputs() {
 #[test]
 #[ignore = "2^32 evaluations; run in release"]
 fn vector_exp_equals_the_scalar_definition_on_all_inputs() {
-    vector_sweep("exp_slice", math::exp_slice, math::exp);
+    fma_body_sweep("exp_slice", math::exp_slice, math::exp);
 }
 
 #[test]
 #[ignore = "2^32 evaluations; run in release"]
 fn vector_sigmoid_equals_the_scalar_definition_on_all_inputs() {
-    vector_sweep("sigmoid_slice", math::sigmoid_slice, math::sigmoid);
+    fma_body_sweep("sigmoid_slice", math::sigmoid_slice, math::sigmoid);
+}
+
+#[test]
+#[ignore = "2^32 evaluations; run in release"]
+fn vector_ln_equals_the_scalar_definition_on_all_inputs() {
+    vector_sweep("ln_slice", math::ln_slice, math::ln);
+}
+
+#[test]
+#[ignore = "2^32 evaluations; run in release"]
+fn vector_cos2pi_equals_the_scalar_definition_on_all_inputs() {
+    vector_sweep("cos2pi_slice", math::cos2pi_slice, math::cos2pi);
 }
 
 #[test]

@@ -1,17 +1,20 @@
 //! `math`'s slice forms against its scalar definitions, **exact bits**:
-//! the vector bodies promise the definition's result in every lane, so no
-//! tolerance appears here and a NaN must come back with its payload.
+//! the slice forms promise the definition's result in every element, so
+//! no tolerance appears here and a NaN must come back with its payload.
 //!
-//! The operands go where a lane-wise transcription can go wrong: slice
-//! lengths around the 8-lane seam, one special value in each lane
-//! position among ordinary neighbours (a non-finite lane sends the whole
-//! vector to the scalar definition — the neighbours must not notice),
-//! windows of consecutive bit patterns straddling every branch threshold
-//! of the three algorithms (so one vector holds lanes on both sides of
-//! the blend), and a scattered sweep of 2²⁰ patterns per range. The
-//! sweeps over all 2³² patterns are `math_exhaustive.rs` (`#[ignore]`).
-//! On a host without AVX2/FMA both sides are the scalar definition and
-//! everything here passes trivially.
+//! The operands go where an element-wise rewrite can go wrong: slice
+//! lengths around the 8-lane seam, one element off a slice form's fast
+//! path at every position of slices around its 64-element block (that
+//! block goes to the scalar definition — its other elements must not
+//! notice), one special value in each lane position among ordinary
+//! neighbours, windows of consecutive bit patterns straddling every
+//! branch threshold of the three algorithms (so one vector holds lanes on
+//! both sides of a select), and a scattered sweep of 2²⁰ patterns per
+//! range. The sweeps over all 2³² patterns are `math_exhaustive.rs`
+//! (`#[ignore]`). `tanh`, `ln` and `cos2pi` run their loops on every
+//! host; `exp` and `sigmoid` take their AVX2+FMA bodies only where the
+//! host has both, and elsewhere both sides here are the scalar
+//! definition.
 
 use fedbiad_tensor::math;
 
@@ -52,6 +55,65 @@ fn ordinary(i: usize) -> f32 {
     }
 }
 
+/// `ln_slice` and `cos2pi_slice`'s block: they check each run of this
+/// many elements for one off the fast path before computing any of them.
+/// (`tanh_slice` has no block, `exp_slice` / `sigmoid_slice` check eight
+/// lanes at a time; these lengths cross those seams too.)
+const BLOCK: usize = 64;
+
+/// Per slice form: its ordinary operands (on the fast path), and values
+/// off it — the elements a block hands to the scalar definition.
+type SeamCase = (
+    &'static str,
+    Slice,
+    Scalar,
+    fn(usize) -> f32,
+    &'static [f32],
+);
+
+const SEAM_CASES: [SeamCase; 5] = [
+    (
+        "tanh",
+        math::tanh_slice,
+        math::tanh,
+        ordinary,
+        &[
+            f32::NAN,
+            f32::from_bits(0xff81_2345), // a signalling NaN with a payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ],
+    ),
+    (
+        "exp",
+        math::exp_slice,
+        math::exp,
+        ordinary,
+        &[88.0, -90.0, 100.0, -104.0],
+    ),
+    (
+        "sigmoid",
+        math::sigmoid_slice,
+        math::sigmoid,
+        ordinary,
+        &[88.0, -90.0, 100.0, -104.0],
+    ),
+    (
+        "ln",
+        math::ln_slice,
+        math::ln,
+        |i| 0.003 + (i % 37) as f32 * 0.41,
+        &[0.0, f32::from_bits(0x0012_3456), -2.5, f32::INFINITY],
+    ),
+    (
+        "cos2pi",
+        math::cos2pi_slice,
+        math::cos2pi,
+        |i| (i as f32 * 0.618_034).fract(),
+        &[1.0, -0.25, 3.75, -0.0],
+    ),
+];
+
 #[test]
 fn every_slice_length_from_0_to_17() {
     for (name, slice, scalar) in FUNCTIONS {
@@ -60,6 +122,19 @@ fn every_slice_length_from_0_to_17() {
             for offset in 0..4 {
                 let xs: Vec<f32> = (0..offset + len).map(ordinary).collect();
                 assert_slice_is_scalar(name, slice, scalar, &xs[offset..]);
+            }
+        }
+    }
+    // One element off the fast path, at every position of a slice one
+    // block long give or take one, and of two blocks and one.
+    for (name, slice, scalar, neighbour, off_path) in SEAM_CASES {
+        for len in [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1] {
+            for at in 0..len {
+                for &special in off_path {
+                    let mut xs: Vec<f32> = (0..len).map(neighbour).collect();
+                    xs[at] = special;
+                    assert_slice_is_scalar(name, slice, scalar, &xs);
+                }
             }
         }
     }

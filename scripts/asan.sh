@@ -3,11 +3,16 @@
 # vendored rayon pool: unit tests and property tests, every load and
 # store instrumented. In `ops.rs` that is the AVX / AVX-512 register
 # tiles of the batched GEMMs and the intrinsic bodies that remain
-# (`dot4`, `axpy4`); in `math.rs`, the AVX2 bodies; in `cpu.rs`, the calls
-# into the AVX and AVX2 instantiations of the element-wise kernels (safe
-# slice loops, so `simd_props` checks their values here, not their
-# bounds); in `stats.rs`, which has no AVX2 bodies, the one unchecked row
-# access of `KeyTile::sort`'s comparator loop. The `kernel_props` shapes land
+# (`dot4`, `axpy4`); in `math.rs`, the one hand-written body left, the
+# `exp` table gather under `exp_slice` / `sigmoid_slice` (and
+# `tanh_slice`'s unchecked float-to-int conversion, which touches no
+# memory); in `cpu.rs`, the calls into the AVX, AVX2 and AVX2+FMA
+# instantiations of the loop kernels (safe slice loops — the
+# element-wise kernels and `math`'s `tanh`, `ln`, `cos2pi` and Gaussian
+# slice forms — so `simd_props`, `math_props` and `gaussian_props`
+# check their values here, not their bounds); in `stats.rs`, which has no
+# AVX2 bodies, the one unchecked row access of `KeyTile::sort`'s
+# comparator loop. The `kernel_props` shapes land
 # on each tile's edge accesses — the last chunk of a row whose length is
 # not a multiple of 8, the last tile row of a matrix — and, on a host
 # with AVX-512F, on those of the 512-bit tiles (`ops::zmm`: `nt_groups` /
