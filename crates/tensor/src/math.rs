@@ -109,9 +109,10 @@
 //!
 //! [`crate::cpu`] compiles each loop per tier: `tanh`, `ln`, `cos2pi` and
 //! the field through `cpu::avx2` (inside an AVX2 function where the
-//! snapshot saw AVX2, as baseline code elsewhere); the single-element
-//! [`exp`] and [`sigmoid`], whose `mul_add`s want the FMA instruction,
-//! through `cpu::avx2_fma`. `exp_slice` and `sigmoid_slice` run their
+//! snapshot saw AVX2, as baseline code elsewhere; [`baseline`] holds the
+//! loops, which the property tests also call as baseline code); the
+//! single-element [`exp`] and [`sigmoid`], whose `mul_add`s want the FMA
+//! instruction, through `cpu::avx2_fma`. `exp_slice` and `sigmoid_slice` run their
 //! hand-written bodies where the snapshot's `avx2_fma` is set, and the
 //! scalar definition elsewhere. Those two bodies stay because they passed
 //! the keep rule (a loop form more than 5 % slower in an in-process A/B,
@@ -733,23 +734,10 @@ fn by_block(
 
 /// `x ← tanh(x)` for every element, bit-identical to [`tanh`].
 pub fn tanh_slice(xs: &mut [f32]) {
-    let ys = &mut *xs;
-    let nan = crate::cpu::avx2(
+    crate::cpu::avx2(
         #[inline(always)]
-        move || {
-            let mut nan = false;
-            for y in ys {
-                nan |= y.is_nan();
-                *y = tanh_lane(*y);
-            }
-            nan
-        },
+        move || baseline::tanh_slice(xs),
     );
-    if nan {
-        for x in xs.iter_mut().filter(|x| x.is_nan()) {
-            *x = tanh(*x);
-        }
-    }
 }
 
 /// `x ← exp(x)` for every element, bit-identical to [`exp`].
@@ -778,60 +766,99 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 
 /// `x ← ln(x)` for every element, bit-identical to [`ln`].
 pub fn ln_slice(xs: &mut [f32]) {
-    // Positive normal ⇔ bits − bits(MIN_POSITIVE) < 0x7f00_0000, unsigned.
     crate::cpu::avx2(
         #[inline(always)]
-        move || {
-            by_block(
-                xs,
-                |b| b.wrapping_sub(0x0080_0000),
-                0x7f00_0000,
-                |x| ln_normal(x.to_bits(), 0),
-                ln,
-            )
-        },
+        move || baseline::ln_slice(xs),
     );
 }
 
 /// `u ← cos(2π·u)` for every element, bit-identical to [`cos2pi`].
 pub fn cos2pi_slice(us: &mut [f32]) {
-    // In [+0, 1) — bits below bits(1.0) — the definition's `frac|u|` is
-    // `u` itself.
     crate::cpu::avx2(
         #[inline(always)]
-        move || {
-            by_block(
-                us,
-                |b| b,
-                0x3f80_0000,
-                |u| cos_quarter_turns(4.0 * u),
-                cos2pi,
-            )
-        },
+        move || baseline::cos2pi_slice(us),
     );
 }
 
 /// `out[j] ← gaussian(key, start + j)` (the index wraps at 2⁶⁴),
 /// bit-identical to [`gaussian`].
-///
-/// Every uniform pair is on the transform's fast path (`u1` a positive
-/// normal, `u2 ∈ [0, 1)`), so there is nothing to check: one loop, whose
-/// counter steps by an add. (Computing each counter from its index, as
-/// [`counter_word`] does, is a 64-bit multiply per element that the
-/// vectorized loop cannot strength-reduce: 15–35 % slower.)
 pub fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
     crate::cpu::avx2(
         #[inline(always)]
-        move || {
-            // Element `start`'s counter; each next one is GAMMA on.
-            let mut z = key.wrapping_add(start.wrapping_mul(rng::GAMMA));
-            for v in out {
-                let (u1, u2) = uniform_pair(rng::counter_mix(key, z));
-                *v = (-2.0 * ln_normal(u1.to_bits(), 0)).sqrt() * cos_quarter_turns(4.0 * u2);
-                z = z.wrapping_add(rng::GAMMA);
-            }
-        },
+        move || baseline::gaussian_slice(key, start, out),
     );
+}
+
+/// The loops behind [`tanh_slice`], [`ln_slice`], [`cos2pi_slice`] and
+/// [`gaussian_slice`], written once: each slice form runs its loop inside
+/// `cpu::avx2`, and called directly, as the property tests do, a loop
+/// compiles as baseline code (SSE2 on x86-64, portable elsewhere) — the
+/// body a host without AVX2 runs. `#[inline(always)]`, so that each is
+/// compiled where it is called. Same contracts as the slice forms.
+#[doc(hidden)]
+pub mod baseline {
+    use super::*;
+
+    /// One loop over `tanh_lane`, then the definition over the NaN
+    /// elements, if any.
+    #[inline(always)]
+    pub fn tanh_slice(xs: &mut [f32]) {
+        let mut nan = false;
+        for x in xs.iter_mut() {
+            nan |= x.is_nan();
+            *x = tanh_lane(*x);
+        }
+        if nan {
+            for x in xs.iter_mut().filter(|x| x.is_nan()) {
+                *x = tanh(*x);
+            }
+        }
+    }
+
+    /// `ln_normal` by block.
+    #[inline(always)]
+    pub fn ln_slice(xs: &mut [f32]) {
+        // Positive normal ⇔ bits − bits(MIN_POSITIVE) < 0x7f00_0000,
+        // unsigned.
+        by_block(
+            xs,
+            |b| b.wrapping_sub(0x0080_0000),
+            0x7f00_0000,
+            |x| ln_normal(x.to_bits(), 0),
+            ln,
+        );
+    }
+
+    /// `cos_quarter_turns` by block.
+    #[inline(always)]
+    pub fn cos2pi_slice(us: &mut [f32]) {
+        // In [+0, 1) — bits below bits(1.0) — the definition's `frac|u|`
+        // is `u` itself.
+        by_block(
+            us,
+            |b| b,
+            0x3f80_0000,
+            |u| cos_quarter_turns(4.0 * u),
+            cos2pi,
+        );
+    }
+
+    /// Every uniform pair is on the transform's fast path (`u1` a
+    /// positive normal, `u2 ∈ [0, 1)`), so there is nothing to check: one
+    /// loop, whose counter steps by an add. (Computing each counter from
+    /// its index, as [`counter_word`] does, is a 64-bit multiply per
+    /// element that the vectorized loop cannot strength-reduce: 15–35 %
+    /// slower.)
+    #[inline(always)]
+    pub fn gaussian_slice(key: u64, start: u64, out: &mut [f32]) {
+        // Element `start`'s counter; each next one is GAMMA on.
+        let mut z = key.wrapping_add(start.wrapping_mul(rng::GAMMA));
+        for v in out {
+            let (u1, u2) = uniform_pair(rng::counter_mix(key, z));
+            *v = (-2.0 * ln_normal(u1.to_bits(), 0)).sqrt() * cos_quarter_turns(4.0 * u2);
+            z = z.wrapping_add(rng::GAMMA);
+        }
+    }
 }
 
 /// `exp`'s table path in eight lanes, kept by hand: the 32-entry table

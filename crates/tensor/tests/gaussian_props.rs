@@ -2,10 +2,11 @@
 //! what the sequential generator it replaced was trusted for.
 //!
 //! * **The definition is the definition.** `ln_slice`, `cos2pi_slice` and
-//!   `gaussian_slice` return the scalar functions' exact bits — over every
-//!   input the field can produce (both 24-bit grids, whole), every slice
-//!   length around the 8-lane seam and across 64, unaligned stores, and
-//!   index ranges that cross 2³² and wrap at 2⁶⁴.
+//!   `gaussian_slice`, and their baseline instantiations
+//!   (`math::baseline`), return the scalar functions' exact bits — over
+//!   every input the field can produce (both 24-bit grids, whole), every
+//!   slice length around the 8-lane seam and across 64, unaligned stores,
+//!   and index ranges that cross 2³² and wrap at 2⁶⁴.
 //! * **The kernels are accurate.** `ln` and `cos2pi` against `f64` over
 //!   the whole grids, in ulps of the `f32` result; the bounds asserted
 //!   below are the measured maxima, rounded up.
@@ -33,12 +34,15 @@
 use fedbiad_tensor::math::{self, GAUSSIAN_ABS_BOUND};
 use fedbiad_tensor::rng::{counter_word, stream_key, StreamTag};
 
+type Slice = fn(&mut [f32]);
+type FieldSlice = fn(u64, u64, &mut [f32]);
+
 const GRID_POINTS: u32 = 1 << 24;
 const GRID: f32 = 1.0 / GRID_POINTS as f32;
 
 /// Every point of a 24-bit grid, `first..first + 2²⁴` in units of 2⁻²⁴,
 /// through `slice` in blocks, against `scalar`: the mismatch count.
-fn grid_mismatches(first: u32, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) -> u64 {
+fn grid_mismatches(first: u32, slice: Slice, scalar: fn(f32) -> f32) -> u64 {
     const BLOCK: u32 = 1 << 14;
     let mut mismatches = 0;
     let mut xs = vec![0.0f32; BLOCK as usize];
@@ -64,13 +68,17 @@ fn grid_mismatches(first: u32, slice: fn(&mut [f32]), scalar: fn(f32) -> f32) ->
 #[test]
 fn ln_slice_is_ln_on_every_u1() {
     // u1 ∈ {1, …, 2²⁴}·2⁻²⁴
-    assert_eq!(grid_mismatches(1, math::ln_slice, math::ln), 0);
+    for slice in [math::ln_slice as Slice, math::baseline::ln_slice] {
+        assert_eq!(grid_mismatches(1, slice, math::ln), 0);
+    }
 }
 
 #[test]
 fn cos2pi_slice_is_cos2pi_on_every_u2() {
     // u2 ∈ {0, …, 2²⁴ − 1}·2⁻²⁴
-    assert_eq!(grid_mismatches(0, math::cos2pi_slice, math::cos2pi), 0);
+    for slice in [math::cos2pi_slice as Slice, math::baseline::cos2pi_slice] {
+        assert_eq!(grid_mismatches(0, slice, math::cos2pi), 0);
+    }
 }
 
 #[test]
@@ -101,12 +109,14 @@ fn slices_hand_lanes_outside_their_vector_range_to_the_definition() {
             let mut xs = [0.3f32, 0.7, 0.01, 0.5, 0.25, 0.125, 0.9, 0.6, 0.4];
             xs[lane] = special;
             for (name, slice, scalar) in [
-                (
-                    "ln",
-                    math::ln_slice as fn(&mut [f32]),
-                    math::ln as fn(f32) -> f32,
-                ),
+                ("ln", math::ln_slice as Slice, math::ln as fn(f32) -> f32),
+                ("ln, baseline", math::baseline::ln_slice, math::ln),
                 ("cos2pi", math::cos2pi_slice, math::cos2pi),
+                (
+                    "cos2pi, baseline",
+                    math::baseline::cos2pi_slice,
+                    math::cos2pi,
+                ),
             ] {
                 let mut got = xs;
                 slice(&mut got);
@@ -157,18 +167,23 @@ fn gaussian_slice_is_gaussian_for_every_length_alignment_and_index_range() {
         for len in (0..=17usize).chain([63, 64, 65, 129]) {
             // A 0..7-float prefix leaves the stores unaligned every way.
             for offset in 0..8usize {
-                let mut buf = vec![f32::NAN; offset + len + 1];
-                math::gaussian_slice(key, start, &mut buf[offset..offset + len]);
-                for (j, got) in buf[offset..offset + len].iter().enumerate() {
-                    let want = math::gaussian(key, start.wrapping_add(j as u64));
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "start {start}, len {len}, offset {offset}, element {j}"
-                    );
+                for (form, slice) in [
+                    ("dispatched", math::gaussian_slice as FieldSlice),
+                    ("baseline", math::baseline::gaussian_slice),
+                ] {
+                    let mut buf = vec![f32::NAN; offset + len + 1];
+                    slice(key, start, &mut buf[offset..offset + len]);
+                    for (j, got) in buf[offset..offset + len].iter().enumerate() {
+                        let want = math::gaussian(key, start.wrapping_add(j as u64));
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{form}: start {start}, len {len}, offset {offset}, element {j}"
+                        );
+                    }
+                    assert!(buf[..offset].iter().all(|v| v.is_nan()), "wrote before");
+                    assert!(buf[offset + len].is_nan(), "wrote past the end");
                 }
-                assert!(buf[..offset].iter().all(|v| v.is_nan()), "wrote before");
-                assert!(buf[offset + len].is_nan(), "wrote past the end");
             }
         }
     }

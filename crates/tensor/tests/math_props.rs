@@ -12,17 +12,19 @@
 //! both sides of a select), and a scattered sweep of 2²⁰ patterns per
 //! range. The sweeps over all 2³² patterns are `math_exhaustive.rs`
 //! (`#[ignore]`). `tanh`, `ln` and `cos2pi` run their loops on every
-//! host; `exp` and `sigmoid` take their AVX2+FMA bodies only where the
-//! host has both, and elsewhere both sides here are the scalar
-//! definition.
+//! host, and their baseline instantiations (`math::baseline`, what a host
+//! without AVX2 runs) face the same operands; `exp` and `sigmoid` take
+//! their AVX2+FMA bodies only where the host has both, and elsewhere both
+//! sides here are the scalar definition.
 
 use fedbiad_tensor::math;
 
 type Slice = fn(&mut [f32]);
 type Scalar = fn(f32) -> f32;
 
-const FUNCTIONS: [(&str, Slice, Scalar); 3] = [
+const FUNCTIONS: [(&str, Slice, Scalar); 4] = [
     ("tanh", math::tanh_slice, math::tanh),
+    ("tanh, baseline", math::baseline::tanh_slice, math::tanh),
     ("exp", math::exp_slice, math::exp),
     ("sigmoid", math::sigmoid_slice, math::sigmoid),
 ];
@@ -71,18 +73,37 @@ type SeamCase = (
     &'static [f32],
 );
 
-const SEAM_CASES: [SeamCase; 5] = [
+const TANH_OFF_PATH: &[f32] = &[
+    f32::NAN,
+    f32::from_bits(0xff81_2345), // a signalling NaN with a payload
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+];
+const LN_OFF_PATH: &[f32] = &[0.0, f32::from_bits(0x0012_3456), -2.5, f32::INFINITY];
+const COS2PI_OFF_PATH: &[f32] = &[1.0, -0.25, 3.75, -0.0];
+
+fn ln_neighbour(i: usize) -> f32 {
+    0.003 + (i % 37) as f32 * 0.41
+}
+
+fn cos2pi_neighbour(i: usize) -> f32 {
+    (i as f32 * 0.618_034).fract()
+}
+
+const SEAM_CASES: [SeamCase; 8] = [
     (
         "tanh",
         math::tanh_slice,
         math::tanh,
         ordinary,
-        &[
-            f32::NAN,
-            f32::from_bits(0xff81_2345), // a signalling NaN with a payload
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-        ],
+        TANH_OFF_PATH,
+    ),
+    (
+        "tanh, baseline",
+        math::baseline::tanh_slice,
+        math::tanh,
+        ordinary,
+        TANH_OFF_PATH,
     ),
     (
         "exp",
@@ -98,19 +119,27 @@ const SEAM_CASES: [SeamCase; 5] = [
         ordinary,
         &[88.0, -90.0, 100.0, -104.0],
     ),
+    ("ln", math::ln_slice, math::ln, ln_neighbour, LN_OFF_PATH),
     (
-        "ln",
-        math::ln_slice,
+        "ln, baseline",
+        math::baseline::ln_slice,
         math::ln,
-        |i| 0.003 + (i % 37) as f32 * 0.41,
-        &[0.0, f32::from_bits(0x0012_3456), -2.5, f32::INFINITY],
+        ln_neighbour,
+        LN_OFF_PATH,
     ),
     (
         "cos2pi",
         math::cos2pi_slice,
         math::cos2pi,
-        |i| (i as f32 * 0.618_034).fract(),
-        &[1.0, -0.25, 3.75, -0.0],
+        cos2pi_neighbour,
+        COS2PI_OFF_PATH,
+    ),
+    (
+        "cos2pi, baseline",
+        math::baseline::cos2pi_slice,
+        math::cos2pi,
+        cos2pi_neighbour,
+        COS2PI_OFF_PATH,
     ),
 ];
 
@@ -224,7 +253,14 @@ fn tanh_windows_straddle_every_branch_threshold() {
     // Every k the reduction can produce steps somewhere: 0 → −1 → −2 → −3
     // below 1, 3 … 63 above, with 22 | 23 and 56 | 57 changing the form.
     centres.extend((1..=64).map(k_boundary));
-    assert_slice_is_scalar("tanh", math::tanh_slice, math::tanh, &windows(&centres));
+    let xs = windows(&centres);
+    assert_slice_is_scalar("tanh", math::tanh_slice, math::tanh, &xs);
+    assert_slice_is_scalar(
+        "tanh, baseline",
+        math::baseline::tanh_slice,
+        math::tanh,
+        &xs,
+    );
 }
 
 #[test]
@@ -269,7 +305,14 @@ fn scattered_sweeps_of_a_million_patterns() {
     }
     // tanh: 2⁻²⁸ … 32 (identity, every k, saturated) and 2⁻³ … 24.
     for (lo, hi) in [(0x3180_0000, 0x4200_0000), (0x3e00_0000, 0x41c0_0000)] {
-        assert_slice_is_scalar("tanh", math::tanh_slice, math::tanh, &scattered(lo, hi));
+        let xs = scattered(lo, hi);
+        assert_slice_is_scalar("tanh", math::tanh_slice, math::tanh, &xs);
+        assert_slice_is_scalar(
+            "tanh, baseline",
+            math::baseline::tanh_slice,
+            math::tanh,
+            &xs,
+        );
     }
     // exp, sigmoid: everything under 88, and 2⁻⁶ … 88.
     for (lo, hi) in [(0, 0x42b0_0000), (0x3c80_0000, 0x42b0_0000)] {
