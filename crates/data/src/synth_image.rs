@@ -135,7 +135,7 @@ impl SyntheticImageSpec {
         let mut img = vec![0.0f32; self.dim()];
         // Each bump's exponents go through one `exp_slice`: `math::exp`
         // per pixel made `million_sparse`'s set-up 9–33 % slower than the
-        // host's `expf` (BENCHMARKS.md, "PR 36").
+        // host's `expf`.
         let mut bump = vec![0.0f32; self.dim()];
         for _ in 0..self.bumps {
             let cx: f32 = rng.gen_range(0.15 * s..0.85 * s);

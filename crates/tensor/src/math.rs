@@ -124,9 +124,10 @@
 //! hand-written body issues one `vpgatherqq` per four lanes. The
 //! converted loops read `tanh` 0.99–1.04, `ln` 0.84–0.93, `cos2pi`
 //! 0.87–0.89 and the field 0.91–0.93 against the bodies they replaced
-//! (BENCHMARKS.md, "PR 36"). A traced run's `nn.math.wide` gauge records `avx2_fma`. Either
-//! way the functions return the scalar definitions' values. No knob, no
-//! env var, no cargo feature.
+//! (BENCHMARKS.md, "`tensor::math` writes each transcendental once"). A
+//! traced run's `nn.math.wide` gauge records `avx2_fma`. Either way the
+//! functions return the scalar definitions' values. No knob, no env var,
+//! no cargo feature.
 
 use crate::rng::{self, counter_word};
 
