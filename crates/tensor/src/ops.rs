@@ -132,6 +132,30 @@
 //! the streaming form, so every row that fits the 24 accumulators is
 //! tiled.
 //!
+//! **Why the tiles are written by hand.** Every element-wise kernel is a
+//! scalar loop that [`crate::cpu`] compiles per tier; the tiles are not,
+//! because no loop form tried held their speed on every shape. Each form
+//! was linked beside these bodies in one binary and timed in alternating
+//! pairs on one pinned core of the Xeon above (≥ 21 pairs, loop ÷
+//! intrinsic body; BENCHMARKS.md, "the GEMM register tiles stay
+//! hand-written"). The best accumulation loop —
+//! `[[f32; W]; R]` accumulators, one term loop per index kind, `B`'s row
+//! copied into a local per (row, term) — read 0.77–1.03 on the `ymm`
+//! gate shapes but 6.4 on the 2 × 3 `ymm` tile (`n` = 24), whose
+//! accumulators the compiler rebuilds from scalars every term, and
+//! 1.03–1.09 on the `zmm` ones (the MLP's 3 × 8 at 10 terms worst). Its
+//! remaining cost is bounds checks: a variant with unchecked reads read
+//! 0.95–1.07. A loop that reads `B` in place leaves the accumulators in
+//! memory on many shapes (the compiler stops tracking the array's address
+//! after 100 uses and guards every row update with an overlap test), one
+//! that copies `B` once per term spills the `ymm` 2 × 6 tile
+//! (1.03–1.37), and a nested
+//! `[[[f32; L]; V]; R]` layout spills most `zmm` rows of seven vectors or
+//! more. The forward loop over the packed block read 1.12–1.80 for the
+//! 4 × 4 `ymm` tile, 2.4–2.7 for the 1 × 8 (the compiler transposes the
+//! eight weight rows every chunk) and 14–17 for the 4 × 8 `zmm` one. A
+//! body stays while its loop reads above 1.05.
+//!
 //! Without AVX (SSE2 on x86-64, portable code elsewhere) the pre-tile
 //! loops run unchanged; [`baseline`] exposes them, and [`avx`] the `ymm`
 //! tier, so the property tests hold the tiles against them on the same
@@ -160,7 +184,7 @@
 //! passes on: the compiler picks the operand order per loop, in scalar
 //! code too, so such a lane is NaN but its payload is not pinned). Only
 //! the GEMM fallbacks `dot4` / `axpy4` and the register tiles keep
-//! hand-written bodies.
+//! hand-written bodies (the tiles by measurement: "Register tiles").
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -1290,7 +1314,10 @@ const ACC_TILE_ZMM: usize = 24;
 /// The AVX register tiles (module docs, "Register tiles"). Everything
 /// here is vertical `vmulps` / `vaddps` on unaligned loads: no FMA, no
 /// horizontal add, no reassociation — each output element runs the
-/// scalar operation sequence of the primitive it stands for.
+/// scalar operation sequence of the primitive it stands for. Kept by
+/// measurement: the best loop forms read 6.4x this `acc_tile` at 2 × 3
+/// and 1.12–2.7x `nt_4x4` / `nt_1x8` (module docs, "Why the tiles are
+/// written by hand").
 #[cfg(target_arch = "x86_64")]
 // The const-bounded loops index parallel register arrays (`acc[q][v]`
 // beside `c[q]` and a pointer offset `8·v`): a range loop is their
@@ -1513,7 +1540,9 @@ mod tiles {
 /// shapes of [`tiles`] one ISA tier up, 16 lanes and 32 registers. The
 /// same rules hold — vertical `vmulps` / `vaddps` on unaligned loads, no
 /// FMA, no horizontal add, no reassociation, nothing stored from a tile
-/// that holds a NaN.
+/// that holds a NaN. Kept by measurement: the best loop forms read
+/// 1.03–1.09x `acc_tile` and 14–17x `nt_4x8` (module docs, "Why the
+/// tiles are written by hand").
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::needless_range_loop)]
 mod zmm {

@@ -607,63 +607,85 @@ proptest! {
 /// tile that skipped the term for all of its rows would drop the other
 /// rows' infinities; one that multiplied through would turn the planted
 /// row's `−0.0` into NaN (`0·inf`) — and an all-zero coefficient column
-/// must leave its `−0.0` row exactly as it was.
+/// must leave its `−0.0` row exactly as it was. A tile whose result holds
+/// a NaN hands its rows to the streaming form, so each plant also runs
+/// without the infinity, where multiplying through would turn `−0.0`
+/// into `+0.0` and leave no NaN to catch. Each runs through the host's
+/// tiles and through `ops::avx`'s, so the `ymm` tiles meet it on an
+/// AVX-512F host too.
 #[test]
 fn a_zero_coefficient_is_skipped_at_every_position_of_a_tile() {
+    type OrderedAcc = fn(&[f32], &[f32], &[usize], usize, Option<&[u32]>, &mut Matrix);
+    type Product = fn(&[f32], &Matrix, usize, Option<&[u32]>, &mut [f32]);
+    let tiers: [(&str, OrderedAcc, Product); 2] = [
+        ("host", ops::gemm_tn_acc_ord, ops::gemm_nn),
+        ("ymm", ops::avx::gemm_tn_acc_ord, ops::avx::gemm_nn),
+    ];
     let terms = 6usize;
-    // `ymm` tile heights 4, 2, 1 and a streamed row; `zmm` heights 4, 3,
-    // 1 and a streamed row.
-    for n in [24usize, 48, 96, 104, 128, 384, 400] {
-        for q in 0..4 {
-            for t in 0..terms {
-                let m = 5; // one full group of four rows and a remainder row
-                let mut a = vec![1.5f32; terms * m];
-                a[t * m + q] = 0.0;
-                for s in 0..terms {
-                    a[s * m + 4] = 0.0; // row 4: every coefficient zero
-                }
-                let mut b: Vec<f32> = (0..terms * n).map(|i| 0.25 + (i % 7) as f32).collect();
-                b[t * n + n / 2] = f32::INFINITY;
-                let init = Matrix::full(m, n, -0.0);
-                let order: Vec<usize> = (0..terms).rev().collect();
+    // `ymm` tile heights 4 (4 × 1 at n = 8), 2, 1 and a streamed row;
+    // `zmm` heights 4, 3, 1 and a streamed row.
+    for (tier, gemm_tn_acc_ord, gemm_nn) in tiers {
+        for n in [8usize, 24, 48, 96, 104, 128, 384, 400] {
+            for (q, t) in (0..4).flat_map(|q| (0..terms).map(move |t| (q, t))) {
+                for inf in [true, false] {
+                    let m = 5; // one full group of four rows and a remainder row
+                    let mut a = vec![1.5f32; terms * m];
+                    a[t * m + q] = 0.0;
+                    for s in 0..terms {
+                        a[s * m + 4] = 0.0; // row 4: every coefficient zero
+                    }
+                    let mut b: Vec<f32> = (0..terms * n).map(|i| 0.25 + (i % 7) as f32).collect();
+                    if inf {
+                        b[t * n + n / 2] = f32::INFINITY;
+                    }
+                    let init = Matrix::full(m, n, -0.0);
+                    let order: Vec<usize> = (0..terms).rev().collect();
 
-                let mut want = init.clone();
-                for r in 0..m {
-                    for &s in &order {
-                        if a[s * m + r] != 0.0 {
-                            ops::axpy(a[s * m + r], &b[s * n..(s + 1) * n], want.row_mut(r));
+                    let mut want = init.clone();
+                    for r in 0..m {
+                        for &s in &order {
+                            if a[s * m + r] != 0.0 {
+                                ops::axpy(a[s * m + r], &b[s * n..(s + 1) * n], want.row_mut(r));
+                            }
                         }
                     }
-                }
-                let mut got = init.clone();
-                ops::gemm_tn_acc_ord(&a, &b, &order, 0, None, &mut got);
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(want.as_slice()),
-                    "gradient, n {n} row {q} term {t}"
-                );
-                assert!(got.row(q).iter().all(|v| v.is_finite()), "0·inf formed");
-                assert!(got
-                    .row(4)
-                    .iter()
-                    .all(|v| v.to_bits() == (-0.0f32).to_bits()));
-                assert_eq!(got.get((q + 1) % 4, n / 2), f32::INFINITY);
+                    let mut got = init.clone();
+                    gemm_tn_acc_ord(&a, &b, &order, 0, None, &mut got);
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "{tier} gradient, n {n} row {q} term {t} inf {inf}"
+                    );
+                    assert!(
+                        got.row(q).iter().all(|v| v.is_finite()),
+                        "{tier}: 0·inf formed"
+                    );
+                    assert!(got
+                        .row(4)
+                        .iter()
+                        .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+                    assert_eq!(got.get((q + 1) % 4, n / 2) == f32::INFINITY, inf);
 
-                // The same plant through the backprop product: sample
-                // row `q` of `Aᵀ` against weight rows `b`.
-                let at: Vec<f32> = (0..m * terms)
-                    .map(|i| a[(i % terms) * m + i / terms])
-                    .collect();
-                let w = Matrix::from_vec(terms, n, b.clone());
-                let mut want = vec![0.0f32; m * n];
-                for i in 0..m {
-                    let coeffs = &at[i * terms..(i + 1) * terms];
-                    ops::gemv_t(&w, coeffs, &mut want[i * n..(i + 1) * n]);
+                    // The same plant through the backprop product: sample
+                    // row `q` of `Aᵀ` against weight rows `b`.
+                    let at: Vec<f32> = (0..m * terms)
+                        .map(|i| a[(i % terms) * m + i / terms])
+                        .collect();
+                    let w = Matrix::from_vec(terms, n, b.clone());
+                    let mut want = vec![0.0f32; m * n];
+                    for i in 0..m {
+                        let coeffs = &at[i * terms..(i + 1) * terms];
+                        ops::gemv_t(&w, coeffs, &mut want[i * n..(i + 1) * n]);
+                    }
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_nn(&at, &w, m, None, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{tier} backprop, n {n} row {q} term {t} inf {inf}"
+                    );
+                    assert!(got[q * n..(q + 1) * n].iter().all(|v| v.is_finite()));
                 }
-                let mut got = vec![f32::NAN; m * n];
-                ops::gemm_nn(&at, &w, m, None, &mut got);
-                assert_eq!(bits(&got), bits(&want), "backprop, n {n} row {q} term {t}");
-                assert!(got[q * n..(q + 1) * n].iter().all(|v| v.is_finite()));
             }
         }
     }
