@@ -32,6 +32,14 @@
 //! one 32-bit scale). `tests/byte_accounting.rs` at the workspace root
 //! pins this equality for every compressor.
 //!
+//! A weights body's values are the mask's covered positions in
+//! [`fedbiad_nn::mask`]'s flat order: that module decides which positions
+//! and in which order ([`walk_runs`]) and how many values each entry sends
+//! ([`CoverageMask::entry_kept`], which the parser holds a frame's `n`
+//! to), so the encoder here and the streaming reducer that reads the
+//! payload back cannot disagree on its layout. This module owns only the
+//! mask's wire format: the kind tags and the pattern bitmaps.
+//!
 //! ## Payload formats (the [`crate::bytes`] conventions, made real)
 //!
 //! | tag | body | analytical twin |
@@ -55,7 +63,7 @@
 //! Decoders never panic on foreign bytes: truncated or garbled buffers
 //! return a structured [`WireError`].
 
-use fedbiad_nn::mask::BitVec;
+use fedbiad_nn::mask::{walk_runs, BitVec, FlatLayout, Run};
 use fedbiad_nn::{CoverageMask, ModelMask, ParamSet};
 use fedbiad_tensor::ops;
 
@@ -905,39 +913,6 @@ fn decode_mask(
     })
 }
 
-/// Covered *matrix* scalars of one `rows × cols` entry under `mask` —
-/// the single source of truth for how many weight values an entry
-/// contributes to the kept-value stream. The streaming reducer's rank
-/// bookkeeping derives from this same function, so the two can never
-/// disagree on the stream layout.
-pub fn mat_kept(mask: &CoverageMask, rows: usize, cols: usize) -> usize {
-    match mask {
-        CoverageMask::Full => rows * cols,
-        CoverageMask::Rows(r) => r.count_ones() * cols,
-        CoverageMask::RowsCols { rows: r, cols: c } => r.count_ones() * c.count_ones(),
-        CoverageMask::Elements(b) => b.count_ones(),
-    }
-}
-
-/// Covered *bias* scalars of an entry with `bias_len` bias elements
-/// (0 when the entry has none). Biases follow the entry's matrix values
-/// in the kept-value stream; `Elements` masks transmit them in full.
-pub fn bias_kept(mask: &CoverageMask, bias_len: usize) -> usize {
-    if bias_len == 0 {
-        return 0;
-    }
-    match mask {
-        CoverageMask::Full | CoverageMask::Elements(_) => bias_len,
-        CoverageMask::Rows(r) | CoverageMask::RowsCols { rows: r, .. } => r.count_ones(),
-    }
-}
-
-/// Covered scalars of one entry (weights + covered biases) — the number
-/// of kept values the entry contributes to the payload.
-fn entry_kept(mask: &CoverageMask, rows: usize, cols: usize, has_bias: bool) -> usize {
-    mat_kept(mask, rows, cols) + bias_kept(mask, if has_bias { rows } else { 0 })
-}
-
 // ---- the frame ----
 
 /// One encoded upload: header + coverage + payload, ready for the wire.
@@ -1023,9 +998,9 @@ fn encode_frame(kind: BodyKind, masks: Option<&ModelMask>, payload: &Payload) ->
 
 /// Encode a (masked) weights upload β∘U: coverage bitmaps + the covered
 /// values in [`ParamSet::flatten`] order, as a dense payload. The values
-/// go straight into the frame — a covered row, a `Full` matrix and a
-/// transmitted bias vector each as one bulk copy. The body is exactly
-/// `mask.wire_bytes(params)` bytes.
+/// go straight into the frame, one bulk copy per covered run of
+/// [`walk_runs`] — a covered row, a `Full` matrix, a transmitted bias
+/// vector. The body is exactly `mask.wire_bytes(params)` bytes.
 pub fn encode_weights(params: &ParamSet, mask: &ModelMask) -> WireMsg {
     assert_eq!(mask.per_entry.len(), params.num_entries());
     let kept = mask.kept_params(params);
@@ -1036,35 +1011,20 @@ pub fn encode_weights(params: &ParamSet, mask: &ModelMask) -> WireMsg {
         4 * kept,
     );
     let payload_start = bytes.len();
-    for (e, cov) in mask.per_entry.iter().enumerate() {
-        let m = params.mat(e);
-        match cov {
-            CoverageMask::Full => put_f32s(&mut bytes, m.as_slice()),
-            CoverageMask::Rows(rb) => {
-                for r in (0..m.rows()).filter(|&r| rb.get(r)) {
-                    put_f32s(&mut bytes, m.row(r));
-                }
+    let layout = FlatLayout::of(params);
+    for e in 0..params.num_entries() {
+        let (m, bias) = (params.mat(e).as_slice(), params.bias(e));
+        let range = layout.entry_range(e);
+        walk_runs(&mask.per_entry, &layout, range.start, range.len(), |run| {
+            if let Run::Covered { local, n, .. } = run {
+                let src = if local < m.len() {
+                    &m[local..]
+                } else {
+                    &bias[local - m.len()..]
+                };
+                put_f32s(&mut bytes, &src[..n]);
             }
-            CoverageMask::RowsCols { .. } | CoverageMask::Elements(_) => {
-                for r in 0..m.rows() {
-                    for (c, v) in m.row(r).iter().enumerate() {
-                        if cov.covers(r, c, m.cols()) {
-                            bytes.extend_from_slice(&v.to_le_bytes());
-                        }
-                    }
-                }
-            }
-        }
-        let bias = params.bias(e);
-        if matches!(cov, CoverageMask::Full | CoverageMask::Elements(_)) {
-            put_f32s(&mut bytes, bias);
-        } else {
-            for (r, v) in bias.iter().enumerate() {
-                if cov.covers_bias(r) {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
+        });
     }
     debug_assert_eq!(bytes.len() - payload_start, 4 * kept);
     WireMsg { bytes }
@@ -1140,7 +1100,7 @@ impl<'a> WireView<'a> {
                 for (e, &tag) in tags.iter().enumerate() {
                     let m = shapes.mat(e);
                     let mask = decode_mask(tag, m.rows(), m.cols(), &mut r)?;
-                    kept += entry_kept(&mask, m.rows(), m.cols(), shapes.meta(e).has_bias);
+                    kept += mask.entry_kept(shapes, e);
                     masks.push(mask);
                 }
                 if n != kept {
@@ -1158,17 +1118,6 @@ impl<'a> WireView<'a> {
             masks,
             payload,
         })
-    }
-
-    /// The coverage as a [`ModelMask`] (for [`BodyKind::DeltaFull`]: full).
-    pub fn model_mask(&self, shapes: &ParamSet) -> ModelMask {
-        if self.masks.is_empty() {
-            ModelMask::full(shapes)
-        } else {
-            ModelMask {
-                per_entry: self.masks.clone(),
-            }
-        }
     }
 }
 

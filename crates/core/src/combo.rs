@@ -17,34 +17,20 @@ use fedbiad_compress::codec::encode_weights_delta;
 use fedbiad_compress::{ClientState as SketchState, Compressor};
 use fedbiad_fl::algorithm::RoundInfo;
 use fedbiad_fl::upload::{Upload, UploadKind};
+use fedbiad_nn::mask::{walk_runs, FlatLayout, Run};
 use fedbiad_nn::{ModelMask, ParamSet};
 use fedbiad_tensor::rng::{stream, StreamTag};
 use rand::rngs::StdRng;
 
 /// Flat indices (in [`ParamSet::flatten`] order) covered by `mask`.
 pub fn kept_flat_indices(params: &ParamSet, mask: &ModelMask) -> Vec<usize> {
+    let layout = FlatLayout::of(params);
     let mut out = Vec::new();
-    let mut off = 0usize;
-    for e in 0..params.num_entries() {
-        let m = params.mat(e);
-        let cols = m.cols();
-        let cov = &mask.per_entry[e];
-        for r in 0..m.rows() {
-            for c in 0..cols {
-                if cov.covers(r, c, cols) {
-                    out.push(off + r * cols + c);
-                }
-            }
+    walk_runs(&mask.per_entry, &layout, 0, layout.total(), |run| {
+        if let Run::Covered { local, n, .. } = run {
+            out.extend(local..local + n);
         }
-        off += m.len();
-        let bias_len = params.bias(e).len();
-        for r in 0..bias_len {
-            if cov.covers_bias(r) {
-                out.push(off + r);
-            }
-        }
-        off += bias_len;
-    }
+    });
     out
 }
 

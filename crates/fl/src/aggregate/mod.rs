@@ -180,63 +180,6 @@ impl AggSettings {
     }
 }
 
-/// Largest accepted shard size override, in KiB (1 GiB — the same upper
-/// bound the scenario spec enforces on its `[aggregation] shard_kb` key).
-pub const MAX_SHARD_KB: u32 = 1024 * 1024;
-
-/// Structured failure of a shard-size override (the `FEDBIAD_SHARD_KB`
-/// environment knob): the boundary-validation standard applied to
-/// aggregation weights extends to execution knobs — a bad value must
-/// surface as an error, never silently fall back to the default.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardKbError {
-    /// The value is not a base-10 unsigned integer.
-    Unparsable(String),
-    /// The value parsed but is outside `1..=`[`MAX_SHARD_KB`].
-    OutOfRange(u64),
-}
-
-impl std::fmt::Display for ShardKbError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardKbError::Unparsable(v) => {
-                write!(f, "shard size override {v:?} is not an unsigned integer")
-            }
-            ShardKbError::OutOfRange(kb) => write!(
-                f,
-                "shard size override {kb} KiB is outside 1..={MAX_SHARD_KB}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardKbError {}
-
-/// Validate a shard-size string: a base-10 KiB count in
-/// `1..=`[`MAX_SHARD_KB`]. Zero is rejected (a zero shard would degrade
-/// to per-element dispatch through `shard_elems`'s clamp and silently
-/// benchmark something else entirely).
-pub fn parse_shard_kb(v: &str) -> Result<u32, ShardKbError> {
-    let t = v.trim();
-    let kb: u64 = t
-        .parse()
-        .map_err(|_| ShardKbError::Unparsable(t.to_string()))?;
-    if !(1..=MAX_SHARD_KB as u64).contains(&kb) {
-        return Err(ShardKbError::OutOfRange(kb));
-    }
-    Ok(kb as u32)
-}
-
-/// Read and validate the `FEDBIAD_SHARD_KB` override (set by the CI
-/// tiny-shards leg and perf experiments). `Ok(None)` when unset; set but
-/// invalid is a [`ShardKbError`], not a silent default.
-pub fn env_shard_kb() -> Result<Option<u32>, ShardKbError> {
-    match std::env::var("FEDBIAD_SHARD_KB") {
-        Err(_) => Ok(None),
-        Ok(v) => parse_shard_kb(&v).map(Some),
-    }
-}
-
 /// A structured aggregation failure. `Display` is the full message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AggError {
@@ -942,45 +885,5 @@ mod tests {
             }
         }
         assert!(odd.to_string().contains("upload 2"), "{odd}");
-    }
-
-    #[test]
-    fn shard_kb_override_is_validated_not_silently_defaulted() {
-        assert_eq!(parse_shard_kb("64"), Ok(64));
-        assert_eq!(parse_shard_kb(" 1 "), Ok(1));
-        assert_eq!(parse_shard_kb(&MAX_SHARD_KB.to_string()), Ok(MAX_SHARD_KB));
-        assert_eq!(
-            parse_shard_kb("banana"),
-            Err(ShardKbError::Unparsable("banana".into()))
-        );
-        assert_eq!(
-            parse_shard_kb("-3"),
-            Err(ShardKbError::Unparsable("-3".into()))
-        );
-        assert_eq!(parse_shard_kb(""), Err(ShardKbError::Unparsable("".into())));
-        // Zero would clamp to a 1-element shard and benchmark something
-        // else entirely — it must be an error, not a quiet near-default.
-        assert_eq!(parse_shard_kb("0"), Err(ShardKbError::OutOfRange(0)));
-        let over = MAX_SHARD_KB as u64 + 1;
-        assert_eq!(
-            parse_shard_kb(&over.to_string()),
-            Err(ShardKbError::OutOfRange(over))
-        );
-        // Errors render their offending value.
-        let msg = parse_shard_kb("0").unwrap_err().to_string();
-        assert!(msg.contains('0'), "{msg}");
-    }
-
-    #[test]
-    fn env_shard_kb_reads_and_validates_the_variable() {
-        // One test owns the variable end to end (parallel unit tests do
-        // not otherwise touch it), so set/remove here cannot race.
-        std::env::remove_var("FEDBIAD_SHARD_KB");
-        assert_eq!(env_shard_kb(), Ok(None));
-        std::env::set_var("FEDBIAD_SHARD_KB", "128");
-        assert_eq!(env_shard_kb(), Ok(Some(128)));
-        std::env::set_var("FEDBIAD_SHARD_KB", "zero");
-        assert_eq!(env_shard_kb(), Err(ShardKbError::Unparsable("zero".into())));
-        std::env::remove_var("FEDBIAD_SHARD_KB");
     }
 }

@@ -22,11 +22,19 @@
 //!
 //! The per-shard inner loops run through the shared SIMD kernels in
 //! [`fedbiad_tensor::ops`] — all purely vertical operations, so the
-//! vector widths carry the exact scalar bits — and the coverage walk
-//! tracks kept-value ranks **incrementally** (one counter per shard
-//! walk; see [`walk_runs`]) instead of issuing a popcount rank query per
-//! matrix/bias section. Dense-f32 payloads accumulate straight from
-//! their wire bytes with no intermediate decode buffer.
+//! vector widths carry the exact scalar bits. Dense-f32 payloads
+//! accumulate straight from their wire bytes with no intermediate decode
+//! buffer.
+//!
+//! ## Coverage
+//!
+//! This module reads no coverage mask itself: [`fedbiad_nn::mask`] owns
+//! the flat order. A shard visits an upload's covered and dropped runs
+//! through [`walk_runs`] — the walk the encoder wrote the payload in —
+//! which tracks kept-value ranks **incrementally** (one counter per shard
+//! walk), so the only rank queries are the two [`KeptMeta::rank_at`]
+//! calls at the shard bounds; the row-granular fast paths ask each mask's
+//! own `is_row_granular` and `covers_row`.
 //!
 //! ## Memory
 //!
@@ -41,11 +49,9 @@
 
 use super::{robust, AggError, StalenessUpload, ZeroMode};
 use crate::upload::{Upload, UploadKind};
-use fedbiad_compress::codec::{
-    bias_kept as codec_bias_kept, mat_kept as codec_mat_kept, BodyKind, WireError, WireMsg,
-    WireView,
-};
-use fedbiad_nn::{CoverageMask, ParamSet};
+use fedbiad_compress::codec::{BodyKind, WireError, WireMsg, WireView};
+use fedbiad_nn::mask::{walk_runs, FlatLayout, KeptMeta, Run};
+use fedbiad_nn::ParamSet;
 use fedbiad_telemetry::{counter, gauge, span};
 use fedbiad_tensor::stats::{order_key, KeyTile, LANES};
 use fedbiad_tensor::{ops, Workspace};
@@ -64,271 +70,6 @@ thread_local! {
 /// across steady-state rounds (pinned by `tests/aggregation_equivalence.rs`).
 pub fn arena_churn() -> u64 {
     ARENA.with(|a| a.borrow().churn())
-}
-
-// ---- flat layout -------------------------------------------------------
-
-/// Flat spans of each entry in [`ParamSet::flatten`] order.
-struct Span {
-    mat_start: usize,
-    rows: usize,
-    cols: usize,
-    bias_start: usize,
-    bias_len: usize,
-}
-
-impl Span {
-    fn end(&self) -> usize {
-        self.bias_start + self.bias_len
-    }
-}
-
-struct FlatLayout {
-    spans: Vec<Span>,
-    total: usize,
-}
-
-impl FlatLayout {
-    fn of(p: &ParamSet) -> FlatLayout {
-        let mut spans = Vec::with_capacity(p.num_entries());
-        let mut off = 0usize;
-        for e in 0..p.num_entries() {
-            let m = p.mat(e);
-            let mat_start = off;
-            off += m.len();
-            let bias_start = off;
-            let bias_len = p.bias(e).len();
-            off += bias_len;
-            spans.push(Span {
-                mat_start,
-                rows: m.rows(),
-                cols: m.cols(),
-                bias_start,
-                bias_len,
-            });
-        }
-        FlatLayout { spans, total: off }
-    }
-
-    /// Entry containing flat position `pos`.
-    fn entry_of(&self, pos: usize) -> usize {
-        debug_assert!(pos < self.total);
-        self.spans.partition_point(|s| s.end() <= pos)
-    }
-}
-
-// ---- per-upload kept-value bookkeeping ---------------------------------
-
-/// Where each entry's covered values sit in an upload's kept-value
-/// stream (cumulative counts, in flatten order).
-struct KeptMeta {
-    /// `prefix[e]` = covered scalars before entry `e`; last = total.
-    prefix: Vec<usize>,
-    /// Covered *matrix* scalars of entry `e` (biases follow them).
-    mat_kept: Vec<usize>,
-}
-
-impl KeptMeta {
-    fn of(masks: &[CoverageMask], layout: &FlatLayout) -> KeptMeta {
-        let mut prefix = Vec::with_capacity(masks.len() + 1);
-        let mut mat_kept = Vec::with_capacity(masks.len());
-        let mut acc = 0usize;
-        prefix.push(0);
-        for (mask, span) in masks.iter().zip(&layout.spans) {
-            // Kept-count conventions come from the codec (the wire
-            // format's source of truth), so the rank bookkeeping here can
-            // never drift from what the encoder transmitted.
-            let mk = codec_mat_kept(mask, span.rows, span.cols);
-            acc += mk + codec_bias_kept(mask, span.bias_len);
-            mat_kept.push(mk);
-            prefix.push(acc);
-        }
-        KeptMeta { prefix, mat_kept }
-    }
-
-    /// Kept-rank of flat position `pos` (number of covered scalars before
-    /// it); `pos == total` returns the total covered count.
-    fn rank_at(&self, pos: usize, masks: &[CoverageMask], layout: &FlatLayout) -> usize {
-        if pos >= layout.total {
-            return *self.prefix.last().expect("non-empty prefix");
-        }
-        let e = layout.entry_of(pos);
-        let span = &layout.spans[e];
-        let mask = &masks[e];
-        if pos < span.bias_start {
-            let o = pos - span.mat_start;
-            let (r, c) = (o / span.cols, o % span.cols);
-            let mat_rank = match mask {
-                CoverageMask::Full => o,
-                CoverageMask::Rows(rb) => rb.rank(r) * span.cols + if rb.get(r) { c } else { 0 },
-                CoverageMask::RowsCols { rows, cols } => {
-                    rows.rank(r) * cols.count_ones() + if rows.get(r) { cols.rank(c) } else { 0 }
-                }
-                CoverageMask::Elements(b) => b.rank(o),
-            };
-            self.prefix[e] + mat_rank
-        } else {
-            let br = pos - span.bias_start;
-            let bias_rank = match mask {
-                CoverageMask::Full | CoverageMask::Elements(_) => br,
-                CoverageMask::Rows(rb) | CoverageMask::RowsCols { rows: rb, .. } => rb.rank(br),
-            };
-            self.prefix[e] + self.mat_kept[e] + bias_rank
-        }
-    }
-}
-
-/// One coverage run of a shard walk.
-enum Run {
-    /// `n` covered elements at local offset `local`; their kept values
-    /// are `ks[ki..ki+n]`.
-    Covered { local: usize, ki: usize, n: usize },
-    /// `n` dropped elements at local offset `local`.
-    Dropped { local: usize, n: usize },
-}
-
-/// Walk a shard range of one upload's coverage as *runs*: maximal
-/// stretches of covered and dropped elements, in flat order. Covered
-/// rows of `Rows`/`Full` masks — the hot case — surface as whole-row
-/// runs, so consumers reduce them with tight slice loops instead of
-/// per-element dispatch.
-///
-/// The kept-value index `ki` handed to each covered run is tracked
-/// **incrementally**: the kept-value stream follows flat order, so the
-/// rank of any position inside the walk equals the shard-start rank plus
-/// the covered elements seen so far. One counter therefore replaces the
-/// per-section `KeptMeta::rank_at` queries the walk used to issue (each
-/// a popcount scan over the mask words), making the walk O(shard) with
-/// no rank queries at all — callers resolve the single shard-start rank
-/// themselves when they need an absolute payload offset.
-fn walk_runs(
-    view: &WireView<'_>,
-    layout: &FlatLayout,
-    start: usize,
-    len: usize,
-    mut f: impl FnMut(Run),
-) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    let first = layout.entry_of(start);
-    // Covered elements seen since `start` — the incremental rank.
-    let mut ki = 0usize;
-    for (e, span) in layout.spans.iter().enumerate().skip(first) {
-        if span.mat_start >= end {
-            break;
-        }
-        let mask = &view.masks[e];
-        // Matrix section.
-        let m0 = span.mat_start.max(start);
-        let m1 = span.bias_start.min(end);
-        if m0 < m1 {
-            match mask {
-                CoverageMask::Full => {
-                    f(Run::Covered {
-                        local: m0 - start,
-                        ki,
-                        n: m1 - m0,
-                    });
-                    ki += m1 - m0;
-                }
-                CoverageMask::Rows(rb) => {
-                    let mut o = m0;
-                    while o < m1 {
-                        let r = (o - span.mat_start) / span.cols;
-                        let row_end = (span.mat_start + (r + 1) * span.cols).min(m1);
-                        if rb.get(r) {
-                            f(Run::Covered {
-                                local: o - start,
-                                ki,
-                                n: row_end - o,
-                            });
-                            ki += row_end - o;
-                        } else {
-                            f(Run::Dropped {
-                                local: o - start,
-                                n: row_end - o,
-                            });
-                        }
-                        o = row_end;
-                    }
-                }
-                CoverageMask::RowsCols { rows: rb, cols: cb } => {
-                    let mut o = m0;
-                    while o < m1 {
-                        let r = (o - span.mat_start) / span.cols;
-                        let row_end = (span.mat_start + (r + 1) * span.cols).min(m1);
-                        if rb.get(r) {
-                            for oo in o..row_end {
-                                if cb.get((oo - span.mat_start) % span.cols) {
-                                    f(Run::Covered {
-                                        local: oo - start,
-                                        ki,
-                                        n: 1,
-                                    });
-                                    ki += 1;
-                                } else {
-                                    f(Run::Dropped {
-                                        local: oo - start,
-                                        n: 1,
-                                    });
-                                }
-                            }
-                        } else {
-                            f(Run::Dropped {
-                                local: o - start,
-                                n: row_end - o,
-                            });
-                        }
-                        o = row_end;
-                    }
-                }
-                CoverageMask::Elements(bits) => {
-                    for o in m0..m1 {
-                        if bits.get(o - span.mat_start) {
-                            f(Run::Covered {
-                                local: o - start,
-                                ki,
-                                n: 1,
-                            });
-                            ki += 1;
-                        } else {
-                            f(Run::Dropped {
-                                local: o - start,
-                                n: 1,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Bias section (small; elementwise).
-        let b0 = span.bias_start.max(start);
-        let b1 = span.end().min(end);
-        if b0 < b1 {
-            for o in b0..b1 {
-                let br = o - span.bias_start;
-                let covered = match mask {
-                    CoverageMask::Full | CoverageMask::Elements(_) => true,
-                    CoverageMask::Rows(rb) | CoverageMask::RowsCols { rows: rb, .. } => rb.get(br),
-                };
-                if covered {
-                    f(Run::Covered {
-                        local: o - start,
-                        ki,
-                        n: 1,
-                    });
-                    ki += 1;
-                } else {
-                    f(Run::Dropped {
-                        local: o - start,
-                        n: 1,
-                    });
-                }
-            }
-        }
-    }
 }
 
 // ---- cohort views ------------------------------------------------------
@@ -351,6 +92,46 @@ fn cohort_views<'a>(
             Ok(v)
         })
         .collect()
+}
+
+/// A cohort's validated views, each with its kept-value bookkeeping over
+/// the global's flat layout: the setup every masked-weights engine shares.
+struct Cohort<'a> {
+    layout: FlatLayout,
+    views: Vec<WireView<'a>>,
+    kmetas: Vec<KeptMeta>,
+}
+
+impl<'a> Cohort<'a> {
+    fn of(global: &ParamSet, uploads: impl Iterator<Item = &'a Upload>) -> Result<Self, AggError> {
+        let layout = FlatLayout::of(global);
+        let views = cohort_views(global, uploads)?;
+        let kmetas = views
+            .iter()
+            .map(|v| KeptMeta::of(&v.masks, &layout))
+            .collect();
+        Ok(Cohort {
+            layout,
+            views,
+            kmetas,
+        })
+    }
+
+    /// Whether a weights combine under `mode` folds a row-constant
+    /// denominator instead of a den array: it needs one, and every mask is
+    /// row-granular (`Full`/`Rows` — the FedBIAD dropout shape), so each
+    /// client's weight is constant along a row. The combine then walks row
+    /// extents and folds each row's scalar weight chain ([`row_weight`])
+    /// straight into the constant-den kernels, saving both the per-client
+    /// `den += w` memory passes and the full-width den fill/read. Finer
+    /// masks (`RowsCols`/`Elements`) keep the per-client accumulation.
+    fn fast_den(&self, mode: ZeroMode) -> bool {
+        mode != ZeroMode::ZerosPull
+            && self
+                .views
+                .iter()
+                .all(|v| v.masks.iter().all(|m| m.is_row_granular()))
+    }
 }
 
 fn check_kind(view: &WireView<'_>, upload_kind: UploadKind) -> Result<(), AggError> {
@@ -525,7 +306,7 @@ fn accumulate_weights_shard(
             (ks, kr0)
         }
     };
-    walk_runs(view, layout, start, len, |run| match run {
+    walk_runs(&view.masks, layout, start, len, |run| match run {
         Run::Covered { local, ki, n } => {
             let nseg = &mut num[local..local + n];
             if delta_mode {
@@ -554,54 +335,11 @@ fn accumulate_weights_shard(
 fn row_weight(uploads: &[(f32, &Upload)], views: &[WireView<'_>], e: usize, r: usize) -> f32 {
     let mut d = 0.0f32;
     for ((w, _), v) in uploads.iter().zip(views) {
-        let covered = match &v.masks[e] {
-            CoverageMask::Full => true,
-            CoverageMask::Rows(rb) => rb.get(r),
-            // Caller guarantees row granularity.
-            _ => unreachable!("row_weight on non-row-granular mask"),
-        };
-        if covered {
+        if v.masks[e].covers_row(r) {
             d += *w;
         }
     }
     d
-}
-
-/// Call `f(lo, hi, e, r)` for every maximal extent of the flat range that
-/// lies within a single row: matrix rows clipped to the range, then each
-/// bias element (bias element `i` of an entry belongs to row `i`).
-/// `lo..hi` are range-local offsets.
-fn for_each_row_extent(
-    layout: &FlatLayout,
-    start: usize,
-    len: usize,
-    f: &mut impl FnMut(usize, usize, usize, usize),
-) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    for (e, span) in layout.spans.iter().enumerate().skip(layout.entry_of(start)) {
-        if span.mat_start >= end {
-            break;
-        }
-        let m0 = span.mat_start.max(start);
-        let m1 = span.bias_start.min(end);
-        if m0 < m1 {
-            let r0 = (m0 - span.mat_start) / span.cols;
-            let r1 = (m1 - 1 - span.mat_start) / span.cols;
-            for r in r0..=r1 {
-                let lo = (span.mat_start + r * span.cols).max(m0);
-                let hi = (span.mat_start + (r + 1) * span.cols).min(m1);
-                f(lo - start, hi - start, e, r);
-            }
-        }
-        let b0 = span.bias_start.max(start);
-        let b1 = span.end().min(end);
-        for i in b0..b1 {
-            f(i - start, i + 1 - start, e, i - span.bias_start);
-        }
-    }
 }
 
 /// Decode one upload's masked values for a shard into `vals` (exact
@@ -627,7 +365,7 @@ fn decode_masked_shard(
     }
     let (ks, _) = decode_kept(view, kmeta, layout, start, len, kept_scratch);
     let delta_mode = view.kind == BodyKind::WeightsDelta;
-    walk_runs(view, layout, start, len, |run| match run {
+    walk_runs(&view.masks, layout, start, len, |run| match run {
         Run::Covered { local, ki, n } => {
             let seg = &mut vals[local..local + n];
             let kseg = &ks[ki..ki + n];
@@ -654,60 +392,39 @@ fn decode_masked_shard(
 /// Decode an encoded upload into its dense flat values: covered positions
 /// carry the client's reconstructed values (`base + δ` for `WeightsDelta`
 /// bodies), dropped positions exact zero — the dense-engine twin of the
-/// wire body. Delta payloads decode the full flat stream directly. Used
-/// by the norm-clip pre-pass and the public `decode_dense`.
+/// wire body, i.e. [`decode_masked_shard`] over the whole flat range.
+/// Delta payloads decode the full flat stream directly. Used by the
+/// norm-clip pre-pass and the public `decode_dense`.
 pub(super) fn decode_dense_flat(
     shape: &ParamSet,
     base_flat: &[f32],
     msg: &WireMsg,
 ) -> Result<Vec<f32>, AggError> {
-    let layout = FlatLayout::of(shape);
     let view = msg.view(shape)?;
-    let mut out = vec![0.0f32; layout.total];
+    let mut out = vec![0.0f32; shape.total_params()];
     if view.kind == BodyKind::DeltaFull {
         view.payload.decode_range(0, &mut out);
-        return Ok(out);
+    } else {
+        let layout = FlatLayout::of(shape);
+        let kmeta = KeptMeta::of(&view.masks, &layout);
+        let mut ks = vec![0.0f32; kmeta.total()];
+        let total = out.len();
+        decode_masked_shard(
+            &view, &kmeta, &layout, 0, total, base_flat, &mut out, None, &mut ks,
+        );
     }
-    let kmeta = KeptMeta::of(&view.masks, &layout);
-    let total_kept = *kmeta.prefix.last().expect("non-empty prefix");
-    let mut ks = vec![0.0f32; total_kept];
-    view.payload.decode_range(0, &mut ks);
-    let delta_mode = view.kind == BodyKind::WeightsDelta;
-    walk_runs(&view, &layout, 0, layout.total, |run| match run {
-        Run::Covered { local, ki, n } => {
-            let seg = &mut out[local..local + n];
-            if delta_mode {
-                for ((o, b), k) in seg
-                    .iter_mut()
-                    .zip(&base_flat[local..local + n])
-                    .zip(&ks[ki..ki + n])
-                {
-                    *o = *b + *k;
-                }
-            } else {
-                seg.copy_from_slice(&ks[ki..ki + n]);
-            }
-        }
-        Run::Dropped { .. } => {}
-    });
     Ok(out)
 }
 
 /// Scan an encoded upload's decoded value stream for non-finite values in
 /// fixed-size chunks, never materialising the model. Sign/quantised
 /// payloads decode a poisoned `mu`/`scale` into non-finite values, so
-/// this single decode-level check covers every payload kind.
+/// this single decode-level check covers every payload kind. The stream
+/// is as long as the payload's logical length, which parsing held to the
+/// model (delta bodies) or to the masks' kept count (weights bodies).
 pub(super) fn wire_has_non_finite(base: &ParamSet, msg: &WireMsg) -> Result<bool, AggError> {
-    let layout = FlatLayout::of(base);
     let view = msg.view(base)?;
-    let total = if view.kind == BodyKind::DeltaFull {
-        layout.total
-    } else {
-        *KeptMeta::of(&view.masks, &layout)
-            .prefix
-            .last()
-            .expect("non-empty prefix")
-    };
+    let total = view.payload.logical_len();
     let mut buf = [0.0f32; 512];
     let mut i = 0usize;
     while i < total {
@@ -743,7 +460,7 @@ fn decode_weights_delta_shard(
     }
     let (ks, _) = decode_kept(view, kmeta, layout, start, len, kept_scratch);
     let delta_mode = view.kind == BodyKind::WeightsDelta;
-    walk_runs(view, layout, start, len, |run| match run {
+    walk_runs(&view.masks, layout, start, len, |run| match run {
         Run::Covered { local, ki, n } => {
             let seg = &mut vals[local..local + n];
             let kseg = &ks[ki..ki + n];
@@ -767,31 +484,12 @@ pub(super) fn weights(
     total_w: f32,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let layout = FlatLayout::of(global);
-    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
-    let kmetas: Vec<KeptMeta> = views
-        .iter()
-        .map(|v| KeptMeta::of(&v.masks, &layout))
-        .collect();
-    let need_den = mode != ZeroMode::ZerosPull;
-
-    // Row-granular coverage (`Full`/`Rows` masks — the FedBIAD dropout
-    // shape) makes the denominator *row-constant* per client, so no den
-    // array is materialised at all: the combine step walks row extents
-    // and folds each row's scalar weight chain straight into the
-    // constant-den combine kernels, saving both the per-client
-    // `den += w` memory passes and the full-width den fill/read. Finer
-    // masks (`RowsCols`/`Elements`) keep the per-client accumulation.
-    let row_granular = views.iter().all(|v| {
-        v.masks
-            .iter()
-            .all(|m| matches!(m, CoverageMask::Full | CoverageMask::Rows(_)))
-    });
-    let fast_den = need_den && row_granular;
-
+    let cohort = Cohort::of(global, uploads.iter().map(|(_, u)| *u))?;
+    let fast_den = cohort.fast_den(mode);
+    let per_client_den = mode != ZeroMode::ZerosPull && !fast_den;
     let needs = Needs {
         num: true,
-        den: need_den && !fast_den,
+        den: per_client_den,
         vals: false,
         kept: true,
         snap: false,
@@ -800,22 +498,22 @@ pub(super) fn weights(
         let len = t.g.len();
         t.num.fill(0.0);
         t.den.fill(0.0);
-        for (((w, _), view), kmeta) in uploads.iter().zip(&views).zip(&kmetas) {
+        for (((w, _), view), kmeta) in uploads.iter().zip(&cohort.views).zip(&cohort.kmetas) {
             accumulate_weights_shard(
                 view,
                 kmeta,
-                &layout,
+                &cohort.layout,
                 t.start,
                 len,
                 *w,
                 t.g,
                 t.num,
-                (need_den && !fast_den).then_some(&mut *t.den),
+                per_client_den.then_some(&mut *t.den),
                 t.kept,
             );
         }
         combine_mode(
-            mode, fast_den, &layout, uploads, &views, total_w, t.start, t.num, t.den, t.g,
+            mode, fast_den, &cohort, uploads, total_w, t.start, t.num, t.den, t.g,
         );
     });
     Ok(())
@@ -829,15 +527,15 @@ pub(super) fn weights(
 fn combine_mode(
     mode: ZeroMode,
     fast_den: bool,
-    layout: &FlatLayout,
+    cohort: &Cohort<'_>,
     uploads: &[(f32, &Upload)],
-    views: &[WireView<'_>],
     total_w: f32,
     start: usize,
     num: &[f32],
     den: &[f32],
     g: &mut [f32],
 ) {
+    let (layout, views) = (&cohort.layout, &cohort.views);
     let len = g.len();
     let inv_w = 1.0f32 / total_w;
     match mode {
@@ -845,7 +543,7 @@ fn combine_mode(
             // Matrix elements: num·(1/W); biases: num/W — exactly the
             // dense reference's two expressions, applied per maximal
             // matrix/bias section run.
-            for_each_section_range(layout, start, len, &mut |lo, hi, is_bias| {
+            layout.for_each_section(start, len, &mut |lo, hi, is_bias| {
                 if is_bias {
                     ops::div_scalar_into(&num[lo..hi], total_w, &mut g[lo..hi]);
                 } else {
@@ -855,14 +553,14 @@ fn combine_mode(
         }
         // den = 0 keeps the previous global value.
         ZeroMode::HoldersOnly if fast_den => {
-            for_each_row_extent(layout, start, len, &mut |lo, hi, e, r| {
+            layout.for_each_row_extent(start, len, &mut |lo, hi, e, r| {
                 let d = row_weight(uploads, views, e, r);
                 ops::holders_combine_scalar(&num[lo..hi], d, &mut g[lo..hi]);
             });
         }
         ZeroMode::HoldersOnly => ops::holders_combine(num, den, g),
         ZeroMode::StaleFill if fast_den => {
-            for_each_row_extent(layout, start, len, &mut |lo, hi, e, r| {
+            layout.for_each_row_extent(start, len, &mut |lo, hi, e, r| {
                 let d = row_weight(uploads, views, e, r);
                 ops::stale_fill_combine_scalar(&num[lo..hi], d, total_w, &mut g[lo..hi]);
             });
@@ -894,20 +592,9 @@ pub(super) fn weights_tree(
     shard_elems: usize,
     fanin: usize,
 ) -> Result<(), AggError> {
-    let layout = FlatLayout::of(global);
-    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
-    let kmetas: Vec<KeptMeta> = views
-        .iter()
-        .map(|v| KeptMeta::of(&v.masks, &layout))
-        .collect();
-    let need_den = mode != ZeroMode::ZerosPull;
-    let row_granular = views.iter().all(|v| {
-        v.masks
-            .iter()
-            .all(|m| matches!(m, CoverageMask::Full | CoverageMask::Rows(_)))
-    });
-    let fast_den = need_den && row_granular;
-    let per_client_den = need_den && !fast_den;
+    let cohort = Cohort::of(global, uploads.iter().map(|(_, u)| *u))?;
+    let fast_den = cohort.fast_den(mode);
+    let per_client_den = mode != ZeroMode::ZerosPull && !fast_den;
 
     let total = global.total_params();
     let se = shard_elems.max(1);
@@ -977,15 +664,18 @@ pub(super) fn weights_tree(
         // be recycled within one process lifetime — clear explicitly.
         t.pnum.fill(0.0);
         t.pden.fill(0.0);
-        for i in t.lo..t.hi {
-            let (w, _) = uploads[i];
+        let group = t.lo..t.hi;
+        let members = uploads[group.clone()]
+            .iter()
+            .zip(&cohort.views[group.clone()]);
+        for (((w, _), view), kmeta) in members.zip(&cohort.kmetas[group]) {
             accumulate_weights_shard(
-                &views[i],
-                &kmetas[i],
-                &layout,
+                view,
+                kmeta,
+                &cohort.layout,
                 t.start,
                 len,
-                w,
+                *w,
                 &gflat[t.start..t.start + len],
                 t.pnum,
                 per_client_den.then_some(&mut *t.pden),
@@ -1018,7 +708,7 @@ pub(super) fn weights_tree(
             }
         }
         combine_mode(
-            mode, fast_den, &layout, uploads, &views, total_w, t.start, t.num, t.den, t.g,
+            mode, fast_den, &cohort, uploads, total_w, t.start, t.num, t.den, t.g,
         );
     });
 
@@ -1030,35 +720,6 @@ pub(super) fn weights_tree(
         a.give(pkept);
     });
     Ok(())
-}
-
-/// Call `f(lo, hi, is_bias)` for every maximal matrix/bias section run of
-/// the flat range (`lo..hi` are range-local offsets).
-fn for_each_section_range(
-    layout: &FlatLayout,
-    start: usize,
-    len: usize,
-    f: &mut impl FnMut(usize, usize, bool),
-) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    for span in layout.spans.iter().skip(layout.entry_of(start)) {
-        if span.mat_start >= end {
-            break;
-        }
-        let m0 = span.mat_start.max(start);
-        let m1 = span.bias_start.min(end);
-        if m0 < m1 {
-            f(m0 - start, m1 - start, false);
-        }
-        let b0 = span.bias_start.max(start);
-        let b1 = span.end().min(end);
-        if b0 < b1 {
-            f(b0 - start, b1 - start, true);
-        }
-    }
 }
 
 pub(super) fn deltas(
@@ -1100,12 +761,11 @@ pub(super) fn staleness(
     total_w: f64,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let layout = FlatLayout::of(global);
-    let views = cohort_views(global, items.iter().map(|it| it.upload))?;
-    let kmetas: Vec<KeptMeta> = views
-        .iter()
-        .map(|v| KeptMeta::of(&v.masks, &layout))
-        .collect();
+    let Cohort {
+        layout,
+        views,
+        kmetas,
+    } = Cohort::of(global, items.iter().map(|it| it.upload))?;
 
     let needs = Needs {
         num: false,
@@ -1301,22 +961,17 @@ pub(super) fn robust_weights(
     total_w: f32,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let layout = FlatLayout::of(global);
-    let views = cohort_views(global, uploads.iter().map(|(_, u)| *u))?;
-    let kmetas: Vec<KeptMeta> = views
-        .iter()
-        .map(|v| KeptMeta::of(&v.masks, &layout))
-        .collect();
+    let Cohort {
+        layout,
+        views,
+        kmetas,
+    } = Cohort::of(global, uploads.iter().map(|(_, u)| *u))?;
     let n = uploads.len();
     let ws: Vec<f32> = uploads.iter().map(|(w, _)| *w).collect();
     let every = mode == ZeroMode::ZerosPull;
     // Entries whose rows each have one participant set across the cohort.
-    let row_shared: Vec<bool> = (0..layout.spans.len())
-        .map(|e| {
-            views
-                .iter()
-                .all(|v| matches!(v.masks[e], CoverageMask::Full | CoverageMask::Rows(_)))
-        })
+    let row_shared: Vec<bool> = (0..global.num_entries())
+        .map(|e| views.iter().all(|v| v.masks[e].is_row_granular()))
         .collect();
     let with_cov = !every && row_shared.contains(&false);
     let pseudo = (est == robust::Estimator::Median && mode == ZeroMode::StaleFill).then_some(n);
@@ -1370,18 +1025,14 @@ pub(super) fn robust_weights(
                 });
                 return;
             }
-            for_each_row_extent(&layout, t.start + lo, tl, &mut |a, z, e, r| {
+            layout.for_each_row_extent(t.start + lo, tl, &mut |a, z, e, r| {
                 if row_shared[e] {
                     // Σw over the row's holders in upload order: the
                     // per-coordinate chain with its `+0.0` terms dropped.
                     parts.clear();
                     let mut den = 0.0f32;
                     for (i, v) in views.iter().enumerate() {
-                        let covered = match &v.masks[e] {
-                            CoverageMask::Rows(rb) => rb.get(r),
-                            _ => true,
-                        };
-                        if covered {
+                        if v.masks[e].covers_row(r) {
                             parts.push(i);
                             den += ws[i];
                         }
@@ -1518,12 +1169,11 @@ pub(super) fn robust_staleness(
     est: robust::Estimator,
     shard_elems: usize,
 ) -> Result<(), AggError> {
-    let layout = FlatLayout::of(global);
-    let views = cohort_views(global, items.iter().map(|it| it.upload))?;
-    let kmetas: Vec<KeptMeta> = views
-        .iter()
-        .map(|v| KeptMeta::of(&v.masks, &layout))
-        .collect();
+    let Cohort {
+        layout,
+        views,
+        kmetas,
+    } = Cohort::of(global, items.iter().map(|it| it.upload))?;
     let n = items.len();
     let ws: Vec<f64> = items.iter().map(|it| it.weight).collect();
     let needs = Needs {

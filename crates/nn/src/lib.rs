@@ -14,7 +14,8 @@
 //! * [`mask`]: coverage masks (full / rows / submatrix / elements) that
 //!   describe which parameters a client trained and uploads, plus exact
 //!   wire-byte accounting (4 B weights, 1 bit per dropping label, 1 bit per
-//!   element for pruning bitmaps);
+//!   element for pruning bitmaps), and the one flat-order walk and kept
+//!   counts every reader of a mask goes through;
 //! * [`mlp::MlpModel`] and [`lstm_lm::LstmLmModel`]: hand-written
 //!   forward/backward (BPTT for the LSTM) implementations of the paper's
 //!   two architectures;

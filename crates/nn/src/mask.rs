@@ -14,9 +14,18 @@
 //! 4 bytes per transmitted f32, 1 bit per dropping label for row patterns
 //! (paper §V-B: "each dropping label is 1 bit"), 1 bit per element for
 //! pruning bitmaps; biases travel with their bundled row.
+//!
+//! It also owns the **flat order** every reader of a mask agrees on
+//! ([`ParamSet::flatten`]: entry by entry, the matrix row-major, then its
+//! bias): which positions a mask keeps ([`walk_runs`]), how many values
+//! each entry sends ([`CoverageMask::mat_kept`] /
+//! [`CoverageMask::bias_kept`]) and at which rank of the kept-value
+//! stream each one sits ([`KeptMeta`]). The wire encoder, the streaming
+//! reducer and the sketch gather all read coverage through these.
 
 use crate::params::ParamSet;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Compact bit vector.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -181,6 +190,58 @@ impl CoverageMask {
             CoverageMask::RowsCols { rows, .. } => rows.get(r),
         }
     }
+
+    /// `Full` or `Rows`: coverage is constant along each row, bias
+    /// included, so [`CoverageMask::covers_row`] answers for the row.
+    #[inline]
+    pub fn is_row_granular(&self) -> bool {
+        matches!(self, CoverageMask::Full | CoverageMask::Rows(_))
+    }
+
+    /// Is row `r` (its weights and its bias) covered? Only for a
+    /// row-granular mask ([`CoverageMask::is_row_granular`]); panics
+    /// otherwise.
+    #[inline]
+    pub fn covers_row(&self, r: usize) -> bool {
+        match self {
+            CoverageMask::Full => true,
+            CoverageMask::Rows(rows) => rows.get(r),
+            _ => panic!("covers_row on a mask that is not row-granular"),
+        }
+    }
+
+    /// Covered *matrix* scalars of a `rows × cols` entry: how many weight
+    /// values the entry puts in the kept-value stream.
+    #[inline]
+    pub fn mat_kept(&self, rows: usize, cols: usize) -> usize {
+        match self {
+            CoverageMask::Full => rows * cols,
+            CoverageMask::Rows(r) => r.count_ones() * cols,
+            CoverageMask::RowsCols { rows: r, cols: c } => r.count_ones() * c.count_ones(),
+            CoverageMask::Elements(b) => b.count_ones(),
+        }
+    }
+
+    /// Covered *bias* scalars of an entry with `bias_len` bias elements
+    /// (0 when it has none). They follow the entry's matrix values in the
+    /// kept-value stream; `Elements` masks send them all.
+    #[inline]
+    pub fn bias_kept(&self, bias_len: usize) -> usize {
+        if bias_len == 0 {
+            return 0;
+        }
+        match self {
+            CoverageMask::Full | CoverageMask::Elements(_) => bias_len,
+            CoverageMask::Rows(r) | CoverageMask::RowsCols { rows: r, .. } => r.count_ones(),
+        }
+    }
+
+    /// Covered scalars of entry `e` of `params`, weights and biases: the
+    /// number of kept values the entry contributes to an upload.
+    pub fn entry_kept(&self, params: &ParamSet, e: usize) -> usize {
+        let m = params.mat(e);
+        self.mat_kept(m.rows(), m.cols()) + self.bias_kept(params.bias(e).len())
+    }
 }
 
 /// Per-entry coverage for a whole model, aligned with [`ParamSet`] entries.
@@ -284,29 +345,8 @@ impl ModelMask {
 
     /// Number of transmitted scalars (weights + covered biases).
     pub fn kept_params(&self, params: &ParamSet) -> usize {
-        let mut n = 0usize;
-        for (e, mask) in self.per_entry.iter().enumerate() {
-            let m = params.mat(e);
-            let has_bias = params.meta(e).has_bias;
-            match mask {
-                CoverageMask::Full => {
-                    n += m.len() + if has_bias { m.rows() } else { 0 };
-                }
-                CoverageMask::Rows(rows) => {
-                    let kept = rows.count_ones();
-                    n += kept * (m.cols() + usize::from(has_bias));
-                }
-                CoverageMask::RowsCols { rows, cols } => {
-                    let kr = rows.count_ones();
-                    let kc = cols.count_ones();
-                    n += kr * kc + if has_bias { kr } else { 0 };
-                }
-                CoverageMask::Elements(bits) => {
-                    n += bits.count_ones() + if has_bias { m.rows() } else { 0 };
-                }
-            }
-        }
-        n
+        let entries = self.per_entry.iter().enumerate();
+        entries.map(|(e, mask)| mask.entry_kept(params, e)).sum()
     }
 
     /// Exact uplink bytes: 4 B per transmitted scalar + pattern overhead
@@ -374,6 +414,320 @@ impl ModelMask {
         };
         KeptRows {
             per_entry: self.per_entry.iter().map(rows_of).collect(),
+        }
+    }
+}
+
+// ---- flat order --------------------------------------------------------
+
+/// Flat span of one entry in [`ParamSet::flatten`] order.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    mat_start: usize,
+    rows: usize,
+    cols: usize,
+    bias_start: usize,
+    bias_len: usize,
+}
+
+impl Span {
+    #[inline]
+    fn end(&self) -> usize {
+        self.bias_start + self.bias_len
+    }
+}
+
+/// Where each entry of a [`ParamSet`] sits in [`ParamSet::flatten`]
+/// order: its matrix row-major, then its bias.
+#[derive(Clone, Debug)]
+pub struct FlatLayout {
+    spans: Vec<Span>,
+    total: usize,
+}
+
+impl FlatLayout {
+    /// The layout of `p`'s shapes.
+    pub fn of(p: &ParamSet) -> FlatLayout {
+        let mut spans = Vec::with_capacity(p.num_entries());
+        let mut off = 0usize;
+        for e in 0..p.num_entries() {
+            let m = p.mat(e);
+            let mat_start = off;
+            off += m.len();
+            let bias_start = off;
+            let bias_len = p.bias(e).len();
+            off += bias_len;
+            spans.push(Span {
+                mat_start,
+                rows: m.rows(),
+                cols: m.cols(),
+                bias_start,
+                bias_len,
+            });
+        }
+        FlatLayout { spans, total: off }
+    }
+
+    /// Total flat length (= [`ParamSet::total_params`]).
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Flat positions of entry `e`: its matrix, then its bias.
+    pub fn entry_range(&self, e: usize) -> Range<usize> {
+        self.spans[e].mat_start..self.spans[e].end()
+    }
+
+    /// Entry containing flat position `pos`.
+    #[inline]
+    fn entry_of(&self, pos: usize) -> usize {
+        debug_assert!(pos < self.total);
+        self.spans.partition_point(|s| s.end() <= pos)
+    }
+
+    /// The entries that overlap `[start, start + len)`, with their indices.
+    #[inline]
+    fn spans_in(&self, start: usize, len: usize) -> impl Iterator<Item = (usize, &Span)> {
+        let first = if len == 0 {
+            self.spans.len()
+        } else {
+            self.entry_of(start)
+        };
+        let end = start + len;
+        self.spans
+            .iter()
+            .enumerate()
+            .skip(first)
+            .take_while(move |(_, s)| s.mat_start < end)
+    }
+
+    /// Call `f(lo, hi, is_bias)` for every maximal matrix / bias section
+    /// of `[start, start + len)`; `lo..hi` are range-local offsets.
+    pub fn for_each_section(
+        &self,
+        start: usize,
+        len: usize,
+        f: &mut impl FnMut(usize, usize, bool),
+    ) {
+        let end = start + len;
+        for (_, span) in self.spans_in(start, len) {
+            let m0 = span.mat_start.max(start);
+            let m1 = span.bias_start.min(end);
+            if m0 < m1 {
+                f(m0 - start, m1 - start, false);
+            }
+            let b0 = span.bias_start.max(start);
+            let b1 = span.end().min(end);
+            if b0 < b1 {
+                f(b0 - start, b1 - start, true);
+            }
+        }
+    }
+
+    /// Call `f(lo, hi, e, r)` for every maximal extent of `[start, start +
+    /// len)` that lies within one row `r` of entry `e`: matrix rows clipped
+    /// to the range, then each bias element (bias element `i` belongs to
+    /// row `i`). `lo..hi` are range-local offsets.
+    pub fn for_each_row_extent(
+        &self,
+        start: usize,
+        len: usize,
+        f: &mut impl FnMut(usize, usize, usize, usize),
+    ) {
+        let end = start + len;
+        for (e, span) in self.spans_in(start, len) {
+            let m0 = span.mat_start.max(start);
+            let m1 = span.bias_start.min(end);
+            if m0 < m1 {
+                let r0 = (m0 - span.mat_start) / span.cols;
+                let r1 = (m1 - 1 - span.mat_start) / span.cols;
+                for r in r0..=r1 {
+                    let lo = (span.mat_start + r * span.cols).max(m0);
+                    let hi = (span.mat_start + (r + 1) * span.cols).min(m1);
+                    f(lo - start, hi - start, e, r);
+                }
+            }
+            let b0 = span.bias_start.max(start);
+            let b1 = span.end().min(end);
+            for i in b0..b1 {
+                f(i - start, i + 1 - start, e, i - span.bias_start);
+            }
+        }
+    }
+}
+
+/// Where each entry's covered values sit in one upload's kept-value
+/// stream (cumulative counts, in flat order), for the masks `masks` (one
+/// per entry of a [`FlatLayout`]).
+#[derive(Clone, Debug)]
+pub struct KeptMeta {
+    /// `prefix[e]` = covered scalars before entry `e`; last = total.
+    prefix: Vec<usize>,
+    /// Covered *matrix* scalars of entry `e` (biases follow them).
+    mat_kept: Vec<usize>,
+}
+
+impl KeptMeta {
+    /// The kept counts of `masks` laid out by `layout`.
+    pub fn of(masks: &[CoverageMask], layout: &FlatLayout) -> KeptMeta {
+        let mut prefix = Vec::with_capacity(masks.len() + 1);
+        let mut mat_kept = Vec::with_capacity(masks.len());
+        let mut acc = 0usize;
+        prefix.push(0);
+        for (mask, span) in masks.iter().zip(&layout.spans) {
+            let mk = mask.mat_kept(span.rows, span.cols);
+            acc += mk + mask.bias_kept(span.bias_len);
+            mat_kept.push(mk);
+            prefix.push(acc);
+        }
+        KeptMeta { prefix, mat_kept }
+    }
+
+    /// Covered scalars in total: the length of the kept-value stream.
+    pub fn total(&self) -> usize {
+        *self.prefix.last().expect("non-empty prefix")
+    }
+
+    /// Kept-rank of flat position `pos` (number of covered scalars before
+    /// it); `pos == layout.total()` returns the total covered count.
+    pub fn rank_at(&self, pos: usize, masks: &[CoverageMask], layout: &FlatLayout) -> usize {
+        if pos >= layout.total {
+            return self.total();
+        }
+        let e = layout.entry_of(pos);
+        let span = &layout.spans[e];
+        let mask = &masks[e];
+        if pos < span.bias_start {
+            let o = pos - span.mat_start;
+            let (r, c) = (o / span.cols, o % span.cols);
+            let mat_rank = match mask {
+                CoverageMask::Full => o,
+                CoverageMask::Rows(rb) => rb.rank(r) * span.cols + if rb.get(r) { c } else { 0 },
+                CoverageMask::RowsCols { rows, cols } => {
+                    rows.rank(r) * cols.count_ones() + if rows.get(r) { cols.rank(c) } else { 0 }
+                }
+                CoverageMask::Elements(b) => b.rank(o),
+            };
+            self.prefix[e] + mat_rank
+        } else {
+            let br = pos - span.bias_start;
+            let bias_rank = match mask {
+                CoverageMask::Full | CoverageMask::Elements(_) => br,
+                CoverageMask::Rows(rb) | CoverageMask::RowsCols { rows: rb, .. } => rb.rank(br),
+            };
+            self.prefix[e] + self.mat_kept[e] + bias_rank
+        }
+    }
+}
+
+/// One coverage run of a [`walk_runs`] walk.
+#[derive(Clone, Copy, Debug)]
+pub enum Run {
+    /// `n` covered elements at range-local offset `local`; their kept
+    /// values are `ki..ki + n` of the walk's kept values (ranks counted
+    /// from the range start).
+    Covered {
+        /// Range-local offset of the first element.
+        local: usize,
+        /// Kept-value index of the first element, relative to the range.
+        ki: usize,
+        /// Run length.
+        n: usize,
+    },
+    /// `n` dropped elements at range-local offset `local`.
+    Dropped {
+        /// Range-local offset of the first element.
+        local: usize,
+        /// Run length.
+        n: usize,
+    },
+}
+
+/// Walk the coverage of `masks` (one per entry of `layout`) over the flat
+/// range `[start, start + len)` as runs of covered and dropped elements,
+/// in flat order — the order of an upload's kept-value stream. A `Full`
+/// matrix, each row of a `Rows` mask, each dropped row of a `RowsCols`
+/// mask and a `Full` or `Elements` bias are one run each (clipped to the
+/// range), so readers move them with slice loops; `RowsCols` columns and
+/// `Elements` matrices are walked element by element.
+///
+/// The kept-value index `ki` of each covered run is tracked
+/// **incrementally** — one counter, no rank query: a reader that needs
+/// an absolute payload position adds the range start's
+/// [`KeptMeta::rank_at`] once.
+pub fn walk_runs(
+    masks: &[CoverageMask],
+    layout: &FlatLayout,
+    start: usize,
+    len: usize,
+    mut f: impl FnMut(Run),
+) {
+    let end = start + len;
+    // Covered elements seen since `start` — the incremental rank.
+    let mut ki = 0usize;
+    let mut emit = |covered: bool, o: usize, n: usize| {
+        let local = o - start;
+        if covered {
+            f(Run::Covered { local, ki, n });
+            ki += n;
+        } else {
+            f(Run::Dropped { local, n });
+        }
+    };
+    for (e, span) in layout.spans_in(start, len) {
+        let mask = &masks[e];
+        // Matrix section.
+        let m0 = span.mat_start.max(start);
+        let m1 = span.bias_start.min(end);
+        if m0 < m1 {
+            // End of the row holding flat position `o`, clipped.
+            let row_end = |o: usize| {
+                let r = (o - span.mat_start) / span.cols;
+                (r, (span.mat_start + (r + 1) * span.cols).min(m1))
+            };
+            match mask {
+                CoverageMask::Full => emit(true, m0, m1 - m0),
+                CoverageMask::Rows(rb) => {
+                    let mut o = m0;
+                    while o < m1 {
+                        let (r, re) = row_end(o);
+                        emit(rb.get(r), o, re - o);
+                        o = re;
+                    }
+                }
+                CoverageMask::RowsCols { rows: rb, cols: cb } => {
+                    let mut o = m0;
+                    while o < m1 {
+                        let (r, re) = row_end(o);
+                        if rb.get(r) {
+                            for oo in o..re {
+                                emit(cb.get((oo - span.mat_start) % span.cols), oo, 1);
+                            }
+                        } else {
+                            emit(false, o, re - o);
+                        }
+                        o = re;
+                    }
+                }
+                CoverageMask::Elements(bits) => {
+                    for o in m0..m1 {
+                        emit(bits.get(o - span.mat_start), o, 1);
+                    }
+                }
+            }
+        }
+        // Bias section.
+        let b0 = span.bias_start.max(start);
+        let b1 = span.end().min(end);
+        if b0 < b1 {
+            match mask {
+                CoverageMask::Full | CoverageMask::Elements(_) => emit(true, b0, b1 - b0),
+                CoverageMask::Rows(rb) | CoverageMask::RowsCols { rows: rb, .. } => {
+                    for o in b0..b1 {
+                        emit(rb.get(o - span.bias_start), o, 1);
+                    }
+                }
+            }
         }
     }
 }

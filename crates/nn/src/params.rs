@@ -32,13 +32,6 @@ pub enum LayerKind {
     LstmRecurrent,
 }
 
-impl LayerKind {
-    /// `true` for the recurrent weight matrices of an RNN.
-    pub fn is_recurrent(self) -> bool {
-        matches!(self, LayerKind::LstmRecurrent)
-    }
-}
-
 /// Metadata for one weight matrix (one "entry") of a [`ParamSet`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EntryMeta {
@@ -214,14 +207,6 @@ impl ParamSet {
         &self.meta[i]
     }
 
-    /// Entry index by name; panics if absent (programmer error).
-    pub fn entry_index(&self, name: &str) -> usize {
-        self.meta
-            .iter()
-            .position(|m| m.name == name)
-            .unwrap_or_else(|| panic!("no entry named {name}"))
-    }
-
     // ---- row-unit registry (the J-dimensional space β acts on) ----
     //
     // A "row unit" is one droppable activation's worth of weight rows:
@@ -297,12 +282,6 @@ impl ParamSet {
                 self.biases[e][r] *= f;
             }
         }
-    }
-
-    /// [`LayerKind`] owning row unit `j`.
-    pub fn row_unit_kind(&self, j: usize) -> LayerKind {
-        let (e, _) = self.row_unit(j);
-        self.meta[e].kind
     }
 
     // ---- whole-set arithmetic (aggregation / optimiser substrate) ----

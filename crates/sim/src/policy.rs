@@ -308,18 +308,6 @@ impl FedBuff {
         }
     }
 
-    /// Override the staleness exponent.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Override the server learning rate.
-    pub fn with_server_lr(mut self, lr: f64) -> Self {
-        self.server_lr = lr;
-        self
-    }
-
     /// Uniform draw of a client that is not currently in flight
     /// (`in_flight` is ascending). Returns `None` if every client is busy.
     fn sample_idle(&mut self, view: &ServerView) -> Option<usize> {

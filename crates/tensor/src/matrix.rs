@@ -143,11 +143,6 @@ impl Matrix {
         }
     }
 
-    /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Fill every element with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
@@ -163,13 +158,6 @@ impl Matrix {
     #[inline]
     pub fn zero_row(&mut self, r: usize) {
         self.row_mut(r).fill(0.0);
-    }
-
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// `self += other` element-wise. Panics on shape mismatch.

@@ -35,7 +35,7 @@
 # `PayloadView` decode and the codec property tests) and the root
 # `aggregation_equivalence` suite (the streaming engine's shard and
 # column-tile indexing into decoded frames, against the dense oracle, at
-# 1/2/8 threads and three shard sizes).
+# 1/2/8 threads and four shard sizes).
 #
 # Needs a nightly toolchain (`-Zsanitizer`); doctests are left out because
 # they do not link under ASan. CI's `asan` job runs this same script.

@@ -9,9 +9,6 @@
 //! streaming side *wire* uploads and the oracle side their *dense twins*
 //! ([`assert_routes`] pins that on both cohorts) — the same uploads on
 //! both calls would compare an engine with itself.
-//!
-//! The suite honours `FEDBIAD_SHARD_KB` (CI's tiny-shard matrix leg): a
-//! value there is added to the tested shard-size set.
 
 use fedbiad::compress::dgc::Dgc;
 use fedbiad::compress::fedpaq::FedPaq;
@@ -49,26 +46,10 @@ fn env_lock() -> std::sync::MutexGuard<'static, ()> {
     ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shard sizes under test: tiny (many ragged boundaries), the default,
-/// and one at least as large as any test model (single-shard case) —
-/// plus whatever CI injects via `FEDBIAD_SHARD_KB` (its tiny-shard
-/// matrix leg sets 1, the minimum, which is deliberately *not* in the
-/// built-in set so the leg adds coverage instead of repeating it).
-fn shard_kbs() -> Vec<u32> {
-    let mut kbs = vec![2, 64, 4096];
-    // Validated parse: a CI leg exporting a broken value must fail the
-    // suite loudly, not silently test the built-in set only.
-    match fedbiad_fl::aggregate::env_shard_kb() {
-        Ok(Some(kb)) => {
-            if !kbs.contains(&kb) {
-                kbs.push(kb);
-            }
-        }
-        Ok(None) => {}
-        Err(e) => panic!("invalid FEDBIAD_SHARD_KB: {e}"),
-    }
-    kbs
-}
+/// Shard sizes under test: the minimum and a tiny one (many ragged
+/// boundaries), the default, and one at least as large as any test model
+/// (single-shard case).
+const SHARD_KBS: [u32; 4] = [1, 2, 64, 4096];
 
 fn assert_params_bit_identical(a: &ParamSet, b: &ParamSet, what: &str) {
     let (fa, fb) = (a.flatten(), b.flatten());
@@ -295,7 +276,7 @@ fn assert_weights_equivalence(
     ] {
         let mut reference = global0.clone();
         aggregate_weights(&mut reference, &ref_ups, mode, AggSettings::default()).unwrap();
-        for kb in shard_kbs() {
+        for kb in SHARD_KBS {
             for threads in ["1", "2", "8"] {
                 std::env::set_var("RAYON_NUM_THREADS", threads);
                 let mut g = global0.clone();
@@ -358,7 +339,7 @@ fn delta_uploads_every_compressor() {
         assert_routes(ups_w.iter().map(|(_, u)| *u), ups_d.iter().map(|(_, u)| *u));
         let mut reference = global.clone();
         aggregate_deltas(&mut reference, &ups_d, AggSettings::default()).unwrap();
-        for kb in shard_kbs() {
+        for kb in SHARD_KBS {
             for threads in ["1", "2", "8"] {
                 std::env::set_var("RAYON_NUM_THREADS", threads);
                 let mut g = global.clone();
@@ -439,7 +420,7 @@ impl StalenessFixture {
         let mut reference = self.global.clone();
         let default = settings(AggSettings::default());
         merge_staleness_weighted(&mut reference, &dense_items, 0.75, default).unwrap();
-        for kb in shard_kbs() {
+        for kb in SHARD_KBS {
             for threads in ["1", "2", "8"] {
                 std::env::set_var("RAYON_NUM_THREADS", threads);
                 let mut g = self.global.clone();
@@ -542,7 +523,7 @@ fn assert_robust_weights_equivalence(
             AggSettings::default().with_robust(robust),
         )
         .unwrap();
-        for kb in shard_kbs() {
+        for kb in SHARD_KBS {
             for threads in ["1", "2", "8"] {
                 std::env::set_var("RAYON_NUM_THREADS", threads);
                 let mut g = global0.clone();
@@ -612,7 +593,7 @@ fn robust_deltas_dense_vs_streaming() {
                 AggSettings::default().with_robust(robust),
             )
             .unwrap();
-            for kb in shard_kbs() {
+            for kb in SHARD_KBS {
                 for threads in ["1", "2", "8"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
                     let mut g = global.clone();
